@@ -19,8 +19,8 @@ measures it — and everything around it — with :mod:`repro.eval`:
    ``degraded`` by the session layer, intermittent dropout, inter-session
    drift) and compare;
 4. sweep serving deadlines with :func:`~repro.eval.accuracy_vs_deadline`
-   — the accuracy/shed trade-off the benchmark records to
-   ``BENCH_accuracy.json``.
+   — the accuracy/shed trade-off whose unlimited point the benchmark
+   gates against ``BENCH_accuracy.json``.
 
 Run with::
 

@@ -10,7 +10,7 @@ Microcontroller is All You Need", Burrello et al., COINS 2021):
 * ``network.h`` — the inference entry point and buffer-size macros;
 * ``network.c`` — one kernel invocation per graph node, reading and writing
   offsets of a single activation arena sized by the memory planner;
-* ``kernels.h`` — prototypes of the kernel library the calls target.
+* ``kernels.h`` — prototypes of the kernels the schedule calls.
 
 No cross-compiler is available in this environment, so the generated code
 is not built here; the test-suite instead checks its structural properties
@@ -32,15 +32,19 @@ from .memory import MemoryPlan, plan_activation_memory
 
 __all__ = ["GeneratedSource", "CodeGenerator", "generate_c_sources"]
 
+#: The MAC kernels run the GEMM schedule described by each node's
+#: :class:`~repro.deploy.lowering.GemmTileInfo`: conv1d as im2col plus one
+#: integer matmul, linear/matmul as a single (M, K) x (K, N) GEMM with the
+#: requantisation applied once per output tile.
 _KERNEL_FOR_OP = {
-    "conv1d": "net_conv1d_i8",
-    "linear": "net_linear_i8",
+    "conv1d": "net_conv1d_im2col_i8",
+    "linear": "net_linear_gemm_i8",
     "channel_affine": "net_channel_affine_i8",
     "layernorm": "net_layernorm_i8",
     "relu": "net_relu_i8",
     "gelu": "net_gelu_i8",
     "softmax": "net_softmax_i8",
-    "matmul": "net_matmul_i8",
+    "matmul": "net_matmul_gemm_i8",
     "add": "net_add_i8",
     "append_token": "net_append_token_i8",
     "add_positional": "net_add_positional_i8",
@@ -59,18 +63,6 @@ _KERNEL_FOR_OP = {
 _LUT_KERNEL_FOR_OP = {
     "gelu": "net_gelu_lut_i8",
     "softmax": "net_softmax_lut_i8",
-}
-
-#: GEMM-schedule variants used when the lowered node carries a
-#: :class:`~repro.deploy.lowering.GemmTileInfo`: conv1d runs as im2col plus
-#: one integer matmul, linear/matmul as a single (M, K) x (K, N) GEMM with
-#: the requantisation applied once per output tile.  Numerics are identical
-#: to the legacy kernels (integer arithmetic is exact; same multiplier and
-#: shift macros) — only the loop schedule changes.
-_GEMM_KERNEL_FOR_OP = {
-    "conv1d": "net_conv1d_im2col_i8",
-    "linear": "net_linear_gemm_i8",
-    "matmul": "net_matmul_gemm_i8",
 }
 
 #: Name fragment appended per absorbed kernel when the compiler's fusion
@@ -118,54 +110,38 @@ def _format_array(values: np.ndarray, per_line: int = 16) -> str:
 class CodeGenerator:
     """Generates the C deployment bundle for an int8-lowered graph.
 
+    The lowered graph alone decides the kernel schedule: a GELU/softmax node
+    that carries a :class:`~repro.deploy.graph.LookupTable` calls the
+    table-driven kernel and ships its table in ``weights.h``, one without
+    calls the elementwise I-BERT kernel.
+
     Parameters
     ----------
     quantized:
         The int8-lowered graph (with or without lookup tables).
     memory_plan:
         Activation arena plan; computed from the graph when omitted.
-    use_lut:
-        ``None``/``True`` schedules the table-driven nonlinearity kernels
-        (``net_gelu_lut_i8`` / ``net_softmax_lut_i8``) for every node that
-        carries a :class:`~repro.deploy.graph.LookupTable` and emits the
-        tables into ``weights.h``; ``False`` emits the legacy elementwise
-        kernel schedule even when tables are present.
-    use_gemm:
-        ``None``/``True`` schedules the im2col/GEMM MAC kernels
-        (``net_conv1d_im2col_i8`` / ``net_linear_gemm_i8`` /
-        ``net_matmul_gemm_i8``) for every node that carries a
-        :class:`~repro.deploy.lowering.GemmTileInfo` and emits the tile
-        ``_GEMM_M/_K/_N`` macros into ``weights.h``; ``False`` keeps the
-        legacy per-op kernel names.  Either way the numerics are pinned:
-        both schedules consume the same multiplier/shift macros.
     """
 
     def __init__(
         self,
         quantized: QuantizedGraph,
         memory_plan: Optional[MemoryPlan] = None,
-        use_lut: Optional[bool] = None,
-        use_gemm: Optional[bool] = None,
     ) -> None:
         self.quantized = quantized
         self.graph = quantized.graph
-        self.use_lut = use_lut is None or bool(use_lut)
-        self.use_gemm = use_gemm is None or bool(use_gemm)
         self.memory_plan = (
             memory_plan if memory_plan is not None else plan_activation_memory(self.graph)
         )
 
     def _kernel_single(self, node: GraphNode) -> str:
-        """The kernel implementing one unfused kernel under the active op set."""
-        lowered = self.quantized.nodes[node.name]
-        if self.use_lut and lowered.luts:
+        """The kernel implementing one unfused kernel."""
+        if self.quantized.nodes[node.name].luts:
             return _LUT_KERNEL_FOR_OP[node.op]
-        if self.use_gemm and lowered.gemm is not None and node.op in _GEMM_KERNEL_FOR_OP:
-            return _GEMM_KERNEL_FOR_OP[node.op]
         return _KERNEL_FOR_OP[node.op]
 
     def _kernel_for(self, node: GraphNode) -> str:
-        """The kernel implementing ``node`` under the active op set.
+        """The kernel implementing ``node``.
 
         A fused node names a fused kernel: the base kernel's stem plus one
         tag per absorbed kernel (``_affine`` / ``_relu`` / ``_gelu[_lut]`` /
@@ -178,7 +154,7 @@ class CodeGenerator:
         tags = []
         for sub in chain[1:]:
             tag = _FUSED_TAG_FOR_OP[sub.op]
-            if sub.op == "gelu" and self.use_lut and self.quantized.nodes[sub.name].luts:
+            if sub.op == "gelu" and self.quantized.nodes[sub.name].luts:
                 tag = "gelu_lut"
             tags.append(tag)
         stem = base[: -len("_i8")] if base.endswith("_i8") else base
@@ -212,24 +188,23 @@ class CodeGenerator:
                     f"#define {array_name.upper()}_SCALE {constant.scale:.10e}f"
                 )
                 lines.append("")
-            if self.use_lut:
-                for role, table in lowered.luts.items():
-                    ctype = "int8_t" if table.dtype == "int8" else "int32_t"
-                    array_name = f"{identifier}_lut_{role}"
-                    lines.append(
-                        f"static const {ctype} {array_name}[{table.size}] = {{"
-                    )
-                    lines.append(_format_array(np.asarray(table.values, dtype=np.int64)))
-                    lines.append("};")
-                    lines.append(
-                        f"#define {array_name.upper()}_DOMAIN_MIN {table.domain_min}"
-                    )
-                    lines.append("")
+            for role, table in lowered.luts.items():
+                ctype = "int8_t" if table.dtype == "int8" else "int32_t"
+                array_name = f"{identifier}_lut_{role}"
+                lines.append(
+                    f"static const {ctype} {array_name}[{table.size}] = {{"
+                )
+                lines.append(_format_array(np.asarray(table.values, dtype=np.int64)))
+                lines.append("};")
+                lines.append(
+                    f"#define {array_name.upper()}_DOMAIN_MIN {table.domain_min}"
+                )
+                lines.append("")
             for role, (multiplier, shift) in lowered.requantizers.items():
                 prefix = f"{identifier}_{role}".upper()
                 lines.append(f"#define {prefix}_MULTIPLIER {multiplier}")
                 lines.append(f"#define {prefix}_SHIFT {shift}")
-            if self.use_gemm and lowered.gemm is not None:
+            if lowered.gemm is not None:
                 prefix = identifier.upper()
                 lines.append(f"#define {prefix}_GEMM_M {lowered.gemm.m}")
                 lines.append(f"#define {prefix}_GEMM_K {lowered.gemm.k}")
@@ -239,7 +214,7 @@ class CodeGenerator:
         return GeneratedSource("weights.h", "\n".join(lines) + "\n")
 
     def kernels_header(self) -> GeneratedSource:
-        """``kernels.h`` — prototypes of the int8 kernel library."""
+        """``kernels.h`` — prototypes of exactly the kernels the schedule calls."""
         lines = [
             "/* Auto-generated by repro.deploy.codegen - kernel library API. */",
             "#ifndef NETWORK_KERNELS_H",
@@ -252,23 +227,14 @@ class CodeGenerator:
             " * the integer executor in repro.deploy.int_engine.  The _lut_",
             " * variants gather a precomputed table (see weights.h) instead of",
             " * evaluating the I-BERT polynomials per element.  The _gemm_ /",
-            " * _im2col_ variants run the same MACs as their per-op peers but",
-            " * as one (M, K) x (K, N) integer matmul per node, requantising",
-            " * once per output tile (see the _GEMM_M/_K/_N macros).  Fused",
-            " * variants (tags _affine/_relu/_gelu[_lut]/_pool appended by the",
-            " * compiler's fusion passes) apply the absorbed kernels on the",
-            " * output tile in L1 using the same per-stage macros. */",
+            " * _im2col_ MAC kernels run one (M, K) x (K, N) integer matmul per",
+            " * node, requantising once per output tile (see the _GEMM_M/_K/_N",
+            " * macros).  Fused variants (tags _affine/_relu/_gelu[_lut]/_pool",
+            " * appended by the compiler's fusion passes) apply the absorbed",
+            " * kernels on the output tile in L1 using the same per-stage",
+            " * macros. */",
         ]
-        declared = (
-            set(_KERNEL_FOR_OP.values())
-            | set(_LUT_KERNEL_FOR_OP.values())
-            | set(_GEMM_KERNEL_FOR_OP.values())
-        )
-        # Fused kernels are graph-specific: declare exactly the ones the
-        # schedule calls.
-        for node in self.graph.nodes:
-            if node.is_fused:
-                declared.add(self._kernel_for(node))
+        declared = {self._kernel_for(node) for node in self.graph.nodes}
         for kernel in sorted(declared):
             lines.append(
                 f"void {kernel}(const int8_t *input, int8_t *output, const void *params);"
@@ -293,8 +259,7 @@ class CodeGenerator:
             f"#define NETWORK_OUTPUT_SIZE {output_spec.num_elements}",
             f"#define NETWORK_ARENA_BYTES {arena}",
             f"#define NETWORK_WEIGHT_BYTES {self.quantized.total_weight_bytes}",
-            f"#define NETWORK_LUT_BYTES "
-            f"{self.quantized.total_lut_bytes if self.use_lut else 0}",
+            f"#define NETWORK_LUT_BYTES {self.quantized.total_lut_bytes}",
             f"#define NETWORK_INPUT_SCALE {self.quantized.input_quantization.scale:.10e}f",
             f"#define NETWORK_OUTPUT_SCALE {self.quantized.output_quantization.scale:.10e}f",
             "",
@@ -375,8 +340,6 @@ class CodeGenerator:
 def generate_c_sources(
     quantized: QuantizedGraph,
     memory_plan: Optional[MemoryPlan] = None,
-    use_lut: Optional[bool] = None,
-    use_gemm: Optional[bool] = None,
 ) -> Dict[str, GeneratedSource]:
     """One-call code generation for an int8-lowered graph."""
-    return CodeGenerator(quantized, memory_plan, use_lut=use_lut, use_gemm=use_gemm).generate()
+    return CodeGenerator(quantized, memory_plan).generate()

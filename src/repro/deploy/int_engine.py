@@ -9,20 +9,17 @@ When the lowered graph carries precomputed lookup tables
 (:class:`~repro.deploy.graph.LookupTable`, emitted by ``lower_to_int8`` by
 default), the GELU and softmax-``exp`` nonlinearities execute as a single
 vectorised ``np.take`` instead of replaying the I-BERT polynomials per
-element.  Both paths are bit-identical over the full representable input
-domain (the tables are built from the elementwise kernels, and the
-test-suite pins the equality exhaustively); ``use_lut=False`` forces the
-legacy elementwise path for cross-checking.
+element; a graph lowered without tables runs the elementwise kernels.  Both
+are bit-identical over the full representable input domain (the tables are
+built from the elementwise kernels, and the test-suite pins the equality
+exhaustively).
 
-The MAC-heavy operators (``conv1d``, ``linear``, ``matmul``) execute by
-default through a shared batched GEMM primitive (:func:`int_gemm`):
-``conv1d`` is lowered to im2col + one integer matmul per layer across the
-whole micro-batch, and the fixed-point requantisation is applied once per
-output tile with the multiplier/shift pair precomputed at lowering time
-(:class:`~repro.deploy.lowering.GemmTileInfo`).  Integer arithmetic is
-exact, so the GEMM path is bit-identical to the legacy per-op strided
-einsum kernels by construction — and the test-suite pins that equality per
-shape; ``use_gemm=False`` keeps the einsum path alive for cross-checking.
+The MAC-heavy operators (``conv1d``, ``linear``, ``matmul``) execute through
+a shared batched GEMM primitive (:func:`int_gemm`): ``conv1d`` is lowered to
+im2col + one integer matmul per layer across the whole micro-batch, and the
+fixed-point requantisation is applied once per output tile with the
+multiplier/shift pair precomputed at lowering time
+(:class:`~repro.deploy.lowering.GemmTileInfo`).
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the generated weights and the requantisation constants can all
@@ -157,8 +154,7 @@ def int_gemm(
 
     The contraction itself runs through BLAS whenever that is provably
     exact for the operand ranges (see :func:`_gemm_accumulate`) — int8-grid
-    inputs always qualify — which is where the GEMM schedule's speedup
-    over the per-op integer einsum kernels comes from.
+    inputs always qualify.
     """
     accumulator = _gemm_accumulate(lhs, rhs)
     if bias is not None:
@@ -195,48 +191,21 @@ def _im2col(
 class IntegerGraphExecutor:
     """Executes a :class:`QuantizedGraph` with integer-only arithmetic.
 
-    Parameters
-    ----------
-    quantized:
-        The int8-lowered graph to replay.
-    use_lut:
-        ``None`` (default) runs each nonlinearity through its precomputed
-        lookup table whenever the lowered node carries one, falling back to
-        the elementwise I-BERT kernels otherwise.  ``False`` forces the
-        legacy elementwise path even when tables are present (the
-        cross-checking baseline); ``True`` behaves like ``None`` — a graph
-        lowered with ``use_lut=False`` simply has no tables to use.
-    use_gemm:
-        ``None``/``True`` (default) executes ``conv1d`` (via im2col),
-        ``linear`` and ``matmul`` through the shared :func:`int_gemm`
-        primitive — one integer matmul per layer across the whole
-        micro-batch, with the requantiser tile precomputed at lowering
-        time.  ``False`` keeps the legacy strided-einsum kernels with
-        per-call requantiser encoding (the cross-checking baseline).
-        Integer arithmetic is exact, so both paths are bit-identical.
+    The lowered graph alone decides how each node runs: MAC nodes through
+    :func:`int_gemm` with their lowering-time requantiser tile, GELU/softmax
+    through their lookup table when the node carries one and through the
+    elementwise I-BERT kernels when it does not.
     """
 
-    def __init__(
-        self,
-        quantized: QuantizedGraph,
-        use_lut: Optional[bool] = None,
-        use_gemm: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, quantized: QuantizedGraph) -> None:
         self.quantized = quantized
         self.graph = quantized.graph
-        self.use_lut = use_lut is None or bool(use_lut)
-        self.use_gemm = use_gemm is None or bool(use_gemm)
         # Requantiser memo: factor -> (multiplier, shift).  The MAC nodes
         # carry their encoded requantiser from lowering (GemmTileInfo); the
         # remaining ops (avgpool, mean, the I-BERT tails) compute factors
         # at runtime, so the encoding loops of ``quantize_multiplier`` are
         # paid once per distinct factor instead of once per invocation.
         self._multiplier_cache: Dict[float, Tuple[int, int]] = {}
-
-    @property
-    def uses_luts(self) -> bool:
-        """Whether any node will execute through a lookup table."""
-        return self.use_lut and self.quantized.uses_luts
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -262,21 +231,14 @@ class IntegerGraphExecutor:
         return apply_requant(values, multiplier, shift, out.qmin, out.qmax)
 
     def _gemm_requant(
-        self, lowered: QuantizedNode, out_name: str, factor: float
+        self, lowered: QuantizedNode, out_name: str
     ) -> Tuple[int, int, int, int]:
-        """The ``(multiplier, shift, qmin, qmax)`` tile of a GEMM node.
-
-        Prefers the requantiser precomputed at lowering time
-        (:class:`~repro.deploy.lowering.GemmTileInfo`); the runtime
-        ``factor`` fallback encodes the identical float expression, so both
-        sources yield the same fixed-point pair.
-        """
+        """The ``(multiplier, shift, qmin, qmax)`` tile of a MAC node, from
+        the :class:`~repro.deploy.lowering.GemmTileInfo` the lowering's
+        ``PlanGemmTilesPass`` attaches to every MAC node."""
         out = self._activation(out_name)
         tile = lowered.gemm
-        if tile is not None:
-            return (tile.multiplier, tile.shift, out.qmin, out.qmax)
-        multiplier, shift = self._encode_multiplier(factor / out.scale)
-        return (multiplier, shift, out.qmin, out.qmax)
+        return (tile.multiplier, tile.shift, out.qmin, out.qmax)
 
     # ------------------------------------------------------------------ #
     # Single-node dispatch
@@ -304,56 +266,36 @@ class IntegerGraphExecutor:
         if op == "conv1d":
             weight = lowered.constants["weight"]
             bias = lowered.constants.get("bias")
-            if self.use_gemm:
-                out_channels, in_channels, kernel = weight.values.shape
-                patches = _im2col(
-                    q_x,
-                    kernel,
-                    stride=int(node.attrs["stride"]),
-                    padding=int(node.attrs["padding"]),
-                    dilation=int(node.attrs["dilation"]),
-                )
-                batch, out_length, patch_dim = patches.shape
-                flat_weight = weight.values.reshape(out_channels, patch_dim)
-                quantized = int_gemm(
-                    patches.reshape(batch * out_length, patch_dim),
-                    flat_weight.T,
-                    bias=bias.values if bias is not None else None,
-                    requant=self._gemm_requant(
-                        lowered, out_name, in_scale * weight.scale
-                    ),
-                )
-                return quantized.reshape(batch, out_length, out_channels).transpose(0, 2, 1)
-            accumulator = _int_conv1d(
+            out_channels, _, kernel = weight.values.shape
+            patches = _im2col(
                 q_x,
-                weight.values,
+                kernel,
                 stride=int(node.attrs["stride"]),
                 padding=int(node.attrs["padding"]),
                 dilation=int(node.attrs["dilation"]),
             )
-            if bias is not None:
-                accumulator += bias.values.reshape(1, -1, 1)
-            return self._requant_to(accumulator, in_scale * weight.scale, out_name)
+            batch, out_length, patch_dim = patches.shape
+            flat_weight = weight.values.reshape(out_channels, patch_dim)
+            quantized = int_gemm(
+                patches.reshape(batch * out_length, patch_dim),
+                flat_weight.T,
+                bias=bias.values if bias is not None else None,
+                requant=self._gemm_requant(lowered, out_name),
+            )
+            return quantized.reshape(batch, out_length, out_channels).transpose(0, 2, 1)
 
         if op == "linear":
             weight = lowered.constants["weight"]
             bias = lowered.constants.get("bias")
-            if self.use_gemm:
-                out_features, in_features = weight.values.shape
-                lead = q_x.shape[:-1]
-                quantized = int_gemm(
-                    q_x.reshape(-1, in_features),
-                    weight.values.T,
-                    bias=bias.values if bias is not None else None,
-                    requant=self._gemm_requant(
-                        lowered, out_name, in_scale * weight.scale
-                    ),
-                )
-                return quantized.reshape(lead + (out_features,))
-            accumulator = q_x.astype(np.int64) @ weight.values.T.astype(np.int64)
-            if bias is not None:
-                accumulator += bias.values
-            return self._requant_to(accumulator, in_scale * weight.scale, out_name)
+            out_features, in_features = weight.values.shape
+            lead = q_x.shape[:-1]
+            quantized = int_gemm(
+                q_x.reshape(-1, in_features),
+                weight.values.T,
+                bias=bias.values if bias is not None else None,
+                requant=self._gemm_requant(lowered, out_name),
+            )
+            return quantized.reshape(lead + (out_features,))
 
         if op == "channel_affine":
             scale_const = lowered.constants["scale"]
@@ -364,22 +306,17 @@ class IntegerGraphExecutor:
 
         if op == "matmul":
             q_other = tensors[node.inputs[1]]
-            other_scale = self._activation(node.inputs[1]).scale
             if node.attrs.get("transpose_b", False):
                 q_other = np.swapaxes(q_other, -1, -2)
-            factor = in_scale * other_scale * float(node.attrs.get("scale", 1.0))
-            if self.use_gemm:
-                # Fold the leading (batch, heads) axes into one stacked GEMM
-                # so the whole micro-batch contracts in a single matmul.
-                lead = q_x.shape[:-2]
-                quantized = int_gemm(
-                    q_x.reshape((-1,) + q_x.shape[-2:]),
-                    q_other.reshape((-1,) + q_other.shape[-2:]),
-                    requant=self._gemm_requant(lowered, out_name, factor),
-                )
-                return quantized.reshape(lead + quantized.shape[-2:])
-            accumulator = q_x.astype(np.int64) @ q_other.astype(np.int64)
-            return self._requant_to(accumulator, factor, out_name)
+            # Fold the leading (batch, heads) axes into one stacked GEMM so
+            # the whole micro-batch contracts in a single matmul.
+            lead = q_x.shape[:-2]
+            quantized = int_gemm(
+                q_x.reshape((-1,) + q_x.shape[-2:]),
+                q_other.reshape((-1,) + q_other.shape[-2:]),
+                requant=self._gemm_requant(lowered, out_name),
+            )
+            return quantized.reshape(lead + quantized.shape[-2:])
 
         if op == "add":
             q_other = tensors[node.inputs[1]]
@@ -405,7 +342,7 @@ class IntegerGraphExecutor:
             return self._requant_to(np.maximum(q_x, 0).astype(np.int64), in_scale, out_name)
 
         if op == "gelu":
-            table = lowered.luts.get("gelu") if self.use_lut else None
+            table = lowered.luts.get("gelu")
             if table is not None:
                 # The table already fuses the polynomial and the output
                 # requantisation: one gather per element.
@@ -415,7 +352,7 @@ class IntegerGraphExecutor:
 
         if op == "softmax":
             axis = int(node.attrs.get("axis", -1))
-            table = lowered.luts.get("exp") if self.use_lut else None
+            table = lowered.luts.get("exp")
             if table is not None:
                 q = q_x.astype(np.int64)
                 shifted = q - q.max(axis=axis, keepdims=True)
@@ -497,30 +434,3 @@ class IntegerGraphExecutor:
         integer_predictions = self.predict(inputs)
         return float(np.mean(float_predictions == integer_predictions))
 
-
-def _int_conv1d(
-    q_x: np.ndarray,
-    q_weight: np.ndarray,
-    stride: int,
-    padding: int,
-    dilation: int,
-) -> np.ndarray:
-    """Integer 1-D convolution with int64 accumulation.
-
-    Vectorised over the kernel dimension: a single strided view gathers
-    every ``(output position, tap)`` pair and one integer ``einsum``
-    contracts channels and taps at once.  Integer arithmetic is exact, so
-    the result is identical to the per-tap accumulation loop it replaced
-    (the test-suite pins this equality).
-    """
-    q_x = q_x.astype(np.int64)
-    q_weight = q_weight.astype(np.int64)
-    kernel = q_weight.shape[-1]
-    if padding > 0:
-        q_x = np.pad(q_x, ((0, 0), (0, 0), (padding, padding)))
-    effective = dilation * (kernel - 1) + 1
-    # (B, C, out_length, kernel): output positions stride the signal, taps
-    # sample each window every `dilation` samples.
-    windows = np.lib.stride_tricks.sliding_window_view(q_x, effective, axis=-1)
-    windows = windows[:, :, ::stride, ::dilation]
-    return np.einsum("bclk,ock->bol", windows, q_weight)

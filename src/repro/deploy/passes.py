@@ -410,8 +410,9 @@ class PlanGemmTilesPass(GraphPass):
     """Attach :class:`GemmTileInfo` to every MAC node.
 
     The tile reuses the ``requantizers["output"]`` pair encoded by
-    :class:`QuantizeWeightsPass`, so the GEMM path and the per-op path share
-    one lowering-time requantisation contract.
+    :class:`QuantizeWeightsPass`, so the integer executor and the generated C
+    share one lowering-time requantisation contract.  Every MAC node gets a
+    tile: the executor reads its requantiser from it.
     """
 
     name = "plan-gemm-tiles"

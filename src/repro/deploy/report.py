@@ -19,7 +19,7 @@ integer numerics end-to-end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .lowering import QuantizedGraph, lower_to_int8
 from .memory import MemoryPlan, plan_activation_memory
 from .tiling import TilingConfig, TilingPlan, plan_tiling
 from .tracers import trace_model
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .passes import LoweringConfig
 
 __all__ = ["graph_to_profile", "GraphDeploymentReport", "deploy_graph"]
 
@@ -118,7 +115,7 @@ class GraphDeploymentReport:
 
     @property
     def lut_kilobytes(self) -> float:
-        """Nonlinearity lookup-table storage in kB (0 without ``use_lut``)."""
+        """Nonlinearity lookup-table storage in kB (0 for a tableless lowering)."""
         return self.quantized.total_lut_bytes / 1024.0
 
     @property
@@ -209,12 +206,8 @@ def deploy_graph(
     tiling: Optional[TilingConfig] = None,
     battery: Optional[BatteryConfig] = None,
     inference_period_s: Optional[float] = 15e-3,
-    weight_bits: int = 8,
-    activation_bits: int = 8,
-    use_lut: bool = True,
-    optimize: bool = False,
-    config: Optional["LoweringConfig"] = None,
     generate_code: bool = True,
+    **lower_kwargs,
 ) -> GraphDeploymentReport:
     """Run the full graph-level deployment pipeline for a trained model.
 
@@ -233,37 +226,20 @@ def deploy_graph(
     inference_period_s:
         Period of the always-on loop for the battery projection (15 ms in
         the paper); ``None`` skips the projection.
-    weight_bits, activation_bits:
-        Quantisation precision (8/8 in the paper).
-    use_lut:
-        Lower the I-BERT GELU/softmax nonlinearities into lookup tables
-        (default; bit-identical to the elementwise kernels, and what the
-        int8 serving path runs).  ``False`` keeps the legacy elementwise
-        op set in the lowered graph and the generated C schedule.
-    optimize:
-        Run the compiler's optimization passes (requant folding, conv→pool
-        fusion, dead-node elimination; see :mod:`repro.deploy.passes`) on
-        the lowered graph.  Logits stay bitwise-identical; the kernel
-        schedule, the set of activation buffers and the generated sources
-        shrink (the greedy offset packing may round the arena differently).
-    config:
-        A full :class:`~repro.deploy.passes.LoweringConfig`; overrides the
-        individual lowering kwargs when given.
     generate_code:
         Whether to run the C code generator and attach the sources.
+    lower_kwargs:
+        Forwarded to :func:`~repro.deploy.lowering.lower_to_int8`
+        (``config=...``, ``use_lut=...``, ``optimize=...``,
+        ``weight_bits=...``, ...).  The defaults are the paper's 8/8
+        lowering with LUT nonlinearities; ``optimize=True`` runs the
+        compiler's fusion passes (see :mod:`repro.deploy.passes`), which
+        keep the logits bitwise-identical and shrink the kernel schedule.
     """
     model.eval()
     gap8 = gap8 if gap8 is not None else GAP8Config()
     graph = trace_model(model)
-    quantized = lower_to_int8(
-        graph,
-        calibration_inputs,
-        weight_bits=weight_bits,
-        activation_bits=activation_bits,
-        use_lut=use_lut,
-        optimize=optimize,
-        config=config,
-    )
+    quantized = lower_to_int8(graph, calibration_inputs, **lower_kwargs)
     # Downstream planning runs on the *executable* graph: identical to the
     # trace under the default pipeline, fused/smaller when optimizing.
     compiled = quantized.graph

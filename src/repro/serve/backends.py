@@ -10,11 +10,10 @@ inference paths the repository already validates end-to-end:
 * :class:`Int8Backend` — the lowered :class:`~repro.deploy.lowering.QuantizedGraph`
   replayed by :class:`~repro.deploy.int_engine.IntegerGraphExecutor`, i.e.
   the GAP8 integer numerics.  Its logits are the dequantised int8 grid, so
-  serving accuracy equals the deployment-report accuracy.  By default the
-  executor runs the I-BERT GELU/softmax nonlinearities through precomputed
-  lookup tables (bit-identical to the elementwise kernels, measurably
-  faster on batched serving); ``use_lut=False`` keeps the legacy
-  elementwise path for cross-checking.
+  serving accuracy equals the deployment-report accuracy.  The default
+  lowering carries lookup tables for the I-BERT GELU/softmax
+  nonlinearities, which the executor gathers instead of evaluating the
+  polynomials (bit-identical, measurably faster on batched serving).
 
 Both expose the same :class:`Backend` protocol, which is what
 :class:`repro.serve.server.InferenceServer` and the
@@ -116,25 +115,17 @@ class FloatBackend:
 class Int8Backend:
     """Integer-only replay of a lowered graph (the on-target numerics).
 
-    ``use_lut=None`` (default) executes the nonlinearities through the
-    lookup tables carried by the lowered graph, when present; ``False``
-    forces the legacy elementwise I-BERT kernels.  ``use_gemm=None``
-    (default) runs conv1d/linear/matmul as im2col + one integer GEMM per
-    node across the whole micro-batch; ``False`` keeps the per-op einsum
-    kernels.  Outputs are bit-identical under every flag combination —
-    integer arithmetic is exact, so only the schedule changes.
+    The lowered graph decides how each node runs (see
+    :class:`~repro.deploy.int_engine.IntegerGraphExecutor`): MAC nodes as
+    one integer GEMM across the whole micro-batch, GELU/softmax through
+    their lookup tables when the graph carries them.
     """
 
     name = "int8"
 
-    def __init__(
-        self,
-        quantized: QuantizedGraph,
-        use_lut: Optional[bool] = None,
-        use_gemm: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, quantized: QuantizedGraph) -> None:
         self.quantized = quantized
-        self.executor = IntegerGraphExecutor(quantized, use_lut=use_lut, use_gemm=use_gemm)
+        self.executor = IntegerGraphExecutor(quantized)
         graph = quantized.graph
         self._input_shape = tuple(int(size) for size in graph.graph_input.shape)
         self._classes = int(graph.output.shape[-1])
@@ -152,12 +143,7 @@ class Int8Backend:
     @property
     def uses_lut(self) -> bool:
         """Whether the nonlinearities execute through lookup tables."""
-        return self.executor.uses_luts
-
-    @property
-    def uses_gemm(self) -> bool:
-        """Whether the MAC ops execute through the im2col/GEMM path."""
-        return self.executor.use_gemm
+        return self.quantized.uses_luts
 
     def run(self, windows: np.ndarray) -> np.ndarray:
         """Dequantised float logits for ``(batch, channels, samples)`` windows."""
@@ -174,7 +160,7 @@ class Int8Backend:
     def __repr__(self) -> str:
         return (
             f"Int8Backend(graph='{self.quantized.graph.name}', "
-            f"input={self.input_shape}, lut={self.uses_lut}, gemm={self.uses_gemm})"
+            f"input={self.input_shape}, lut={self.uses_lut})"
         )
 
 
@@ -189,9 +175,6 @@ def build_int8_backend(
     *,
     calibration_batch: int = 16,
     seed: int = 0,
-    use_lut: bool = True,
-    use_gemm: bool = True,
-    optimize: bool = False,
     **lower_kwargs,
 ) -> Int8Backend:
     """Trace, calibrate and lower ``model``, then wrap the integer engine.
@@ -201,23 +184,9 @@ def build_int8_backend(
     (adequate for the synthetic data distribution, and reproducible so the
     backend cache stays consistent across processes).
 
-    ``use_lut`` selects the nonlinearity op set: ``True`` (default) lowers
-    the I-BERT GELU/softmax into precomputed lookup tables and executes them
-    as a single gather; ``False`` keeps the legacy elementwise kernels.
-    ``use_gemm`` selects the MAC op set: ``True`` (default) runs
-    conv1d/linear/matmul through im2col + a single integer GEMM per node;
-    ``False`` keeps the per-op einsum kernels.  All combinations produce
-    bit-identical logits — the flags exist so each path can cross-check the
-    other.  The lowered graph always carries the GEMM tile metadata, so the
-    flag only routes execution.
-
-    ``optimize`` runs the deploy compiler's optimization passes (requant
-    folding, conv→pool fusion, dead-node elimination — see
-    :mod:`repro.deploy.passes`) on the lowered graph before serving: fewer
-    kernel dispatches per request, bitwise-identical logits.  Remaining
-    ``lower_kwargs`` (``weight_bits=...``, ``config=...``, ...) forward to
-    :func:`~repro.deploy.lowering.lower_to_int8` and participate in the
-    ``BackendCache`` key.
+    ``lower_kwargs`` (``use_lut=...``, ``optimize=...``, ``weight_bits=...``,
+    ``config=...``, ...) forward to :func:`~repro.deploy.lowering.lower_to_int8`;
+    the defaults live in :class:`~repro.deploy.passes.LoweringConfig`.
     """
     graph = trace_model(model.eval())
     if calibration is None:
@@ -225,10 +194,6 @@ def build_int8_backend(
         channels, samples, _ = _model_geometry(model)
         calibration = rng.normal(size=(calibration_batch, channels, samples))
     quantized = lower_to_int8(
-        graph,
-        np.asarray(calibration, dtype=np.float64),
-        use_lut=use_lut,
-        optimize=optimize,
-        **lower_kwargs,
+        graph, np.asarray(calibration, dtype=np.float64), **lower_kwargs
     )
-    return Int8Backend(quantized, use_lut=use_lut, use_gemm=use_gemm)
+    return Int8Backend(quantized)

@@ -60,6 +60,7 @@ from typing import (
 
 import numpy as np
 
+from ..deploy.passes import LoweringConfig
 from ..models.registry import build_model, model_cache_key
 from ..nn.module import Module
 from .backends import Backend, build_float_backend, build_int8_backend
@@ -241,14 +242,12 @@ class InferenceServer:
         ``cache`` when serving differently calibrated variants side by side.
     lower_kwargs:
         Extra :func:`~repro.deploy.lowering.lower_to_int8` arguments for the
-        int8 backend (``use_lut``, ``use_gemm``, ``weight_bits``,
-        ``activation_bits``, ...).  Pass ``lower_kwargs={"use_lut": False}``
-        to serve the legacy elementwise nonlinearities instead of the LUT
-        kernels, or ``{"use_gemm": False}`` to serve the per-op einsum MAC
-        kernels instead of the im2col/GEMM path (both are cross-checking
-        baselines; logits are bit-identical either way).  Unlike
-        calibration, ``lower_kwargs`` *is* part of the cache key, so op-set
-        variants of the same architecture are cached side by side.
+        int8 backend (``use_lut``, ``optimize``, ``weight_bits``,
+        ``config``, ...).  Unlike calibration, the lowering *is* part of the
+        cache key: the key holds the resolved
+        :class:`~repro.deploy.passes.LoweringConfig`, so every spelling of
+        one config shares one cached backend and different configs are
+        cached side by side.
     max_batch_size / max_wait_s:
         Micro-batching knobs (see :class:`~repro.serve.batcher.DynamicBatcher`).
     num_workers:
@@ -342,18 +341,11 @@ class InferenceServer:
         # Lowering options change the served numerics' implementation (LUT
         # vs elementwise op set, bit widths, fused vs unfused schedule), so
         # they are part of the cache identity — unlike calibration data,
-        # which is not hashable.  The key is normalised against the lowering
-        # defaults for the op-set flags, so an explicit use_lut=True /
-        # use_gemm=True / optimize=False and the defaults share one entry.
-        lowering_variant: Tuple = ()
+        # which is not hashable.  The resolved LoweringConfig is frozen and
+        # hashable, and the defaults live only in it.
+        lowering_variant: object = ()
         if backend == "int8":
-            effective = {
-                "use_lut": True,
-                "use_gemm": True,
-                "optimize": False,
-                **lower_kwargs,
-            }
-            lowering_variant = tuple(sorted(effective.items()))
+            lowering_variant = LoweringConfig.resolve(**lower_kwargs)
 
         if isinstance(model, str):
             self.architecture = model.lower()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.deploy import (
     CodeGenerator,
+    LoweringConfig,
     deploy_graph,
     generate_c_sources,
     graph_to_profile,
@@ -90,7 +91,7 @@ class TestCodegen:
         network = sources["network.c"].content
         called = set(re.findall(r"(net_\w+)\(\(const", network))
         declared = set(re.findall(r"void (net_\w+)\(", kernels))
-        assert called <= declared
+        assert called == declared
 
     def test_write_bundle_to_directory(self, quantized_bioformer, tmp_path):
         written = CodeGenerator(quantized_bioformer).write(str(tmp_path))
@@ -108,17 +109,6 @@ class TestCodegen:
         assert "net_conv1d_im2col_i8" in sources["network.c"].content
         assert "net_channel_affine_i8" in sources["network.c"].content
         assert "_GEMM_M" in sources["weights.h"].content
-
-    def test_temponet_codegen_legacy_gemm_opt_out(self, rng):
-        model = temponet(num_channels=4, window_samples=80, seed=31).eval()
-        quantized = lower_to_int8(trace_temponet(model), rng.normal(size=(4, 4, 80)))
-        sources = generate_c_sources(quantized, use_gemm=False)
-        network = sources["network.c"].content
-        called = set(re.findall(r"(net_\w+)\(\(const", network))
-        assert "net_conv1d_i8" in called
-        assert "net_conv1d_im2col_i8" not in called
-        assert "_GEMM_M" not in sources["weights.h"].content
-
 
 # --------------------------------------------------------------------- #
 # graph -> ModelProfile adapter
@@ -209,3 +199,13 @@ class TestDeployGraph:
         assert tcn_report.weight_kilobytes > 3.0 * bio_report.weight_kilobytes
         assert tcn_report.mmacs > 3.0 * bio_report.mmacs
         assert tcn_report.energy_mj > bio_report.energy_mj
+
+    def test_config_is_the_lowering_that_runs(self, rng):
+        """``deploy_graph(config=...)`` must not be overridden by defaults."""
+        config = LoweringConfig(use_lut=False, activation_bits=6)
+        report = deploy_graph(
+            small_bioformer(), rng.normal(size=(8, 4, 60)), config=config, generate_code=False
+        )
+        assert report.quantized.config == config
+        assert report.quantized.input_quantization.qmax == 31
+        assert report.lut_kilobytes == 0.0

@@ -261,7 +261,7 @@ class TestLowering:
 # Vectorised integer kernels vs. the original per-tap accumulation loops
 # --------------------------------------------------------------------- #
 def _int_conv1d_taploop(q_x, q_weight, stride, padding, dilation):
-    """The per-tap reference the vectorised ``_int_conv1d`` replaced."""
+    """Per-tap integer conv1d: the reference the executor's im2col GEMM must equal."""
     q_x = q_x.astype(np.int64)
     q_weight = q_weight.astype(np.int64)
     batch, _, length = q_x.shape
@@ -305,7 +305,7 @@ class TestVectorizedIntegerKernels:
     def test_int_conv1d_equals_taploop(
         self, batch, in_channels, out_channels, length, kernel, stride, padding, dilation
     ):
-        from repro.deploy.int_engine import _int_conv1d
+        from repro.deploy.int_engine import _im2col, int_gemm
 
         effective = dilation * (kernel - 1) + 1
         if length + 2 * padding < effective:
@@ -313,8 +313,10 @@ class TestVectorizedIntegerKernels:
         generator = np.random.default_rng(batch * 1000 + length * 10 + kernel)
         q_x = generator.integers(-128, 128, size=(batch, in_channels, length))
         q_weight = generator.integers(-128, 128, size=(out_channels, in_channels, kernel))
+        patches = _im2col(q_x, kernel, stride, padding, dilation)
+        flat_weight = q_weight.reshape(out_channels, in_channels * kernel)
         np.testing.assert_array_equal(
-            _int_conv1d(q_x, q_weight, stride, padding, dilation),
+            int_gemm(patches, flat_weight.T).transpose(0, 2, 1),
             _int_conv1d_taploop(q_x, q_weight, stride, padding, dilation),
         )
 

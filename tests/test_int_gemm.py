@@ -1,23 +1,28 @@
 """Bitwise pins for the batched integer GEMM path.
 
-The int8 hot path lowers ``conv1d`` (via im2col), ``linear`` and the
-attention ``matmul`` onto one shared integer GEMM primitive with the
-requantiser applied once per output tile.  Integer arithmetic is exact, so
-the GEMM schedule must be *bitwise identical* to the per-op einsum kernels
-it replaces — these tests pin that equality (``assert_array_equal``, never
-a tolerance) across every registry-reachable architecture, both
-nonlinearity op sets, and batch sizes 1/3/8/16, plus batched-vs-single
-invariance and the tile metadata the lowering pass precomputes.
+The int8 executor runs ``conv1d`` (via im2col), ``linear`` and the
+attention ``matmul`` on one shared integer GEMM primitive, with the
+requantiser tile precomputed at lowering time.  Integer arithmetic is
+exact, so it must be *bitwise identical* to a plain reference: the
+test-side :class:`ReferenceExecutor` overrides only those three ops with
+the per-tap einsum conv loop and int64 ``@``, encoding the requantiser at
+run time from the float scales.  These tests pin that equality
+(``assert_array_equal``, never a tolerance) across every
+registry-reachable architecture, table and tableless lowering, and batch
+sizes 1/3/8/16, plus batched-vs-single invariance and the tile metadata
+the lowering pass precomputes.
 """
 
 import numpy as np
 import pytest
 
-from repro.deploy import IntegerGraphExecutor, lower_to_int8, trace_model
-from repro.deploy.int_engine import _im2col, _int_conv1d, apply_requant, int_gemm, requantize
+from repro.deploy import IntegerGraphExecutor, LoweringConfig, lower_to_int8, trace_model
+from repro.deploy.int_engine import _im2col, apply_requant, int_gemm, requantize
 from repro.deploy.lowering import GemmTileInfo, quantize_multiplier
 from repro.models import build_model
 from repro.nn.tensor import Tensor, inference_mode
+
+from test_deploy_engines import _int_conv1d_taploop
 
 GEOMETRY = dict(num_channels=4, window_samples=60, seed=11)
 
@@ -33,10 +38,61 @@ CONFIGS = [
 
 BATCH_SIZES = [1, 3, 8, 16]
 
+MAC_OPERATORS = ("conv1d", "linear", "matmul")
+
 
 def config_id(config):
     arch, patch = config
     return arch if patch is None else f"{arch}-p{patch}"
+
+
+class ReferenceExecutor(IntegerGraphExecutor):
+    """The integer executor with its MAC ops in plain integer arithmetic.
+
+    ``conv1d`` accumulates tap by tap, ``linear``/``matmul`` use int64 ``@``,
+    and the output requantiser is encoded at run time from the float scales
+    by :func:`requantize` instead of read from the lowering-time tile.
+    Every other op (and fused-chain replay) is the executor's own.
+    """
+
+    def _run_node(self, node, tensors):
+        if node.is_fused or node.op not in MAC_OPERATORS:
+            return super()._run_node(node, tensors)
+        activations = self.quantized.activations
+        lowered = self.quantized.nodes[node.name]
+        q_x = tensors[node.inputs[0]].astype(np.int64)
+        in_scale = activations[node.inputs[0]].scale
+        out = activations[node.output.name]
+        if node.op == "matmul":
+            q_other = tensors[node.inputs[1]].astype(np.int64)
+            if node.attrs.get("transpose_b", False):
+                q_other = np.swapaxes(q_other, -1, -2)
+            accumulator = q_x @ q_other
+            factor = (
+                in_scale
+                * activations[node.inputs[1]].scale
+                * float(node.attrs.get("scale", 1.0))
+            )
+        else:
+            weight = lowered.constants["weight"]
+            bias = lowered.constants.get("bias")
+            q_weight = weight.values.astype(np.int64)
+            if node.op == "conv1d":
+                accumulator = _int_conv1d_taploop(
+                    q_x,
+                    q_weight,
+                    int(node.attrs["stride"]),
+                    int(node.attrs["padding"]),
+                    int(node.attrs["dilation"]),
+                )
+                bias_shape = (1, -1, 1)
+            else:
+                accumulator = q_x @ q_weight.T
+                bias_shape = (-1,)
+            if bias is not None:
+                accumulator = accumulator + bias.values.astype(np.int64).reshape(bias_shape)
+            factor = in_scale * weight.scale
+        return requantize(accumulator, factor / out.scale, out.qmin, out.qmax)
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +101,24 @@ def rng():
 
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=config_id)
-def quantized(request):
-    """One lowered graph per config (tables present; flags pick the op set)."""
+def lowerings(request):
+    """Table (``True``) and tableless (``False``) lowering of one config,
+    both from the same calibration batch."""
     arch, patch = request.param
     kwargs = dict(GEOMETRY)
     if patch is not None:
         kwargs["patch_size"] = patch
-    model = build_model(arch, **kwargs).eval()
+    graph = trace_model(build_model(arch, **kwargs).eval())
     calibration = np.random.default_rng(5).normal(size=(16, 4, 60))
-    return lower_to_int8(trace_model(model), calibration, use_lut=True)
+    return {
+        True: lower_to_int8(graph, calibration, use_lut=True),
+        False: lower_to_int8(graph, calibration, config=LoweringConfig(use_lut=False)),
+    }
+
+
+@pytest.fixture(scope="module")
+def quantized(lowerings):
+    return lowerings[True]
 
 
 @pytest.fixture(scope="module")
@@ -112,24 +177,26 @@ class TestIntGemmPrimitive:
         flat_weight = q_w.reshape(6, 4 * kernel)
         via_gemm = int_gemm(patches, flat_weight.T).transpose(0, 2, 1)
         np.testing.assert_array_equal(
-            via_gemm, _int_conv1d(q_x, q_w, stride, padding, dilation)
+            via_gemm, _int_conv1d_taploop(q_x, q_w, stride, padding, dilation)
         )
 
 
 # --------------------------------------------------------------------- #
-# Whole-graph bitwise equality: GEMM vs einsum schedule
+# Whole-graph bitwise equality: GEMM executor vs the reference executor
 # --------------------------------------------------------------------- #
 class TestExecutorParity:
     @pytest.mark.parametrize("use_lut", [True, False], ids=["lut", "elementwise"])
     @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_gemm_matches_einsum_bitwise(self, quantized, windows, use_lut, batch):
-        gemm = IntegerGraphExecutor(quantized, use_lut=use_lut, use_gemm=True)
-        einsum = IntegerGraphExecutor(quantized, use_lut=use_lut, use_gemm=False)
+    def test_gemm_matches_einsum_bitwise(self, lowerings, windows, use_lut, batch):
+        quantized = lowerings[use_lut]
         x = windows[:batch]
-        np.testing.assert_array_equal(gemm.run_integer(x), einsum.run_integer(x))
+        np.testing.assert_array_equal(
+            IntegerGraphExecutor(quantized).run_integer(x),
+            ReferenceExecutor(quantized).run_integer(x),
+        )
 
     def test_batched_matches_single_sample_bitwise(self, quantized, windows):
-        executor = IntegerGraphExecutor(quantized, use_gemm=True)
+        executor = IntegerGraphExecutor(quantized)
         batched = executor.run_integer(windows)
         singles = np.concatenate(
             [executor.run_integer(windows[i : i + 1]) for i in range(windows.shape[0])]
@@ -137,13 +204,9 @@ class TestExecutorParity:
         np.testing.assert_array_equal(batched, singles)
 
     def test_dequantised_logits_identical_too(self, quantized, windows):
-        gemm = IntegerGraphExecutor(quantized, use_gemm=True)
-        einsum = IntegerGraphExecutor(quantized, use_gemm=False)
-        np.testing.assert_array_equal(gemm.run(windows[:8]), einsum.run(windows[:8]))
-
-    def test_use_gemm_flag_default_and_opt_out(self, quantized):
-        assert IntegerGraphExecutor(quantized).use_gemm is True
-        assert IntegerGraphExecutor(quantized, use_gemm=False).use_gemm is False
+        gemm = IntegerGraphExecutor(quantized)
+        reference = ReferenceExecutor(quantized)
+        np.testing.assert_array_equal(gemm.run(windows[:8]), reference.run(windows[:8]))
 
 
 # --------------------------------------------------------------------- #
@@ -154,7 +217,7 @@ class TestGemmTileMetadata:
         mac_nodes = [
             node
             for node in quantized.graph.nodes
-            if node.op in ("conv1d", "linear", "matmul")
+            if node.op in MAC_OPERATORS
         ]
         assert mac_nodes  # every registry model has a MAC hot path
         for node in mac_nodes:
@@ -165,8 +228,8 @@ class TestGemmTileMetadata:
 
     def test_tile_requantiser_equals_lowered_requantiser(self, quantized):
         """The precomputed per-tile (multiplier, shift) must be the *same
-        encoding* the einsum path derives — that identity is what makes the
-        two schedules bitwise interchangeable."""
+        encoding* as the node's output requantiser — the C kernels read the
+        latter, the executor the former."""
         for node in quantized.graph.nodes:
             if node.op not in ("conv1d", "linear"):
                 continue
@@ -177,7 +240,7 @@ class TestGemmTileMetadata:
 
     def test_non_mac_nodes_have_no_tile(self, quantized):
         for node in quantized.graph.nodes:
-            if node.op not in ("conv1d", "linear", "matmul"):
+            if node.op not in MAC_OPERATORS:
                 assert quantized.nodes[node.name].gemm is None
 
 

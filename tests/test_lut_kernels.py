@@ -11,9 +11,10 @@ These tests pin that contract three ways:
 
 * table entries against an independent replay of the elementwise chain
   over the whole domain;
-* node-level execution (both executors on crafted full-domain tensors);
-* whole-graph execution on random inputs, plus the opt-out flag, the
-  serving backends and the generated C schedule.
+* node-level execution on crafted full-domain tensors, against the
+  tableless lowering made from the same calibration;
+* whole-graph execution on random inputs against that tableless lowering,
+  plus the serving backends and the generated C schedule.
 
 All randomness comes from local generators — the shared session ``rng``
 fixture is deliberately not used (its draw order is load-bearing for other
@@ -27,6 +28,7 @@ from repro.deploy import (
     LUT_OPERATORS,
     IntegerGraphExecutor,
     LookupTable,
+    LoweringConfig,
     generate_c_sources,
     lower_to_int8,
     trace_model,
@@ -56,6 +58,15 @@ def lower_registry_model(name, patch_size=10, seed=2024, **lower_kwargs):
 def lowered_registry():
     """Every registry architecture lowered at the deployment-unit geometry."""
     return {name: lower_registry_model(name) for name in available_models()}
+
+
+@pytest.fixture(scope="module")
+def tableless_registry():
+    """The attention models lowered without tables (same calibration)."""
+    return {
+        name: lower_registry_model(name, config=LoweringConfig(use_lut=False))
+        for name in ATTENTION_MODELS
+    }
 
 
 def lut_nodes(quantized, op):
@@ -158,11 +169,13 @@ class TestExhaustiveDomainEquality:
             np.testing.assert_array_equal(table.values, expected)
 
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
-    def test_gelu_node_execution_equal_over_full_domain(self, lowered_registry, name):
-        """Both executors, node level, every representable input at once."""
+    def test_gelu_node_execution_equal_over_full_domain(
+        self, lowered_registry, tableless_registry, name
+    ):
+        """Both lowerings, node level, every representable input at once."""
         quantized = lowered_registry[name]
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(quantized, use_lut=False)
+        elementwise = IntegerGraphExecutor(tableless_registry[name])
         for node, _ in lut_nodes(quantized, "gelu"):
             in_act = quantized.activations[node.inputs[0]]
             full = np.arange(in_act.qmin, in_act.qmax + 1, dtype=np.int32)[None, :]
@@ -174,12 +187,12 @@ class TestExhaustiveDomainEquality:
 
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
     def test_softmax_node_execution_equal_over_full_shifted_domain(
-        self, lowered_registry, name
+        self, lowered_registry, tableless_registry, name
     ):
         """A row spanning [qmin, qmax] exercises every shifted exp input."""
         quantized = lowered_registry[name]
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(quantized, use_lut=False)
+        elementwise = IntegerGraphExecutor(tableless_registry[name])
         rng = np.random.default_rng(99)
         for node, _ in lut_nodes(quantized, "softmax"):
             in_act = quantized.activations[node.inputs[0]]
@@ -202,7 +215,9 @@ class TestExhaustiveDomainEquality:
             assert (in_act.qmin, in_act.qmax) == (-32, 31)
             assert lowered.luts["gelu"].size == 64
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(quantized, use_lut=False)
+        elementwise = IntegerGraphExecutor(
+            lower_registry_model("bio1", activation_bits=6, use_lut=False)
+        )
         x = np.random.default_rng(5).normal(size=(4, 4, 60))
         np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
 
@@ -210,7 +225,9 @@ class TestExhaustiveDomainEquality:
         """A different registry patch size produces different scales — still exact."""
         quantized = lower_registry_model("bio2", patch_size=20, seed=7)
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(quantized, use_lut=False)
+        elementwise = IntegerGraphExecutor(
+            lower_registry_model("bio2", patch_size=20, seed=7, use_lut=False)
+        )
         x = np.random.default_rng(8).normal(size=(6, 4, 60))
         np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
 
@@ -220,11 +237,14 @@ class TestExhaustiveDomainEquality:
 # --------------------------------------------------------------------- #
 class TestWholeGraphParity:
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
-    def test_lut_and_elementwise_runs_are_bitwise_equal(self, lowered_registry, name):
+    def test_lut_and_elementwise_runs_are_bitwise_equal(
+        self, lowered_registry, tableless_registry, name
+    ):
         quantized = lowered_registry[name]
+        tableless = tableless_registry[name]
+        assert quantized.uses_luts and not tableless.uses_luts
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(quantized, use_lut=False)
-        assert with_lut.uses_luts and not elementwise.uses_luts
+        elementwise = IntegerGraphExecutor(tableless)
         x = np.random.default_rng(3).normal(size=(6, 4, 60))
         np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
         np.testing.assert_array_equal(with_lut.run(x), elementwise.run(x))
@@ -243,8 +263,8 @@ class TestWholeGraphParity:
 
     def test_executor_on_tableless_graph_falls_back_silently(self):
         quantized = lower_registry_model("bio1", use_lut=False)
-        executor = IntegerGraphExecutor(quantized)  # asks for LUTs, none exist
-        assert not executor.uses_luts
+        assert not quantized.uses_luts
+        executor = IntegerGraphExecutor(quantized)
         x = np.random.default_rng(6).normal(size=(3, 4, 60))
         assert executor.run_integer(x).shape == (3, 8)
 
@@ -278,12 +298,11 @@ class TestServingIntegration:
                 assert fast.backend.uses_lut and not legacy.backend.uses_lut
                 np.testing.assert_array_equal(fast.infer(x), legacy.infer(x))
         assert len(cache) == 2
-        # The key is normalised against the lowering default: an explicit
-        # use_lut=True and the default must share one cached backend.
-        with InferenceServer(
-            "bio1", "int8", lower_kwargs={"use_lut": True}, **kwargs
-        ) as explicit:
-            assert explicit.backend is fast.backend
+        # The key is the resolved LoweringConfig: an explicit use_lut=True,
+        # a config object and the default all share one cached backend.
+        for spelling in ({"use_lut": True}, {"config": LoweringConfig()}):
+            with InferenceServer("bio1", "int8", lower_kwargs=spelling, **kwargs) as explicit:
+                assert explicit.backend is fast.backend
         assert len(cache) == 2
 
 
@@ -307,9 +326,8 @@ class TestLutCodegen:
         header = sources["network.h"].content
         assert f"#define NETWORK_LUT_BYTES {quantized.total_lut_bytes}" in header
 
-    def test_opt_out_keeps_the_legacy_schedule(self, lowered_registry):
-        quantized = lowered_registry["bio1"]
-        sources = generate_c_sources(quantized, use_lut=False)
+    def test_opt_out_keeps_the_legacy_schedule(self, tableless_registry):
+        sources = generate_c_sources(tableless_registry["bio1"])
         network = sources["network.c"].content
         assert "net_gelu_i8" in network and "net_softmax_i8" in network
         assert "_lut_" not in sources["weights.h"].content
