@@ -1,27 +1,32 @@
-"""Floating-point reference executor for deployment graphs.
+"""Floating-point executor for deployment graphs.
 
 The float executor replays a traced :class:`~repro.deploy.graph.ComputeGraph`
-with plain NumPy (no autograd, evaluation semantics).  It serves three
-purposes:
+with plain NumPy (no autograd, evaluation semantics).  Its kernels run the
+framework's own NumPy calls in the framework's order, so a traced graph
+reproduces ``model(Tensor(x))`` bit for bit.  It serves four purposes:
 
-1. **Trace validation** — its output must match the original model's forward
-   pass, which proves the tracer captured every operator faithfully (the
-   test-suite enforces agreement to float tolerance);
+1. **Trace validation** — its output must equal the original model's forward
+   pass exactly, which proves the tracer captured every operator faithfully
+   (the test-suite pins this with exact equality);
 2. **Calibration** — :meth:`FloatGraphExecutor.run_recording` returns every
    intermediate activation, which the int8 lowering pass uses to pick
    activation scales;
 3. **Reference for the integer engine** — the integer executor in
-   :mod:`repro.deploy.int_engine` is checked against it.
+   :mod:`repro.deploy.int_engine` is checked against it;
+4. **Float serving** — :class:`repro.serve.FloatBackend` runs the same
+   traced graph that the int8 backend lowers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..nn.functional import im2col
 from .graph import ComputeGraph, GraphNode
+from .memory import live_ranges
 
 __all__ = ["FloatGraphExecutor", "conv1d_reference", "gelu_reference", "softmax_reference"]
 
@@ -34,47 +39,31 @@ def conv1d_reference(
     padding: int,
     dilation: int,
 ) -> np.ndarray:
-    """Direct 1-D convolution over ``(batch, channels, length)`` inputs.
+    """1-D convolution over ``(batch, channels, length)`` inputs.
 
-    Implemented as im2col + one batched matmul — the *same* lowering and
-    contraction the framework convolution
-    (:func:`repro.nn.functional.conv1d`) performs, so the reference
-    executor reproduces the training-time forward pass bit for bit (the
-    earlier per-tap accumulation loop summed in a different order, which
-    cost a few ULPs against the framework), and it mirrors the GEMM
-    schedule of the integer engine and the generated C code.
+    :func:`~repro.nn.functional.im2col` plus one batched matmul: the same
+    lowering and contraction as the framework convolution
+    (:func:`repro.nn.functional.conv1d`), the integer engine and the
+    generated C code.
     """
-    batch, in_channels, length = x.shape
+    batch, in_channels, _ = x.shape
     out_channels, weight_in, kernel = weight.shape
     if weight_in != in_channels:
         raise ValueError(
             f"weight expects {weight_in} input channels, activation has {in_channels}"
         )
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-        length = x.shape[-1]
-    effective = dilation * (kernel - 1) + 1
-    out_length = (length - effective) // stride + 1
-    if out_length <= 0:
-        raise ValueError("convolution produces an empty output")
-    starts = np.arange(out_length) * stride
-    taps = np.arange(kernel) * dilation
-    gather_index = starts[:, None] + taps[None, :]
-    # (B, C, L_out, K) -> (B, L_out, C*K): one patch row per output position.
-    columns = x[:, :, gather_index].transpose(0, 2, 1, 3)
-    columns_flat = columns.reshape(batch, out_length, in_channels * kernel)
-    flat_weight = weight.reshape(out_channels, in_channels * kernel)
-    output = columns_flat @ flat_weight.T  # (B, L_out, O)
+    columns = im2col(x, kernel, stride, padding, dilation)
+    output = columns @ weight.reshape(out_channels, in_channels * kernel).T  # (B, L_out, O)
     if bias is not None:
         output = output + bias
     return output.transpose(0, 2, 1)
 
 
 def gelu_reference(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximated GELU (same formula as :func:`repro.nn.functional.gelu`)."""
+    """Tanh-approximated GELU in the op order of :func:`repro.nn.functional.gelu`."""
     coefficient = math.sqrt(2.0 / math.pi)
-    inner = coefficient * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    inner = (x + (x * x * x) * 0.044715) * coefficient
+    return x * (np.tanh(inner) + 1.0) * 0.5
 
 
 def softmax_reference(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -85,22 +74,22 @@ def softmax_reference(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def avgpool1d_reference(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    """Average pooling over the last axis of ``(batch, channels, length)``."""
-    batch, channels, length = x.shape
-    out_length = (length - kernel_size) // stride + 1
-    output = np.zeros((batch, channels, out_length), dtype=x.dtype)
-    for tap in range(kernel_size):
-        output += x[:, :, tap : tap + stride * out_length : stride]
-    return output / kernel_size
+    """Average pooling over the last axis of ``(batch, channels, length)``.
+
+    A window gather plus ``mean``, as :func:`repro.nn.functional.avg_pool1d`.
+    """
+    out_length = (x.shape[-1] - kernel_size) // stride + 1
+    starts = np.arange(out_length) * stride
+    return x[:, :, starts[:, None] + np.arange(kernel_size)[None, :]].mean(axis=-1)
 
 
 def layernorm_reference(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Layer normalisation over the last axis with affine parameters."""
-    mean = x.mean(axis=-1, keepdims=True)
-    variance = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(variance + eps) * weight + bias
+    """Layer normalisation in the op order of :func:`repro.nn.functional.layer_norm`."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    variance = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(variance + eps) * weight + bias
 
 
 class FloatGraphExecutor:
@@ -108,6 +97,13 @@ class FloatGraphExecutor:
 
     def __init__(self, graph: ComputeGraph) -> None:
         self.graph = graph
+        # Activations whose last consumer is node ``i``: ``run`` drops them
+        # right after it, so a batch reuses freed buffers instead of
+        # faulting in fresh pages for every intermediate.
+        self._dead_after: List[List[str]] = [[] for _ in graph.nodes]
+        for name, live in live_ranges(graph).items():
+            if name != graph.output.name:
+                self._dead_after[live.end].append(name)
 
     # ------------------------------------------------------------------ #
     # Single-node dispatch
@@ -193,16 +189,7 @@ class FloatGraphExecutor:
     # ------------------------------------------------------------------ #
     # Whole-graph execution
     # ------------------------------------------------------------------ #
-    def run(self, inputs: np.ndarray) -> np.ndarray:
-        """Run the graph on a ``(batch, channels, samples)`` input batch."""
-        return self.run_recording(inputs)[self.graph.output.name]
-
-    def run_recording(self, inputs: np.ndarray) -> Dict[str, np.ndarray]:
-        """Run the graph and return *every* intermediate activation.
-
-        The returned mapping is keyed by tensor name and includes the graph
-        input; it is what the int8 lowering pass calibrates on.
-        """
+    def _batched_input(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim == len(self.graph.graph_input.shape):
             inputs = inputs[None, ...]
@@ -212,7 +199,24 @@ class FloatGraphExecutor:
                 f"graph '{self.graph.name}' expects input shape {expected}, "
                 f"got {tuple(inputs.shape[1:])}"
             )
-        tensors: Dict[str, np.ndarray] = {self.graph.graph_input.name: inputs}
+        return inputs
+
+    def run(self, inputs: np.ndarray) -> np.ndarray:
+        """Run the graph on a ``(batch, channels, samples)`` input batch."""
+        tensors = {self.graph.graph_input.name: self._batched_input(inputs)}
+        for node, dead in zip(self.graph.nodes, self._dead_after):
+            tensors[node.output.name] = self._run_node(node, tensors)
+            for name in dead:
+                del tensors[name]
+        return tensors[self.graph.output.name]
+
+    def run_recording(self, inputs: np.ndarray) -> Dict[str, np.ndarray]:
+        """Run the graph and return *every* intermediate activation.
+
+        The returned mapping is keyed by tensor name and includes the graph
+        input; it is what the int8 lowering pass calibrates on.
+        """
+        tensors = {self.graph.graph_input.name: self._batched_input(inputs)}
         for node in self.graph.nodes:
             tensors[node.output.name] = self._run_node(node, tensors)
         return tensors

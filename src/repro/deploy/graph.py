@@ -22,6 +22,7 @@ consumed by every other module of :mod:`repro.deploy`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -180,7 +181,7 @@ class TensorSpec:
     @property
     def num_elements(self) -> int:
         """Number of scalar elements (per batch item)."""
-        return int(np.prod(self.shape)) if self.shape else 1
+        return int(math.prod(self.shape))
 
     def nbytes(self, bytes_per_element: int = 1) -> int:
         """Storage size for a given element width (1 byte for int8)."""

@@ -33,6 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..nn.functional import im2col
 from ..quant import ibert
 from .graph import GraphNode
 from .lowering import (
@@ -165,29 +166,6 @@ def int_gemm(
     return apply_requant(accumulator, multiplier, shift, qmin, qmax)
 
 
-def _im2col(
-    q_x: np.ndarray, kernel: int, stride: int, padding: int, dilation: int
-) -> np.ndarray:
-    """Lower a ``(B, C, L)`` activation to im2col patches ``(B, L_out, C*K)``.
-
-    One fancy-indexed gather builds every ``(output position, tap)`` pair,
-    so the convolution becomes a single GEMM against the flattened
-    ``(O, C*K)`` weight matrix.  Same index arithmetic as the float
-    framework convolution (:func:`repro.nn.functional.conv1d`).
-    """
-    if padding > 0:
-        q_x = np.pad(q_x, ((0, 0), (0, 0), (padding, padding)))
-    batch, channels, length = q_x.shape
-    effective = dilation * (kernel - 1) + 1
-    out_length = (length - effective) // stride + 1
-    starts = np.arange(out_length) * stride
-    taps = np.arange(kernel) * dilation
-    gather_index = starts[:, None] + taps[None, :]
-    # (B, C, L_out, K) -> (B, L_out, C, K) -> (B, L_out, C*K)
-    columns = q_x[:, :, gather_index].transpose(0, 2, 1, 3)
-    return columns.reshape(batch, out_length, channels * kernel)
-
-
 class IntegerGraphExecutor:
     """Executes a :class:`QuantizedGraph` with integer-only arithmetic.
 
@@ -267,7 +245,7 @@ class IntegerGraphExecutor:
             weight = lowered.constants["weight"]
             bias = lowered.constants.get("bias")
             out_channels, _, kernel = weight.values.shape
-            patches = _im2col(
+            patches = im2col(
                 q_x,
                 kernel,
                 stride=int(node.attrs["stride"]),

@@ -25,52 +25,9 @@ from . import init
 from .layers import Dropout, Linear
 from .layers import LayerNorm
 from .module import Module, Parameter
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = ["MultiHeadSelfAttention", "FeedForward", "TransformerEncoderBlock"]
-
-
-# --------------------------------------------------------------------- #
-# Inference fast path (raw ndarray mirrors of the Tensor ops)
-# --------------------------------------------------------------------- #
-# Serving traffic runs under ``inference_mode``: no gradients are ever
-# needed, yet the Tensor path still allocates a Tensor object (and closure
-# bookkeeping) per op.  The helpers below replay the *exact same* NumPy
-# calls, in the same order, on the raw ``.data`` arrays, so the fast path
-# is bit-for-bit identical to the autograd forward by construction — the
-# serving-parity tests pin this equality.  Any change to a functional op
-# must be mirrored here (and will be caught by those tests if it is not).
-
-
-def _linear_data(x: np.ndarray, layer: Linear) -> np.ndarray:
-    """Mirror of :func:`repro.nn.functional.linear` on raw arrays."""
-    out = x @ layer.weight.data.transpose()
-    if layer.bias is not None:
-        out = out + layer.bias.data
-    return out
-
-
-def _gelu_data(x: np.ndarray) -> np.ndarray:
-    """Mirror of :func:`repro.nn.functional.gelu` (same op order)."""
-    coefficient = math.sqrt(2.0 / math.pi)
-    inner = (x + (x * x * x) * 0.044715) * coefficient
-    return x * (np.tanh(inner) + 1.0) * 0.5
-
-
-def _softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mirror of :func:`repro.nn.functional.softmax` (same op order)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exponentials = np.exp(shifted)
-    return exponentials / exponentials.sum(axis=axis, keepdims=True)
-
-
-def _layernorm_data(x: np.ndarray, layer: LayerNorm) -> np.ndarray:
-    """Mirror of :func:`repro.nn.functional.layer_norm` (same op order)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    variance = (centered * centered).mean(axis=-1, keepdims=True)
-    normalised = centered / np.sqrt(variance + layer.eps)
-    return normalised * layer.weight.data + layer.bias.data
 
 
 class MultiHeadSelfAttention(Module):
@@ -122,42 +79,12 @@ class MultiHeadSelfAttention(Module):
         """Reshape ``(B, S, H*P)`` to ``(B, H, S, P)``."""
         return x.reshape((batch, sequence, self.num_heads, self.head_dim)).transpose((0, 2, 1, 3))
 
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Batched no-autograd forward: same NumPy ops, no Tensor wrapping.
-
-        The whole micro-batch flows through four GEMMs (three input
-        projections and the output projection) and two stacked batched
-        matmuls (scores and context) — no per-head or per-sample Python
-        dispatch — and is bit-identical to the Tensor path because every
-        call mirrors the corresponding Tensor op exactly.
-        """
-        batch, sequence, _ = x.shape
-        heads, head_dim = self.num_heads, self.head_dim
-
-        def split(projected: np.ndarray) -> np.ndarray:
-            return projected.reshape(batch, sequence, heads, head_dim).transpose(0, 2, 1, 3)
-
-        queries = split(_linear_data(x, self.query_projection))
-        keys = split(_linear_data(x, self.key_projection))
-        values = split(_linear_data(x, self.value_projection))
-
-        scale = 1.0 / math.sqrt(self.head_dim)
-        scores = (queries @ keys.transpose(0, 1, 3, 2)) * scale
-        attention = _softmax_data(scores, axis=-1)
-        self.last_attention = attention.copy()
-
-        context = attention @ values  # (B, H, S, P)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, sequence, heads * head_dim)
-        return _linear_data(context, self.output_projection)
-
     def forward(self, x: Tensor) -> Tensor:
         batch, sequence, channels = x.shape
         if channels != self.embed_dim:
             raise ValueError(
                 f"expected embedding dimension {self.embed_dim}, got {channels}"
             )
-        if not self.training and not is_grad_enabled():
-            return Tensor(self._forward_inference(x.data))
         queries = self._split_heads(self.query_projection(x), batch, sequence)
         keys = self._split_heads(self.key_projection(x), batch, sequence)
         values = self._split_heads(self.value_projection(x), batch, sequence)
@@ -199,13 +126,7 @@ class FeedForward(Module):
         self.contract = Linear(hidden_dim, embed_dim, rng=generator)
         self.dropout = Dropout(dropout, rng=generator)
 
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """No-autograd mirror of :meth:`forward` (dropout is identity)."""
-        return _linear_data(_gelu_data(_linear_data(x, self.expand)), self.contract)
-
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training and not is_grad_enabled():
-            return Tensor(self._forward_inference(x.data))
         hidden = F.gelu(self.expand(x))
         hidden = self.dropout(hidden)
         return self.contract(hidden)
@@ -242,15 +163,7 @@ class TransformerEncoderBlock(Module):
         self.feedforward = FeedForward(embed_dim, hidden_dim, dropout=dropout, rng=generator)
         self.residual_dropout = Dropout(dropout, rng=generator)
 
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """No-autograd mirror of :meth:`forward` (dropout is identity)."""
-        x = x + self.attention._forward_inference(_layernorm_data(x, self.attention_norm))
-        x = x + self.feedforward._forward_inference(_layernorm_data(x, self.feedforward_norm))
-        return x
-
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training and not is_grad_enabled():
-            return Tensor(self._forward_inference(x.data))
         x = x + self.residual_dropout(self.attention(self.attention_norm(x)))
         x = x + self.residual_dropout(self.feedforward(self.feedforward_norm(x)))
         return x

@@ -26,6 +26,8 @@ __all__ = [
     "dropout",
     "layer_norm",
     "batch_norm",
+    "fold_batch_norm",
+    "im2col",
     "conv1d",
     "avg_pool1d",
     "max_pool1d",
@@ -132,6 +134,28 @@ def layer_norm(
     return normalised
 
 
+def fold_batch_norm(
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    weight: Optional[Tensor],
+    bias: Optional[Tensor],
+    eps: float = 1e-5,
+) -> Tuple[Tensor, Tensor]:
+    """Evaluation batch-norm as a per-channel affine ``(scale, shift)``.
+
+    ``scale = weight / sqrt(running_var + eps)`` and
+    ``shift = bias - running_mean * scale``, so the normalised output is
+    ``x * scale + shift``.  This is the single definition of eval-mode
+    batch-norm: :func:`batch_norm` applies it and the deployment tracer
+    folds it into a ``channel_affine`` node, which keeps the traced graph
+    bitwise equal to the model.  Gradients flow into ``weight``/``bias``.
+    """
+    std = np.sqrt(np.asarray(running_var) + eps)
+    scale = weight / std if weight is not None else Tensor(1.0 / std)
+    shift = (bias if bias is not None else 0.0) - Tensor(running_mean) * scale
+    return scale, shift
+
+
 def batch_norm(
     x: Tensor,
     running_mean: np.ndarray,
@@ -146,7 +170,9 @@ def batch_norm(
 
     Supports 2-D inputs ``(batch, features)`` and 3-D inputs
     ``(batch, channels, length)``.  ``running_mean`` / ``running_var`` are
-    updated in place when ``training`` is true.
+    updated in place when ``training`` is true; in evaluation the running
+    statistics are folded into ``x * scale + shift`` by
+    :func:`fold_batch_norm`.
     """
     if x.ndim == 2:
         axes: Tuple[int, ...] = (0,)
@@ -157,19 +183,18 @@ def batch_norm(
     else:
         raise ValueError(f"batch_norm expects 2-D or 3-D input, got {x.ndim}-D")
 
-    if training:
-        batch_mean = x.mean(axis=axes, keepdims=True)
-        batch_var = x.var(axis=axes, keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * batch_mean.data.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * batch_var.data.reshape(-1)
-        mean, variance = batch_mean, batch_var
-    else:
-        mean = Tensor(running_mean.reshape(stat_shape))
-        variance = Tensor(running_var.reshape(stat_shape))
+    if not training:
+        scale, shift = fold_batch_norm(running_mean, running_var, weight, bias, eps)
+        return x * scale.reshape(stat_shape) + shift.reshape(stat_shape)
 
-    normalised = (x - mean) / (variance + eps).sqrt()
+    batch_mean = x.mean(axis=axes, keepdims=True)
+    batch_var = x.var(axis=axes, keepdims=True)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * batch_mean.data.reshape(-1)
+    running_var *= 1.0 - momentum
+    running_var += momentum * batch_var.data.reshape(-1)
+
+    normalised = (x - batch_mean) / (batch_var + eps).sqrt()
     if weight is not None:
         normalised = normalised * weight.reshape(stat_shape)
     if bias is not None:
@@ -177,10 +202,29 @@ def batch_norm(
     return normalised
 
 
-def _conv1d_output_length(length: int, kernel: int, stride: int, padding: int, dilation: int) -> int:
-    """Output length of a 1-D convolution (PyTorch convention)."""
-    effective = dilation * (kernel - 1) + 1
-    return (length + 2 * padding - effective) // stride + 1
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int, dilation: int) -> np.ndarray:
+    """Lower a ``(B, C, L)`` array to convolution patches ``(B, L_out, C*K)``.
+
+    One fancy-indexed gather builds every ``(output position, tap)`` pair,
+    so a 1-D convolution becomes a single matmul against the flattened
+    ``(O, C*K)`` weight matrix.  The framework convolution, the float graph
+    executor and the integer engine all lower through this function, which
+    keeps their contraction order (and hence their bits) identical.
+    """
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    batch, channels, length = x.shape
+    out_length = (length - (dilation * (kernel - 1) + 1)) // stride + 1
+    if out_length <= 0:
+        raise ValueError(
+            f"conv1d produces non-positive output length ({out_length}) "
+            f"for padded input length {length}"
+        )
+    starts = np.arange(out_length) * stride
+    taps = np.arange(kernel) * dilation
+    # (B, C, L_out, K) -> (B, L_out, C, K) -> (B, L_out, C*K)
+    columns = x[:, :, starts[:, None] + taps[None, :]].transpose(0, 2, 1, 3)
+    return columns.reshape(batch, out_length, channels * kernel)
 
 
 def conv1d(
@@ -206,11 +250,11 @@ def conv1d(
 
     Implementation
     --------------
-    The convolution is lowered to a matrix multiplication (im2col) with a
-    fused, hand-written backward pass: the input gradient is reconstructed
-    tap-by-tap (``kernel_size`` vectorised additions) instead of a generic
-    scatter-add, which is what makes training the TEMPONet baseline
-    practical on the NumPy substrate.
+    The convolution is lowered to a matrix multiplication (:func:`im2col`)
+    with a fused, hand-written backward pass: the input gradient is
+    reconstructed tap-by-tap (``kernel_size`` vectorised additions) instead
+    of a generic scatter-add, which is what makes training the TEMPONet
+    baseline practical on the NumPy substrate.
     """
     batch, in_channels, length = x.shape
     out_channels, weight_in_channels, kernel = weight.shape
@@ -218,25 +262,8 @@ def conv1d(
         raise ValueError(
             f"conv1d channel mismatch: input has {in_channels}, weight expects {weight_in_channels}"
         )
-    out_length = _conv1d_output_length(length, kernel, stride, padding, dilation)
-    if out_length <= 0:
-        raise ValueError(
-            f"conv1d produces non-positive output length ({out_length}) for input length {length}"
-        )
-
-    x_data = x.data
-    if padding > 0:
-        x_data = np.pad(x_data, ((0, 0), (0, 0), (padding, padding)))
-    padded_length = x_data.shape[-1]
-
-    # im2col index of shape (out_length, kernel): every tap of every window.
-    starts = np.arange(out_length) * stride
-    taps = np.arange(kernel) * dilation
-    gather_index = starts[:, None] + taps[None, :]
-
-    # (batch, out_length, in_channels, kernel) -> (batch, out_length, C*K)
-    columns = x_data[:, :, gather_index].transpose(0, 2, 1, 3)
-    columns_flat = columns.reshape(batch, out_length, in_channels * kernel)
+    columns_flat = im2col(x.data, kernel, stride, padding, dilation)
+    out_length = columns_flat.shape[1]
     flat_weight = weight.data.reshape(out_channels, in_channels * kernel)
     out_data = columns_flat @ flat_weight.T  # (batch, out_length, out_channels)
     if bias is not None:
@@ -258,7 +285,8 @@ def conv1d(
             grad_columns = (grad_out @ flat_weight).reshape(
                 batch, out_length, in_channels, kernel
             )
-            grad_padded = np.zeros((batch, in_channels, padded_length), dtype=grad.dtype)
+            grad_padded = np.zeros((batch, in_channels, length + 2 * padding), dtype=grad.dtype)
+            starts = np.arange(out_length) * stride
             for tap in range(kernel):
                 positions = starts + tap * dilation
                 grad_padded[:, :, positions] += grad_columns[:, :, :, tap].transpose(0, 2, 1)

@@ -35,7 +35,7 @@ ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 # Switch mirroring ``torch.no_grad()``: while disabled, no graph is
 # recorded, which makes pure inference both faster and allocation-free.
-# Thread-local so a serving worker running under ``inference_mode`` cannot
+# Thread-local so an inference thread running under ``no_grad`` cannot
 # disable gradients for a training loop on another thread.
 _GRAD_STATE = threading.local()
 
@@ -76,12 +76,12 @@ class no_grad:
 
 
 class inference_mode(no_grad):
-    """Serving-path variant of :class:`no_grad` (mirrors ``torch.inference_mode``).
+    """Inference variant of :class:`no_grad` (mirrors ``torch.inference_mode``).
 
-    Numerically identical to :class:`no_grad` — it exists so inference code
-    (notably :mod:`repro.serve`) states its intent explicitly and stays a
-    single hook if the fast path ever diverges from plain gradient
-    disabling (e.g. buffer reuse or dtype narrowing).
+    Numerically identical to :class:`no_grad`; it lets inference code state
+    its intent.  Modules run the same autograd forward either way, only
+    without recording the graph.  Float serving does not use it: it replays
+    the traced graph (:class:`repro.serve.FloatBackend`).
     """
 
 

@@ -4,9 +4,11 @@ A backend turns a stacked ``(batch, channels, samples)`` window array into
 ``(batch, num_classes)`` float logits.  Two implementations cover the two
 inference paths the repository already validates end-to-end:
 
-* :class:`FloatBackend` — the trained :mod:`repro.nn` model run directly
-  under :class:`repro.nn.inference_mode` (no autograd graph).  Bit-for-bit
-  identical to ``model(Tensor(x))``.
+* :class:`FloatBackend` — the traced :class:`~repro.deploy.graph.ComputeGraph`
+  of the trained model (the same graph :func:`build_int8_backend` lowers)
+  replayed by :class:`~repro.deploy.engine.FloatGraphExecutor`.  Bit-for-bit
+  identical to ``model(Tensor(x))``; the weights are snapshotted when the
+  backend is built.
 * :class:`Int8Backend` — the lowered :class:`~repro.deploy.lowering.QuantizedGraph`
   replayed by :class:`~repro.deploy.int_engine.IntegerGraphExecutor`, i.e.
   the GAP8 integer numerics.  Its logits are the dequantised int8 grid, so
@@ -32,11 +34,11 @@ from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
+from ..deploy.engine import FloatGraphExecutor
 from ..deploy.int_engine import IntegerGraphExecutor
 from ..deploy.lowering import QuantizedGraph, lower_to_int8
 from ..deploy.tracers import trace_model
 from ..nn.module import Module
-from ..nn.tensor import inference_mode
 
 __all__ = [
     "Backend",
@@ -78,12 +80,17 @@ def _model_geometry(model: Module) -> Tuple[int, int, int]:
 
 
 class FloatBackend:
-    """Direct ``repro.nn`` forward pass in evaluation mode, no autograd."""
+    """Float replay of the model's traced graph (evaluation semantics).
+
+    The model is traced once at construction, so later changes to its
+    weights do not reach the backend, exactly as with :class:`Int8Backend`.
+    """
 
     name = "float"
 
     def __init__(self, model: Module) -> None:
         self.model = model.eval()
+        self.executor = FloatGraphExecutor(trace_model(self.model))
         self._channels, self._samples, self._classes = _model_geometry(model)
 
     @property
@@ -98,11 +105,7 @@ class FloatBackend:
 
     def run(self, windows: np.ndarray) -> np.ndarray:
         """Float logits for ``(batch, channels, samples)`` windows."""
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim == 2:
-            windows = windows[None, ...]
-        with inference_mode():
-            return self.model(windows).data
+        return self.executor.run(windows)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Class indices (argmax over :meth:`run`)."""

@@ -228,8 +228,10 @@ class InferenceServer:
         Either a registry name (``"bio1"``, ``"bio2"``, ``"temponet"``) or an
         already constructed/trained :class:`~repro.nn.module.Module`.
     backend:
-        ``"float"`` (direct ``repro.nn`` forward) or ``"int8"`` (lowered
-        integer graph, the GAP8 numerics).
+        ``"float"`` (the traced graph in float, bitwise equal to the
+        ``repro.nn`` forward) or ``"int8"`` (the same graph lowered to
+        integers, the GAP8 numerics).  Both snapshot the model's weights
+        when the backend is built.
     patch_size:
         Bioformer front-end filter dimension; forwarded to the registry and
         part of the cache key.  Ignored for TEMPONet.

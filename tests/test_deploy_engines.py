@@ -14,8 +14,17 @@ from repro.deploy import (
     trace_bioformer,
     trace_temponet,
 )
-from repro.deploy.engine import conv1d_reference, gelu_reference, softmax_reference
+from repro.deploy.engine import (
+    avgpool1d_reference,
+    conv1d_reference,
+    gelu_reference,
+    layernorm_reference,
+    softmax_reference,
+)
+from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
+from repro.deploy.tracers import _folded_batchnorm
 from repro.models import Bioformer, BioformerConfig, temponet
+from repro.nn import BatchNorm1d
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
@@ -60,9 +69,44 @@ class TestReferenceKernels:
             conv1d_reference(rng.normal(size=(1, 3, 10)), rng.normal(size=(2, 4, 3)), None, 1, 0, 1)
 
     def test_gelu_matches_framework(self, rng):
-        x = rng.normal(size=(5, 7))
-        expected = F.gelu(Tensor(x)).data
-        np.testing.assert_allclose(gelu_reference(x), expected, atol=1e-10)
+        # A random sample plus a dense sweep of the active range: a cube
+        # spelled ``x**3`` instead of ``x * x * x`` is off by a ULP somewhere.
+        for x in (rng.normal(size=(5, 7)), np.linspace(-8.0, 8.0, 20001)):
+            expected = F.gelu(Tensor(x)).data
+            np.testing.assert_array_equal(gelu_reference(x), expected)
+
+    def test_layernorm_matches_framework(self):
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(3, 7, 16)) * 4 + 1
+        weight = rng.normal(size=16)
+        bias = rng.normal(size=16)
+        expected = F.layer_norm(Tensor(x), Tensor(weight), Tensor(bias), eps=1e-5).data
+        np.testing.assert_array_equal(layernorm_reference(x, weight, bias, 1e-5), expected)
+
+    @pytest.mark.parametrize("kernel_size,stride", [(2, 2), (3, 2), (4, 1)])
+    def test_avgpool1d_matches_framework(self, kernel_size, stride):
+        x = np.random.default_rng(52).normal(size=(2, 5, 23))
+        expected = F.avg_pool1d(Tensor(x), kernel_size, stride).data
+        np.testing.assert_array_equal(avgpool1d_reference(x, kernel_size, stride), expected)
+
+    def test_channel_affine_matches_eval_batchnorm(self):
+        rng = np.random.default_rng(53)
+        bn = BatchNorm1d(6)
+        bn.weight.data[:] = rng.normal(size=6)
+        bn.bias.data[:] = rng.normal(size=6)
+        bn.running_mean[:] = rng.normal(size=6)
+        bn.running_var[:] = rng.uniform(0.1, 3.0, size=6)
+        bn.eval()
+        x = rng.normal(size=(3, 6, 11))
+        affine = GraphNode(
+            name="bn",
+            op="channel_affine",
+            inputs=["input"],
+            output=TensorSpec("out", (6, 11)),
+            weights=_folded_batchnorm(bn),
+        )
+        graph = ComputeGraph("bn", TensorSpec("input", (6, 11)), [affine])
+        np.testing.assert_array_equal(FloatGraphExecutor(graph).run(x), bn(Tensor(x)).data)
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.normal(size=(3, 9)) * 10
@@ -79,30 +123,24 @@ class TestFloatExecutorParity:
         x = rng.normal(size=(5, 4, 60))
         expected = model(x).data
         actual = FloatGraphExecutor(trace_bioformer(model)).run(x)
-        np.testing.assert_allclose(actual, expected, atol=1e-9)
+        np.testing.assert_array_equal(actual, expected)
 
     def test_bioformer_mean_pooling_parity(self, rng):
         model = small_bioformer(pooling="mean")
         x = rng.normal(size=(3, 4, 60))
-        np.testing.assert_allclose(
-            FloatGraphExecutor(trace_bioformer(model)).run(x), model(x).data, atol=1e-9
-        )
+        np.testing.assert_array_equal(FloatGraphExecutor(trace_bioformer(model)).run(x), model(x).data)
 
     def test_bioformer_depth2_parity(self, rng):
         model = Bioformer(
             BioformerConfig(num_channels=4, window_samples=60, patch_size=10, depth=2, num_heads=2, seed=5)
         ).eval()
         x = rng.normal(size=(2, 4, 60))
-        np.testing.assert_allclose(
-            FloatGraphExecutor(trace_bioformer(model)).run(x), model(x).data, atol=1e-9
-        )
+        np.testing.assert_array_equal(FloatGraphExecutor(trace_bioformer(model)).run(x), model(x).data)
 
     def test_temponet_parity(self, rng):
         model = small_temponet()
         x = rng.normal(size=(4, 4, 80))
-        np.testing.assert_allclose(
-            FloatGraphExecutor(trace_temponet(model)).run(x), model(x).data, atol=1e-9
-        )
+        np.testing.assert_array_equal(FloatGraphExecutor(trace_temponet(model)).run(x), model(x).data)
 
     def test_single_sample_without_batch_axis(self, rng):
         model = small_bioformer()
@@ -305,7 +343,8 @@ class TestVectorizedIntegerKernels:
     def test_int_conv1d_equals_taploop(
         self, batch, in_channels, out_channels, length, kernel, stride, padding, dilation
     ):
-        from repro.deploy.int_engine import _im2col, int_gemm
+        from repro.deploy.int_engine import int_gemm
+        from repro.nn.functional import im2col
 
         effective = dilation * (kernel - 1) + 1
         if length + 2 * padding < effective:
@@ -313,7 +352,7 @@ class TestVectorizedIntegerKernels:
         generator = np.random.default_rng(batch * 1000 + length * 10 + kernel)
         q_x = generator.integers(-128, 128, size=(batch, in_channels, length))
         q_weight = generator.integers(-128, 128, size=(out_channels, in_channels, kernel))
-        patches = _im2col(q_x, kernel, stride, padding, dilation)
+        patches = im2col(q_x, kernel, stride, padding, dilation)
         flat_weight = q_weight.reshape(out_channels, in_channels * kernel)
         np.testing.assert_array_equal(
             int_gemm(patches, flat_weight.T).transpose(0, 2, 1),

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import Tensor
+from repro.deploy.tracers import _folded_batchnorm
+from repro.nn import BatchNorm1d, Tensor
 from repro.nn import functional as F
+from repro.nn.gradcheck import check_gradient
 
 
 def finite_difference(function, tensor, index, eps=1e-6):
@@ -145,6 +147,58 @@ class TestBatchNorm:
         running_var = np.array([4.0, 4.0, 4.0])
         out = F.batch_norm(x, running_mean, running_var, None, None, training=False)
         np.testing.assert_allclose(out.data, (x.data - running_mean) / np.sqrt(4.0 + 1e-5))
+
+    def test_eval_is_the_traced_fold_bitwise(self):
+        rng = np.random.default_rng(41)
+        bn = BatchNorm1d(4)
+        bn.weight.data[:] = rng.standard_normal(4)
+        bn.bias.data[:] = rng.standard_normal(4)
+        bn.running_mean[:] = rng.standard_normal(4)
+        bn.running_var[:] = rng.uniform(0.2, 2.0, size=4)
+        folded = _folded_batchnorm(bn)
+        x = rng.standard_normal((3, 4, 9))
+        out = F.batch_norm(
+            Tensor(x), bn.running_mean, bn.running_var, bn.weight, bn.bias, training=False
+        )
+        expected = x * folded["scale"].reshape(1, -1, 1) + folded["shift"].reshape(1, -1, 1)
+        np.testing.assert_array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("affine", ["none", "weight", "bias"])
+    def test_eval_matches_textbook_formula(self, affine):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((5, 3, 6)))
+        running_mean = rng.standard_normal(3)
+        running_var = rng.uniform(0.2, 2.0, size=3)
+        weight = Tensor(rng.standard_normal(3)) if affine == "weight" else None
+        bias = Tensor(rng.standard_normal(3)) if affine == "bias" else None
+        out = F.batch_norm(x, running_mean, running_var, weight, bias, training=False)
+        expected = (x.data - running_mean[:, None]) / np.sqrt(running_var[:, None] + 1e-5)
+        if weight is not None:
+            expected = expected * weight.data[:, None]
+        if bias is not None:
+            expected = expected + bias.data[:, None]
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("wrt", ["x", "weight", "bias"])
+    def test_eval_gradcheck(self, wrt):
+        rng = np.random.default_rng(43)
+        values = {
+            "x": rng.standard_normal((3, 4, 5)),
+            "weight": rng.standard_normal(4),
+            "bias": rng.standard_normal(4),
+        }
+        running_mean = rng.standard_normal(4)
+        running_var = rng.uniform(0.2, 2.0, size=4)
+
+        def loss(tensor):
+            args = {name: Tensor(value) for name, value in values.items()}
+            args[wrt] = tensor
+            out = F.batch_norm(
+                args["x"], running_mean, running_var, args["weight"], args["bias"], training=False
+            )
+            return (out * out).sum()
+
+        check_gradient(loss, values[wrt])
 
     def test_3d_input_normalised_per_channel(self, rng):
         x = Tensor(rng.standard_normal((4, 3, 10)) + 5)

@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from repro.deploy import IntegerGraphExecutor, LoweringConfig, lower_to_int8, trace_model
-from repro.deploy.int_engine import _im2col, apply_requant, int_gemm, requantize
+from repro.deploy.int_engine import apply_requant, int_gemm, requantize
 from repro.deploy.lowering import GemmTileInfo, quantize_multiplier
 from repro.models import build_model
-from repro.nn.tensor import Tensor, inference_mode
+from repro.nn.functional import im2col
+from repro.nn.tensor import Tensor
+from repro.serve import FloatBackend
 
 from test_deploy_engines import _int_conv1d_taploop
 
@@ -173,7 +175,7 @@ class TestIntGemmPrimitive:
         q_x = rng.integers(-128, 128, size=(3, 4, 30)).astype(np.int32)
         q_w = rng.integers(-128, 128, size=(6, 4, 5)).astype(np.int32)
         kernel = q_w.shape[-1]
-        patches = _im2col(q_x, kernel, stride, padding, dilation)
+        patches = im2col(q_x, kernel, stride, padding, dilation)
         flat_weight = q_w.reshape(6, 4 * kernel)
         via_gemm = int_gemm(patches, flat_weight.T).transpose(0, 2, 1)
         np.testing.assert_array_equal(
@@ -245,7 +247,7 @@ class TestGemmTileMetadata:
 
 
 # --------------------------------------------------------------------- #
-# Float fast path (inference-mode mirrors) stays bitwise-pinned
+# Float serving (the traced graph) stays bitwise-pinned to autograd
 # --------------------------------------------------------------------- #
 class TestFloatFastPathParity:
     @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
@@ -257,7 +259,6 @@ class TestFloatFastPathParity:
             kwargs["patch_size"] = patch
         model = build_model(arch, **kwargs).eval()
         x = np.random.default_rng(31).normal(size=(batch, 4, 60))
-        expected = model(Tensor(x)).data  # autograd Tensor path
-        with inference_mode():
-            fast = model(Tensor(x)).data  # ndarray mirror path
-        np.testing.assert_array_equal(fast, expected)
+        expected = model(Tensor(x)).data  # grad-enabled autograd Tensor path
+        served = FloatBackend(model).run(x)  # FloatGraphExecutor over the trace
+        np.testing.assert_array_equal(served, expected)
