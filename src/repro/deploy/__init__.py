@@ -6,7 +6,7 @@ Burrello et al. (COINS 2021), tiled through GAP8's 64 kB L1 scratchpad and
 compiled into C.  This package reproduces that flow on the host:
 
 * :mod:`repro.deploy.graph` / :mod:`repro.deploy.tracers` — a flat inference
-  graph IR and tracers for Bioformer and TEMPONet;
+  graph IR and the tracer that records a model's own forward into it;
 * :mod:`repro.deploy.engine` — a float reference executor (trace validation
   and calibration);
 * :mod:`repro.deploy.lowering` — the int8 lowering data model (activation /
@@ -60,7 +60,7 @@ from .passes import (
 )
 from .report import GraphDeploymentReport, deploy_graph, graph_to_profile
 from .tiling import LayerTiling, TilingConfig, TilingPlan, plan_tiling
-from .tracers import trace_bioformer, trace_model, trace_temponet
+from .tracers import trace_model
 
 __all__ = [
     "TensorSpec",
@@ -70,8 +70,6 @@ __all__ = [
     "LUT_OPERATORS",
     "build_gelu_lut",
     "build_softmax_exp_lut",
-    "trace_bioformer",
-    "trace_temponet",
     "trace_model",
     "FloatGraphExecutor",
     "IntegerGraphExecutor",

@@ -16,7 +16,7 @@ This module defines that IR:
 * :class:`ComputeGraph` — an ordered single-input/single-output sequence of
   nodes with validation, traversal and size-accounting helpers.
 
-The graphs are produced by the tracers in :mod:`repro.deploy.tracers` and
+The graphs are produced by the tracer in :mod:`repro.deploy.tracers` and
 consumed by every other module of :mod:`repro.deploy`.
 """
 
@@ -198,7 +198,7 @@ class GraphNode:
     Attributes
     ----------
     name:
-        Unique node name (e.g. ``"block0.attention.query"``).
+        Unique node name (e.g. ``"blocks.0.attention.query_projection"``).
     op:
         Operator name; must be one of :data:`OPERATORS`.
     inputs:

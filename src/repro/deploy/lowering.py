@@ -326,7 +326,7 @@ def lower_to_int8(
     Parameters
     ----------
     graph:
-        The float graph produced by one of the tracers.
+        The float graph produced by :func:`~repro.deploy.tracers.trace_model`.
     calibration_inputs:
         ``(batch, channels, samples)`` array of representative inputs used to
         pick the activation scales.

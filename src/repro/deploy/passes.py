@@ -608,7 +608,7 @@ class FuseConvPoolPass(GraphPass):
 class DeadNodeEliminationPass(GraphPass):
     """Drop nodes whose outputs reach neither the graph output nor any use.
 
-    A reverse liveness sweep from the graph output; tracers never emit dead
+    A reverse liveness sweep from the graph output; the tracer emits no dead
     nodes today, but passes (or hand-built graphs) can, and the pipeline
     should leave no unreachable kernels in the schedule or the weight
     binary.  Payloads of removed nodes are dropped too, so the generated

@@ -1,426 +1,245 @@
-"""Tracers: convert trained models into deployment :class:`ComputeGraph` s.
+"""Tracer: record a model's own forward pass as a deployment :class:`ComputeGraph`.
 
-A tracer walks the module tree of a trained model (in evaluation mode, so
-dropout disappears and batch-norm uses its running statistics) and emits the
-equivalent flat sequence of primitive kernels with static shapes and frozen
-weights.  The resulting graph is what the quantiser, the tiler, the memory
-planner and the code generator operate on.
-
-Two tracers are provided, one per architecture family of the paper:
-
-* :func:`trace_bioformer` — patch embedding, class token, positional
-  embedding, ``depth`` pre-norm MHSA/FFN blocks, final norm and head;
-* :func:`trace_temponet` — three TCN blocks (dilated convs + strided conv +
-  pooling, with batch-norm folded into per-channel affines) and the fully
-  connected classifier.
-
-:func:`trace_model` dispatches on the model type.
+:func:`trace_model` runs ``model.forward`` on a batch-1 *recording tensor*
+with a static shape and no values.  A call of a module in :data:`LEAVES`
+appends a node named after the module's path; other modules run their own
+``forward``, whose tensor operations append ``<module path>.<op>`` nodes.
+No kernel runs, anything else raises ``TypeError``, and the model is only
+read.  The capture stage in ``docs/compiler.md`` describes the contract.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Union
+import sys
+from typing import Callable, Dict, List, Tuple
 
-from ..models.bioformer import Bioformer
-from ..models.temponet import TEMPONet
+from .. import nn
 from ..nn import functional as F
+from ..nn.tensor import Tensor
 from .graph import ComputeGraph, GraphNode, TensorSpec
 
-__all__ = ["trace_bioformer", "trace_temponet", "trace_model"]
+__all__ = ["LEAVES", "trace_model"]
 
 
-def _conv_weights(conv) -> dict:
-    weights = {"weight": conv.weight.data.copy()}
-    if conv.bias is not None:
-        weights["bias"] = conv.bias.data.copy()
-    return weights
+def _require(condition, operation: str) -> None:
+    if not condition:
+        raise TypeError(f"cannot trace {operation}")
 
 
-def _linear_weights(linear) -> dict:
-    weights = {"weight": linear.weight.data.copy()}
-    if linear.bias is not None:
-        weights["bias"] = linear.bias.data.copy()
-    return weights
+def _copies(module: nn.Module, *names: str) -> dict:
+    return {n: getattr(module, n).data.copy() for n in names if getattr(module, n) is not None}
 
 
-def _folded_batchnorm(bn) -> dict:
-    """Fold an evaluation-mode BatchNorm1d into a per-channel affine."""
+def _batchnorm(bn: nn.BatchNorm1d, shape):
     scale, shift = F.fold_batch_norm(bn.running_mean, bn.running_var, bn.weight, bn.bias, bn.eps)
-    return {"scale": scale.data.copy(), "shift": shift.data.copy()}
+    return "channel_affine", shape, {}, {"scale": scale.data, "shift": shift.data}
 
 
-def trace_bioformer(model: Bioformer, name: str = "") -> ComputeGraph:
-    """Trace a (trained) Bioformer into a deployment graph.
+def _flatten(flatten: nn.Flatten, shape):
+    _require(flatten.start_dim == 1, f"Flatten(start_dim={flatten.start_dim})")
+    return "flatten", (math.prod(shape),), {}, {}
 
-    The trace mirrors :meth:`Bioformer.forward` in evaluation mode; the
-    float graph executor reproduces the model output bit for bit (pinned
-    by the test-suite with exact equality).
+
+#: Leaf handlers by exact module type.  ``handler(module, input_shape)``
+#: returns ``(op, output_shape, attrs, weights)``, shapes without the batch
+#: axis; ``None`` passes the input through.  Leaves have their evaluation
+#: semantics: ``Dropout`` is the identity, ``BatchNorm1d`` a folded affine.
+LEAVES: Dict[type, Callable] = {
+    nn.Conv1d: lambda conv, shape: (
+        "conv1d", (conv.out_channels, conv.output_length(shape[-1])),
+        {"stride": conv.stride, "padding": conv.padding, "dilation": conv.dilation},
+        _copies(conv, "weight", "bias"),
+    ),
+    nn.Linear: lambda linear, shape: (
+        "linear", shape[:-1] + (linear.out_features,), {}, _copies(linear, "weight", "bias")
+    ),
+    nn.LayerNorm: lambda norm, shape: (
+        "layernorm", shape, {"eps": norm.eps}, _copies(norm, "weight", "bias")
+    ),
+    nn.BatchNorm1d: _batchnorm,
+    nn.ReLU: lambda relu, shape: ("relu", shape, {}, {}),
+    nn.GELU: lambda gelu, shape: ("gelu", shape, {}, {}),
+    nn.Softmax: lambda softmax, shape: (
+        "softmax", shape, {"axis": softmax.axis if softmax.axis < 0 else softmax.axis - 1}, {}
+    ),
+    nn.AvgPool1d: lambda pool, shape: (
+        "avgpool1d", shape[:-1] + ((shape[-1] - pool.kernel_size) // pool.stride + 1,),
+        {"kernel_size": pool.kernel_size, "stride": pool.stride}, {},
+    ),
+    nn.Flatten: _flatten,
+    nn.Dropout: lambda dropout, shape: None,
+}
+
+
+def _constant(value) -> bool:
+    return isinstance(value, Tensor) and not isinstance(value, _Recording)
+
+
+def _dims(args) -> Tuple[int, ...]:
+    return tuple(args[0]) if len(args) == 1 and isinstance(args[0], (tuple, list)) else args
+
+
+class _Recorder:
+    """The graph one trace builds, shared by its recording tensors."""
+
+    def __init__(self, model: nn.Module) -> None:
+        self.paths = {id(module): path for path, module in model.named_modules()}
+        self.scope = ""  # "<path>." of the module whose forward is running
+        self.nodes: List[GraphNode] = []
+        self.uses: Dict[str, int] = {}
+
+    def record(self, name, op, inputs, shape, attrs=None, weights=None) -> "_Recording":
+        count = self.uses.get(name, 0)
+        self.uses[name] = count + 1
+        name = f"{name}_{count}" if count else name
+        inputs = [value._tensor() for value in inputs]
+        output = TensorSpec(name, shape)
+        self.nodes.append(GraphNode(name, op, inputs, output, attrs or {}, weights or {}))
+        return _Recording(self, (1,) + shape, name)
+
+
+class _Recording(Tensor):
+    """A shape-only batch-1 activation; ``name`` is its graph tensor.
+
+    While ``name`` is ``None`` the value is *pending*: its transpose, reshape
+    or matmul node waits for the consumer, so that ``reshape`` + ``transpose``
+    become one ``split_heads`` and ``matmul`` + ``* scale`` one ``matmul``.
     """
-    cfg = model.config
-    graph_name = name or cfg.describe()
-    tokens = cfg.num_tokens
-    sequence = cfg.sequence_length
-    dim = cfg.embed_dim
-    heads = model.blocks[0].attention.num_heads
-    head_dim = model.blocks[0].attention.head_dim
-    total_dim = heads * head_dim
 
-    graph_input = TensorSpec("input", (cfg.num_channels, cfg.window_samples))
-    nodes: List[GraphNode] = []
+    __slots__ = ("_recorder", "_shape", "_pending")
 
-    nodes.append(
-        GraphNode(
-            name="patch_embedding",
-            op="conv1d",
-            inputs=["input"],
-            output=TensorSpec("patches", (dim, tokens)),
-            attrs={"stride": cfg.patch_size, "padding": 0, "dilation": 1},
-            weights=_conv_weights(model.patch_embedding),
-        )
-    )
-    nodes.append(
-        GraphNode(
-            name="to_tokens",
-            op="transpose",
-            inputs=["patches"],
-            output=TensorSpec("tokens", (tokens, dim)),
-            attrs={"axes": (1, 0)},
-        )
-    )
-    current = "tokens"
-    if cfg.pooling == "class_token":
-        nodes.append(
-            GraphNode(
-                name="append_class_token",
-                op="append_token",
-                inputs=[current],
-                output=TensorSpec("tokens_cls", (sequence, dim)),
-                weights={"token": model.class_token.data.reshape(1, dim).copy()},
-            )
-        )
-        current = "tokens_cls"
-    if cfg.use_positional_embedding:
-        nodes.append(
-            GraphNode(
-                name="positional_embedding",
-                op="add_positional",
-                inputs=[current],
-                output=TensorSpec("embedded", (sequence, dim)),
-                weights={
-                    "positions": model.positional_embedding.data.reshape(sequence, dim).copy()
-                },
-            )
-        )
-        current = "embedded"
+    def __init__(self, recorder: _Recorder, shape, name=None, pending=None) -> None:
+        self._recorder = recorder
+        self._shape = tuple(shape)
+        self._pending = pending  # (node name, op, inputs, attrs)
+        self.name = name
+        self.requires_grad = False
 
-    for index, block in enumerate(model.blocks):
-        prefix = f"block{index}"
-        attention = block.attention
-        residual_in = current
+    @property
+    def data(self):
+        _require(False, f"'{sys._getframe(1).f_code.co_name}': no graph node records it")
 
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention_norm",
-                op="layernorm",
-                inputs=[current],
-                output=TensorSpec(f"{prefix}.normed1", (sequence, dim)),
-                attrs={"eps": block.attention_norm.eps},
-                weights={
-                    "weight": block.attention_norm.weight.data.copy(),
-                    "bias": block.attention_norm.bias.data.copy(),
-                },
-            )
-        )
-        normed = f"{prefix}.normed1"
-        for role, projection in (
-            ("query", attention.query_projection),
-            ("key", attention.key_projection),
-            ("value", attention.value_projection),
-        ):
-            nodes.append(
-                GraphNode(
-                    name=f"{prefix}.attention.{role}",
-                    op="linear",
-                    inputs=[normed],
-                    output=TensorSpec(f"{prefix}.{role}", (sequence, total_dim)),
-                    weights=_linear_weights(projection),
-                )
-            )
-            nodes.append(
-                GraphNode(
-                    name=f"{prefix}.attention.{role}_heads",
-                    op="split_heads",
-                    inputs=[f"{prefix}.{role}"],
-                    output=TensorSpec(f"{prefix}.{role}_h", (heads, sequence, head_dim)),
-                    attrs={"num_heads": heads, "head_dim": head_dim},
-                )
-            )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention.scores",
-                op="matmul",
-                inputs=[f"{prefix}.query_h", f"{prefix}.key_h"],
-                output=TensorSpec(f"{prefix}.scores", (heads, sequence, sequence)),
-                attrs={
-                    "transpose_b": True,
-                    "scale": 1.0 / math.sqrt(head_dim),
-                    "inner_dim": head_dim,
-                },
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention.softmax",
-                op="softmax",
-                inputs=[f"{prefix}.scores"],
-                output=TensorSpec(f"{prefix}.probs", (heads, sequence, sequence)),
-                attrs={"axis": -1},
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention.context",
-                op="matmul",
-                inputs=[f"{prefix}.probs", f"{prefix}.value_h"],
-                output=TensorSpec(f"{prefix}.context", (heads, sequence, head_dim)),
-                attrs={"transpose_b": False, "scale": 1.0, "inner_dim": sequence},
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention.merge",
-                op="merge_heads",
-                inputs=[f"{prefix}.context"],
-                output=TensorSpec(f"{prefix}.merged", (sequence, total_dim)),
-                attrs={"num_heads": heads, "head_dim": head_dim},
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention.out",
-                op="linear",
-                inputs=[f"{prefix}.merged"],
-                output=TensorSpec(f"{prefix}.attn_out", (sequence, dim)),
-                weights=_linear_weights(attention.output_projection),
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.attention_residual",
-                op="add",
-                inputs=[residual_in, f"{prefix}.attn_out"],
-                output=TensorSpec(f"{prefix}.res1", (sequence, dim)),
-            )
-        )
-        current = f"{prefix}.res1"
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self._shape
 
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.ffn_norm",
-                op="layernorm",
-                inputs=[current],
-                output=TensorSpec(f"{prefix}.normed2", (sequence, dim)),
-                attrs={"eps": block.feedforward_norm.eps},
-                weights={
-                    "weight": block.feedforward_norm.weight.data.copy(),
-                    "bias": block.feedforward_norm.bias.data.copy(),
-                },
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.ffn.expand",
-                op="linear",
-                inputs=[f"{prefix}.normed2"],
-                output=TensorSpec(f"{prefix}.hidden", (sequence, block.feedforward.hidden_dim)),
-                weights=_linear_weights(block.feedforward.expand),
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.ffn.gelu",
-                op="gelu",
-                inputs=[f"{prefix}.hidden"],
-                output=TensorSpec(
-                    f"{prefix}.hidden_act", (sequence, block.feedforward.hidden_dim)
-                ),
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.ffn.contract",
-                op="linear",
-                inputs=[f"{prefix}.hidden_act"],
-                output=TensorSpec(f"{prefix}.ffn_out", (sequence, dim)),
-                weights=_linear_weights(block.feedforward.contract),
-            )
-        )
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.ffn_residual",
-                op="add",
-                inputs=[current, f"{prefix}.ffn_out"],
-                output=TensorSpec(f"{prefix}.res2", (sequence, dim)),
-            )
-        )
-        current = f"{prefix}.res2"
+    @property
+    def ndim(self) -> int:
+        return len(self._shape)
 
-    nodes.append(
-        GraphNode(
-            name="final_norm",
-            op="layernorm",
-            inputs=[current],
-            output=TensorSpec("final_normed", (sequence, dim)),
-            attrs={"eps": model.final_norm.eps},
-            weights={
-                "weight": model.final_norm.weight.data.copy(),
-                "bias": model.final_norm.bias.data.copy(),
-            },
-        )
-    )
-    if cfg.pooling == "class_token":
-        nodes.append(
-            GraphNode(
-                name="class_token_output",
-                op="select_token",
-                inputs=["final_normed"],
-                output=TensorSpec("pooled", (dim,)),
-                attrs={"index": -1},
-            )
-        )
-    else:
-        nodes.append(
-            GraphNode(
-                name="mean_pooling",
-                op="mean_tokens",
-                inputs=["final_normed"],
-                output=TensorSpec("pooled", (dim,)),
-            )
-        )
-    nodes.append(
-        GraphNode(
-            name="head",
-            op="linear",
-            inputs=["pooled"],
-            output=TensorSpec("logits", (cfg.num_classes,)),
-            weights=_linear_weights(model.head),
-        )
-    )
-    return ComputeGraph(graph_name, graph_input, nodes)
+    def _tensor(self) -> str:
+        """The graph tensor of this value, recording its pending node first."""
+        if self.name is None:
+            name, op, inputs, attrs = self._pending
+            _require(op != "reshape", f"a reshape to {self._shape} outside head split/merge")
+            self.name = self._recorder.record(name, op, inputs, self._shape[1:], attrs).name
+        return self.name
+
+    def _pending_op(self):
+        return self._pending[1] if self.name is None else None
+
+    def _emit(self, op, inputs, shape, attrs=None, weights=None) -> "_Recording":
+        return self._recorder.record(self._recorder.scope + op, op, inputs, shape, attrs, weights)
+
+    def _defer(self, op, inputs, shape, attrs=None) -> "_Recording":
+        pending = (self._recorder.scope + op, op, inputs, attrs or {})
+        return _Recording(self._recorder, shape, pending=pending)
+
+    def __module_call__(self, module: nn.Module, *args, **kwargs):
+        recorder = self._recorder
+        path = recorder.paths.get(id(module), type(module).__name__)
+        handler = LEAVES.get(type(module))
+        if handler is not None:
+            node = handler(module, self._shape[1:])  # (op, shape, attrs, weights)
+            return self if node is None else recorder.record(path, node[0], [self], *node[1:])
+        _require(module._modules, f"{type(module).__name__} module '{path}': not a registered leaf")
+        outer, recorder.scope = recorder.scope, f"{path}." if path else ""
+        try:
+            return module.forward(self, *args, **kwargs)
+        finally:
+            recorder.scope = outer
+
+    def __add__(self, other) -> "_Recording":
+        shape = self._shape[1:]
+        if isinstance(other, _Recording):
+            _require(other.shape == self._shape, f"'+' of shapes {self._shape} and {other.shape}")
+            return self._emit("add", [self, other], shape)
+        _require(_constant(other) and other.shape in (self._shape, shape), f"'+' of {other!r}")
+        positions = other.data.reshape(shape).copy()
+        return self._emit("add_positional", [self], shape, weights={"positions": positions})
+
+    def __mul__(self, other) -> "_Recording":
+        scales = self._pending_op() == "matmul" and self._pending[3]["scale"] == 1.0
+        _require(scales and isinstance(other, (int, float)), "'*' other than scaling a matmul")
+        name, op, inputs, attrs = self._pending
+        scaled = (name, op, inputs, {**attrs, "scale": float(other)})
+        return _Recording(self._recorder, self._shape, pending=scaled)
+
+    def matmul(self, other) -> "_Recording":
+        _require(isinstance(other, _Recording), "matmul with a constant operand")
+        rank = other.ndim - 1
+        swap_last = tuple(range(rank - 2)) + (rank - 1, rank - 2)
+        transpose_b = other._pending_op() == "transpose" and other._pending[3]["axes"] == swap_last
+        right = other._pending[2][0] if transpose_b else other
+        columns = right.shape[-2] if transpose_b else right.shape[-1]
+        attrs = {"transpose_b": transpose_b, "scale": 1.0, "inner_dim": self._shape[-1]}
+        return self._defer("matmul", [self, right], self._shape[:-1] + (columns,), attrs)
+
+    def transpose(self, *axes) -> "_Recording":
+        axes = _dims(axes)
+        _require(axes[:1] == (0,), f"a transpose {axes} that moves the batch axis")
+        shape = tuple(self._shape[axis] for axis in axes)
+        if self._pending_op() == "reshape" and axes == (0, 2, 1, 3):
+            (source,) = self._pending[2]
+            batch, sequence, heads, head_dim = self._shape
+            if source.shape == (batch, sequence, heads * head_dim):
+                attrs = {"num_heads": heads, "head_dim": head_dim}
+                return self._emit("split_heads", [source], shape[1:], attrs)
+        return self._defer("transpose", [self], shape, {"axes": tuple(a - 1 for a in axes[1:])})
+
+    def reshape(self, *shape) -> "_Recording":
+        shape = _dims(shape)
+        if self._pending_op() == "transpose" and self._pending[3]["axes"] == (1, 0, 2):
+            (source,) = self._pending[2]
+            batch, heads, sequence, head_dim = source.shape
+            if shape == (batch, sequence, heads * head_dim):
+                attrs = {"num_heads": heads, "head_dim": head_dim}
+                return self._emit("merge_heads", [source], shape[1:], attrs)
+        return self._defer("reshape", [self], shape)
+
+    def concat(self, *others, axis: int = 0) -> "_Recording":
+        token = others[0] if len(others) == 1 else None
+        appends = _constant(token) and self.ndim == 3 and token.shape == (1, 1, self._shape[2])
+        _require(appends and axis == 1, "concat other than appending one constant token")
+        shape, token = (self._shape[1] + 1, self._shape[2]), token.data.reshape(1, -1).copy()
+        return self._emit("append_token", [self], shape, weights={"token": token})
+
+    def __getitem__(self, index) -> "_Recording":
+        every = slice(None)
+        token = isinstance(index, tuple) and len(index) == 3 and isinstance(index[1], int)
+        spans = token and all(isinstance(part, slice) and part == every for part in index[::2])
+        _require(self.ndim == 3 and spans, f"indexing with {index!r}")
+        return self._emit("select_token", [self], self._shape[2:], {"index": index[1]})
+
+    def mean(self, axis=None, keepdims: bool = False) -> "_Recording":
+        _require(self.ndim == 3 and axis == 1 and not keepdims, f"mean over axis {axis}")
+        return self._emit("mean_tokens", [self], self._shape[2:])
 
 
-def trace_temponet(model: TEMPONet, name: str = "TEMPONet") -> ComputeGraph:
-    """Trace a (trained) TEMPONet into a deployment graph.
+def trace_model(model: nn.Module, name: str = "") -> ComputeGraph:
+    """Trace ``model`` on one ``(model.config.num_channels, .window_samples)`` window.
 
-    Evaluation-mode batch normalisation is folded into per-channel affine
-    nodes (``channel_affine``), exactly as an MCU deployment flow folds BN
-    into the preceding convolution's requantisation step.
+    The graph is named ``name`` or ``model.name`` and outputs ``logits``; the
+    float executor runs it bit for bit like ``model(Tensor(x))`` in eval mode.
     """
-    cfg = model.config
-    graph_input = TensorSpec("input", (cfg.num_channels, cfg.window_samples))
-    nodes: List[GraphNode] = []
-    current = "input"
-    length = cfg.window_samples
-
-    for index, block in enumerate(model.blocks):
-        prefix = f"block{index}"
-        stages = (
-            ("conv1", block.conv1, block.bn1),
-            ("conv2", block.conv2, block.bn2),
-            ("strided_conv", block.strided_conv, block.bn3),
-        )
-        for stage_name, conv, bn in stages:
-            length = conv.output_length(length)
-            channels = conv.out_channels
-            conv_out = f"{prefix}.{stage_name}"
-            nodes.append(
-                GraphNode(
-                    name=conv_out,
-                    op="conv1d",
-                    inputs=[current],
-                    output=TensorSpec(conv_out + ".out", (channels, length)),
-                    attrs={
-                        "stride": conv.stride,
-                        "padding": conv.padding,
-                        "dilation": conv.dilation,
-                    },
-                    weights=_conv_weights(conv),
-                )
-            )
-            nodes.append(
-                GraphNode(
-                    name=f"{conv_out}.bn",
-                    op="channel_affine",
-                    inputs=[conv_out + ".out"],
-                    output=TensorSpec(conv_out + ".bn", (channels, length)),
-                    weights=_folded_batchnorm(bn),
-                )
-            )
-            nodes.append(
-                GraphNode(
-                    name=f"{conv_out}.relu",
-                    op="relu",
-                    inputs=[conv_out + ".bn"],
-                    output=TensorSpec(conv_out + ".act", (channels, length)),
-                )
-            )
-            current = conv_out + ".act"
-        pooled_length = (length - block.pool.kernel_size) // block.pool.stride + 1
-        nodes.append(
-            GraphNode(
-                name=f"{prefix}.pool",
-                op="avgpool1d",
-                inputs=[current],
-                output=TensorSpec(f"{prefix}.pooled", (channels, pooled_length)),
-                attrs={"kernel_size": block.pool.kernel_size, "stride": block.pool.stride},
-            )
-        )
-        current = f"{prefix}.pooled"
-        length = pooled_length
-
-    nodes.append(
-        GraphNode(
-            name="flatten",
-            op="flatten",
-            inputs=[current],
-            output=TensorSpec("flattened", (model.flatten_features,)),
-        )
-    )
-    current = "flattened"
-    classifier_linears = [
-        module for module in model.classifier if type(module).__name__ == "Linear"
-    ]
-    for index, linear in enumerate(classifier_linears):
-        out_name = f"fc{index + 1}"
-        nodes.append(
-            GraphNode(
-                name=out_name,
-                op="linear",
-                inputs=[current],
-                output=TensorSpec(out_name + ".out", (linear.out_features,)),
-                weights=_linear_weights(linear),
-            )
-        )
-        current = out_name + ".out"
-        if index < len(classifier_linears) - 1:
-            nodes.append(
-                GraphNode(
-                    name=f"{out_name}.relu",
-                    op="relu",
-                    inputs=[current],
-                    output=TensorSpec(out_name + ".act", (linear.out_features,)),
-                )
-            )
-            current = out_name + ".act"
+    _require(isinstance(model, nn.Module), f"object of type {type(model).__name__}")
+    config = model.config
+    graph_input = TensorSpec("input", (config.num_channels, config.window_samples))
+    recorder = _Recorder(model)
+    output = model(_Recording(recorder, (1,) + graph_input.shape, graph_input.name))
+    nodes = recorder.nodes
+    ends = isinstance(output, _Recording) and nodes and output._tensor() == nodes[-1].name
+    _require(ends, f"{type(model).__name__}: its forward does not end in a recorded node")
     nodes[-1].output = TensorSpec("logits", nodes[-1].output.shape)
-    return ComputeGraph(name, graph_input, nodes)
-
-
-def trace_model(model: Union[Bioformer, TEMPONet], name: str = "") -> ComputeGraph:
-    """Trace either supported architecture (dispatch helper)."""
-    if isinstance(model, Bioformer):
-        return trace_bioformer(model, name=name)
-    if isinstance(model, TEMPONet):
-        return trace_temponet(model, name=name or "TEMPONet")
-    raise TypeError(f"cannot trace object of type {type(model).__name__}")
+    return ComputeGraph(name or getattr(model, "name", type(model).__name__), graph_input, nodes)

@@ -166,7 +166,7 @@ class Bioformer(Module):
         if cfg.pooling == "class_token":
             batch = tokens.shape[0]
             class_tokens = self.class_token * Tensor(np.ones((batch, 1, 1)))
-            tokens = Tensor.concatenate([tokens, class_tokens], axis=1)
+            tokens = tokens.concat(class_tokens, axis=1)
         if cfg.use_positional_embedding:
             tokens = tokens + self.positional_embedding
         return self.embedding_dropout(tokens)

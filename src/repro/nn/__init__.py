@@ -31,6 +31,7 @@ from .layers import (
     MaxPool1d,
     ReLU,
     Sigmoid,
+    Softmax,
     Tanh,
 )
 from .losses import CrossEntropyLoss, MSELoss
@@ -64,6 +65,7 @@ __all__ = [
     "Dropout",
     "ReLU",
     "GELU",
+    "Softmax",
     "Tanh",
     "Sigmoid",
     "Identity",

@@ -20,11 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import functional as F
-from . import init
-from .layers import Dropout, Linear
-from .layers import LayerNorm
-from .module import Module, Parameter
+from .layers import GELU, Dropout, LayerNorm, Linear, Softmax
+from .module import Module
 from .tensor import Tensor
 
 __all__ = ["MultiHeadSelfAttention", "FeedForward", "TransformerEncoderBlock"]
@@ -70,10 +67,13 @@ class MultiHeadSelfAttention(Module):
         self.key_projection = Linear(embed_dim, total_dim, rng=generator)
         self.value_projection = Linear(embed_dim, total_dim, rng=generator)
         self.output_projection = Linear(total_dim, embed_dim, rng=generator)
+        self.softmax = Softmax(axis=-1)
         self.attention_dropout = Dropout(dropout, rng=generator)
-        # Exposed for inspection (tests / attention-map analysis); filled on
-        # every forward pass with the detached attention probabilities.
-        self.last_attention: Optional[np.ndarray] = None
+
+    @property
+    def last_attention(self) -> Optional[np.ndarray]:
+        """Detached attention probabilities of the last forward pass (for inspection)."""
+        return self.softmax.last_output
 
     def _split_heads(self, x: Tensor, batch: int, sequence: int) -> Tensor:
         """Reshape ``(B, S, H*P)`` to ``(B, H, S, P)``."""
@@ -91,9 +91,7 @@ class MultiHeadSelfAttention(Module):
 
         scale = 1.0 / math.sqrt(self.head_dim)
         scores = queries.matmul(keys.transpose((0, 1, 3, 2))) * scale
-        attention = F.softmax(scores, axis=-1)
-        self.last_attention = attention.data.copy()
-        attention = self.attention_dropout(attention)
+        attention = self.attention_dropout(self.softmax(scores))
 
         context = attention.matmul(values)  # (B, H, S, P)
         context = context.transpose((0, 2, 1, 3)).reshape(
@@ -123,11 +121,12 @@ class FeedForward(Module):
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         self.expand = Linear(embed_dim, hidden_dim, rng=generator)
+        self.activation = GELU()
         self.contract = Linear(hidden_dim, embed_dim, rng=generator)
         self.dropout = Dropout(dropout, rng=generator)
 
     def forward(self, x: Tensor) -> Tensor:
-        hidden = F.gelu(self.expand(x))
+        hidden = self.activation(self.expand(x))
         hidden = self.dropout(hidden)
         return self.contract(hidden)
 

@@ -25,6 +25,7 @@ __all__ = [
     "Dropout",
     "ReLU",
     "GELU",
+    "Softmax",
     "Tanh",
     "Sigmoid",
     "Identity",
@@ -221,6 +222,20 @@ class GELU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)
+
+
+class Softmax(Module):
+    """Softmax along ``axis``; keeps the detached output of the last call."""
+
+    def __init__(self, axis: int = -1) -> None:
+        super().__init__()
+        self.axis = axis
+        self.last_output: Optional[np.ndarray] = None
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = F.softmax(x, axis=self.axis)
+        self.last_output = out.data.copy()
+        return out
 
 
 class Tanh(Module):

@@ -89,6 +89,12 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
+    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
+        """Yield ``(qualified_name, module)`` for this module and every descendant."""
+        yield prefix, self
+        for child_name, child in self._modules.items():
+            yield from child.named_modules(f"{prefix}.{child_name}" if prefix else child_name)
+
     def children(self) -> Iterator["Module"]:
         """Yield the immediate child modules."""
         yield from self._modules.values()
@@ -158,6 +164,12 @@ class Module:
         raise NotImplementedError(f"{type(self).__name__} does not implement forward()")
 
     def __call__(self, *args, **kwargs):
+        # A Tensor subclass may take over module calls on it, like PyTorch's
+        # ``__torch_function__``; the deploy tracer's recording tensor does.
+        if args:
+            intercept = getattr(type(args[0]), "__module_call__", None)
+            if intercept is not None:
+                return intercept(args[0], self, *args[1:], **kwargs)
         return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:

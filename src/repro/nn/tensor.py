@@ -579,6 +579,10 @@ class Tensor:
 
         return reference._make_child(out_data, tuple(tensors), backward)
 
+    def concat(self, *others: "Tensor", axis: int = 0) -> "Tensor":
+        """Concatenate ``others`` after this tensor along ``axis``."""
+        return Tensor.concatenate((self,) + others, axis=axis)
+
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         """Stack tensors along a new axis."""

@@ -14,8 +14,7 @@ from repro.deploy import (
     graph_to_profile,
     lower_to_int8,
     plan_activation_memory,
-    trace_bioformer,
-    trace_temponet,
+    trace_model,
 )
 from repro.hw.gap8 import GAP8Config, GAP8Model
 from repro.hw.profiler import profile_bioformer
@@ -36,7 +35,7 @@ def rng():
 
 @pytest.fixture(scope="module")
 def quantized_bioformer(rng):
-    graph = trace_bioformer(small_bioformer())
+    graph = trace_model(small_bioformer())
     return lower_to_int8(graph, rng.normal(size=(8, 4, 60)))
 
 
@@ -102,7 +101,7 @@ class TestCodegen:
 
     def test_temponet_codegen(self, rng):
         model = temponet(num_channels=4, window_samples=80, seed=31).eval()
-        quantized = lower_to_int8(trace_temponet(model), rng.normal(size=(4, 4, 80)))
+        quantized = lower_to_int8(trace_model(model), rng.normal(size=(4, 4, 80)))
         sources = generate_c_sources(quantized)
         # Default schedule routes MAC nodes through the im2col/GEMM kernels
         # and publishes the tile geometry macros.
@@ -115,24 +114,27 @@ class TestCodegen:
 # --------------------------------------------------------------------- #
 class TestGraphProfileAdapter:
     def test_macs_preserved(self):
-        graph = trace_bioformer(bioformer_bio1(patch_size=10).eval())
+        graph = trace_model(bioformer_bio1(patch_size=10).eval())
         profile = graph_to_profile(graph)
         assert profile.total_macs == graph.total_macs
 
     def test_shape_only_nodes_skipped(self):
-        graph = trace_bioformer(small_bioformer())
+        graph = trace_model(small_bioformer())
         profile = graph_to_profile(graph)
-        assert all("split" not in layer.name and "merge" not in layer.name for layer in profile.layers)
+        shape_only = [node for node in graph if node.is_shape_only]
+        assert {"split_heads", "merge_heads", "transpose"} <= {node.op for node in shape_only}
+        kept = [node.name for node in graph if not node.is_shape_only]
+        assert [layer.name for layer in profile.layers] == kept
 
     def test_traced_profile_close_to_analytical(self):
         config = BioformerConfig(patch_size=10, depth=1, num_heads=8)
-        traced = graph_to_profile(trace_bioformer(Bioformer(config).eval()))
+        traced = graph_to_profile(trace_model(Bioformer(config).eval()))
         analytical = profile_bioformer(config)
         assert traced.total_macs == pytest.approx(analytical.total_macs, rel=0.02)
         assert traced.total_params == pytest.approx(analytical.total_params, rel=0.02)
 
     def test_latency_estimate_runs_on_traced_profile(self):
-        graph = trace_bioformer(small_bioformer())
+        graph = trace_model(small_bioformer())
         breakdown = GAP8Model(GAP8Config()).latency(graph_to_profile(graph))
         assert breakdown.latency_ms > 0
         assert breakdown.energy_mj > 0

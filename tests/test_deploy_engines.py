@@ -11,8 +11,7 @@ from repro.deploy import (
     lower_to_int8,
     quantize_multiplier,
     requantize,
-    trace_bioformer,
-    trace_temponet,
+    trace_model,
 )
 from repro.deploy.engine import (
     avgpool1d_reference,
@@ -22,7 +21,6 @@ from repro.deploy.engine import (
     softmax_reference,
 )
 from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
-from repro.deploy.tracers import _folded_batchnorm
 from repro.models import Bioformer, BioformerConfig, temponet
 from repro.nn import BatchNorm1d
 from repro.nn import functional as F
@@ -98,12 +96,13 @@ class TestReferenceKernels:
         bn.running_var[:] = rng.uniform(0.1, 3.0, size=6)
         bn.eval()
         x = rng.normal(size=(3, 6, 11))
+        scale, shift = F.fold_batch_norm(bn.running_mean, bn.running_var, bn.weight, bn.bias, bn.eps)
         affine = GraphNode(
             name="bn",
             op="channel_affine",
             inputs=["input"],
             output=TensorSpec("out", (6, 11)),
-            weights=_folded_batchnorm(bn),
+            weights={"scale": scale.data, "shift": shift.data},
         )
         graph = ComputeGraph("bn", TensorSpec("input", (6, 11)), [affine])
         np.testing.assert_array_equal(FloatGraphExecutor(graph).run(x), bn(Tensor(x)).data)
@@ -122,46 +121,46 @@ class TestFloatExecutorParity:
         model = small_bioformer()
         x = rng.normal(size=(5, 4, 60))
         expected = model(x).data
-        actual = FloatGraphExecutor(trace_bioformer(model)).run(x)
+        actual = FloatGraphExecutor(trace_model(model)).run(x)
         np.testing.assert_array_equal(actual, expected)
 
     def test_bioformer_mean_pooling_parity(self, rng):
         model = small_bioformer(pooling="mean")
         x = rng.normal(size=(3, 4, 60))
-        np.testing.assert_array_equal(FloatGraphExecutor(trace_bioformer(model)).run(x), model(x).data)
+        np.testing.assert_array_equal(FloatGraphExecutor(trace_model(model)).run(x), model(x).data)
 
     def test_bioformer_depth2_parity(self, rng):
         model = Bioformer(
             BioformerConfig(num_channels=4, window_samples=60, patch_size=10, depth=2, num_heads=2, seed=5)
         ).eval()
         x = rng.normal(size=(2, 4, 60))
-        np.testing.assert_array_equal(FloatGraphExecutor(trace_bioformer(model)).run(x), model(x).data)
+        np.testing.assert_array_equal(FloatGraphExecutor(trace_model(model)).run(x), model(x).data)
 
     def test_temponet_parity(self, rng):
         model = small_temponet()
         x = rng.normal(size=(4, 4, 80))
-        np.testing.assert_array_equal(FloatGraphExecutor(trace_temponet(model)).run(x), model(x).data)
+        np.testing.assert_array_equal(FloatGraphExecutor(trace_model(model)).run(x), model(x).data)
 
     def test_single_sample_without_batch_axis(self, rng):
         model = small_bioformer()
         x = rng.normal(size=(4, 60))
-        output = FloatGraphExecutor(trace_bioformer(model)).run(x)
+        output = FloatGraphExecutor(trace_model(model)).run(x)
         assert output.shape == (1, 8)
 
     def test_wrong_input_shape_rejected(self, rng):
-        executor = FloatGraphExecutor(trace_bioformer(small_bioformer()))
+        executor = FloatGraphExecutor(trace_model(small_bioformer()))
         with pytest.raises(ValueError, match="expects input shape"):
             executor.run(rng.normal(size=(2, 3, 60)))
 
     def test_recording_contains_every_tensor(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         recorded = FloatGraphExecutor(graph).run_recording(rng.normal(size=(2, 4, 60)))
         assert set(recorded) == set(graph.tensor_specs())
 
     def test_predict_returns_class_indices(self, rng):
         model = small_bioformer()
-        predictions = FloatGraphExecutor(trace_bioformer(model)).predict(rng.normal(size=(6, 4, 60)))
+        predictions = FloatGraphExecutor(trace_model(model)).predict(rng.normal(size=(6, 4, 60)))
         assert predictions.shape == (6,)
         assert predictions.min() >= 0 and predictions.max() < 8
 
@@ -246,14 +245,14 @@ class TestRequantization:
 class TestLowering:
     def test_every_tensor_gets_activation_scale(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(8, 4, 60)))
         assert set(quantized.activations) == set(graph.tensor_specs())
         assert all(act.scale > 0 for act in quantized.activations.values())
 
     def test_weight_footprint_close_to_parameter_count(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(4, 4, 60)))
         # int8 weights ~1 byte/param + int32 biases; allow the bias overhead.
         assert quantized.total_weight_bytes >= model.num_parameters()
@@ -264,13 +263,13 @@ class TestLowering:
         from repro.models import bioformer_bio1
 
         model = bioformer_bio1(patch_size=10).eval()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(2, 14, 300)))
         assert 85.0 <= quantized.weight_kilobytes <= 110.0
 
     def test_softmax_scale_pinned(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(4, 4, 60)))
         softmax_nodes = [node for node in graph if node.op == "softmax"]
         for node in softmax_nodes:
@@ -278,7 +277,7 @@ class TestLowering:
 
     def test_conv_and_linear_nodes_have_requantizers(self, rng):
         model = small_temponet()
-        graph = trace_temponet(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(4, 4, 80)))
         for node in graph:
             if node.op in ("conv1d", "linear"):
@@ -289,7 +288,7 @@ class TestLowering:
 
     def test_activation_bits_respected(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(4, 4, 60)), activation_bits=6)
         assert quantized.input_quantization.qmax == 31
         assert quantized.input_quantization.qmin == -32
@@ -383,7 +382,7 @@ class TestVectorizedIntegerKernels:
 class TestIntegerExecutor:
     def test_bioformer_int8_agreement_with_float(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         calibration = rng.normal(size=(16, 4, 60))
         quantized = lower_to_int8(graph, calibration)
         executor = IntegerGraphExecutor(quantized)
@@ -392,7 +391,7 @@ class TestIntegerExecutor:
 
     def test_temponet_int8_agreement_with_float(self, rng):
         model = small_temponet()
-        graph = trace_temponet(model)
+        graph = trace_model(model)
         calibration = rng.normal(size=(16, 4, 80))
         quantized = lower_to_int8(graph, calibration)
         executor = IntegerGraphExecutor(quantized)
@@ -401,7 +400,7 @@ class TestIntegerExecutor:
 
     def test_integer_logits_correlate_with_float(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         inputs = rng.normal(size=(12, 4, 60))
         quantized = lower_to_int8(graph, inputs)
         float_logits = FloatGraphExecutor(graph).run(inputs)
@@ -411,7 +410,7 @@ class TestIntegerExecutor:
 
     def test_integer_outputs_are_int8_grid(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         quantized = lower_to_int8(graph, rng.normal(size=(4, 4, 60)))
         integer_logits = IntegerGraphExecutor(quantized).run_integer(rng.normal(size=(3, 4, 60)))
         assert integer_logits.dtype in (np.int32, np.int64)
@@ -419,13 +418,13 @@ class TestIntegerExecutor:
 
     def test_predictions_shape(self, rng):
         model = small_temponet()
-        quantized = lower_to_int8(trace_temponet(model), rng.normal(size=(4, 4, 80)))
+        quantized = lower_to_int8(trace_model(model), rng.normal(size=(4, 4, 80)))
         predictions = IntegerGraphExecutor(quantized).predict(rng.normal(size=(5, 4, 80)))
         assert predictions.shape == (5,)
 
     def test_lower_activation_bits_degrade_gracefully(self, rng):
         model = small_bioformer()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         calibration = rng.normal(size=(16, 4, 60))
         evaluation = rng.normal(size=(24, 4, 60))
         agreement_8 = IntegerGraphExecutor(lower_to_int8(graph, calibration)).agreement_with_float(

@@ -10,8 +10,7 @@ from repro.deploy import (
     live_ranges,
     plan_activation_memory,
     plan_tiling,
-    trace_bioformer,
-    trace_temponet,
+    trace_model,
 )
 from repro.hw.gap8 import GAP8Config
 from repro.models import Bioformer, BioformerConfig, bioformer_bio1, temponet
@@ -26,12 +25,12 @@ def small_bioformer(**overrides):
 
 @pytest.fixture(scope="module")
 def bioformer_graph():
-    return trace_bioformer(small_bioformer())
+    return trace_model(small_bioformer())
 
 
 @pytest.fixture(scope="module")
 def temponet_graph():
-    return trace_temponet(temponet(num_channels=4, window_samples=80, seed=21).eval())
+    return trace_model(temponet(num_channels=4, window_samples=80, seed=21).eval())
 
 
 # --------------------------------------------------------------------- #
@@ -59,9 +58,9 @@ class TestLiveness:
         # The block input feeds the residual add at the end of the attention
         # sub-block, so its lifetime must span the whole attention section.
         ranges = live_ranges(bioformer_graph)
-        embedded = ranges["embedded"]
+        embedded = ranges["add_positional"]
         residual_index = [
-            index for index, node in enumerate(bioformer_graph) if node.name == "block0.attention_residual"
+            index for index, node in enumerate(bioformer_graph) if node.name == "blocks.0.add"
         ][0]
         assert embedded.end >= residual_index
 
@@ -104,7 +103,7 @@ class TestMemoryPlan:
 
     def test_paper_scale_bioformer_fits_l2_with_weights(self):
         model = bioformer_bio1(patch_size=10).eval()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         plan = plan_activation_memory(graph)
         weights = graph.weight_bytes(bits_per_weight=8)
         assert plan.fits(GAP8Config().l2_bytes, weight_bytes=weights)
@@ -130,7 +129,7 @@ class TestMemoryPlan:
                 num_channels=2, window_samples=40, patch_size=10, depth=depth, num_heads=heads, seed=1
             )
         ).eval()
-        graph = trace_bioformer(model)
+        graph = trace_model(model)
         plan = plan_activation_memory(graph)
         self._assert_no_conflicts(plan)
         assert plan.peak_bytes >= graph.largest_activation().num_elements
@@ -157,7 +156,7 @@ class TestTiling:
         assert plan.total_tiles == len(plan.layers)
 
     def test_paper_bioformer_is_mostly_single_tile(self):
-        graph = trace_bioformer(bioformer_bio1(patch_size=10).eval())
+        graph = trace_model(bioformer_bio1(patch_size=10).eval())
         plan = plan_tiling(graph)
         single = sum(1 for layer in plan.layers if layer.single_tile)
         assert single >= len(plan.layers) - 2
@@ -170,7 +169,7 @@ class TestTiling:
             assert layer.tile_bytes <= tiny.tile_budget
 
     def test_more_tiles_means_more_dma_for_weight_heavy_layers(self):
-        graph = trace_temponet(temponet(num_channels=14, window_samples=300).eval())
+        graph = trace_model(temponet(num_channels=14, window_samples=300).eval())
         generous = plan_tiling(graph, TilingConfig(l1_bytes=256 * 1024))
         constrained = plan_tiling(graph, TilingConfig(l1_bytes=8 * 1024))
         assert constrained.total_dma_bytes >= generous.total_dma_bytes

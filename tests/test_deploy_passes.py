@@ -436,7 +436,7 @@ class TestFusion:
         graph = trace_model(make_model("bio1"))
         quantized = lower_to_int8(graph, calibration, optimize=True)
         assert all(node.op != "gelu" for node in quantized.graph.nodes)
-        expand = quantized.graph.node("block0.ffn.expand")
+        expand = quantized.graph.node("blocks.0.feedforward.expand")
         assert [sub.op for sub in expand.fusion_chain] == ["linear", "gelu"]
 
     def test_payloads_of_absorbed_nodes_survive(self, calibration):

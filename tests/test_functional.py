@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.deploy.tracers import _folded_batchnorm
 from repro.nn import BatchNorm1d, Tensor
 from repro.nn import functional as F
 from repro.nn.gradcheck import check_gradient
@@ -155,12 +154,12 @@ class TestBatchNorm:
         bn.bias.data[:] = rng.standard_normal(4)
         bn.running_mean[:] = rng.standard_normal(4)
         bn.running_var[:] = rng.uniform(0.2, 2.0, size=4)
-        folded = _folded_batchnorm(bn)
+        scale, shift = F.fold_batch_norm(bn.running_mean, bn.running_var, bn.weight, bn.bias, bn.eps)
         x = rng.standard_normal((3, 4, 9))
         out = F.batch_norm(
             Tensor(x), bn.running_mean, bn.running_var, bn.weight, bn.bias, training=False
         )
-        expected = x * folded["scale"].reshape(1, -1, 1) + folded["shift"].reshape(1, -1, 1)
+        expected = x * scale.data.reshape(1, -1, 1) + shift.data.reshape(1, -1, 1)
         np.testing.assert_array_equal(out.data, expected)
 
     @pytest.mark.parametrize("affine", ["none", "weight", "bias"])
