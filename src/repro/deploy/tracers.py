@@ -32,8 +32,15 @@ def _copies(module: nn.Module, *names: str) -> dict:
 
 
 def _batchnorm(bn: nn.BatchNorm1d, shape):
+    _require(len(shape) == 2, f"BatchNorm1d on a {len(shape) + 1}-D input")
     scale, shift = F.fold_batch_norm(bn.running_mean, bn.running_var, bn.weight, bn.bias, bn.eps)
     return "channel_affine", shape, {}, {"scale": scale.data, "shift": shift.data}
+
+
+def _softmax(softmax: nn.Softmax, shape):
+    axis, rank = softmax.axis, len(shape) + 1
+    _require(-rank < axis < rank and axis != 0, f"Softmax(axis={axis}) on a {rank}-D input")
+    return "softmax", shape, {"axis": axis if axis < 0 else axis - 1}, {}
 
 
 def _flatten(flatten: nn.Flatten, shape):
@@ -60,9 +67,7 @@ LEAVES: Dict[type, Callable] = {
     nn.BatchNorm1d: _batchnorm,
     nn.ReLU: lambda relu, shape: ("relu", shape, {}, {}),
     nn.GELU: lambda gelu, shape: ("gelu", shape, {}, {}),
-    nn.Softmax: lambda softmax, shape: (
-        "softmax", shape, {"axis": softmax.axis if softmax.axis < 0 else softmax.axis - 1}, {}
-    ),
+    nn.Softmax: _softmax,
     nn.AvgPool1d: lambda pool, shape: (
         "avgpool1d", shape[:-1] + ((shape[-1] - pool.kernel_size) // pool.stride + 1,),
         {"kernel_size": pool.kernel_size, "stride": pool.stride}, {},
@@ -107,11 +112,11 @@ class _Recording(Tensor):
     become one ``split_heads`` and ``matmul`` + ``* scale`` one ``matmul``.
     """
 
-    __slots__ = ("_recorder", "_shape", "_pending")
+    __slots__ = ("_recorder", "shape", "_pending")
 
     def __init__(self, recorder: _Recorder, shape, name=None, pending=None) -> None:
         self._recorder = recorder
-        self._shape = tuple(shape)
+        self.shape = tuple(shape)
         self._pending = pending  # (node name, op, inputs, attrs)
         self.name = name
         self.requires_grad = False
@@ -121,19 +126,15 @@ class _Recording(Tensor):
         _require(False, f"'{sys._getframe(1).f_code.co_name}': no graph node records it")
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        return self._shape
-
-    @property
     def ndim(self) -> int:
-        return len(self._shape)
+        return len(self.shape)
 
     def _tensor(self) -> str:
         """The graph tensor of this value, recording its pending node first."""
         if self.name is None:
             name, op, inputs, attrs = self._pending
-            _require(op != "reshape", f"a reshape to {self._shape} outside head split/merge")
-            self.name = self._recorder.record(name, op, inputs, self._shape[1:], attrs).name
+            _require(op != "reshape", f"a reshape to {self.shape} outside head split/merge")
+            self.name = self._recorder.record(name, op, inputs, self.shape[1:], attrs).name
         return self.name
 
     def _pending_op(self):
@@ -151,7 +152,7 @@ class _Recording(Tensor):
         path = recorder.paths.get(id(module), type(module).__name__)
         handler = LEAVES.get(type(module))
         if handler is not None:
-            node = handler(module, self._shape[1:])  # (op, shape, attrs, weights)
+            node = handler(module, self.shape[1:])  # (op, shape, attrs, weights)
             return self if node is None else recorder.record(path, node[0], [self], *node[1:])
         _require(module._modules, f"{type(module).__name__} module '{path}': not a registered leaf")
         outer, recorder.scope = recorder.scope, f"{path}." if path else ""
@@ -161,11 +162,11 @@ class _Recording(Tensor):
             recorder.scope = outer
 
     def __add__(self, other) -> "_Recording":
-        shape = self._shape[1:]
+        shape = self.shape[1:]
         if isinstance(other, _Recording):
-            _require(other.shape == self._shape, f"'+' of shapes {self._shape} and {other.shape}")
+            _require(other.shape == self.shape, f"'+' of shapes {self.shape} and {other.shape}")
             return self._emit("add", [self, other], shape)
-        _require(_constant(other) and other.shape in (self._shape, shape), f"'+' of {other!r}")
+        _require(_constant(other) and other.shape in (self.shape, shape), f"'+' of {other!r}")
         positions = other.data.reshape(shape).copy()
         return self._emit("add_positional", [self], shape, weights={"positions": positions})
 
@@ -174,7 +175,7 @@ class _Recording(Tensor):
         _require(scales and isinstance(other, (int, float)), "'*' other than scaling a matmul")
         name, op, inputs, attrs = self._pending
         scaled = (name, op, inputs, {**attrs, "scale": float(other)})
-        return _Recording(self._recorder, self._shape, pending=scaled)
+        return _Recording(self._recorder, self.shape, pending=scaled)
 
     def matmul(self, other) -> "_Recording":
         _require(isinstance(other, _Recording), "matmul with a constant operand")
@@ -183,16 +184,16 @@ class _Recording(Tensor):
         transpose_b = other._pending_op() == "transpose" and other._pending[3]["axes"] == swap_last
         right = other._pending[2][0] if transpose_b else other
         columns = right.shape[-2] if transpose_b else right.shape[-1]
-        attrs = {"transpose_b": transpose_b, "scale": 1.0, "inner_dim": self._shape[-1]}
-        return self._defer("matmul", [self, right], self._shape[:-1] + (columns,), attrs)
+        attrs = {"transpose_b": transpose_b, "scale": 1.0, "inner_dim": self.shape[-1]}
+        return self._defer("matmul", [self, right], self.shape[:-1] + (columns,), attrs)
 
     def transpose(self, *axes) -> "_Recording":
         axes = _dims(axes)
         _require(axes[:1] == (0,), f"a transpose {axes} that moves the batch axis")
-        shape = tuple(self._shape[axis] for axis in axes)
+        shape = tuple(self.shape[axis] for axis in axes)
         if self._pending_op() == "reshape" and axes == (0, 2, 1, 3):
             (source,) = self._pending[2]
-            batch, sequence, heads, head_dim = self._shape
+            batch, sequence, heads, head_dim = self.shape
             if source.shape == (batch, sequence, heads * head_dim):
                 attrs = {"num_heads": heads, "head_dim": head_dim}
                 return self._emit("split_heads", [source], shape[1:], attrs)
@@ -210,9 +211,9 @@ class _Recording(Tensor):
 
     def concat(self, *others, axis: int = 0) -> "_Recording":
         token = others[0] if len(others) == 1 else None
-        appends = _constant(token) and self.ndim == 3 and token.shape == (1, 1, self._shape[2])
+        appends = _constant(token) and self.ndim == 3 and token.shape == (1, 1, self.shape[2])
         _require(appends and axis == 1, "concat other than appending one constant token")
-        shape, token = (self._shape[1] + 1, self._shape[2]), token.data.reshape(1, -1).copy()
+        shape, token = (self.shape[1] + 1, self.shape[2]), token.data.reshape(1, -1).copy()
         return self._emit("append_token", [self], shape, weights={"token": token})
 
     def __getitem__(self, index) -> "_Recording":
@@ -220,11 +221,11 @@ class _Recording(Tensor):
         token = isinstance(index, tuple) and len(index) == 3 and isinstance(index[1], int)
         spans = token and all(isinstance(part, slice) and part == every for part in index[::2])
         _require(self.ndim == 3 and spans, f"indexing with {index!r}")
-        return self._emit("select_token", [self], self._shape[2:], {"index": index[1]})
+        return self._emit("select_token", [self], self.shape[2:], {"index": index[1]})
 
     def mean(self, axis=None, keepdims: bool = False) -> "_Recording":
         _require(self.ndim == 3 and axis == 1 and not keepdims, f"mean over axis {axis}")
-        return self._emit("mean_tokens", [self], self._shape[2:])
+        return self._emit("mean_tokens", [self], self.shape[2:])
 
 
 def trace_model(model: nn.Module, name: str = "") -> ComputeGraph:

@@ -166,10 +166,9 @@ class Module:
     def __call__(self, *args, **kwargs):
         # A Tensor subclass may take over module calls on it, like PyTorch's
         # ``__torch_function__``; the deploy tracer's recording tensor does.
-        if args:
-            intercept = getattr(type(args[0]), "__module_call__", None)
-            if intercept is not None:
-                return intercept(args[0], self, *args[1:], **kwargs)
+        intercept = getattr(type(args[0]), "__module_call__", None) if args else None
+        if intercept is not None:
+            return intercept(args[0], self, *args[1:], **kwargs)
         return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:

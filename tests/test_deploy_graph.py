@@ -210,7 +210,10 @@ class TestTraceDispatch:
         graph = trace_model(model)
         largest = graph.largest_activation()
         # With patch 1 the sequence is long, so the attention scores dominate.
-        assert graph.node(largest.name).op in ("matmul", "softmax")
+        node = graph.node(largest.name)
+        assert node.op == "softmax" or (node.op == "matmul" and node.attrs["transpose_b"])
+        sequence = model.config.sequence_length
+        assert largest.shape == (8, sequence, sequence)
 
 
 # --------------------------------------------------------------------- #
@@ -327,6 +330,20 @@ class TanhInForward(TinyConvNet):
         return self.classifier(self.flatten(self.pool(self.norm(self.conv(x)).tanh())))
 
 
+class DenseThen(nn.Module):
+    """Flatten -> Linear -> ``leaf``: a leaf applied to a 2-D (batch, features) input."""
+
+    def __init__(self, leaf):
+        super().__init__()
+        self.config = SimpleNamespace(num_channels=3, window_samples=4)
+        self.flatten = nn.Flatten()
+        self.linear = nn.Linear(12, 5, rng=np.random.default_rng(8))
+        self.leaf = leaf
+
+    def forward(self, x):
+        return self.leaf(self.linear(self.flatten(x)))
+
+
 class TestGenericTrace:
     def test_model_outside_the_registry_traces_bitwise(self):
         model = TinyConvNet().eval()
@@ -345,6 +362,15 @@ class TestGenericTrace:
     def test_unregistered_leaf_raises_naming_it(self, leaf):
         with pytest.raises(TypeError, match=type(leaf).__name__):
             trace_model(TinyConvNet(activation=leaf))
+
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [(nn.BatchNorm1d(5), "BatchNorm1d on a 2-D input"), (nn.Softmax(axis=0), r"Softmax\(axis=0\)")],
+        ids=["BatchNorm1d-2d", "Softmax-batch-axis"],
+    )
+    def test_leaf_on_an_input_the_executor_cannot_run_raises(self, leaf, message):
+        with pytest.raises(TypeError, match=message):
+            trace_model(DenseThen(leaf))
 
     def test_unregistered_tensor_operation_raises_naming_it(self):
         with pytest.raises(TypeError, match="tanh"):
