@@ -33,6 +33,7 @@ from .graph import LUT_OPERATORS, ComputeGraph, GraphNode, LookupTable, TensorSp
 from .int_engine import IntegerGraphExecutor, requantize
 from .lowering import (
     ActivationQuantization,
+    CalibrationError,
     QuantizedConstant,
     QuantizedGraph,
     QuantizedNode,
@@ -75,6 +76,7 @@ __all__ = [
     "IntegerGraphExecutor",
     "requantize",
     "ActivationQuantization",
+    "CalibrationError",
     "QuantizedConstant",
     "QuantizedNode",
     "QuantizedGraph",

@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 __all__ = [
     "ActivationQuantization",
+    "CalibrationError",
     "GemmTileInfo",
     "QuantizedConstant",
     "QuantizedNode",
@@ -235,16 +236,68 @@ class QuantizedGraph:
         return self.activations[tensor_name]
 
 
-def _symmetric_scale(values: np.ndarray, bits: int = 8, percentile: float = 100.0) -> float:
-    """Symmetric per-tensor scale covering the given percentile of |values|."""
+class CalibrationError(ValueError):
+    """A calibration activation holds a NaN or an infinity."""
+
+
+#: Stride of the sample :func:`_tail_percentile` draws its threshold from.
+_TAIL_SAMPLE_STRIDE = 16
+
+
+def _tail_percentile(magnitudes: np.ndarray, percentile: float) -> float:
+    """``np.percentile(magnitudes, percentile)``, bitwise, by tail selection.
+
+    ``magnitudes`` is a finite, non-empty 1-D float64 array.  Numpy's
+    ``linear`` method reads the order statistics ``lo = floor(vi)`` and
+    ``lo + 1`` at the virtual index ``vi = (n - 1) * q``, so only the top
+    ``need = n - lo`` elements matter.  A threshold taken from a strided
+    sample keeps a superset of them; if it keeps too few, the whole array
+    is used, so the selection is exact either way.  The interpolation is
+    numpy's ``_lerp`` rule, so the float result is the same bit for bit.
+    """
+    n = magnitudes.size
+    virtual = (n - 1) * (percentile / 100.0)
+    if virtual >= n - 1:
+        return float(magnitudes.max())
+    lo = int(virtual)
+    gamma = virtual - lo
+    need = n - lo
+    tail = magnitudes
+    sample = magnitudes[::_TAIL_SAMPLE_STRIDE]
+    # The sample holds about ``need / stride`` tail elements; keeping twice
+    # that plus a margin makes the fallback rare on real activations.
+    keep = 2 * (need // _TAIL_SAMPLE_STRIDE) + 8
+    if keep < sample.size:
+        threshold = np.partition(sample, sample.size - keep)[sample.size - keep]
+        candidates = magnitudes[magnitudes >= threshold]
+        if candidates.size >= need:
+            tail = candidates
+    # Everything outside ``tail`` is below it, so global rank ``lo`` is
+    # rank ``tail.size - need`` inside it.
+    rank = tail.size - need
+    a, b = np.partition(tail, (rank, rank + 1))[rank : rank + 2]
+    if gamma >= 0.5:
+        return float(b - (b - a) * (1 - gamma))
+    return float(a + (b - a) * gamma)
+
+
+def _symmetric_scale(
+    values: np.ndarray, bits: int = 8, percentile: float = 100.0, name: str = "activation"
+) -> float:
+    """Symmetric per-tensor scale covering the given percentile of |values|.
+
+    Raises :class:`CalibrationError` naming the tensor if ``values`` holds a
+    NaN or an infinity.
+    """
     magnitudes = np.abs(np.asarray(values, dtype=np.float64)).reshape(-1)
     if magnitudes.size == 0:
         return 1.0
-    if percentile >= 100.0:
-        bound = float(magnitudes.max())
-    else:
-        bound = float(np.percentile(magnitudes, percentile))
-    bound = max(bound, 1e-8)
+    peak = magnitudes.max()
+    if not np.isfinite(peak):
+        raise CalibrationError(
+            f"calibration activation '{name}' is not finite (max |x| = {peak})"
+        )
+    bound = max(_tail_percentile(magnitudes, percentile), 1e-8)
     return bound / float(2 ** (bits - 1) - 1)
 
 

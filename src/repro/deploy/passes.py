@@ -48,6 +48,7 @@ from .engine import FloatGraphExecutor
 from .graph import LUT_OPERATORS, MAC_OPERATORS, ComputeGraph, GraphNode
 from .lowering import (
     ActivationQuantization,
+    CalibrationError,
     GemmTileInfo,
     QuantizedConstant,
     QuantizedGraph,
@@ -239,7 +240,7 @@ class PassManager:
             start = time.perf_counter()
             try:
                 new_state = graph_pass.run(state)
-            except PassPipelineError:
+            except (PassPipelineError, CalibrationError):
                 raise
             except Exception as error:
                 raise PassPipelineError(
@@ -280,36 +281,46 @@ class PassManager:
 # Base lowering passes (bitwise-pinned against the pre-pipeline lowering)
 # --------------------------------------------------------------------- #
 class CalibrateActivationsPass(GraphPass):
-    """Run the float executor on the calibration batch and pick scales."""
+    """Run the float executor on the calibration batch and pick scales.
+
+    Only tensors whose scale is free get a percentile:
+
+    * softmax outputs are probabilities in [0, 1]; their scale is pinned to
+      ``1 / qmax`` so the attention weighting keeps maximum resolution;
+    * shape-only outputs share their input's scale, because the integer
+      executor and the generated C kernels move their int8 data without
+      requantising it.
+    """
 
     name = "calibrate-activations"
 
     def run(self, state: LoweringState) -> LoweringState:
         config = state.config
-        executor = FloatGraphExecutor(state.graph)
-        recorded = executor.run_recording(state.calibration)
+        bits = config.activation_bits
+        recorded = FloatGraphExecutor(state.graph).run_recording(state.calibration)
 
-        activations: Dict[str, ActivationQuantization] = {}
-        for tensor_name, values in recorded.items():
-            activations[tensor_name] = ActivationQuantization(
+        def calibrated(tensor_name: str) -> float:
+            return _symmetric_scale(
+                recorded[tensor_name],
+                bits=bits,
+                percentile=config.calibration_percentile,
                 name=tensor_name,
-                scale=_symmetric_scale(
-                    values,
-                    bits=config.activation_bits,
-                    percentile=config.calibration_percentile,
-                ),
-                bits=config.activation_bits,
             )
-        # Softmax outputs are probabilities in [0, 1]; pin their scale so the
-        # attention weighting keeps maximum resolution regardless of
-        # calibration.
+
+        input_name = state.graph.graph_input.name
+        scales = {input_name: calibrated(input_name)}
         for node in state.graph.nodes:
             if node.op == "softmax":
-                activations[node.output.name] = ActivationQuantization(
-                    name=node.output.name,
-                    scale=1.0 / float(2 ** (config.activation_bits - 1) - 1),
-                    bits=config.activation_bits,
-                )
+                scale = 1.0 / float(2 ** (bits - 1) - 1)
+            elif node.is_shape_only:
+                scale = scales[node.inputs[0]]
+            else:
+                scale = calibrated(node.output.name)
+            scales[node.output.name] = scale
+        activations = {
+            name: ActivationQuantization(name=name, scale=scale, bits=bits)
+            for name, scale in scales.items()
+        }
         return replace(state, activations=activations)
 
 
