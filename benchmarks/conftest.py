@@ -4,9 +4,9 @@ Every benchmark that trains models uses the SMALL experiment scale: the
 paper's protocol structure (sessions 1-5 train / 6-10 test, inter-subject
 pre-training, QAT) on the reduced synthetic dataset, so the whole harness
 finishes in minutes on a laptop while preserving the qualitative shape of
-every figure/table.  Deployment/complexity benchmarks always use the
-paper's full input geometry (14 channels x 300 samples), where the
-analytical numbers are exact.
+every figure/table.  Deployment/complexity benchmarks always trace models
+at the paper's full input geometry (14 channels x 300 samples), so their
+counts are those of the paper's networks.
 """
 
 import pytest

@@ -12,9 +12,9 @@ import pytest
 
 from conftest import report
 from repro.data import subject_split
+from repro.deploy import estimate_deployment, trace_model
 from repro.experiments import build_architecture
-from repro.hw import deploy
-from repro.models import BioformerConfig
+from repro.models import BioformerConfig, build_model
 from repro.models.bioformer import Bioformer
 from repro.training import train_subject_specific
 from repro.utils.tables import format_table
@@ -67,7 +67,7 @@ def test_filter_energy_tradeoff(benchmark):
 
     def run():
         return {
-            f: deploy(BioformerConfig(depth=1, num_heads=8, patch_size=f))
+            f: estimate_deployment(trace_model(build_model("bio1", patch_size=f)))
             for f in (10, 20, 30)
         }
 

@@ -2,7 +2,8 @@
 
 Two aspects of the deployment flow:
 
-* the accuracy cost of int8 weights/activations after QAT (paper: ~1%);
+* the accuracy cost of int8 weights/activations after QAT, scored on the
+  int8 executor (paper: ~1%);
 * the fidelity and speed of the integer-only softmax/GELU kernels that
   replace the float operators inside MHSA on GAP8.
 """
@@ -13,14 +14,10 @@ from scipy.special import softmax as scipy_softmax
 
 from conftest import report
 from repro.data import subject_split
+from repro.deploy import deploy_graph
 from repro.experiments import build_architecture
-from repro.quant import (
-    QATConfig,
-    evaluate_quantized,
-    integer_gelu,
-    integer_softmax,
-    quantization_aware_finetune,
-)
+from repro.experiments.table1_gap8 import CALIBRATION_WINDOWS
+from repro.quant import QATConfig, integer_gelu, integer_softmax, quantization_aware_finetune
 from repro.training import evaluate, train_subject_specific
 from repro.utils.tables import format_table
 
@@ -38,9 +35,13 @@ def test_quantization_accuracy_drop(benchmark, small_context):
         )
         float_accuracy = evaluate(model, split.test, num_classes=8).accuracy
         quantization_aware_finetune(model, split.train, QATConfig.small())
-        int8_accuracy = evaluate_quantized(
-            model, split.test, calibration=split.train, num_classes=8
-        ).accuracy
+        int8_accuracy = deploy_graph(
+            model,
+            split.train.windows[:CALIBRATION_WINDOWS],
+            split.test.windows,
+            split.test.labels,
+            generate_code=False,
+        ).int8_accuracy
         return float_accuracy, int8_accuracy
 
     float_accuracy, int8_accuracy = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -1,11 +1,10 @@
 """Benchmark of the graph-level GAP8 deployment toolchain (Table I, traced).
 
-The `table1` benchmarks regenerate the paper's deployment table from the
-*analytical* architecture profiles; this module regenerates the same rows
-from the other direction — tracing real model instances, quantising their
-weights to int8, planning the L2 activation arena and the L1 tiling, and
-generating the C bundle — which is the flow a user runs before flashing a
-device.  The weight-memory column must land on the paper's numbers because
+The `table1` benchmarks regenerate the paper's deployment columns from the
+GAP8 estimate of the traced models; this module runs the whole toolchain on
+the same rows — tracing real model instances, quantising their weights to
+int8, planning the L2 activation arena and the L1 tiling, and generating the
+C bundle — which is the flow a user runs before flashing a device.  The weight-memory column must land on the paper's numbers because
 it is a property of the architecture, not of training.
 """
 

@@ -13,8 +13,8 @@ pytestmark = pytest.mark.slow  # long-horizon training; excluded from tier-1
 
 from conftest import report
 from repro.experiments import render_figure4, run_figure4, scaled_filter_dimensions
-from repro.hw import profile_bioformer
-from repro.models import BioformerConfig
+from repro.deploy import trace_model
+from repro.models import build_model
 
 
 @pytest.mark.benchmark(group="fig4")
@@ -37,7 +37,7 @@ def test_fig4_filter_dimension(benchmark, small_context):
     # Complexity falls roughly linearly with the filter dimension (the other
     # half of the paper's trade-off), independent of training.
     macs = {
-        f: profile_bioformer(BioformerConfig(depth=1, num_heads=8, patch_size=f)).total_macs
+        f: trace_model(build_model("bio1", patch_size=f)).total_macs
         for f in (10, 20)
     }
     ratio = macs[10] / macs[20]

@@ -22,7 +22,8 @@ from repro.experiments import render_table1, run_table1
 @pytest.mark.benchmark(group="table1")
 def test_table1_deployment_columns(benchmark):
     """Memory / MMAC / latency / energy / battery columns for all six rows
-    (analytical GAP8 model at paper geometry — milliseconds to compute)."""
+    (GAP8 estimate of the traced models at paper geometry — milliseconds to
+    compute)."""
     result = benchmark(run_table1, measure_accuracy=False)
     report("Table I — GAP8 deployment columns (paper geometry)", render_table1(result))
     print(
@@ -47,8 +48,9 @@ def test_table1_deployment_columns(benchmark):
 @pytest.mark.slow
 @pytest.mark.benchmark(group="table1")
 def test_table1_quantized_accuracy(benchmark, small_context):
-    """The accuracy column: train + QAT + int8-evaluate the two headline rows
-    (Bio1 filter 10 and TEMPONet) on the SMALL-scale surrogate."""
+    """The accuracy column: train + QAT the two headline rows (Bio1 filter 10
+    and TEMPONet) on the SMALL-scale surrogate and score them on the int8
+    executor."""
 
     def run():
         return run_table1(

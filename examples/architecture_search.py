@@ -7,7 +7,7 @@ example runs the same selection problem with the search package:
 1. define the Bioformer design space (reduced to the synthetic dataset's
    window geometry);
 2. evaluate candidates with a short training run (accuracy) and the
-   analytical GAP8 cost model (MACs, latency, memory);
+   GAP8 cost model over the traced candidate (MACs, latency, memory);
 3. run random search under a MAC budget, then evolutionary search;
 4. print the best feasible candidates and the accuracy-vs-MACs Pareto
    frontier (the Fig. 5 construction).

@@ -15,13 +15,14 @@ Run with::
     python examples/gap8_deployment.py
 """
 
+from repro.deploy import estimate_deployment, trace_model
 from repro.experiments import render_table1, run_table1
-from repro.hw import BatteryConfig, GAP8Config, GAP8Model, battery_life_hours, profile_bioformer
-from repro.models import BioformerConfig
+from repro.hw import BatteryConfig, GAP8Config, battery_life_hours
+from repro.models import bioformer_bio1
 
 
 def main() -> None:
-    # 1. The full Table I deployment columns (analytical model, no training).
+    # 1. The full Table I deployment columns (traced models, no training).
     result = run_table1(measure_accuracy=False)
     print(render_table1(result))
     print(
@@ -30,18 +31,16 @@ def main() -> None:
     )
 
     # 2. Where do the cycles go inside Bio1 (filter 10)?
-    gap8 = GAP8Model(GAP8Config())
-    profile = profile_bioformer(BioformerConfig(depth=1, num_heads=8, patch_size=10))
-    breakdown = gap8.latency(profile)
-    print(f"per-layer breakdown of {profile.name} ({breakdown.latency_ms:.2f} ms total):")
+    breakdown = estimate_deployment(trace_model(bioformer_bio1(patch_size=10))).latency
+    print(f"per-layer breakdown of {breakdown.model_name} ({breakdown.latency_ms:.2f} ms total):")
     for cost in breakdown.dominant_layers(6):
         share = 100 * cost.cycles / breakdown.total_cycles
-        print(f"  {cost.name:28s} {cost.kind:18s} {share:5.1f}% of cycles")
+        print(f"  {cost.name:36s} {cost.kind:18s} {share:5.1f}% of cycles")
     print()
 
     # 3. Battery life vs how often a window is classified.
     print("battery life vs classification period (Bio1 filter 30, 1000 mAh):")
-    latency_s = result.records["Bio1, wind=30"].latency.latency_s
+    latency_s = result.estimates["Bio1, wind=30"].latency.latency_s
     for period_ms in (15, 50, 150, 500):
         report = battery_life_hours(latency_s, period_ms * 1e-3, GAP8Config(), BatteryConfig())
         print(

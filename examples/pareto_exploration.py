@@ -13,9 +13,9 @@ Run with::
 """
 
 from repro.analysis import ParetoPoint, pareto_frontier
+from repro.deploy import estimate_deployment, trace_model
 from repro.experiments import render_figure5, run_figure5
-from repro.hw import deploy
-from repro.models import BioformerConfig, TEMPONetConfig
+from repro.models import build_model
 
 
 def main() -> None:
@@ -39,11 +39,10 @@ def main() -> None:
     energy_points = []
     for point in result.points:
         if point.variant == "temponet":
-            config = TEMPONetConfig()
+            model = build_model("temponet")
         else:
-            depth, heads = (1, 8) if point.variant == "bio1" else (2, 2)
-            config = BioformerConfig(depth=depth, num_heads=heads, patch_size=point.filter_dimension)
-        record = deploy(config)
+            model = build_model(point.variant, patch_size=point.filter_dimension)
+        record = estimate_deployment(trace_model(model))
         energy_points.append(ParetoPoint(point.label, record.energy_mj, point.accuracy))
     for point in pareto_frontier(energy_points):
         print(f"  {point.label:28s} {point.cost:6.3f} mJ   {100 * point.accuracy:.2f}%")

@@ -5,7 +5,8 @@ This is the 5-minute tour of the library:
 1. build the synthetic NinaPro DB6 surrogate (reduced scale);
 2. train Bioformer (h=8, d=1) on subject 1's sessions 1-5;
 3. evaluate on the multi-day test sessions 6-10;
-4. quantise to int8 and estimate the GAP8 deployment cost.
+4. fine-tune with QAT, score the int8 model on the integer executor and
+   estimate the GAP8 deployment cost.
 
 Run with::
 
@@ -13,9 +14,9 @@ Run with::
 """
 
 from repro.data import NinaProDB6, NinaProDB6Config, subject_split
-from repro.hw import deploy
-from repro.models import BioformerConfig, bioformer_bio1
-from repro.quant import QATConfig, evaluate_quantized, quantization_aware_finetune
+from repro.deploy import deploy_graph, estimate_deployment, trace_model
+from repro.models import bioformer_bio1
+from repro.quant import QATConfig, quantization_aware_finetune
 from repro.training import ProtocolConfig, evaluate, train_subject_specific
 
 
@@ -41,15 +42,14 @@ def main() -> None:
     for session, accuracy in outcome.session_series().items():
         print(f"  session {session}: {100 * accuracy:.1f}%")
 
-    # 4. Quantise to int8 and estimate the GAP8 deployment.
+    # 4. Lower to int8, score on the integer executor, estimate the GAP8 cost.
     quantization_aware_finetune(model, split.train, QATConfig.small())
-    quantized = evaluate_quantized(model, split.test, calibration=split.train, num_classes=8)
-    print(f"int8 test accuracy:  {100 * quantized.accuracy:.2f}%")
-
-    record = deploy(
-        BioformerConfig(depth=1, num_heads=8, patch_size=10),  # paper geometry
-        quantized_accuracy=quantized.accuracy,
+    quantized = deploy_graph(
+        model, split.train.windows[:256], split.test.windows, split.test.labels, generate_code=False
     )
+    print(f"int8 test accuracy:  {100 * quantized.int8_accuracy:.2f}%")
+
+    record = estimate_deployment(trace_model(bioformer_bio1(patch_size=10)))  # paper geometry
     print(
         f"GAP8 estimate: {record.memory_kilobytes:.1f} kB, {record.mmacs:.1f} MMAC, "
         f"{record.latency_ms:.2f} ms, {record.energy_mj:.3f} mJ per inference, "

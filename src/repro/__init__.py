@@ -13,7 +13,7 @@ for Ultra-Low Power sEMG-based Gesture Recognition"* (Burrello et al., DATE
   features + LDA/SVM/RF/kNN) from the paper's related-work comparison;
 * :mod:`repro.training` — the standard and inter-subject pre-training
   protocols;
-* :mod:`repro.quant` — int8 PTQ/QAT and I-BERT integer kernels;
+* :mod:`repro.quant` — int8 quantisers, QAT and I-BERT integer kernels;
 * :mod:`repro.deploy` — GAP8 deployment toolchain (graph tracing, int8
   lowering, integer-only execution, L1 tiling, memory planning, C codegen);
 * :mod:`repro.hw` — GAP8 complexity/latency/energy/battery modelling;

@@ -23,8 +23,9 @@ compiled into C.  This package reproduces that flow on the host:
 * :mod:`repro.deploy.tiling` — L1 tile-size selection and DMA accounting;
 * :mod:`repro.deploy.codegen` — C source generation (weights, kernel
   schedule, inference API);
-* :mod:`repro.deploy.report` — the end-to-end pipeline producing a
-  deployment report comparable to one row of the paper's Table I.
+* :mod:`repro.deploy.report` — the GAP8 estimate of a traced graph (the
+  deployment columns of the paper's Table I) and the end-to-end pipeline
+  producing a deployment report with the int8 accuracy.
 """
 
 from .codegen import CodeGenerator, GeneratedSource, generate_c_sources
@@ -59,7 +60,13 @@ from .passes import (
     build_pass_pipeline,
     compile_graph,
 )
-from .report import GraphDeploymentReport, deploy_graph, graph_to_profile
+from .report import (
+    DeploymentEstimate,
+    GraphDeploymentReport,
+    deploy_graph,
+    estimate_deployment,
+    graph_to_profile,
+)
 from .tiling import LayerTiling, TilingConfig, TilingPlan, plan_tiling
 from .tracers import trace_model
 
@@ -109,6 +116,8 @@ __all__ = [
     "GeneratedSource",
     "generate_c_sources",
     "graph_to_profile",
+    "DeploymentEstimate",
+    "estimate_deployment",
     "GraphDeploymentReport",
     "deploy_graph",
 ]

@@ -10,10 +10,9 @@ user would drive it before flashing a device:
 5. optionally measure the integer-only accuracy on a held-out set;
 6. generate the C deployment bundle.
 
-It complements :mod:`repro.hw.deploy`, which produces the same Table-I style
-numbers analytically from the architecture configuration alone: the
-graph-level pipeline works on the *actual trained weights* and verifies the
-integer numerics end-to-end.
+Step 4 is :func:`estimate_deployment`, which also gives the deployment
+columns of the paper's Table I for an untrained model at the paper's input
+geometry.
 """
 
 from __future__ import annotations
@@ -37,7 +36,13 @@ from .memory import MemoryPlan, plan_activation_memory
 from .tiling import TilingConfig, TilingPlan, plan_tiling
 from .tracers import trace_model
 
-__all__ = ["graph_to_profile", "GraphDeploymentReport", "deploy_graph"]
+__all__ = [
+    "graph_to_profile",
+    "DeploymentEstimate",
+    "estimate_deployment",
+    "GraphDeploymentReport",
+    "deploy_graph",
+]
 
 #: Mapping from graph operators to the kernel categories of the GAP8 model.
 _KIND_FOR_OP = {
@@ -60,10 +65,9 @@ _KIND_FOR_OP = {
 def graph_to_profile(graph: ComputeGraph) -> ModelProfile:
     """Convert a traced graph into a :class:`ModelProfile` for the GAP8 model.
 
-    Unlike :func:`repro.hw.profiler.profile_model`, which reasons from the
-    architecture configuration, this accounts the *traced* kernels — so any
-    structural change made to the model after construction is reflected in
-    the deployment estimate.
+    Shape-only nodes are free on the target and are skipped.  Attention
+    kernels are spread over the heads: a ``matmul`` and a projection whose
+    only consumer is ``split_heads`` get ``parallel_units = num_heads``.
     """
     profile = ModelProfile(name=graph.name, input_shape=graph.graph_input.shape)
     for node in graph.nodes:
@@ -73,6 +77,10 @@ def graph_to_profile(graph: ComputeGraph) -> ModelProfile:
         parallel_units = 0
         if node.op == "matmul":
             parallel_units = int(node.output.shape[0])
+        elif node.op == "linear":
+            consumers = graph.consumers(node.output.name)
+            if len(consumers) == 1 and consumers[0].op == "split_heads":
+                parallel_units = int(consumers[0].output.shape[0])
         profile.layers.append(
             LayerProfile(
                 name=node.name,
@@ -84,6 +92,59 @@ def graph_to_profile(graph: ComputeGraph) -> ModelProfile:
             )
         )
     return profile
+
+
+@dataclass
+class DeploymentEstimate:
+    """GAP8 cost of one graph: the deployment columns of a Table I row."""
+
+    profile: ModelProfile
+    latency: LatencyBreakdown
+    duty_cycle: Optional[DutyCycleReport] = None
+
+    @property
+    def mmacs(self) -> float:
+        """Million MACs per inference."""
+        return self.profile.mmacs
+
+    @property
+    def memory_kilobytes(self) -> float:
+        """Int8 weight memory in kB (Table I's "Memory" column)."""
+        return self.profile.memory_kilobytes()
+
+    @property
+    def latency_ms(self) -> float:
+        return self.latency.latency_ms
+
+    @property
+    def energy_mj(self) -> float:
+        return self.latency.energy_mj
+
+
+def estimate_deployment(
+    graph: ComputeGraph,
+    gap8: Optional[GAP8Config] = None,
+    battery: Optional[BatteryConfig] = None,
+    inference_period_s: Optional[float] = 15e-3,
+) -> DeploymentEstimate:
+    """Estimate latency, energy and battery life of ``graph`` on GAP8.
+
+    ``graph`` is a traced model (``trace_model(model)``) or a compiled one.
+    ``inference_period_s`` is the period of the always-on loop for the
+    battery projection (15 ms in the paper); ``None`` skips the projection.
+    """
+    gap8 = gap8 if gap8 is not None else GAP8Config()
+    profile = graph_to_profile(graph)
+    latency = GAP8Model(gap8).latency(profile)
+    duty_cycle = None
+    if inference_period_s is not None:
+        duty_cycle = battery_life_hours(
+            latency.latency_s,
+            inference_period_s,
+            gap8,
+            battery if battery is not None else BatteryConfig(),
+        )
+    return DeploymentEstimate(profile, latency, duty_cycle)
 
 
 @dataclass
@@ -245,7 +306,7 @@ def deploy_graph(
     compiled = quantized.graph
     memory_plan = plan_activation_memory(compiled)
     tiling_plan = plan_tiling(compiled, tiling)
-    latency = GAP8Model(gap8).latency(graph_to_profile(compiled))
+    estimate = estimate_deployment(compiled, gap8, battery, inference_period_s)
 
     int8_accuracy = None
     float_agreement = None
@@ -256,15 +317,6 @@ def deploy_graph(
         if evaluation_labels is not None:
             int8_accuracy = float(np.mean(predictions == np.asarray(evaluation_labels)))
 
-    duty_cycle = None
-    if inference_period_s is not None:
-        duty_cycle = battery_life_hours(
-            latency.latency_s,
-            inference_period_s,
-            gap8,
-            battery if battery is not None else BatteryConfig(),
-        )
-
     sources: Dict[str, GeneratedSource] = {}
     if generate_code:
         sources = CodeGenerator(quantized, memory_plan).generate()
@@ -274,10 +326,10 @@ def deploy_graph(
         quantized=quantized,
         memory_plan=memory_plan,
         tiling_plan=tiling_plan,
-        latency=latency,
+        latency=estimate.latency,
         gap8=gap8,
         sources=sources,
         int8_accuracy=int8_accuracy,
         float_agreement=float_agreement,
-        duty_cycle=duty_cycle,
+        duty_cycle=estimate.duty_cycle,
     )

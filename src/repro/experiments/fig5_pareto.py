@@ -14,7 +14,7 @@ findings:
 * the filter dimension barely moves the parameter count (it only affects
   the first layer), so the points collapse horizontally in Fig. 5b.
 
-Complexity (MACs / parameters) is always evaluated analytically at the
+Complexity (MACs / parameters) is always counted on the traced model at the
 paper's input geometry (14 channels x 300 samples); accuracy comes either
 from a supplied measurement dictionary (e.g. the Fig. 4 sweep) or from the
 paper's reported values, so the complexity relationships can be examined
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.pareto import ParetoPoint, pareto_frontier
-from ..hw.profiler import profile_bioformer, profile_temponet
-from ..models import BioformerConfig, TEMPONetConfig
+from ..deploy.tracers import trace_model
+from ..models import Bioformer, BioformerConfig, TEMPONet, TEMPONetConfig
 from ..utils.tables import format_table
 
 __all__ = [
@@ -62,7 +62,7 @@ PAPER_REFERENCE_ACCURACY: Dict[Tuple[str, int, bool], float] = {
 
 @dataclass
 class ComplexityPoint:
-    """One architecture with its analytical complexity and accuracy."""
+    """One architecture with its traced complexity and accuracy."""
 
     variant: str
     filter_dimension: int
@@ -144,14 +144,16 @@ def run_figure5(
     variant_settings = {"bio1": (1, 8), "bio2": (2, 2)}
     for variant, (depth, heads) in variant_settings.items():
         for filter_dimension in filter_dimensions:
-            profile = profile_bioformer(
-                BioformerConfig(
-                    num_channels=num_channels,
-                    window_samples=window_samples,
-                    num_classes=num_classes,
-                    patch_size=filter_dimension,
-                    depth=depth,
-                    num_heads=heads,
+            graph = trace_model(
+                Bioformer(
+                    BioformerConfig(
+                        num_channels=num_channels,
+                        window_samples=window_samples,
+                        num_classes=num_classes,
+                        patch_size=filter_dimension,
+                        depth=depth,
+                        num_heads=heads,
+                    )
                 )
             )
             for pretrained in (False, True):
@@ -163,16 +165,18 @@ def run_figure5(
                         variant=variant,
                         filter_dimension=filter_dimension,
                         pretrained=pretrained,
-                        macs=profile.total_macs,
-                        params=profile.total_params,
+                        macs=graph.total_macs,
+                        params=graph.total_weight_elements,
                         accuracy=accuracy_lookup[key],
                     )
                 )
-    temponet_profile = profile_temponet(
-        TEMPONetConfig(
-            num_channels=num_channels,
-            window_samples=window_samples,
-            num_classes=num_classes,
+    temponet_graph = trace_model(
+        TEMPONet(
+            TEMPONetConfig(
+                num_channels=num_channels,
+                window_samples=window_samples,
+                num_classes=num_classes,
+            )
         )
     )
     for pretrained in (False, True):
@@ -183,8 +187,8 @@ def run_figure5(
                     variant="temponet",
                     filter_dimension=0,
                     pretrained=pretrained,
-                    macs=temponet_profile.total_macs,
-                    params=temponet_profile.total_params,
+                    macs=temponet_graph.total_macs,
+                    params=temponet_graph.total_weight_elements,
                     accuracy=accuracy_lookup[key],
                 )
             )

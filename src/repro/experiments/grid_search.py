@@ -4,8 +4,9 @@ The paper selects its two reference Bioformers (h=8, d=1 and h=2, d=2)
 from a grid search over depth in {1, 2, 3, 4} and heads in {1, 2, 4, 8},
 picking "the architectures with the best trade-off of accuracy vs.
 parameters".  This driver reproduces that search: it trains every grid
-point with the standard protocol, profiles its complexity, and reports the
-accuracy-vs-parameters Pareto frontier.
+point with the standard protocol, counts its complexity on the traced model
+at the paper's geometry, and reports the accuracy-vs-parameters Pareto
+frontier.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..analysis.pareto import ParetoPoint, pareto_frontier
 from ..data.splits import subject_split
-from ..hw.profiler import profile_bioformer
+from ..deploy.tracers import trace_model
 from ..models import BioformerConfig
 from ..models.bioformer import Bioformer
 from ..training import train_subject_specific
@@ -86,11 +87,11 @@ def run_grid_search(
                 )
                 accuracies.append(outcome.test_accuracy)
             result.accuracy[(depth, num_heads)] = float(np.mean(accuracies))
-            paper_profile = profile_bioformer(
-                BioformerConfig(depth=depth, num_heads=num_heads, patch_size=patch_size)
+            paper_graph = trace_model(
+                Bioformer(BioformerConfig(depth=depth, num_heads=num_heads, patch_size=patch_size))
             )
-            result.params[(depth, num_heads)] = paper_profile.total_params
-            result.macs[(depth, num_heads)] = paper_profile.total_macs
+            result.params[(depth, num_heads)] = paper_graph.total_weight_elements
+            result.macs[(depth, num_heads)] = paper_graph.total_macs
     return result
 
 

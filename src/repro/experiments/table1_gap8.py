@@ -9,11 +9,12 @@ TEMPONet — and the fastest configuration sustains ~257 h on a 1000 mAh
 battery versus ~54 h for TEMPONet.
 
 This driver reproduces every column: the complexity/latency/energy columns
-come from the analytical GAP8 model at the paper's input geometry, and the
-quantised-accuracy column from actually training, QAT-fine-tuning and
-int8-evaluating each architecture on the synthetic surrogate at the
-requested scale (set ``measure_accuracy=False`` to regenerate only the
-deployment columns, which takes milliseconds).
+come from :func:`repro.deploy.estimate_deployment` over the traced model at
+the paper's input geometry, and the quantised-accuracy column from actually
+training and QAT-fine-tuning each architecture on the synthetic surrogate at
+the requested scale, then scoring it on the int8 executor through
+:func:`repro.deploy.deploy_graph` (set ``measure_accuracy=False`` to
+regenerate only the deployment columns, which takes milliseconds).
 """
 
 from __future__ import annotations
@@ -22,14 +23,23 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..data.splits import subject_split
-from ..hw import BatteryConfig, DeploymentRecord, GAP8Config, deploy
-from ..models import BioformerConfig, TEMPONetConfig
-from ..quant import QATConfig, evaluate_quantized, quantization_aware_finetune
+from ..deploy import DeploymentEstimate, deploy_graph, estimate_deployment, trace_model
+from ..hw import BatteryConfig, GAP8Config
+from ..models import build_model
+from ..nn.module import Module
+from ..quant import QATConfig, quantization_aware_finetune
 from ..training import run_two_step_protocol
 from ..utils.tables import format_table
 from .common import ExperimentContext, Scale, build_architecture, make_context
 
-__all__ = ["TABLE1_CONFIGURATIONS", "Table1Row", "Table1Result", "run_table1", "render_table1"]
+__all__ = [
+    "TABLE1_CONFIGURATIONS",
+    "CALIBRATION_WINDOWS",
+    "Table1Row",
+    "Table1Result",
+    "run_table1",
+    "render_table1",
+]
 
 #: The rows of Table I: (label, variant, filter dimension).  TEMPONet has no
 #: front-end filter (0 placeholder).
@@ -41,6 +51,10 @@ TABLE1_CONFIGURATIONS: Tuple[Tuple[str, str, int], ...] = (
     ("Bio2, wind=10", "bio2", 10),
     ("TEMPONet", "temponet", 0),
 )
+
+#: Number of leading training windows that calibrate the int8 activation
+#: scales before the Q. Acc. column is scored.
+CALIBRATION_WINDOWS = 256
 
 
 @dataclass
@@ -64,7 +78,7 @@ class Table1Result:
 
     scale: Scale
     rows: List[Table1Row] = field(default_factory=list)
-    records: Dict[str, DeploymentRecord] = field(default_factory=dict)
+    estimates: Dict[str, DeploymentEstimate] = field(default_factory=dict)
 
     def row(self, label: str) -> Table1Row:
         """Look a row up by its label."""
@@ -82,15 +96,11 @@ class Table1Result:
         return self.row(reference).memory_kb / self.row(target).memory_kb
 
 
-def _paper_geometry_config(variant: str, filter_dimension: int):
-    """Architecture config at the paper's input geometry (for deployment columns)."""
-    if variant == "bio1":
-        return BioformerConfig(depth=1, num_heads=8, patch_size=filter_dimension)
-    if variant == "bio2":
-        return BioformerConfig(depth=2, num_heads=2, patch_size=filter_dimension)
-    if variant == "temponet":
-        return TEMPONetConfig()
-    raise KeyError(variant)
+def _paper_geometry_model(variant: str, filter_dimension: int) -> Module:
+    """Untrained model at the paper's input geometry (for deployment columns)."""
+    if filter_dimension:
+        return build_model(variant, patch_size=filter_dimension)
+    return build_model(variant)
 
 
 def run_table1(
@@ -112,14 +122,14 @@ def run_table1(
     configurations:
         The (label, variant, filter) rows to include.
     measure_accuracy:
-        Whether to train + QAT + int8-evaluate each architecture on the
-        synthetic surrogate (slow) or leave the accuracy column empty.
+        Whether to train + QAT each architecture on the synthetic surrogate
+        and score it on the int8 executor (slow) or leave the accuracy
+        column empty.
     subject:
         Which subject the accuracy column is measured on.
     gap8, battery, inference_period_s:
         Deployment-target parameters (defaults are the paper's).
     """
-    gap8 = gap8 if gap8 is not None else GAP8Config()
     result = Table1Result(scale=context.scale if context is not None else Scale.PAPER)
 
     split = None
@@ -142,32 +152,32 @@ def run_table1(
             )
             float_accuracy = outcome.test_accuracy
             quantization_aware_finetune(model, split.train, qat_config)
-            quantized_accuracy = evaluate_quantized(
+            quantized_accuracy = deploy_graph(
                 model,
-                split.test,
-                calibration=split.train,
-                num_classes=context.num_classes,
-            ).accuracy
+                split.train.windows[:CALIBRATION_WINDOWS],
+                split.test.windows,
+                split.test.labels,
+                generate_code=False,
+            ).int8_accuracy
 
-        record = deploy(
-            _paper_geometry_config(variant, filter_dimension),
+        estimate = estimate_deployment(
+            trace_model(_paper_geometry_model(variant, filter_dimension)),
             gap8=gap8,
-            quantized_accuracy=quantized_accuracy,
-            inference_period_s=inference_period_s,
             battery=battery,
+            inference_period_s=inference_period_s,
         )
-        result.records[label] = record
+        result.estimates[label] = estimate
         result.rows.append(
             Table1Row(
                 label=label,
-                memory_kb=record.memory_kilobytes,
-                mmacs=record.mmacs,
-                latency_ms=record.latency_ms,
-                energy_mj=record.energy_mj,
+                memory_kb=estimate.memory_kilobytes,
+                mmacs=estimate.mmacs,
+                latency_ms=estimate.latency_ms,
+                energy_mj=estimate.energy_mj,
                 quantized_accuracy=quantized_accuracy,
                 float_accuracy=float_accuracy,
-                battery_life_hours=record.duty_cycle.battery_life_hours,
-                real_time=record.duty_cycle.real_time,
+                battery_life_hours=estimate.duty_cycle.battery_life_hours,
+                real_time=estimate.duty_cycle.real_time,
             )
         )
     return result

@@ -1,27 +1,18 @@
 """``repro.hw`` — the GAP8 deployment substrate.
 
-Analytical complexity profiling (MACs / parameters per layer), a calibrated
-GAP8 latency & energy model, memory-fit checks, duty-cycle power analysis
-and battery-life projection.
+Complexity profile types (MACs / parameters per layer), a calibrated GAP8
+latency & energy model, memory-fit checks, duty-cycle power analysis and
+battery-life projection.  :func:`repro.deploy.estimate_deployment` feeds
+them the profile of a traced model.
 """
 
 from .battery import BatteryConfig, DutyCycleReport, battery_life_hours, duty_cycle_power
-from .deploy import DeploymentRecord, deploy
 from .gap8 import GAP8Config, GAP8Model, LatencyBreakdown, LayerCost
-from .profiler import (
-    LayerProfile,
-    ModelProfile,
-    profile_bioformer,
-    profile_model,
-    profile_temponet,
-)
+from .profiler import LayerProfile, ModelProfile
 
 __all__ = [
     "LayerProfile",
     "ModelProfile",
-    "profile_bioformer",
-    "profile_temponet",
-    "profile_model",
     "GAP8Config",
     "GAP8Model",
     "LayerCost",
@@ -30,6 +21,4 @@ __all__ = [
     "DutyCycleReport",
     "duty_cycle_power",
     "battery_life_hours",
-    "DeploymentRecord",
-    "deploy",
 ]

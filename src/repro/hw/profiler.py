@@ -1,4 +1,4 @@
-"""Analytical complexity profiler: per-layer MACs, parameters and data sizes.
+"""Complexity profiles: per-layer MACs, parameters and elementwise work.
 
 The Pareto plots (Fig. 5) and the deployment table (Table I) of the paper
 are driven by two complexity numbers per architecture — multiply-accumulate
@@ -6,21 +6,17 @@ operations (MACs) per inference and parameter count — plus a per-layer
 breakdown that the GAP8 latency model needs (different kernels achieve
 different core utilisation on the 8-core cluster).
 
-This module computes those numbers *analytically* from the architecture
-configurations, mirroring how deployment toolchains reason about a network
-before code generation, and cross-checks the parameter totals against the
-actual model instances in the test-suite.
+A profile is built from a traced model by
+:func:`repro.deploy.report.graph_to_profile`, so the numbers are those of
+the kernels the deploy compiler runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import List
 
-from ..models.bioformer import Bioformer, BioformerConfig
-from ..models.temponet import TEMPONet, TEMPONetConfig
-
-__all__ = ["LayerProfile", "ModelProfile", "profile_bioformer", "profile_temponet", "profile_model"]
+__all__ = ["LayerProfile", "ModelProfile"]
 
 
 @dataclass
@@ -30,7 +26,7 @@ class LayerProfile:
     Attributes
     ----------
     name:
-        Qualified layer name (e.g. ``"block0.attention.qkv"``).
+        Qualified layer name (e.g. ``"blocks.0.attention.query_projection"``).
     kind:
         Kernel category used by the GAP8 cost model: ``"conv"``,
         ``"linear"``, ``"attention_matmul"``, ``"softmax"``, ``"norm"``,
@@ -44,8 +40,9 @@ class LayerProfile:
         divisions, activations) per inference.
     parallel_units:
         Degree of independent parallelism the GAP8 kernel can exploit across
-        cluster cores (e.g. the number of attention heads); ``0`` means
-        "enough to saturate the cluster".
+        cluster cores (the number of attention heads for the attention
+        matmuls and the q/k/v projections); ``0`` means "enough to saturate
+        the cluster".
     """
 
     name: str
@@ -98,207 +95,3 @@ class ModelProfile:
         for layer in self.layers:
             grouped[layer.kind] = grouped.get(layer.kind, 0) + layer.macs
         return grouped
-
-
-def profile_bioformer(config: BioformerConfig) -> ModelProfile:
-    """Analytical complexity profile of a Bioformer configuration."""
-    config.validate()
-    profile = ModelProfile(
-        name=config.describe(),
-        input_shape=(config.num_channels, config.window_samples),
-    )
-    tokens = config.num_tokens
-    sequence = config.sequence_length
-    dim = config.embed_dim
-    heads = config.num_heads
-    head_dim = config.head_dim
-    total_head_dim = heads * head_dim
-    hidden = config.hidden_dim
-
-    # 1. Patch-embedding convolution: every token needs K x C_in MACs per
-    # output feature.
-    conv_macs = tokens * dim * config.patch_size * config.num_channels
-    conv_params = dim * config.patch_size * config.num_channels + dim
-    profile.layers.append(
-        LayerProfile("patch_embedding", "conv", macs=conv_macs, params=conv_params)
-    )
-    if config.pooling == "class_token":
-        profile.layers.append(LayerProfile("class_token", "norm", params=dim))
-    if config.use_positional_embedding:
-        profile.layers.append(
-            LayerProfile(
-                "positional_embedding",
-                "norm",
-                params=sequence * dim,
-                elementwise_ops=sequence * dim,
-            )
-        )
-
-    for block in range(config.depth):
-        prefix = f"block{block}"
-        # Pre-attention LayerNorm.
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.attention_norm",
-                "norm",
-                params=2 * dim,
-                elementwise_ops=4 * sequence * dim,
-            )
-        )
-        # Q, K, V projections (the GAP8 kernel parallelises them per head).
-        qkv_macs = 3 * sequence * dim * total_head_dim
-        qkv_params = 3 * (dim * total_head_dim + total_head_dim)
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.attention.qkv",
-                "linear",
-                macs=qkv_macs,
-                params=qkv_params,
-                parallel_units=heads,
-            )
-        )
-        # Attention matrices: Q K^T and A V, one pair per head.
-        attention_macs = 2 * heads * sequence * sequence * head_dim
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.attention.scores",
-                "attention_matmul",
-                macs=attention_macs,
-                parallel_units=heads,
-            )
-        )
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.attention.softmax",
-                "softmax",
-                elementwise_ops=heads * sequence * sequence,
-                parallel_units=heads,
-            )
-        )
-        # Output projection merging the heads.
-        out_macs = sequence * total_head_dim * dim
-        out_params = total_head_dim * dim + dim
-        profile.layers.append(
-            LayerProfile(f"{prefix}.attention.out", "linear", macs=out_macs, params=out_params)
-        )
-        # Pre-FFN LayerNorm + FFN (two linear layers with GELU in between).
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.ffn_norm",
-                "norm",
-                params=2 * dim,
-                elementwise_ops=4 * sequence * dim,
-            )
-        )
-        ffn_macs = sequence * (dim * hidden + hidden * dim)
-        ffn_params = dim * hidden + hidden + hidden * dim + dim
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.ffn",
-                "linear",
-                macs=ffn_macs,
-                params=ffn_params,
-                elementwise_ops=sequence * hidden,
-            )
-        )
-
-    # Final LayerNorm + classification head (class-token row only).
-    profile.layers.append(
-        LayerProfile("final_norm", "norm", params=2 * dim, elementwise_ops=4 * sequence * dim)
-    )
-    profile.layers.append(
-        LayerProfile(
-            "head",
-            "linear",
-            macs=dim * config.num_classes,
-            params=dim * config.num_classes + config.num_classes,
-        )
-    )
-    return profile
-
-
-def profile_temponet(config: TEMPONetConfig) -> ModelProfile:
-    """Analytical complexity profile of the TEMPONet baseline."""
-    config.validate()
-    profile = ModelProfile(
-        name=config.describe(),
-        input_shape=(config.num_channels, config.window_samples),
-    )
-    in_channels = config.num_channels
-    length = config.window_samples
-    for index, (out_channels, dilation, stride) in enumerate(
-        zip(config.block_channels, config.block_dilations, config.block_strides)
-    ):
-        prefix = f"block{index}"
-        for conv_index in (1, 2):
-            macs = length * out_channels * config.kernel_size * (
-                in_channels if conv_index == 1 else out_channels
-            )
-            params = out_channels * config.kernel_size * (
-                in_channels if conv_index == 1 else out_channels
-            ) + out_channels
-            profile.layers.append(
-                LayerProfile(f"{prefix}.conv{conv_index}", "conv", macs=macs, params=params)
-            )
-            profile.layers.append(
-                LayerProfile(
-                    f"{prefix}.bn{conv_index}",
-                    "norm",
-                    params=2 * out_channels,
-                    elementwise_ops=2 * length * out_channels,
-                )
-            )
-            in_channels = out_channels
-        strided_length = (length + stride - 1) // stride
-        macs = strided_length * out_channels * config.strided_kernel_size * out_channels
-        params = out_channels * config.strided_kernel_size * out_channels + out_channels
-        profile.layers.append(
-            LayerProfile(f"{prefix}.strided_conv", "conv", macs=macs, params=params)
-        )
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.bn3",
-                "norm",
-                params=2 * out_channels,
-                elementwise_ops=2 * strided_length * out_channels,
-            )
-        )
-        pooled_length = strided_length // 2
-        profile.layers.append(
-            LayerProfile(
-                f"{prefix}.pool",
-                "pool",
-                elementwise_ops=pooled_length * out_channels * 2,
-            )
-        )
-        length = pooled_length
-
-    features = in_channels * length
-    hidden1, hidden2 = config.fc_hidden
-    for name, fan_in, fan_out in (
-        ("fc1", features, hidden1),
-        ("fc2", hidden1, hidden2),
-        ("fc3", hidden2, config.num_classes),
-    ):
-        profile.layers.append(
-            LayerProfile(
-                name,
-                "linear",
-                macs=fan_in * fan_out,
-                params=fan_in * fan_out + fan_out,
-            )
-        )
-    return profile
-
-
-def profile_model(model: Union[Bioformer, TEMPONet, BioformerConfig, TEMPONetConfig]) -> ModelProfile:
-    """Profile a model instance or configuration (dispatch helper)."""
-    if isinstance(model, Bioformer):
-        return profile_bioformer(model.config)
-    if isinstance(model, TEMPONet):
-        return profile_temponet(model.config)
-    if isinstance(model, BioformerConfig):
-        return profile_bioformer(model)
-    if isinstance(model, TEMPONetConfig):
-        return profile_temponet(model)
-    raise TypeError(f"cannot profile object of type {type(model).__name__}")

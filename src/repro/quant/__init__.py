@@ -1,4 +1,4 @@
-"""``repro.quant`` — int8 quantisation: PTQ, QAT and I-BERT integer kernels."""
+"""``repro.quant`` — int8 quantisers, QAT and the I-BERT integer kernels."""
 
 from .ibert import (
     integer_erf,
@@ -9,7 +9,6 @@ from .ibert import (
     integer_softmax,
     integer_sqrt,
 )
-from .ptq import QuantizationReport, QuantizedModel, evaluate_quantized, quantize_parameters
 from .qat import QATConfig, QATResult, quantization_aware_finetune
 from .quantizers import (
     MinMaxObserver,
@@ -33,10 +32,6 @@ __all__ = [
     "quantization_error",
     "MinMaxObserver",
     "MovingAverageObserver",
-    "QuantizationReport",
-    "QuantizedModel",
-    "quantize_parameters",
-    "evaluate_quantized",
     "QATConfig",
     "QATResult",
     "quantization_aware_finetune",

@@ -131,24 +131,21 @@ def integer_softmax(q: np.ndarray, scale: float, axis: int = -1) -> Tuple[np.nda
 
 
 def integer_sqrt(values: np.ndarray) -> np.ndarray:
-    """Element-wise integer square root via Newton iteration (I-BERT Alg. 4)."""
+    """Element-wise ``floor(sqrt(x))`` of non-negative int64 values.
+
+    Exact over the whole int64 range: the float64 square root lands within
+    one of the answer, and one integer compare each way corrects it.  The
+    compares use ``a * a > x  <=>  a > x // a`` so they cannot overflow.
+    I-BERT (Alg. 4) runs Newton iterations instead; the test suite keeps
+    that loop as the reference.
+    """
     values = np.asarray(values, dtype=np.int64)
     if np.any(values < 0):
         raise ValueError("integer_sqrt expects non-negative inputs")
-    result = np.zeros_like(values)
-    positive = values > 0
-    if not np.any(positive):
-        return result
-    x = values[positive]
-    # Initial guess: 2^ceil(bits/2).
-    estimate = 2 ** np.ceil(np.log2(np.maximum(x, 1)) / 2.0)
-    estimate = estimate.astype(np.int64)
-    for _ in range(20):
-        new_estimate = (estimate + x // np.maximum(estimate, 1)) // 2
-        converged = new_estimate >= estimate
-        estimate = np.where(converged, estimate, new_estimate)
-    result[positive] = estimate
-    return result
+    root = np.sqrt(values.astype(np.float64)).astype(np.int64)
+    root -= root > values // np.maximum(root, 1)
+    root += root + 1 <= values // (root + 1)
+    return root
 
 
 def integer_layernorm(

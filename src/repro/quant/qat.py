@@ -10,8 +10,9 @@ reproduced here with the straight-through estimator (STE):
 * gradients flow as if the quantiser were the identity (STE) and are
   applied to the shadow weights.
 
-After QAT, :class:`repro.quant.ptq.QuantizedModel` exports the final int8
-snapshot.
+After QAT, :func:`repro.serve.build_int8_backend` (serving) or
+:func:`repro.deploy.deploy_graph` (deployment report, Table I's Q. Acc.)
+lowers the fine-tuned model to the int8 executor.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def quantization_aware_finetune(
     ----------
     model:
         A trained float model; its weights are updated in place and remain
-        in float (quantise afterwards with :class:`QuantizedModel`).
+        in float (lower afterwards with ``build_int8_backend`` or
+        ``deploy_graph``).
     train_dataset:
         The subject-specific training set (sessions 1-5).
     config:

@@ -8,7 +8,8 @@ hardware-aware NAS.  This package provides:
 * :mod:`repro.search.space` — the discrete Bioformer design space
   (sample / mutate / crossover / enumerate);
 * :mod:`repro.search.objectives` — per-candidate accuracy (short training
-  runs) and analytical GAP8 cost objectives, plus deployment constraints;
+  runs) and GAP8 cost objectives of the traced candidate, plus deployment
+  constraints;
 * :mod:`repro.search.strategies` — grid, random and evolutionary search
   returning the evaluation history, the best feasible candidate and the
   accuracy-vs-complexity Pareto frontier.

@@ -4,8 +4,8 @@ Hardware-aware architecture search needs two kinds of measurements per
 candidate:
 
 * **cost** — parameters, MACs, estimated GAP8 latency/energy and memory,
-  all available analytically (milliseconds per candidate) through
-  :mod:`repro.hw`;
+  from :func:`repro.deploy.estimate_deployment` over the traced candidate
+  (about a millisecond per candidate);
 * **quality** — validation accuracy after a (short) training run on the
   target subject's data, by far the expensive part.
 
@@ -23,8 +23,9 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..hw.gap8 import GAP8Config, GAP8Model
-from ..hw.profiler import profile_bioformer
+from ..deploy.report import estimate_deployment
+from ..deploy.tracers import trace_model
+from ..hw.gap8 import GAP8Config
 from ..models.bioformer import Bioformer, BioformerConfig
 from ..nn import Adam
 from ..training.trainer import Trainer, TrainingConfig, evaluate
@@ -83,21 +84,22 @@ class CandidateEvaluation:
 
 
 class ComplexityEvaluator:
-    """Analytical cost model for candidates (no training involved)."""
+    """GAP8 cost of a candidate's traced graph (no training involved)."""
 
     def __init__(self, gap8: Optional[GAP8Config] = None, bits_per_weight: int = 8) -> None:
         self.gap8 = gap8 if gap8 is not None else GAP8Config()
         self.bits_per_weight = bits_per_weight
-        self._target = GAP8Model(self.gap8)
 
     def __call__(self, config: BioformerConfig) -> Dict[str, float]:
-        profile = profile_bioformer(config)
-        latency = self._target.latency(profile)
+        estimate = estimate_deployment(
+            trace_model(Bioformer(config)), self.gap8, inference_period_s=None
+        )
+        profile = estimate.profile
         return {
             "params": profile.total_params,
             "macs": profile.total_macs,
-            "latency_ms": latency.latency_ms,
-            "energy_mj": latency.energy_mj,
+            "latency_ms": estimate.latency_ms,
+            "energy_mj": estimate.energy_mj,
             "memory_kb": profile.memory_kilobytes(self.bits_per_weight),
         }
 

@@ -10,6 +10,7 @@ from repro.deploy import (
     CodeGenerator,
     LoweringConfig,
     deploy_graph,
+    estimate_deployment,
     generate_c_sources,
     graph_to_profile,
     lower_to_int8,
@@ -17,8 +18,7 @@ from repro.deploy import (
     trace_model,
 )
 from repro.hw.gap8 import GAP8Config, GAP8Model
-from repro.hw.profiler import profile_bioformer
-from repro.models import Bioformer, BioformerConfig, bioformer_bio1, temponet
+from repro.models import Bioformer, BioformerConfig, bioformer_bio1, bioformer_bio2, temponet
 
 
 def small_bioformer(**overrides):
@@ -127,17 +127,36 @@ class TestGraphProfileAdapter:
         assert [layer.name for layer in profile.layers] == kept
 
     def test_traced_profile_close_to_analytical(self):
+        """Bio1 (filter 10) keeps the Table I counts: 3.30 MMAC, 94.92 kB."""
         config = BioformerConfig(patch_size=10, depth=1, num_heads=8)
         traced = graph_to_profile(trace_model(Bioformer(config).eval()))
-        analytical = profile_bioformer(config)
-        assert traced.total_macs == pytest.approx(analytical.total_macs, rel=0.02)
-        assert traced.total_params == pytest.approx(analytical.total_params, rel=0.02)
+        assert traced.total_macs == 3_300_864
+        assert traced.total_params == 94_920
+
+    @pytest.mark.parametrize("build,heads", [(bioformer_bio1, 8), (bioformer_bio2, 2)])
+    def test_projections_into_heads_run_one_head_per_core(self, build, heads):
+        """q/k/v projections and attention matmuls spread over the heads;
+        every other MAC layer can use the whole cluster."""
+        graph = trace_model(build(patch_size=10))
+        profile = graph_to_profile(graph)
+        units = {layer.name: layer.parallel_units for layer in profile.layers if layer.macs}
+        projections = {
+            name for name in units
+            if name.endswith(("query_projection", "key_projection", "value_projection"))
+        }
+        assert len(projections) == 3 * build(patch_size=10).config.depth
+        for name, parallel_units in units.items():
+            expected = heads if name in projections or graph.node(name).op == "matmul" else 0
+            assert parallel_units == expected, name
 
     def test_latency_estimate_runs_on_traced_profile(self):
         graph = trace_model(small_bioformer())
         breakdown = GAP8Model(GAP8Config()).latency(graph_to_profile(graph))
         assert breakdown.latency_ms > 0
         assert breakdown.energy_mj > 0
+        estimate = estimate_deployment(graph)
+        assert estimate.latency_ms == breakdown.latency_ms
+        assert estimate.memory_kilobytes == graph.total_weight_elements / 1e3
 
 
 # --------------------------------------------------------------------- #

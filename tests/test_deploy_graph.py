@@ -9,10 +9,33 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.deploy import ComputeGraph, FloatGraphExecutor, GraphNode, TensorSpec, trace_model
-from repro.hw.profiler import profile_bioformer, profile_temponet
-from repro.models import Bioformer, BioformerConfig, TEMPONetConfig, bioformer_bio1, bioformer_bio2, temponet
+from repro.deploy import (
+    ComputeGraph,
+    FloatGraphExecutor,
+    GraphNode,
+    TensorSpec,
+    graph_to_profile,
+    trace_model,
+)
+from repro.models import Bioformer, BioformerConfig, build_model, bioformer_bio1, bioformer_bio2, temponet
 from repro.nn import Tensor
+
+
+#: (MACs, weight elements) per inference of the Table I rows and the Fig. 5
+#: filter set at the paper geometry (14 x 300, 8 classes): the MMAC and
+#: memory columns of Table I and the Fig. 5 axes must not move.
+PAPER_GEOMETRY_TOTALS = {
+    ("bio1", 1): (71314944, 104136),
+    ("bio1", 5): (7171584, 92360),
+    ("bio1", 10): (3300864, 94920),
+    ("bio1", 20): (1711104, 102920),
+    ("bio1", 30): (1232384, 111560),
+    ("bio2", 1): (43189504, 87880),
+    ("bio2", 5): (5219584, 76104),
+    ("bio2", 10): (2546944, 78664),
+    ("bio2", 20): (1383424, 86664),
+    ("bio2", 30): (1021184, 95304),
+}
 
 
 def small_bioformer(**overrides):
@@ -116,11 +139,10 @@ class TestBioformerTrace:
         assert len(deep) - len(shallow) == per_block_nodes
 
     def test_macs_match_analytical_profiler(self):
-        config = BioformerConfig(patch_size=10, depth=1, num_heads=8)
-        model = Bioformer(config)
-        graph = trace_model(model)
-        profile = profile_bioformer(config)
-        assert graph.total_macs == pytest.approx(profile.total_macs, rel=0.02)
+        """The profile of the trace keeps the Table I / Fig. 5 counts exactly."""
+        for (variant, filter_dimension), totals in PAPER_GEOMETRY_TOTALS.items():
+            profile = graph_to_profile(trace_model(build_model(variant, patch_size=filter_dimension)))
+            assert (profile.total_macs, profile.total_params) == totals, (variant, filter_dimension)
 
     def test_weight_elements_match_model_parameters(self):
         model = small_bioformer()
@@ -170,13 +192,9 @@ class TestTemponetTrace:
         assert flattened.shape == (model.flatten_features,)
 
     def test_macs_close_to_analytical_profiler(self):
-        config = TEMPONetConfig()
-        model = temponet()
-        graph = trace_model(model)
-        profile = profile_temponet(config)
-        # The analytical profiler approximates padded-length convolutions;
-        # the traced graph uses exact output lengths.
-        assert graph.total_macs == pytest.approx(profile.total_macs, rel=0.15)
+        """The paper-geometry TEMPONet keeps its Table I / Fig. 5 counts exactly."""
+        profile = graph_to_profile(trace_model(temponet()))
+        assert (profile.total_macs, profile.total_params) == (17_597_184, 463_372)
 
     def test_weight_elements_match_model_parameters(self):
         model = small_temponet()

@@ -1,26 +1,23 @@
-"""Tests of the GAP8 hardware substrate: profiler, cost model, battery."""
+"""Tests of the GAP8 hardware substrate: traced profiles, cost model, battery."""
 
-import numpy as np
 import pytest
 
+from repro.deploy import estimate_deployment, graph_to_profile, trace_model
+from repro.experiments import Scale, Table1Result, Table1Row, render_table1
 from repro.hw import (
     BatteryConfig,
     GAP8Config,
     GAP8Model,
     battery_life_hours,
-    deploy,
     duty_cycle_power,
-    profile_bioformer,
-    profile_model,
-    profile_temponet,
 )
 from repro.models import (
     Bioformer,
     BioformerConfig,
-    TEMPONet,
     TEMPONetConfig,
     bioformer_bio1,
     bioformer_bio2,
+    build_model,
     temponet,
 )
 
@@ -35,12 +32,20 @@ PAPER_TABLE1 = {
 }
 
 
-def _config(key):
+def _graph(key):
+    """Traced model of one Table I row at the paper's input geometry."""
     if key == "temponet":
-        return TEMPONetConfig()
+        return trace_model(temponet())
     variant, filter_dimension = key.split("_")
-    depth, heads = (1, 8) if variant == "bio1" else (2, 2)
-    return BioformerConfig(depth=depth, num_heads=heads, patch_size=int(filter_dimension))
+    return trace_model(build_model(variant, patch_size=int(filter_dimension)))
+
+
+def _profile(config):
+    return graph_to_profile(trace_model(Bioformer(config)))
+
+
+def _estimate(key, **kwargs):
+    return estimate_deployment(_graph(key), **kwargs)
 
 
 class TestProfiler:
@@ -51,39 +56,33 @@ class TestProfiler:
     ])
     def test_profiled_params_match_instantiated_model(self, builder, config_type):
         model = builder()
-        profile = profile_model(model)
+        profile = graph_to_profile(trace_model(model))
         assert profile.total_params == model.num_parameters()
-
-    def test_profile_dispatch_on_configs(self):
-        assert profile_model(BioformerConfig()).total_params == profile_bioformer(BioformerConfig()).total_params
-        assert profile_model(TEMPONetConfig()).total_params == profile_temponet(TEMPONetConfig()).total_params
-        with pytest.raises(TypeError):
-            profile_model(42)
 
     @pytest.mark.parametrize("key", sorted(PAPER_TABLE1))
     def test_mmacs_and_memory_match_paper(self, key):
-        profile = profile_model(_config(key))
+        profile = graph_to_profile(_graph(key))
         reference = PAPER_TABLE1[key]
         assert profile.mmacs == pytest.approx(reference["mmac"], rel=0.25)
         assert profile.memory_kilobytes() == pytest.approx(reference["memory_kb"], rel=0.06)
 
     def test_mac_reduction_factor_vs_temponet(self):
         """The headline claim: Bio1 (filter 10) needs ~4.9x fewer MACs."""
-        bio1 = profile_bioformer(BioformerConfig(depth=1, num_heads=8, patch_size=10))
-        tcn = profile_temponet(TEMPONetConfig())
+        bio1 = graph_to_profile(_graph("bio1_10"))
+        tcn = graph_to_profile(_graph("temponet"))
         assert 4.0 < tcn.total_macs / bio1.total_macs < 6.5
 
     def test_attention_cost_scales_with_sequence_length(self):
-        short = profile_bioformer(BioformerConfig(patch_size=30))
-        long = profile_bioformer(BioformerConfig(patch_size=5))
+        short = _profile(BioformerConfig(patch_size=30))
+        long = _profile(BioformerConfig(patch_size=5))
         assert long.total_macs > 3 * short.total_macs
 
     def test_by_kind_breakdown_sums_to_total(self):
-        profile = profile_bioformer(BioformerConfig())
+        profile = _profile(BioformerConfig())
         assert sum(profile.by_kind().values()) == profile.total_macs
 
     def test_memory_scales_with_bit_width(self):
-        profile = profile_bioformer(BioformerConfig())
+        profile = _profile(BioformerConfig())
         assert profile.memory_bytes(32) == 4 * profile.memory_bytes(8)
 
 
@@ -93,37 +92,37 @@ class TestGAP8CostModel:
         """The calibrated cost model reproduces every measured Table I row
         within 15% (latency) — the shape-level fidelity the reproduction
         targets."""
-        record = deploy(_config(key))
+        record = _estimate(key)
         reference = PAPER_TABLE1[key]
         assert record.latency_ms == pytest.approx(reference["latency_ms"], rel=0.15)
         assert record.energy_mj == pytest.approx(reference["energy_mj"], rel=0.15)
 
     def test_energy_reduction_vs_temponet(self):
         """Paper: Bio1 (filter 10) consumes ~8x less energy than TEMPONet."""
-        bio1 = deploy(_config("bio1_10"))
-        tcn = deploy(_config("temponet"))
+        bio1 = _estimate("bio1_10")
+        tcn = _estimate("temponet")
         assert 6.0 < tcn.energy_mj / bio1.energy_mj < 10.0
 
     def test_fewer_heads_hurt_latency_despite_fewer_macs(self):
         """Table I: Bio2 (2 heads) is slower than Bio1 (8 heads) at filter 10
         even though it executes fewer MACs."""
-        bio1 = deploy(_config("bio1_10"))
-        bio2 = deploy(_config("bio2_10"))
+        bio1 = _estimate("bio1_10")
+        bio2 = _estimate("bio2_10")
         assert bio2.mmacs < bio1.mmacs
         assert bio2.latency_ms > bio1.latency_ms
 
     def test_energy_is_latency_times_power(self):
-        record = deploy(_config("bio1_10"))
+        record = _estimate("bio1_10")
         assert record.energy_mj == pytest.approx(record.latency_ms * 51e-3, rel=1e-6)
 
     def test_memory_fits_l2(self):
         target = GAP8Model()
-        assert target.fits_memory(profile_bioformer(BioformerConfig()))
-        assert target.fits_memory(profile_temponet(TEMPONetConfig()))
-        assert 0.0 < target.memory_utilization(profile_bioformer(BioformerConfig())) < 1.0
+        assert target.fits_memory(_profile(BioformerConfig()))
+        assert target.fits_memory(graph_to_profile(_graph("temponet")))
+        assert 0.0 < target.memory_utilization(_profile(BioformerConfig())) < 1.0
 
     def test_dominant_layers_sorted(self):
-        breakdown = GAP8Model().latency(profile_bioformer(BioformerConfig()))
+        breakdown = GAP8Model().latency(_profile(BioformerConfig()))
         dominant = breakdown.dominant_layers(3)
         assert len(dominant) == 3
         assert dominant[0].cycles >= dominant[1].cycles >= dominant[2].cycles
@@ -135,8 +134,8 @@ class TestGAP8CostModel:
             GAP8Config(peak_macs_per_cycle=0).validate()
 
     def test_custom_frequency_scales_latency(self):
-        slow = deploy(_config("bio1_10"), gap8=GAP8Config(frequency_hz=50e6))
-        fast = deploy(_config("bio1_10"), gap8=GAP8Config(frequency_hz=100e6))
+        slow = _estimate("bio1_10", gap8=GAP8Config(frequency_hz=50e6))
+        fast = _estimate("bio1_10", gap8=GAP8Config(frequency_hz=100e6))
         assert slow.latency_ms == pytest.approx(2 * fast.latency_ms, rel=1e-6)
 
 
@@ -173,17 +172,30 @@ class TestBatteryModel:
 
 
 class TestDeploymentRecord:
+    """The estimate ``estimate_deployment`` returns, as one Table I row."""
+
     def test_record_fields_and_row(self):
-        record = deploy(_config("bio1_10"), quantized_accuracy=0.6469)
-        row = record.as_row()
-        assert row[0].startswith("Bioformer")
-        assert "64.69%" in row[-1]
+        record = _estimate("bio1_10")
+        assert record.profile.name.startswith("Bioformer")
         assert record.duty_cycle is not None
+        row = Table1Row(
+            label="Bio1, wind=10",
+            memory_kb=record.memory_kilobytes,
+            mmacs=record.mmacs,
+            latency_ms=record.latency_ms,
+            energy_mj=record.energy_mj,
+            quantized_accuracy=0.6469,
+            float_accuracy=None,
+            battery_life_hours=record.duty_cycle.battery_life_hours,
+            real_time=record.duty_cycle.real_time,
+        )
+        text = render_table1(Table1Result(scale=Scale.PAPER, rows=[row]))
+        assert "64.69%" in text and f"{record.latency_ms:.2f}" in text
 
     def test_skipping_battery_projection(self):
-        record = deploy(_config("bio1_10"), inference_period_s=None)
+        record = _estimate("bio1_10", inference_period_s=None)
         assert record.duty_cycle is None
 
     def test_deploy_accepts_model_instances(self):
-        record = deploy(bioformer_bio1(patch_size=10))
+        record = estimate_deployment(trace_model(bioformer_bio1(patch_size=10)))
         assert record.mmacs > 0

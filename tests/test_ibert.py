@@ -1,5 +1,7 @@
 """Tests of the I-BERT integer-only kernels against float references."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
@@ -83,7 +85,41 @@ class TestIntegerExpSoftmax:
         np.testing.assert_array_equal(q_out.argmax(axis=-1), logits.argmax(axis=-1))
 
 
+def newton_integer_sqrt(values):
+    """I-BERT Alg. 4: 20 Newton steps from ``2**ceil(bits / 2)``, the
+    reference :func:`integer_sqrt` must equal."""
+    values = np.asarray(values, dtype=np.int64)
+    result = np.zeros_like(values)
+    positive = values > 0
+    x = values[positive]
+    estimate = (2 ** np.ceil(np.log2(np.maximum(x, 1)) / 2.0)).astype(np.int64)
+    for _ in range(20):
+        new_estimate = (estimate + x // np.maximum(estimate, 1)) // 2
+        estimate = np.where(new_estimate >= estimate, estimate, new_estimate)
+    result[positive] = estimate
+    return result
+
+
 class TestIntegerSqrt:
+    def test_equals_newton_below_2_to_20(self):
+        values = np.arange(2**20)
+        np.testing.assert_array_equal(integer_sqrt(values), newton_integer_sqrt(values))
+
+    @pytest.mark.parametrize("bound", [2**40, 2**52, np.iinfo(np.int64).max])
+    def test_equals_newton_on_random_draws(self, rng, bound):
+        values = rng.integers(0, bound, size=20_000, dtype=np.int64)
+        np.testing.assert_array_equal(integer_sqrt(values), newton_integer_sqrt(values))
+
+    @pytest.mark.parametrize(
+        "root", [2**13, 2**15 + 3, 2**26 - 1, 2**26, 2**26 + 1, 2**31 - 1, 2**31, 2**31 + 1, 3_037_000_499]
+    )
+    def test_exact_around_squares(self, root):
+        """k**2 - 1, k**2 and k**2 + 1, up to the largest square in int64."""
+        values = np.array([root * root - 1, root * root, root * root + 1], dtype=np.int64)
+        expected = [math.isqrt(int(value)) for value in values]
+        np.testing.assert_array_equal(integer_sqrt(values), expected)
+        np.testing.assert_array_equal(newton_integer_sqrt(values), expected)
+
     def test_exact_on_perfect_squares(self):
         values = np.array([0, 1, 4, 9, 144, 10_000, 2**30])
         np.testing.assert_array_equal(integer_sqrt(values), np.sqrt(values).astype(np.int64))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.data import DataLoader, NinaProDB6, NinaProDB6Config, subject_split
-from repro.hw import GAP8Config, deploy
-from repro.models import BioformerConfig, bioformer_bio1, temponet
+from repro.deploy import deploy_graph, estimate_deployment, trace_model
+from repro.hw import GAP8Config
+from repro.models import bioformer_bio1, build_model, temponet
 from repro.nn import Adam, CrossEntropyLoss, Tensor, save_checkpoint, load_checkpoint
-from repro.quant import QATConfig, evaluate_quantized, quantization_aware_finetune
+from repro.quant import QATConfig, quantization_aware_finetune
 from repro.training import (
     ProtocolConfig,
     Trainer,
@@ -32,14 +33,16 @@ class TestEndToEndPipeline:
         assert 0.0 <= outcome.test_accuracy <= 1.0
 
         quantization_aware_finetune(model, tiny_split.train, QATConfig.tiny())
-        quantized = evaluate_quantized(
-            model, tiny_split.test, calibration=tiny_split.train, num_classes=8
+        quantized = deploy_graph(
+            model,
+            tiny_split.train.windows,
+            tiny_split.test.windows,
+            tiny_split.test.labels,
+            generate_code=False,
         )
+        assert 0.0 <= quantized.int8_accuracy <= 1.0
 
-        record = deploy(
-            BioformerConfig(depth=1, num_heads=8, patch_size=10),
-            quantized_accuracy=quantized.accuracy,
-        )
+        record = estimate_deployment(trace_model(build_model("bio1", patch_size=10)))  # paper geometry
         assert record.memory_kilobytes < 512  # fits GAP8 L2
         assert record.latency_ms < 10
         assert record.duty_cycle.battery_life_hours > 50
@@ -120,13 +123,11 @@ class TestEndToEndPipeline:
 
     def test_deployment_of_every_registry_model(self):
         """Every architecture in the registry passes the deployment pipeline."""
-        from repro.models import TEMPONetConfig
-
-        for config in (
-            BioformerConfig(depth=1, num_heads=8, patch_size=10),
-            BioformerConfig(depth=2, num_heads=2, patch_size=30),
-            TEMPONetConfig(),
+        for model in (
+            build_model("bio1", patch_size=10),
+            build_model("bio2", patch_size=30),
+            build_model("temponet"),
         ):
-            record = deploy(config, gap8=GAP8Config())
+            record = estimate_deployment(trace_model(model), gap8=GAP8Config())
             assert record.mmacs > 0 and record.latency_ms > 0
             assert record.memory_kilobytes < 512

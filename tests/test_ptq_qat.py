@@ -1,19 +1,17 @@
-"""Tests of post-training quantisation and quantisation-aware training."""
+"""Tests of the int8 build of a trained model and of quantisation-aware training.
+
+The int8 model is the one the server and Table I run: ``deploy_graph`` /
+``build_int8_backend`` lower the traced model and the integer executor
+scores it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset
+from repro.deploy import deploy_graph
 from repro.models import bioformer_bio1, bioformer_bio2
-from repro.nn import Tensor
-from repro.quant import (
-    QATConfig,
-    QuantizationSpec,
-    QuantizedModel,
-    evaluate_quantized,
-    quantization_aware_finetune,
-    quantize_parameters,
-)
+from repro.quant import QATConfig, quantization_aware_finetune
+from repro.serve import build_int8_backend
 from repro.training import ProtocolConfig, evaluate, train_subject_specific
 
 
@@ -42,60 +40,85 @@ def tiny_split(tiny_dataset):
     return subject_split(tiny_dataset, 1)
 
 
+def int8_accuracy(model, split, **lower_kwargs):
+    """Accuracy of ``model`` on the int8 executor, calibrated on the train split."""
+    return deploy_graph(
+        model,
+        split.train.windows,
+        split.test.windows,
+        split.test.labels,
+        generate_code=False,
+        **lower_kwargs,
+    ).int8_accuracy
+
+
 class TestQuantizeParameters:
+    """Weight quantisation of the int8 build."""
+
     def test_every_parameter_quantized(self):
         model = bioformer_bio2(patch_size=10, window_samples=100)
-        quantized = quantize_parameters(model)
-        assert set(quantized) == {name for name, _ in model.named_parameters()}
-        assert all(q.values.dtype == np.int8 for q in quantized.values())
+        quantized = build_int8_backend(model).quantized
+        for node in quantized.graph:
+            assert set(quantized.nodes[node.name].constants) == set(node.weights), node.name
+        weights = [
+            payload.constants["weight"]
+            for payload in quantized.nodes.values()
+            if payload.node.op in ("conv1d", "linear")
+        ]
+        assert weights
+        for weight in weights:
+            assert weight.dtype == "int8"
+            assert -128 <= weight.values.min() and weight.values.max() <= 127
 
     def test_reconstruction_error_small(self):
         model = bioformer_bio1(patch_size=10, window_samples=100)
-        quantized = quantize_parameters(model)
-        for name, parameter in model.named_parameters():
-            original = parameter.data
-            reconstruction = quantized[name].dequantize()
+        quantized = build_int8_backend(model).quantized
+        for node in quantized.graph:
+            if node.op not in ("conv1d", "linear"):
+                continue
+            original = node.weights["weight"]
+            weight = quantized.nodes[node.name].constants["weight"]
+            reconstruction = weight.values * weight.scale
             scale = float(np.max(np.abs(original))) + 1e-12
             assert np.max(np.abs(original - reconstruction)) <= scale / 127 + 1e-9
 
 
 class TestQuantizedModel:
+    """The int8 model of a trained Bioformer on the integer executor."""
+
     def test_memory_matches_paper_table1(self):
-        """Bio1 (filter 10) int8 snapshot is ~94 kB; Bio2 (filter 10) ~78 kB."""
-        bio1 = QuantizedModel(bioformer_bio1(patch_size=10))
-        bio2 = QuantizedModel(bioformer_bio2(patch_size=10))
-        assert abs(bio1.memory_kilobytes - 94.2) < 4.0
-        assert abs(bio2.memory_kilobytes - 78.3) < 4.0
+        """Bio1 (filter 10) int8 constants are ~94 kB; Bio2 (filter 10) ~78 kB."""
+        bio1 = build_int8_backend(bioformer_bio1(patch_size=10)).quantized
+        bio2 = build_int8_backend(bioformer_bio2(patch_size=10)).quantized
+        assert abs(bio1.weight_kilobytes - 94.2) < 4.0
+        assert abs(bio2.weight_kilobytes - 78.3) < 4.0
 
     def test_compression_ratio_is_four(self):
-        snapshot = QuantizedModel(bioformer_bio1(patch_size=10, window_samples=100))
-        assert snapshot.report().compression_ratio == pytest.approx(4.0)
+        """Every weight matrix ships as int8: a quarter of its fp32 bytes."""
+        quantized = build_int8_backend(bioformer_bio1(patch_size=10, window_samples=100)).quantized
+        macs = [node for node in quantized.graph if node.op in ("conv1d", "linear")]
+        float_bytes = sum(4 * node.weights["weight"].size for node in macs)
+        int8_bytes = sum(quantized.nodes[node.name].constants["weight"].nbytes for node in macs)
+        assert float_bytes / int8_bytes == pytest.approx(4.0)
 
     def test_quantized_accuracy_close_to_float(self, trained_model, tiny_split):
         float_accuracy = evaluate(trained_model, tiny_split.test, num_classes=8).accuracy
-        snapshot = QuantizedModel(trained_model)
-        snapshot.calibrate(tiny_split.train)
-        quantized_accuracy = snapshot.evaluate(tiny_split.test, num_classes=8).accuracy
+        quantized_accuracy = int8_accuracy(trained_model, tiny_split)
+        assert 0.0 <= quantized_accuracy <= 1.0
         # Int8 costs at most a few points of accuracy (paper: ~1%).
         assert quantized_accuracy >= float_accuracy - 0.10
 
     def test_float_weights_restored_after_evaluation(self, trained_model, tiny_split):
+        """Building and scoring the int8 model leaves the float weights as they were."""
         before = {name: p.data.copy() for name, p in trained_model.named_parameters()}
-        snapshot = QuantizedModel(trained_model)
-        snapshot.evaluate(tiny_split.test, num_classes=8)
+        int8_accuracy(trained_model, tiny_split)
         for name, parameter in trained_model.named_parameters():
-            np.testing.assert_allclose(parameter.data, before[name])
-
-    def test_evaluate_quantized_helper(self, trained_model, tiny_split):
-        report = evaluate_quantized(
-            trained_model, tiny_split.test, calibration=tiny_split.train, num_classes=8
-        )
-        assert 0.0 <= report.accuracy <= 1.0
+            np.testing.assert_array_equal(parameter.data, before[name])
 
     def test_lower_weight_bits_degrade_more(self, trained_model, tiny_split):
-        int8 = evaluate_quantized(trained_model, tiny_split.test, num_classes=8, weight_bits=8)
-        int3 = evaluate_quantized(trained_model, tiny_split.test, num_classes=8, weight_bits=3)
-        assert int3.accuracy <= int8.accuracy + 0.05
+        int8 = int8_accuracy(trained_model, tiny_split, weight_bits=8)
+        int3 = int8_accuracy(trained_model, tiny_split, weight_bits=3)
+        assert int3 <= int8 + 0.05
 
 
 class TestQAT:
@@ -113,9 +136,7 @@ class TestQAT:
         train_subject_specific(model, tiny_split, ProtocolConfig.tiny(), num_classes=8)
         float_accuracy = evaluate(model, tiny_split.test, num_classes=8).accuracy
         quantization_aware_finetune(model, tiny_split.train, QATConfig.tiny())
-        quantized = evaluate_quantized(
-            model, tiny_split.test, calibration=tiny_split.train, num_classes=8
-        ).accuracy
+        quantized = int8_accuracy(model, tiny_split)
         assert quantized >= float_accuracy - 0.15
 
     def test_qat_config_presets(self):
