@@ -40,7 +40,7 @@ def main() -> None:
 
     # 3. Battery life vs how often a window is classified.
     print("battery life vs classification period (Bio1 filter 30, 1000 mAh):")
-    latency_s = result.estimates["Bio1, wind=30"].latency.latency_s
+    latency_s = result.row("Bio1, wind=30").latency_ms * 1e-3
     for period_ms in (15, 50, 150, 500):
         report = battery_life_hours(latency_s, period_ms * 1e-3, GAP8Config(), BatteryConfig())
         print(

@@ -20,13 +20,12 @@ regenerate only the deployment columns, which takes milliseconds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..data.splits import subject_split
-from ..deploy import DeploymentEstimate, deploy_graph, estimate_deployment, trace_model
+from ..deploy import deploy_graph, estimate_deployment, trace_model
 from ..hw import BatteryConfig, GAP8Config
 from ..models import build_model
-from ..nn.module import Module
 from ..quant import QATConfig, quantization_aware_finetune
 from ..training import run_two_step_protocol
 from ..utils.tables import format_table
@@ -78,7 +77,6 @@ class Table1Result:
 
     scale: Scale
     rows: List[Table1Row] = field(default_factory=list)
-    estimates: Dict[str, DeploymentEstimate] = field(default_factory=dict)
 
     def row(self, label: str) -> Table1Row:
         """Look a row up by its label."""
@@ -94,13 +92,6 @@ class Table1Result:
     def memory_ratio(self, reference: str = "TEMPONet", target: str = "Bio1, wind=10") -> float:
         """Memory reduction factor of ``target`` vs ``reference`` (paper: 4.9x)."""
         return self.row(reference).memory_kb / self.row(target).memory_kb
-
-
-def _paper_geometry_model(variant: str, filter_dimension: int) -> Module:
-    """Untrained model at the paper's input geometry (for deployment columns)."""
-    if filter_dimension:
-        return build_model(variant, patch_size=filter_dimension)
-    return build_model(variant)
 
 
 def run_table1(
@@ -160,13 +151,17 @@ def run_table1(
                 generate_code=False,
             ).int8_accuracy
 
+        # The deployment columns are those of the untrained model at the
+        # paper's input geometry.
+        paper_model = build_model(
+            variant, **({"patch_size": filter_dimension} if filter_dimension else {})
+        )
         estimate = estimate_deployment(
-            trace_model(_paper_geometry_model(variant, filter_dimension)),
+            trace_model(paper_model),
             gap8=gap8,
             battery=battery,
             inference_period_s=inference_period_s,
         )
-        result.estimates[label] = estimate
         result.rows.append(
             Table1Row(
                 label=label,
