@@ -104,7 +104,6 @@ class TestQuantizedModel:
     def test_quantized_accuracy_close_to_float(self, trained_model, tiny_split):
         float_accuracy = evaluate(trained_model, tiny_split.test, num_classes=8).accuracy
         quantized_accuracy = int8_accuracy(trained_model, tiny_split)
-        assert 0.0 <= quantized_accuracy <= 1.0
         # Int8 costs at most a few points of accuracy (paper: ~1%).
         assert quantized_accuracy >= float_accuracy - 0.10
 
@@ -114,6 +113,19 @@ class TestQuantizedModel:
         int8_accuracy(trained_model, tiny_split)
         for name, parameter in trained_model.named_parameters():
             np.testing.assert_array_equal(parameter.data, before[name])
+
+    def test_evaluate_quantized_helper(self, trained_model, tiny_split):
+        """The int8 build calibrated on the train split scores the test split."""
+        report = deploy_graph(
+            trained_model,
+            tiny_split.train.windows,
+            tiny_split.test.windows,
+            tiny_split.test.labels,
+            generate_code=False,
+        )
+        assert 0.0 <= report.int8_accuracy <= 1.0
+        assert 0.0 <= report.float_agreement <= 1.0
+        assert report.int8_accuracy == int8_accuracy(trained_model, tiny_split)
 
     def test_lower_weight_bits_degrade_more(self, trained_model, tiny_split):
         int8 = int8_accuracy(trained_model, tiny_split, weight_bits=8)
