@@ -249,17 +249,22 @@ def test_int8_lut_serving_not_regressive(model, windows, cache):
     calibration = np.random.default_rng(1).normal(
         size=(16, GEOMETRY["num_channels"], GEOMETRY["window_samples"])
     )
-    results = {}
-    for variant, lower_kwargs in (("lut", {}), ("elementwise", {"use_lut": False})):
-        results[variant] = _throughput(
-            model,
-            "int8",
-            16,
-            windows,
-            cache,
-            calibration=calibration,
-            lower_kwargs=lower_kwargs,
-        )
+    variants = (("lut", {}), ("elementwise", {"use_lut": False}))
+    results = {variant: (0.0, 0.0) for variant, _ in variants}
+    for _ in range(5):  # interleaved best-of rounds: drift hits both variants equally
+        for variant, lower_kwargs in variants:
+            measured = _throughput(
+                model,
+                "int8",
+                16,
+                windows,
+                cache,
+                repeats=1,
+                calibration=calibration,
+                lower_kwargs=lower_kwargs,
+            )
+            # (windows/s, mean batch): keep the fastest round's pair.
+            results[variant] = max(results[variant], measured)
     rows = [f"{'variant':>12} {'mean batch':>11} {'windows/s':>11}"]
     for variant, (throughput, mean_batch) in results.items():
         rows.append(f"{variant:>12} {mean_batch:>11.1f} {throughput:>11.1f}")

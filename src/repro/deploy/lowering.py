@@ -251,9 +251,11 @@ def _tail_percentile(magnitudes: np.ndarray, percentile: float) -> float:
     ``linear`` method reads the order statistics ``lo = floor(vi)`` and
     ``lo + 1`` at the virtual index ``vi = (n - 1) * q``, so only the top
     ``need = n - lo`` elements matter.  A threshold taken from a strided
-    sample keeps a superset of them; if it keeps too few, the whole array
-    is used, so the selection is exact either way.  The interpolation is
-    numpy's ``_lerp`` rule, so the float result is the same bit for bit.
+    sample keeps a superset of them.  If it keeps too few, the sample
+    keeps four times as many and tries again, and once that would be the
+    whole sample the whole array is used, so the selection is exact either
+    way.  The interpolation is numpy's ``_lerp`` rule, so the float result
+    is the same bit for bit.
     """
     n = magnitudes.size
     virtual = (n - 1) * (percentile / 100.0)
@@ -265,13 +267,17 @@ def _tail_percentile(magnitudes: np.ndarray, percentile: float) -> float:
     tail = magnitudes
     sample = magnitudes[::_TAIL_SAMPLE_STRIDE]
     # The sample holds about ``need / stride`` tail elements; keeping twice
-    # that plus a margin makes the fallback rare on real activations.
+    # that plus a margin is usually enough.  A row repeated across the
+    # batch (the class token) puts every copy of one value in the sample,
+    # so keep grows until the threshold falls below enough elements.
     keep = 2 * (need // _TAIL_SAMPLE_STRIDE) + 8
-    if keep < sample.size:
+    while keep < sample.size:
         threshold = np.partition(sample, sample.size - keep)[sample.size - keep]
         candidates = magnitudes[magnitudes >= threshold]
         if candidates.size >= need:
             tail = candidates
+            break
+        keep *= 4
     # Everything outside ``tail`` is below it, so global rank ``lo`` is
     # rank ``tail.size - need`` inside it.
     rank = tail.size - need

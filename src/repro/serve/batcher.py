@@ -7,7 +7,11 @@ The :class:`DynamicBatcher` sits between the two: callers submit single
 windows and receive futures; a background forming thread drains the
 request queue into micro-batches of at most ``max_batch_size`` windows,
 flushing a partially filled batch once the oldest request has waited
-``max_wait_s``.
+``max_wait_s``.  A blocking caller cannot send more batch-mates while it
+waits, so :meth:`DynamicBatcher.map` marks its last window ``flush``: once
+the forming batch has taken that request, it adds only requests already
+queued (up to ``max_batch_size``) and dispatches without waiting out the
+timer.
 
 Requests carry a :class:`~repro.serve.pool.Priority` and an optional
 deadline.  The queue is a priority queue (FIFO within one priority level),
@@ -95,7 +99,7 @@ class BatcherStats:
 
 
 class _Request:
-    __slots__ = ("payload", "future", "priority", "deadline", "shed")
+    __slots__ = ("payload", "future", "priority", "deadline", "flush", "shed")
 
     def __init__(
         self,
@@ -103,11 +107,13 @@ class _Request:
         future: Future,
         priority: int,
         deadline: Optional[float],
+        flush: bool,
     ) -> None:
         self.payload = payload
         self.future = future
         self.priority = priority
         self.deadline = deadline  # absolute time.monotonic() instant
+        self.flush = flush  # its batch stops waiting for batch-mates
         self.shed = False  # resolved with Overloaded while queued
 
 
@@ -123,7 +129,8 @@ class DynamicBatcher:
         Hard upper bound on the micro-batch size.
     max_wait_s:
         Flush timeout: a partially filled batch is executed once its oldest
-        request has waited this long.
+        request has waited this long, or as soon as it has taken a request
+        submitted with ``flush=True`` (the last window of a :meth:`map`).
     input_shape:
         Expected per-request payload shape.  When given, a mismatching
         payload fails its own future with ``ValueError`` at batch-stack
@@ -219,6 +226,8 @@ class DynamicBatcher:
         window: np.ndarray,
         priority: int = Priority.NORMAL,
         deadline_s: Optional[float] = None,
+        *,
+        flush: bool = False,
     ) -> Future:
         """Enqueue one window; the future resolves to its result row.
 
@@ -226,6 +235,10 @@ class DynamicBatcher:
         level).  ``deadline_s`` is a relative budget: if the request is
         still queued after that many seconds it resolves with
         :class:`~repro.serve.pool.DeadlineExceeded` instead of executing.
+        ``flush=True`` says no batch-mates will follow from this caller:
+        the batch that takes this request adds only what is already queued
+        and dispatches without waiting ``max_wait_s``.  A flush request that
+        was shed or expired still ends the wait.
 
         With ``max_queue_depth`` set, a submission into a full queue
         either sheds the newest least-urgent queued request (when this
@@ -236,7 +249,7 @@ class DynamicBatcher:
             raise ValueError("deadline_s must be >= 0")
         deadline = time.monotonic() + deadline_s if deadline_s is not None else None
         future: Future = Future()
-        request = _Request(np.asarray(window), future, int(priority), deadline)
+        request = _Request(np.asarray(window), future, int(priority), deadline, bool(flush))
         victim: Optional[_Request] = None
         # Enqueue under the lock so a concurrent close() either sees this
         # request before its shutdown sentinel (and drains it) or rejects
@@ -273,15 +286,6 @@ class DynamicBatcher:
             )
         return future
 
-    def submit_many(
-        self,
-        windows: Sequence[np.ndarray],
-        priority: int = Priority.NORMAL,
-        deadline_s: Optional[float] = None,
-    ) -> List[Future]:
-        """Enqueue several windows in order (one future per window)."""
-        return [self.submit(window, priority=priority, deadline_s=deadline_s) for window in windows]
-
     def map(
         self,
         windows: Sequence[np.ndarray],
@@ -291,13 +295,21 @@ class DynamicBatcher:
     ) -> np.ndarray:
         """Submit ``windows`` and block for the stacked results (in order).
 
+        The last window is submitted with ``flush=True``, so the final
+        partial micro-batch dispatches at once instead of waiting
+        ``max_wait_s`` for batch-mates this blocked caller cannot send.
+
         Zero windows is a valid (empty) workload: the result is an empty
         ``(0,)`` array rather than an obscure ``np.stack([])`` failure.
         (With no requests the batcher cannot know the backend's result-row
         shape; callers that do know it should reshape — e.g.
         ``InferenceServer.infer`` returns ``(0, num_classes)``.)
         """
-        futures = self.submit_many(windows, priority=priority, deadline_s=deadline_s)
+        last = len(windows) - 1
+        futures = [
+            self.submit(window, priority=priority, deadline_s=deadline_s, flush=index == last)
+            for index, window in enumerate(windows)
+        ]
         if not futures:
             return np.empty((0,), dtype=np.float64)
         return np.stack([future.result(timeout=timeout) for future in futures])
@@ -382,11 +394,14 @@ class DynamicBatcher:
                 break
             batch = []
             self._admit(first, batch)
+            # A flush request ends the wait even if it was shed or expired:
+            # its caller is blocked and sends no more batch-mates.
+            flush = first.flush
             deadline = time.monotonic() + self.max_wait_s
             while len(batch) < self.max_batch_size:
                 remaining = deadline - time.monotonic()
                 try:
-                    if remaining > 0:
+                    if remaining > 0 and not flush:
                         _, _, item = self._queue.get(timeout=remaining)
                     else:
                         _, _, item = self._queue.get_nowait()
@@ -396,6 +411,7 @@ class DynamicBatcher:
                     draining = True
                     break
                 self._admit(item, batch)
+                flush = flush or item.flush
             self._dispatch(batch)
         # Drain everything still queued at close() time so no future is
         # left pending; requests are still batched, in priority order

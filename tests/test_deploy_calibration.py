@@ -87,9 +87,20 @@ def magnitudes(kind, n, seed):
         return np.zeros(n)
     if kind == "cauchy":
         return np.abs(rng.standard_cauchy(n))
+    if kind == "replicated":
+        # One row tiled over a batch axis, like the class token in the
+        # append_token output: its largest value sits at a sampled
+        # position, so every copy of it lands in the sample.
+        width = 4 * _TAIL_SAMPLE_STRIDE
+        rows = -(-n // (16 * width))
+        values = np.abs(rng.standard_normal((16, rows, width)))
+        shared = 3.0 * np.abs(rng.standard_normal(width))
+        shared[0] = shared.max() + 1.0
+        values[:, 0, :] = shared
+        return values.reshape(-1)[:n]
     # "strided": the sample positions hold the largest values, so the
-    # sampled threshold keeps too few elements and the selector must fall
-    # back to the whole array.
+    # sampled threshold keeps too few elements and the selector must grow
+    # the sample or fall back to the whole array.
     values = np.abs(rng.standard_normal(n))
     values[::_TAIL_SAMPLE_STRIDE] += 1e3 + np.arange(values[::_TAIL_SAMPLE_STRIDE].size)
     return values
@@ -97,7 +108,7 @@ def magnitudes(kind, n, seed):
 
 @given(
     n=st.integers(min_value=1, max_value=5000),
-    kind=st.sampled_from(["normal", "ties", "zeros", "cauchy", "strided"]),
+    kind=st.sampled_from(["normal", "ties", "zeros", "cauchy", "strided", "replicated"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=400, deadline=None)
@@ -119,10 +130,33 @@ def test_sample_that_misses_the_tail_falls_back_to_the_whole_array():
         sampled = values[::_TAIL_SAMPLE_STRIDE]
         keep = 2 * (need // _TAIL_SAMPLE_STRIDE) + 8
         threshold = np.sort(sampled)[sampled.size - keep]
-        assert np.count_nonzero(values >= threshold) < need  # fallback taken
+        assert np.count_nonzero(values >= threshold) < need  # first threshold too high
         assert bits_of(_tail_percentile(values, percentile)) == bits_of(
             np.percentile(values, percentile)
         )
+
+
+def test_replicated_row_grows_the_sample_instead_of_taking_the_whole_array(monkeypatch):
+    values = magnitudes("replicated", 16 * 31 * 64, seed=3)
+    percentile = 99.9
+    need = values.size - int((values.size - 1) * (percentile / 100.0))
+    sampled = values[::_TAIL_SAMPLE_STRIDE]
+    keep = 2 * (need // _TAIL_SAMPLE_STRIDE) + 8
+    threshold = np.sort(sampled)[sampled.size - keep]
+    assert np.count_nonzero(values >= threshold) < need  # first threshold too high
+    partitioned = []
+    partition = np.partition
+
+    def recording_partition(array, kth):
+        partitioned.append(np.size(array))
+        return partition(array, kth)
+
+    monkeypatch.setattr(np, "partition", recording_partition)
+    result = _tail_percentile(values, percentile)
+    monkeypatch.undo()
+    assert bits_of(result) == bits_of(np.percentile(values, percentile))
+    # The final selection runs on a grown tail, not on the whole array.
+    assert partitioned[-1] < values.size // _TAIL_SAMPLE_STRIDE
 
 
 # --------------------------------------------------------------------- #

@@ -120,6 +120,94 @@ def test_flush_timeout_releases_partial_batch():
     assert backend.batches[0].shape[0] == 1
 
 
+# --------------------------------------------------------------------- #
+# Flush: a blocked caller's last window ends the wait for batch-mates
+# --------------------------------------------------------------------- #
+class GatedBackend(RecordingBackend):
+    """Echo backend that blocks every batch until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+
+    def __call__(self, batch):
+        self.release.wait(timeout=10.0)
+        return super().__call__(batch)
+
+
+def occupy(batcher, backend):
+    """Park the forming thread in the backend on a flushed request."""
+    blocker = batcher.submit(np.array([-1]), flush=True)
+    deadline = time.monotonic() + 5.0
+    while not blocker.running() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert blocker.running()
+    return blocker
+
+
+def test_map_does_not_wait_for_batch_mates_but_submit_does():
+    wait = 0.5
+    with DynamicBatcher(echo_batch, max_batch_size=16, max_wait_s=wait) as batcher:
+        start = time.monotonic()
+        assert int(batcher.map([np.array([7])], timeout=10.0)[0][0]) == 7
+        assert time.monotonic() - start < wait / 2
+        start = time.monotonic()
+        assert int(batcher.submit(np.array([8])).result(timeout=10.0)[0]) == 8
+        assert time.monotonic() - start >= wait
+
+
+def test_flush_batch_takes_queued_requests_up_to_the_cap():
+    backend = GatedBackend()
+    with DynamicBatcher(backend, max_batch_size=4, max_wait_s=0.5) as batcher:
+        blocker = occupy(batcher, backend)
+        # Another caller queues 0, 1, 3, 4, 5 around the flush request 2.
+        early = [batcher.submit(np.array([i])) for i in (0, 1)]
+        flushed = batcher.submit(np.array([2]), flush=True)
+        late = [batcher.submit(np.array([i])) for i in (3, 4, 5)]
+        start = time.monotonic()
+        backend.release.set()
+        assert int(flushed.result(timeout=10.0)[0]) == 2
+        assert time.monotonic() - start < 0.25
+        results = [int(f.result(timeout=10.0)[0]) for f in [blocker] + early + late]
+    assert results == [-1, 0, 1, 3, 4, 5]
+    assert [batch[:, 0].tolist() for batch in backend.batches] == [
+        [-1],
+        [0, 1, 2, 3],  # queued requests join the flush batch up to the cap
+        [4, 5],
+    ]
+
+
+@pytest.mark.parametrize("fate", ["expired", "shed"])
+def test_flush_request_that_never_runs_still_ends_the_wait(fate):
+    from repro.serve import DeadlineExceeded, Overloaded, Priority
+
+    backend = GatedBackend()
+    with DynamicBatcher(
+        backend, max_batch_size=8, max_wait_s=0.5, max_queue_depth=2
+    ) as batcher:
+        blocker = occupy(batcher, backend)
+        mates = [1]
+        futures = [batcher.submit(np.array([1]), priority=Priority.HIGH)]
+        if fate == "expired":
+            flushed = batcher.submit(np.array([2]), deadline_s=0.001, flush=True)
+            time.sleep(0.01)
+            error = DeadlineExceeded
+        else:
+            flushed = batcher.submit(np.array([2]), priority=Priority.LOW, flush=True)
+            # The queue is full: this HIGH request sheds the LOW flush one.
+            mates.append(3)
+            futures.append(batcher.submit(np.array([3]), priority=Priority.HIGH))
+            error = Overloaded
+        start = time.monotonic()
+        backend.release.set()
+        assert [int(f.result(timeout=10.0)[0]) for f in futures] == mates
+        assert time.monotonic() - start < 0.25
+        with pytest.raises(error):
+            flushed.result(timeout=10.0)
+        blocker.result(timeout=10.0)
+    assert [batch[:, 0].tolist() for batch in backend.batches] == [[-1], mates]
+
+
 def test_max_batch_size_one_serves_requests_individually():
     backend = RecordingBackend()
     with DynamicBatcher(backend, max_batch_size=1, max_wait_s=0.0) as batcher:

@@ -205,6 +205,35 @@ class TestServerFacade:
         assert stats.requests == 3
 
 
+    def test_blocking_calls_flush_only_their_last_window(self, rng, cache):
+        """``infer``, ``predict`` and stream pushes submit once per window
+        and flush only the last; ``infer_async`` keeps the timer."""
+        with InferenceServer(
+            "bio1", "float", patch_size=10, model_kwargs=GEOMETRY, cache=cache
+        ) as server:
+            flushes = []
+            submit = server.submit
+
+            def recording_submit(window, *args, **kwargs):
+                flushes.append(kwargs.get("flush", False))
+                return submit(window, *args, **kwargs)
+
+            server.submit = recording_submit
+            server.infer(rng.normal(size=(5, 4, 60)))
+            assert flushes == [False] * 4 + [True]
+            flushes.clear()
+            server.predict(rng.normal(size=(3, 4, 60)))
+            assert flushes == [False, False, True]
+            flushes.clear()
+            session = server.open_stream(slide=20)
+            assert len(session.push(rng.normal(size=(4, 100)))) == 3
+            assert flushes == [False, False, True]
+            flushes.clear()
+            for future in server.infer_async(rng.normal(size=(2, 4, 60))):
+                future.result(timeout=10.0)
+            assert flushes == [False, False]
+
+
 # --------------------------------------------------------------------- #
 # Multi-worker pool execution and the async/priority surface
 # --------------------------------------------------------------------- #
