@@ -189,21 +189,9 @@ class FloatGraphExecutor:
     # ------------------------------------------------------------------ #
     # Whole-graph execution
     # ------------------------------------------------------------------ #
-    def _batched_input(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim == len(self.graph.graph_input.shape):
-            inputs = inputs[None, ...]
-        expected = self.graph.graph_input.shape
-        if tuple(inputs.shape[1:]) != tuple(expected):
-            raise ValueError(
-                f"graph '{self.graph.name}' expects input shape {expected}, "
-                f"got {tuple(inputs.shape[1:])}"
-            )
-        return inputs
-
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Run the graph on a ``(batch, channels, samples)`` input batch."""
-        tensors = {self.graph.graph_input.name: self._batched_input(inputs)}
+        tensors = {self.graph.graph_input.name: self.graph.batched_input(inputs)}
         for node, dead in zip(self.graph.nodes, self._dead_after):
             tensors[node.output.name] = self._run_node(node, tensors)
             for name in dead:
@@ -216,7 +204,7 @@ class FloatGraphExecutor:
         The returned mapping is keyed by tensor name and includes the graph
         input; it is what the int8 lowering pass calibrates on.
         """
-        tensors = {self.graph.graph_input.name: self._batched_input(inputs)}
+        tensors = {self.graph.graph_input.name: self.graph.batched_input(inputs)}
         for node in self.graph.nodes:
             tensors[node.output.name] = self._run_node(node, tensors)
         return tensors

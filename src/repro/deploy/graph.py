@@ -359,6 +359,20 @@ class ComputeGraph:
             specs[node.output.name] = node.output
         return specs
 
+    def batched_input(self, inputs: np.ndarray) -> np.ndarray:
+        """``inputs`` as a float64 batch (a single sample gains the batch
+        axis); any other geometry raises ``ValueError`` naming the graph."""
+        inputs = np.asarray(inputs, dtype=np.float64)
+        expected = tuple(self.graph_input.shape)
+        if inputs.ndim == len(expected):
+            inputs = inputs[None, ...]
+        if tuple(inputs.shape[1:]) != expected:
+            raise ValueError(
+                f"graph '{self.name}' expects input shape {expected}, "
+                f"got {tuple(inputs.shape[1:])}"
+            )
+        return inputs
+
     def node(self, name: str) -> GraphNode:
         """Return the node called ``name``."""
         for node in self.nodes:

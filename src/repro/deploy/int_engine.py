@@ -5,21 +5,17 @@ GAP8 cluster: int8 activations and weights, int32 accumulators, fixed-point
 requantisation between kernels, and I-BERT integer approximations for the
 transformer non-linearities (softmax, GELU, LayerNorm).
 
-When the lowered graph carries precomputed lookup tables
-(:class:`~repro.deploy.graph.LookupTable`, emitted by ``lower_to_int8`` by
-default), the GELU and softmax-``exp`` nonlinearities execute as a single
-vectorised ``np.take`` instead of replaying the I-BERT polynomials per
-element; a graph lowered without tables runs the elementwise kernels.  Both
-are bit-identical over the full representable input domain (the tables are
-built from the elementwise kernels, and the test-suite pins the equality
-exhaustively).
-
-The MAC-heavy operators (``conv1d``, ``linear``, ``matmul``) execute through
-a shared batched GEMM primitive (:func:`int_gemm`): ``conv1d`` is lowered to
-im2col + one integer matmul per layer across the whole micro-batch, and the
-fixed-point requantisation is applied once per output tile with the
-multiplier/shift pair precomputed at lowering time
-(:class:`~repro.deploy.lowering.GemmTileInfo`).
+:class:`IntegerGraphExecutor` binds every node once, at construction, to a
+kernel closure over the node's constants, attributes, output grid and the
+``(multiplier, shift)`` pairs ``QuantizeWeightsPass`` stored for it — the
+pairs the code generator writes to ``weights.h``; the executor encodes
+none of its own.  The MAC operators (``conv1d`` via im2col, ``linear``,
+``matmul``) run on one batched GEMM primitive (:func:`int_gemm`) that
+requantises once per output tile.  GELU and the softmax ``exp`` run as one
+``np.take`` over the node's lookup table when the lowering tabulated them
+and through the elementwise I-BERT kernels otherwise; the two are
+bit-identical over the full input domain (the tables are built from the
+elementwise kernels, and the test-suite pins the equality exhaustively).
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the generated weights and the requantisation constants can all
@@ -29,26 +25,16 @@ which is exactly how MCU deployment flows are qualified in practice.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..nn.functional import im2col
 from ..quant import ibert
-from .graph import GraphNode
-from .lowering import (
-    ActivationQuantization,
-    QuantizedGraph,
-    QuantizedNode,
-    quantize_multiplier,
-)
+from .graph import OPERATORS, GraphNode
+from .lowering import QuantizedGraph, apply_requant, requantize
 
 __all__ = ["IntegerGraphExecutor", "apply_requant", "int_gemm", "requantize"]
-
-_INT8_MIN = -128
-_INT8_MAX = 127
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 #: Largest integer magnitude float64 represents exactly (2**53).  Below this
 #: bound a float64 GEMM over integer operands is *exact*: every product and
@@ -77,64 +63,6 @@ def _gemm_accumulate(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs.astype(np.int64) @ rhs.astype(np.int64)
 
 
-def apply_requant(
-    values: np.ndarray,
-    multiplier: int,
-    shift: int,
-    qmin: int = _INT8_MIN,
-    qmax: int = _INT8_MAX,
-) -> np.ndarray:
-    """Apply an already-encoded fixed-point requantiser to accumulators.
-
-    This is the per-tile half of :func:`requantize`: the caller supplies the
-    ``(multiplier, shift)`` pair (precomputed at lowering time, or memoised
-    by the executor), so one encoded requantiser is reused across every
-    invocation of the kernel instead of re-running the encoding loops of
-    :func:`~repro.deploy.lowering.quantize_multiplier` per call.
-    """
-    scaled = values.astype(np.int64) * multiplier
-    if shift > 0:
-        rounding = np.int64(1) << (shift - 1)
-        scaled = (scaled + rounding) >> shift
-    elif shift < 0:
-        left = -shift
-        # Left shifts occur only for extreme (>~2) requantisation factors.
-        # A saturating value would overflow int64 and wrap sign; clipping
-        # to [qmin, qmax] *before* the shift is exact, because the final
-        # clip is monotone and qmin <= 0 <= qmax: any value outside the
-        # grid before scaling up lands on the same bound after it.
-        scaled = np.clip(scaled, qmin, qmax)
-        if (int(max(abs(qmin), abs(qmax))) << left) > _INT64_MAX:
-            # The shift alone exceeds int64: every non-zero value saturates.
-            scaled = np.where(scaled > 0, qmax, np.where(scaled < 0, qmin, 0))
-        else:
-            scaled = scaled << np.int64(left)
-    return np.clip(scaled, qmin, qmax).astype(np.int32)
-
-
-def requantize(
-    values: np.ndarray,
-    factor: float,
-    qmin: int = _INT8_MIN,
-    qmax: int = _INT8_MAX,
-) -> np.ndarray:
-    """Rescale integer accumulators by ``factor`` using fixed-point arithmetic.
-
-    ``factor`` is encoded as a 31-bit multiplier plus arithmetic shift (see
-    :func:`repro.deploy.lowering.quantize_multiplier`), the result is
-    rounded, clipped to ``[qmin, qmax]`` and returned as ``int32`` — the same
-    sequence of operations the generated C kernels perform.
-
-    A negative ``factor`` (the I-BERT polynomial kernels track the sign in
-    the scale) is handled by negating the accumulators first.
-    """
-    if factor < 0:
-        values = -np.asarray(values)
-        factor = -factor
-    multiplier, shift = quantize_multiplier(factor)
-    return apply_requant(np.asarray(values), multiplier, shift, qmin, qmax)
-
-
 def int_gemm(
     lhs: np.ndarray,
     rhs: np.ndarray,
@@ -144,18 +72,13 @@ def int_gemm(
     """Shared integer GEMM primitive: ``lhs @ rhs`` with int64 accumulation.
 
     ``lhs`` is ``(..., M, K)`` and ``rhs`` ``(K, N)`` (or ``(..., K, N)``
-    for stacked batched multiplies); both are upcast to int64 so the whole
-    contraction runs as a single integer matmul — this is the kernel the
-    im2col'd ``conv1d``, ``linear`` and attention ``matmul`` paths all
-    lower onto.  ``bias`` (int64, broadcast over the trailing axis) is
-    added to the accumulator, and ``requant`` — a
-    ``(multiplier, shift, qmin, qmax)`` tile — applies the fixed-point
-    output requantisation once over the full output tile.  Without
-    ``requant`` the raw int64 accumulator is returned.
-
-    The contraction itself runs through BLAS whenever that is provably
-    exact for the operand ranges (see :func:`_gemm_accumulate`) — int8-grid
-    inputs always qualify.
+    for stacked batched multiplies) — the kernel the im2col'd ``conv1d``,
+    ``linear`` and attention ``matmul`` all lower onto.  ``bias`` (int64,
+    broadcast over the trailing axis) is added to the accumulator, and a
+    ``requant`` tile ``(multiplier, shift, qmin, qmax)`` requantises the
+    whole output once; without it the raw int64 accumulator is returned.
+    The contraction runs through BLAS whenever that is provably exact (see
+    :func:`_gemm_accumulate`), which int8-grid inputs always are.
     """
     accumulator = _gemm_accumulate(lhs, rhs)
     if bias is not None:
@@ -166,57 +89,237 @@ def int_gemm(
     return apply_requant(accumulator, multiplier, shift, qmin, qmax)
 
 
+#: A bound node kernel: ``kernel(x, tensors)`` maps the node's first input
+#: ``x`` (and, for two-operand ops, ``tensors``) to its int8 output.
+Kernel = Callable[[np.ndarray, Dict[str, np.ndarray]], np.ndarray]
+
+def _conv1d(node, lowered, in_scale, requant) -> Kernel:
+    weight = lowered.constants["weight"].values
+    out_channels, _, kernel = weight.shape
+    flat_weight = weight.reshape(out_channels, -1).T
+    bias = getattr(lowered.constants.get("bias"), "values", None)
+    output = requant["output"]
+    stride, padding, dilation = (int(node.attrs[key]) for key in ("stride", "padding", "dilation"))
+
+    def run(q_x, tensors):
+        patches = im2col(q_x, kernel, stride=stride, padding=padding, dilation=dilation)
+        batch, out_length, patch_dim = patches.shape
+        rows = patches.reshape(batch * out_length, patch_dim)
+        quantized = int_gemm(rows, flat_weight, bias=bias, requant=output)
+        return quantized.reshape(batch, out_length, out_channels).transpose(0, 2, 1)
+
+    return run
+
+
+def _linear(node, lowered, in_scale, requant) -> Kernel:
+    weight = lowered.constants["weight"].values
+    out_features, in_features = weight.shape
+    weight_t = weight.T
+    bias = getattr(lowered.constants.get("bias"), "values", None)
+    output = requant["output"]
+
+    def run(q_x, tensors):
+        rows = q_x.reshape(-1, in_features)
+        quantized = int_gemm(rows, weight_t, bias=bias, requant=output)
+        return quantized.reshape(q_x.shape[:-1] + (out_features,))
+
+    return run
+
+
+def _matmul(node, lowered, in_scale, requant) -> Kernel:
+    other = node.inputs[1]
+    transpose_b = bool(node.attrs.get("transpose_b", False))
+    output = requant["output"]
+
+    def run(q_x, tensors):
+        q_other = tensors[other]
+        if transpose_b:
+            q_other = np.swapaxes(q_other, -1, -2)
+        # Fold the leading (batch, heads) axes into one stacked GEMM so the
+        # whole micro-batch contracts in a single matmul.
+        quantized = int_gemm(
+            q_x.reshape((-1,) + q_x.shape[-2:]),
+            q_other.reshape((-1,) + q_other.shape[-2:]),
+            requant=output,
+        )
+        return quantized.reshape(q_x.shape[:-2] + quantized.shape[-2:])
+
+    return run
+
+
+def _channel_affine(node, lowered, in_scale, requant) -> Kernel:
+    scale = lowered.constants["scale"].values.reshape(1, -1, 1)
+    shift = lowered.constants["shift"].values.reshape(1, -1, 1)
+    output = requant["output"]
+
+    def run(q_x, tensors):
+        accumulator = q_x.astype(np.int64) * scale
+        accumulator += shift
+        return apply_requant(accumulator, *output)
+
+    return run
+
+
+def _add(node, lowered, in_scale, requant) -> Kernel:
+    other = node.inputs[1]
+    lhs, rhs = requant["lhs"], requant["rhs"]
+    qmin, qmax = lhs[2:]
+
+    def run(q_x, tensors):
+        total = apply_requant(q_x.astype(np.int64), *lhs)
+        total = total + apply_requant(tensors[other].astype(np.int64), *rhs)
+        return np.clip(total, qmin, qmax).astype(np.int32)
+
+    return run
+
+
+def _append_token(node, lowered, in_scale, requant) -> Kernel:
+    token = lowered.constants["token"].values.reshape(1, 1, -1).astype(np.int32, copy=False)
+    rescale = requant["input"]
+
+    def run(q_x, tensors):
+        rescaled = apply_requant(q_x.astype(np.int64), *rescale)
+        tokens = np.broadcast_to(token, (rescaled.shape[0], 1, rescaled.shape[2]))
+        return np.concatenate([rescaled, tokens], axis=1)
+
+    return run
+
+
+def _add_positional(node, lowered, in_scale, requant) -> Kernel:
+    positions = lowered.constants["positions"].values[None, :, :]
+    rescale = requant["input"]
+    qmin, qmax = rescale[2:]
+
+    def run(q_x, tensors):
+        rescaled = apply_requant(q_x.astype(np.int64), *rescale)
+        return np.clip(rescaled + positions, qmin, qmax).astype(np.int32)
+
+    return run
+
+
+def _relu(node, lowered, in_scale, requant) -> Kernel:
+    output = requant["output"]
+    return lambda q_x, tensors: apply_requant(np.maximum(q_x, 0).astype(np.int64), *output)
+
+
+def _gelu(node, lowered, in_scale, requant) -> Kernel:
+    table = lowered.luts.get("gelu")
+    if table is not None:
+        # The table already fuses the polynomial and the output
+        # requantisation: one gather per element.
+        return lambda q_x, tensors: table.take(q_x).astype(np.int32)
+    output = requant["output"]
+    return lambda q_x, tensors: apply_requant(
+        ibert.integer_gelu(q_x.astype(np.int64), in_scale)[0], *output
+    )
+
+
+def _softmax(node, lowered, in_scale, requant) -> Kernel:
+    axis = int(node.attrs.get("axis", -1))
+    table = lowered.luts.get("exp")
+    output = requant["output"]
+    if table is None:
+        return lambda q_x, tensors: apply_requant(
+            ibert.integer_softmax(q_x.astype(np.int64), in_scale, axis=axis)[0], *output
+        )
+    one = np.int64(1) << ibert.SOFTMAX_OUTPUT_BITS
+
+    def run(q_x, tensors):
+        q = q_x.astype(np.int64)
+        q_exp = table.take(q - q.max(axis=axis, keepdims=True))
+        total = np.maximum(q_exp.sum(axis=axis, keepdims=True), 1)
+        return apply_requant((q_exp * one) // total, *output)
+
+    return run
+
+
+def _layernorm(node, lowered, in_scale, requant) -> Kernel:
+    weight = lowered.constants["weight"].values
+    bias = lowered.constants["bias"].values
+    output = requant["output"]
+    return lambda q_x, tensors: apply_requant(
+        ibert.integer_layernorm(q_x.astype(np.int64), in_scale, weight, bias)[0], *output
+    )
+
+
+def _avgpool1d(node, lowered, in_scale, requant) -> Kernel:
+    kernel = int(node.attrs["kernel_size"])
+    stride = int(node.attrs["stride"])
+    output = requant["output"]
+
+    def run(q_x, tensors):
+        # One strided gather over all taps: (B, C, out_length, kernel).
+        windows = np.lib.stride_tricks.sliding_window_view(q_x, kernel, axis=-1)
+        accumulator = windows[:, :, ::stride, :].astype(np.int64).sum(axis=-1)
+        return apply_requant(accumulator, *output)
+
+    return run
+
+
+def _mean_tokens(node, lowered, in_scale, requant) -> Kernel:
+    output = requant["output"]
+    return lambda q_x, tensors: apply_requant(q_x.astype(np.int64).sum(axis=1), *output)
+
+
+def _flatten(node, lowered, in_scale, requant) -> Kernel:
+    return lambda q_x, tensors: q_x.reshape(q_x.shape[0], -1)
+
+
+def _split_heads(node, lowered, in_scale, requant) -> Kernel:
+    heads, head_dim = int(node.attrs["num_heads"]), int(node.attrs["head_dim"])
+    return lambda q_x, tensors: q_x.reshape(
+        q_x.shape[:2] + (heads, head_dim)
+    ).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(node, lowered, in_scale, requant) -> Kernel:
+    return lambda q_x, tensors: q_x.transpose(0, 2, 1, 3).reshape(
+        q_x.shape[0], q_x.shape[2], q_x.shape[1] * q_x.shape[3]
+    )
+
+
+def _transpose(node, lowered, in_scale, requant) -> Kernel:
+    axes = (0,) + tuple(axis + 1 for axis in node.attrs["axes"])
+    return lambda q_x, tensors: q_x.transpose(axes)
+
+
+def _select_token(node, lowered, in_scale, requant) -> Kernel:
+    index = int(node.attrs["index"])
+    return lambda q_x, tensors: q_x[:, index, :]
+
+
+#: Each operator's binder is the function named after it.  It returns the
+#: node's kernel, closed over the node's attributes, its ``QuantizedNode``
+#: payload, its input scale and ``requant``: role -> ``(multiplier, shift,
+#: qmin, qmax)``, the stored pairs on the node's output grid.
+_BINDERS: Dict[str, Callable[..., Kernel]] = {op: globals()[f"_{op}"] for op in OPERATORS}
+
+
 class IntegerGraphExecutor:
     """Executes a :class:`QuantizedGraph` with integer-only arithmetic.
 
     The lowered graph alone decides how each node runs: MAC nodes through
-    :func:`int_gemm` with their lowering-time requantiser tile, GELU/softmax
-    through their lookup table when the node carries one and through the
-    elementwise I-BERT kernels when it does not.
+    :func:`int_gemm`, GELU/softmax through their lookup table when the node
+    carries one and through the elementwise I-BERT kernels when it does
+    not, every requantisation with the node's stored pairs.  Each kernel
+    (fused-chain members included) is bound once, here, by node name.
     """
 
     def __init__(self, quantized: QuantizedGraph) -> None:
         self.quantized = quantized
         self.graph = quantized.graph
-        # Requantiser memo: factor -> (multiplier, shift).  The MAC nodes
-        # carry their encoded requantiser from lowering (GemmTileInfo); the
-        # remaining ops (avgpool, mean, the I-BERT tails) compute factors
-        # at runtime, so the encoding loops of ``quantize_multiplier`` are
-        # paid once per distinct factor instead of once per invocation.
-        self._multiplier_cache: Dict[float, Tuple[int, int]] = {}
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    def _activation(self, tensor_name: str) -> ActivationQuantization:
-        return self.quantized.activations[tensor_name]
-
-    def _encode_multiplier(self, factor: float) -> Tuple[int, int]:
-        """Memoised :func:`quantize_multiplier` (positive factors only)."""
-        cached = self._multiplier_cache.get(factor)
-        if cached is None:
-            cached = quantize_multiplier(factor)
-            self._multiplier_cache[factor] = cached
-        return cached
-
-    def _requant_to(self, values: np.ndarray, in_scale: float, tensor_name: str) -> np.ndarray:
-        out = self._activation(tensor_name)
-        factor = in_scale / out.scale
-        values = np.asarray(values)
-        if factor < 0:
-            values, factor = -values, -factor
-        multiplier, shift = self._encode_multiplier(factor)
-        return apply_requant(values, multiplier, shift, out.qmin, out.qmax)
-
-    def _gemm_requant(
-        self, lowered: QuantizedNode, out_name: str
-    ) -> Tuple[int, int, int, int]:
-        """The ``(multiplier, shift, qmin, qmax)`` tile of a MAC node, from
-        the :class:`~repro.deploy.lowering.GemmTileInfo` the lowering's
-        ``PlanGemmTilesPass`` attaches to every MAC node."""
-        out = self._activation(out_name)
-        tile = lowered.gemm
-        return (tile.multiplier, tile.shift, out.qmin, out.qmax)
+        activations = quantized.activations
+        self._kernels: Dict[str, Kernel] = {}
+        for node in self.graph.nodes:
+            for sub in node.fusion_chain:
+                lowered = quantized.nodes[sub.name]
+                out = activations[sub.output.name]
+                requant = {
+                    role: (multiplier, shift, out.qmin, out.qmax)
+                    for role, (multiplier, shift) in lowered.requantizers.items()
+                }
+                in_scale = activations[sub.inputs[0]].scale
+                self._kernels[sub.name] = _BINDERS[sub.op](sub, lowered, in_scale, requant)
 
     # ------------------------------------------------------------------ #
     # Single-node dispatch
@@ -234,162 +337,16 @@ class IntegerGraphExecutor:
                 value = self._run_node(sub, local)
                 local[sub.output.name] = value
             return value
-        lowered = self.quantized.nodes[node.name]
-        op = node.op
-        q_x = tensors[node.inputs[0]]
-        in_scale = self._activation(node.inputs[0]).scale
-        out_name = node.output.name
-        out_scale = self._activation(out_name).scale
-
-        if op == "conv1d":
-            weight = lowered.constants["weight"]
-            bias = lowered.constants.get("bias")
-            out_channels, _, kernel = weight.values.shape
-            patches = im2col(
-                q_x,
-                kernel,
-                stride=int(node.attrs["stride"]),
-                padding=int(node.attrs["padding"]),
-                dilation=int(node.attrs["dilation"]),
-            )
-            batch, out_length, patch_dim = patches.shape
-            flat_weight = weight.values.reshape(out_channels, patch_dim)
-            quantized = int_gemm(
-                patches.reshape(batch * out_length, patch_dim),
-                flat_weight.T,
-                bias=bias.values if bias is not None else None,
-                requant=self._gemm_requant(lowered, out_name),
-            )
-            return quantized.reshape(batch, out_length, out_channels).transpose(0, 2, 1)
-
-        if op == "linear":
-            weight = lowered.constants["weight"]
-            bias = lowered.constants.get("bias")
-            out_features, in_features = weight.values.shape
-            lead = q_x.shape[:-1]
-            quantized = int_gemm(
-                q_x.reshape(-1, in_features),
-                weight.values.T,
-                bias=bias.values if bias is not None else None,
-                requant=self._gemm_requant(lowered, out_name),
-            )
-            return quantized.reshape(lead + (out_features,))
-
-        if op == "channel_affine":
-            scale_const = lowered.constants["scale"]
-            shift_const = lowered.constants["shift"]
-            accumulator = q_x.astype(np.int64) * scale_const.values.reshape(1, -1, 1)
-            accumulator += shift_const.values.reshape(1, -1, 1)
-            return self._requant_to(accumulator, in_scale * scale_const.scale, out_name)
-
-        if op == "matmul":
-            q_other = tensors[node.inputs[1]]
-            if node.attrs.get("transpose_b", False):
-                q_other = np.swapaxes(q_other, -1, -2)
-            # Fold the leading (batch, heads) axes into one stacked GEMM so
-            # the whole micro-batch contracts in a single matmul.
-            lead = q_x.shape[:-2]
-            quantized = int_gemm(
-                q_x.reshape((-1,) + q_x.shape[-2:]),
-                q_other.reshape((-1,) + q_other.shape[-2:]),
-                requant=self._gemm_requant(lowered, out_name),
-            )
-            return quantized.reshape(lead + quantized.shape[-2:])
-
-        if op == "add":
-            q_other = tensors[node.inputs[1]]
-            other_scale = self._activation(node.inputs[1]).scale
-            lhs = self._requant_to(q_x.astype(np.int64), in_scale, out_name)
-            rhs = self._requant_to(q_other.astype(np.int64), other_scale, out_name)
-            out = self._activation(out_name)
-            return np.clip(lhs + rhs, out.qmin, out.qmax).astype(np.int32)
-
-        if op == "append_token":
-            token = lowered.constants["token"].values.reshape(1, 1, -1)
-            rescaled = self._requant_to(q_x.astype(np.int64), in_scale, out_name)
-            token = np.broadcast_to(token, (rescaled.shape[0], 1, rescaled.shape[2]))
-            return np.concatenate([rescaled, token.astype(np.int32)], axis=1)
-
-        if op == "add_positional":
-            positions = lowered.constants["positions"].values[None, :, :]
-            rescaled = self._requant_to(q_x.astype(np.int64), in_scale, out_name)
-            out = self._activation(out_name)
-            return np.clip(rescaled + positions, out.qmin, out.qmax).astype(np.int32)
-
-        if op == "relu":
-            return self._requant_to(np.maximum(q_x, 0).astype(np.int64), in_scale, out_name)
-
-        if op == "gelu":
-            table = lowered.luts.get("gelu")
-            if table is not None:
-                # The table already fuses the polynomial and the output
-                # requantisation: one gather per element.
-                return table.take(q_x).astype(np.int32)
-            q_out, gelu_scale = ibert.integer_gelu(q_x.astype(np.int64), in_scale)
-            return self._requant_to(q_out, gelu_scale, out_name)
-
-        if op == "softmax":
-            axis = int(node.attrs.get("axis", -1))
-            table = lowered.luts.get("exp")
-            if table is not None:
-                q = q_x.astype(np.int64)
-                shifted = q - q.max(axis=axis, keepdims=True)
-                q_exp = table.take(shifted)
-                total = np.maximum(q_exp.sum(axis=axis, keepdims=True), 1)
-                factor = np.int64(1) << ibert.SOFTMAX_OUTPUT_BITS
-                q_out = (q_exp * factor) // total
-                return self._requant_to(q_out, 1.0 / float(factor), out_name)
-            q_out, softmax_scale = ibert.integer_softmax(
-                q_x.astype(np.int64), in_scale, axis=axis
-            )
-            return self._requant_to(q_out, softmax_scale, out_name)
-
-        if op == "layernorm":
-            weight = lowered.constants["weight"].values
-            bias = lowered.constants["bias"].values
-            q_out, ln_scale = ibert.integer_layernorm(q_x.astype(np.int64), in_scale, weight, bias)
-            return self._requant_to(q_out, ln_scale, out_name)
-
-        if op == "avgpool1d":
-            kernel = int(node.attrs["kernel_size"])
-            stride = int(node.attrs["stride"])
-            # One strided gather over all taps: (B, C, out_length, kernel).
-            windows = np.lib.stride_tricks.sliding_window_view(q_x, kernel, axis=-1)
-            accumulator = windows[:, :, ::stride, :].astype(np.int64).sum(axis=-1)
-            return self._requant_to(accumulator, in_scale / kernel, out_name)
-
-        if op == "mean_tokens":
-            accumulator = q_x.astype(np.int64).sum(axis=1)
-            return self._requant_to(accumulator, in_scale / q_x.shape[1], out_name)
-
-        if op == "flatten":
-            return q_x.reshape(q_x.shape[0], -1)
-        if op == "split_heads":
-            heads = int(node.attrs["num_heads"])
-            head_dim = int(node.attrs["head_dim"])
-            batch, sequence, _ = q_x.shape
-            return q_x.reshape(batch, sequence, heads, head_dim).transpose(0, 2, 1, 3)
-        if op == "merge_heads":
-            batch, heads, sequence, head_dim = q_x.shape
-            return q_x.transpose(0, 2, 1, 3).reshape(batch, sequence, heads * head_dim)
-        if op == "transpose":
-            axes = tuple(node.attrs["axes"])
-            return q_x.transpose((0,) + tuple(axis + 1 for axis in axes))
-        if op == "select_token":
-            return q_x[:, int(node.attrs["index"]), :]
-        raise NotImplementedError(f"integer executor does not implement '{op}'")
+        return self._kernels[node.name](tensors[node.inputs[0]], tensors)
 
     # ------------------------------------------------------------------ #
     # Whole-graph execution
     # ------------------------------------------------------------------ #
     def run_integer(self, inputs: np.ndarray) -> np.ndarray:
         """Run the graph; returns the *integer* logits (int8 grid)."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim == len(self.graph.graph_input.shape):
-            inputs = inputs[None, ...]
-        input_quant = self.quantized.input_quantization
+        batch = self.graph.batched_input(inputs)
         tensors: Dict[str, np.ndarray] = {
-            self.graph.graph_input.name: input_quant.quantize(inputs)
+            self.graph.graph_input.name: self.quantized.input_quantization.quantize(batch)
         }
         for node in self.graph.nodes:
             tensors[node.output.name] = self._run_node(node, tensors)

@@ -21,8 +21,9 @@ under a :class:`~repro.deploy.passes.PassManager`, and the resulting
 :class:`QuantizedGraph` is consumed by the integer executor
 (:mod:`repro.deploy.int_engine`) and the code generator
 (:mod:`repro.deploy.codegen`).  This module keeps the lowering *data model*
-(activation/constant/node/graph dataclasses, the fixed-point multiplier
-encoding, the LUT builders) that both the passes and the consumers share.
+(activation/constant/node/graph dataclasses, the fixed-point requantiser
+encoding and its application, the LUT builders) that both the passes and
+the consumers share.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .graph import ComputeGraph, GraphNode, LookupTable
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .passes import LoweringConfig, PassRecord
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 __all__ = [
     "ActivationQuantization",
     "CalibrationError",
@@ -47,6 +50,9 @@ __all__ = [
     "QuantizedNode",
     "QuantizedGraph",
     "quantize_multiplier",
+    "encode_requantizer",
+    "apply_requant",
+    "requantize",
     "build_gelu_lut",
     "build_softmax_exp_lut",
     "lower_to_int8",
@@ -72,6 +78,57 @@ def quantize_multiplier(value: float, bits: int = 31) -> Tuple[int, int]:
         scaled /= 2.0
         shift -= 1
     return int(round(scaled)), shift
+
+
+def encode_requantizer(factor: float) -> Tuple[int, int]:
+    """:func:`quantize_multiplier` of ``|factor|``, the sign on the multiplier.
+
+    :func:`apply_requant` multiplies in int64, where ``(-v) * m == v * (-m)``
+    exactly, so a negative pair equals negating the accumulators first.
+    """
+    multiplier, shift = quantize_multiplier(abs(factor))
+    return (-multiplier if factor < 0 else multiplier), shift
+
+
+def apply_requant(
+    values: np.ndarray,
+    multiplier: int,
+    shift: int,
+    qmin: int = -128,
+    qmax: int = 127,
+) -> np.ndarray:
+    """Apply an encoded ``(multiplier, shift)`` requantiser to accumulators.
+
+    Consumers pass the pair the lowering stored on the node
+    (:attr:`QuantizedNode.requantizers`).  The result is rounded, clipped to
+    ``[qmin, qmax]`` and returned as ``int32``, the same sequence of
+    operations the generated C kernels perform.
+    """
+    scaled = values.astype(np.int64) * multiplier
+    if shift > 0:
+        rounding = np.int64(1) << (shift - 1)
+        scaled = (scaled + rounding) >> shift
+    elif shift < 0:
+        left = -shift
+        # Left shifts occur only for extreme (>~2) requantisation factors.
+        # A saturating value would overflow int64 and wrap sign; clipping
+        # to [qmin, qmax] *before* the shift is exact, because the final
+        # clip is monotone and qmin <= 0 <= qmax: any value outside the
+        # grid before scaling up lands on the same bound after it.
+        scaled = np.clip(scaled, qmin, qmax)
+        if (int(max(abs(qmin), abs(qmax))) << left) > _INT64_MAX:
+            # The shift alone exceeds int64: every non-zero value saturates.
+            scaled = np.where(scaled > 0, qmax, np.where(scaled < 0, qmin, 0))
+        else:
+            scaled = scaled << np.int64(left)
+    return np.clip(scaled, qmin, qmax).astype(np.int32)
+
+
+def requantize(values: np.ndarray, factor: float, qmin: int = -128, qmax: int = 127) -> np.ndarray:
+    """Rescale integer accumulators by a float ``factor`` in fixed point:
+    :func:`encode_requantizer` followed by :func:`apply_requant`."""
+    multiplier, shift = encode_requantizer(factor)
+    return apply_requant(np.asarray(values), multiplier, shift, qmin, qmax)
 
 
 @dataclass(frozen=True)
@@ -117,22 +174,18 @@ class QuantizedConstant:
 
 @dataclass(frozen=True)
 class GemmTileInfo:
-    """Integer-GEMM lowering contract of one MAC node.
+    """Tile shape of one MAC node's integer GEMM.
 
     ``conv1d`` (after im2col), ``linear`` and ``matmul`` all execute as one
     ``(M, K) @ (K, N)`` integer matmul per sample — ``M`` output rows per
     sample (the batch axis multiplies ``M``), ``K`` contracted inputs and
-    ``N`` output features — followed by one fixed-point requantisation of
-    the whole output tile.  The ``(multiplier, shift)`` pair is encoded
-    here, at lowering time, so the executor and the generated kernels never
-    re-derive it per invocation.
+    ``N`` output features.  The tile's requantiser is the node's
+    ``requantizers["output"]`` pair; the tile holds only the shape.
     """
 
     m: int
     k: int
     n: int
-    multiplier: int
-    shift: int
 
     @property
     def macs(self) -> int:
@@ -146,11 +199,13 @@ class QuantizedNode:
 
     node: GraphNode
     constants: Dict[str, QuantizedConstant] = field(default_factory=dict)
-    #: Requantisation multiplier/shift pairs keyed by role (usually "output").
+    #: Every ``(multiplier, shift)`` pair the node's integer kernel applies,
+    #: by role: ``"output"``, ``"lhs"``/``"rhs"`` (add) or ``"input"``
+    #: (append_token, add_positional).  The executor, the GELU table builder
+    #: and codegen read them; a negative multiplier carries a negative factor.
     requantizers: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: Integer-GEMM tile metadata; populated for the MAC operators
-    #: (``conv1d``, ``linear``, ``matmul``) so the batched GEMM path and the
-    #: code generator share one lowering-time requantisation contract.
+    #: GEMM tile shape of the MAC operators (``conv1d``, ``linear``,
+    #: ``matmul``); ``None`` elsewhere.
     gemm: Optional[GemmTileInfo] = None
     #: Precomputed lookup tables keyed by role (``"gelu"``, ``"exp"``); only
     #: populated for :data:`~repro.deploy.graph.LUT_OPERATORS` nodes when the
@@ -317,22 +372,22 @@ def _quantize_weight(values: np.ndarray, spec: QuantizationSpec) -> QuantizedCon
 # Lookup-table construction (I-BERT nonlinearities over bounded domains)
 # --------------------------------------------------------------------- #
 def build_gelu_lut(
-    in_act: ActivationQuantization, out_act: ActivationQuantization
+    in_act: ActivationQuantization,
+    out_act: ActivationQuantization,
+    requantizer: Tuple[int, int],
 ) -> LookupTable:
     """Tabulate the fused integer GELU + requantisation kernel.
 
     GELU consumes the requantised int8 grid directly, so the whole node —
-    I-BERT's sign-decomposed polynomial followed by the fixed-point
-    requantisation to the output scale — is a pure function of one int8
-    value.  The table is built by evaluating exactly that legacy elementwise
-    chain over every representable input, which makes LUT execution
-    bit-identical over the full domain by construction.
+    I-BERT's sign-decomposed polynomial followed by the node's stored
+    ``requantizer`` pair — is a pure function of one int8 value.  The table
+    is built by evaluating exactly that elementwise chain over every
+    representable input, which makes LUT execution bit-identical over the
+    full domain by construction.
     """
-    from .int_engine import requantize  # local import: int_engine imports us
-
     domain = np.arange(in_act.qmin, in_act.qmax + 1, dtype=np.int64)
-    q_out, gelu_scale = ibert.integer_gelu(domain, in_act.scale)
-    values = requantize(q_out, gelu_scale / out_act.scale, out_act.qmin, out_act.qmax)
+    q_out, _ = ibert.integer_gelu(domain, in_act.scale)
+    values = apply_requant(q_out, *requantizer, out_act.qmin, out_act.qmax)
     return LookupTable(
         op="gelu",
         domain_min=in_act.qmin,

@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..quant import ibert
 from ..quant.quantizers import QuantizationSpec
 from .engine import FloatGraphExecutor
 from .graph import LUT_OPERATORS, MAC_OPERATORS, ComputeGraph, GraphNode
@@ -57,7 +58,7 @@ from .lowering import (
     _symmetric_scale,
     build_gelu_lut,
     build_softmax_exp_lut,
-    quantize_multiplier,
+    encode_requantizer,
 )
 
 __all__ = [
@@ -324,8 +325,14 @@ class CalibrateActivationsPass(GraphPass):
         return replace(state, activations=activations)
 
 
+#: An empty integer input: the I-BERT kernels run on it only to report their
+#: output scale, so the formulas stay defined in :mod:`repro.quant.ibert`.
+_NO_VALUES = np.zeros((0, 1), dtype=np.int64)
+
+
 class QuantizeWeightsPass(GraphPass):
-    """Quantise every node's constants and encode its requantisers."""
+    """Quantise every node's constants and encode every requantiser its
+    integer kernel applies (``docs/compiler.md``, the requantiser contract)."""
 
     name = "quantize-weights"
 
@@ -340,6 +347,8 @@ class QuantizeWeightsPass(GraphPass):
             lowered = QuantizedNode(node=node)
             input_scale = activations[node.inputs[0]].scale
             output_scale = activations[node.output.name].scale
+            # Scale of the integers the kernel requantises to the output grid.
+            accumulator_scale = None
 
             if node.op in ("conv1d", "linear"):
                 weight = _quantize_weight(node.weights["weight"], weight_spec)
@@ -350,29 +359,18 @@ class QuantizeWeightsPass(GraphPass):
                     lowered.constants["bias"] = QuantizedConstant(
                         values=bias, scale=bias_scale, dtype="int32"
                     )
-                lowered.requantizers["output"] = quantize_multiplier(
-                    input_scale * weight.scale / output_scale
-                )
+                accumulator_scale = input_scale * weight.scale
             elif node.op == "matmul":
                 other_scale = activations[node.inputs[1]].scale
-                factor = input_scale * other_scale * float(node.attrs.get("scale", 1.0))
-                lowered.requantizers["output"] = quantize_multiplier(
-                    factor / output_scale
+                accumulator_scale = (
+                    input_scale * other_scale * float(node.attrs.get("scale", 1.0))
                 )
             elif node.op == "channel_affine":
-                scale_const = node.weights["scale"]
-                shift_const = node.weights["shift"]
-                scale_q = _quantize_weight(scale_const, weight_spec)
+                scale_q = _quantize_weight(node.weights["scale"], weight_spec)
                 lowered.constants["scale"] = scale_q
-                shift_scale = input_scale * scale_q.scale
-                lowered.constants["shift"] = QuantizedConstant(
-                    values=np.round(shift_const / shift_scale).astype(np.int64),
-                    scale=shift_scale,
-                    dtype="int32",
-                )
-                lowered.requantizers["output"] = quantize_multiplier(
-                    shift_scale / output_scale
-                )
+                accumulator_scale = input_scale * scale_q.scale
+                shift = np.round(node.weights["shift"] / accumulator_scale).astype(np.int64)
+                lowered.constants["shift"] = QuantizedConstant(shift, accumulator_scale, "int32")
             elif node.op in ("append_token", "add_positional"):
                 key = "token" if node.op == "append_token" else "positions"
                 constant = node.weights[key]
@@ -381,68 +379,53 @@ class QuantizeWeightsPass(GraphPass):
                     scale=output_scale,
                     dtype="int8",
                 )
-                lowered.requantizers["input"] = quantize_multiplier(
-                    input_scale / output_scale
-                )
+                lowered.requantizers["input"] = encode_requantizer(input_scale / output_scale)
             elif node.op == "add":
                 other_scale = activations[node.inputs[1]].scale
-                lowered.requantizers["lhs"] = quantize_multiplier(
-                    input_scale / output_scale
+                lowered.requantizers["lhs"] = encode_requantizer(input_scale / output_scale)
+                lowered.requantizers["rhs"] = encode_requantizer(other_scale / output_scale)
+            elif node.op == "relu":
+                accumulator_scale = input_scale
+            elif node.op == "gelu":
+                accumulator_scale = ibert.integer_gelu(_NO_VALUES, input_scale)[1]
+            elif node.op == "softmax":
+                accumulator_scale = ibert.integer_softmax(_NO_VALUES, input_scale)[1]
+            elif node.op == "layernorm":
+                # LayerNorm keeps its affine parameters in float; they are a
+                # negligible 2*C values folded into the requantisation step.
+                weight, bias = node.weights["weight"].copy(), node.weights["bias"].copy()
+                lowered.constants["weight"] = QuantizedConstant(weight, 1.0, "int32")
+                lowered.constants["bias"] = QuantizedConstant(bias, 1.0, "int32")
+                accumulator_scale = ibert.integer_layernorm(
+                    _NO_VALUES, input_scale, weight, bias
+                )[1]
+            elif node.op == "avgpool1d":
+                accumulator_scale = input_scale / int(node.attrs["kernel_size"])
+            elif node.op == "mean_tokens":
+                tokens = state.graph.tensor_specs()[node.inputs[0]].shape[0]
+                accumulator_scale = input_scale / tokens
+            if accumulator_scale is not None:
+                lowered.requantizers["output"] = encode_requantizer(
+                    accumulator_scale / output_scale
                 )
-                lowered.requantizers["rhs"] = quantize_multiplier(
-                    other_scale / output_scale
-                )
-            elif node.op in (
-                "layernorm",
-                "gelu",
-                "softmax",
-                "relu",
-                "avgpool1d",
-                "mean_tokens",
-            ):
-                lowered.requantizers["output"] = quantize_multiplier(
-                    max(input_scale / output_scale, 1e-30)
-                )
-                if node.op == "layernorm":
-                    # LayerNorm keeps its affine parameters in float; they
-                    # are a negligible 2*C values folded into the
-                    # requantisation step.
-                    lowered.constants["weight"] = QuantizedConstant(
-                        values=node.weights["weight"].copy(), scale=1.0, dtype="int32"
-                    )
-                    lowered.constants["bias"] = QuantizedConstant(
-                        values=node.weights["bias"].copy(), scale=1.0, dtype="int32"
-                    )
             quantized_nodes[node.name] = lowered
         return replace(state, nodes=quantized_nodes, weight_spec=weight_spec)
 
 
 class PlanGemmTilesPass(GraphPass):
-    """Attach :class:`GemmTileInfo` to every MAC node.
-
-    The tile reuses the ``requantizers["output"]`` pair encoded by
-    :class:`QuantizeWeightsPass`, so the integer executor and the generated C
-    share one lowering-time requantisation contract.  Every MAC node gets a
-    tile: the executor reads its requantiser from it.
-    """
+    """Attach the :class:`GemmTileInfo` tile shape to every MAC node."""
 
     name = "plan-gemm-tiles"
 
     def run(self, state: LoweringState) -> LoweringState:
         nodes = dict(state.nodes)
         for node in state.graph.nodes:
-            if node.op not in MAC_OPERATORS:
-                continue
-            lowered = nodes[node.name]
-            multiplier, shift = lowered.requantizers["output"]
             if node.op == "conv1d":
                 out_channels, in_channels, kernel = node.weights["weight"].shape
                 tile = GemmTileInfo(
                     m=int(node.output.shape[-1]),
                     k=int(in_channels * kernel),
                     n=int(out_channels),
-                    multiplier=multiplier,
-                    shift=shift,
                 )
             elif node.op == "linear":
                 out_features, in_features = node.weights["weight"].shape
@@ -450,18 +433,16 @@ class PlanGemmTilesPass(GraphPass):
                     m=int(node.output.num_elements // out_features),
                     k=int(in_features),
                     n=int(out_features),
-                    multiplier=multiplier,
-                    shift=shift,
                 )
-            else:  # matmul
+            elif node.op == "matmul":
                 tile = GemmTileInfo(
                     m=int(node.output.shape[-2]),
                     k=int(node.attrs["inner_dim"]),
                     n=int(node.output.shape[-1]),
-                    multiplier=multiplier,
-                    shift=shift,
                 )
-            nodes[node.name] = replace(lowered, gemm=tile)
+            else:
+                continue
+            nodes[node.name] = replace(nodes[node.name], gemm=tile)
         return replace(state, nodes=nodes)
 
 
@@ -471,8 +452,9 @@ class LutSubstitutionPass(GraphPass):
     Replaces the former ``use_lut`` branch inside the monolithic lowering:
     the pass only runs when :attr:`LoweringConfig.use_lut` is set (the
     pipeline builder simply omits it otherwise), and the tables are built by
-    evaluating the legacy elementwise kernels over the full input domain —
-    bit-identical by construction.
+    evaluating the elementwise kernels over the full input domain, the GELU
+    table with the node's stored output requantiser — bit-identical by
+    construction.
     """
 
     name = "lut-substitution"
@@ -487,7 +469,9 @@ class LutSubstitutionPass(GraphPass):
             lowered = nodes[node.name]
             luts = dict(lowered.luts)
             if node.op == "gelu":
-                luts["gelu"] = build_gelu_lut(in_act, out_act)
+                luts["gelu"] = build_gelu_lut(
+                    in_act, out_act, lowered.requantizers["output"]
+                )
             else:
                 luts["exp"] = build_softmax_exp_lut(in_act)
             nodes[node.name] = replace(lowered, luts=luts)

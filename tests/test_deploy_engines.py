@@ -21,7 +21,7 @@ from repro.deploy.engine import (
     softmax_reference,
 )
 from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
-from repro.models import Bioformer, BioformerConfig, temponet
+from repro.models import Bioformer, BioformerConfig, build_model, temponet
 from repro.nn import BatchNorm1d
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -434,3 +434,26 @@ class TestIntegerExecutor:
             lower_to_int8(graph, calibration, weight_bits=4, activation_bits=4)
         ).agreement_with_float(evaluation)
         assert agreement_8 >= agreement_4
+
+
+# --------------------------------------------------------------------- #
+# Input geometry: both executors reject windows of the wrong shape
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def bio2_executors():
+    """Float and int8 executors of a bio2 graph built for 4 x 60 windows."""
+    graph = trace_model(build_model("bio2", num_channels=4, window_samples=60, seed=11).eval())
+    quantized = lower_to_int8(graph, np.random.default_rng(5).normal(size=(8, 4, 60)))
+    return {"float": FloatGraphExecutor(graph), "int8": IntegerGraphExecutor(quantized)}
+
+
+@pytest.mark.parametrize("executor", ["float", "int8"])
+@pytest.mark.parametrize(
+    "shape", [(2, 4, 61), (2, 4, 59), (2, 4, 70), (2, 5, 60)], ids=lambda s: f"{s[1]}x{s[2]}"
+)
+def test_executors_reject_wrong_input_geometry(bio2_executors, executor, shape):
+    """The int8 executor used to drop a sample for 61 samples and fail deep
+    in numpy for the others; both now raise naming the graph."""
+    inputs = np.random.default_rng(7).normal(size=shape)
+    with pytest.raises(ValueError, match="expects input shape"):
+        bio2_executors[executor].run(inputs)

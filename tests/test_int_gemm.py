@@ -2,15 +2,15 @@
 
 The int8 executor runs ``conv1d`` (via im2col), ``linear`` and the
 attention ``matmul`` on one shared integer GEMM primitive, with the
-requantiser tile precomputed at lowering time.  Integer arithmetic is
+output requantiser pair stored at lowering time.  Integer arithmetic is
 exact, so it must be *bitwise identical* to a plain reference: the
 test-side :class:`ReferenceExecutor` overrides only those three ops with
 the per-tap einsum conv loop and int64 ``@``, encoding the requantiser at
 run time from the float scales.  These tests pin that equality
 (``assert_array_equal``, never a tolerance) across every
 registry-reachable architecture, table and tableless lowering, and batch
-sizes 1/3/8/16, plus batched-vs-single invariance and the tile metadata
-the lowering pass precomputes.
+sizes 1/3/8/16, the fused ``optimized()`` lowering, plus batched-vs-single
+invariance and the tile metadata the lowering pass precomputes.
 """
 
 import numpy as np
@@ -53,13 +53,20 @@ class ReferenceExecutor(IntegerGraphExecutor):
 
     ``conv1d`` accumulates tap by tap, ``linear``/``matmul`` use int64 ``@``,
     and the output requantiser is encoded at run time from the float scales
-    by :func:`requantize` instead of read from the lowering-time tile.
+    by :func:`requantize` instead of read from the node's stored pair.
     Every other op (and fused-chain replay) is the executor's own.
+    ``mac_calls`` counts the overridden MAC kernels that ran, so a test can
+    prove the override was not bypassed.
     """
+
+    def __init__(self, quantized):
+        super().__init__(quantized)
+        self.mac_calls = 0
 
     def _run_node(self, node, tensors):
         if node.is_fused or node.op not in MAC_OPERATORS:
             return super()._run_node(node, tensors)
+        self.mac_calls += 1
         activations = self.quantized.activations
         lowered = self.quantized.nodes[node.name]
         q_x = tensors[node.inputs[0]].astype(np.int64)
@@ -97,6 +104,22 @@ class ReferenceExecutor(IntegerGraphExecutor):
         return requantize(accumulator, factor / out.scale, out.qmin, out.qmax)
 
 
+def reference_logits(quantized, x):
+    """Integer logits of :class:`ReferenceExecutor`, asserting that its MAC
+    override ran once per MAC kernel of the schedule (fused chains
+    included): otherwise the pin would compare the executor with itself."""
+    reference = ReferenceExecutor(quantized)
+    logits = reference.run_integer(x)
+    mac_kernels = sum(
+        sub.op in MAC_OPERATORS
+        for node in quantized.graph.nodes
+        for sub in node.fusion_chain
+    )
+    assert mac_kernels > 0
+    assert reference.mac_calls == mac_kernels
+    return logits
+
+
 @pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(23)
@@ -105,17 +128,23 @@ def rng():
 @pytest.fixture(scope="module", params=CONFIGS, ids=config_id)
 def lowerings(request):
     """Table (``True``) and tableless (``False``) lowering of one config,
-    both from the same calibration batch."""
+    both from the same calibration batch; ``("optimized", use_lut)`` keys
+    hold the fused ``LoweringConfig.optimized()`` lowerings."""
     arch, patch = request.param
     kwargs = dict(GEOMETRY)
     if patch is not None:
         kwargs["patch_size"] = patch
     graph = trace_model(build_model(arch, **kwargs).eval())
     calibration = np.random.default_rng(5).normal(size=(16, 4, 60))
-    return {
+    lowered = {
         True: lower_to_int8(graph, calibration, use_lut=True),
         False: lower_to_int8(graph, calibration, config=LoweringConfig(use_lut=False)),
     }
+    for use_lut in (True, False):
+        lowered["optimized", use_lut] = lower_to_int8(
+            graph, calibration, config=LoweringConfig.optimized(use_lut=use_lut)
+        )
+    return lowered
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +223,20 @@ class TestExecutorParity:
         x = windows[:batch]
         np.testing.assert_array_equal(
             IntegerGraphExecutor(quantized).run_integer(x),
-            ReferenceExecutor(quantized).run_integer(x),
+            reference_logits(quantized, x),
+        )
+
+    @pytest.mark.parametrize("use_lut", [True, False], ids=["lut", "elementwise"])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_fused_gemm_matches_einsum_bitwise(self, lowerings, windows, use_lut, batch):
+        """The optimized lowering's fused chains hold MAC nodes; the
+        reference replays them through its own MAC override."""
+        quantized = lowerings["optimized", use_lut]
+        assert any(node.is_fused for node in quantized.graph.nodes)
+        x = windows[:batch]
+        np.testing.assert_array_equal(
+            IntegerGraphExecutor(quantized).run_integer(x),
+            reference_logits(quantized, x),
         )
 
     def test_batched_matches_single_sample_bitwise(self, quantized, windows):
@@ -209,6 +251,7 @@ class TestExecutorParity:
         gemm = IntegerGraphExecutor(quantized)
         reference = ReferenceExecutor(quantized)
         np.testing.assert_array_equal(gemm.run(windows[:8]), reference.run(windows[:8]))
+        assert reference.mac_calls > 0
 
 
 # --------------------------------------------------------------------- #
@@ -227,18 +270,6 @@ class TestGemmTileMetadata:
             assert isinstance(tile, GemmTileInfo)
             assert tile.m > 0 and tile.k > 0 and tile.n > 0
             assert tile.macs == tile.m * tile.k * tile.n
-
-    def test_tile_requantiser_equals_lowered_requantiser(self, quantized):
-        """The precomputed per-tile (multiplier, shift) must be the *same
-        encoding* as the node's output requantiser — the C kernels read the
-        latter, the executor the former."""
-        for node in quantized.graph.nodes:
-            if node.op not in ("conv1d", "linear"):
-                continue
-            lowered = quantized.nodes[node.name]
-            multiplier, shift = lowered.requantizers["output"]
-            assert lowered.gemm.multiplier == multiplier
-            assert lowered.gemm.shift == shift
 
     def test_non_mac_nodes_have_no_tile(self, quantized):
         for node in quantized.graph.nodes:
