@@ -22,12 +22,6 @@ hosts with more than 2 cores and on the latency-bound float path
 everywhere), and a
 high-priority request must preempt already-queued low-priority bulk work
 while malformed/expired riders never fail their batch-mates.
-
-The LUT benchmark gates the int8 op-set PR: the table-driven GELU/softmax
-kernels must cut the nonlinearity time decisively at kernel level, and the
-batched int8 path (batch >= 8) must come out faster than the elementwise
-baseline end to end (bit-identical logits either way — the comparison is
-purely about speed).
 """
 
 import os
@@ -44,7 +38,6 @@ from repro.serve import (
     InferenceServer,
     Priority,
     WorkerPool,
-    build_int8_backend,
 )
 
 from conftest import report
@@ -138,138 +131,6 @@ def test_int8_backend_batching_not_regressive(model, windows, cache):
     # Generous floor: integer arithmetic scales ~linearly with batch, so the
     # win is bounded; the invariant is that micro-batching never costs.
     assert batched_best >= 0.9 * base
-
-
-def test_int8_lut_batch_scaling_vs_elementwise(model, windows, cache):
-    """The int8 LUT op set must beat the elementwise baseline when batched.
-
-    Two gates, ordered from most to least isolated:
-
-    * **kernel level** — the summed execution time of the gelu/softmax
-      nodes must drop by >= 1.5x under the LUT op set (the single gather
-      replaces the I-BERT polynomial chains; measured ~5-15x on this
-      geometry, gated loosely for noisy single-vCPU CI boxes);
-    * **batched path** — whole-graph int8 inference at batch >= 8 must be
-      faster with LUTs than with the elementwise kernels (interleaved
-      best-of rounds; the best batched configuration decides, since the
-      integer ``linear`` GEMMs dominate the profile and bound the
-      end-to-end win to ~5-10%).
-
-    Both backends produce bit-identical logits (pinned here and
-    exhaustively in ``tests/test_lut_kernels.py``), so this comparison is
-    purely about throughput.
-    """
-    calibration = np.random.default_rng(1).normal(
-        size=(16, GEOMETRY["num_channels"], GEOMETRY["window_samples"])
-    )
-    backends = {
-        "lut": build_int8_backend(model, calibration, use_lut=True),
-        "elementwise": build_int8_backend(model, calibration, use_lut=False),
-    }
-    assert backends["lut"].uses_lut and not backends["elementwise"].uses_lut
-    np.testing.assert_array_equal(
-        backends["lut"].run_integer(windows[:4]),
-        backends["elementwise"].run_integer(windows[:4]),
-    )
-
-    def nonlinearity_seconds(backend):
-        """One whole-graph replay, accumulating only gelu/softmax node time."""
-        executor = backend.executor
-        graph = executor.graph
-        quantized = executor.quantized
-        stacked = np.asarray(windows[:32], dtype=np.float64)
-        tensors = {
-            graph.graph_input.name: quantized.input_quantization.quantize(stacked)
-        }
-        total = 0.0
-        for node in graph.nodes:
-            start = time.perf_counter()
-            out = executor._run_node(node, tensors)
-            elapsed = time.perf_counter() - start
-            tensors[node.output.name] = out
-            if node.op in ("gelu", "softmax"):
-                total += elapsed
-        return total
-
-    for backend in backends.values():
-        nonlinearity_seconds(backend)  # warm-up
-    kernel_time = dict.fromkeys(backends, float("inf"))
-    for _ in range(7):  # interleaved best-of rounds: drift hits both equally
-        for name, backend in backends.items():
-            kernel_time[name] = min(kernel_time[name], nonlinearity_seconds(backend))
-
-    batches = (1, 8, 32)
-    best = {name: dict.fromkeys(batches, 0.0) for name in backends}
-    for _ in range(5):  # interleaved best-of rounds: drift hits both equally
-        for name, backend in backends.items():
-            for batch in batches:
-                stacked = windows[:batch]
-                start = time.perf_counter()
-                logits = backend.run(stacked)
-                elapsed = time.perf_counter() - start
-                assert logits.shape == (batch, 8)
-                best[name][batch] = max(best[name][batch], batch / elapsed)
-
-    speedup = {batch: best["lut"][batch] / best["elementwise"][batch] for batch in batches}
-    rows = [
-        f"{'batch':>6} {'lut win/s':>10} {'elementwise':>12} {'speedup':>9}"
-    ]
-    for batch in batches:
-        rows.append(
-            f"{batch:>6d} {best['lut'][batch]:>10.1f} "
-            f"{best['elementwise'][batch]:>12.1f} {speedup[batch]:>8.2f}x"
-        )
-    report(
-        "Int8 op set — LUT vs elementwise nonlinearities (bio2, 4ch x 60smp)",
-        "\n".join(rows)
-        + f"\nnonlinearity kernels (batch 32): "
-        f"lut {1e3 * kernel_time['lut']:.2f} ms vs "
-        f"elementwise {1e3 * kernel_time['elementwise']:.2f} ms "
-        f"({kernel_time['elementwise'] / kernel_time['lut']:.1f}x)",
-    )
-    assert kernel_time["elementwise"] >= 1.5 * kernel_time["lut"], (
-        f"LUT nonlinearities only {kernel_time['elementwise'] / kernel_time['lut']:.2f}x "
-        f"faster at kernel level"
-    )
-    batched_speedup = max(speedup[batch] for batch in batches if batch >= 8)
-    assert batched_speedup > 1.0, (
-        f"batched int8 LUT path never beat the elementwise baseline "
-        f"(best {batched_speedup:.3f}x at batch >= 8)"
-    )
-
-
-def test_int8_lut_serving_not_regressive(model, windows, cache):
-    """Through the full serving path the LUT op set must never cost.
-
-    Server-level timing stacks batcher dispatch on both variants, so the
-    gate here is non-regression (the decisive speed comparison is the
-    backend-level benchmark above); the rows document what a served int8
-    deployment sees.
-    """
-    calibration = np.random.default_rng(1).normal(
-        size=(16, GEOMETRY["num_channels"], GEOMETRY["window_samples"])
-    )
-    variants = (("lut", {}), ("elementwise", {"use_lut": False}))
-    results = {variant: (0.0, 0.0) for variant, _ in variants}
-    for _ in range(5):  # interleaved best-of rounds: drift hits both variants equally
-        for variant, lower_kwargs in variants:
-            measured = _throughput(
-                model,
-                "int8",
-                16,
-                windows,
-                cache,
-                repeats=1,
-                calibration=calibration,
-                lower_kwargs=lower_kwargs,
-            )
-            # (windows/s, mean batch): keep the fastest round's pair.
-            results[variant] = max(results[variant], measured)
-    rows = [f"{'variant':>12} {'mean batch':>11} {'windows/s':>11}"]
-    for variant, (throughput, mean_batch) in results.items():
-        rows.append(f"{variant:>12} {mean_batch:>11.1f} {throughput:>11.1f}")
-    report("Serving throughput — int8 LUT vs elementwise (cap 16)", "\n".join(rows))
-    assert results["lut"][0] >= 0.8 * results["elementwise"][0]
 
 
 def test_worker_pool_scales_float_throughput(model, windows, cache):
@@ -570,7 +431,7 @@ def test_compile_wall_time_per_config(windows):
     ceiling — calibration dominates, and a pathological pass would blow
     straight through it.
     """
-    from repro.deploy import lower_to_int8, trace_model
+    from repro.deploy import LoweringConfig, lower_to_int8, trace_model
 
     calibration = np.random.default_rng(5).normal(
         size=(16, GEOMETRY["num_channels"], GEOMETRY["window_samples"])
@@ -583,11 +444,14 @@ def test_compile_wall_time_per_config(windows):
             kwargs["patch_size"] = patch
         graph = trace_model(build_model(arch, **kwargs).eval())
         timings = {}
-        for label, lower_kwargs in (("default", {}), ("optimized", {"optimize": True})):
+        for label, config in (
+            ("default", LoweringConfig()),
+            ("optimized", LoweringConfig(optimize=True)),
+        ):
             best = float("inf")
             for _ in range(2):
                 start = time.perf_counter()
-                quantized = lower_to_int8(graph, calibration, **lower_kwargs)
+                quantized = lower_to_int8(graph, calibration, config)
                 elapsed = time.perf_counter() - start
                 best = min(best, elapsed)
                 # The manifest's per-pass timers nest inside this run's

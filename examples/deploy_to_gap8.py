@@ -6,8 +6,8 @@ flashing a device (the flow behind the paper's Table I):
 1. train Bioformer (h=8, d=1) on subject 1 of the synthetic NinaPro DB6;
 2. trace the trained model into the deployment graph IR;
 3. lower it to int8 (activation calibration + fixed-point requantisation,
-   plus LUT lowering of the I-BERT softmax/GELU — ``use_lut=False`` keeps
-   the legacy elementwise op set, bit-identical either way);
+   plus LUT lowering of the I-BERT softmax/GELU, and the fusion passes
+   selected by ``LoweringConfig(optimize=True)``);
 4. run the integer-only engine and compare it against float inference;
 5. plan the L2 activation arena and the L1 tiling;
 6. estimate latency / energy / battery life on the GAP8 cost model;
@@ -22,7 +22,7 @@ import os
 import tempfile
 
 from repro.data import NinaProDB6, NinaProDB6Config, subject_split
-from repro.deploy import CodeGenerator, deploy_graph
+from repro.deploy import CodeGenerator, LoweringConfig, deploy_graph
 from repro.models import bioformer_bio1
 from repro.training import ProtocolConfig, train_subject_specific
 
@@ -39,22 +39,20 @@ def main() -> None:
     outcome = train_subject_specific(model, split, ProtocolConfig.small(), num_classes=8)
     print(f"trained {model.name}: float test accuracy {100 * outcome.test_accuracy:.2f}%")
 
-    # 2-6. The whole deployment pipeline in one call.  use_lut=True (the
-    # default) lowers the integer softmax/GELU into lookup tables, so the
-    # generated schedule calls net_gelu_lut_i8 / net_softmax_lut_i8 and
-    # weights.h carries the tables; the int8 serving backend runs the same
-    # op set.
+    # 2-6. The whole deployment pipeline in one call.  The integer
+    # softmax/GELU are lowered into lookup tables, so the generated schedule
+    # calls the _lut_ kernels and weights.h carries the tables; the int8
+    # serving backend runs the same op set.  optimize=True folds each FFN
+    # GELU into its linear layer (bitwise-identical logits, fewer kernels).
     deployment = deploy_graph(
         model,
         calibration_inputs=split.train.windows[:256],
         evaluation_inputs=split.test.windows,
         evaluation_labels=split.test.labels,
-        use_lut=True,
+        config=LoweringConfig(optimize=True),
     )
     print()
     print(deployment.render())
-    print(f"nonlinearity LUTs:         {deployment.lut_kilobytes:.1f} kB "
-          f"(lower with use_lut=False for the elementwise op set)")
 
     # A few of the individual artefacts, for the curious:
     print()

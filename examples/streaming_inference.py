@@ -15,10 +15,11 @@ host through :mod:`repro.serve`:
    while a bulk re-scoring job of the same windows runs concurrently at
    low priority (``infer_async``), so the live stream's high-priority
    windows preempt it in the micro-batch queue;
-4. repeat with the int8 backend — the GAP8 integer numerics, served
-   through the LUT nonlinearity kernels (``lower_kwargs=dict(use_lut=...)``
-   toggles the op set; both are bit-identical, see docs/quantization.md) —
-   and compare the decision streams;
+4. repeat with the int8 backend — the GAP8 integer numerics, with the
+   I-BERT GELU/softmax served through lookup tables (see
+   docs/quantization.md) — compare the decision streams, and check that
+   the fused schedule (``lowering=LoweringConfig(optimize=True)``) serves
+   bit-identical logits;
 5. demonstrate the fault-tolerance layer: an int8 server with retries, a
    circuit breaker and float-backend fallback serves through an injected
    fault storm — every answer still lands (some flagged ``degraded``),
@@ -41,6 +42,7 @@ Run with::
 import numpy as np
 
 from repro.data import NinaProDB6, NinaProDB6Config, sliding_windows
+from repro.deploy import LoweringConfig
 from repro.serve import (
     BackendCache,
     CircuitBreaker,
@@ -140,10 +142,8 @@ def main() -> None:
             f"{stats.pool.num_workers} workers, {stats.pool.jobs} pool jobs)"
         )
 
-    # 4. Same stream through the int8 (GAP8 numerics) backend.  use_lut=True
-    # (the default) serves the LUT-based integer softmax/GELU — the fast op
-    # set of the int8 path; use_lut=False would serve the legacy elementwise
-    # I-BERT kernels, bit-identical but slower when batched.
+    # 4. Same stream through the int8 (GAP8 numerics) backend, which runs the
+    # integer softmax/GELU as lookup tables.
     print("\n-- int8 backend (LUT nonlinearities) --------------------------")
     rng = np.random.default_rng(0)
     calibration = rng.normal(size=(16, config.num_channels, config.window_samples))
@@ -155,13 +155,13 @@ def main() -> None:
         calibration=calibration,
         cache=cache,
         max_batch_size=16,
-        lower_kwargs=dict(use_lut=True),
     ) as server:
-        print(f"  int8 backend uses LUT kernels: {server.backend.uses_lut}")
+        lut_kb = server.backend.quantized.total_lut_bytes / 1024.0
+        print(f"  int8 backend lookup tables: {lut_kb:.1f} kB")
         int8_labels = run_stream(server, signal, slide=config.slide_samples)
 
-        # Cross-check the op sets: the elementwise variant (cached separately
-        # by its lowering options) must produce bit-identical logits.
+        # Cross-check the fused schedule: the optimized lowering (cached
+        # separately under its config) must produce bit-identical logits.
         probe = sliding_windows(
             signal, window=config.window_samples, slide=config.slide_samples
         )[:8]
@@ -172,12 +172,10 @@ def main() -> None:
             model_kwargs=geometry,
             calibration=calibration,
             cache=cache,
-            lower_kwargs=dict(use_lut=False),
-        ) as elementwise:
-            exact = bool(
-                np.array_equal(server.infer(probe), elementwise.infer(probe))
-            )
-            print(f"  LUT vs elementwise op set on {len(probe)} windows: "
+            lowering=LoweringConfig(optimize=True),
+        ) as fused:
+            exact = bool(np.array_equal(server.infer(probe), fused.infer(probe)))
+            print(f"  default vs fused schedule on {len(probe)} windows: "
                   f"{'bit-identical' if exact else 'MISMATCH'}")
 
     agreement = float(np.mean(float_labels == int8_labels))

@@ -12,13 +12,15 @@ compiled into C.  This package reproduces that flow on the host:
 * :mod:`repro.deploy.lowering` — the int8 lowering data model (activation /
   constant / node / graph dataclasses, fixed-point requantisation encoding)
   and the stable :func:`~repro.deploy.lowering.lower_to_int8` entry point;
-* :mod:`repro.deploy.passes` — the deploy compiler: a
+* :mod:`repro.deploy.passes` — the deploy compiler, configured by one
+  :class:`~repro.deploy.passes.LoweringConfig`: a
   :class:`~repro.deploy.passes.PassManager` running calibration, weight
-  quantisation, GEMM tile planning, LUT substitution and the opt-in
-  optimization passes (requant folding, conv→pool fusion, dead-node
-  elimination) as validated, bitwise-pinned graph passes;
+  quantisation, GEMM tile planning, LUT substitution and, with
+  ``optimize=True``, the optimization passes (requant folding, conv→pool
+  fusion, dead-node elimination) as validated, bitwise-pinned graph passes;
 * :mod:`repro.deploy.int_engine` — integer-only inference (int8/int32 with
-  I-BERT non-linearities), i.e. the on-target numerics emulated bit-level;
+  I-BERT non-linearities, GELU and the softmax ``exp`` as lookup tables),
+  i.e. the on-target numerics emulated bit-level;
 * :mod:`repro.deploy.memory` — activation arena planning (L2);
 * :mod:`repro.deploy.tiling` — L1 tile-size selection and DMA accounting;
 * :mod:`repro.deploy.codegen` — C source generation (weights, kernel

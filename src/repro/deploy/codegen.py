@@ -35,15 +35,17 @@ __all__ = ["GeneratedSource", "CodeGenerator", "generate_c_sources"]
 #: The MAC kernels run the GEMM schedule described by each node's
 #: :class:`~repro.deploy.lowering.GemmTileInfo`: conv1d as im2col plus one
 #: integer matmul, linear/matmul as a single (M, K) x (K, N) GEMM with the
-#: requantisation applied once per output tile.
+#: requantisation applied once per output tile.  The GELU kernel is one
+#: table gather per element; the softmax kernel gathers the tabulated exp
+#: and keeps the integer sum/normalise/requantise tail.
 _KERNEL_FOR_OP = {
     "conv1d": "net_conv1d_im2col_i8",
     "linear": "net_linear_gemm_i8",
     "channel_affine": "net_channel_affine_i8",
     "layernorm": "net_layernorm_i8",
     "relu": "net_relu_i8",
-    "gelu": "net_gelu_i8",
-    "softmax": "net_softmax_i8",
+    "gelu": "net_gelu_lut_i8",
+    "softmax": "net_softmax_lut_i8",
     "matmul": "net_matmul_gemm_i8",
     "add": "net_add_i8",
     "append_token": "net_append_token_i8",
@@ -57,14 +59,6 @@ _KERNEL_FOR_OP = {
     "mean_tokens": "net_mean_tokens_i8",
 }
 
-#: Table-driven variants used when the lowered node carries a LookupTable:
-#: the GELU kernel is one gather per element, the softmax kernel gathers the
-#: tabulated exp and keeps the integer sum/normalise/requantise tail.
-_LUT_KERNEL_FOR_OP = {
-    "gelu": "net_gelu_lut_i8",
-    "softmax": "net_softmax_lut_i8",
-}
-
 #: Name fragment appended per absorbed kernel when the compiler's fusion
 #: passes (:mod:`repro.deploy.passes`) folded elementwise tails / pooling
 #: into a MAC node: ``net_conv1d_im2col_affine_relu_pool_i8`` runs the conv
@@ -75,7 +69,7 @@ _LUT_KERNEL_FOR_OP = {
 _FUSED_TAG_FOR_OP = {
     "channel_affine": "affine",
     "relu": "relu",
-    "gelu": "gelu",
+    "gelu": "gelu_lut",
     "avgpool1d": "pool",
 }
 
@@ -110,15 +104,13 @@ def _format_array(values: np.ndarray, per_line: int = 16) -> str:
 class CodeGenerator:
     """Generates the C deployment bundle for an int8-lowered graph.
 
-    The lowered graph alone decides the kernel schedule: a GELU/softmax node
-    that carries a :class:`~repro.deploy.graph.LookupTable` calls the
-    table-driven kernel and ships its table in ``weights.h``, one without
-    calls the elementwise I-BERT kernel.
+    Every GELU/softmax node calls its table-driven kernel and ships its
+    :class:`~repro.deploy.graph.LookupTable` in ``weights.h``.
 
     Parameters
     ----------
     quantized:
-        The int8-lowered graph (with or without lookup tables).
+        The int8-lowered graph.
     memory_plan:
         Activation arena plan; computed from the graph when omitted.
     """
@@ -134,31 +126,18 @@ class CodeGenerator:
             memory_plan if memory_plan is not None else plan_activation_memory(self.graph)
         )
 
-    def _kernel_single(self, node: GraphNode) -> str:
-        """The kernel implementing one unfused kernel."""
-        if self.quantized.nodes[node.name].luts:
-            return _LUT_KERNEL_FOR_OP[node.op]
-        return _KERNEL_FOR_OP[node.op]
-
     def _kernel_for(self, node: GraphNode) -> str:
         """The kernel implementing ``node``.
 
         A fused node names a fused kernel: the base kernel's stem plus one
-        tag per absorbed kernel (``_affine`` / ``_relu`` / ``_gelu[_lut]`` /
+        tag per absorbed kernel (``_affine`` / ``_relu`` / ``_gelu_lut`` /
         ``_pool``), in chain order.
         """
+        base = _KERNEL_FOR_OP[node.op]
         if not node.is_fused:
-            return self._kernel_single(node)
-        chain = node.fusion_chain
-        base = self._kernel_single(chain[0])
-        tags = []
-        for sub in chain[1:]:
-            tag = _FUSED_TAG_FOR_OP[sub.op]
-            if sub.op == "gelu" and self.quantized.nodes[sub.name].luts:
-                tag = "gelu_lut"
-            tags.append(tag)
-        stem = base[: -len("_i8")] if base.endswith("_i8") else base
-        return stem + "_" + "_".join(tags) + "_i8"
+            return base
+        tags = [_FUSED_TAG_FOR_OP[sub.op] for sub in node.fusion_chain[1:]]
+        return base[: -len("_i8")] + "_" + "_".join(tags) + "_i8"
 
     # ------------------------------------------------------------------ #
     # Individual files

@@ -76,7 +76,7 @@ SHAPE_OPERATORS: Tuple[str, ...] = (
     "select_token",
 )
 
-#: Non-linearities whose int8 lowering admits a precomputed lookup table.
+#: Non-linearities the int8 lowering always runs as a precomputed lookup table.
 #: GELU is purely elementwise over the bounded int8 input grid, and the
 #: expensive part of the I-BERT softmax (the integer ``exp`` polynomial) is
 #: elementwise over the max-shifted grid — so for a fixed requantisation
@@ -92,8 +92,8 @@ class LookupTable:
     The table maps every representable input value ``q`` in
     ``[domain_min, domain_max]`` to ``values[q - domain_min]``.  Tables are
     built at lowering time (:func:`repro.deploy.lowering.lower_to_int8`) by
-    evaluating the legacy elementwise integer kernel over the full domain,
-    so executing a table is bit-identical to the arithmetic it replaces *by
+    evaluating the elementwise :mod:`repro.quant.ibert` kernel over the full
+    domain, so executing a table is bit-identical to that kernel *by
     construction* — the exhaustive-domain tests pin this independently.
 
     Attributes

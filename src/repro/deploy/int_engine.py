@@ -12,10 +12,10 @@ pairs the code generator writes to ``weights.h``; the executor encodes
 none of its own.  The MAC operators (``conv1d`` via im2col, ``linear``,
 ``matmul``) run on one batched GEMM primitive (:func:`int_gemm`) that
 requantises once per output tile.  GELU and the softmax ``exp`` run as one
-``np.take`` over the node's lookup table when the lowering tabulated them
-and through the elementwise I-BERT kernels otherwise; the two are
-bit-identical over the full input domain (the tables are built from the
-elementwise kernels, and the test-suite pins the equality exhaustively).
+``np.take`` over the lookup table the lowering built for the node; the
+tables are built from the elementwise I-BERT kernels of
+:mod:`repro.quant.ibert`, and the test-suite pins them to those kernels
+over the full input domain.
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the generated weights and the requantisation constants can all
@@ -203,25 +203,16 @@ def _relu(node, lowered, in_scale, requant) -> Kernel:
 
 
 def _gelu(node, lowered, in_scale, requant) -> Kernel:
-    table = lowered.luts.get("gelu")
-    if table is not None:
-        # The table already fuses the polynomial and the output
-        # requantisation: one gather per element.
-        return lambda q_x, tensors: table.take(q_x).astype(np.int32)
-    output = requant["output"]
-    return lambda q_x, tensors: apply_requant(
-        ibert.integer_gelu(q_x.astype(np.int64), in_scale)[0], *output
-    )
+    # The table already fuses the polynomial and the output requantisation:
+    # one gather per element.
+    table = lowered.luts["gelu"]
+    return lambda q_x, tensors: table.take(q_x).astype(np.int32)
 
 
 def _softmax(node, lowered, in_scale, requant) -> Kernel:
     axis = int(node.attrs.get("axis", -1))
-    table = lowered.luts.get("exp")
+    table = lowered.luts["exp"]
     output = requant["output"]
-    if table is None:
-        return lambda q_x, tensors: apply_requant(
-            ibert.integer_softmax(q_x.astype(np.int64), in_scale, axis=axis)[0], *output
-        )
     one = np.int64(1) << ibert.SOFTMAX_OUTPUT_BITS
 
     def run(q_x, tensors):
@@ -299,10 +290,9 @@ class IntegerGraphExecutor:
     """Executes a :class:`QuantizedGraph` with integer-only arithmetic.
 
     The lowered graph alone decides how each node runs: MAC nodes through
-    :func:`int_gemm`, GELU/softmax through their lookup table when the node
-    carries one and through the elementwise I-BERT kernels when it does
-    not, every requantisation with the node's stored pairs.  Each kernel
-    (fused-chain members included) is bound once, here, by node name.
+    :func:`int_gemm`, GELU/softmax through their lookup tables, every
+    requantisation with the node's stored pairs.  Each kernel (fused-chain
+    members included) is bound once, here, by node name.
     """
 
     def __init__(self, quantized: QuantizedGraph) -> None:

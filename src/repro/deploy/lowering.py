@@ -13,11 +13,12 @@ convention:
   accumulator and the next activation is encoded as a fixed-point multiplier
   plus arithmetic shift, so inference needs no floating point at all.
 
-:func:`lower_to_int8` performs that conversion.  Since the pass-pipeline
-refactor it is a thin entry point over the deploy compiler in
-:mod:`repro.deploy.passes`: calibration, weight quantisation, GEMM tile
-planning and LUT substitution each run as one :class:`~repro.deploy.passes.GraphPass`
-under a :class:`~repro.deploy.passes.PassManager`, and the resulting
+:func:`lower_to_int8` performs that conversion.  It is a thin entry point
+over the deploy compiler in :mod:`repro.deploy.passes`: calibration, weight
+quantisation, GEMM tile planning and LUT substitution (the transformer
+nonlinearities always run as tables) each run as one
+:class:`~repro.deploy.passes.GraphPass` under a
+:class:`~repro.deploy.passes.PassManager`, and the resulting
 :class:`QuantizedGraph` is consumed by the integer executor
 (:mod:`repro.deploy.int_engine`) and the code generator
 (:mod:`repro.deploy.codegen`).  This module keeps the lowering *data model*
@@ -207,9 +208,8 @@ class QuantizedNode:
     #: GEMM tile shape of the MAC operators (``conv1d``, ``linear``,
     #: ``matmul``); ``None`` elsewhere.
     gemm: Optional[GemmTileInfo] = None
-    #: Precomputed lookup tables keyed by role (``"gelu"``, ``"exp"``); only
-    #: populated for :data:`~repro.deploy.graph.LUT_OPERATORS` nodes when the
-    #: graph was lowered with ``use_lut=True``.
+    #: Precomputed lookup tables keyed by role (``"gelu"``, ``"exp"``);
+    #: populated for every :data:`~repro.deploy.graph.LUT_OPERATORS` node.
     luts: Dict[str, LookupTable] = field(default_factory=dict)
     #: Names of the nodes this node absorbed, in execution order, when an
     #: optimization pass fused them into it (empty for ordinary nodes).  The
@@ -249,7 +249,7 @@ class QuantizedGraph:
     manifest: Tuple["PassRecord", ...] = ()
     #: The traced graph the compiler started from (before any fusion).
     source_graph: Optional[ComputeGraph] = None
-    #: The resolved :class:`~repro.deploy.passes.LoweringConfig`.
+    #: The :class:`~repro.deploy.passes.LoweringConfig` it was lowered with.
     config: Optional["LoweringConfig"] = None
 
     @property
@@ -275,11 +275,6 @@ class QuantizedGraph:
     def total_lut_bytes(self) -> int:
         """Total lookup-table storage of the lowered graph."""
         return sum(node.lut_bytes for node in self.nodes.values())
-
-    @property
-    def uses_luts(self) -> bool:
-        """Whether any node carries a precomputed lookup table."""
-        return any(node.luts for node in self.nodes.values())
 
     @property
     def weight_kilobytes(self) -> float:
@@ -422,20 +417,16 @@ def build_softmax_exp_lut(in_act: ActivationQuantization) -> LookupTable:
 def lower_to_int8(
     graph: ComputeGraph,
     calibration_inputs: np.ndarray,
-    weight_bits: Optional[int] = None,
-    activation_bits: Optional[int] = None,
-    calibration_percentile: Optional[float] = None,
-    use_lut: Optional[bool] = None,
     config: Optional["LoweringConfig"] = None,
-    optimize: bool = False,
+    *,
+    use_lut: bool = True,
 ) -> QuantizedGraph:
     """Quantise a traced graph to int8 using a calibration batch.
 
-    This is the stable entry point of the deploy compiler: it resolves the
-    configuration and runs the pass pipeline of
-    :func:`repro.deploy.passes.compile_graph` (calibrate-activations →
-    quantize-weights → plan-gemm-tiles → lut-substitution, plus the
-    optimization passes when enabled).
+    This is the stable entry point of the deploy compiler: it runs the pass
+    pipeline of :func:`repro.deploy.passes.compile_graph`
+    (calibrate-activations → quantize-weights → plan-gemm-tiles →
+    lut-substitution, plus the optimization passes when enabled).
 
     Parameters
     ----------
@@ -444,37 +435,26 @@ def lower_to_int8(
     calibration_inputs:
         ``(batch, channels, samples)`` array of representative inputs used to
         pick the activation scales.
-    weight_bits, activation_bits, calibration_percentile, use_lut:
-        Deprecated aliases for the matching :class:`~repro.deploy.passes.LoweringConfig`
-        fields, kept so existing callers (and ``BackendCache`` keys built
-        from ``lower_kwargs``) keep working.  ``None`` means "use the config
-        (or its default)"; an explicit value overrides ``config``.
     config:
-        A :class:`~repro.deploy.passes.LoweringConfig` selecting precision,
-        the LUT op set and the optimization passes.  Defaults to
-        ``LoweringConfig()``, which reproduces the pre-pipeline lowering
-        bit for bit (same graph topology, same constants and requantisers).
-    optimize:
-        Shorthand for enabling all optimization passes
-        (requant folding, conv→pool fusion, dead-node elimination) on top of
-        ``config`` — equivalent to ``LoweringConfig.optimized()``.  The
-        optimized graph produces bitwise-identical logits; only the node
-        schedule shrinks.
+        A :class:`~repro.deploy.passes.LoweringConfig` selecting precision
+        and the optimization passes; ``LoweringConfig()`` when omitted.
+        ``LoweringConfig(optimize=True)`` fuses the node schedule and keeps
+        the logits bitwise identical.
+    use_lut:
+        Accepted for callers that still spell out the table op set.  The
+        tables are the only op set, so ``False`` raises ``ValueError``.
 
     Returns
     -------
     A :class:`QuantizedGraph` bundling the executable graph, the per-tensor
     activation scales, the integer constants, the requantisation factors,
-    (by default) the nonlinearity lookup tables, and the pass manifest.
+    the nonlinearity lookup tables, and the pass manifest.
     """
-    from .passes import LoweringConfig, compile_graph
+    from .passes import compile_graph
 
-    resolved = LoweringConfig.resolve(
-        config=config,
-        optimize=optimize,
-        weight_bits=weight_bits,
-        activation_bits=activation_bits,
-        calibration_percentile=calibration_percentile,
-        use_lut=use_lut,
-    )
-    return compile_graph(graph, calibration_inputs, resolved)
+    if not use_lut:
+        raise ValueError(
+            "use_lut=False is not supported: GELU and softmax always run "
+            "through their lookup tables"
+        )
+    return compile_graph(graph, calibration_inputs, config)

@@ -1,8 +1,8 @@
 """The deploy compiler: capture → passes → codegen.
 
-This module turns the former monolithic ``lower_to_int8`` into a proper
-pass pipeline over the deploy graph IR, in the style of torch.fx-like
-tracer/transform stacks: a tracer (:mod:`repro.deploy.tracers`) captures a
+``lower_to_int8`` runs as a pass pipeline over the deploy graph IR, in the
+style of torch.fx-like tracer/transform stacks: a tracer
+(:mod:`repro.deploy.tracers`) captures a
 :class:`~repro.deploy.graph.ComputeGraph`, an ordered list of
 :class:`GraphPass` objects transforms/annotates it under a
 :class:`PassManager`, and the resulting
@@ -16,29 +16,27 @@ Pipeline contract
 * The manager re-runs :meth:`ComputeGraph.validate` after every pass, so a
   buggy pass fails at its own boundary instead of corrupting consumers.
 * Every pass is **bitwise-safe**: the lowered graph must produce logits
-  bit-identical to the unoptimized path.  The base pipeline reproduces the
-  pre-refactor lowering exactly; the optimization passes (requant folding,
-  conv→pool fusion, dead-node elimination) only restructure the *schedule* —
-  a fused node carries its constituent kernels in ``attrs["fused_chain"]``
-  and the executors replay them with the exact original per-stage arithmetic
-  (chaining two fixed-point requantisers into one multiplier would
-  double-round and is **not** bitwise-exact, so fusion deliberately keeps
-  the per-stage pairs).
+  bit-identical to the unoptimized path.  The optimization passes
+  (requant folding, conv→pool fusion, dead-node elimination) only
+  restructure the *schedule* — a fused node carries its constituent
+  kernels in ``attrs["fused_chain"]`` and the executors replay them with
+  the exact original per-stage arithmetic (chaining two fixed-point
+  requantisers into one multiplier would double-round and is **not**
+  bitwise-exact, so fusion deliberately keeps the per-stage pairs).
 * The manager records a :class:`PassRecord` per pass (node counts and wall
   time); the manifest ships on the :class:`QuantizedGraph` and is shown by
   the deployment report.
 
-The default configuration runs only the base lowering passes and is pinned
-bitwise against the pre-pipeline lowering by the existing GEMM/LUT test
-suites; ``LoweringConfig.optimized()`` (or ``lower_to_int8(optimize=True)``)
-adds the fusion passes.
+The default configuration runs only the base lowering passes, which always
+tabulate GELU and the softmax ``exp`` (:class:`LutSubstitutionPass`);
+``LoweringConfig(optimize=True)`` adds the fusion passes.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,13 +90,12 @@ FOLDABLE_OPERATORS: Tuple[str, ...] = ("channel_affine", "relu", "gelu")
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LoweringConfig:
-    """Resolved configuration of the deploy compiler.
+    """Configuration of the deploy compiler.
 
-    Replaces the boolean-soup keyword arguments that ``lower_to_int8`` had
-    accumulated (``use_lut=...``, and whatever the next flag would have
-    been); the old kwargs survive as deprecated aliases resolved by
-    :meth:`resolve`, so existing callers and ``BackendCache`` keys keep
-    working unchanged.
+    The only way to configure :func:`~repro.deploy.lowering.lower_to_int8`,
+    :func:`~repro.deploy.report.deploy_graph`, ``build_int8_backend`` and
+    ``InferenceServer(lowering=...)``.  Frozen and hashable, so the serving
+    tier keys its backend cache on the config itself.
     """
 
     #: Integer precision (8/8 in the paper; other widths for ablations).
@@ -106,58 +103,12 @@ class LoweringConfig:
     activation_bits: int = 8
     #: Percentile of ``|activation|`` covered by the activation scale.
     calibration_percentile: float = 99.9
-    #: Tabulate the I-BERT GELU / softmax-``exp`` nonlinearities
-    #: (:class:`LutSubstitutionPass`); bit-identical either way.
-    use_lut: bool = True
-    #: Fold sole-consumer elementwise tails (channel_affine / relu / gelu)
-    #: into the preceding MAC node (:class:`FoldRequantPass`).
-    fold_requant: bool = False
-    #: Fuse a sole-consumer ``avgpool1d`` into the preceding (possibly
-    #: already fused) conv node (:class:`FuseConvPoolPass`).
-    fuse_pool: bool = False
-    #: Drop nodes whose outputs nothing consumes
-    #: (:class:`DeadNodeEliminationPass`).
-    eliminate_dead_nodes: bool = False
-
-    @classmethod
-    def optimized(cls, **overrides) -> "LoweringConfig":
-        """The default config with every optimization pass enabled."""
-        settings = dict(fold_requant=True, fuse_pool=True, eliminate_dead_nodes=True)
-        settings.update(overrides)
-        return cls(**settings)
-
-    @property
-    def optimizes(self) -> bool:
-        """Whether any graph-restructuring pass is enabled."""
-        return self.fold_requant or self.fuse_pool or self.eliminate_dead_nodes
-
-    @classmethod
-    def resolve(
-        cls,
-        config: Optional["LoweringConfig"] = None,
-        optimize: bool = False,
-        **overrides,
-    ) -> "LoweringConfig":
-        """Merge a base config, the ``optimize`` shorthand and legacy kwargs.
-
-        ``overrides`` are the deprecated ``lower_to_int8`` keyword aliases
-        (``weight_bits=...``, ``use_lut=...``, ...); ``None`` entries mean
-        "keep the config value", anything else wins over ``config``.
-        Unknown keys raise ``TypeError`` exactly like a bad kwarg would.
-        """
-        base = config if config is not None else cls()
-        if optimize:
-            base = replace(
-                base, fold_requant=True, fuse_pool=True, eliminate_dead_nodes=True
-            )
-        effective = {
-            key: value for key, value in overrides.items() if value is not None
-        }
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(effective) - known)
-        if unknown:
-            raise TypeError(f"unknown lowering option(s): {', '.join(unknown)}")
-        return replace(base, **effective) if effective else base
+    #: Run the schedule-only optimization passes: fold sole-consumer
+    #: elementwise tails into the preceding MAC node
+    #: (:class:`FoldRequantPass`), fuse a sole-consumer ``avgpool1d`` into
+    #: its conv (:class:`FuseConvPoolPass`) and drop unconsumed nodes
+    #: (:class:`DeadNodeEliminationPass`).  Logits stay bitwise equal.
+    optimize: bool = False
 
 
 @dataclass
@@ -228,9 +179,8 @@ class PassManager:
     are wrapped in :class:`PassPipelineError` naming the offending pass.
     """
 
-    def __init__(self, passes: Sequence[GraphPass], validate: bool = True) -> None:
+    def __init__(self, passes: Sequence[GraphPass]) -> None:
         self.passes: List[GraphPass] = list(passes)
-        self.validate = validate
         self.manifest: List[PassRecord] = []
 
     def run(self, state: LoweringState) -> LoweringState:
@@ -253,19 +203,18 @@ class PassManager:
                     f"pass '{graph_pass.name}' returned {type(new_state).__name__}, "
                     "expected a LoweringState"
                 )
-            if self.validate:
-                after = [(node.name, node.output.name) for node in state.graph.nodes]
-                if after != snapshot:
-                    raise PassPipelineError(
-                        f"pass '{graph_pass.name}' mutated its input graph in "
-                        "place; passes must return a new graph"
-                    )
-                try:
-                    new_state.graph.validate()
-                except ValueError as error:
-                    raise PassPipelineError(
-                        f"pass '{graph_pass.name}' produced an invalid graph: {error}"
-                    ) from error
+            after = [(node.name, node.output.name) for node in state.graph.nodes]
+            if after != snapshot:
+                raise PassPipelineError(
+                    f"pass '{graph_pass.name}' mutated its input graph in "
+                    "place; passes must return a new graph"
+                )
+            try:
+                new_state.graph.validate()
+            except ValueError as error:
+                raise PassPipelineError(
+                    f"pass '{graph_pass.name}' produced an invalid graph: {error}"
+                ) from error
             self.manifest.append(
                 PassRecord(
                     name=graph_pass.name,
@@ -449,11 +398,10 @@ class PlanGemmTilesPass(GraphPass):
 class LutSubstitutionPass(GraphPass):
     """Tabulate the GELU / softmax-``exp`` nonlinearities into lookup tables.
 
-    Replaces the former ``use_lut`` branch inside the monolithic lowering:
-    the pass only runs when :attr:`LoweringConfig.use_lut` is set (the
-    pipeline builder simply omits it otherwise), and the tables are built by
-    evaluating the elementwise kernels over the full input domain, the GELU
-    table with the node's stored output requantiser — bit-identical by
+    The tables are the only int8 op set for these nonlinearities.  They are
+    built by evaluating the elementwise :mod:`repro.quant.ibert` kernels
+    over the full input domain, the GELU table with the node's stored
+    output requantiser, so they are bit-identical to those kernels by
     construction.
     """
 
@@ -479,7 +427,7 @@ class LutSubstitutionPass(GraphPass):
 
 
 # --------------------------------------------------------------------- #
-# Optimization passes (opt-in; schedule-only, bitwise-identical logits)
+# Optimization passes (``optimize=True``; schedule-only, bitwise-identical)
 # --------------------------------------------------------------------- #
 def _fuse_nodes(base: GraphNode, tail: GraphNode) -> GraphNode:
     """Fuse ``tail`` into ``base``, preserving the original kernels.
@@ -637,20 +585,16 @@ class DeadNodeEliminationPass(GraphPass):
 # Pipeline assembly
 # --------------------------------------------------------------------- #
 def build_pass_pipeline(config: LoweringConfig) -> List[GraphPass]:
-    """The pass list for a config: base lowering plus enabled optimizations."""
+    """The pass list for a config: base lowering plus, with
+    ``config.optimize``, the optimization passes."""
     passes: List[GraphPass] = [
         CalibrateActivationsPass(),
         QuantizeWeightsPass(),
         PlanGemmTilesPass(),
+        LutSubstitutionPass(),
     ]
-    if config.use_lut:
-        passes.append(LutSubstitutionPass())
-    if config.fold_requant:
-        passes.append(FoldRequantPass())
-    if config.fuse_pool:
-        passes.append(FuseConvPoolPass())
-    if config.eliminate_dead_nodes:
-        passes.append(DeadNodeEliminationPass())
+    if config.optimize:
+        passes += [FoldRequantPass(), FuseConvPoolPass(), DeadNodeEliminationPass()]
     return passes
 
 

@@ -33,6 +33,7 @@ from .graph import ComputeGraph
 from .int_engine import IntegerGraphExecutor
 from .lowering import QuantizedGraph, lower_to_int8
 from .memory import MemoryPlan, plan_activation_memory
+from .passes import LoweringConfig
 from .tiling import TilingConfig, TilingPlan, plan_tiling
 from .tracers import trace_model
 
@@ -176,7 +177,7 @@ class GraphDeploymentReport:
 
     @property
     def lut_kilobytes(self) -> float:
-        """Nonlinearity lookup-table storage in kB (0 for a tableless lowering)."""
+        """Nonlinearity lookup-table storage in kB (0 for TEMPONet)."""
         return self.quantized.total_lut_bytes / 1024.0
 
     @property
@@ -268,7 +269,7 @@ def deploy_graph(
     battery: Optional[BatteryConfig] = None,
     inference_period_s: Optional[float] = 15e-3,
     generate_code: bool = True,
-    **lower_kwargs,
+    config: Optional[LoweringConfig] = None,
 ) -> GraphDeploymentReport:
     """Run the full graph-level deployment pipeline for a trained model.
 
@@ -289,18 +290,18 @@ def deploy_graph(
         the paper); ``None`` skips the projection.
     generate_code:
         Whether to run the C code generator and attach the sources.
-    lower_kwargs:
-        Forwarded to :func:`~repro.deploy.lowering.lower_to_int8`
-        (``config=...``, ``use_lut=...``, ``optimize=...``,
-        ``weight_bits=...``, ...).  The defaults are the paper's 8/8
-        lowering with LUT nonlinearities; ``optimize=True`` runs the
-        compiler's fusion passes (see :mod:`repro.deploy.passes`), which
-        keep the logits bitwise-identical and shrink the kernel schedule.
+    config:
+        The :class:`~repro.deploy.passes.LoweringConfig` forwarded to
+        :func:`~repro.deploy.lowering.lower_to_int8`.  The default is the
+        paper's 8/8 lowering with LUT nonlinearities;
+        ``LoweringConfig(optimize=True)`` runs the compiler's fusion passes
+        (see :mod:`repro.deploy.passes`), which keep the logits
+        bitwise-identical and shrink the kernel schedule.
     """
     model.eval()
     gap8 = gap8 if gap8 is not None else GAP8Config()
     graph = trace_model(model)
-    quantized = lower_to_int8(graph, calibration_inputs, **lower_kwargs)
+    quantized = lower_to_int8(graph, calibration_inputs, config)
     # Downstream planning runs on the *executable* graph: identical to the
     # trace under the default pipeline, fused/smaller when optimizing.
     compiled = quantized.graph

@@ -12,10 +12,9 @@ inference paths the repository already validates end-to-end:
 * :class:`Int8Backend` — the lowered :class:`~repro.deploy.lowering.QuantizedGraph`
   replayed by :class:`~repro.deploy.int_engine.IntegerGraphExecutor`, i.e.
   the GAP8 integer numerics.  Its logits are the dequantised int8 grid, so
-  serving accuracy equals the deployment-report accuracy.  The default
-  lowering carries lookup tables for the I-BERT GELU/softmax
-  nonlinearities, which the executor gathers instead of evaluating the
-  polynomials (bit-identical, measurably faster on batched serving).
+  serving accuracy equals the deployment-report accuracy.  The lowering
+  tabulates the I-BERT GELU/softmax nonlinearities, which the executor
+  gathers instead of evaluating the polynomials.
 
 Both expose the same :class:`Backend` protocol, which is what
 :class:`repro.serve.server.InferenceServer` and the
@@ -37,6 +36,7 @@ import numpy as np
 from ..deploy.engine import FloatGraphExecutor
 from ..deploy.int_engine import IntegerGraphExecutor
 from ..deploy.lowering import QuantizedGraph, lower_to_int8
+from ..deploy.passes import LoweringConfig
 from ..deploy.tracers import trace_model
 from ..nn.module import Module
 
@@ -121,7 +121,7 @@ class Int8Backend:
     The lowered graph decides how each node runs (see
     :class:`~repro.deploy.int_engine.IntegerGraphExecutor`): MAC nodes as
     one integer GEMM across the whole micro-batch, GELU/softmax through
-    their lookup tables when the graph carries them.
+    their lookup tables.
     """
 
     name = "int8"
@@ -143,11 +143,6 @@ class Int8Backend:
         """Number of gesture classes in the logits."""
         return self._classes
 
-    @property
-    def uses_lut(self) -> bool:
-        """Whether the nonlinearities execute through lookup tables."""
-        return self.quantized.uses_luts
-
     def run(self, windows: np.ndarray) -> np.ndarray:
         """Dequantised float logits for ``(batch, channels, samples)`` windows."""
         return self.executor.run(windows)
@@ -163,7 +158,7 @@ class Int8Backend:
     def __repr__(self) -> str:
         return (
             f"Int8Backend(graph='{self.quantized.graph.name}', "
-            f"input={self.input_shape}, lut={self.uses_lut})"
+            f"input={self.input_shape})"
         )
 
 
@@ -178,7 +173,7 @@ def build_int8_backend(
     *,
     calibration_batch: int = 16,
     seed: int = 0,
-    **lower_kwargs,
+    config: Optional[LoweringConfig] = None,
 ) -> Int8Backend:
     """Trace, calibrate and lower ``model``, then wrap the integer engine.
 
@@ -187,16 +182,14 @@ def build_int8_backend(
     (adequate for the synthetic data distribution, and reproducible so the
     backend cache stays consistent across processes).
 
-    ``lower_kwargs`` (``use_lut=...``, ``optimize=...``, ``weight_bits=...``,
-    ``config=...``, ...) forward to :func:`~repro.deploy.lowering.lower_to_int8`;
-    the defaults live in :class:`~repro.deploy.passes.LoweringConfig`.
+    ``config`` is the :class:`~repro.deploy.passes.LoweringConfig` forwarded
+    to :func:`~repro.deploy.lowering.lower_to_int8` (its defaults when
+    omitted).
     """
     graph = trace_model(model.eval())
     if calibration is None:
         rng = np.random.default_rng(seed)
         channels, samples, _ = _model_geometry(model)
         calibration = rng.normal(size=(calibration_batch, channels, samples))
-    quantized = lower_to_int8(
-        graph, np.asarray(calibration, dtype=np.float64), **lower_kwargs
-    )
+    quantized = lower_to_int8(graph, np.asarray(calibration, dtype=np.float64), config)
     return Int8Backend(quantized)

@@ -31,11 +31,11 @@ aggregates breaker states, worker restarts, shed/retry counters and queue
 depth into one frozen snapshot.
 
 Backends are constructed through a process-wide cache keyed by
-``(architecture, patch_size, backend, lowering variant)`` (plus the full
+``(architecture, patch_size, backend, lowering config)`` (plus the full
 registry kwargs), so many concurrent sessions of the same deployed
 architecture share one model/executor — the serving analogue of the deploy
-toolchain's one-binary-many-inferences model — while int8 op-set variants
-(LUT vs elementwise nonlinearities) stay distinct.
+toolchain's one-binary-many-inferences model — while int8 backends lowered
+with different configs (bit widths, fused schedule) stay distinct.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class BackendCache:
     """LRU cache of constructed serving backends.
 
     Keys are ``(model_cache_key(architecture, **kwargs), backend,
-    lowering variant)`` tuples: two servers asking for the same
-    architecture / patch size / backend / lowering options get the *same*
+    lowering config)`` tuples: two servers asking for the same
+    architecture / patch size / backend / lowering config get the *same*
     backend object (same weights, same quantisation constants, same op
     set).
     """
@@ -243,14 +243,13 @@ class InferenceServer:
         Representative windows for int8 lowering (int8 backend only).
         Calibration is *not* part of the cache key; pass a dedicated
         ``cache`` when serving differently calibrated variants side by side.
-    lower_kwargs:
-        Extra :func:`~repro.deploy.lowering.lower_to_int8` arguments for the
-        int8 backend (``use_lut``, ``optimize``, ``weight_bits``,
-        ``config``, ...).  Unlike calibration, the lowering *is* part of the
-        cache key: the key holds the resolved
-        :class:`~repro.deploy.passes.LoweringConfig`, so every spelling of
-        one config shares one cached backend and different configs are
-        cached side by side.
+    lowering:
+        The :class:`~repro.deploy.passes.LoweringConfig` of the int8 backend
+        (``LoweringConfig()`` when omitted); a float server rejects it with
+        ``ValueError``.  Unlike calibration, the config *is* part of the
+        cache key: the frozen config itself is the key's lowering entry, so
+        omitting it and passing ``LoweringConfig()`` share one cached
+        backend and different configs are cached side by side.
     max_batch_size / max_wait_s:
         Micro-batching knobs (see :class:`~repro.serve.batcher.DynamicBatcher`).
     num_workers:
@@ -317,7 +316,7 @@ class InferenceServer:
         num_workers: int = 1,
         pool: Optional[WorkerPool] = None,
         cache: Optional[BackendCache] = None,
-        lower_kwargs: Optional[Dict] = None,
+        lowering: Optional[LoweringConfig] = None,
         job_timeout_s: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         circuit_breaker: Union[CircuitBreaker, bool, None] = None,
@@ -334,21 +333,21 @@ class InferenceServer:
             raise ValueError("pass either num_workers or an external pool, not both")
         if fallback and backend != "int8":
             raise ValueError("fallback degradation requires backend='int8'")
+        if lowering is not None and backend != "int8":
+            raise ValueError("a lowering config requires backend='int8'")
         self.backend_name = backend
         self.cache = cache if cache is not None else get_default_cache()
         self.validate_inputs = bool(validate_inputs)
         model_kwargs = dict(model_kwargs or {})
         if patch_size is not None:
             model_kwargs["patch_size"] = patch_size
-        lower_kwargs = dict(lower_kwargs or {})
-        # Lowering options change the served numerics' implementation (LUT
-        # vs elementwise op set, bit widths, fused vs unfused schedule), so
-        # they are part of the cache identity — unlike calibration data,
-        # which is not hashable.  The resolved LoweringConfig is frozen and
-        # hashable, and the defaults live only in it.
+        # The lowering config changes the served numerics (bit widths) or
+        # schedule (fusion), so it is part of the cache identity — unlike
+        # calibration data, which is not hashable.  The config is frozen
+        # and hashable.
         lowering_variant: object = ()
         if backend == "int8":
-            lowering_variant = LoweringConfig.resolve(**lower_kwargs)
+            lowering_variant = lowering if lowering is not None else LoweringConfig()
 
         if isinstance(model, str):
             self.architecture = model.lower()
@@ -359,7 +358,7 @@ class InferenceServer:
                 built = build_model(self.architecture, **model_kwargs).eval()
                 if backend == "float":
                     return build_float_backend(built)
-                return build_int8_backend(built, calibration, **lower_kwargs)
+                return build_int8_backend(built, calibration, config=lowering)
 
             def fallback_factory() -> Backend:
                 built = build_model(self.architecture, **model_kwargs).eval()
@@ -376,7 +375,7 @@ class InferenceServer:
             def factory() -> Backend:
                 if backend == "float":
                     return build_float_backend(model)
-                return build_int8_backend(model, calibration, **lower_kwargs)
+                return build_int8_backend(model, calibration, config=lowering)
 
             def fallback_factory() -> Backend:
                 return build_float_backend(model)

@@ -223,10 +223,10 @@ class TestDeployGraph:
 
     def test_config_is_the_lowering_that_runs(self, rng):
         """``deploy_graph(config=...)`` must not be overridden by defaults."""
-        config = LoweringConfig(use_lut=False, activation_bits=6)
+        config = LoweringConfig(activation_bits=6, optimize=True)
         report = deploy_graph(
             small_bioformer(), rng.normal(size=(8, 4, 60)), config=config, generate_code=False
         )
         assert report.quantized.config == config
         assert report.quantized.input_quantization.qmax == 31
-        assert report.lut_kilobytes == 0.0
+        assert any(node.is_fused for node in report.graph.nodes)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.deploy import (
     FloatGraphExecutor,
     IntegerGraphExecutor,
+    LoweringConfig,
     lower_to_int8,
     quantize_multiplier,
     requantize,
@@ -289,7 +290,9 @@ class TestLowering:
     def test_activation_bits_respected(self, rng):
         model = small_bioformer()
         graph = trace_model(model)
-        quantized = lower_to_int8(graph, rng.normal(size=(4, 4, 60)), activation_bits=6)
+        quantized = lower_to_int8(
+            graph, rng.normal(size=(4, 4, 60)), LoweringConfig(activation_bits=6)
+        )
         assert quantized.input_quantization.qmax == 31
         assert quantized.input_quantization.qmin == -32
 
@@ -431,7 +434,7 @@ class TestIntegerExecutor:
             evaluation
         )
         agreement_4 = IntegerGraphExecutor(
-            lower_to_int8(graph, calibration, weight_bits=4, activation_bits=4)
+            lower_to_int8(graph, calibration, LoweringConfig(weight_bits=4, activation_bits=4))
         ).agreement_with_float(evaluation)
         assert agreement_8 >= agreement_4
 

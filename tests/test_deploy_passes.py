@@ -8,12 +8,12 @@ The compiler contract has two halves:
    inputs at the pass boundary.
 2. **Numerics** — every pass, and every ordering of the optimization
    passes, keeps executor logits *bitwise equal* (``assert_array_equal``,
-   never a tolerance) across all registry configs × {LUT, elementwise}
-   lowering, while the fusion passes strictly shrink the node schedule.
+   never a tolerance) across all registry configs, while the fusion passes
+   strictly shrink the node schedule.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -55,8 +55,14 @@ CONFIGS = [
     ("temponet", None),
 ]
 
-BASE_PASSES = ["calibrate-activations", "quantize-weights", "plan-gemm-tiles"]
+BASE_PASSES = [
+    "calibrate-activations",
+    "quantize-weights",
+    "plan-gemm-tiles",
+    "lut-substitution",
+]
 OPTIMIZATION_PASSES = ["fold-requant", "fuse-conv-pool", "dead-node-elimination"]
+OPTIMIZED = LoweringConfig(optimize=True)
 
 
 def config_id(config):
@@ -87,12 +93,11 @@ def traced(request):
     return trace_model(make_model(arch, patch))
 
 
-@pytest.fixture(scope="module", params=[True, False], ids=["lut", "elementwise"])
-def lowered_pair(request, traced, calibration):
-    """(default, optimized) lowering of one config under one nonlinearity set."""
-    use_lut = request.param
-    default = lower_to_int8(traced, calibration, use_lut=use_lut)
-    optimized = lower_to_int8(traced, calibration, use_lut=use_lut, optimize=True)
+@pytest.fixture(scope="module")
+def lowered_pair(traced, calibration):
+    """(default, optimized) lowering of one config."""
+    default = lower_to_int8(traced, calibration)
+    optimized = lower_to_int8(traced, calibration, OPTIMIZED)
     return default, optimized
 
 
@@ -123,41 +128,57 @@ def tiny_state(graph):
 
 
 # --------------------------------------------------------------------- #
-# LoweringConfig and the deprecated kwarg aliases
+# LoweringConfig, the one spelling of a lowering
 # --------------------------------------------------------------------- #
 class TestLoweringConfig:
     def test_defaults_match_legacy_signature(self):
         config = LoweringConfig()
+        assert [field.name for field in fields(config)] == [
+            "weight_bits",
+            "activation_bits",
+            "calibration_percentile",
+            "optimize",
+        ]
         assert config.weight_bits == 8
         assert config.activation_bits == 8
         assert config.calibration_percentile == 99.9
-        assert config.use_lut is True
-        assert not config.optimizes
+        assert config.optimize is False
 
-    def test_optimized_enables_every_pass(self):
-        config = LoweringConfig.optimized()
-        assert config.fold_requant and config.fuse_pool and config.eliminate_dead_nodes
-        assert config.optimizes
-        partial = LoweringConfig.optimized(fuse_pool=False)
-        assert partial.fold_requant and not partial.fuse_pool
+    def test_config_is_frozen_and_hashed_by_value(self):
+        """The serving tier keys its backend cache on the config itself."""
+        config = LoweringConfig(optimize=True)
+        with pytest.raises(FrozenInstanceError):
+            config.optimize = False
+        assert config == OPTIMIZED and hash(config) == hash(OPTIMIZED)
+        assert config != LoweringConfig()
 
-    def test_resolve_maps_legacy_kwargs(self):
-        config = LoweringConfig.resolve(activation_bits=6, use_lut=False)
-        assert config.activation_bits == 6 and config.use_lut is False
-        assert config.weight_bits == 8  # untouched default
-
-    def test_resolve_none_keeps_config_value(self):
-        base = LoweringConfig(use_lut=False)
-        assert LoweringConfig.resolve(config=base, use_lut=None).use_lut is False
-        assert LoweringConfig.resolve(config=base, use_lut=True).use_lut is True
-
-    def test_resolve_optimize_shorthand(self):
-        config = LoweringConfig.resolve(optimize=True)
-        assert config == LoweringConfig.optimized()
-
-    def test_resolve_rejects_unknown_option(self):
-        with pytest.raises(TypeError, match="unknown lowering option"):
-            LoweringConfig.resolve(use_lutt=True)
+    @pytest.mark.parametrize(
+        "entry_point",
+        ["lower_to_int8", "build_int8_backend", "deploy_graph", "InferenceServer"],
+    )
+    def test_entry_points_take_only_the_config(self, calibration, entry_point):
+        """The deleted kwarg aliases are rejected by every entry point."""
+        calls = {
+            "lower_to_int8": lambda: lower_to_int8(
+                trace_model(make_model("temponet")), calibration, optimize=True
+            ),
+            "build_int8_backend": lambda: build_int8_backend(
+                make_model("temponet"), calibration, weight_bits=6
+            ),
+            "deploy_graph": lambda: deploy_graph(
+                make_model("temponet"), calibration, activation_bits=6
+            ),
+            "InferenceServer": lambda: InferenceServer(
+                "temponet",
+                "int8",
+                model_kwargs=GEOMETRY,
+                calibration=calibration,
+                cache=BackendCache(),
+                lower_kwargs={"optimize": True},
+            ),
+        }
+        with pytest.raises(TypeError):
+            calls[entry_point]()
 
     def test_lower_to_int8_accepts_config_object(self, calibration):
         graph = trace_model(make_model("temponet"))
@@ -264,15 +285,13 @@ class TestPassManager:
 
     def test_manifest_records_every_pass(self, calibration):
         graph = trace_model(make_model("temponet"))
-        config = LoweringConfig.optimized()
-        manager = PassManager(build_pass_pipeline(config))
+        manager = PassManager(build_pass_pipeline(OPTIMIZED))
         state = LoweringState(
-            graph=graph, config=config, calibration=calibration, source_graph=graph
+            graph=graph, config=OPTIMIZED, calibration=calibration, source_graph=graph
         )
         manager.run(state)
-        assert [record.name for record in manager.manifest] == (
-            BASE_PASSES + ["lut-substitution"] + OPTIMIZATION_PASSES
-        )
+        names = [record.name for record in manager.manifest]
+        assert names == BASE_PASSES + OPTIMIZATION_PASSES
         for record in manager.manifest:
             assert record.wall_ms >= 0.0
             assert record.nodes_after <= record.nodes_before
@@ -285,19 +304,12 @@ class TestGoldenManifest:
     def test_default_manifest(self, calibration):
         graph = trace_model(make_model("bio1"))
         quantized = lower_to_int8(graph, calibration)
-        assert [r.name for r in quantized.manifest] == BASE_PASSES + ["lut-substitution"]
-
-    def test_elementwise_manifest_skips_lut_pass(self, calibration):
-        graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, use_lut=False)
         assert [r.name for r in quantized.manifest] == BASE_PASSES
 
     def test_optimized_manifest_appends_fusion_passes(self, calibration):
         graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
-        assert [r.name for r in quantized.manifest] == (
-            BASE_PASSES + ["lut-substitution"] + OPTIMIZATION_PASSES
-        )
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        assert [r.name for r in quantized.manifest] == BASE_PASSES + OPTIMIZATION_PASSES
 
     def test_node_counts_in_manifest_are_consistent(self, lowered_pair):
         _, optimized = lowered_pair
@@ -308,7 +320,7 @@ class TestGoldenManifest:
 
     def test_report_lists_executed_manifest(self, calibration):
         report = deploy_graph(
-            make_model("temponet"), calibration, optimize=True, generate_code=False
+            make_model("temponet"), calibration, generate_code=False, config=OPTIMIZED
         )
         text = report.render()
         assert "compiler passes" in text
@@ -320,21 +332,13 @@ class TestGoldenManifest:
 # --------------------------------------------------------------------- #
 # Bitwise invariance of the optimization passes
 # --------------------------------------------------------------------- #
-@pytest.mark.slow  # full op-set x model matrix; tier-1 keeps the targeted pass tests
+@pytest.mark.slow  # full model matrix; tier-1 keeps the targeted pass tests
 class TestPassInvariance:
-    def test_optimized_logits_bitwise_equal(
-        self, lowered_pair, traced, calibration, windows
-    ):
+    def test_optimized_logits_bitwise_equal(self, lowered_pair, windows):
         default, optimized = lowered_pair
-        tableless = lower_to_int8(
-            traced, calibration, config=LoweringConfig(use_lut=False)
-        )
-        fused = IntegerGraphExecutor(optimized)
-        for base in (IntegerGraphExecutor(default), IntegerGraphExecutor(tableless)):
-            np.testing.assert_array_equal(
-                base.run_integer(windows), fused.run_integer(windows)
-            )
-            np.testing.assert_array_equal(base.run(windows), fused.run(windows))
+        base, fused = IntegerGraphExecutor(default), IntegerGraphExecutor(optimized)
+        np.testing.assert_array_equal(base.run_integer(windows), fused.run_integer(windows))
+        np.testing.assert_array_equal(base.run(windows), fused.run(windows))
 
     def test_batched_equals_single(self, lowered_pair, windows):
         _, optimized = lowered_pair
@@ -417,7 +421,7 @@ class TestFusion:
 
     def test_temponet_collapses_to_fused_convs(self, calibration):
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
         remaining_ops = {node.op for node in quantized.graph.nodes}
         # Every channel_affine / relu / avgpool1d is absorbed into its conv
         # (or the classifier linear); only the fused MACs and the flatten
@@ -434,14 +438,14 @@ class TestFusion:
 
     def test_bioformer_folds_ffn_gelu(self, calibration):
         graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
         assert all(node.op != "gelu" for node in quantized.graph.nodes)
         expand = quantized.graph.node("blocks.0.feedforward.expand")
         assert [sub.op for sub in expand.fusion_chain] == ["linear", "gelu"]
 
     def test_payloads_of_absorbed_nodes_survive(self, calibration):
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
         for node in quantized.graph.nodes:
             for sub in node.fusion_chain:
                 assert sub.name in quantized.nodes
@@ -482,7 +486,7 @@ class TestDeadNodeElimination:
 class TestFusedCodegen:
     def test_temponet_schedule_names_fused_kernels(self, calibration):
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
         sources = CodeGenerator(quantized).generate()
         network = sources["network.c"].content
         assert "net_conv1d_im2col_affine_relu_i8(" in network
@@ -492,17 +496,14 @@ class TestFusedCodegen:
 
     def test_bioformer_lut_gelu_fusion_tag(self, calibration):
         graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
         network = CodeGenerator(quantized).generate()["network.c"].content
         assert "net_linear_gemm_gelu_lut_i8(" in network
-        elementwise = lower_to_int8(graph, calibration, use_lut=False, optimize=True)
-        network = CodeGenerator(elementwise).generate()["network.c"].content
-        assert "net_linear_gemm_gelu_i8(" in network
 
     def test_absorbed_constants_still_emitted(self, calibration):
         graph = trace_model(make_model("temponet"))
         default = lower_to_int8(graph, calibration)
-        optimized = lower_to_int8(graph, calibration, optimize=True)
+        optimized = lower_to_int8(graph, calibration, OPTIMIZED)
         weights_default = CodeGenerator(default).weights_header().content
         weights_optimized = CodeGenerator(optimized).weights_header().content
         # Fusion moves no bytes: the absorbed batch-norm scale/shift arrays
@@ -513,7 +514,7 @@ class TestFusedCodegen:
         import re
 
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, optimize=True)
+        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
         sources = CodeGenerator(quantized).generate()
         called = set(re.findall(r"(net_\w+_i8)\(", sources["network.c"].content))
         declared = set(re.findall(r"void (net_\w+_i8)\(", sources["kernels.h"].content))
@@ -527,7 +528,7 @@ class TestServingIntegration:
     def test_optimized_backend_is_bitwise_equal(self, calibration, windows):
         model = make_model("temponet")
         default = build_int8_backend(model, calibration)
-        optimized = build_int8_backend(model, calibration, optimize=True)
+        optimized = build_int8_backend(model, calibration, config=OPTIMIZED)
         assert len(optimized.quantized.graph) < len(default.quantized.graph)
         np.testing.assert_array_equal(
             default.run_integer(windows), optimized.run_integer(windows)
@@ -543,14 +544,43 @@ class TestServingIntegration:
         x = np.random.default_rng(13).normal(size=(4, 4, 60))
         with InferenceServer("bio1", "int8", **kwargs) as default:
             with InferenceServer(
-                "bio1", "int8", lower_kwargs={"optimize": True}, **kwargs
+                "bio1", "int8", lowering=OPTIMIZED, **kwargs
             ) as optimized:
                 assert optimized.backend is not default.backend
                 np.testing.assert_array_equal(default.infer(x), optimized.infer(x))
             assert len(cache) == 2
-            # Explicit optimize=False is the default: one shared entry.
+            # The key is the config itself: an explicit default config shares
+            # the entry of an omitted one.
             with InferenceServer(
-                "bio1", "int8", lower_kwargs={"optimize": False}, **kwargs
+                "bio1", "int8", lowering=LoweringConfig(), **kwargs
             ) as explicit:
                 assert explicit.backend is default.backend
+                assert explicit.cache_key[2] == LoweringConfig()
         assert len(cache) == 2
+
+    def test_server_lowers_with_the_given_config(self):
+        """The config is applied, not only used as the cache key."""
+        cache = BackendCache()
+        calibration = np.random.default_rng(12).normal(size=(8, 4, 60))
+        config = LoweringConfig(activation_bits=6)
+        kwargs = dict(
+            patch_size=10, model_kwargs=GEOMETRY, calibration=calibration, cache=cache
+        )
+        with InferenceServer("bio1", "int8", **kwargs) as default:
+            with InferenceServer("bio1", "int8", lowering=config, **kwargs) as narrow:
+                assert narrow.backend is not default.backend
+                assert narrow.cache_key[2] == config
+                assert narrow.backend.quantized.config == config
+                assert all(
+                    (act.qmin, act.qmax) == (-32, 31)
+                    for act in narrow.backend.quantized.activations.values()
+                )
+        assert len(cache) == 2
+
+    def test_float_server_rejects_lowering_config(self):
+        cache = BackendCache()
+        with pytest.raises(ValueError, match="backend='int8'"):
+            InferenceServer(
+                "bio1", "float", model_kwargs=GEOMETRY, cache=cache, lowering=OPTIMIZED
+            )
+        assert len(cache) == 0

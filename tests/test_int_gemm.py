@@ -8,8 +8,9 @@ test-side :class:`ReferenceExecutor` overrides only those three ops with
 the per-tap einsum conv loop and int64 ``@``, encoding the requantiser at
 run time from the float scales.  These tests pin that equality
 (``assert_array_equal``, never a tolerance) across every
-registry-reachable architecture, table and tableless lowering, and batch
-sizes 1/3/8/16, the fused ``optimized()`` lowering, plus batched-vs-single
+registry-reachable architecture, percentile and absmax calibration, and
+batch sizes 1/3/8/16, the fused ``LoweringConfig(optimize=True)``
+lowering, plus batched-vs-single
 invariance and the tile metadata the lowering pass precomputes.
 """
 
@@ -39,6 +40,10 @@ CONFIGS = [
 ]
 
 BATCH_SIZES = [1, 3, 8, 16]
+
+#: ``calibration_percentile`` of each lowering: the default and absmax,
+#: which moves nearly every activation scale and so every requantiser.
+CALIBRATIONS = {"percentile": 99.9, "absmax": 100.0}
 
 MAC_OPERATORS = ("conv1d", "linear", "matmul")
 
@@ -127,29 +132,30 @@ def rng():
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=config_id)
 def lowerings(request):
-    """Table (``True``) and tableless (``False``) lowering of one config,
-    both from the same calibration batch; ``("optimized", use_lut)`` keys
-    hold the fused ``LoweringConfig.optimized()`` lowerings."""
+    """The default and the fused (``optimize=True``) lowering of one
+    config under the default 99.9th percentile and the absmax (100th)
+    calibration, all from the same calibration batch, keyed by
+    ``(calibration, optimize)``."""
     arch, patch = request.param
     kwargs = dict(GEOMETRY)
     if patch is not None:
         kwargs["patch_size"] = patch
     graph = trace_model(build_model(arch, **kwargs).eval())
     calibration = np.random.default_rng(5).normal(size=(16, 4, 60))
-    lowered = {
-        True: lower_to_int8(graph, calibration, use_lut=True),
-        False: lower_to_int8(graph, calibration, config=LoweringConfig(use_lut=False)),
-    }
-    for use_lut in (True, False):
-        lowered["optimized", use_lut] = lower_to_int8(
-            graph, calibration, config=LoweringConfig.optimized(use_lut=use_lut)
+    return {
+        (name, optimize): lower_to_int8(
+            graph,
+            calibration,
+            LoweringConfig(calibration_percentile=percentile, optimize=optimize),
         )
-    return lowered
+        for name, percentile in CALIBRATIONS.items()
+        for optimize in (False, True)
+    }
 
 
 @pytest.fixture(scope="module")
 def quantized(lowerings):
-    return lowerings[True]
+    return lowerings["percentile", False]
 
 
 @pytest.fixture(scope="module")
@@ -216,22 +222,22 @@ class TestIntGemmPrimitive:
 # Whole-graph bitwise equality: GEMM executor vs the reference executor
 # --------------------------------------------------------------------- #
 class TestExecutorParity:
-    @pytest.mark.parametrize("use_lut", [True, False], ids=["lut", "elementwise"])
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_gemm_matches_einsum_bitwise(self, lowerings, windows, use_lut, batch):
-        quantized = lowerings[use_lut]
+    def test_gemm_matches_einsum_bitwise(self, lowerings, windows, batch, calibration):
+        quantized = lowerings[calibration, False]
         x = windows[:batch]
         np.testing.assert_array_equal(
             IntegerGraphExecutor(quantized).run_integer(x),
             reference_logits(quantized, x),
         )
 
-    @pytest.mark.parametrize("use_lut", [True, False], ids=["lut", "elementwise"])
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("batch", [1, 8])
-    def test_fused_gemm_matches_einsum_bitwise(self, lowerings, windows, use_lut, batch):
+    def test_fused_gemm_matches_einsum_bitwise(self, lowerings, windows, batch, calibration):
         """The optimized lowering's fused chains hold MAC nodes; the
         reference replays them through its own MAC override."""
-        quantized = lowerings["optimized", use_lut]
+        quantized = lowerings[calibration, True]
         assert any(node.is_fused for node in quantized.graph.nodes)
         x = windows[:batch]
         np.testing.assert_array_equal(

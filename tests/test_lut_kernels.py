@@ -1,20 +1,24 @@
 """Exhaustive LUT-vs-elementwise equality for the integer nonlinearities.
 
-The int8 serving path executes the I-BERT GELU and softmax through
+The int8 path executes the I-BERT GELU and softmax only through
 precomputed lookup tables (see ``docs/quantization.md``).  The contract is
 *bit-identity over the full representable input domain*: for every
 requantisation configuration reachable from the model registry, every value
 an int8 activation grid can take must map to exactly the same output under
-the table gather as under the legacy elementwise polynomial kernels.
+the table gather as under the elementwise :mod:`repro.quant.ibert` kernels
+the tables are built from.
 
 These tests pin that contract three ways:
 
 * table entries against an independent replay of the elementwise chain
   over the whole domain;
 * node-level execution on crafted full-domain tensors, against the
-  tableless lowering made from the same calibration;
-* whole-graph execution on random inputs against that tableless lowering,
-  plus the serving backends and the generated C schedule.
+  test-side :class:`ElementwiseExecutor`, which runs GELU and softmax
+  through the ibert kernels and the node's stored ``output`` pair;
+* whole-graph execution on random inputs against that executor, over every
+  attention config of the registry × default/optimized lowering ×
+  percentile/absmax calibration, plus the serving backend and the
+  generated C schedule.
 
 All randomness comes from local generators — the shared session ``rng``
 fixture is deliberately not used (its draw order is load-bearing for other
@@ -33,25 +37,87 @@ from repro.deploy import (
     lower_to_int8,
     trace_model,
 )
-from repro.deploy.int_engine import requantize
+from repro.deploy.int_engine import apply_requant, requantize
 from repro.models import available_models, build_model
 from repro.quant import ibert
-from repro.serve import BackendCache, InferenceServer, build_int8_backend
+from repro.serve import build_int8_backend
 
 GEOMETRY = dict(num_channels=4, window_samples=60, seed=11)
 #: Registry entries with transformer nonlinearities (TEMPONet is conv/ReLU
 #: only and must lower without any tables).
 ATTENTION_MODELS = ("bio1", "bio2")
+#: Every registry-reachable attention configuration: (architecture, model
+#: kwargs beyond the shared geometry).
+ATTENTION_CONFIGS = {
+    "bio1-p10": ("bio1", dict(patch_size=10)),
+    "bio1-p20": ("bio1", dict(patch_size=20)),
+    "bio2-p10": ("bio2", dict(patch_size=10)),
+    "bio2-p20": ("bio2", dict(patch_size=20)),
+    "bio1-mean": ("bio1", dict(patch_size=10, pooling="mean")),
+    "bio2-mean": ("bio2", dict(patch_size=10, pooling="mean")),
+}
+#: ``calibration_percentile`` of the default lowering and of the absmax
+#: one, whose scales (and so tables and requantisers) all differ.
+CALIBRATIONS = {"percentile": 99.9, "absmax": 100.0}
+LOWERINGS = {
+    "default": LoweringConfig(),
+    "optimized": LoweringConfig(optimize=True),
+    "absmax": LoweringConfig(calibration_percentile=100.0),
+    "absmax-optimized": LoweringConfig(calibration_percentile=100.0, optimize=True),
+}
 
 
-def make_model(name, patch_size=10):
-    return build_model(name, patch_size=patch_size, **GEOMETRY).eval()
+def make_model(name, patch_size=10, **kwargs):
+    return build_model(name, patch_size=patch_size, **GEOMETRY, **kwargs).eval()
 
 
-def lower_registry_model(name, patch_size=10, seed=2024, **lower_kwargs):
+def lower_registry_model(
+    name, patch_size=10, seed=2024, config=None, model_kwargs=None, **kwargs
+):
     rng = np.random.default_rng(seed)
     calibration = rng.normal(size=(16, GEOMETRY["num_channels"], GEOMETRY["window_samples"]))
-    return lower_to_int8(trace_model(make_model(name, patch_size)), calibration, **lower_kwargs)
+    graph = trace_model(make_model(name, patch_size, **(model_kwargs or {})))
+    return lower_to_int8(graph, calibration, config, **kwargs)
+
+
+class ElementwiseExecutor(IntegerGraphExecutor):
+    """The integer executor with GELU and softmax as elementwise kernels.
+
+    Each runs its :mod:`repro.quant.ibert` kernel on the int64 input and
+    requantises with the node's stored ``output`` pair; every other op
+    (and fused-chain replay) is the executor's own.  ``calls`` counts the
+    overridden kernels that ran, so a test can prove the override was not
+    bypassed.
+    """
+
+    def __init__(self, quantized):
+        super().__init__(quantized)
+        self.calls = 0
+
+    def _run_node(self, node, tensors):
+        if node.is_fused or node.op not in LUT_OPERATORS:
+            return super()._run_node(node, tensors)
+        self.calls += 1
+        q_x = tensors[node.inputs[0]].astype(np.int64)
+        in_scale = self.quantized.activations[node.inputs[0]].scale
+        out = self.quantized.activations[node.output.name]
+        if node.op == "gelu":
+            q_out, _ = ibert.integer_gelu(q_x, in_scale)
+        else:
+            axis = int(node.attrs.get("axis", -1))
+            q_out, _ = ibert.integer_softmax(q_x, in_scale, axis=axis)
+        multiplier, shift = self.quantized.nodes[node.name].requantizers["output"]
+        return apply_requant(q_out, multiplier, shift, out.qmin, out.qmax)
+
+
+def assert_tables_match_elementwise(quantized, x):
+    """Whole-graph pin: the executor's integer and dequantised logits equal
+    :class:`ElementwiseExecutor`'s, whose override must have run."""
+    with_lut = IntegerGraphExecutor(quantized)
+    elementwise = ElementwiseExecutor(quantized)
+    np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
+    np.testing.assert_array_equal(with_lut.run(x), elementwise.run(x))
+    assert elementwise.calls > 0
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +127,14 @@ def lowered_registry():
 
 
 @pytest.fixture(scope="module")
-def tableless_registry():
-    """The attention models lowered without tables (same calibration)."""
-    return {
-        name: lower_registry_model(name, config=LoweringConfig(use_lut=False))
-        for name in ATTENTION_MODELS
-    }
+def calibrated_registry(lowered_registry):
+    """The attention models under each of :data:`CALIBRATIONS`, keyed by
+    ``(calibration, architecture)``."""
+    registry = {("percentile", name): lowered_registry[name] for name in ATTENTION_MODELS}
+    for name in ATTENTION_MODELS:
+        config = LoweringConfig(calibration_percentile=CALIBRATIONS["absmax"])
+        registry["absmax", name] = lower_registry_model(name, config=config)
+    return registry
 
 
 def lut_nodes(quantized, op):
@@ -84,7 +152,7 @@ class TestTableCoverage:
     def test_every_registry_nonlinearity_gets_a_table(self, lowered_registry):
         for name in ATTENTION_MODELS:
             quantized = lowered_registry[name]
-            assert quantized.uses_luts
+            assert quantized.total_lut_bytes > 0
             for node in quantized.graph.nodes:
                 lowered = quantized.nodes[node.name]
                 if node.op in LUT_OPERATORS:
@@ -95,7 +163,7 @@ class TestTableCoverage:
 
     def test_temponet_has_no_lut_ops(self, lowered_registry):
         quantized = lowered_registry["temponet"]
-        assert not quantized.uses_luts
+        assert all(not node.luts for node in quantized.nodes.values())
         assert quantized.total_lut_bytes == 0
 
     def test_table_sizes_cover_the_domain(self, lowered_registry):
@@ -142,12 +210,13 @@ class TestTableCoverage:
 # Exhaustive-domain equality, per requantisation configuration
 # --------------------------------------------------------------------- #
 class TestExhaustiveDomainEquality:
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
     def test_gelu_tables_match_elementwise_chain_over_full_domain(
-        self, lowered_registry, name
+        self, calibrated_registry, name, calibration
     ):
         """Independent replay: every int8 input value, every gelu config."""
-        quantized = lowered_registry[name]
+        quantized = calibrated_registry[calibration, name]
         for node, lowered in lut_nodes(quantized, "gelu"):
             in_act = quantized.activations[node.inputs[0]]
             out_act = quantized.activations[node.output.name]
@@ -158,9 +227,12 @@ class TestExhaustiveDomainEquality:
             )
             np.testing.assert_array_equal(lowered.luts["gelu"].values, expected)
 
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
-    def test_exp_tables_match_integer_exp_over_full_domain(self, lowered_registry, name):
-        quantized = lowered_registry[name]
+    def test_exp_tables_match_integer_exp_over_full_domain(
+        self, calibrated_registry, name, calibration
+    ):
+        quantized = calibrated_registry[calibration, name]
         for node, lowered in lut_nodes(quantized, "softmax"):
             in_act = quantized.activations[node.inputs[0]]
             table = lowered.luts["exp"]
@@ -168,14 +240,15 @@ class TestExhaustiveDomainEquality:
             expected, _ = ibert.integer_exp(domain, in_act.scale)
             np.testing.assert_array_equal(table.values, expected)
 
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
     def test_gelu_node_execution_equal_over_full_domain(
-        self, lowered_registry, tableless_registry, name
+        self, calibrated_registry, name, calibration
     ):
-        """Both lowerings, node level, every representable input at once."""
-        quantized = lowered_registry[name]
+        """Both kernels, node level, every representable input at once."""
+        quantized = calibrated_registry[calibration, name]
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(tableless_registry[name])
+        elementwise = ElementwiseExecutor(quantized)
         for node, _ in lut_nodes(quantized, "gelu"):
             in_act = quantized.activations[node.inputs[0]]
             full = np.arange(in_act.qmin, in_act.qmax + 1, dtype=np.int32)[None, :]
@@ -184,15 +257,17 @@ class TestExhaustiveDomainEquality:
                 with_lut._run_node(node, dict(tensors)),
                 elementwise._run_node(node, dict(tensors)),
             )
+        assert elementwise.calls > 0
 
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("name", ATTENTION_MODELS)
     def test_softmax_node_execution_equal_over_full_shifted_domain(
-        self, lowered_registry, tableless_registry, name
+        self, calibrated_registry, name, calibration
     ):
         """A row spanning [qmin, qmax] exercises every shifted exp input."""
-        quantized = lowered_registry[name]
+        quantized = calibrated_registry[calibration, name]
         with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(tableless_registry[name])
+        elementwise = ElementwiseExecutor(quantized)
         rng = np.random.default_rng(99)
         for node, _ in lut_nodes(quantized, "softmax"):
             in_act = quantized.activations[node.inputs[0]]
@@ -206,104 +281,86 @@ class TestExhaustiveDomainEquality:
                     with_lut._run_node(node, dict(tensors)),
                     elementwise._run_node(node, dict(tensors)),
                 )
+        assert elementwise.calls > 0
 
     def test_equality_holds_for_other_activation_widths(self):
         """The domain bounds follow the lowered bit width (ablation widths)."""
-        quantized = lower_registry_model("bio1", activation_bits=6)
+        quantized = lower_registry_model("bio1", config=LoweringConfig(activation_bits=6))
         for node, lowered in lut_nodes(quantized, "gelu"):
             in_act = quantized.activations[node.inputs[0]]
             assert (in_act.qmin, in_act.qmax) == (-32, 31)
             assert lowered.luts["gelu"].size == 64
-        with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(
-            lower_registry_model("bio1", activation_bits=6, use_lut=False)
-        )
         x = np.random.default_rng(5).normal(size=(4, 4, 60))
-        np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
+        assert_tables_match_elementwise(quantized, x)
 
     def test_second_patch_size_config_is_also_exact(self):
         """A different registry patch size produces different scales — still exact."""
         quantized = lower_registry_model("bio2", patch_size=20, seed=7)
-        with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(
-            lower_registry_model("bio2", patch_size=20, seed=7, use_lut=False)
-        )
         x = np.random.default_rng(8).normal(size=(6, 4, 60))
-        np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
+        assert_tables_match_elementwise(quantized, x)
 
 
 # --------------------------------------------------------------------- #
-# Whole-graph and flag semantics
+# Whole-graph parity and the use_lut spelling
 # --------------------------------------------------------------------- #
 class TestWholeGraphParity:
-    @pytest.mark.parametrize("name", ATTENTION_MODELS)
-    def test_lut_and_elementwise_runs_are_bitwise_equal(
-        self, lowered_registry, tableless_registry, name
-    ):
-        quantized = lowered_registry[name]
-        tableless = tableless_registry[name]
-        assert quantized.uses_luts and not tableless.uses_luts
-        with_lut = IntegerGraphExecutor(quantized)
-        elementwise = IntegerGraphExecutor(tableless)
-        x = np.random.default_rng(3).normal(size=(6, 4, 60))
-        np.testing.assert_array_equal(with_lut.run_integer(x), elementwise.run_integer(x))
-        np.testing.assert_array_equal(with_lut.run(x), elementwise.run(x))
-
-    def test_lowering_opt_out_emits_no_tables_and_matches(self):
-        with_tables = lower_registry_model("bio1")
-        without = lower_registry_model("bio1", use_lut=False)
-        assert not without.uses_luts
-        assert without.total_lut_bytes == 0
-        assert all(not node.luts for node in without.nodes.values())
-        x = np.random.default_rng(4).normal(size=(5, 4, 60))
-        np.testing.assert_array_equal(
-            IntegerGraphExecutor(with_tables).run_integer(x),
-            IntegerGraphExecutor(without).run_integer(x),
+    @pytest.mark.parametrize("lowering", sorted(LOWERINGS))
+    @pytest.mark.parametrize("config", sorted(ATTENTION_CONFIGS))
+    def test_lut_and_elementwise_runs_are_bitwise_equal(self, config, lowering):
+        """Every attention config of the registry × default/optimized ×
+        percentile/absmax calibration."""
+        arch, kwargs = ATTENTION_CONFIGS[config]
+        kwargs = dict(kwargs)
+        quantized = lower_registry_model(
+            arch, kwargs.pop("patch_size"), config=LOWERINGS[lowering], model_kwargs=kwargs
         )
+        x = np.random.default_rng(3).normal(size=(6, 4, 60))
+        assert_tables_match_elementwise(quantized, x)
 
-    def test_executor_on_tableless_graph_falls_back_silently(self):
-        quantized = lower_registry_model("bio1", use_lut=False)
-        assert not quantized.uses_luts
-        executor = IntegerGraphExecutor(quantized)
+    def test_fused_gelu_matches_elementwise(self):
+        """The optimized lowering folds GELU into its linear; the fused
+        chain replays the table, and the reference replays the kernel."""
+        quantized = lower_registry_model("bio1", config=LoweringConfig(optimize=True))
+        assert any(
+            sub.op == "gelu" for node in quantized.graph.nodes for sub in node.fusion_chain[1:]
+        )
+        x = np.random.default_rng(4).normal(size=(5, 4, 60))
+        assert_tables_match_elementwise(quantized, x)
+
+    def test_use_lut_spelling_equals_default_and_opt_out_raises(self, lowered_registry):
+        """``use_lut=True`` (the spelling ``bench/probes.py`` uses) is the
+        default lowering bit for bit, and ``use_lut=False`` raises."""
+        spelled = lower_registry_model("bio1", use_lut=True)
+        default = lowered_registry["bio1"]
+        assert spelled.config == default.config
+        assert [r.name for r in spelled.manifest] == [r.name for r in default.manifest]
+        for name, lowered in default.nodes.items():
+            other = spelled.nodes[name]
+            assert other.requantizers == lowered.requantizers
+            assert set(other.luts) == set(lowered.luts)
+            for role, table in lowered.luts.items():
+                np.testing.assert_array_equal(other.luts[role].values, table.values)
         x = np.random.default_rng(6).normal(size=(3, 4, 60))
-        assert executor.run_integer(x).shape == (3, 8)
+        np.testing.assert_array_equal(
+            IntegerGraphExecutor(spelled).run_integer(x),
+            IntegerGraphExecutor(default).run_integer(x),
+        )
+        with pytest.raises(ValueError, match="use_lut=False"):
+            lower_registry_model("bio1", use_lut=False)
 
 
 # --------------------------------------------------------------------- #
-# Serving backends and the cache
+# The serving backend
 # --------------------------------------------------------------------- #
 class TestServingIntegration:
-    def test_backend_flag_parity(self):
+    def test_backend_matches_elementwise_reference(self):
         model = make_model("bio1")
         calibration = np.random.default_rng(10).normal(size=(16, 4, 60))
-        fast = build_int8_backend(model, calibration, use_lut=True)
-        legacy = build_int8_backend(model, calibration, use_lut=False)
-        assert fast.uses_lut and not legacy.uses_lut
+        backend = build_int8_backend(model, calibration)
         x = np.random.default_rng(11).normal(size=(5, 4, 60))
-        np.testing.assert_array_equal(fast.run(x), legacy.run(x))
-        np.testing.assert_array_equal(fast.run_integer(x), legacy.run_integer(x))
-
-    def test_server_lut_variants_get_distinct_cache_entries(self):
-        cache = BackendCache()
-        calibration = np.random.default_rng(12).normal(size=(8, 4, 60))
-        kwargs = dict(
-            patch_size=10, model_kwargs=GEOMETRY, calibration=calibration, cache=cache
-        )
-        x = np.random.default_rng(13).normal(size=(4, 4, 60))
-        with InferenceServer("bio1", "int8", **kwargs) as fast:
-            with InferenceServer(
-                "bio1", "int8", lower_kwargs={"use_lut": False}, **kwargs
-            ) as legacy:
-                assert fast.backend is not legacy.backend
-                assert fast.backend.uses_lut and not legacy.backend.uses_lut
-                np.testing.assert_array_equal(fast.infer(x), legacy.infer(x))
-        assert len(cache) == 2
-        # The key is the resolved LoweringConfig: an explicit use_lut=True,
-        # a config object and the default all share one cached backend.
-        for spelling in ({"use_lut": True}, {"config": LoweringConfig()}):
-            with InferenceServer("bio1", "int8", lower_kwargs=spelling, **kwargs) as explicit:
-                assert explicit.backend is fast.backend
-        assert len(cache) == 2
+        reference = ElementwiseExecutor(backend.quantized)
+        np.testing.assert_array_equal(backend.run(x), reference.run(x))
+        np.testing.assert_array_equal(backend.run_integer(x), reference.run_integer(x))
 
 
 # --------------------------------------------------------------------- #
@@ -325,13 +382,6 @@ class TestLutCodegen:
         assert "void net_softmax_lut_i8(" in kernels
         header = sources["network.h"].content
         assert f"#define NETWORK_LUT_BYTES {quantized.total_lut_bytes}" in header
-
-    def test_opt_out_keeps_the_legacy_schedule(self, tableless_registry):
-        sources = generate_c_sources(tableless_registry["bio1"])
-        network = sources["network.c"].content
-        assert "net_gelu_i8" in network and "net_softmax_i8" in network
-        assert "_lut_" not in sources["weights.h"].content
-        assert "#define NETWORK_LUT_BYTES 0" in sources["network.h"].content
 
     def test_lut_bytes_accounting(self, lowered_registry):
         quantized = lowered_registry["bio1"]

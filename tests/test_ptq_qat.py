@@ -8,7 +8,7 @@ scores it.
 import numpy as np
 import pytest
 
-from repro.deploy import deploy_graph
+from repro.deploy import LoweringConfig, deploy_graph
 from repro.models import bioformer_bio1, bioformer_bio2
 from repro.quant import QATConfig, quantization_aware_finetune
 from repro.serve import build_int8_backend
@@ -40,7 +40,7 @@ def tiny_split(tiny_dataset):
     return subject_split(tiny_dataset, 1)
 
 
-def int8_accuracy(model, split, **lower_kwargs):
+def int8_accuracy(model, split, config=None):
     """Accuracy of ``model`` on the int8 executor, calibrated on the train split."""
     return deploy_graph(
         model,
@@ -48,7 +48,7 @@ def int8_accuracy(model, split, **lower_kwargs):
         split.test.windows,
         split.test.labels,
         generate_code=False,
-        **lower_kwargs,
+        config=config,
     ).int8_accuracy
 
 
@@ -128,8 +128,8 @@ class TestQuantizedModel:
         assert report.int8_accuracy == int8_accuracy(trained_model, tiny_split)
 
     def test_lower_weight_bits_degrade_more(self, trained_model, tiny_split):
-        int8 = int8_accuracy(trained_model, tiny_split, weight_bits=8)
-        int3 = int8_accuracy(trained_model, tiny_split, weight_bits=3)
+        int8 = int8_accuracy(trained_model, tiny_split, LoweringConfig(weight_bits=8))
+        int3 = int8_accuracy(trained_model, tiny_split, LoweringConfig(weight_bits=3))
         assert int3 <= int8 + 0.05
 
 

@@ -4,9 +4,9 @@
 pairs each integer kernel applies; the executor, the GELU table builder and
 codegen only read them.  These tests recompute every pair on the test side,
 from the float activation scales and the output scales of the
-``repro.quant.ibert`` kernels, across the registry × tables/tableless ×
-default/``optimized()``, and check that every ``weights.h`` requantiser
-macro equals the stored pair.
+``repro.quant.ibert`` kernels, across the registry × default/optimized
+lowering × percentile/absmax calibration, and check that every
+``weights.h`` requantiser macro equals the stored pair.
 """
 
 import re
@@ -30,11 +30,14 @@ CONFIGS = {
     "bio1-mean": ("bio1", dict(patch_size=10, pooling="mean")),
 }
 
+#: The absmax (100th percentile) calibration moves nearly every activation
+#: scale off the default 99.9th percentile one, so every pair is recomputed
+#: from different scales.
 LOWERINGS = {
-    "tables": LoweringConfig(),
-    "tableless": LoweringConfig(use_lut=False),
-    "tables-optimized": LoweringConfig.optimized(),
-    "tableless-optimized": LoweringConfig.optimized(use_lut=False),
+    "default": LoweringConfig(),
+    "optimized": LoweringConfig(optimize=True),
+    "absmax": LoweringConfig(calibration_percentile=100.0),
+    "absmax-optimized": LoweringConfig(calibration_percentile=100.0, optimize=True),
 }
 
 

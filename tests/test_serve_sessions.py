@@ -52,7 +52,7 @@ CONFIGS = [
 ]
 
 #: Backend variants the bitwise pin must hold for.
-VARIANTS = ["float", "int8-lut", "int8-elem"]
+VARIANTS = ["float", "int8"]
 
 
 def config_id(config):
@@ -96,22 +96,17 @@ def shared_cache():
     return BackendCache()
 
 
-def build_server(config, variant, cache) -> InferenceServer:
+def build_server(config, backend, cache) -> InferenceServer:
     arch, patch = config
-    backend = "float"
     calibration = None
-    lower_kwargs = None
-    if variant != "float":
-        backend = "int8"
+    if backend == "int8":
         calibration = np.random.default_rng(5).normal(size=(16, 4, 60))
-        lower_kwargs = {"use_lut": variant == "int8-lut"}
     return InferenceServer(
         arch,
         backend,
         patch_size=patch,
         model_kwargs=GEOMETRY,
         calibration=calibration,
-        lower_kwargs=lower_kwargs,
         cache=cache,
         max_batch_size=8,
         max_wait_s=0.0005,
