@@ -23,7 +23,7 @@ host through :mod:`repro.serve`:
 5. demonstrate the fault-tolerance layer: an int8 server with retries, a
    circuit breaker and float-backend fallback serves through an injected
    fault storm — every answer still lands (some flagged ``degraded``),
-   and ``server.health()`` reports what happened;
+   and ``server.stats`` reports what happened;
 6. run a small fleet through a :class:`~repro.serve.SessionManager`:
    tenant quotas, a mid-recording crash recovered bitwise from a
    JSON-serialised :class:`~repro.serve.SessionCheckpoint`, a dead
@@ -209,7 +209,6 @@ def main() -> None:
     ) as server:
         logits = server.infer(probe, timeout=60.0)
         labels = np.argmax(np.asarray(logits), axis=-1)
-        health = server.health()
         stats = server.stats
         print(f"  {len(probe)} windows served through the fault storm: labels {labels.tolist()}")
         print(
@@ -217,8 +216,8 @@ def main() -> None:
             f"{stats.degraded} (answered by the float fallback, "
             f"flagged via DegradedLogits)"
         )
-        breaker_states = {name: snap.state for name, snap in health.breakers.items()}
-        print(f"  health: status={health.status}  breakers={breaker_states}")
+        breaker_states = {stats.breaker.name: stats.breaker.state}
+        print(f"  health: status={stats.status}  breakers={breaker_states}")
 
     # 6. Fleet session lifecycle: a SessionManager multiplexes many tenants'
     # streams over one server — per-tenant quotas, crash-safe bitwise
@@ -279,7 +278,7 @@ def main() -> None:
                 f"QuotaExceeded(tenant={exc.tenant!r}, quota={exc.quota!r})"
             )
 
-        snapshot = server.health().sessions
+        snapshot = server.stats.sessions
         checkpoints = manager.drain()  # settles in-flight work, checkpoints all
         print(
             f"  fleet: {snapshot.sessions_open} open sessions across "

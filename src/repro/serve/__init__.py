@@ -26,7 +26,10 @@ scaling PR (sharding, remote backends) plugs into:
 * :mod:`repro.serve.server` — the :class:`InferenceServer` facade
   (sync ``infer``/``predict``, async ``submit``/``infer_async``/
   ``as_completed``, high-priority ``open_stream``,
-  ``open_session_manager``) and the process-wide backend cache.
+  ``open_session_manager``) and the process-wide backend cache;
+  ``server.stats`` is the server's one frozen :class:`ServerStats`
+  snapshot — batcher, pool, breaker and session counters plus a coarse
+  ``status``.
 """
 
 from .backends import (
@@ -46,8 +49,6 @@ from .faults import (
     DegradedLogits,
     FaultInjectingBackend,
     Hang,
-    HealthMonitor,
-    HealthSnapshot,
     InjectError,
     LatencySpike,
     NaNOutput,
@@ -113,8 +114,6 @@ __all__ = [
     "DegradedLogits",
     "FaultInjectingBackend",
     "Hang",
-    "HealthMonitor",
-    "HealthSnapshot",
     "InjectError",
     "LatencySpike",
     "NaNOutput",

@@ -318,12 +318,6 @@ class DynamicBatcher:
     # Lifecycle / introspection
     # ------------------------------------------------------------------ #
     @property
-    def queue_depth(self) -> int:
-        """Requests currently queued awaiting batch formation."""
-        with self._lock:
-            return sum(len(d) for d in self._pending_by_priority.values())
-
-    @property
     def stats(self) -> BatcherStats:
         """A frozen snapshot of the counters, taken under the lock."""
         with self._lock:

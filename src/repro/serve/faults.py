@@ -20,9 +20,10 @@ This module supplies the substrate every resilience feature builds on:
 * :class:`FaultInjectingBackend` — a :class:`~repro.serve.backends.Backend`
   wrapper that injects latency spikes, typed exceptions, hangs, worker
   crashes and NaN outputs by a *seeded schedule*, so every resilience
-  feature above is testable without real flaky hardware;
-* :class:`HealthMonitor` — named probe callables composed into one frozen
-  :class:`HealthSnapshot` (what ``InferenceServer.health()`` returns).
+  feature above is testable without real flaky hardware.
+
+A server folds its breaker's :class:`BreakerSnapshot` into its one
+snapshot, ``InferenceServer.stats``.
 
 Everything here is engine-agnostic: nothing imports the batcher, the pool
 or the server, so those layers can import freely from this module.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,8 +48,6 @@ __all__ = [
     "DegradedLogits",
     "FaultInjectingBackend",
     "Hang",
-    "HealthMonitor",
-    "HealthSnapshot",
     "InjectError",
     "LatencySpike",
     "NaNOutput",
@@ -363,25 +362,25 @@ class CircuitBreaker:
         self._half_open_inflight = 0
 
     # -- introspection ------------------------------------------------- #
+    def _current_state(self) -> str:
+        """State accounting for an elapsed recovery timeout (lock held)."""
+        if self._state == self.OPEN and self._clock() - self._opened_at >= self.recovery_s:
+            return self.HALF_OPEN
+        return self._state
+
     @property
     def state(self) -> str:
         """Current state, accounting for an elapsed recovery timeout."""
         with self._lock:
-            if (
-                self._state == self.OPEN
-                and self._clock() - self._opened_at >= self.recovery_s
-            ):
-                return self.HALF_OPEN
-            return self._state
+            return self._current_state()
 
     def snapshot(self) -> BreakerSnapshot:
-        """Frozen view of the breaker's state and counters."""
-        state = self.state  # resolves open -> half_open transitions
+        """Frozen view of the breaker's state and counters, read under one lock."""
         with self._lock:
             total = len(self._outcomes)
             return BreakerSnapshot(
                 name=self.name,
-                state=state,
+                state=self._current_state(),
                 consecutive_failures=self._consecutive,
                 failures=self._failures,
                 successes=self._successes,
@@ -562,77 +561,4 @@ class FaultInjectingBackend:
         return (
             f"FaultInjectingBackend({self.name}, "
             f"{len(self._schedule)} scheduled fault(s), calls={self.calls})"
-        )
-
-
-# --------------------------------------------------------------------- #
-# Health aggregation
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class HealthSnapshot:
-    """One frozen, JSON-friendly view of the serving tier's health.
-
-    ``status`` is the coarse verdict: ``"ok"`` (everything closed and
-    flowing), ``"degraded"`` (a breaker is not closed, requests were
-    degraded to the fallback, or worker restarts happened), while the
-    component fields carry the detail a dashboard would plot.
-    """
-
-    status: str
-    breakers: Mapping[str, BreakerSnapshot] = field(default_factory=dict)
-    queue_depth: int = 0
-    shed: int = 0
-    rejected: int = 0
-    expired: int = 0
-    retries: int = 0
-    degraded_requests: int = 0
-    worker_restarts: int = 0
-    worker_timeouts: int = 0
-    workers_alive: int = 0
-    workers_total: int = 0
-    #: Frozen :class:`~repro.serve.sessions.SessionManagerStats` when a
-    #: session manager is attached to the server, else ``None``.
-    sessions: Optional[object] = None
-
-
-class HealthMonitor:
-    """Compose named probes into :class:`HealthSnapshot` aggregates.
-
-    Probes are zero-argument callables registered under a field name;
-    :meth:`snapshot` evaluates them all at once.  The monitor itself is
-    stateless between snapshots — it aggregates, it does not sample.
-    """
-
-    def __init__(self) -> None:
-        self._probes: Dict[str, Callable[[], object]] = {}
-
-    def register(self, name: str, probe: Callable[[], object]) -> None:
-        """Attach ``probe`` under ``name`` (later registrations replace)."""
-        self._probes[name] = probe
-
-    def snapshot(self) -> HealthSnapshot:
-        """Evaluate every probe and fold the results into one snapshot."""
-        values = {name: probe() for name, probe in self._probes.items()}
-        breakers: Dict[str, BreakerSnapshot] = {}
-        for breaker in values.get("breakers", ()):  # type: ignore[union-attr]
-            breakers[breaker.name] = breaker
-        degraded = (
-            any(snap.state != CircuitBreaker.CLOSED for snap in breakers.values())
-            or int(values.get("degraded_requests", 0)) > 0
-            or int(values.get("worker_restarts", 0)) > 0
-        )
-        return HealthSnapshot(
-            status="degraded" if degraded else "ok",
-            breakers=breakers,
-            queue_depth=int(values.get("queue_depth", 0)),
-            shed=int(values.get("shed", 0)),
-            rejected=int(values.get("rejected", 0)),
-            expired=int(values.get("expired", 0)),
-            retries=int(values.get("retries", 0)),
-            degraded_requests=int(values.get("degraded_requests", 0)),
-            worker_restarts=int(values.get("worker_restarts", 0)),
-            worker_timeouts=int(values.get("worker_timeouts", 0)),
-            workers_alive=int(values.get("workers_alive", 0)),
-            workers_total=int(values.get("workers_total", 0)),
-            sessions=values.get("sessions"),
         )

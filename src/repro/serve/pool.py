@@ -219,14 +219,6 @@ class WorkerPool:
         return self._closed
 
     @property
-    def alive_workers(self) -> int:
-        """Worker slots currently backed by a live thread."""
-        with self._lock:
-            return sum(
-                1 for slot in self._slots if slot.thread is not None and slot.thread.is_alive()
-            )
-
-    @property
     def stats(self) -> PoolStats:
         """Frozen snapshot of the pool's job and supervision counters."""
         with self._lock:

@@ -26,9 +26,9 @@ faults only, within the request deadline), a
 :class:`~repro.serve.faults.CircuitBreaker` stops hammering a failing
 backend, and an open int8 circuit can degrade to the float backend —
 answers served by the fallback are flagged with
-:class:`~repro.serve.faults.DegradedLogits`.  ``server.health()``
-aggregates breaker states, worker restarts, shed/retry counters and queue
-depth into one frozen snapshot.
+:class:`~repro.serve.faults.DegradedLogits`.  ``server.stats`` is the
+one frozen snapshot of all of it: batcher, pool, breaker and session
+counters plus a coarse ``status`` verdict.
 
 Backends are constructed through a process-wide cache keyed by
 ``(architecture, patch_size, backend, lowering config)`` (plus the full
@@ -68,17 +68,17 @@ from .backends import Backend, build_float_backend, build_int8_backend
 from .batcher import BatcherStats, DynamicBatcher
 from .faults import (
     BackendError,
+    BreakerSnapshot,
     CircuitBreaker,
     CircuitOpen,
     DegradedLogits,
-    HealthMonitor,
-    HealthSnapshot,
     RetryExhausted,
     RetryPolicy,
     ServingError,
     WorkerCrash,
 )
 from .pool import PoolStats, Priority, WorkerPool
+from .sessions import SessionManager, SessionManagerStats
 from .stream import StreamSession
 
 __all__ = [
@@ -190,11 +190,14 @@ def get_default_cache() -> BackendCache:
 
 @dataclass(frozen=True)
 class ServerStats:
-    """Immutable snapshot of one :class:`InferenceServer`'s counters.
+    """Immutable snapshot of one :class:`InferenceServer` — its one stats surface.
 
-    ``batcher`` (and ``pool``, when workers are attached) are themselves
-    frozen snapshots taken under their owners' locks, so holding a
-    ``ServerStats`` never aliases live mutable counter state.
+    ``batcher``, ``pool`` (``None`` when batches execute inline),
+    ``breaker`` (``None`` without a circuit breaker) and ``sessions`` (the
+    attached :class:`~repro.serve.sessions.SessionManagerStats`, ``None``
+    before :meth:`InferenceServer.open_session_manager`) are themselves
+    frozen snapshots, each taken once under its owner's lock, so holding
+    a ``ServerStats`` never aliases live mutable counter state.
     """
 
     backend: str
@@ -203,6 +206,19 @@ class ServerStats:
     pool: Optional[PoolStats] = None
     retries: int = 0
     degraded: int = 0
+    breaker: Optional[BreakerSnapshot] = None
+    sessions: Optional[SessionManagerStats] = None
+
+    @property
+    def status(self) -> str:
+        """``"degraded"`` if the breaker is not closed, a request was
+        answered by the fallback, or a worker restarted; else ``"ok"``."""
+        degraded = (
+            (self.breaker is not None and self.breaker.state != CircuitBreaker.CLOSED)
+            or self.degraded > 0
+            or (self.pool is not None and self.pool.restarts > 0)
+        )
+        return "degraded" if degraded else "ok"
 
     @property
     def requests(self) -> int:
@@ -291,10 +307,6 @@ class InferenceServer:
         outranked submissions are rejected with
         :class:`~repro.serve.faults.Overloaded` instead of queueing
         without bound.
-    validate_inputs:
-        Reject non-finite (NaN/Inf) windows at :meth:`submit`/:meth:`infer`
-        with a ``ValueError`` before they reach quantization.  Geometry and
-        dtype are always validated.
     backend_wrapper:
         Callable applied to the constructed backend before serving —
         the seam the fault-injection harness uses
@@ -322,7 +334,6 @@ class InferenceServer:
         circuit_breaker: Union[CircuitBreaker, bool, None] = None,
         fallback: bool = False,
         max_queue_depth: Optional[int] = None,
-        validate_inputs: bool = True,
         backend_wrapper: Optional[Callable[[Backend], Backend]] = None,
     ) -> None:
         if backend not in _BACKENDS:
@@ -337,7 +348,6 @@ class InferenceServer:
             raise ValueError("a lowering config requires backend='int8'")
         self.backend_name = backend
         self.cache = cache if cache is not None else get_default_cache()
-        self.validate_inputs = bool(validate_inputs)
         model_kwargs = dict(model_kwargs or {})
         if patch_size is not None:
             model_kwargs["patch_size"] = patch_size
@@ -431,30 +441,6 @@ class InferenceServer:
             if self._owns_pool and self.pool is not None:
                 self.pool.close(timeout=1.0)
             raise
-        self._health = HealthMonitor()
-        self._health.register(
-            "breakers",
-            lambda: tuple(b.snapshot() for b in ((self.breaker,) if self.breaker else ())),
-        )
-        self._health.register("queue_depth", lambda: self.batcher.queue_depth)
-        self._health.register("shed", lambda: self.batcher.stats.shed)
-        self._health.register("rejected", lambda: self.batcher.stats.rejected)
-        self._health.register("expired", lambda: self.batcher.stats.expired)
-        self._health.register("retries", lambda: self._retries)
-        self._health.register("degraded_requests", lambda: self._degraded)
-        self._health.register(
-            "worker_restarts",
-            lambda: self.pool.stats.restarts if self.pool is not None else 0,
-        )
-        self._health.register(
-            "worker_timeouts",
-            lambda: self.pool.stats.timeouts if self.pool is not None else 0,
-        )
-        self._health.register(
-            "workers_alive",
-            lambda: self.pool.alive_workers if self.pool is not None else 1,
-        )
-        self._health.register("workers_total", lambda: self.num_workers)
 
     # ------------------------------------------------------------------ #
     # Fault-tolerant dispatch (runs on the forming thread or pool workers)
@@ -564,7 +550,7 @@ class InferenceServer:
             raise ValueError(
                 f"expected a window of shape {self.input_shape}, got {arr.shape}"
             )
-        if self.validate_inputs and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError(
                 "window contains non-finite (NaN/Inf) samples; refusing to "
                 "quantize/classify it"
@@ -728,19 +714,17 @@ class InferenceServer:
             smoothing=smoothing,
         )
 
-    def open_session_manager(self, **kwargs) -> "SessionManager":
+    def open_session_manager(self, **kwargs) -> SessionManager:
         """A :class:`~repro.serve.sessions.SessionManager` over this server.
 
         The fleet layer above :meth:`open_stream`: managed sessions get
         ids, idle-TTL reaping, per-tenant quotas/eviction and bitwise
         checkpoint/restore (see :mod:`repro.serve.sessions`).  The
-        manager's stats surface through :meth:`health` as
-        ``snapshot.sessions``, and :meth:`close` drains it (settling
+        manager's stats surface through :attr:`stats` as
+        ``stats.sessions``, and :meth:`close` drains it (settling
         in-flight chunks and tombstoning final checkpoints) before the
         batcher stops.  At most one live manager per server.
         """
-        from .sessions import SessionManager
-
         return SessionManager(self, **kwargs)
 
     def _attach_session_manager(self, manager) -> None:
@@ -750,7 +734,6 @@ class InferenceServer:
                 "this server already has a live session manager; close it first"
             )
         self._session_manager = manager
-        self._health.register("sessions", lambda: manager.stats)
 
     # ------------------------------------------------------------------ #
     # Lifecycle / introspection
@@ -762,9 +745,15 @@ class InferenceServer:
 
     @property
     def stats(self) -> ServerStats:
-        """Frozen snapshot of the server's batcher (and pool) counters."""
+        """The server's one frozen snapshot (see :class:`ServerStats`).
+
+        Each owner — batcher, pool, breaker, session manager — is read
+        once, under its own lock, so every nested counter in one snapshot
+        comes from a single read of that owner.
+        """
         with self._counter_lock:
             retries, degraded = self._retries, self._degraded
+        manager = self._session_manager
         return ServerStats(
             backend=self.backend_name,
             architecture=self.architecture,
@@ -772,17 +761,9 @@ class InferenceServer:
             pool=self.pool.stats if self.pool is not None else None,
             retries=retries,
             degraded=degraded,
+            breaker=self.breaker.snapshot() if self.breaker is not None else None,
+            sessions=manager.stats if manager is not None else None,
         )
-
-    def health(self) -> HealthSnapshot:
-        """One frozen health snapshot: breakers, workers, shedding, depth.
-
-        ``status`` is ``"ok"`` when every breaker is closed, nothing was
-        degraded and no worker restarted; ``"degraded"`` otherwise.  The
-        component fields carry the detail (see
-        :class:`~repro.serve.faults.HealthSnapshot`).
-        """
-        return self._health.snapshot()
 
     def close(self) -> None:
         """Drain pending requests and stop the batching worker (and pool).

@@ -17,7 +17,7 @@ object with no lifecycle; this module adds the fleet layer above it:
   under memory pressure raising
   :class:`~repro.serve.faults.SessionEvicted`, and frozen
   :class:`TenantStats` / :class:`SessionManagerStats` snapshots surfaced
-  through ``server.health().sessions``;
+  through ``server.stats.sessions``;
 * :class:`SessionCheckpoint` — a versioned, JSON-serializable snapshot of
   a session's windower remainder, voter history and counters.  The
   restore contract is **bitwise**: a session restored from a mid-stream
@@ -544,7 +544,7 @@ class SessionManager:
     with ``classify``/``window``/``num_channels`` for tests and embedded
     use.  ``InferenceServer.open_session_manager`` is the convenience
     constructor; a server-attached manager surfaces its stats through
-    ``server.health().sessions`` and is drained by ``server.close()``.
+    ``server.stats.sessions`` and is drained by ``server.close()``.
 
     Parameters
     ----------
@@ -1087,7 +1087,7 @@ class SessionManager:
 
     @property
     def stats(self) -> SessionManagerStats:
-        """Frozen fleet-wide snapshot (what ``server.health()`` surfaces)."""
+        """Frozen fleet-wide snapshot (what ``server.stats.sessions`` holds)."""
         with self._lock:
             return SessionManagerStats(
                 sessions_open=len(self._sessions),

@@ -21,24 +21,28 @@ from repro.serve import (
     BackendCache,
     BackendError,
     BackendTimeout,
+    BatcherStats,
+    BreakerSnapshot,
     CircuitBreaker,
     CircuitOpen,
     DeadlineExceeded,
     DegradedLogits,
     FaultInjectingBackend,
     Hang,
-    HealthMonitor,
     InferenceServer,
     InjectError,
     LatencySpike,
     NaNOutput,
     Overloaded,
+    PoolStats,
     Priority,
     QuotaExceeded,
     RetryExhausted,
     RetryPolicy,
+    ServerStats,
     ServingError,
     SessionEvicted,
+    SessionManagerStats,
     WorkerCrash,
     build_float_backend,
 )
@@ -315,32 +319,36 @@ class TestFaultInjectingBackend:
 
 
 # --------------------------------------------------------------------- #
-# Health monitor
+# ServerStats.status — the coarse verdict over one frozen snapshot
 # --------------------------------------------------------------------- #
-class TestHealthMonitor:
+class TestServerStatsStatus:
+    @staticmethod
+    def snapshot(batcher=BatcherStats(), **fields):
+        return ServerStats(backend="int8", architecture="bio1", batcher=batcher, **fields)
+
     def test_ok_when_everything_is_quiet(self):
-        monitor = HealthMonitor()
-        monitor.register("queue_depth", lambda: 0)
-        snap = monitor.snapshot()
-        assert snap.status == "ok"
-        assert snap.queue_depth == 0
+        stats = self.snapshot(
+            pool=PoolStats(num_workers=2, alive=2),
+            breaker=BreakerSnapshot(name="b", state=CircuitBreaker.CLOSED),
+        )
+        assert stats.status == "ok"
+        assert self.snapshot().status == "ok"  # inline, no breaker
 
-    def test_degraded_on_open_breaker(self):
-        breaker = CircuitBreaker(failure_threshold=1, clock=FakeClock())
-        breaker.record_failure()
-        monitor = HealthMonitor()
-        monitor.register("breakers", lambda: (breaker.snapshot(),))
-        snap = monitor.snapshot()
-        assert snap.status == "degraded"
-        assert snap.breakers["backend"].state == CircuitBreaker.OPEN
+    @pytest.mark.parametrize("state", [CircuitBreaker.OPEN, CircuitBreaker.HALF_OPEN])
+    def test_degraded_when_breaker_is_not_closed(self, state):
+        stats = self.snapshot(breaker=BreakerSnapshot(name="b", state=state))
+        assert stats.status == "degraded"
 
-    def test_degraded_on_restarts_or_fallbacks(self):
-        monitor = HealthMonitor()
-        monitor.register("worker_restarts", lambda: 2)
-        assert monitor.snapshot().status == "degraded"
-        monitor = HealthMonitor()
-        monitor.register("degraded_requests", lambda: 1)
-        assert monitor.snapshot().status == "degraded"
+    def test_degraded_when_requests_were_degraded(self):
+        assert self.snapshot(degraded=1).status == "degraded"
+
+    def test_degraded_when_a_worker_restarted(self):
+        stats = self.snapshot(pool=PoolStats(num_workers=2, restarts=1, alive=2))
+        assert stats.status == "degraded"
+
+    def test_retries_and_shedding_alone_keep_it_ok(self):
+        stats = self.snapshot(BatcherStats(shed=2, rejected=1, expired=1), retries=3)
+        assert stats.status == "ok"
 
 
 # --------------------------------------------------------------------- #
@@ -366,6 +374,18 @@ class TestServerResilience:
             out = server.infer([rng.standard_normal((4, 60))])
             assert np.isfinite(out).all()
             assert server.stats.retries == 1
+
+    def test_nan_logits_without_retry_surface_as_typed_error(self, rng, cache):
+        with make_server(
+            cache=cache,
+            backend_wrapper=lambda b: FaultInjectingBackend(b, [NaNOutput()]),
+        ) as server:
+            # A finite window passes admission; the NaN the backend returns
+            # surfaces as a typed backend fault, not a silent NaN row.
+            future = server.submit(rng.standard_normal((4, 60)))
+            with pytest.raises(BackendError, match="non-finite logits"):
+                future.result(timeout=10.0)
+            assert server.stats.retries == 0
 
     def test_retry_exhaustion_surfaces_typed_error(self, rng, cache):
         always = {i: InjectError() for i in range(16)}
@@ -440,8 +460,9 @@ class TestServerResilience:
                 server.submit(window).result(timeout=10.0)
             # The open breaker refused the call before the backend ran.
             assert wrapped["faulty"].calls == calls_when_tripped
-            assert server.health().status == "degraded"
-            assert server.breaker.snapshot().state == CircuitBreaker.OPEN
+            stats = server.stats
+            assert stats.status == "degraded"
+            assert stats.breaker.state == CircuitBreaker.OPEN
 
     def test_breaker_recovers_through_half_open_probe(self, rng, cache):
         with make_server(
@@ -475,9 +496,9 @@ class TestServerResilience:
             logits = server.infer(windows, timeout=10.0)
             assert getattr(logits, "degraded", False)
             assert server.stats.degraded >= len(windows)
-            health = server.health()
-            assert health.status == "degraded"
-            assert health.degraded_requests >= len(windows)
+            stats = server.stats
+            assert stats.status == "degraded"
+            assert stats.degraded >= len(windows)
         # The degraded answers must be *exactly* the float backend's.
         reference = build_float_backend(
             build_model("bio1", patch_size=10, **GEOMETRY).eval()
@@ -491,16 +512,34 @@ class TestServerResilience:
         with pytest.raises(ValueError, match="fallback"):
             make_server("float", cache=cache, fallback=True)
 
-    def test_health_snapshot_is_quiet_on_a_clean_server(self, rng, cache):
+    def test_stats_snapshot_is_quiet_on_a_clean_server(self, rng, cache):
         with make_server(cache=cache) as server:
             server.infer([rng.standard_normal((4, 60))])
-            health = server.health()
-        assert health.status == "ok"
-        assert health.breakers == {}
-        assert health.retries == 0
-        assert health.degraded_requests == 0
-        assert health.workers_alive == 1
-        assert health.workers_total == 1
+            stats = server.stats
+            assert server.num_workers == 1
+        assert stats.status == "ok"
+        assert stats.breaker is None
+        assert stats.retries == 0
+        assert stats.degraded == 0
+        assert stats.pool is None  # inline execution: one worker, no pool
+        assert stats.sessions is None
+
+    def test_one_snapshot_carries_breaker_sessions_and_pool(self, rng, cache):
+        with make_server(
+            cache=cache, num_workers=2, circuit_breaker=True
+        ) as server:
+            manager = server.open_session_manager(slide=20, smoothing=3)
+            session = manager.create_session("clinic")
+            session.run(rng.standard_normal((4, 140)), chunk_size=70)
+            stats = server.stats
+        assert stats.status == "ok"
+        assert stats.breaker.name == server.breaker.name
+        assert stats.breaker.state == CircuitBreaker.CLOSED
+        assert stats.breaker.successes >= 1
+        assert isinstance(stats.sessions, SessionManagerStats)
+        assert stats.sessions.sessions_open == 1
+        assert stats.sessions.tenants["clinic"].windows == session.windows
+        assert stats.pool.num_workers == stats.pool.alive == 2
 
 
 # --------------------------------------------------------------------- #
@@ -528,20 +567,6 @@ class TestInputValidation:
                 server.submit(np.full((4, 60), "x"))
             with pytest.raises(ValueError, match="dtype"):
                 server.submit(np.zeros((4, 60), dtype=np.complex128))
-
-    def test_validation_can_be_relaxed_for_finiteness_only(self, rng, cache):
-        with make_server(cache=cache, validate_inputs=False) as server:
-            window = rng.standard_normal((4, 60))
-            window[0, 0] = np.nan
-            # Finiteness is no longer checked at admission, so the window
-            # is accepted — and the NaN it produces in the logits then
-            # surfaces as a *typed backend fault*, not a silent NaN row.
-            future = server.submit(window)
-            with pytest.raises(BackendError, match="non-finite logits"):
-                future.result(timeout=10.0)
-            # Geometry/dtype checks still apply regardless.
-            with pytest.raises(ValueError):
-                server.submit(np.zeros((3, 60)))
 
     def test_valid_integer_windows_still_accepted(self, cache):
         with make_server(cache=cache) as server:
@@ -649,11 +674,8 @@ class TestChaos:
             assert InjectError in injected_types
             # Supervision brought the pool back to full strength.
             deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and server.pool.alive_workers < 2:
+            while time.monotonic() < deadline and server.stats.pool.alive < 2:
                 time.sleep(0.01)
-            assert server.pool.alive_workers == 2
-            pool_stats = server.stats.pool
-            assert pool_stats.restarts >= 1  # the crash (and/or hang) respawned
             # Degraded rows (if the breaker opened) match the float backend.
             reference = build_float_backend(
                 build_model("bio1", patch_size=10, **GEOMETRY).eval()
@@ -666,9 +688,10 @@ class TestChaos:
             # Post-storm: the server serves cleanly again.
             clean = server.infer(windows[:4], timeout=30.0)
             assert np.isfinite(clean).all()
-            health = server.health()
-            assert health.status in ("ok", "degraded")
-            assert health.workers_alive == 2
+            stats = server.stats
+            assert stats.pool.alive == 2
+            assert stats.pool.restarts >= 1  # the crash (and/or hang) respawned
+            assert stats.status in ("ok", "degraded")
         finally:
             server.close()
 
@@ -788,18 +811,25 @@ class TestSessionChaos:
             # The storm actually bit on every axis.
             assert quota_rejections > 0
             assert degraded_seen > 0
-            # Conservation: per-session counters == recorded decisions,
-            # per-tenant stats == sum of their sessions, fleet == total.
-            stats = manager.stats
+            # Supervision brings the pool back to strength after the storm.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and server.stats.pool.alive < 2:
+                time.sleep(0.01)
+            # One server snapshot holds both laws.  Conservation:
+            # per-session counters == recorded decisions, per-tenant
+            # stats == sum of their sessions, fleet == total.
+            stats = server.stats
+            assert stats.pool.alive == 2
+            tenant_stats = stats.sessions.tenants
             assert decisions_ok == sum(s.windows for s in sessions)
             for name in tenants:
                 mine = [s for s in sessions if s.tenant == name]
-                assert stats.tenants[name].windows == sum(s.windows for s in mine)
-                assert stats.tenants[name].degraded_windows == sum(
+                assert tenant_stats[name].windows == sum(s.windows for s in mine)
+                assert tenant_stats[name].degraded_windows == sum(
                     s.degraded_windows for s in mine
                 )
-            assert sum(t.windows for t in stats.tenants.values()) == decisions_ok
-            assert stats.tenants["batch"].quota_rejections == quota_rejections
+            assert sum(t.windows for t in tenant_stats.values()) == decisions_ok
+            assert tenant_stats["batch"].quota_rejections == quota_rejections
             # Reap the whole fleet deterministically; nothing may hang.
             clock.advance(31.0)
             assert manager.reap_idle() == len(sessions)
@@ -820,11 +850,6 @@ class TestSessionChaos:
             revived = manager.restore(manager.checkpoint(sessions[0].session_id))
             assert revived.windows_classified == sessions[0].windows
             revived.push(signals[0][:, :40])
-            # Supervision brought the pool back to strength for the tail.
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and server.pool.alive_workers < 2:
-                time.sleep(0.01)
-            assert server.pool.alive_workers == 2
         finally:
             server.close()
         assert manager.closed

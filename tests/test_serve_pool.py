@@ -298,7 +298,7 @@ class TestSupervision:
             with pytest.raises(WorkerCrash):
                 doomed.result(timeout=10.0)
             # Supervision notices the dead thread and refills the slot.
-            assert _wait_until(lambda: pool.alive_workers == 2)
+            assert _wait_until(lambda: pool.stats.alive == 2)
             assert _wait_until(lambda: pool.stats.restarts >= 1)
             # The respawned worker actually serves traffic.
             assert pool.submit(lambda: 41 + 1).result(timeout=10.0) == 42
@@ -322,7 +322,7 @@ class TestSupervision:
             # The caller got its answer near the soft timeout, not after
             # the full 10 s hang.
             assert time.monotonic() - start < 5.0
-            assert _wait_until(lambda: pool.alive_workers == 2)
+            assert _wait_until(lambda: pool.stats.alive == 2)
             assert pool.stats.timeouts == 1
             # A fresh worker owns the slot; quick jobs still flow.
             assert pool.submit(lambda: "ok").result(timeout=10.0) == "ok"
@@ -364,7 +364,7 @@ class TestSupervision:
             with pytest.raises(WorkerCrash):
                 second.result(timeout=10.0)
             # Budget spent: the second dead slot stays dead.
-            assert _wait_until(lambda: pool.alive_workers == 1)
+            assert _wait_until(lambda: pool.stats.alive == 1)
             assert pool.stats.restarts == 1
             # The surviving worker still serves.
             assert pool.submit(lambda: 7).result(timeout=10.0) == 7

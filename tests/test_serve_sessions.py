@@ -545,14 +545,14 @@ class TestServerIntegration:
             max_wait_s=0.0005,
         )
 
-    def test_health_surfaces_session_stats(self, rng, shared_cache):
+    def test_server_stats_surface_session_stats(self, rng, shared_cache):
         server = self.make_server(shared_cache)
         try:
-            assert server.health().sessions is None  # no manager attached yet
+            assert server.stats.sessions is None  # no manager attached yet
             manager = server.open_session_manager(slide=20, smoothing=3)
             session = manager.create_session("clinic")
             session.run(rng.normal(size=(4, 200)), chunk_size=50)
-            snapshot = server.health().sessions
+            snapshot = server.stats.sessions
             assert isinstance(snapshot, SessionManagerStats)
             assert snapshot.sessions_open == 1
             assert snapshot.tenants["clinic"].windows == len(session.decisions)
