@@ -69,7 +69,7 @@ def _throughput(model, backend, max_batch, windows, cache, repeats=2, **kwargs):
     mean_batch = 0.0
     for _ in range(repeats):
         with InferenceServer(
-            model, backend, cache=cache, max_batch_size=max_batch, max_wait_s=0.005, **kwargs
+            model, backend, cache=cache, max_batch_size=max_batch, **kwargs
         ) as server:
             server.infer(windows[:8])  # warm-up (allocator, caches)
             start = time.perf_counter()
@@ -152,7 +152,6 @@ def test_worker_pool_scales_float_throughput(model, windows, cache):
                 "float",
                 cache=cache,
                 max_batch_size=8,
-                max_wait_s=0.002,
                 num_workers=workers,
             ) as server:
                 server.infer(windows[:8])  # warm-up
@@ -211,7 +210,6 @@ def test_worker_pool_scales_latency_bound_float_serving(model, windows, cache):
             with DynamicBatcher(
                 latency_bound_run,
                 max_batch_size=8,
-                max_wait_s=0.0,
                 input_shape=float_backend.input_shape,
                 pool=pool,
             ) as batcher:
@@ -249,7 +247,7 @@ def test_priority_preemption_latency(model, windows, cache):
     latency against the bulk completion time.
     """
     with InferenceServer(
-        model, "float", cache=cache, max_batch_size=4, max_wait_s=0.0
+        model, "float", cache=cache, max_batch_size=4
     ) as server:
         server.infer(windows[:8])  # warm-up
         bulk = server.infer_async(windows, priority=Priority.LOW)
@@ -370,7 +368,7 @@ def test_session_lifecycle_churn_not_regressive(model, windows, cache):
         (GEOMETRY["num_channels"], window + slide * (num_windows - 1))
     )
     with InferenceServer(
-        model, "float", cache=cache, max_batch_size=16, max_wait_s=0.0005
+        model, "float", cache=cache, max_batch_size=16
     ) as server:
         server.infer(windows[:8])  # warm-up (allocator, caches)
         with server.open_session_manager(slide=slide, smoothing=smoothing) as manager:

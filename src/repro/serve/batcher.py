@@ -5,13 +5,12 @@ repository (the NumPy ``repro.nn`` forward pass as well as the integer
 graph executor) amortises its per-call Python overhead over the batch axis.
 The :class:`DynamicBatcher` sits between the two: callers submit single
 windows and receive futures; a background forming thread drains the
-request queue into micro-batches of at most ``max_batch_size`` windows,
-flushing a partially filled batch once the oldest request has waited
-``max_wait_s``.  A blocking caller cannot send more batch-mates while it
-waits, so :meth:`DynamicBatcher.map` marks its last window ``flush``: once
-the forming batch has taken that request, it adds only requests already
-queued (up to ``max_batch_size``) and dispatches without waiting out the
-timer.
+request queue into micro-batches of at most ``max_batch_size`` windows.
+Formation is work-conserving: the thread blocks for the first request,
+adds only the requests already queued, and dispatches at once — it never
+waits for batch-mates that may not come.  A batch grows only while the
+backend (or, with a pool, every dispatch slot) is busy, because that is
+when requests pile up in the queue.
 
 Requests carry a :class:`~repro.serve.pool.Priority` and an optional
 deadline.  The queue is a priority queue (FIFO within one priority level),
@@ -99,7 +98,7 @@ class BatcherStats:
 
 
 class _Request:
-    __slots__ = ("payload", "future", "priority", "deadline", "flush", "shed")
+    __slots__ = ("payload", "future", "priority", "deadline", "shed")
 
     def __init__(
         self,
@@ -107,13 +106,11 @@ class _Request:
         future: Future,
         priority: int,
         deadline: Optional[float],
-        flush: bool,
     ) -> None:
         self.payload = payload
         self.future = future
         self.priority = priority
         self.deadline = deadline  # absolute time.monotonic() instant
-        self.flush = flush  # its batch stops waiting for batch-mates
         self.shed = False  # resolved with Overloaded while queued
 
 
@@ -127,10 +124,6 @@ class DynamicBatcher:
         array of per-request results (row ``i`` answers request ``i``).
     max_batch_size:
         Hard upper bound on the micro-batch size.
-    max_wait_s:
-        Flush timeout: a partially filled batch is executed once its oldest
-        request has waited this long, or as soon as it has taken a request
-        submitted with ``flush=True`` (the last window of a :meth:`map`).
     input_shape:
         Expected per-request payload shape.  When given, a mismatching
         payload fails its own future with ``ValueError`` at batch-stack
@@ -165,7 +158,6 @@ class DynamicBatcher:
         self,
         run_batch: Callable[[np.ndarray], np.ndarray],
         max_batch_size: int = 16,
-        max_wait_s: float = 0.002,
         name: str = "",
         input_shape: Optional[Tuple[int, ...]] = None,
         pool: Optional[WorkerPool] = None,
@@ -174,13 +166,10 @@ class DynamicBatcher:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         self.run_batch = run_batch
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
         self.name = name or "batcher"
         self.input_shape = tuple(input_shape) if input_shape is not None else None
         self.pool = pool
@@ -226,8 +215,6 @@ class DynamicBatcher:
         window: np.ndarray,
         priority: int = Priority.NORMAL,
         deadline_s: Optional[float] = None,
-        *,
-        flush: bool = False,
     ) -> Future:
         """Enqueue one window; the future resolves to its result row.
 
@@ -235,10 +222,6 @@ class DynamicBatcher:
         level).  ``deadline_s`` is a relative budget: if the request is
         still queued after that many seconds it resolves with
         :class:`~repro.serve.pool.DeadlineExceeded` instead of executing.
-        ``flush=True`` says no batch-mates will follow from this caller:
-        the batch that takes this request adds only what is already queued
-        and dispatches without waiting ``max_wait_s``.  A flush request that
-        was shed or expired still ends the wait.
 
         With ``max_queue_depth`` set, a submission into a full queue
         either sheds the newest least-urgent queued request (when this
@@ -249,7 +232,7 @@ class DynamicBatcher:
             raise ValueError("deadline_s must be >= 0")
         deadline = time.monotonic() + deadline_s if deadline_s is not None else None
         future: Future = Future()
-        request = _Request(np.asarray(window), future, int(priority), deadline, bool(flush))
+        request = _Request(np.asarray(window), future, int(priority), deadline)
         victim: Optional[_Request] = None
         # Enqueue under the lock so a concurrent close() either sees this
         # request before its shutdown sentinel (and drains it) or rejects
@@ -295,20 +278,15 @@ class DynamicBatcher:
     ) -> np.ndarray:
         """Submit ``windows`` and block for the stacked results (in order).
 
-        The last window is submitted with ``flush=True``, so the final
-        partial micro-batch dispatches at once instead of waiting
-        ``max_wait_s`` for batch-mates this blocked caller cannot send.
-
         Zero windows is a valid (empty) workload: the result is an empty
         ``(0,)`` array rather than an obscure ``np.stack([])`` failure.
         (With no requests the batcher cannot know the backend's result-row
         shape; callers that do know it should reshape — e.g.
         ``InferenceServer.infer`` returns ``(0, num_classes)``.)
         """
-        last = len(windows) - 1
         futures = [
-            self.submit(window, priority=priority, deadline_s=deadline_s, flush=index == last)
-            for index, window in enumerate(windows)
+            self.submit(window, priority=priority, deadline_s=deadline_s)
+            for window in windows
         ]
         if not futures:
             return np.empty((0,), dtype=np.float64)
@@ -381,48 +359,28 @@ class DynamicBatcher:
     # Batch formation
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
-        draining = False
-        while not draining:
-            _, _, first = self._queue.get()
-            if first is _SHUTDOWN:
-                break
-            batch = []
-            self._admit(first, batch)
-            # A flush request ends the wait even if it was shed or expired:
-            # its caller is blocked and sends no more batch-mates.
-            flush = first.flush
-            deadline = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                try:
-                    if remaining > 0 and not flush:
-                        _, _, item = self._queue.get(timeout=remaining)
-                    else:
-                        _, _, item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    draining = True
-                    break
-                self._admit(item, batch)
-                flush = flush or item.flush
-            self._dispatch(batch)
-        # Drain everything still queued at close() time so no future is
-        # left pending; requests are still batched, in priority order
-        # (this forming thread is the queue's only consumer).
         while True:
-            batch = []
-            while len(batch) < self.max_batch_size:
+            if self._dispatch_slots is not None:
+                # Take the slot before forming: while every worker is busy,
+                # arrivals keep joining the next batch in the priority queue
+                # (where HIGH can still jump ahead) instead of a batch of one
+                # blocking here.
+                self._dispatch_slots.acquire()
+            batch: List[_Request] = []
+            _, _, item = self._queue.get()
+            while item is not _SHUTDOWN:
+                self._admit(item, batch)
+                if len(batch) == self.max_batch_size:
+                    break
                 try:
                     _, _, item = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if item is _SHUTDOWN:
-                    continue
-                self._admit(item, batch)
-            if not batch:
-                break
             self._dispatch(batch)
+            # Nothing live sorts after the sentinel, and submit() rejects
+            # once close() has queued it: the queue is drained.
+            if item is _SHUTDOWN:
+                return
 
     def _admit(self, request: _Request, batch: List[_Request]) -> None:
         """Add ``request`` to the forming batch, or expire it in place.
@@ -452,12 +410,15 @@ class DynamicBatcher:
         batch.append(request)
 
     def _dispatch(self, batch: List[_Request]) -> None:
+        """Execute ``batch`` inline, or hand it to the pool on the dispatch
+        slot :meth:`_run` acquired for it."""
         if not batch:
+            if self._dispatch_slots is not None:
+                self._dispatch_slots.release()
             return
         if self.pool is None:
             self._execute(batch)
             return
-        self._dispatch_slots.acquire()
         try:
             job = self.pool.submit(lambda: self._execute(batch, propagate_crash=True))
         except RuntimeError:

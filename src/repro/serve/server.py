@@ -10,8 +10,7 @@ gesture-recognition service needs:
   micro-batches, in priority order);
 * ``infer(windows)`` / ``predict(windows)`` — synchronous batch inference
   routed through the same micro-batching path, at bulk (low) priority by
-  default; the last window flushes its micro-batch, so a blocked caller
-  never waits ``max_wait_s`` for batch-mates it cannot send;
+  default;
 * ``infer_async(windows)`` + ``as_completed(futures)`` — the async-friendly
   bulk path: futures out, completion-order consumption in;
 * ``open_stream(...)`` — a :class:`~repro.serve.stream.StreamSession` bound
@@ -266,8 +265,8 @@ class InferenceServer:
         cache key: the frozen config itself is the key's lowering entry, so
         omitting it and passing ``LoweringConfig()`` share one cached
         backend and different configs are cached side by side.
-    max_batch_size / max_wait_s:
-        Micro-batching knobs (see :class:`~repro.serve.batcher.DynamicBatcher`).
+    max_batch_size:
+        Micro-batch cap (see :class:`~repro.serve.batcher.DynamicBatcher`).
     num_workers:
         Backend execution threads.  ``1`` (default) executes batches inline
         on the forming thread; ``> 1`` creates a private
@@ -324,7 +323,6 @@ class InferenceServer:
         model_kwargs: Optional[Dict] = None,
         calibration: Optional[np.ndarray] = None,
         max_batch_size: int = 16,
-        max_wait_s: float = 0.002,
         num_workers: int = 1,
         pool: Optional[WorkerPool] = None,
         cache: Optional[BackendCache] = None,
@@ -428,7 +426,6 @@ class InferenceServer:
             self.batcher = DynamicBatcher(
                 self._run_batch,
                 max_batch_size=max_batch_size,
-                max_wait_s=max_wait_s,
                 name=f"{self.architecture}-{backend}",
                 input_shape=self.backend.input_shape,
                 pool=self.pool,
@@ -575,19 +572,13 @@ class InferenceServer:
         window: np.ndarray,
         priority: int = Priority.NORMAL,
         deadline_s: Optional[float] = None,
-        *,
-        flush: bool = False,
     ) -> Future:
         """Asynchronously classify one ``(channels, samples)`` window.
 
         Returns a future resolving to the ``(num_classes,)`` logits row.
         ``priority`` orders batch formation (lower first); a request still
         queued after ``deadline_s`` seconds resolves with
-        :class:`~repro.serve.pool.DeadlineExceeded`.  ``flush=True`` marks
-        the caller's last window: its micro-batch takes only requests
-        already queued and dispatches without waiting ``max_wait_s``
-        (:meth:`infer` sets it; leave it off while more windows may
-        follow, as :meth:`infer_async` does).  Invalid input —
+        :class:`~repro.serve.pool.DeadlineExceeded`.  Invalid input —
         wrong geometry, a dtype that cannot cast safely to float64, or
         non-finite samples — raises ``ValueError`` here, before the
         request reaches the queue or the quantizer.  Under admission
@@ -595,9 +586,7 @@ class InferenceServer:
         :class:`~repro.serve.faults.Overloaded` synchronously.
         """
         window = self._validate_window(window)
-        return self.batcher.submit(
-            window, priority=priority, deadline_s=deadline_s, flush=flush
-        )
+        return self.batcher.submit(window, priority=priority, deadline_s=deadline_s)
 
     def infer_async(
         self,
@@ -613,28 +602,12 @@ class InferenceServer:
         via :meth:`as_completed`.  Every window passes the same admission
         validation as :meth:`submit`.
         """
-        return self._submit_all(windows, priority, deadline_s, flush_last=False)
-
-    def _submit_all(
-        self,
-        windows: Sequence[np.ndarray],
-        priority: int,
-        deadline_s: Optional[float],
-        flush_last: bool,
-    ) -> List[Future]:
-        """One :meth:`submit` per window; ``flush_last`` flushes the last."""
         stacked = np.asanyarray(windows)
         if stacked.dtype != object and stacked.ndim == 2:
             stacked = stacked[None, ...]
-        last = len(stacked) - 1
         return [
-            self.submit(
-                window,
-                priority=priority,
-                deadline_s=deadline_s,
-                flush=flush_last and index == last,
-            )
-            for index, window in enumerate(stacked)
+            self.submit(window, priority=priority, deadline_s=deadline_s)
+            for window in stacked
         ]
 
     @staticmethod
@@ -656,16 +629,11 @@ class InferenceServer:
         ``windows`` is ``(batch, channels, samples)`` (or a sequence of
         single windows); the result preserves input order.  Zero windows is
         a valid workload and yields an empty ``(0, num_classes)`` result.
-        Each window goes through :meth:`submit`, the last with
-        ``flush=True``: this caller blocks and sends no more batch-mates,
-        so its final partial micro-batch dispatches at once instead of
-        waiting ``max_wait_s``.  :meth:`predict` and stream session pushes
-        inherit this.
         """
         stacked = np.asanyarray(windows)
         if len(stacked) == 0:
             return np.empty((0, self.num_classes), dtype=np.float64)
-        futures = self._submit_all(stacked, priority, deadline_s, flush_last=True)
+        futures = self.infer_async(stacked, priority=priority, deadline_s=deadline_s)
         rows = [future.result(timeout=timeout) for future in futures]
         out = np.stack(rows)
         if any(getattr(row, "degraded", False) for row in rows):

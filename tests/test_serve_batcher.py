@@ -49,7 +49,7 @@ class RecordingBackend:
 @settings(max_examples=25, deadline=None)
 def test_no_drop_no_duplicate_no_reorder(payloads, max_batch_size):
     backend = RecordingBackend()
-    with DynamicBatcher(backend, max_batch_size=max_batch_size, max_wait_s=0.001) as batcher:
+    with DynamicBatcher(backend, max_batch_size=max_batch_size) as batcher:
         futures = [batcher.submit(np.array([value], dtype=np.int64)) for value in payloads]
         results = [int(future.result(timeout=10.0)[0]) for future in futures]
     # Every caller got exactly its own payload back, in submission order.
@@ -70,7 +70,7 @@ def test_concurrent_producers_each_get_their_own_result(payloads, num_threads):
     outcomes = {}
     lock = threading.Lock()
 
-    with DynamicBatcher(backend, max_batch_size=4, max_wait_s=0.002) as batcher:
+    with DynamicBatcher(backend, max_batch_size=4) as batcher:
 
         def producer(chunk):
             for value in chunk:
@@ -92,11 +92,11 @@ def test_concurrent_producers_each_get_their_own_result(payloads, num_threads):
 
 
 # --------------------------------------------------------------------- #
-# Batch-size and flush-timeout invariants
+# Batch-size and work-conservation invariants
 # --------------------------------------------------------------------- #
 def test_full_batches_form_when_requests_are_queued():
     backend = RecordingBackend(delay_s=0.01)
-    with DynamicBatcher(backend, max_batch_size=8, max_wait_s=0.5) as batcher:
+    with DynamicBatcher(backend, max_batch_size=8) as batcher:
         futures = [batcher.submit(np.array([i])) for i in range(32)]
         for future in futures:
             future.result(timeout=10.0)
@@ -107,21 +107,21 @@ def test_full_batches_form_when_requests_are_queued():
     assert sum(batch.shape[0] for batch in backend.batches) == 32
 
 
-def test_flush_timeout_releases_partial_batch():
+def test_lone_request_dispatches_at_once():
     backend = RecordingBackend()
-    with DynamicBatcher(backend, max_batch_size=64, max_wait_s=0.02) as batcher:
+    with DynamicBatcher(backend, max_batch_size=64) as batcher:
         start = time.monotonic()
         result = batcher.submit(np.array([42])).result(timeout=10.0)
         elapsed = time.monotonic() - start
     assert int(result[0]) == 42
-    # A lone request must not wait for a full batch, only for the timeout
-    # (generous upper bound to stay robust on loaded CI machines).
+    # A lone request must not wait for batch-mates (generous upper bound
+    # to stay robust on loaded CI machines).
     assert elapsed < 5.0
     assert backend.batches[0].shape[0] == 1
 
 
 # --------------------------------------------------------------------- #
-# Flush: a blocked caller's last window ends the wait for batch-mates
+# Parking the forming thread, so that a test decides what one batch holds
 # --------------------------------------------------------------------- #
 class GatedBackend(RecordingBackend):
     """Echo backend that blocks every batch until ``release`` is set."""
@@ -135,9 +135,9 @@ class GatedBackend(RecordingBackend):
         return super().__call__(batch)
 
 
-def occupy(batcher, backend):
-    """Park the forming thread in the backend on a flushed request."""
-    blocker = batcher.submit(np.array([-1]), flush=True)
+def occupy(batcher):
+    """Park the forming thread in the (gated) backend on a batch of one."""
+    blocker = batcher.submit(np.array([-1]))
     deadline = time.monotonic() + 5.0
     while not blocker.running() and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -145,56 +145,49 @@ def occupy(batcher, backend):
     return blocker
 
 
-def test_map_does_not_wait_for_batch_mates_but_submit_does():
-    wait = 0.5
-    with DynamicBatcher(echo_batch, max_batch_size=16, max_wait_s=wait) as batcher:
+def test_neither_map_nor_submit_waits_for_batch_mates():
+    backend = RecordingBackend()
+    with DynamicBatcher(backend, max_batch_size=16) as batcher:
         start = time.monotonic()
         assert int(batcher.map([np.array([7])], timeout=10.0)[0][0]) == 7
-        assert time.monotonic() - start < wait / 2
+        assert time.monotonic() - start < 0.25
         start = time.monotonic()
         assert int(batcher.submit(np.array([8])).result(timeout=10.0)[0]) == 8
-        assert time.monotonic() - start >= wait
-
-
-def test_flush_batch_takes_queued_requests_up_to_the_cap():
-    backend = GatedBackend()
-    with DynamicBatcher(backend, max_batch_size=4, max_wait_s=0.5) as batcher:
-        blocker = occupy(batcher, backend)
-        # Another caller queues 0, 1, 3, 4, 5 around the flush request 2.
-        early = [batcher.submit(np.array([i])) for i in (0, 1)]
-        flushed = batcher.submit(np.array([2]), flush=True)
-        late = [batcher.submit(np.array([i])) for i in (3, 4, 5)]
-        start = time.monotonic()
-        backend.release.set()
-        assert int(flushed.result(timeout=10.0)[0]) == 2
         assert time.monotonic() - start < 0.25
-        results = [int(f.result(timeout=10.0)[0]) for f in [blocker] + early + late]
-    assert results == [-1, 0, 1, 3, 4, 5]
+    assert [batch[:, 0].tolist() for batch in backend.batches] == [[7], [8]]
+
+
+def test_forming_takes_queued_requests_up_to_the_cap():
+    backend = GatedBackend()
+    with DynamicBatcher(backend, max_batch_size=4) as batcher:
+        blocker = occupy(batcher)
+        queued = [batcher.submit(np.array([i])) for i in range(6)]
+        backend.release.set()
+        results = [int(f.result(timeout=10.0)[0]) for f in [blocker] + queued]
+    assert results == [-1, 0, 1, 2, 3, 4, 5]
     assert [batch[:, 0].tolist() for batch in backend.batches] == [
         [-1],
-        [0, 1, 2, 3],  # queued requests join the flush batch up to the cap
+        [0, 1, 2, 3],  # everything already queued, up to the cap
         [4, 5],
     ]
 
 
 @pytest.mark.parametrize("fate", ["expired", "shed"])
-def test_flush_request_that_never_runs_still_ends_the_wait(fate):
+def test_request_that_never_runs_does_not_stall_its_batch(fate):
     from repro.serve import DeadlineExceeded, Overloaded, Priority
 
     backend = GatedBackend()
-    with DynamicBatcher(
-        backend, max_batch_size=8, max_wait_s=0.5, max_queue_depth=2
-    ) as batcher:
-        blocker = occupy(batcher, backend)
+    with DynamicBatcher(backend, max_batch_size=8, max_queue_depth=2) as batcher:
+        blocker = occupy(batcher)
         mates = [1]
         futures = [batcher.submit(np.array([1]), priority=Priority.HIGH)]
         if fate == "expired":
-            flushed = batcher.submit(np.array([2]), deadline_s=0.001, flush=True)
+            doomed = batcher.submit(np.array([2]), deadline_s=0.001)
             time.sleep(0.01)
             error = DeadlineExceeded
         else:
-            flushed = batcher.submit(np.array([2]), priority=Priority.LOW, flush=True)
-            # The queue is full: this HIGH request sheds the LOW flush one.
+            doomed = batcher.submit(np.array([2]), priority=Priority.LOW)
+            # The queue is full: this HIGH request sheds the LOW one.
             mates.append(3)
             futures.append(batcher.submit(np.array([3]), priority=Priority.HIGH))
             error = Overloaded
@@ -203,14 +196,14 @@ def test_flush_request_that_never_runs_still_ends_the_wait(fate):
         assert [int(f.result(timeout=10.0)[0]) for f in futures] == mates
         assert time.monotonic() - start < 0.25
         with pytest.raises(error):
-            flushed.result(timeout=10.0)
+            doomed.result(timeout=10.0)
         blocker.result(timeout=10.0)
     assert [batch[:, 0].tolist() for batch in backend.batches] == [[-1], mates]
 
 
 def test_max_batch_size_one_serves_requests_individually():
     backend = RecordingBackend()
-    with DynamicBatcher(backend, max_batch_size=1, max_wait_s=0.0) as batcher:
+    with DynamicBatcher(backend, max_batch_size=1) as batcher:
         batcher.map([np.array([i]) for i in range(7)], timeout=10.0)
     assert all(batch.shape[0] == 1 for batch in backend.batches)
     assert batcher.stats.batches == 7
@@ -221,7 +214,7 @@ def test_max_batch_size_one_serves_requests_individually():
 # --------------------------------------------------------------------- #
 def test_close_drains_pending_requests():
     backend = RecordingBackend(delay_s=0.005)
-    batcher = DynamicBatcher(backend, max_batch_size=4, max_wait_s=0.001)
+    batcher = DynamicBatcher(backend, max_batch_size=4)
     futures = [batcher.submit(np.array([i])) for i in range(20)]
     batcher.close()
     results = [int(future.result(timeout=1.0)[0]) for future in futures]
@@ -236,7 +229,7 @@ def test_submit_after_close_raises():
 
 
 def test_close_reports_clean_drain():
-    batcher = DynamicBatcher(echo_batch, max_batch_size=4, max_wait_s=0.001)
+    batcher = DynamicBatcher(echo_batch, max_batch_size=4)
     futures = [batcher.submit(np.array([i])) for i in range(5)]
     assert batcher.close(timeout=10.0) is True
     assert all(future.done() for future in futures)
@@ -260,7 +253,7 @@ def test_close_spends_a_single_timeout_budget():
     pool = WorkerPool(num_workers=1)
     try:
         batcher = DynamicBatcher(
-            stuck_backend, max_batch_size=1, max_wait_s=0.0, pool=pool
+            stuck_backend, max_batch_size=1, pool=pool
         )
         # Two single-request batches: the first occupies the only pool
         # worker (stuck in the backend), the second wedges the forming
@@ -290,7 +283,7 @@ def test_backend_error_propagates_to_every_future():
     def broken(batch):
         raise ValueError("backend exploded")
 
-    with DynamicBatcher(broken, max_batch_size=4, max_wait_s=0.01) as batcher:
+    with DynamicBatcher(broken, max_batch_size=4) as batcher:
         futures = [batcher.submit(np.array([i])) for i in range(3)]
         for future in futures:
             with pytest.raises(ValueError, match="backend exploded"):
@@ -301,7 +294,7 @@ def test_row_count_mismatch_detected():
     def lossy(batch):
         return np.asarray(batch)[:-1] if len(batch) > 1 else np.asarray(batch)
 
-    with DynamicBatcher(lossy, max_batch_size=8, max_wait_s=0.05) as batcher:
+    with DynamicBatcher(lossy, max_batch_size=8) as batcher:
         futures = [batcher.submit(np.array([i])) for i in range(4)]
         # Every future either fails loudly (its batch lost a row) or echoes
         # its own payload; a silent wrong answer is impossible.
@@ -316,7 +309,7 @@ def test_row_count_mismatch_detected():
 
 def test_cancelled_request_is_dropped_and_worker_survives():
     backend = RecordingBackend(delay_s=0.02)
-    with DynamicBatcher(backend, max_batch_size=1, max_wait_s=0.0) as batcher:
+    with DynamicBatcher(backend, max_batch_size=1) as batcher:
         first = batcher.submit(np.array([0]))  # occupies the worker
         queued = [batcher.submit(np.array([i])) for i in range(1, 6)]
         victim = queued[2]
@@ -344,7 +337,7 @@ def test_malformed_request_fails_alone_not_its_batchmates():
     """Regression: one bad payload used to poison the whole micro-batch."""
     backend = RecordingBackend(delay_s=0.01)
     with DynamicBatcher(
-        backend, max_batch_size=8, max_wait_s=0.05, input_shape=(1,)
+        backend, max_batch_size=8, input_shape=(1,)
     ) as batcher:
         blocker = batcher.submit(np.array([0]))  # occupy the worker
         good = [batcher.submit(np.array([i])) for i in range(1, 5)]
@@ -361,12 +354,15 @@ def test_malformed_request_fails_alone_not_its_batchmates():
 def test_majority_shape_defines_reference_when_unconfigured():
     """Without ``input_shape``, the batch's majority shape wins — a bad
     payload landing *first* in its micro-batch still fails alone."""
-    backend = RecordingBackend()
-    # Cap 3 + a generous flush window: all three requests below land in one
-    # micro-batch (the cap fires as soon as the last one arrives).
-    with DynamicBatcher(backend, max_batch_size=3, max_wait_s=1.0) as batcher:
+    backend = GatedBackend()
+    # The parked forming thread finds all three requests below queued, so
+    # they land in one micro-batch once the backend is released.
+    with DynamicBatcher(backend, max_batch_size=3) as batcher:
+        blocker = occupy(batcher)
         bad = batcher.submit(np.zeros((2, 2)))  # first of its batch, minority
         good = [batcher.submit(np.array([float(i)])) for i in (1, 2)]
+        backend.release.set()
+        blocker.result(timeout=10.0)
         with pytest.raises(ValueError, match="shape"):
             bad.result(timeout=10.0)
         assert [int(f.result(timeout=10.0)[0]) for f in good] == [1, 2]
@@ -374,10 +370,13 @@ def test_majority_shape_defines_reference_when_unconfigured():
 
 
 def test_shape_tie_breaks_toward_earliest_submission():
-    backend = RecordingBackend()
-    with DynamicBatcher(backend, max_batch_size=2, max_wait_s=1.0) as batcher:
+    backend = GatedBackend()
+    with DynamicBatcher(backend, max_batch_size=2) as batcher:
+        blocker = occupy(batcher)
         first = batcher.submit(np.zeros((2, 2)))
         second = batcher.submit(np.array([1.0]))
+        backend.release.set()
+        blocker.result(timeout=10.0)
         assert first.result(timeout=10.0).shape == (2, 2)
         with pytest.raises(ValueError, match="shape"):
             second.result(timeout=10.0)
@@ -385,7 +384,7 @@ def test_shape_tie_breaks_toward_earliest_submission():
 
 def test_stats_is_an_immutable_snapshot():
     """Regression: ``stats`` used to hand out the live mutable counters."""
-    with DynamicBatcher(echo_batch, max_batch_size=4, max_wait_s=0.01) as batcher:
+    with DynamicBatcher(echo_batch, max_batch_size=4) as batcher:
         batcher.map([np.array([i]) for i in range(6)], timeout=10.0)
         before = batcher.stats
         assert before is not batcher.stats  # fresh snapshot per read
@@ -407,7 +406,7 @@ def test_map_returns_stacked_results_in_order():
 
 
 def test_stats_track_batches():
-    with DynamicBatcher(echo_batch, max_batch_size=4, max_wait_s=0.01) as batcher:
+    with DynamicBatcher(echo_batch, max_batch_size=4) as batcher:
         batcher.map([np.array([i]) for i in range(9)], timeout=10.0)
     stats = batcher.stats
     assert stats.requests == 9

@@ -69,7 +69,6 @@ def make_server(backend="float", *, cache, calibration=None, **kwargs):
         calibration=calibration,
         cache=cache,
         max_batch_size=4,
-        max_wait_s=0.0005,
         **kwargs,
     )
 

@@ -49,7 +49,7 @@ class TestFloatParity:
         x = rng.normal(size=(6, 4, 60))
         expected = model(Tensor(x)).data
         with InferenceServer(
-            model, "float", cache=cache, max_batch_size=8, max_wait_s=0.05
+            model, "float", cache=cache, max_batch_size=8
         ) as server:
             served = server.infer(x)
         np.testing.assert_array_equal(served, expected)
@@ -104,7 +104,6 @@ class TestInt8Parity:
             calibration=calibration,
             cache=cache,
             max_batch_size=8,
-            max_wait_s=0.05,
         ) as server:
             served = server.infer(x)
         np.testing.assert_array_equal(served, golden.run(x))
@@ -204,34 +203,33 @@ class TestServerFacade:
                 stats.batcher.requests = 0
         assert stats.requests == 3
 
-
-    def test_blocking_calls_flush_only_their_last_window(self, rng, cache):
-        """``infer``, ``predict`` and stream pushes submit once per window
-        and flush only the last; ``infer_async`` keeps the timer."""
+    def test_blocking_calls_submit_once_per_window(self, rng, cache):
+        """``infer``, ``predict``, ``infer_async`` and stream pushes submit
+        each window once, at their documented priority."""
         with InferenceServer(
             "bio1", "float", patch_size=10, model_kwargs=GEOMETRY, cache=cache
         ) as server:
-            flushes = []
+            priorities = []
             submit = server.submit
 
             def recording_submit(window, *args, **kwargs):
-                flushes.append(kwargs.get("flush", False))
+                priorities.append(kwargs.get("priority"))
                 return submit(window, *args, **kwargs)
 
             server.submit = recording_submit
             server.infer(rng.normal(size=(5, 4, 60)))
-            assert flushes == [False] * 4 + [True]
-            flushes.clear()
+            assert priorities == [Priority.LOW] * 5
+            priorities.clear()
             server.predict(rng.normal(size=(3, 4, 60)))
-            assert flushes == [False, False, True]
-            flushes.clear()
+            assert priorities == [Priority.LOW] * 3
+            priorities.clear()
             session = server.open_stream(slide=20)
             assert len(session.push(rng.normal(size=(4, 100)))) == 3
-            assert flushes == [False, False, True]
-            flushes.clear()
+            assert priorities == [Priority.HIGH] * 3
+            priorities.clear()
             for future in server.infer_async(rng.normal(size=(2, 4, 60))):
                 future.result(timeout=10.0)
-            assert flushes == [False, False]
+            assert priorities == [Priority.LOW] * 2
 
 
 # --------------------------------------------------------------------- #
@@ -244,7 +242,7 @@ class TestPoolServing:
         x = rng.normal(size=(24, 4, 60))
         expected = model(Tensor(x)).data
         with InferenceServer(
-            model, "float", cache=cache, max_batch_size=4, max_wait_s=0.001, num_workers=4
+            model, "float", cache=cache, max_batch_size=4, num_workers=4
         ) as server:
             assert server.num_workers == 4
             served = server.infer(x)

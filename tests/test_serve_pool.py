@@ -110,7 +110,7 @@ def echo_batch(batch):
 class TestBatcherOnPool:
     def test_every_request_answered_by_itself(self):
         with WorkerPool(num_workers=4) as pool:
-            with DynamicBatcher(echo_batch, max_batch_size=4, max_wait_s=0.001, pool=pool) as batcher:
+            with DynamicBatcher(echo_batch, max_batch_size=4, pool=pool) as batcher:
                 futures = [batcher.submit(np.array([i])) for i in range(64)]
                 results = [int(f.result(timeout=10.0)[0]) for f in futures]
         assert results == list(range(64))
@@ -121,7 +121,7 @@ class TestBatcherOnPool:
             return np.asarray(batch)
 
         pool = WorkerPool(num_workers=3)
-        batcher = DynamicBatcher(slow_echo, max_batch_size=2, max_wait_s=0.0, pool=pool)
+        batcher = DynamicBatcher(slow_echo, max_batch_size=2, pool=pool)
         futures = [batcher.submit(np.array([i])) for i in range(30)]
         batcher.close()
         # close() returned only after every dispatched batch executed.
@@ -135,12 +135,41 @@ class TestBatcherOnPool:
         """Regression: a closed borrowed pool must not kill the forming
         thread — batches fall back to inline execution instead."""
         pool = WorkerPool(num_workers=2)
-        with DynamicBatcher(echo_batch, max_batch_size=4, max_wait_s=0.001, pool=pool) as batcher:
+        with DynamicBatcher(echo_batch, max_batch_size=4, pool=pool) as batcher:
             first = batcher.submit(np.array([1]))
             assert int(first.result(timeout=10.0)[0]) == 1
             pool.close()  # owner shuts the shared pool down early
             late = [batcher.submit(np.array([i])) for i in range(2, 6)]
             assert [int(f.result(timeout=10.0)[0]) for f in late] == [2, 3, 4, 5]
+
+    def test_batch_grows_while_every_worker_is_busy(self):
+        """Work conservation: the forming thread takes a dispatch slot
+        before it forms, so requests that arrive one by one while both
+        workers are busy all join the next batch."""
+        release = threading.Event()
+        sizes = []
+
+        def gated(batch):
+            sizes.append(len(batch))
+            release.wait(timeout=10.0)
+            return np.asarray(batch)
+
+        with WorkerPool(num_workers=2) as pool:
+            with DynamicBatcher(gated, max_batch_size=8, pool=pool) as batcher:
+                try:
+                    parked = []
+                    for value in (-1, -2):
+                        parked.append(batcher.submit(np.array([value])))
+                        assert _wait_until(parked[-1].running)
+                    arrivals = []
+                    for value in range(6):
+                        arrivals.append(batcher.submit(np.array([value])))
+                        time.sleep(0.005)
+                finally:
+                    release.set()
+                results = [int(f.result(timeout=10.0)[0]) for f in parked + arrivals]
+        assert results == [-1, -2, 0, 1, 2, 3, 4, 5]
+        assert sizes == [1, 1, 6]
 
     def test_backend_error_contained_to_one_batch(self):
         calls = []
@@ -154,7 +183,7 @@ class TestBatcherOnPool:
             return np.asarray(batch)
 
         with WorkerPool(num_workers=2) as pool:
-            with DynamicBatcher(flaky, max_batch_size=1, max_wait_s=0.0, pool=pool) as batcher:
+            with DynamicBatcher(flaky, max_batch_size=1, pool=pool) as batcher:
                 bad = batcher.submit(np.array([0]))
                 good = [batcher.submit(np.array([i])) for i in range(1, 6)]
                 with pytest.raises(ValueError, match="poisoned"):
@@ -182,7 +211,7 @@ class RecordingBackend:
 class TestPriorityAndDeadlines:
     def test_high_priority_forms_batches_before_queued_low(self):
         backend = RecordingBackend(delay_s=0.02)
-        with DynamicBatcher(backend, max_batch_size=4, max_wait_s=0.0) as batcher:
+        with DynamicBatcher(backend, max_batch_size=4) as batcher:
             blocker = batcher.submit(np.array([-1]))  # occupies the worker
             time.sleep(0.005)  # let the forming thread start the blocker batch
             bulk = [
@@ -206,7 +235,7 @@ class TestPriorityAndDeadlines:
         count, so excess traffic waits in the priority queue instead."""
         backend = RecordingBackend(delay_s=0.01)
         with WorkerPool(num_workers=2) as pool:
-            with DynamicBatcher(backend, max_batch_size=1, max_wait_s=0.0, pool=pool) as batcher:
+            with DynamicBatcher(backend, max_batch_size=1, pool=pool) as batcher:
                 bulk = [
                     batcher.submit(np.array([i]), priority=Priority.LOW)
                     for i in range(20)
@@ -226,7 +255,7 @@ class TestPriorityAndDeadlines:
 
     def test_priority_ties_are_fifo(self):
         backend = RecordingBackend(delay_s=0.005)
-        with DynamicBatcher(backend, max_batch_size=3, max_wait_s=0.0) as batcher:
+        with DynamicBatcher(backend, max_batch_size=3) as batcher:
             futures = [
                 batcher.submit(np.array([i]), priority=Priority.NORMAL) for i in range(12)
             ]
@@ -237,7 +266,7 @@ class TestPriorityAndDeadlines:
 
     def test_expired_request_resolves_with_deadline_exceeded(self):
         backend = RecordingBackend(delay_s=0.05)
-        with DynamicBatcher(backend, max_batch_size=4, max_wait_s=0.0) as batcher:
+        with DynamicBatcher(backend, max_batch_size=4) as batcher:
             blocker = batcher.submit(np.array([-1]))  # worker busy for 50 ms
             time.sleep(0.01)  # ensure the blocker batch formed without us
             doomed = batcher.submit(np.array([0]), deadline_s=0.001)
@@ -252,7 +281,7 @@ class TestPriorityAndDeadlines:
         assert batcher.stats.expired == 1
 
     def test_no_deadline_never_expires(self):
-        with DynamicBatcher(echo_batch, max_batch_size=2, max_wait_s=0.0) as batcher:
+        with DynamicBatcher(echo_batch, max_batch_size=2) as batcher:
             assert int(batcher.submit(np.array([7])).result(timeout=10.0)[0]) == 7
         assert batcher.stats.expired == 0
 
@@ -262,7 +291,7 @@ class TestPriorityAndDeadlines:
                 batcher.submit(np.array([1]), deadline_s=-0.5)
 
     def test_per_priority_stats(self):
-        with DynamicBatcher(echo_batch, max_batch_size=4, max_wait_s=0.001) as batcher:
+        with DynamicBatcher(echo_batch, max_batch_size=4) as batcher:
             futures = [
                 batcher.submit(np.array([i]), priority=Priority.HIGH) for i in range(3)
             ] + [
@@ -404,7 +433,6 @@ class TestLoadShedding:
         batcher = DynamicBatcher(
             blocking_backend,
             max_batch_size=1,
-            max_wait_s=0.0,
             max_queue_depth=max_queue_depth,
         )
         plug = batcher.submit(np.array([99]))  # occupies the forming thread
@@ -486,7 +514,7 @@ class TestLoadShedding:
         expired or shed — and every single future resolves."""
         backend = RecordingBackend(delay_s=0.01)
         with DynamicBatcher(
-            backend, max_batch_size=2, max_wait_s=0.0, max_queue_depth=8
+            backend, max_batch_size=2, max_queue_depth=8
         ) as batcher:
             high, low, rejected = [], [], 0
             for i in range(60):

@@ -109,7 +109,6 @@ def build_server(config, backend, cache) -> InferenceServer:
         calibration=calibration,
         cache=cache,
         max_batch_size=8,
-        max_wait_s=0.0005,
     )
 
 
@@ -542,7 +541,6 @@ class TestServerIntegration:
             model_kwargs=GEOMETRY,
             cache=cache,
             max_batch_size=8,
-            max_wait_s=0.0005,
         )
 
     def test_server_stats_surface_session_stats(self, rng, shared_cache):
