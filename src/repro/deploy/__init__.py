@@ -33,7 +33,7 @@ compiled into C.  This package reproduces that flow on the host:
 from .codegen import CodeGenerator, GeneratedSource, generate_c_sources
 from .engine import FloatGraphExecutor
 from .graph import LUT_OPERATORS, ComputeGraph, GraphNode, LookupTable, TensorSpec
-from .int_engine import IntegerGraphExecutor, requantize
+from .int_engine import IntegerGraphExecutor
 from .lowering import (
     ActivationQuantization,
     CalibrationError,
@@ -44,6 +44,7 @@ from .lowering import (
     build_softmax_exp_lut,
     lower_to_int8,
     quantize_multiplier,
+    requantize,
 )
 from .memory import BufferAssignment, LiveRange, MemoryPlan, live_ranges, plan_activation_memory
 from .passes import (

@@ -1,8 +1,11 @@
-"""Floating-point executor for deployment graphs.
+"""The bound node schedule of both graph executors, and the float executor.
 
-The float executor replays a traced :class:`~repro.deploy.graph.ComputeGraph`
-with plain NumPy (no autograd, evaluation semantics).  Its kernels run the
-framework's own NumPy calls in the framework's order, so a traced graph
+:class:`BoundSchedule` binds each original kernel of a traced
+:class:`~repro.deploy.graph.ComputeGraph` once, composes fused chains into
+one closure and runs one loop over the bound kernels; the float and integer
+executors differ only in their ``_bind``, and share the shape-only kernels.
+The float executor's kernels run the framework's own NumPy calls in the
+framework's order (no autograd, evaluation semantics), so a traced graph
 reproduces ``model(Tensor(x))`` bit for bit.  It serves four purposes:
 
 1. **Trace validation** — its output must equal the original model's forward
@@ -20,15 +23,22 @@ reproduces ``model(Tensor(x))`` bit for bit.  It serves four purposes:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..nn.functional import im2col
-from .graph import ComputeGraph, GraphNode
-from .memory import live_ranges
+from .graph import SHAPE_OPERATORS, ComputeGraph, GraphNode
+from .memory import last_uses
 
-__all__ = ["FloatGraphExecutor", "conv1d_reference", "gelu_reference", "softmax_reference"]
+__all__ = [
+    "SHAPE_KERNELS", "BoundSchedule", "FloatGraphExecutor", "Kernel",
+    "conv1d_reference", "gelu_reference", "softmax_reference",
+]
+
+#: A bound node kernel: ``kernel(x, tensors)`` maps the node's first input
+#: ``x`` (and, for two-operand ops, the live ``tensors``) to its output.
+Kernel = Callable[[np.ndarray, Dict[str, np.ndarray]], np.ndarray]
 
 
 def conv1d_reference(
@@ -92,122 +102,162 @@ def layernorm_reference(
     return centered / np.sqrt(variance + eps) * weight + bias
 
 
+def _flatten(node: GraphNode) -> Kernel:
+    # Sized from the spec, not ``-1``: an empty batch has nothing to infer from.
+    features = node.output.num_elements
+    return lambda x, tensors: x.reshape(x.shape[0], features)
+
+
+def _split_heads(node: GraphNode) -> Kernel:
+    heads, head_dim = int(node.attrs["num_heads"]), int(node.attrs["head_dim"])
+    return lambda x, tensors: x.reshape(x.shape[:2] + (heads, head_dim)).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(node: GraphNode) -> Kernel:
+    return lambda x, tensors: x.transpose(0, 2, 1, 3).reshape(
+        x.shape[0], x.shape[2], x.shape[1] * x.shape[3]
+    )
+
+
+def _transpose(node: GraphNode) -> Kernel:
+    axes = (0,) + tuple(axis + 1 for axis in node.attrs["axes"])
+    return lambda x, tensors: x.transpose(axes)
+
+
+def _select_token(node: GraphNode) -> Kernel:
+    index = int(node.attrs["index"])
+    return lambda x, tensors: x[:, index, :]
+
+
+#: The kernel binder of each shape-only operator.  Data movement is the same
+#: on float and int8 activations, so both executors bind these.
+SHAPE_KERNELS: Dict[str, Callable[[GraphNode], Kernel]] = {
+    op: globals()[f"_{op}"] for op in SHAPE_OPERATORS
+}
+
+
+def _compose(kernels: List[Kernel]) -> Kernel:
+    """One kernel that feeds each of ``kernels`` its predecessor's output."""
+    head, *tails = kernels
+    if not tails:
+        return head
+
+    def run(x, tensors):
+        x = head(x, tensors)
+        for tail in tails:
+            x = tail(x, tensors)
+        return x
+
+    return run
+
+
+class BoundSchedule:
+    """A graph's node schedule bound once to kernels.
+
+    ``bind(node)`` is called once per original kernel at construction:
+    every member of every node's ``fusion_chain``, in schedule order.  A
+    fused chain runs as one composed closure with the per-stage arithmetic
+    of its members unchanged.  Each tail of a chain consumes only its
+    predecessor's output (see :func:`repro.deploy.passes._forward_fuse`),
+    so the intermediates never enter the tensor map.
+    """
+
+    def __init__(self, graph: ComputeGraph, bind: Callable[[GraphNode], Kernel]) -> None:
+        self.graph = graph
+        # Activations whose last consumer is node ``i``: ``run`` drops them
+        # right after it, so a batch reuses freed buffers instead of
+        # faulting in fresh pages for every intermediate.
+        dead_after: List[List[str]] = [[] for _ in graph.nodes]
+        for name, end in last_uses(graph).items():
+            if name != graph.output.name:
+                dead_after[end].append(name)
+        self._steps = []
+        for node, dead in zip(graph.nodes, dead_after):
+            kernel = _compose([bind(sub) for sub in node.fusion_chain])
+            self._steps.append((node.inputs[0], node.output.name, kernel, dead))
+
+    def run(self, batch: np.ndarray) -> np.ndarray:
+        """Run the schedule on a prepared input batch; returns the graph output."""
+        tensors = {self.graph.graph_input.name: batch}
+        for source, target, kernel, dead in self._steps:
+            tensors[target] = kernel(tensors[source], tensors)
+            for name in dead:
+                del tensors[name]
+        return tensors[self.graph.output.name]
+
+    def run_recording(self, batch: np.ndarray) -> Dict[str, np.ndarray]:
+        """Like :meth:`run`, but return every tensor (input included) by name."""
+        tensors = {self.graph.graph_input.name: batch}
+        for source, target, kernel, _ in self._steps:
+            tensors[target] = kernel(tensors[source], tensors)
+        return tensors
+
+
 class FloatGraphExecutor:
     """Executes a :class:`ComputeGraph` on float32/float64 NumPy arrays."""
 
     def __init__(self, graph: ComputeGraph) -> None:
         self.graph = graph
-        # Activations whose last consumer is node ``i``: ``run`` drops them
-        # right after it, so a batch reuses freed buffers instead of
-        # faulting in fresh pages for every intermediate.
-        self._dead_after: List[List[str]] = [[] for _ in graph.nodes]
-        for name, live in live_ranges(graph).items():
-            if name != graph.output.name:
-                self._dead_after[live.end].append(name)
+        self.schedule = BoundSchedule(graph, self._bind)
 
-    # ------------------------------------------------------------------ #
-    # Single-node dispatch
-    # ------------------------------------------------------------------ #
-    def _run_node(self, node: GraphNode, tensors: Dict[str, np.ndarray]) -> np.ndarray:
-        if node.is_fused:
-            # Replay the original kernels of a fused node (see
-            # repro.deploy.passes) so optimized graphs run bit-identically
-            # to their source capture in the float reference too.
-            local = dict(tensors)
-            value = None
-            for sub in node.fusion_chain:
-                value = self._run_node(sub, local)
-                local[sub.output.name] = value
-            return value
-        op = node.op
-        x = tensors[node.inputs[0]]
+    def _bind(self, node: GraphNode) -> Kernel:
+        """One original node's kernel, closed over its weights and attributes."""
+        op, weights, attrs = node.op, node.weights, node.attrs
+        if op in SHAPE_KERNELS:
+            return SHAPE_KERNELS[op](node)
         if op == "conv1d":
-            return conv1d_reference(
-                x,
-                node.weights["weight"],
-                node.weights.get("bias"),
-                stride=int(node.attrs["stride"]),
-                padding=int(node.attrs["padding"]),
-                dilation=int(node.attrs["dilation"]),
-            )
+            weight, bias = weights["weight"], weights.get("bias")
+            stride, padding, dilation = (int(attrs[key]) for key in ("stride", "padding", "dilation"))
+            return lambda x, tensors: conv1d_reference(x, weight, bias, stride, padding, dilation)
         if op == "linear":
-            out = x @ node.weights["weight"].T
-            if "bias" in node.weights:
-                out = out + node.weights["bias"]
-            return out
+            weight_t, bias = weights["weight"].T, weights.get("bias")
+            if bias is None:
+                return lambda x, tensors: x @ weight_t
+            return lambda x, tensors: x @ weight_t + bias
         if op == "channel_affine":
-            scale = node.weights["scale"].reshape(1, -1, 1)
-            shift = node.weights["shift"].reshape(1, -1, 1)
-            return x * scale + shift
+            scale, shift = (weights[key].reshape(1, -1, 1) for key in ("scale", "shift"))
+            return lambda x, tensors: x * scale + shift
         if op == "layernorm":
-            return layernorm_reference(
-                x, node.weights["weight"], node.weights["bias"], float(node.attrs["eps"])
-            )
+            weight, bias, eps = weights["weight"], weights["bias"], float(attrs["eps"])
+            return lambda x, tensors: layernorm_reference(x, weight, bias, eps)
         if op == "relu":
-            return np.maximum(x, 0.0)
+            return lambda x, tensors: np.maximum(x, 0.0)
         if op == "gelu":
-            return gelu_reference(x)
+            return lambda x, tensors: gelu_reference(x)
         if op == "softmax":
-            return softmax_reference(x, axis=int(node.attrs.get("axis", -1)))
+            axis = int(attrs.get("axis", -1))
+            return lambda x, tensors: softmax_reference(x, axis=axis)
         if op == "matmul":
-            other = tensors[node.inputs[1]]
-            if node.attrs.get("transpose_b", False):
-                other = np.swapaxes(other, -1, -2)
-            return (x @ other) * float(node.attrs.get("scale", 1.0))
+            other, scale = node.inputs[1], float(attrs.get("scale", 1.0))
+            if attrs.get("transpose_b", False):
+                return lambda x, tensors: (x @ np.swapaxes(tensors[other], -1, -2)) * scale
+            return lambda x, tensors: (x @ tensors[other]) * scale
         if op == "add":
-            return x + tensors[node.inputs[1]]
+            other = node.inputs[1]
+            return lambda x, tensors: x + tensors[other]
         if op == "append_token":
-            token = node.weights["token"].reshape(1, 1, -1)
-            token = np.broadcast_to(token, (x.shape[0], 1, x.shape[2]))
-            return np.concatenate([x, token], axis=1)
-        if op == "add_positional":
-            return x + node.weights["positions"][None, :, :]
-        if op == "avgpool1d":
-            return avgpool1d_reference(
-                x, int(node.attrs["kernel_size"]), int(node.attrs["stride"])
+            token = weights["token"].reshape(1, 1, -1)
+            return lambda x, tensors: np.concatenate(
+                [x, np.broadcast_to(token, (x.shape[0], 1, x.shape[2]))], axis=1
             )
-        if op == "flatten":
-            return x.reshape(x.shape[0], -1)
-        if op == "split_heads":
-            heads = int(node.attrs["num_heads"])
-            head_dim = int(node.attrs["head_dim"])
-            batch, sequence, _ = x.shape
-            return x.reshape(batch, sequence, heads, head_dim).transpose(0, 2, 1, 3)
-        if op == "merge_heads":
-            batch, heads, sequence, head_dim = x.shape
-            return x.transpose(0, 2, 1, 3).reshape(batch, sequence, heads * head_dim)
-        if op == "transpose":
-            axes = tuple(node.attrs["axes"])
-            batch_axes = (0,) + tuple(axis + 1 for axis in axes)
-            return x.transpose(batch_axes)
-        if op == "select_token":
-            return x[:, int(node.attrs["index"]), :]
+        if op == "add_positional":
+            positions = weights["positions"][None, :, :]
+            return lambda x, tensors: x + positions
+        if op == "avgpool1d":
+            kernel_size, stride = int(attrs["kernel_size"]), int(attrs["stride"])
+            return lambda x, tensors: avgpool1d_reference(x, kernel_size, stride)
         if op == "mean_tokens":
-            return x.mean(axis=1)
+            return lambda x, tensors: x.mean(axis=1)
         raise NotImplementedError(f"float executor does not implement '{op}'")
 
-    # ------------------------------------------------------------------ #
-    # Whole-graph execution
-    # ------------------------------------------------------------------ #
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Run the graph on a ``(batch, channels, samples)`` input batch."""
-        tensors = {self.graph.graph_input.name: self.graph.batched_input(inputs)}
-        for node, dead in zip(self.graph.nodes, self._dead_after):
-            tensors[node.output.name] = self._run_node(node, tensors)
-            for name in dead:
-                del tensors[name]
-        return tensors[self.graph.output.name]
+        return self.schedule.run(self.graph.batched_input(inputs))
 
     def run_recording(self, inputs: np.ndarray) -> Dict[str, np.ndarray]:
-        """Run the graph and return *every* intermediate activation.
-
-        The returned mapping is keyed by tensor name and includes the graph
-        input; it is what the int8 lowering pass calibrates on.
-        """
-        tensors = {self.graph.graph_input.name: self.graph.batched_input(inputs)}
-        for node in self.graph.nodes:
-            tensors[node.output.name] = self._run_node(node, tensors)
-        return tensors
+        """Run the graph and return *every* activation, the input included,
+        by tensor name: what the int8 lowering pass calibrates on."""
+        return self.schedule.run_recording(self.graph.batched_input(inputs))
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Class predictions (argmax over the graph output logits)."""

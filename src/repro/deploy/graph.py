@@ -240,8 +240,10 @@ class GraphNode:
         A fused node (produced by the optimization passes in
         :mod:`repro.deploy.passes`) carries its constituent kernels in
         ``attrs["fused_chain"]``; an ordinary node is its own chain of one.
-        The executors replay the chain element-wise, which is what makes
-        fusion bitwise-exact by construction.
+        The executors bind each member once and compose the chain into one
+        kernel (:class:`~repro.deploy.engine.BoundSchedule`), each member
+        with its own arithmetic, which is what makes fusion bitwise-exact
+        by construction.
         """
         chain = self.attrs.get("fused_chain")
         return tuple(chain) if chain else (self,)

@@ -9,13 +9,14 @@ transformer non-linearities (softmax, GELU, LayerNorm).
 kernel closure over the node's constants, attributes, output grid and the
 ``(multiplier, shift)`` pairs ``QuantizeWeightsPass`` stored for it — the
 pairs the code generator writes to ``weights.h``; the executor encodes
-none of its own.  The MAC operators (``conv1d`` via im2col, ``linear``,
-``matmul``) run on one batched GEMM primitive (:func:`int_gemm`) that
-requantises once per output tile.  GELU and the softmax ``exp`` run as one
-``np.take`` over the lookup table the lowering built for the node; the
-tables are built from the elementwise I-BERT kernels of
-:mod:`repro.quant.ibert`, and the test-suite pins them to those kernels
-over the full input domain.
+none of its own — and runs them as the float executor does, in one
+:class:`~repro.deploy.engine.BoundSchedule`.  The MAC operators (``conv1d``
+via im2col, ``linear``, ``matmul``) run on one batched GEMM primitive
+(:func:`int_gemm`) that requantises once per output tile.  GELU and the
+softmax ``exp`` run as one ``np.take`` over the lookup table the lowering
+built for the node; the tables are built from the elementwise I-BERT
+kernels of :mod:`repro.quant.ibert`, and the test-suite pins them to those
+kernels over the full input domain.
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the generated weights and the requantisation constants can all
@@ -31,10 +32,11 @@ import numpy as np
 
 from ..nn.functional import im2col
 from ..quant import ibert
+from .engine import SHAPE_KERNELS, BoundSchedule, FloatGraphExecutor, Kernel
 from .graph import OPERATORS, GraphNode
-from .lowering import QuantizedGraph, apply_requant, requantize
+from .lowering import QuantizedGraph, apply_requant
 
-__all__ = ["IntegerGraphExecutor", "apply_requant", "int_gemm", "requantize"]
+__all__ = ["IntegerGraphExecutor", "int_gemm"]
 
 #: Largest integer magnitude float64 represents exactly (2**53).  Below this
 #: bound a float64 GEMM over integer operands is *exact*: every product and
@@ -88,10 +90,6 @@ def int_gemm(
     multiplier, shift, qmin, qmax = requant
     return apply_requant(accumulator, multiplier, shift, qmin, qmax)
 
-
-#: A bound node kernel: ``kernel(x, tensors)`` maps the node's first input
-#: ``x`` (and, for two-operand ops, ``tensors``) to its int8 output.
-Kernel = Callable[[np.ndarray, Dict[str, np.ndarray]], np.ndarray]
 
 def _conv1d(node, lowered, in_scale, requant) -> Kernel:
     weight = lowered.constants["weight"].values
@@ -252,38 +250,13 @@ def _mean_tokens(node, lowered, in_scale, requant) -> Kernel:
     return lambda q_x, tensors: apply_requant(q_x.astype(np.int64).sum(axis=1), *output)
 
 
-def _flatten(node, lowered, in_scale, requant) -> Kernel:
-    return lambda q_x, tensors: q_x.reshape(q_x.shape[0], -1)
-
-
-def _split_heads(node, lowered, in_scale, requant) -> Kernel:
-    heads, head_dim = int(node.attrs["num_heads"]), int(node.attrs["head_dim"])
-    return lambda q_x, tensors: q_x.reshape(
-        q_x.shape[:2] + (heads, head_dim)
-    ).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(node, lowered, in_scale, requant) -> Kernel:
-    return lambda q_x, tensors: q_x.transpose(0, 2, 1, 3).reshape(
-        q_x.shape[0], q_x.shape[2], q_x.shape[1] * q_x.shape[3]
-    )
-
-
-def _transpose(node, lowered, in_scale, requant) -> Kernel:
-    axes = (0,) + tuple(axis + 1 for axis in node.attrs["axes"])
-    return lambda q_x, tensors: q_x.transpose(axes)
-
-
-def _select_token(node, lowered, in_scale, requant) -> Kernel:
-    index = int(node.attrs["index"])
-    return lambda q_x, tensors: q_x[:, index, :]
-
-
-#: Each operator's binder is the function named after it.  It returns the
-#: node's kernel, closed over the node's attributes, its ``QuantizedNode``
-#: payload, its input scale and ``requant``: role -> ``(multiplier, shift,
-#: qmin, qmax)``, the stored pairs on the node's output grid.
-_BINDERS: Dict[str, Callable[..., Kernel]] = {op: globals()[f"_{op}"] for op in OPERATORS}
+#: Each non-shape operator's binder is the function named after it.  It
+#: returns the node's kernel, closed over the node's attributes, its
+#: ``QuantizedNode`` payload, its input scale and ``requant``: role ->
+#: ``(multiplier, shift, qmin, qmax)``, the stored pairs on its output grid.
+_BINDERS: Dict[str, Callable[..., Kernel]] = {
+    op: globals()[f"_{op}"] for op in OPERATORS if op not in SHAPE_KERNELS
+}
 
 
 class IntegerGraphExecutor:
@@ -292,55 +265,32 @@ class IntegerGraphExecutor:
     The lowered graph alone decides how each node runs: MAC nodes through
     :func:`int_gemm`, GELU/softmax through their lookup tables, every
     requantisation with the node's stored pairs.  Each kernel (fused-chain
-    members included) is bound once, here, by node name.
+    members included) is bound once, here, into a :class:`BoundSchedule`.
     """
 
     def __init__(self, quantized: QuantizedGraph) -> None:
         self.quantized = quantized
         self.graph = quantized.graph
-        activations = quantized.activations
-        self._kernels: Dict[str, Kernel] = {}
-        for node in self.graph.nodes:
-            for sub in node.fusion_chain:
-                lowered = quantized.nodes[sub.name]
-                out = activations[sub.output.name]
-                requant = {
-                    role: (multiplier, shift, out.qmin, out.qmax)
-                    for role, (multiplier, shift) in lowered.requantizers.items()
-                }
-                in_scale = activations[sub.inputs[0]].scale
-                self._kernels[sub.name] = _BINDERS[sub.op](sub, lowered, in_scale, requant)
+        self.schedule = BoundSchedule(self.graph, self._bind)
 
-    # ------------------------------------------------------------------ #
-    # Single-node dispatch
-    # ------------------------------------------------------------------ #
-    def _run_node(self, node: GraphNode, tensors: Dict[str, np.ndarray]) -> np.ndarray:
-        if node.is_fused:
-            # A fused node (see repro.deploy.passes) replays its original
-            # kernel chain with the per-stage requantisers intact — the
-            # payloads of absorbed nodes stay in ``quantized.nodes`` — so
-            # fusion is bitwise-identical by construction.  Intermediates
-            # live only in the local scope (on target: registers/L1).
-            local = dict(tensors)
-            value = None
-            for sub in node.fusion_chain:
-                value = self._run_node(sub, local)
-                local[sub.output.name] = value
-            return value
-        return self._kernels[node.name](tensors[node.inputs[0]], tensors)
+    def _bind(self, node: GraphNode) -> Kernel:
+        """One original node's kernel; shape operators share the float ones."""
+        if node.op in SHAPE_KERNELS:
+            return SHAPE_KERNELS[node.op](node)
+        activations = self.quantized.activations
+        lowered = self.quantized.nodes[node.name]
+        out = activations[node.output.name]
+        requant = {
+            role: (multiplier, shift, out.qmin, out.qmax)
+            for role, (multiplier, shift) in lowered.requantizers.items()
+        }
+        in_scale = activations[node.inputs[0]].scale
+        return _BINDERS[node.op](node, lowered, in_scale, requant)
 
-    # ------------------------------------------------------------------ #
-    # Whole-graph execution
-    # ------------------------------------------------------------------ #
     def run_integer(self, inputs: np.ndarray) -> np.ndarray:
         """Run the graph; returns the *integer* logits (int8 grid)."""
         batch = self.graph.batched_input(inputs)
-        tensors: Dict[str, np.ndarray] = {
-            self.graph.graph_input.name: self.quantized.input_quantization.quantize(batch)
-        }
-        for node in self.graph.nodes:
-            tensors[node.output.name] = self._run_node(node, tensors)
-        return tensors[self.graph.output.name]
+        return self.schedule.run(self.quantized.input_quantization.quantize(batch))
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Run the graph and return dequantised (float) logits."""
@@ -353,8 +303,6 @@ class IntegerGraphExecutor:
 
     def agreement_with_float(self, inputs: np.ndarray) -> float:
         """Fraction of inputs where int8 and float inference agree on the class."""
-        from .engine import FloatGraphExecutor
-
         float_predictions = FloatGraphExecutor(self.graph).predict(inputs)
         integer_predictions = self.predict(inputs)
         return float(np.mean(float_predictions == integer_predictions))

@@ -8,7 +8,8 @@ arena so that tensors with disjoint lifetimes reuse the same bytes.
 
 This module implements that pass for :class:`ComputeGraph` schedules:
 
-* :func:`live_ranges` — first/last use of every activation tensor;
+* :func:`live_ranges` — first/last use of every activation tensor, and
+  :func:`last_uses`, the last use alone (what the executors free by);
 * :func:`plan_activation_memory` — greedy best-fit packing (largest tensors
   first) producing per-buffer offsets and the arena peak;
 * :class:`MemoryPlan` — the result, with helpers used by the deployment
@@ -22,7 +23,10 @@ from typing import Dict, List, Optional
 
 from .graph import ComputeGraph
 
-__all__ = ["LiveRange", "BufferAssignment", "MemoryPlan", "live_ranges", "plan_activation_memory"]
+__all__ = [
+    "LiveRange", "BufferAssignment", "MemoryPlan", "last_uses", "live_ranges",
+    "plan_activation_memory",
+]
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,21 @@ class MemoryPlan:
         return "\n".join(lines)
 
 
+def last_uses(graph: ComputeGraph) -> Dict[str, int]:
+    """Index of the last node consuming each activation tensor.
+
+    A tensor nothing consumes ends at its producer; the graph output must
+    survive the whole schedule (it is returned).
+    """
+    last_use = {graph.graph_input.name: 0}
+    for index, node in enumerate(graph.nodes):
+        last_use.setdefault(node.output.name, index)
+        for tensor_name in node.inputs:
+            last_use[tensor_name] = index
+    last_use[graph.output.name] = len(graph.nodes) - 1
+    return last_use
+
+
 def live_ranges(graph: ComputeGraph, bytes_per_element: int = 1) -> Dict[str, LiveRange]:
     """Compute the live range of every activation tensor in ``graph``.
 
@@ -117,18 +136,12 @@ def live_ranges(graph: ComputeGraph, bytes_per_element: int = 1) -> Dict[str, Li
     target, but they are kept as separate buffers here, which makes the plan
     slightly conservative — a safe over-estimate of the real working set.
     """
-    specs = graph.tensor_specs()
     produced = {graph.graph_input.name: -1}
-    last_use = {graph.graph_input.name: 0}
     for index, node in enumerate(graph.nodes):
         produced[node.output.name] = index
-        last_use.setdefault(node.output.name, index)
-        for tensor_name in node.inputs:
-            last_use[tensor_name] = index
-    # The graph output must survive the whole schedule (it is returned).
-    last_use[graph.output.name] = len(graph.nodes) - 1
+    last_use = last_uses(graph)
     ranges = {}
-    for name, spec in specs.items():
+    for name, spec in graph.tensor_specs().items():
         ranges[name] = LiveRange(
             name=name,
             size_bytes=spec.nbytes(bytes_per_element),

@@ -19,10 +19,11 @@ Pipeline contract
   bit-identical to the unoptimized path.  The optimization passes
   (requant folding, conv→pool fusion, dead-node elimination) only
   restructure the *schedule* — a fused node carries its constituent
-  kernels in ``attrs["fused_chain"]`` and the executors replay them with
-  the exact original per-stage arithmetic (chaining two fixed-point
-  requantisers into one multiplier would double-round and is **not**
-  bitwise-exact, so fusion deliberately keeps the per-stage pairs).
+  kernels in ``attrs["fused_chain"]``, and each executor binds every member
+  once and composes the chain into one kernel with the exact original
+  per-stage arithmetic (chaining two fixed-point requantisers into one
+  multiplier would double-round and is **not** bitwise-exact, so fusion
+  deliberately keeps the per-stage pairs).
 * The manager records a :class:`PassRecord` per pass (node counts and wall
   time); the manifest ships on the :class:`QuantizedGraph` and is shown by
   the deployment report.
@@ -80,7 +81,7 @@ __all__ = [
 
 #: Elementwise tails the requant-folding pass may absorb into a preceding
 #: MAC node.  Each is a single-input kernel whose integer lowering consumes
-#: the producer's requantised int8 output directly, so replaying it inside
+#: the producer's requantised int8 output directly, so running it inside
 #: the fused node is the identical arithmetic.
 FOLDABLE_OPERATORS: Tuple[str, ...] = ("channel_affine", "relu", "gelu")
 
@@ -434,9 +435,10 @@ def _fuse_nodes(base: GraphNode, tail: GraphNode) -> GraphNode:
 
     The fused node keeps the base name/op/inputs, takes the tail's output
     spec, and records the full original kernel chain in
-    ``attrs["fused_chain"]`` — the executors replay that chain with the
-    per-stage requantisers intact (collapsing two fixed-point stages into
-    one multiplier would double-round, which is not bitwise-safe).  Tail
+    ``attrs["fused_chain"]`` — the executors compose that chain into one
+    kernel with the per-stage requantisers intact (collapsing two
+    fixed-point stages into one multiplier would double-round, which is
+    not bitwise-safe).  Tail
     constants are merged under ``"<tail-name>::<role>"`` keys so the graph's
     weight accounting still sees every constant exactly once.
     """

@@ -24,6 +24,7 @@ the module is usable as a small general-purpose autograd engine.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -489,7 +490,8 @@ class Tensor:
 
     def flatten(self, start_dim: int = 0) -> "Tensor":
         """Flatten all dimensions from ``start_dim`` onward into one."""
-        new_shape = self.shape[:start_dim] + (-1,)
+        # The product, not ``-1``: an empty batch has nothing to infer from.
+        new_shape = self.shape[:start_dim] + (math.prod(self.shape[start_dim:]),)
         return self.reshape(new_shape)
 
     def transpose(self, *axes) -> "Tensor":

@@ -460,3 +460,42 @@ def test_executors_reject_wrong_input_geometry(bio2_executors, executor, shape):
     inputs = np.random.default_rng(7).normal(size=shape)
     with pytest.raises(ValueError, match="expects input shape"):
         bio2_executors[executor].run(inputs)
+
+
+# --------------------------------------------------------------------- #
+# Binding: each original kernel is bound once, at construction
+# --------------------------------------------------------------------- #
+def counting_binds(executor_class):
+    """``executor_class`` counting its ``_bind`` calls in ``binds``."""
+
+    class Counting(executor_class):
+        def __init__(self, source):
+            self.binds = 0
+            super().__init__(source)
+
+        def _bind(self, node):
+            self.binds += 1
+            return super()._bind(node)
+
+    return Counting
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["default", "optimized"])
+@pytest.mark.parametrize("name", ["bio2", "temponet"])
+def test_executors_bind_each_kernel_once(name, optimize):
+    """Every fused-chain member is bound at construction and never again."""
+    model = build_model(name, num_channels=4, window_samples=60, seed=11).eval()
+    inputs = np.random.default_rng(3).normal(size=(8, 4, 60))
+    quantized = lower_to_int8(trace_model(model), inputs, LoweringConfig(optimize=optimize))
+    graph = quantized.graph
+    kernels = sum(len(node.fusion_chain) for node in graph.nodes)
+    assert (kernels > len(graph.nodes)) == optimize
+    executors = [
+        counting_binds(FloatGraphExecutor)(graph),
+        counting_binds(IntegerGraphExecutor)(quantized),
+    ]
+    for executor in executors:
+        assert executor.binds == kernels
+        for batch in (1, 8):
+            executor.run(inputs[:batch])
+        assert executor.binds == kernels

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.deploy import IntegerGraphExecutor, LoweringConfig, lower_to_int8, trace_model
-from repro.deploy.int_engine import apply_requant, int_gemm, requantize
-from repro.deploy.lowering import GemmTileInfo, quantize_multiplier
+from repro.deploy.int_engine import int_gemm
+from repro.deploy.lowering import GemmTileInfo, apply_requant, quantize_multiplier, requantize
 from repro.models import build_model
 from repro.nn.functional import im2col
 from repro.nn.tensor import Tensor
@@ -59,54 +59,58 @@ class ReferenceExecutor(IntegerGraphExecutor):
     ``conv1d`` accumulates tap by tap, ``linear``/``matmul`` use int64 ``@``,
     and the output requantiser is encoded at run time from the float scales
     by :func:`requantize` instead of read from the node's stored pair.
-    Every other op (and fused-chain replay) is the executor's own.
+    Every other op (and fused-chain composition) is the executor's own.
     ``mac_calls`` counts the overridden MAC kernels that ran, so a test can
     prove the override was not bypassed.
     """
 
     def __init__(self, quantized):
-        super().__init__(quantized)
         self.mac_calls = 0
+        super().__init__(quantized)
 
-    def _run_node(self, node, tensors):
-        if node.is_fused or node.op not in MAC_OPERATORS:
-            return super()._run_node(node, tensors)
-        self.mac_calls += 1
+    def _bind(self, node):
+        if node.op not in MAC_OPERATORS:
+            return super()._bind(node)
         activations = self.quantized.activations
         lowered = self.quantized.nodes[node.name]
-        q_x = tensors[node.inputs[0]].astype(np.int64)
         in_scale = activations[node.inputs[0]].scale
         out = activations[node.output.name]
-        if node.op == "matmul":
-            q_other = tensors[node.inputs[1]].astype(np.int64)
-            if node.attrs.get("transpose_b", False):
-                q_other = np.swapaxes(q_other, -1, -2)
-            accumulator = q_x @ q_other
-            factor = (
-                in_scale
-                * activations[node.inputs[1]].scale
-                * float(node.attrs.get("scale", 1.0))
-            )
-        else:
-            weight = lowered.constants["weight"]
-            bias = lowered.constants.get("bias")
-            q_weight = weight.values.astype(np.int64)
-            if node.op == "conv1d":
-                accumulator = _int_conv1d_taploop(
-                    q_x,
-                    q_weight,
-                    int(node.attrs["stride"]),
-                    int(node.attrs["padding"]),
-                    int(node.attrs["dilation"]),
+
+        def run(q_x, tensors):
+            self.mac_calls += 1
+            q_x = q_x.astype(np.int64)
+            if node.op == "matmul":
+                q_other = tensors[node.inputs[1]].astype(np.int64)
+                if node.attrs.get("transpose_b", False):
+                    q_other = np.swapaxes(q_other, -1, -2)
+                accumulator = q_x @ q_other
+                factor = (
+                    in_scale
+                    * activations[node.inputs[1]].scale
+                    * float(node.attrs.get("scale", 1.0))
                 )
-                bias_shape = (1, -1, 1)
             else:
-                accumulator = q_x @ q_weight.T
-                bias_shape = (-1,)
-            if bias is not None:
-                accumulator = accumulator + bias.values.astype(np.int64).reshape(bias_shape)
-            factor = in_scale * weight.scale
-        return requantize(accumulator, factor / out.scale, out.qmin, out.qmax)
+                weight = lowered.constants["weight"]
+                bias = lowered.constants.get("bias")
+                q_weight = weight.values.astype(np.int64)
+                if node.op == "conv1d":
+                    accumulator = _int_conv1d_taploop(
+                        q_x,
+                        q_weight,
+                        int(node.attrs["stride"]),
+                        int(node.attrs["padding"]),
+                        int(node.attrs["dilation"]),
+                    )
+                    bias_shape = (1, -1, 1)
+                else:
+                    accumulator = q_x @ q_weight.T
+                    bias_shape = (-1,)
+                if bias is not None:
+                    accumulator = accumulator + bias.values.astype(np.int64).reshape(bias_shape)
+                factor = in_scale * weight.scale
+            return requantize(accumulator, factor / out.scale, out.qmin, out.qmax)
+
+        return run
 
 
 def reference_logits(quantized, x):

@@ -37,7 +37,7 @@ from repro.deploy import (
     lower_to_int8,
     trace_model,
 )
-from repro.deploy.int_engine import apply_requant, requantize
+from repro.deploy.lowering import apply_requant, requantize
 from repro.models import available_models, build_model
 from repro.quant import ibert
 from repro.serve import build_int8_backend
@@ -85,29 +85,33 @@ class ElementwiseExecutor(IntegerGraphExecutor):
 
     Each runs its :mod:`repro.quant.ibert` kernel on the int64 input and
     requantises with the node's stored ``output`` pair; every other op
-    (and fused-chain replay) is the executor's own.  ``calls`` counts the
-    overridden kernels that ran, so a test can prove the override was not
-    bypassed.
+    (and fused-chain composition) is the executor's own.  ``calls`` counts
+    the overridden kernels that ran, so a test can prove the override was
+    not bypassed.
     """
 
     def __init__(self, quantized):
-        super().__init__(quantized)
         self.calls = 0
+        super().__init__(quantized)
 
-    def _run_node(self, node, tensors):
-        if node.is_fused or node.op not in LUT_OPERATORS:
-            return super()._run_node(node, tensors)
-        self.calls += 1
-        q_x = tensors[node.inputs[0]].astype(np.int64)
+    def _bind(self, node):
+        if node.op not in LUT_OPERATORS:
+            return super()._bind(node)
         in_scale = self.quantized.activations[node.inputs[0]].scale
         out = self.quantized.activations[node.output.name]
-        if node.op == "gelu":
-            q_out, _ = ibert.integer_gelu(q_x, in_scale)
-        else:
-            axis = int(node.attrs.get("axis", -1))
-            q_out, _ = ibert.integer_softmax(q_x, in_scale, axis=axis)
         multiplier, shift = self.quantized.nodes[node.name].requantizers["output"]
-        return apply_requant(q_out, multiplier, shift, out.qmin, out.qmax)
+
+        def run(q_x, tensors):
+            self.calls += 1
+            q_x = q_x.astype(np.int64)
+            if node.op == "gelu":
+                q_out, _ = ibert.integer_gelu(q_x, in_scale)
+            else:
+                axis = int(node.attrs.get("axis", -1))
+                q_out, _ = ibert.integer_softmax(q_x, in_scale, axis=axis)
+            return apply_requant(q_out, multiplier, shift, out.qmin, out.qmax)
+
+        return run
 
 
 def assert_tables_match_elementwise(quantized, x):
@@ -254,8 +258,8 @@ class TestExhaustiveDomainEquality:
             full = np.arange(in_act.qmin, in_act.qmax + 1, dtype=np.int32)[None, :]
             tensors = {node.inputs[0]: full}
             np.testing.assert_array_equal(
-                with_lut._run_node(node, dict(tensors)),
-                elementwise._run_node(node, dict(tensors)),
+                with_lut._bind(node)(full, tensors),
+                elementwise._bind(node)(full, tensors),
             )
         assert elementwise.calls > 0
 
@@ -278,8 +282,8 @@ class TestExhaustiveDomainEquality:
             for q_x in (full_row, random_rows):
                 tensors = {node.inputs[0]: q_x}
                 np.testing.assert_array_equal(
-                    with_lut._run_node(node, dict(tensors)),
-                    elementwise._run_node(node, dict(tensors)),
+                    with_lut._bind(node)(q_x, tensors),
+                    elementwise._bind(node)(q_x, tensors),
                 )
         assert elementwise.calls > 0
 

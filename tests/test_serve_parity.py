@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.deploy import IntegerGraphExecutor, lower_to_int8, trace_model
-from repro.models import build_model
+from repro.models import available_models, build_model
 from repro.nn.tensor import Tensor
 from repro.serve import (
     BackendCache,
@@ -284,3 +284,18 @@ class TestPoolServing:
             by_priority = server.stats.by_priority
         assert by_priority[int(Priority.LOW)] == 5
         assert by_priority[int(Priority.HIGH)] == 1
+
+
+# --------------------------------------------------------------------- #
+# Empty batches
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ["float", "int8"])
+@pytest.mark.parametrize("name", available_models())
+def test_backends_run_empty_batch(name, backend):
+    """Regression: TEMPONet's ``flatten`` reshaped to ``(0, -1)``, which
+    raised on zero windows in both backends and in the model itself."""
+    model = make_model(name)
+    built = FloatBackend(model) if backend == "float" else build_int8_backend(model)
+    empty = np.empty((0, 4, 60))
+    assert built.run(empty).shape == (0, built.num_classes)
+    assert model(Tensor(empty)).shape == (0, built.num_classes)
