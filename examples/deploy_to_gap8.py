@@ -6,8 +6,7 @@ flashing a device (the flow behind the paper's Table I):
 1. train Bioformer (h=8, d=1) on subject 1 of the synthetic NinaPro DB6;
 2. trace the trained model into the deployment graph IR;
 3. lower it to int8 (activation calibration + fixed-point requantisation,
-   plus LUT lowering of the I-BERT softmax/GELU, and the fusion passes
-   selected by ``LoweringConfig(optimize=True)``);
+   LUT lowering of the I-BERT softmax/GELU, and kernel fusion);
 4. run the integer-only engine and compare it against float inference;
 5. plan the L2 activation arena and the L1 tiling;
 6. estimate latency / energy / battery life on the GAP8 cost model;
@@ -22,7 +21,7 @@ import os
 import tempfile
 
 from repro.data import NinaProDB6, NinaProDB6Config, subject_split
-from repro.deploy import CodeGenerator, LoweringConfig, deploy_graph
+from repro.deploy import CodeGenerator, deploy_graph
 from repro.models import bioformer_bio1
 from repro.training import ProtocolConfig, train_subject_specific
 
@@ -42,14 +41,13 @@ def main() -> None:
     # 2-6. The whole deployment pipeline in one call.  The integer
     # softmax/GELU are lowered into lookup tables, so the generated schedule
     # calls the _lut_ kernels and weights.h carries the tables; the int8
-    # serving backend runs the same op set.  optimize=True folds each FFN
+    # serving backend runs the same op set.  The compiler folds each FFN
     # GELU into its linear layer (bitwise-identical logits, fewer kernels).
     deployment = deploy_graph(
         model,
         calibration_inputs=split.train.windows[:256],
         evaluation_inputs=split.test.windows,
         evaluation_labels=split.test.labels,
-        config=LoweringConfig(optimize=True),
     )
     print()
     print(deployment.render())

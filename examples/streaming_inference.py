@@ -17,9 +17,7 @@ host through :mod:`repro.serve`:
    windows preempt it in the micro-batch queue;
 4. repeat with the int8 backend — the GAP8 integer numerics, with the
    I-BERT GELU/softmax served through lookup tables (see
-   docs/quantization.md) — compare the decision streams, and check that
-   the fused schedule (``lowering=LoweringConfig(optimize=True)``) serves
-   bit-identical logits;
+   docs/quantization.md) — and compare the decision streams;
 5. demonstrate the fault-tolerance layer: an int8 server with retries, a
    circuit breaker and float-backend fallback serves through an injected
    fault storm — every answer still lands (some flagged ``degraded``),
@@ -42,7 +40,6 @@ Run with::
 import numpy as np
 
 from repro.data import NinaProDB6, NinaProDB6Config, sliding_windows
-from repro.deploy import LoweringConfig
 from repro.serve import (
     BackendCache,
     CircuitBreaker,
@@ -159,24 +156,6 @@ def main() -> None:
         lut_kb = server.backend.quantized.total_lut_bytes / 1024.0
         print(f"  int8 backend lookup tables: {lut_kb:.1f} kB")
         int8_labels = run_stream(server, signal, slide=config.slide_samples)
-
-        # Cross-check the fused schedule: the optimized lowering (cached
-        # separately under its config) must produce bit-identical logits.
-        probe = sliding_windows(
-            signal, window=config.window_samples, slide=config.slide_samples
-        )[:8]
-        with InferenceServer(
-            "bio1",
-            "int8",
-            patch_size=10,
-            model_kwargs=geometry,
-            calibration=calibration,
-            cache=cache,
-            lowering=LoweringConfig(optimize=True),
-        ) as fused:
-            exact = bool(np.array_equal(server.infer(probe), fused.infer(probe)))
-            print(f"  default vs fused schedule on {len(probe)} windows: "
-                  f"{'bit-identical' if exact else 'MISMATCH'}")
 
     agreement = float(np.mean(float_labels == int8_labels))
     print(

@@ -7,17 +7,17 @@ compiled into C.  This package reproduces that flow on the host:
 
 * :mod:`repro.deploy.graph` / :mod:`repro.deploy.tracers` — a flat inference
   graph IR and the tracer that records a model's own forward into it;
-* :mod:`repro.deploy.engine` — a float reference executor (trace validation
-  and calibration);
+* :mod:`repro.deploy.engine` — the bound node schedule both executors run,
+  and the float reference executor (trace validation and calibration);
 * :mod:`repro.deploy.lowering` — the int8 lowering data model (activation /
   constant / node / graph dataclasses, fixed-point requantisation encoding)
   and the stable :func:`~repro.deploy.lowering.lower_to_int8` entry point;
 * :mod:`repro.deploy.passes` — the deploy compiler, configured by one
-  :class:`~repro.deploy.passes.LoweringConfig`: a
-  :class:`~repro.deploy.passes.PassManager` running calibration, weight
-  quantisation, GEMM tile planning, LUT substitution and, with
-  ``optimize=True``, the optimization passes (requant folding, conv→pool
-  fusion, dead-node elimination) as validated, bitwise-pinned graph passes;
+  :class:`~repro.deploy.passes.LoweringConfig`:
+  :func:`~repro.deploy.passes.compile_graph` runs seven fixed,
+  bitwise-pinned stages (calibration, weight quantisation, GEMM tile
+  planning, LUT substitution, requant folding, conv→pool fusion and
+  dead-node elimination) and records each in the manifest;
 * :mod:`repro.deploy.int_engine` — integer-only inference (int8/int32 with
   I-BERT non-linearities, GELU and the softmax ``exp`` as lookup tables),
   i.e. the on-target numerics emulated bit-level;
@@ -47,22 +47,7 @@ from .lowering import (
     requantize,
 )
 from .memory import BufferAssignment, LiveRange, MemoryPlan, live_ranges, plan_activation_memory
-from .passes import (
-    CalibrateActivationsPass,
-    DeadNodeEliminationPass,
-    FoldRequantPass,
-    FuseConvPoolPass,
-    GraphPass,
-    LoweringConfig,
-    LutSubstitutionPass,
-    PassManager,
-    PassPipelineError,
-    PassRecord,
-    PlanGemmTilesPass,
-    QuantizeWeightsPass,
-    build_pass_pipeline,
-    compile_graph,
-)
+from .passes import LoweringConfig, PassRecord, compile_graph
 from .report import (
     DeploymentEstimate,
     GraphDeploymentReport,
@@ -93,18 +78,7 @@ __all__ = [
     "quantize_multiplier",
     "lower_to_int8",
     "LoweringConfig",
-    "GraphPass",
     "PassRecord",
-    "PassPipelineError",
-    "PassManager",
-    "CalibrateActivationsPass",
-    "QuantizeWeightsPass",
-    "PlanGemmTilesPass",
-    "LutSubstitutionPass",
-    "FoldRequantPass",
-    "FuseConvPoolPass",
-    "DeadNodeEliminationPass",
-    "build_pass_pipeline",
     "compile_graph",
     "LiveRange",
     "BufferAssignment",

@@ -11,9 +11,9 @@ reproduces ``model(Tensor(x))`` bit for bit.  It serves four purposes:
 1. **Trace validation** — its output must equal the original model's forward
    pass exactly, which proves the tracer captured every operator faithfully
    (the test-suite pins this with exact equality);
-2. **Calibration** — :meth:`FloatGraphExecutor.run_recording` returns every
-   intermediate activation, which the int8 lowering pass uses to pick
-   activation scales;
+2. **Calibration** — :meth:`FloatGraphExecutor.run` hands each activation,
+   as it is produced, to an ``observe`` callback, which the compiler's
+   calibration stage uses to pick activation scales;
 3. **Reference for the integer engine** — the integer executor in
    :mod:`repro.deploy.int_engine` is checked against it;
 4. **Float serving** — :class:`repro.serve.FloatBackend` runs the same
@@ -32,13 +32,17 @@ from .graph import SHAPE_OPERATORS, ComputeGraph, GraphNode
 from .memory import last_uses
 
 __all__ = [
-    "SHAPE_KERNELS", "BoundSchedule", "FloatGraphExecutor", "Kernel",
+    "SHAPE_KERNELS", "BoundSchedule", "FloatGraphExecutor", "Kernel", "Observer",
     "conv1d_reference", "gelu_reference", "softmax_reference",
 ]
 
 #: A bound node kernel: ``kernel(x, tensors)`` maps the node's first input
 #: ``x`` (and, for two-operand ops, the live ``tensors``) to its output.
 Kernel = Callable[[np.ndarray, Dict[str, np.ndarray]], np.ndarray]
+
+#: A per-tensor observer: ``observe(name, values)`` sees the graph input and
+#: then each node's output, in schedule order, as it is produced.
+Observer = Callable[[str, np.ndarray], None]
 
 
 def conv1d_reference(
@@ -176,21 +180,22 @@ class BoundSchedule:
             kernel = _compose([bind(sub) for sub in node.fusion_chain])
             self._steps.append((node.inputs[0], node.output.name, kernel, dead))
 
-    def run(self, batch: np.ndarray) -> np.ndarray:
-        """Run the schedule on a prepared input batch; returns the graph output."""
+    def run(self, batch: np.ndarray, observe: Optional[Observer] = None) -> np.ndarray:
+        """Run the schedule on a prepared input batch; returns the graph output.
+
+        ``observe``, when given, sees the input and each node's output (a
+        fused chain's intermediates are never materialised).
+        """
         tensors = {self.graph.graph_input.name: batch}
+        if observe is not None:
+            observe(self.graph.graph_input.name, batch)
         for source, target, kernel, dead in self._steps:
             tensors[target] = kernel(tensors[source], tensors)
+            if observe is not None:
+                observe(target, tensors[target])
             for name in dead:
                 del tensors[name]
         return tensors[self.graph.output.name]
-
-    def run_recording(self, batch: np.ndarray) -> Dict[str, np.ndarray]:
-        """Like :meth:`run`, but return every tensor (input included) by name."""
-        tensors = {self.graph.graph_input.name: batch}
-        for source, target, kernel, _ in self._steps:
-            tensors[target] = kernel(tensors[source], tensors)
-        return tensors
 
 
 class FloatGraphExecutor:
@@ -250,14 +255,10 @@ class FloatGraphExecutor:
             return lambda x, tensors: x.mean(axis=1)
         raise NotImplementedError(f"float executor does not implement '{op}'")
 
-    def run(self, inputs: np.ndarray) -> np.ndarray:
-        """Run the graph on a ``(batch, channels, samples)`` input batch."""
-        return self.schedule.run(self.graph.batched_input(inputs))
-
-    def run_recording(self, inputs: np.ndarray) -> Dict[str, np.ndarray]:
-        """Run the graph and return *every* activation, the input included,
-        by tensor name: what the int8 lowering pass calibrates on."""
-        return self.schedule.run_recording(self.graph.batched_input(inputs))
+    def run(self, inputs: np.ndarray, observe: Optional[Observer] = None) -> np.ndarray:
+        """Run the graph on a ``(batch, channels, samples)`` input batch;
+        ``observe`` sees every activation (see :meth:`BoundSchedule.run`)."""
+        return self.schedule.run(self.graph.batched_input(inputs), observe)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Class predictions (argmax over the graph output logits)."""

@@ -237,7 +237,7 @@ class GraphNode:
     def fusion_chain(self) -> Tuple["GraphNode", ...]:
         """The original kernels this node executes, in order.
 
-        A fused node (produced by the optimization passes in
+        A fused node (produced by the fusion stages of
         :mod:`repro.deploy.passes`) carries its constituent kernels in
         ``attrs["fused_chain"]``; an ordinary node is its own chain of one.
         The executors bind each member once and compose the chain into one
@@ -322,8 +322,8 @@ class ComputeGraph:
     def validate(self) -> None:
         """Check SSA form: unique names, inputs defined before use.
 
-        Enforced invariants (the pass pipeline re-validates after every
-        transformation pass, so a buggy pass fails here, loudly, instead of
+        Enforced invariants (building a graph validates it, so a compiler
+        stage that builds a malformed graph fails here, loudly, instead of
         corrupting downstream consumers):
 
         * at least one node;

@@ -7,16 +7,16 @@ transformer non-linearities (softmax, GELU, LayerNorm).
 
 :class:`IntegerGraphExecutor` binds every node once, at construction, to a
 kernel closure over the node's constants, attributes, output grid and the
-``(multiplier, shift)`` pairs ``QuantizeWeightsPass`` stored for it — the
-pairs the code generator writes to ``weights.h``; the executor encodes
-none of its own — and runs them as the float executor does, in one
-:class:`~repro.deploy.engine.BoundSchedule`.  The MAC operators (``conv1d``
-via im2col, ``linear``, ``matmul``) run on one batched GEMM primitive
-(:func:`int_gemm`) that requantises once per output tile.  GELU and the
-softmax ``exp`` run as one ``np.take`` over the lookup table the lowering
-built for the node; the tables are built from the elementwise I-BERT
-kernels of :mod:`repro.quant.ibert`, and the test-suite pins them to those
-kernels over the full input domain.
+``(multiplier, shift)`` pairs :func:`~repro.deploy.passes.quantize_weights`
+stored for it — the pairs the code generator writes to ``weights.h``; the
+executor encodes none of its own — and runs them as the float executor
+does, in one :class:`~repro.deploy.engine.BoundSchedule`.  The MAC
+operators (``conv1d`` via im2col, ``linear``, ``matmul``) run on one
+batched GEMM primitive (:func:`int_gemm`) that requantises once per
+output tile.  GELU and the softmax ``exp`` run as one ``np.take`` over the
+lookup table the lowering built for the node; the tables are built from
+the elementwise I-BERT kernels of :mod:`repro.quant.ibert`, and the
+test-suite pins them to those kernels over the full input domain.
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the generated weights and the requantisation constants can all
@@ -288,8 +288,17 @@ class IntegerGraphExecutor:
         return _BINDERS[node.op](node, lowered, in_scale, requant)
 
     def run_integer(self, inputs: np.ndarray) -> np.ndarray:
-        """Run the graph; returns the *integer* logits (int8 grid)."""
+        """Run the graph; returns the *integer* logits (int8 grid).
+
+        Raises ``ValueError`` on a NaN or an infinity, which has no int8
+        value to quantise to.
+        """
         batch = self.graph.batched_input(inputs)
+        if not np.isfinite(batch).all():
+            raise ValueError(
+                f"graph '{self.graph.name}' input contains non-finite (NaN/Inf) "
+                "samples; refusing to quantize it"
+            )
         return self.schedule.run(self.quantized.input_quantization.quantize(batch))
 
     def run(self, inputs: np.ndarray) -> np.ndarray:

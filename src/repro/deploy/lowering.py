@@ -14,17 +14,15 @@ convention:
   plus arithmetic shift, so inference needs no floating point at all.
 
 :func:`lower_to_int8` performs that conversion.  It is a thin entry point
-over the deploy compiler in :mod:`repro.deploy.passes`: calibration, weight
-quantisation, GEMM tile planning and LUT substitution (the transformer
-nonlinearities always run as tables) each run as one
-:class:`~repro.deploy.passes.GraphPass` under a
-:class:`~repro.deploy.passes.PassManager`, and the resulting
+over the deploy compiler in :mod:`repro.deploy.passes`, whose seven fixed
+stages calibrate, quantise the weights, plan the GEMM tiles, tabulate the
+transformer nonlinearities and fuse the schedule; the resulting
 :class:`QuantizedGraph` is consumed by the integer executor
 (:mod:`repro.deploy.int_engine`) and the code generator
 (:mod:`repro.deploy.codegen`).  This module keeps the lowering *data model*
 (activation/constant/node/graph dataclasses, the fixed-point requantiser
-encoding and its application, the LUT builders) that both the passes and
-the consumers share.
+encoding and its application, the LUT builders) that both the compiler
+stages and the consumers share.
 """
 
 from __future__ import annotations
@@ -211,11 +209,6 @@ class QuantizedNode:
     #: Precomputed lookup tables keyed by role (``"gelu"``, ``"exp"``);
     #: populated for every :data:`~repro.deploy.graph.LUT_OPERATORS` node.
     luts: Dict[str, LookupTable] = field(default_factory=dict)
-    #: Names of the nodes this node absorbed, in execution order, when an
-    #: optimization pass fused them into it (empty for ordinary nodes).  The
-    #: absorbed nodes' payloads stay in :attr:`QuantizedGraph.nodes` so the
-    #: executors and the code generator keep addressing them by name.
-    fused: Tuple[str, ...] = ()
 
     @property
     def weight_bytes(self) -> int:
@@ -232,9 +225,10 @@ class QuantizedNode:
 class QuantizedGraph:
     """An int8-lowered inference graph ready for execution / code generation.
 
-    ``graph`` is the executable graph — identical to ``source_graph`` under
-    the default pipeline, structurally smaller (fused / dead-node-eliminated)
-    when the optimization passes ran.  ``nodes`` keeps one payload per
+    ``graph`` is the executable graph: ``source_graph`` with the fusion
+    stages applied, so usually structurally smaller (fused /
+    dead-node-eliminated) and bitwise-equal in its logits.  ``nodes`` keeps
+    one payload per
     *original* node, including nodes absorbed by fusion, so every consumer
     keeps addressing constants, requantisers and tables by name.
     """
@@ -243,8 +237,8 @@ class QuantizedGraph:
     activations: Dict[str, ActivationQuantization]
     nodes: Dict[str, QuantizedNode]
     weight_spec: QuantizationSpec
-    #: Per-pass execution records of the compiler pipeline that produced the
-    #: graph (:class:`~repro.deploy.passes.PassRecord` entries), shown by the
+    #: Per-stage execution records of the compiler that produced the graph
+    #: (:class:`~repro.deploy.passes.PassRecord` entries), shown by the
     #: deployment report.  Empty for hand-built graphs.
     manifest: Tuple["PassRecord", ...] = ()
     #: The traced graph the compiler started from (before any fusion).
@@ -287,7 +281,8 @@ class QuantizedGraph:
 
 
 class CalibrationError(ValueError):
-    """A calibration activation holds a NaN or an infinity."""
+    """The calibration batch is empty, or an activation holds a NaN or an
+    infinity."""
 
 
 #: Stride of the sample :func:`_tail_percentile` draws its threshold from.
@@ -346,8 +341,6 @@ def _symmetric_scale(
     NaN or an infinity.
     """
     magnitudes = np.abs(np.asarray(values, dtype=np.float64)).reshape(-1)
-    if magnitudes.size == 0:
-        return 1.0
     peak = magnitudes.max()
     if not np.isfinite(peak):
         raise CalibrationError(
@@ -423,10 +416,11 @@ def lower_to_int8(
 ) -> QuantizedGraph:
     """Quantise a traced graph to int8 using a calibration batch.
 
-    This is the stable entry point of the deploy compiler: it runs the pass
-    pipeline of :func:`repro.deploy.passes.compile_graph`
+    This is the stable entry point of the deploy compiler: it runs the
+    seven stages of :func:`repro.deploy.passes.compile_graph`
     (calibrate-activations → quantize-weights → plan-gemm-tiles →
-    lut-substitution, plus the optimization passes when enabled).
+    lut-substitution → fold-requant → fuse-conv-pool →
+    dead-node-elimination).
 
     Parameters
     ----------
@@ -434,12 +428,11 @@ def lower_to_int8(
         The float graph produced by :func:`~repro.deploy.tracers.trace_model`.
     calibration_inputs:
         ``(batch, channels, samples)`` array of representative inputs used to
-        pick the activation scales.
+        pick the activation scales; an empty batch raises
+        :class:`CalibrationError`.
     config:
         A :class:`~repro.deploy.passes.LoweringConfig` selecting precision
-        and the optimization passes; ``LoweringConfig()`` when omitted.
-        ``LoweringConfig(optimize=True)`` fuses the node schedule and keeps
-        the logits bitwise identical.
+        and calibration; ``LoweringConfig()`` when omitted.
     use_lut:
         Accepted for callers that still spell out the table op set.  The
         tables are the only op set, so ``False`` raises ``ValueError``.
@@ -448,7 +441,7 @@ def lower_to_int8(
     -------
     A :class:`QuantizedGraph` bundling the executable graph, the per-tensor
     activation scales, the integer constants, the requantisation factors,
-    the nonlinearity lookup tables, and the pass manifest.
+    the nonlinearity lookup tables, and the stage manifest.
     """
     from .passes import compile_graph
 

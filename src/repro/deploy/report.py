@@ -293,21 +293,20 @@ def deploy_graph(
     config:
         The :class:`~repro.deploy.passes.LoweringConfig` forwarded to
         :func:`~repro.deploy.lowering.lower_to_int8`.  The default is the
-        paper's 8/8 lowering with LUT nonlinearities;
-        ``LoweringConfig(optimize=True)`` runs the compiler's fusion passes
-        (see :mod:`repro.deploy.passes`), which keep the logits
-        bitwise-identical and shrink the kernel schedule.
+        paper's 8/8 lowering with LUT nonlinearities.
+
+    The GAP8 latency and energy are estimated on the trace, so they equal
+    ``estimate_deployment(trace_model(model))`` exactly; memory and tiling
+    are planned on the executable (fused) graph the C code runs.
     """
     model.eval()
     gap8 = gap8 if gap8 is not None else GAP8Config()
     graph = trace_model(model)
     quantized = lower_to_int8(graph, calibration_inputs, config)
-    # Downstream planning runs on the *executable* graph: identical to the
-    # trace under the default pipeline, fused/smaller when optimizing.
     compiled = quantized.graph
     memory_plan = plan_activation_memory(compiled)
     tiling_plan = plan_tiling(compiled, tiling)
-    estimate = estimate_deployment(compiled, gap8, battery, inference_period_s)
+    estimate = estimate_deployment(graph, gap8, battery, inference_period_s)
 
     int8_accuracy = None
     float_agreement = None

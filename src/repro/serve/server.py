@@ -349,8 +349,8 @@ class InferenceServer:
         model_kwargs = dict(model_kwargs or {})
         if patch_size is not None:
             model_kwargs["patch_size"] = patch_size
-        # The lowering config changes the served numerics (bit widths) or
-        # schedule (fusion), so it is part of the cache identity — unlike
+        # The lowering config changes the served numerics (bit widths,
+        # calibration percentile), so it is part of the cache identity — unlike
         # calibration data, which is not hashable.  The config is frozen
         # and hashable.
         lowering_variant: object = ()

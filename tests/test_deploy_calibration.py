@@ -1,7 +1,7 @@
 """Activation calibration of the deploy compiler.
 
-``CalibrateActivationsPass`` gives every activation one symmetric int8
-scale:
+``calibrate_activations``, the compiler's first stage, gives every
+activation one symmetric int8 scale:
 
 * a tensor whose scale is free covers the calibration percentile of its
   magnitudes.  ``_tail_percentile`` selects only the top tail, and it must
@@ -11,7 +11,7 @@ scale:
   executor and the generated ``net_copy_i8`` pass int8 data through
   without requantising it;
 * a NaN or an infinity in any calibration activation raises, naming the
-  tensor.
+  tensor, and so does an empty calibration batch.
 """
 
 import re
@@ -31,6 +31,7 @@ from repro.deploy import (
 from repro.deploy.lowering import _TAIL_SAMPLE_STRIDE, _symmetric_scale, _tail_percentile
 from repro.eval import RecordingGenerator, fit_probe_model
 from repro.models import build_model
+from repro.serve import build_int8_backend
 
 GEOMETRY = dict(num_channels=4, window_samples=60, seed=11)
 
@@ -165,7 +166,8 @@ def test_replicated_row_grows_the_sample_instead_of_taking_the_whole_array(monke
 def test_calibrated_scales_equal_numpy_percentile(lowered, calibration):
     graph, quantized = lowered
     percentile = quantized.config.calibration_percentile
-    recorded = FloatGraphExecutor(graph).run_recording(calibration)
+    recorded = {}
+    FloatGraphExecutor(graph).run(calibration, recorded.__setitem__)
     calibrated = [graph.graph_input.name] + [
         node.output.name
         for node in graph.nodes
@@ -228,6 +230,19 @@ def test_non_finite_calibration_raises_naming_the_tensor(calibration, bad):
     corrupted[3, 1, 17] = bad
     with pytest.raises(ValueError, match=re.escape(f"'{graph.graph_input.name}'")):
         lower_to_int8(graph, corrupted)
+
+
+@pytest.mark.parametrize("entry_point", ["lower_to_int8", "build_int8_backend"])
+@pytest.mark.parametrize("arch", ["bio2", "temponet"])
+def test_empty_calibration_batch_raises(arch, entry_point):
+    """An empty batch used to lower silently with every free scale 1.0."""
+    model = make_model(arch)
+    empty = np.zeros((0, GEOMETRY["num_channels"], GEOMETRY["window_samples"]))
+    with pytest.raises(CalibrationError, match="empty"):
+        if entry_point == "lower_to_int8":
+            lower_to_int8(trace_model(model), empty)
+        else:
+            build_int8_backend(model, empty)
 
 
 def test_non_finite_intermediate_activation_is_named():

@@ -103,11 +103,13 @@ class TestCodegen:
         model = temponet(num_channels=4, window_samples=80, seed=31).eval()
         quantized = lower_to_int8(trace_model(model), rng.normal(size=(4, 4, 80)))
         sources = generate_c_sources(quantized)
-        # Default schedule routes MAC nodes through the im2col/GEMM kernels
-        # and publishes the tile geometry macros.
-        assert "net_conv1d_im2col_i8" in sources["network.c"].content
-        assert "net_channel_affine_i8" in sources["network.c"].content
+        # The schedule routes MAC nodes through the im2col/GEMM kernels,
+        # with each batch-norm affine folded into its conv, and publishes
+        # the tile geometry macros.
+        assert "net_conv1d_im2col_affine_relu_i8(" in sources["network.c"].content
+        assert "net_channel_affine_i8" not in sources["network.c"].content
         assert "_GEMM_M" in sources["weights.h"].content
+
 
 # --------------------------------------------------------------------- #
 # graph -> ModelProfile adapter
@@ -221,9 +223,24 @@ class TestDeployGraph:
         assert tcn_report.mmacs > 3.0 * bio_report.mmacs
         assert tcn_report.energy_mj > bio_report.energy_mj
 
+    @pytest.mark.parametrize(
+        "factory", [bioformer_bio1, bioformer_bio2, temponet], ids=["bio1", "bio2", "temponet"]
+    )
+    def test_gap8_estimate_is_the_traced_graphs(self, factory):
+        """Latency and energy come from the trace, not the fused schedule, so
+        they equal ``estimate_deployment(trace_model(model))`` exactly."""
+        model = factory().eval()
+        calibration = np.random.default_rng(7).normal(size=(2, 14, 300))
+        report = deploy_graph(model, calibration, generate_code=False)
+        expected = estimate_deployment(trace_model(model))
+        assert len(report.graph) < len(report.quantized.source_graph)
+        assert report.latency_ms == expected.latency_ms
+        assert report.energy_mj == expected.energy_mj
+        assert report.duty_cycle == expected.duty_cycle
+
     def test_config_is_the_lowering_that_runs(self, rng):
         """``deploy_graph(config=...)`` must not be overridden by defaults."""
-        config = LoweringConfig(activation_bits=6, optimize=True)
+        config = LoweringConfig(activation_bits=6)
         report = deploy_graph(
             small_bioformer(), rng.normal(size=(8, 4, 60)), config=config, generate_code=False
         )

@@ -1,5 +1,7 @@
 """Tests for the float and integer graph executors and the int8 lowering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.models import Bioformer, BioformerConfig, build_model, temponet
 from repro.nn import BatchNorm1d
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.serve import Int8Backend
 
 
 def small_bioformer(**overrides):
@@ -156,7 +159,13 @@ class TestFloatExecutorParity:
     def test_recording_contains_every_tensor(self, rng):
         model = small_bioformer()
         graph = trace_model(model)
-        recorded = FloatGraphExecutor(graph).run_recording(rng.normal(size=(2, 4, 60)))
+        recorded = {}
+
+        def observe(name, values):
+            assert name not in recorded
+            recorded[name] = values
+
+        FloatGraphExecutor(graph).run(rng.normal(size=(2, 4, 60)), observe)
         assert set(recorded) == set(graph.tensor_specs())
 
     def test_predict_returns_class_indices(self, rng):
@@ -462,6 +471,19 @@ def test_executors_reject_wrong_input_geometry(bio2_executors, executor, shape):
         bio2_executors[executor].run(inputs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_int8_executor_rejects_non_finite_windows(bio2_executors, bad):
+    """An int8 grid has no value for a NaN or an infinity.  The cast used to
+    turn one into INT_MIN and return finite, wrong logits."""
+    inputs = np.random.default_rng(7).normal(size=(3, 4, 60))
+    inputs[1, 2, 30] = bad
+    executor = bio2_executors["int8"]
+    with pytest.raises(ValueError, match="non-finite"):
+        executor.run_integer(inputs)
+    with pytest.raises(ValueError, match="non-finite"):
+        Int8Backend(executor.quantized).run(inputs)
+
+
 # --------------------------------------------------------------------- #
 # Binding: each original kernel is bound once, at construction
 # --------------------------------------------------------------------- #
@@ -480,16 +502,18 @@ def counting_binds(executor_class):
     return Counting
 
 
-@pytest.mark.parametrize("optimize", [False, True], ids=["default", "optimized"])
+@pytest.mark.parametrize("fused", [False, True], ids=["traced", "fused"])
 @pytest.mark.parametrize("name", ["bio2", "temponet"])
-def test_executors_bind_each_kernel_once(name, optimize):
+def test_executors_bind_each_kernel_once(name, fused):
     """Every fused-chain member is bound at construction and never again."""
     model = build_model(name, num_channels=4, window_samples=60, seed=11).eval()
     inputs = np.random.default_rng(3).normal(size=(8, 4, 60))
-    quantized = lower_to_int8(trace_model(model), inputs, LoweringConfig(optimize=optimize))
+    quantized = lower_to_int8(trace_model(model), inputs)
+    if not fused:
+        quantized = replace(quantized, graph=quantized.source_graph)
     graph = quantized.graph
     kernels = sum(len(node.fusion_chain) for node in graph.nodes)
-    assert (kernels > len(graph.nodes)) == optimize
+    assert (kernels > len(graph.nodes)) == fused
     executors = [
         counting_binds(FloatGraphExecutor)(graph),
         counting_binds(IntegerGraphExecutor)(quantized),

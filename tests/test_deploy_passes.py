@@ -1,15 +1,17 @@
-"""The deploy compiler: pass pipeline, fusion passes, and their bitwise pins.
+"""The deploy compiler: its seven fixed stages and their bitwise pins.
 
 The compiler contract has two halves:
 
-1. **Mechanics** — every pass is pure, the manager re-validates the graph
-   after each pass, the manifest records what ran, and the hardened
+1. **Mechanics** — the manifest records every stage in its fixed order,
+   compiling leaves the trace untouched, and the hardened
    ``ComputeGraph.validate`` rejects duplicate node names and dangling
-   inputs at the pass boundary.
-2. **Numerics** — every pass, and every ordering of the optimization
-   passes, keeps executor logits *bitwise equal* (``assert_array_equal``,
-   never a tolerance) across all registry configs, while the fusion passes
-   strictly shrink the node schedule.
+   inputs.
+2. **Numerics** — the compiled (fused) schedule, and every ordering of the
+   three fusion stages, keeps executor logits *bitwise equal*
+   (``assert_array_equal``, never a tolerance) to the traced schedule
+   across all registry configs, while fusion strictly shrinks the node
+   schedule.  The traced schedule runs as
+   ``IntegerGraphExecutor(replace(quantized, graph=quantized.source_graph))``.
 """
 
 import itertools
@@ -30,19 +32,16 @@ from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
 from repro.deploy.lowering import QuantizedNode
 from repro.deploy.memory import live_ranges, plan_activation_memory
 from repro.deploy.passes import (
-    DeadNodeEliminationPass,
-    FoldRequantPass,
-    FuseConvPoolPass,
-    GraphPass,
     LoweringConfig,
-    LoweringState,
-    PassManager,
-    PassPipelineError,
-    build_pass_pipeline,
-    compile_graph,
+    eliminate_dead_nodes,
+    fold_requant,
+    fuse_conv_pool,
+    plan_gemm_tiles,
+    quantize_weights,
+    substitute_luts,
 )
 from repro.models import build_model
-from repro.serve import BackendCache, InferenceServer, build_int8_backend
+from repro.serve import BackendCache, Int8Backend, InferenceServer, build_int8_backend
 
 GEOMETRY = dict(num_channels=4, window_samples=60, seed=11)
 
@@ -55,14 +54,13 @@ CONFIGS = [
     ("temponet", None),
 ]
 
-BASE_PASSES = [
+LOWERING_STAGES = [
     "calibrate-activations",
     "quantize-weights",
     "plan-gemm-tiles",
     "lut-substitution",
 ]
-OPTIMIZATION_PASSES = ["fold-requant", "fuse-conv-pool", "dead-node-elimination"]
-OPTIMIZED = LoweringConfig(optimize=True)
+FUSION_STAGES = ["fold-requant", "fuse-conv-pool", "dead-node-elimination"]
 
 
 def config_id(config):
@@ -93,12 +91,16 @@ def traced(request):
     return trace_model(make_model(arch, patch))
 
 
+def source_schedule(quantized):
+    """The lowering with its traced, unfused schedule: the test reference."""
+    return replace(quantized, graph=quantized.source_graph)
+
+
 @pytest.fixture(scope="module")
 def lowered_pair(traced, calibration):
-    """(default, optimized) lowering of one config."""
-    default = lower_to_int8(traced, calibration)
-    optimized = lower_to_int8(traced, calibration, OPTIMIZED)
-    return default, optimized
+    """(traced-schedule reference, compiled) lowering of one config."""
+    compiled = lower_to_int8(traced, calibration)
+    return source_schedule(compiled), compiled
 
 
 # --------------------------------------------------------------------- #
@@ -117,14 +119,8 @@ def tiny_graph(nodes):
     return ComputeGraph("tiny", TensorSpec(name="input", shape=(4, 8)), nodes)
 
 
-def tiny_state(graph):
-    return LoweringState(
-        graph=graph,
-        config=LoweringConfig(),
-        calibration=np.zeros((1, 4, 8)),
-        source_graph=graph,
-        nodes={node.name: QuantizedNode(node=node) for node in graph.nodes},
-    )
+def tiny_payloads(graph):
+    return {node.name: QuantizedNode(node=node) for node in graph.nodes}
 
 
 # --------------------------------------------------------------------- #
@@ -137,19 +133,20 @@ class TestLoweringConfig:
             "weight_bits",
             "activation_bits",
             "calibration_percentile",
-            "optimize",
         ]
         assert config.weight_bits == 8
         assert config.activation_bits == 8
         assert config.calibration_percentile == 99.9
-        assert config.optimize is False
+        with pytest.raises(TypeError):
+            LoweringConfig(optimize=True)  # fusion always runs
 
     def test_config_is_frozen_and_hashed_by_value(self):
         """The serving tier keys its backend cache on the config itself."""
-        config = LoweringConfig(optimize=True)
+        config = LoweringConfig(activation_bits=6)
         with pytest.raises(FrozenInstanceError):
-            config.optimize = False
-        assert config == OPTIMIZED and hash(config) == hash(OPTIMIZED)
+            config.activation_bits = 8
+        same = LoweringConfig(activation_bits=6)
+        assert config == same and hash(config) == hash(same)
         assert config != LoweringConfig()
 
     @pytest.mark.parametrize(
@@ -216,133 +213,47 @@ class TestValidateHardening:
 
 
 # --------------------------------------------------------------------- #
-# PassManager mechanics
+# Golden stage manifests
 # --------------------------------------------------------------------- #
-class _RenameToDuplicate(GraphPass):
-    name = "rename-to-duplicate"
-
-    def run(self, state):
-        first = state.graph.nodes[0]
-        clone = GraphNode(
-            name=first.name,
-            op="relu",
-            inputs=[first.output.name],
-            output=TensorSpec(name="dup_out", shape=first.output.shape),
-        )
-        nodes = list(state.graph.nodes) + [clone]
-        graph = ComputeGraph.__new__(ComputeGraph)
-        graph.name = state.graph.name
-        graph.graph_input = state.graph.graph_input
-        graph.nodes = nodes
-        return replace(state, graph=graph)
-
-
-class _MutateInPlace(GraphPass):
-    name = "mutate-in-place"
-
-    def run(self, state):
-        state.graph.nodes.append(
-            relu_node("sneaky", state.graph.output.name, "sneaky_out")
-        )
-        return state
-
-
-class _ReturnGarbage(GraphPass):
-    name = "return-garbage"
-
-    def run(self, state):
-        return state.graph
-
-
-class _Exploding(GraphPass):
-    name = "exploding"
-
-    def run(self, state):
-        raise KeyError("boom")
-
-
-class TestPassManager:
-    def test_validates_after_every_pass(self):
-        state = tiny_state(tiny_graph([relu_node("a", "input", "t1")]))
-        manager = PassManager([_RenameToDuplicate()])
-        with pytest.raises(PassPipelineError, match="rename-to-duplicate.*invalid graph"):
-            manager.run(state)
-
-    def test_detects_in_place_mutation(self):
-        state = tiny_state(tiny_graph([relu_node("a", "input", "t1")]))
-        with pytest.raises(PassPipelineError, match="mutated its input graph"):
-            PassManager([_MutateInPlace()]).run(state)
-
-    def test_rejects_non_state_return(self):
-        state = tiny_state(tiny_graph([relu_node("a", "input", "t1")]))
-        with pytest.raises(PassPipelineError, match="return-garbage"):
-            PassManager([_ReturnGarbage()]).run(state)
-
-    def test_wraps_pass_failure_with_pass_name(self):
-        state = tiny_state(tiny_graph([relu_node("a", "input", "t1")]))
-        with pytest.raises(PassPipelineError, match="exploding.*failed"):
-            PassManager([_Exploding()]).run(state)
-
-    def test_manifest_records_every_pass(self, calibration):
-        graph = trace_model(make_model("temponet"))
-        manager = PassManager(build_pass_pipeline(OPTIMIZED))
-        state = LoweringState(
-            graph=graph, config=OPTIMIZED, calibration=calibration, source_graph=graph
-        )
-        manager.run(state)
-        names = [record.name for record in manager.manifest]
-        assert names == BASE_PASSES + OPTIMIZATION_PASSES
-        for record in manager.manifest:
+class TestGoldenManifest:
+    def test_manifest_lists_the_seven_stages(self, lowered_pair):
+        _, compiled = lowered_pair
+        assert [r.name for r in compiled.manifest] == LOWERING_STAGES + FUSION_STAGES
+        for record in compiled.manifest:
             assert record.wall_ms >= 0.0
             assert record.nodes_after <= record.nodes_before
 
-
-# --------------------------------------------------------------------- #
-# Golden pass manifests
-# --------------------------------------------------------------------- #
-class TestGoldenManifest:
-    def test_default_manifest(self, calibration):
-        graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration)
-        assert [r.name for r in quantized.manifest] == BASE_PASSES
-
-    def test_optimized_manifest_appends_fusion_passes(self, calibration):
-        graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
-        assert [r.name for r in quantized.manifest] == BASE_PASSES + OPTIMIZATION_PASSES
-
     def test_node_counts_in_manifest_are_consistent(self, lowered_pair):
-        _, optimized = lowered_pair
-        records = optimized.manifest
+        _, compiled = lowered_pair
+        records = compiled.manifest
         for earlier, later in zip(records, records[1:]):
             assert earlier.nodes_after == later.nodes_before
-        assert records[-1].nodes_after == len(optimized.graph)
+        assert records[0].nodes_before == len(compiled.source_graph)
+        assert records[-1].nodes_after == len(compiled.graph)
 
     def test_report_lists_executed_manifest(self, calibration):
-        report = deploy_graph(
-            make_model("temponet"), calibration, generate_code=False, config=OPTIMIZED
-        )
+        report = deploy_graph(make_model("temponet"), calibration, generate_code=False)
         text = report.render()
         assert "compiler passes" in text
-        for name in OPTIMIZATION_PASSES:
+        for name in LOWERING_STAGES + FUSION_STAGES:
             assert name in text
         assert "fused from" in text
 
 
 # --------------------------------------------------------------------- #
-# Bitwise invariance of the optimization passes
+# Bitwise invariance of the fusion stages
 # --------------------------------------------------------------------- #
-@pytest.mark.slow  # full model matrix; tier-1 keeps the targeted pass tests
+@pytest.mark.slow  # full model matrix; tier-1 keeps the targeted stage tests
 class TestPassInvariance:
-    def test_optimized_logits_bitwise_equal(self, lowered_pair, windows):
-        default, optimized = lowered_pair
-        base, fused = IntegerGraphExecutor(default), IntegerGraphExecutor(optimized)
+    def test_fused_logits_bitwise_equal_source_schedule(self, lowered_pair, windows):
+        reference, compiled = lowered_pair
+        base, fused = IntegerGraphExecutor(reference), IntegerGraphExecutor(compiled)
         np.testing.assert_array_equal(base.run_integer(windows), fused.run_integer(windows))
         np.testing.assert_array_equal(base.run(windows), fused.run(windows))
 
     def test_batched_equals_single(self, lowered_pair, windows):
-        _, optimized = lowered_pair
-        executor = IntegerGraphExecutor(optimized)
+        _, compiled = lowered_pair
+        executor = IntegerGraphExecutor(compiled)
         batched = executor.run_integer(windows)
         singles = np.concatenate(
             [executor.run_integer(windows[i : i + 1]) for i in range(len(windows))]
@@ -350,35 +261,39 @@ class TestPassInvariance:
         np.testing.assert_array_equal(batched, singles)
 
     def test_float_executor_replays_fused_graph_identically(self, lowered_pair, windows):
-        _, optimized = lowered_pair
-        assert optimized.source_graph is not None
-        reference = FloatGraphExecutor(optimized.source_graph).run(windows)
-        fused = FloatGraphExecutor(optimized.graph).run(windows)
+        _, compiled = lowered_pair
+        assert compiled.source_graph is not None
+        reference = FloatGraphExecutor(compiled.source_graph).run(windows)
+        fused = FloatGraphExecutor(compiled.graph).run(windows)
         np.testing.assert_array_equal(reference, fused)
 
     def test_agreement_with_float_runs_on_fused_graph(self, lowered_pair, windows):
-        _, optimized = lowered_pair
-        agreement = IntegerGraphExecutor(optimized).agreement_with_float(windows)
+        _, compiled = lowered_pair
+        agreement = IntegerGraphExecutor(compiled).agreement_with_float(windows)
         assert 0.0 <= agreement <= 1.0
 
 
 class TestPassOrdering:
     @pytest.mark.parametrize("arch", ["bio1", "temponet"])
     def test_every_optimization_order_is_bitwise_equal(self, arch, calibration, windows):
+        """The three fusion stages, applied in any order to the traced
+        schedule and its payloads, keep the logits of the traced schedule."""
         graph = trace_model(make_model(arch))
-        default = lower_to_int8(graph, calibration)
-        expected = IntegerGraphExecutor(default).run_integer(windows)
-        pass_types = [FoldRequantPass, FuseConvPoolPass, DeadNodeEliminationPass]
-        for ordering in itertools.permutations(pass_types):
-            quantized = compile_graph(
-                graph,
-                calibration,
-                LoweringConfig(),
-                extra_passes=[cls() for cls in ordering],
-            )
+        compiled = lower_to_int8(graph, calibration)
+        expected = IntegerGraphExecutor(source_schedule(compiled)).run_integer(windows)
+        for ordering in itertools.permutations(
+            [fold_requant, fuse_conv_pool, eliminate_dead_nodes]
+        ):
+            schedule, payloads = graph, compiled.nodes
+            for stage in ordering:
+                if stage is eliminate_dead_nodes:
+                    schedule, payloads = stage(schedule, payloads)
+                else:
+                    schedule = stage(schedule)
+            quantized = replace(compiled, graph=schedule, nodes=payloads)
             produced = IntegerGraphExecutor(quantized).run_integer(windows)
             np.testing.assert_array_equal(expected, produced)
-            assert len(quantized.graph) < len(graph)
+            assert len(schedule) < len(graph)
 
 
 # --------------------------------------------------------------------- #
@@ -386,25 +301,32 @@ class TestPassOrdering:
 # --------------------------------------------------------------------- #
 class TestFusion:
     def test_fused_graphs_have_strictly_fewer_nodes(self, lowered_pair):
-        default, optimized = lowered_pair
-        assert len(optimized.graph) < len(default.graph)
+        reference, compiled = lowered_pair
+        assert len(compiled.graph) < len(reference.graph)
 
     def test_accounting_is_preserved(self, lowered_pair):
-        default, optimized = lowered_pair
-        assert optimized.graph.total_macs == default.graph.total_macs
+        reference, compiled = lowered_pair
+        assert compiled.graph.total_macs == reference.graph.total_macs
         assert (
-            optimized.graph.total_weight_elements
-            == default.graph.total_weight_elements
+            compiled.graph.total_weight_elements
+            == reference.graph.total_weight_elements
         )
-        assert optimized.total_weight_bytes == default.total_weight_bytes
-        assert optimized.total_lut_bytes == default.total_lut_bytes
+        # Fusion keeps one payload per traced node, and no other.
+        traced = [node.name for node in reference.graph.nodes]
+        assert sorted(compiled.nodes) == sorted(traced)
+        assert compiled.total_weight_bytes == sum(
+            compiled.nodes[name].weight_bytes for name in traced
+        )
+        assert compiled.total_lut_bytes == sum(
+            compiled.nodes[name].lut_bytes for name in traced
+        )
 
     def test_fusion_shrinks_the_activation_working_set(self, lowered_pair):
         # The offset allocator is a greedy heuristic, so the *packed* peak
         # can wiggle either way; the allocator-independent claim is that
         # fusion removes intermediate buffers and never increases the
         # number of bytes simultaneously live at any schedule step.
-        default, optimized = lowered_pair
+        reference, compiled = lowered_pair
 
         def liveness_peak(graph):
             ranges = live_ranges(graph).values()
@@ -414,14 +336,14 @@ class TestFusion:
                 for step in steps
             )
 
-        assert len(plan_activation_memory(optimized.graph).assignments) < len(
-            plan_activation_memory(default.graph).assignments
+        assert len(plan_activation_memory(compiled.graph).assignments) < len(
+            plan_activation_memory(reference.graph).assignments
         )
-        assert liveness_peak(optimized.graph) <= liveness_peak(default.graph)
+        assert liveness_peak(compiled.graph) <= liveness_peak(reference.graph)
 
     def test_temponet_collapses_to_fused_convs(self, calibration):
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        quantized = lower_to_int8(graph, calibration)
         remaining_ops = {node.op for node in quantized.graph.nodes}
         # Every channel_affine / relu / avgpool1d is absorbed into its conv
         # (or the classifier linear); only the fused MACs and the flatten
@@ -438,26 +360,25 @@ class TestFusion:
 
     def test_bioformer_folds_ffn_gelu(self, calibration):
         graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        quantized = lower_to_int8(graph, calibration)
         assert all(node.op != "gelu" for node in quantized.graph.nodes)
         expand = quantized.graph.node("blocks.0.feedforward.expand")
         assert [sub.op for sub in expand.fusion_chain] == ["linear", "gelu"]
 
     def test_payloads_of_absorbed_nodes_survive(self, calibration):
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        quantized = lower_to_int8(graph, calibration)
         for node in quantized.graph.nodes:
             for sub in node.fusion_chain:
                 assert sub.name in quantized.nodes
-            if node.is_fused:
-                absorbed = quantized.nodes[node.name].fused
-                assert absorbed == tuple(sub.name for sub in node.fusion_chain[1:])
 
-    def test_default_pipeline_does_not_restructure(self, calibration, traced):
+    def test_compiling_leaves_the_trace_untouched(self, calibration, traced):
+        snapshot = [(node.name, node.output.name) for node in traced.nodes]
         quantized = lower_to_int8(traced, calibration)
-        assert quantized.graph is traced
+        assert quantized.graph is not traced
         assert quantized.source_graph is traced
-        assert all(not node.is_fused for node in quantized.graph.nodes)
+        assert [(node.name, node.output.name) for node in traced.nodes] == snapshot
+        assert all(not node.is_fused for node in traced.nodes)
 
 
 class TestDeadNodeElimination:
@@ -467,17 +388,16 @@ class TestDeadNodeElimination:
             relu_node("dead", "input", "t_dead"),
             relu_node("sink", "t1", "t2"),
         ]
-        state = tiny_state(tiny_graph(nodes))
-        result = DeadNodeEliminationPass().run(state)
-        assert [node.name for node in result.graph.nodes] == ["live", "sink"]
-        assert set(result.nodes) == {"live", "sink"}
+        graph = tiny_graph(nodes)
+        kept, payloads = eliminate_dead_nodes(graph, tiny_payloads(graph))
+        assert [node.name for node in kept.nodes] == ["live", "sink"]
+        assert set(payloads) == {"live", "sink"}
 
     def test_noop_on_fully_live_graph(self):
-        state = tiny_state(
-            tiny_graph([relu_node("a", "input", "t1"), relu_node("b", "t1", "t2")])
-        )
-        result = DeadNodeEliminationPass().run(state)
-        assert result is state  # pure no-op returns the same state
+        graph = tiny_graph([relu_node("a", "input", "t1"), relu_node("b", "t1", "t2")])
+        payloads = tiny_payloads(graph)
+        kept, kept_payloads = eliminate_dead_nodes(graph, payloads)
+        assert kept is graph and kept_payloads is payloads  # a no-op returns its inputs
 
 
 # --------------------------------------------------------------------- #
@@ -486,7 +406,7 @@ class TestDeadNodeElimination:
 class TestFusedCodegen:
     def test_temponet_schedule_names_fused_kernels(self, calibration):
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        quantized = lower_to_int8(graph, calibration)
         sources = CodeGenerator(quantized).generate()
         network = sources["network.c"].content
         assert "net_conv1d_im2col_affine_relu_i8(" in network
@@ -496,25 +416,30 @@ class TestFusedCodegen:
 
     def test_bioformer_lut_gelu_fusion_tag(self, calibration):
         graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        quantized = lower_to_int8(graph, calibration)
         network = CodeGenerator(quantized).generate()["network.c"].content
         assert "net_linear_gemm_gelu_lut_i8(" in network
 
     def test_absorbed_constants_still_emitted(self, calibration):
         graph = trace_model(make_model("temponet"))
-        default = lower_to_int8(graph, calibration)
-        optimized = lower_to_int8(graph, calibration, OPTIMIZED)
-        weights_default = CodeGenerator(default).weights_header().content
-        weights_optimized = CodeGenerator(optimized).weights_header().content
+        compiled = lower_to_int8(graph, calibration)
+        # The traced graph's payloads, built by the annotating stages alone
+        # so that no fusion stage touches them.
+        unfused = quantize_weights(graph, compiled.activations, compiled.weight_spec)
+        plan_gemm_tiles(graph, unfused)
+        substitute_luts(graph, compiled.activations, unfused)
+        traced = replace(compiled, graph=graph, nodes=unfused)
+        weights_traced = CodeGenerator(traced).weights_header().content
+        weights_fused = CodeGenerator(compiled).weights_header().content
         # Fusion moves no bytes: the absorbed batch-norm scale/shift arrays
         # and every requantiser macro are emitted identically.
-        assert weights_optimized == weights_default
+        assert weights_fused == weights_traced
 
     def test_every_scheduled_kernel_is_declared(self, calibration):
         import re
 
         graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration, OPTIMIZED)
+        quantized = lower_to_int8(graph, calibration)
         sources = CodeGenerator(quantized).generate()
         called = set(re.findall(r"(net_\w+_i8)\(", sources["network.c"].content))
         declared = set(re.findall(r"void (net_\w+_i8)\(", sources["kernels.h"].content))
@@ -525,29 +450,27 @@ class TestFusedCodegen:
 # Serving integration
 # --------------------------------------------------------------------- #
 class TestServingIntegration:
-    def test_optimized_backend_is_bitwise_equal(self, calibration, windows):
-        model = make_model("temponet")
-        default = build_int8_backend(model, calibration)
-        optimized = build_int8_backend(model, calibration, config=OPTIMIZED)
-        assert len(optimized.quantized.graph) < len(default.quantized.graph)
+    def test_backend_is_bitwise_equal_to_source_schedule(self, calibration, windows):
+        backend = build_int8_backend(make_model("temponet"), calibration)
+        reference = Int8Backend(source_schedule(backend.quantized))
+        assert len(backend.quantized.graph) < len(reference.quantized.graph)
         np.testing.assert_array_equal(
-            default.run_integer(windows), optimized.run_integer(windows)
+            reference.run_integer(windows), backend.run_integer(windows)
         )
-        np.testing.assert_array_equal(default.run(windows), optimized.run(windows))
+        np.testing.assert_array_equal(reference.run(windows), backend.run(windows))
 
-    def test_server_optimize_variant_cache_normalisation(self):
+    def test_server_lowering_variant_cache_normalisation(self):
         cache = BackendCache()
         calibration = np.random.default_rng(12).normal(size=(8, 4, 60))
         kwargs = dict(
             patch_size=10, model_kwargs=GEOMETRY, calibration=calibration, cache=cache
         )
         x = np.random.default_rng(13).normal(size=(4, 4, 60))
+        absmax = LoweringConfig(calibration_percentile=100.0)
         with InferenceServer("bio1", "int8", **kwargs) as default:
-            with InferenceServer(
-                "bio1", "int8", lowering=OPTIMIZED, **kwargs
-            ) as optimized:
-                assert optimized.backend is not default.backend
-                np.testing.assert_array_equal(default.infer(x), optimized.infer(x))
+            with InferenceServer("bio1", "int8", lowering=absmax, **kwargs) as variant:
+                assert variant.backend is not default.backend
+                assert variant.infer(x).shape == default.infer(x).shape
             assert len(cache) == 2
             # The key is the config itself: an explicit default config shares
             # the entry of an omitted one.
@@ -581,6 +504,6 @@ class TestServingIntegration:
         cache = BackendCache()
         with pytest.raises(ValueError, match="backend='int8'"):
             InferenceServer(
-                "bio1", "float", model_kwargs=GEOMETRY, cache=cache, lowering=OPTIMIZED
+                "bio1", "float", model_kwargs=GEOMETRY, cache=cache, lowering=LoweringConfig()
             )
         assert len(cache) == 0

@@ -9,10 +9,12 @@ the per-tap einsum conv loop and int64 ``@``, encoding the requantiser at
 run time from the float scales.  These tests pin that equality
 (``assert_array_equal``, never a tolerance) across every
 registry-reachable architecture, percentile and absmax calibration, and
-batch sizes 1/3/8/16, the fused ``LoweringConfig(optimize=True)``
-lowering, plus batched-vs-single
-invariance and the tile metadata the lowering pass precomputes.
+batch sizes 1/3/8/16, on the compiled (fused) schedule and on the traced
+one, plus batched-vs-single invariance and the tile metadata the
+compiler precomputes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,25 +138,24 @@ def rng():
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=config_id)
 def lowerings(request):
-    """The default and the fused (``optimize=True``) lowering of one
-    config under the default 99.9th percentile and the absmax (100th)
-    calibration, all from the same calibration batch, keyed by
-    ``(calibration, optimize)``."""
+    """The lowering of one config under the default 99.9th percentile and
+    the absmax (100th) calibration, from the same calibration batch, keyed
+    by ``(calibration, fused)``: ``fused`` is the compiled schedule, the
+    other its traced (unfused) schedule over the same payloads."""
     arch, patch = request.param
     kwargs = dict(GEOMETRY)
     if patch is not None:
         kwargs["patch_size"] = patch
     graph = trace_model(build_model(arch, **kwargs).eval())
     calibration = np.random.default_rng(5).normal(size=(16, 4, 60))
-    return {
-        (name, optimize): lower_to_int8(
-            graph,
-            calibration,
-            LoweringConfig(calibration_percentile=percentile, optimize=optimize),
+    lowerings = {}
+    for name, percentile in CALIBRATIONS.items():
+        compiled = lower_to_int8(
+            graph, calibration, LoweringConfig(calibration_percentile=percentile)
         )
-        for name, percentile in CALIBRATIONS.items()
-        for optimize in (False, True)
-    }
+        lowerings[name, True] = compiled
+        lowerings[name, False] = replace(compiled, graph=compiled.source_graph)
+    return lowerings
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +240,7 @@ class TestExecutorParity:
     @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
     @pytest.mark.parametrize("batch", [1, 8])
     def test_fused_gemm_matches_einsum_bitwise(self, lowerings, windows, batch, calibration):
-        """The optimized lowering's fused chains hold MAC nodes; the
+        """The compiled schedule's fused chains hold MAC nodes; the
         reference replays them through its own MAC override."""
         quantized = lowerings[calibration, True]
         assert any(node.is_fused for node in quantized.graph.nodes)

@@ -16,7 +16,7 @@ These tests pin that contract three ways:
   test-side :class:`ElementwiseExecutor`, which runs GELU and softmax
   through the ibert kernels and the node's stored ``output`` pair;
 * whole-graph execution on random inputs against that executor, over every
-  attention config of the registry × default/optimized lowering ×
+  attention config of the registry × compiled/traced schedule ×
   percentile/absmax calibration, plus the serving backend and the
   generated C schedule.
 
@@ -24,6 +24,8 @@ All randomness comes from local generators — the shared session ``rng``
 fixture is deliberately not used (its draw order is load-bearing for other
 tests).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,11 +61,13 @@ ATTENTION_CONFIGS = {
 #: ``calibration_percentile`` of the default lowering and of the absmax
 #: one, whose scales (and so tables and requantisers) all differ.
 CALIBRATIONS = {"percentile": 99.9, "absmax": 100.0}
+#: ``(config, traced)`` of each whole-graph lowering: ``traced`` runs the
+#: lowering's traced (unfused) schedule in place of its compiled one.
 LOWERINGS = {
-    "default": LoweringConfig(),
-    "optimized": LoweringConfig(optimize=True),
-    "absmax": LoweringConfig(calibration_percentile=100.0),
-    "absmax-optimized": LoweringConfig(calibration_percentile=100.0, optimize=True),
+    "default": (LoweringConfig(), False),
+    "traced": (LoweringConfig(), True),
+    "absmax": (LoweringConfig(calibration_percentile=100.0), False),
+    "absmax-traced": (LoweringConfig(calibration_percentile=100.0), True),
 }
 
 
@@ -142,10 +146,12 @@ def calibrated_registry(lowered_registry):
 
 
 def lut_nodes(quantized, op):
+    """Every original ``op`` node of the schedule, fused-chain members included."""
     return [
-        (node, quantized.nodes[node.name])
+        (sub, quantized.nodes[sub.name])
         for node in quantized.graph.nodes
-        if node.op == op
+        for sub in node.fusion_chain
+        if sub.op == op
     ]
 
 
@@ -311,20 +317,23 @@ class TestWholeGraphParity:
     @pytest.mark.parametrize("lowering", sorted(LOWERINGS))
     @pytest.mark.parametrize("config", sorted(ATTENTION_CONFIGS))
     def test_lut_and_elementwise_runs_are_bitwise_equal(self, config, lowering):
-        """Every attention config of the registry × default/optimized ×
-        percentile/absmax calibration."""
+        """Every attention config of the registry × compiled/traced
+        schedule × percentile/absmax calibration."""
         arch, kwargs = ATTENTION_CONFIGS[config]
         kwargs = dict(kwargs)
+        lowering_config, traced = LOWERINGS[lowering]
         quantized = lower_registry_model(
-            arch, kwargs.pop("patch_size"), config=LOWERINGS[lowering], model_kwargs=kwargs
+            arch, kwargs.pop("patch_size"), config=lowering_config, model_kwargs=kwargs
         )
+        if traced:
+            quantized = replace(quantized, graph=quantized.source_graph)
         x = np.random.default_rng(3).normal(size=(6, 4, 60))
         assert_tables_match_elementwise(quantized, x)
 
     def test_fused_gelu_matches_elementwise(self):
-        """The optimized lowering folds GELU into its linear; the fused
-        chain replays the table, and the reference replays the kernel."""
-        quantized = lower_registry_model("bio1", config=LoweringConfig(optimize=True))
+        """The compiler folds GELU into its linear; the fused chain replays
+        the table, and the reference replays the kernel."""
+        quantized = lower_registry_model("bio1")
         assert any(
             sub.op == "gelu" for node in quantized.graph.nodes for sub in node.fusion_chain[1:]
         )
@@ -377,12 +386,13 @@ class TestLutCodegen:
         network = sources["network.c"].content
         weights = sources["weights.h"].content
         kernels = sources["kernels.h"].content
-        assert "net_gelu_lut_i8" in network
+        # The compiler folds each FFN GELU into its expand linear.
+        assert "net_linear_gemm_gelu_lut_i8" in network
         assert "net_softmax_lut_i8" in network
         assert "net_gelu_i8" not in network and "net_softmax_i8" not in network
         assert "_lut_gelu[" in weights and "_lut_exp[" in weights
         assert "_DOMAIN_MIN" in weights
-        assert "void net_gelu_lut_i8(" in kernels
+        assert "void net_linear_gemm_gelu_lut_i8(" in kernels
         assert "void net_softmax_lut_i8(" in kernels
         header = sources["network.h"].content
         assert f"#define NETWORK_LUT_BYTES {quantized.total_lut_bytes}" in header

@@ -1,12 +1,12 @@
 """The requantiser contract: one ``(multiplier, shift)`` pair per kernel role.
 
-``QuantizeWeightsPass`` stores in ``QuantizedNode.requantizers`` exactly the
+``quantize_weights`` stores in ``QuantizedNode.requantizers`` exactly the
 pairs each integer kernel applies; the executor, the GELU table builder and
 codegen only read them.  These tests recompute every pair on the test side,
 from the float activation scales and the output scales of the
-``repro.quant.ibert`` kernels, across the registry × default/optimized
-lowering × percentile/absmax calibration, and check that every
-``weights.h`` requantiser macro equals the stored pair.
+``repro.quant.ibert`` kernels, across the registry × four calibration
+percentiles, and check that every ``weights.h`` requantiser macro equals
+the stored pair.
 """
 
 import re
@@ -30,14 +30,14 @@ CONFIGS = {
     "bio1-mean": ("bio1", dict(patch_size=10, pooling="mean")),
 }
 
-#: The absmax (100th percentile) calibration moves nearly every activation
-#: scale off the default 99.9th percentile one, so every pair is recomputed
-#: from different scales.
+#: Each calibration percentile moves nearly every activation scale off the
+#: default 99.9th percentile one, so every pair is recomputed from
+#: different scales.
 LOWERINGS = {
     "default": LoweringConfig(),
-    "optimized": LoweringConfig(optimize=True),
+    "p99": LoweringConfig(calibration_percentile=99.0),
+    "p99.99": LoweringConfig(calibration_percentile=99.99),
     "absmax": LoweringConfig(calibration_percentile=100.0),
-    "absmax-optimized": LoweringConfig(calibration_percentile=100.0, optimize=True),
 }
 
 
