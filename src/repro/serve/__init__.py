@@ -22,7 +22,9 @@ scaling PR (sharding, remote backends) plugs into:
 * :mod:`repro.serve.sessions` — :class:`SessionManager`, the fleet layer
   owning every live session: lifecycle by session id, idle-TTL reaping,
   per-tenant quotas and eviction, versioned bitwise
-  :class:`SessionCheckpoint` snapshots, and degraded-electrode masking;
+  :class:`SessionCheckpoint` snapshots, and degraded-electrode masking
+  in :class:`ManagedSession`, a :class:`StreamSession` subclass; close,
+  reaping, eviction and drain share one retire path;
 * :mod:`repro.serve.server` — the :class:`InferenceServer` facade
   (sync ``infer``/``predict``, async ``submit``/``infer_async``/
   ``as_completed``, high-priority ``open_stream``,

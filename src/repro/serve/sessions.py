@@ -6,9 +6,15 @@ hours of raw sEMG, electrode dropout and client hiccups without losing
 its majority-vote state.  A raw ``StreamSession`` is a single hand-held
 object with no lifecycle; this module adds the fleet layer above it:
 
+* :class:`ManagedSession` — a :class:`~repro.serve.stream.StreamSession`
+  whose ``push`` adds liveness, the per-tenant quota and
+  dead-electrode masking in front of the stream's own
+  window → classify → vote step;
 * :class:`SessionManager` — owns every live session opened through an
-  :class:`~repro.serve.server.InferenceServer` (or a bare classifier),
-  with create/attach/detach/close by session id, idle-TTL reaping by a
+  :class:`~repro.serve.server.InferenceServer` (classifying through
+  ``server.predict`` at :data:`~repro.serve.pool.Priority.HIGH`, as
+  ``open_stream`` does) or a bare classifier, with
+  create/attach/detach/close by session id, idle-TTL reaping by a
   janitor thread (injectable clock), and graceful :meth:`~SessionManager.drain`
   that stops admission and settles in-flight chunks before server close;
 * **per-tenant robustness** — per-tenant session-count and samples/sec
@@ -34,20 +40,22 @@ Lock ordering is strict — a session's lock is always taken *before* the
 manager's, never after — so a push settling in-flight work can never
 deadlock against the janitor or a drain.
 
-An evicted session's state is never lost: the manager captures a final
-checkpoint at eviction time and keeps it in a bounded tombstone map, so
+A session's state is never lost: close, idle reaping, pressure eviction
+and drain all retire a session through one path that captures its final
+checkpoint and keeps it in a bounded tombstone map, so
 ``manager.checkpoint(session_id)`` and :meth:`SessionManager.restore`
-work after reaping, pressure eviction and drain alike.
+work after any of them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from collections import Counter, OrderedDict
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -70,6 +78,27 @@ __all__ = [
 #: snapshot schema changes shape; readers reject versions they do not
 #: understand instead of mis-restoring silently.
 SESSION_CHECKPOINT_VERSION = 1
+
+
+def _check_version(version) -> None:
+    if int(version) != SESSION_CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported session checkpoint version {version} "
+            f"(this build reads version {SESSION_CHECKPOINT_VERSION})"
+        )
+
+
+#: Checkpoint fields that are :meth:`StreamWindower.state` keys of the
+#: same name (the windower's ``dtype`` is the checkpoint's ``buffer_dtype``).
+_WINDOWER_FIELDS = (
+    "window",
+    "slide",
+    "num_channels",
+    "buffer",
+    "base",
+    "samples_seen",
+    "windows_emitted",
+)
 
 
 # --------------------------------------------------------------------- #
@@ -117,19 +146,13 @@ class SessionCheckpoint:
         wstate = session.windower.state()
         return cls(
             version=SESSION_CHECKPOINT_VERSION,
-            window=wstate["window"],
-            slide=wstate["slide"],
-            num_channels=wstate["num_channels"],
             smoothing=session.voter.history,
-            buffer=wstate["buffer"],
-            buffer_dtype=wstate["dtype"],
-            base=wstate["base"],
-            samples_seen=wstate["samples_seen"],
-            windows_emitted=wstate["windows_emitted"],
+            buffer_dtype=wstate.pop("dtype"),
             voter_recent=session.voter.recent,
             windows_classified=session.windows_classified,
             session_id=session_id,
             tenant=tenant,
+            **wstate,
         )
 
     def restore_into(self, session: StreamSession) -> StreamSession:
@@ -140,23 +163,9 @@ class SessionCheckpoint:
         same ``window_index``, same labels, same smoothed labels.
         Geometry or version mismatches raise ``ValueError``.
         """
-        if self.version != SESSION_CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported session checkpoint version {self.version} "
-                f"(this build reads version {SESSION_CHECKPOINT_VERSION})"
-            )
-        session.windower.load_state(
-            {
-                "window": self.window,
-                "slide": self.slide,
-                "num_channels": self.num_channels,
-                "dtype": self.buffer_dtype,
-                "buffer": self.buffer,
-                "base": self.base,
-                "samples_seen": self.samples_seen,
-                "windows_emitted": self.windows_emitted,
-            }
-        )
+        _check_version(self.version)
+        wstate = {key: getattr(self, key) for key in _WINDOWER_FIELDS}
+        session.windower.load_state({"dtype": self.buffer_dtype, **wstate})
         session.voter.load_state(
             {"history": self.smoothing, "recent": list(self.voter_recent)}
         )
@@ -166,23 +175,12 @@ class SessionCheckpoint:
 
     # -- serialization -------------------------------------------------- #
     def to_payload(self) -> dict:
-        """JSON-friendly dict (float64 samples round-trip exactly)."""
-        return {
-            "version": self.version,
-            "window": self.window,
-            "slide": self.slide,
-            "num_channels": self.num_channels,
-            "smoothing": self.smoothing,
-            "buffer": np.asarray(self.buffer).tolist(),
-            "buffer_dtype": self.buffer_dtype,
-            "base": self.base,
-            "samples_seen": self.samples_seen,
-            "windows_emitted": self.windows_emitted,
-            "voter_recent": [int(label) for label in self.voter_recent],
-            "windows_classified": self.windows_classified,
-            "session_id": self.session_id,
-            "tenant": self.tenant,
-        }
+        """JSON-friendly dict, one key per field (float64 samples
+        round-trip exactly)."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["buffer"] = np.asarray(self.buffer).tolist()
+        payload["voter_recent"] = [int(label) for label in self.voter_recent]
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SessionCheckpoint":
@@ -192,34 +190,20 @@ class SessionCheckpoint:
         newer writer's snapshot must not be half-read by an older
         reader.
         """
-        version = int(payload["version"])
-        if version != SESSION_CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported session checkpoint version {version} "
-                f"(this build reads version {SESSION_CHECKPOINT_VERSION})"
-            )
-        num_channels = int(payload["num_channels"])
-        buffer = np.asarray(payload["buffer"], dtype=np.dtype(payload["buffer_dtype"]))
+        _check_version(payload["version"])
+        values = {}
+        for f in fields(cls):
+            value = payload[f.name] if f.default is MISSING else payload.get(f.name)
+            decode = _SCALAR_FIELDS.get(f.name)
+            values[f.name] = decode(value) if decode is not None else value
+        buffer = np.asarray(values["buffer"], dtype=np.dtype(values["buffer_dtype"]))
         if buffer.ndim == 1 and buffer.size == 0:
             # An empty (C, 0) buffer loses its channel dimension through
             # nested-list serialization; normalise it back.
-            buffer = buffer.reshape(num_channels, 0)
-        return cls(
-            version=version,
-            window=int(payload["window"]),
-            slide=int(payload["slide"]),
-            num_channels=num_channels,
-            smoothing=int(payload["smoothing"]),
-            buffer=buffer,
-            buffer_dtype=str(payload["buffer_dtype"]),
-            base=int(payload["base"]),
-            samples_seen=int(payload["samples_seen"]),
-            windows_emitted=int(payload["windows_emitted"]),
-            voter_recent=tuple(int(label) for label in payload["voter_recent"]),
-            windows_classified=int(payload["windows_classified"]),
-            session_id=payload.get("session_id"),
-            tenant=payload.get("tenant"),
-        )
+            buffer = buffer.reshape(values["num_channels"], 0)
+        values["buffer"] = buffer
+        values["voter_recent"] = tuple(int(label) for label in values["voter_recent"])
+        return cls(**values)
 
     def to_json(self) -> str:
         """The payload as a JSON string (the durable on-disk form)."""
@@ -236,6 +220,15 @@ class SessionCheckpoint:
             f"windows_classified={self.windows_classified}, "
             f"samples_seen={self.samples_seen})"
         )
+
+
+#: The checkpoint's ``int`` and ``str`` fields, each decoded from a
+#: payload by its own type.
+_SCALAR_FIELDS = {
+    name: hint
+    for name, hint in get_type_hints(SessionCheckpoint).items()
+    if hint in (int, str)
+}
 
 
 def restore_stream_session(
@@ -259,8 +252,7 @@ def restore_stream_session(
         preprocessor=preprocessor,
         smoothing=checkpoint.smoothing,
     )
-    checkpoint.restore_into(session)
-    return session
+    return checkpoint.restore_into(session)
 
 
 # --------------------------------------------------------------------- #
@@ -301,70 +293,58 @@ class SessionManagerStats:
     tenants: Mapping[str, TenantStats] = field(default_factory=dict)
 
 
+@dataclass(eq=False)
 class _Tenant:
-    """Mutable per-tenant bookkeeping (guarded by the manager's lock)."""
+    """Mutable per-tenant bookkeeping (guarded by the manager's lock).
 
-    __slots__ = (
-        "name",
-        "priority",
-        "max_sessions",
-        "samples_per_s",
-        "burst_s",
-        "tokens",
-        "last_refill",
-        "sessions_open",
-        "sessions_created",
-        "sessions_evicted",
-        "windows",
-        "samples",
-        "degraded_windows",
-        "quota_rejections",
-    )
+    Its counters are :class:`TenantStats`'s fields under the same names,
+    so :meth:`snapshot` copies them field by field.
+    """
 
-    def __init__(
-        self,
-        name: str,
-        priority: int,
-        max_sessions: Optional[int],
-        samples_per_s: Optional[float],
-        burst_s: float,
-        now: float,
-    ) -> None:
-        self.name = name
-        self.priority = int(priority)
-        self.max_sessions = max_sessions
-        self.samples_per_s = samples_per_s
-        self.burst_s = float(burst_s)
-        # The token bucket starts full: a tenant's first chunk after a
-        # quiet period is admitted up to the burst budget.
-        self.tokens = float(samples_per_s) * self.burst_s if samples_per_s else 0.0
+    tenant: str
+    priority: int
+    max_sessions: Optional[int]
+    samples_per_s: Optional[float]
+    burst_s: float
+    tokens: float = 0.0
+    last_refill: float = 0.0
+    sessions_open: int = 0
+    sessions_created: int = 0
+    sessions_evicted: int = 0
+    windows: int = 0
+    samples: int = 0
+    degraded_windows: int = 0
+    quota_rejections: int = 0
+
+    def refill(self, now: float) -> None:
+        """Fill the token bucket to its burst capacity (a fresh budget)."""
+        self.tokens = (self.samples_per_s or 0.0) * self.burst_s
         self.last_refill = now
-        self.sessions_open = 0
-        self.sessions_created = 0
-        self.sessions_evicted = 0
-        self.windows = 0
-        self.samples = 0
-        self.degraded_windows = 0
-        self.quota_rejections = 0
 
     def snapshot(self) -> TenantStats:
-        return TenantStats(
-            tenant=self.name,
-            priority=self.priority,
-            sessions_open=self.sessions_open,
-            sessions_created=self.sessions_created,
-            sessions_evicted=self.sessions_evicted,
-            windows=self.windows,
-            samples=self.samples,
-            degraded_windows=self.degraded_windows,
-            quota_rejections=self.quota_rejections,
-        )
+        return TenantStats(**{f.name: getattr(self, f.name) for f in fields(TenantStats)})
+
+
+def _check_limits(**limits) -> None:
+    """``ValueError`` for a limit no session or chunk could ever meet.
+
+    ``None`` means unlimited; a ``max_sessions*`` count must be at least
+    1 and every other limit positive.
+    """
+    for name, value in limits.items():
+        if value is None:
+            continue
+        if name.startswith("max_sessions"):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        elif not value > 0:
+            raise ValueError(f"{name} must be positive")
 
 
 # --------------------------------------------------------------------- #
 # Managed session
 # --------------------------------------------------------------------- #
-class ManagedSession:
+class ManagedSession(StreamSession):
     """A :class:`StreamSession` owned by a :class:`SessionManager`.
 
     Adds, on top of the raw session: liveness (operations on an evicted
@@ -373,87 +353,65 @@ class ManagedSession:
     degraded-electrode masking, activity tracking for idle reaping, and
     per-session counters.
 
-    All public methods are thread-safe; ``push`` holds the session's lock
-    for the whole chunk, which is what lets eviction and drain *settle*
-    in-flight work instead of racing it.
+    ``push`` and ``reset`` hold the session's lock for the whole call,
+    which is what lets eviction and drain *settle* in-flight work instead
+    of racing it; ``run`` pushes chunk by chunk.
     """
 
     def __init__(
         self,
         manager: "SessionManager",
-        session_id: str,
         tenant: str,
-        inner: StreamSession,
         *,
-        clock: Callable[[], float],
+        slide: Optional[int] = None,
+        smoothing: Optional[int] = None,
+        preprocessor: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
+        # Whatever the caller leaves None takes the manager's default.
+        slide = slide if slide is not None else manager.slide
+        if slide is None:
+            raise ValueError(
+                "no slide configured: pass slide= to the manager or this call"
+            )
+        super().__init__(
+            manager._classify,
+            manager._window,
+            slide,
+            manager._num_channels,
+            preprocessor=preprocessor if preprocessor is not None else manager._preprocessor,
+            smoothing=smoothing if smoothing is not None else manager.smoothing,
+        )
         self._manager = manager
-        self.session_id = session_id
+        self.session_id = ""  # assigned on admission
         self.tenant = tenant
-        self._inner = inner
-        self._clock = clock
         self._lock = threading.RLock()
-        self.last_active = clock()
-        self._state = "active"
-        self._evict_reason = ""
+        self.last_active = manager._clock()
+        # Why the session was retired ("closed", "idle", "pressure" or
+        # "drain"); None while it is live.
+        self._reason: Optional[str] = None
         self.windows = 0
         self.samples = 0
         self.degraded_windows = 0
 
-    # -- introspection -------------------------------------------------- #
     @property
     def state(self) -> str:
         """``"active"``, ``"evicted"`` or ``"closed"``."""
         with self._lock:
-            return self._state
-
-    @property
-    def decisions(self) -> List[StreamDecision]:
-        """Decisions recorded since creation (or since restore)."""
-        return self._inner.decisions
-
-    @property
-    def windower(self):
-        """The underlying stream's windower (the evaluation harness reads
-        its window/slide geometry to compute per-window ground truth)."""
-        return self._inner.windower
-
-    @property
-    def current_label(self) -> Optional[int]:
-        """The latest smoothed decision (``None`` before the first window)."""
-        return self._inner.current_label
-
-    @property
-    def samples_seen(self) -> int:
-        """Raw samples the underlying stream has ingested."""
-        return self._inner.samples_seen
-
-    @property
-    def windows_classified(self) -> int:
-        """Windows classified over the whole stream (restore-aware)."""
-        return self._inner.windows_classified
-
-    def labels(self, smoothed: bool = True) -> np.ndarray:
-        """All recorded per-window decisions as an int array."""
-        return self._inner.labels(smoothed=smoothed)
+            reason = self._reason
+        if reason is None:
+            return "active"
+        return "closed" if reason == "closed" else "evicted"
 
     def _ensure_live(self) -> None:
-        if self._state == "active":
-            return
-        reason = self._evict_reason or "closed"
-        raise SessionEvicted(
-            f"session '{self.session_id}' no longer exists ({reason}); "
-            f"restore it from its checkpoint",
-            session_id=self.session_id,
-            reason=reason,
-        )
+        if self._reason is not None:
+            raise self._manager._gone(self.session_id, self._reason)
 
     # -- streaming ------------------------------------------------------ #
     def push(self, samples: np.ndarray) -> List[StreamDecision]:
         """Ingest a ``(channels, n)`` chunk through the managed pipeline.
 
-        Order of gates: liveness → shape/dtype validation (delegated to
-        the raw session so the errors are canonical, and charged to no
+        Order of gates: liveness → shape/dtype validation (the raw
+        session's check, so the errors are canonical, and charged to no
         quota) → per-tenant samples/sec quota → degraded-electrode
         detection and masking → windowing/classification/voting.
 
@@ -467,23 +425,12 @@ class ManagedSession:
         """
         with self._lock:
             self._ensure_live()
-            chunk = np.asarray(samples)
-            expected = self._inner.windower.num_channels
-            channels = 1 if chunk.ndim == 1 else (chunk.shape[0] if chunk.ndim == 2 else -1)
-            if (
-                channels != expected
-                or chunk.dtype == object
-                or not np.can_cast(chunk.dtype, np.float64)
-            ):
-                # Malformed chunk: let the raw session raise its canonical
-                # ValueError; the quota is not charged for garbage.
-                return self._inner.push(chunk)
-            chunk = np.atleast_2d(np.asarray(chunk, dtype=np.float64))
+            chunk = np.atleast_2d(np.asarray(self._checked(samples), dtype=np.float64))
             count = chunk.shape[1]
-            self._manager._charge_samples(self.tenant, count)
-            finite = np.isfinite(chunk)
-            bad = ~finite.all(axis=1)
-            if count >= self._manager.dead_channel_min_samples:
+            manager = self._manager
+            manager._charge_samples(self.tenant, count)
+            bad = ~np.isfinite(chunk).all(axis=1)
+            if count >= manager.dead_channel_min_samples:
                 bad |= np.ptp(chunk, axis=1) == 0.0
             degraded = bool(bad.any())
             if degraded:
@@ -491,38 +438,37 @@ class ManagedSession:
                 # value, so a trained-against-dropout model sees the same
                 # signal in production that it saw in training.
                 chunk = np.where(bad[:, None], CHANNEL_FILL_VALUE, chunk)
-            produced = self._inner.push(chunk)
-            if degraded and produced:
-                produced = [replace(d, degraded=True) for d in produced]
-                self._inner.decisions[-len(produced) :] = produced
+            produced = self._advance(chunk, degraded)
+            degraded_windows = len(produced) if degraded else 0
             self.windows += len(produced)
             self.samples += count
-            if degraded:
-                self.degraded_windows += len(produced)
-            self.last_active = self._clock()
-            self._manager._note_activity(
+            self.degraded_windows += degraded_windows
+            self.last_active = manager._clock()
+            manager._note_activity(
                 self.tenant,
                 windows=len(produced),
                 samples=count,
-                degraded_windows=len(produced) if degraded else 0,
+                degraded_windows=degraded_windows,
             )
             return produced
 
-    def run(self, signal: np.ndarray, chunk_size: int = 64) -> List[StreamDecision]:
-        """Stream a whole ``(channels, samples)`` recording in chunks."""
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        signal = np.atleast_2d(np.asarray(signal))
-        produced: List[StreamDecision] = []
-        for start in range(0, signal.shape[-1], chunk_size):
-            produced.extend(self.push(signal[:, start : start + chunk_size]))
-        return produced
+    def reset(self) -> None:
+        """Clear the stream's buffered samples, votes and decisions (the
+        per-session ``windows``/``samples`` counters keep counting).
+
+        Locked like :meth:`push`, and refused with
+        :class:`~repro.serve.faults.SessionEvicted` once the session is
+        retired.
+        """
+        with self._lock:
+            self._ensure_live()
+            super().reset()
 
     def checkpoint(self) -> SessionCheckpoint:
         """Snapshot the session's restorable state (works even evicted)."""
         with self._lock:
             return SessionCheckpoint.capture(
-                self._inner, session_id=self.session_id, tenant=self.tenant
+                self, session_id=self.session_id, tenant=self.tenant
             )
 
     def __repr__(self) -> str:
@@ -539,8 +485,9 @@ class SessionManager:
     """Owner of every live stream session behind one serving endpoint.
 
     Construct it with an :class:`~repro.serve.server.InferenceServer`
-    (sessions classify through ``server.open_stream`` — the existing
-    seam, so streams keep their HIGH batching priority), or serverless
+    (sessions classify through ``server.predict`` at HIGH priority, the
+    call ``server.open_stream`` makes, so streams batch ahead of queued
+    bulk scoring), or serverless
     with ``classify``/``window``/``num_channels`` for tests and embedded
     use.  ``InferenceServer.open_session_manager`` is the convenience
     constructor; a server-attached manager surfaces its stats through
@@ -566,6 +513,9 @@ class SessionManager:
         available budget is rejected whole with
         :class:`~repro.serve.faults.QuotaExceeded` (never partially
         ingested — a half-ingested chunk would corrupt windowing).
+        ``None`` is unlimited; a cap below 1 or a rate or burst that is
+        not positive raises ``ValueError`` here, as it does in
+        :meth:`configure_tenant`.
     idle_ttl_s / janitor_interval_s:
         Sessions idle for ``idle_ttl_s`` (by the injectable ``clock``)
         are reaped by a daemon janitor thread waking every
@@ -581,7 +531,8 @@ class SessionManager:
         Eviction priority for tenants never configured explicitly.
     max_tombstones:
         Bound on retained final checkpoints of dead sessions (oldest
-        dropped first).
+        dropped first).  :meth:`drain` returns every checkpoint it cuts
+        regardless.
     clock:
         Injectable monotonic clock (tests drive TTL/quota deterministically).
     """
@@ -617,15 +568,19 @@ class SessionManager:
             raise ValueError(
                 "pass either a server or classify/window/num_channels, not both"
             )
-        if max_sessions is not None and max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
-        if idle_ttl_s is not None and idle_ttl_s <= 0:
-            raise ValueError("idle_ttl_s must be positive")
-        if janitor_interval_s <= 0:
-            raise ValueError("janitor_interval_s must be positive")
-        if burst_s <= 0:
-            raise ValueError("burst_s must be positive")
-        self._server = server
+        else:
+            # The call ``server.open_stream`` makes: stream windows batch
+            # ahead of queued bulk scoring.
+            classify = functools.partial(server.predict, priority=Priority.HIGH)
+            num_channels, window = server.input_shape
+        _check_limits(
+            max_sessions=max_sessions,
+            max_sessions_per_tenant=max_sessions_per_tenant,
+            samples_per_s=samples_per_s,
+            burst_s=burst_s,
+            idle_ttl_s=idle_ttl_s,
+            janitor_interval_s=janitor_interval_s,
+        )
         self._classify = classify
         self._window = window
         self._num_channels = num_channels
@@ -646,39 +601,24 @@ class SessionManager:
         self._sessions: "OrderedDict[str, ManagedSession]" = OrderedDict()
         self._tenants: Dict[str, _Tenant] = {}
         self._tombstones: "OrderedDict[str, Tuple[str, SessionCheckpoint]]" = OrderedDict()
-        self._ids = 0
-        self._created = 0
-        self._closed_sessions = 0
-        self._evicted = 0
-        self._reaped_idle = 0
-        self._evicted_pressure = 0
+        self._ids = 0  # also the count of sessions ever created
+        # Retired sessions by reason: "closed", "idle", "pressure", "drain".
+        self._retired: "Counter[str]" = Counter()
         self._draining = False
         self._closed = False
         self._janitor: Optional[threading.Thread] = None
         self._janitor_stop = threading.Event()
+        if server is not None:
+            # Before the janitor starts: a refused attach must leave no
+            # thread behind.
+            server._attach_session_manager(self)
         if idle_ttl_s is not None:
             self._janitor = threading.Thread(
                 target=self._janitor_loop, name="session-janitor", daemon=True
             )
             self._janitor.start()
-        if server is not None:
-            server._attach_session_manager(self)
 
     # -- construction helpers ------------------------------------------- #
-    def _build_inner(self, slide, smoothing, preprocessor) -> StreamSession:
-        if self._server is not None:
-            return self._server.open_stream(
-                slide, smoothing=smoothing, preprocessor=preprocessor
-            )
-        return StreamSession(
-            self._classify,
-            window=self._window,
-            slide=slide,
-            num_channels=self._num_channels,
-            preprocessor=preprocessor,
-            smoothing=smoothing,
-        )
-
     def _tenant_state(self, name: str) -> _Tenant:
         """Get-or-create tenant bookkeeping (manager lock held)."""
         tenant = self._tenants.get(name)
@@ -689,8 +629,8 @@ class SessionManager:
                 self.max_sessions_per_tenant,
                 self.samples_per_s,
                 self.burst_s,
-                self._clock(),
             )
+            tenant.refill(self._clock())
             self._tenants[name] = tenant
         return tenant
 
@@ -705,9 +645,13 @@ class SessionManager:
     ) -> None:
         """Create or update a tenant's priority and quotas.
 
-        Changing ``samples_per_s`` refills the token bucket to its new
-        burst capacity (the new budget starts clean).
+        ``None`` keeps the current value.  A quota no session or chunk
+        could meet (``max_sessions < 1``, ``samples_per_s`` or
+        ``burst_s`` not positive) raises ``ValueError`` and changes
+        nothing.  Changing ``samples_per_s`` refills the token bucket to
+        its new burst capacity (the new budget starts clean).
         """
+        _check_limits(max_sessions=max_sessions, samples_per_s=samples_per_s, burst_s=burst_s)
         with self._lock:
             tenant = self._tenant_state(name)
             if priority is not None:
@@ -715,13 +659,10 @@ class SessionManager:
             if max_sessions is not None:
                 tenant.max_sessions = int(max_sessions)
             if burst_s is not None:
-                if burst_s <= 0:
-                    raise ValueError("burst_s must be positive")
                 tenant.burst_s = float(burst_s)
             if samples_per_s is not None:
                 tenant.samples_per_s = float(samples_per_s)
-                tenant.tokens = tenant.samples_per_s * tenant.burst_s
-                tenant.last_refill = self._clock()
+                tenant.refill(self._clock())
 
     # -- lifecycle ------------------------------------------------------- #
     def create_session(
@@ -733,12 +674,10 @@ class SessionManager:
         preprocessor: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> ManagedSession:
         """Admit a new session for ``tenant`` (quotas and pressure apply)."""
-        return self._open(
-            tenant,
-            slide=slide,
-            smoothing=smoothing,
-            preprocessor=preprocessor,
-            checkpoint=None,
+        return self._admit(
+            ManagedSession(
+                self, tenant, slide=slide, smoothing=smoothing, preprocessor=preprocessor
+            )
         )
 
     def restore(
@@ -755,35 +694,23 @@ class SessionManager:
         checkpoint's recorded tenant.  Admission control is identical to
         :meth:`create_session`.
         """
-        who = tenant if tenant is not None else (checkpoint.tenant or "default")
-        return self._open(
-            who,
+        session = ManagedSession(
+            self,
+            tenant if tenant is not None else (checkpoint.tenant or "default"),
             slide=checkpoint.slide,
             smoothing=checkpoint.smoothing,
             preprocessor=preprocessor,
-            checkpoint=checkpoint,
         )
+        return self._admit(checkpoint.restore_into(session))
 
-    def _open(
-        self,
-        tenant: str,
-        *,
-        slide: Optional[int],
-        smoothing: Optional[int],
-        preprocessor,
-        checkpoint: Optional[SessionCheckpoint],
-    ) -> ManagedSession:
-        slide = slide if slide is not None else self.slide
-        if slide is None:
-            raise ValueError(
-                "no slide configured: pass slide= to the manager or this call"
-            )
-        smoothing = smoothing if smoothing is not None else self.smoothing
-        preprocessor = preprocessor if preprocessor is not None else self._preprocessor
+    def _admit(self, session: ManagedSession) -> ManagedSession:
+        """Give ``session`` a fresh id and make it live, once its tenant's
+        quota and the fleet cap (after any pressure eviction) allow."""
+        tenant = session.tenant
         while True:
             victim: Optional[ManagedSession] = None
             with self._lock:
-                if self._draining or self._closed:
+                if self._draining:
                     raise Overloaded(
                         "session manager is draining; new sessions are not admitted"
                     )
@@ -814,75 +741,73 @@ class SessionManager:
                             quota="sessions",
                         )
                 else:
-                    inner = self._build_inner(slide, smoothing, preprocessor)
-                    if checkpoint is not None:
-                        checkpoint.restore_into(inner)
                     self._ids += 1
-                    session_id = f"s{self._ids:06d}"
-                    session = ManagedSession(
-                        self, session_id, tenant, inner, clock=self._clock
-                    )
-                    self._sessions[session_id] = session
+                    session.session_id = f"s{self._ids:06d}"
+                    self._sessions[session.session_id] = session
                     tstate.sessions_open += 1
                     tstate.sessions_created += 1
-                    self._created += 1
                     return session
             # Manager lock released: evict with session -> manager ordering,
             # then re-run admission (the victim may have raced away).
-            self._evict(victim, "pressure")
+            self._retire(victim, "pressure")
 
     def _pressure_victim(self, priority: int) -> Optional[ManagedSession]:
         """Least recently active session of a strictly lower-priority tenant."""
-        victim: Optional[ManagedSession] = None
-        for session in self._sessions.values():
-            if self._tenants[session.tenant].priority <= priority:
-                continue
-            if victim is None or session.last_active < victim.last_active:
-                victim = session
-        return victim
+        lower = [
+            session
+            for session in self._sessions.values()
+            if self._tenants[session.tenant].priority > priority
+        ]
+        return min(lower, key=lambda session: session.last_active, default=None)
 
-    def _evict(self, session: ManagedSession, reason: str) -> bool:
-        """Take ``session`` away, preserving a final checkpoint.
+    def _retire(
+        self, session: ManagedSession, reason: str
+    ) -> Optional[SessionCheckpoint]:
+        """Take ``session`` out of service and return its final checkpoint.
 
-        Acquiring the session's lock first *settles* any in-flight push:
-        the chunk completes, its decisions land, and only then does the
-        session transition.  Returns False if the session was already
-        gone (a concurrent eviction/close won the race).
+        The one teardown behind close (``reason="closed"``), idle reaping
+        (``"idle"``), pressure eviction (``"pressure"``) and drain
+        (``"drain"``).  Acquiring the session's lock first *settles* any
+        in-flight push: the chunk completes, its decisions land, and only
+        then is the checkpoint cut and the session retired.  The
+        checkpoint is also kept as the id's tombstone (bounded by
+        ``max_tombstones``, oldest dropped first).  Returns ``None`` if
+        the session was already retired (a concurrent caller won).
         """
-        with session._lock:
-            with self._lock:
-                if (
-                    session._state != "active"
-                    or self._sessions.get(session.session_id) is not session
-                ):
-                    return False
-                final = SessionCheckpoint.capture(
-                    session._inner,
-                    session_id=session.session_id,
-                    tenant=session.tenant,
-                )
-                session._state = "evicted"
-                session._evict_reason = reason
-                del self._sessions[session.session_id]
-                self._remember(session.session_id, reason, final)
-                tstate = self._tenants[session.tenant]
-                tstate.sessions_open -= 1
+        with session._lock, self._lock:
+            if session._reason is not None:
+                return None
+            final = session.checkpoint()
+            session._reason = reason
+            del self._sessions[session.session_id]
+            self._tombstones[session.session_id] = (reason, final)
+            while len(self._tombstones) > self.max_tombstones:
+                self._tombstones.popitem(last=False)
+            tstate = self._tenants[session.tenant]
+            tstate.sessions_open -= 1
+            if reason != "closed":
                 tstate.sessions_evicted += 1
-                self._evicted += 1
-                if reason == "idle":
-                    self._reaped_idle += 1
-                elif reason == "pressure":
-                    self._evicted_pressure += 1
-                return True
+            self._retired[reason] += 1
+            return final
 
-    def _remember(
-        self, session_id: str, reason: str, checkpoint: SessionCheckpoint
-    ) -> None:
-        """Keep a dead session's final checkpoint (bounded; lock held)."""
-        self._tombstones[session_id] = (reason, checkpoint)
-        self._tombstones.move_to_end(session_id)
-        while len(self._tombstones) > self.max_tombstones:
-            self._tombstones.popitem(last=False)
+    def _gone(self, session_id: str, reason: Optional[str] = None) -> Exception:
+        """The error for an id that is not live.
+
+        :class:`~repro.serve.faults.SessionEvicted` for a retired session
+        (``reason``, or the one its tombstone recorded), ``KeyError`` for
+        an id the manager does not know (or whose tombstone was dropped).
+        """
+        if reason is None:
+            entry = self._tombstones.get(session_id)
+            if entry is None:
+                return KeyError(f"unknown session id '{session_id}'")
+            reason = entry[0]
+        return SessionEvicted(
+            f"session '{session_id}' no longer exists ({reason}); "
+            f"restore it from its checkpoint",
+            session_id=session_id,
+            reason=reason,
+        )
 
     def attach(self, session_id: str) -> ManagedSession:
         """Fetch a live session by id (touches its idle clock).
@@ -894,19 +819,10 @@ class SessionManager:
         """
         with self._lock:
             session = self._sessions.get(session_id)
-            if session is not None:
-                session.last_active = self._clock()
-                return session
-            entry = self._tombstones.get(session_id)
-            if entry is not None:
-                reason, _ = entry
-                raise SessionEvicted(
-                    f"session '{session_id}' no longer exists ({reason}); "
-                    f"restore it from its checkpoint",
-                    session_id=session_id,
-                    reason=reason,
-                )
-            raise KeyError(f"unknown session id '{session_id}'")
+            if session is None:
+                raise self._gone(session_id)
+            session.last_active = self._clock()
+            return session
 
     def detach(self, session_id: str) -> SessionCheckpoint:
         """Checkpoint a live session without closing it.
@@ -920,37 +836,11 @@ class SessionManager:
 
     def close_session(self, session_id: str) -> SessionCheckpoint:
         """Gracefully close a live session; returns its final checkpoint."""
-        with self._lock:
-            session = self._sessions.get(session_id)
-            if session is None:
-                entry = self._tombstones.get(session_id)
-                if entry is None:
-                    raise KeyError(f"unknown session id '{session_id}'")
-                reason, _ = entry
-                raise SessionEvicted(
-                    f"session '{session_id}' no longer exists ({reason})",
-                    session_id=session_id,
-                    reason=reason,
-                )
-        with session._lock:
-            with self._lock:
-                if session._state != "active":
-                    reason = session._evict_reason or "closed"
-                    raise SessionEvicted(
-                        f"session '{session_id}' no longer exists ({reason})",
-                        session_id=session_id,
-                        reason=reason,
-                    )
-                final = SessionCheckpoint.capture(
-                    session._inner, session_id=session_id, tenant=session.tenant
-                )
-                session._state = "closed"
-                session._evict_reason = "closed"
-                del self._sessions[session_id]
-                self._remember(session_id, "closed", final)
-                self._tenants[session.tenant].sessions_open -= 1
-                self._closed_sessions += 1
-                return final
+        session = self.attach(session_id)
+        final = self._retire(session, "closed")
+        if final is None:
+            raise self._gone(session_id, session._reason)
+        return final
 
     def checkpoint(self, session_id: str) -> SessionCheckpoint:
         """The session's current state — live capture or final tombstone."""
@@ -959,7 +849,7 @@ class SessionManager:
             if session is None:
                 entry = self._tombstones.get(session_id)
                 if entry is None:
-                    raise KeyError(f"unknown session id '{session_id}'")
+                    raise self._gone(session_id)
                 return entry[1]
         return session.checkpoint()
 
@@ -975,11 +865,7 @@ class SessionManager:
                 for session in self._sessions.values()
                 if now - session.last_active >= self.idle_ttl_s
             ]
-        reaped = 0
-        for session in stale:
-            if self._evict(session, "idle"):
-                reaped += 1
-        return reaped
+        return sum(self._retire(session, "idle") is not None for session in stale)
 
     def _janitor_loop(self) -> None:
         while not self._janitor_stop.wait(self.janitor_interval_s):
@@ -1001,22 +887,22 @@ class SessionManager:
 
         Idempotent.  Each session's lock is acquired before it is taken
         away, so a chunk mid-push completes (its decisions land and are
-        captured) before the final checkpoint is cut.  Returns the final
-        checkpoints keyed by session id; they are also retained as
-        tombstones for :meth:`checkpoint`/:meth:`restore`.
+        captured) before the final checkpoint is cut.  Returns every
+        final checkpoint this drain cut, keyed by session id — however
+        many sessions that is, even beyond ``max_tombstones``; each is
+        also kept as a tombstone for :meth:`checkpoint`/:meth:`restore`
+        while the ring holds it.
         """
         with self._lock:
             self._draining = True
             sessions = list(self._sessions.values())
         self._stop_janitor()
+        finals = {}
         for session in sessions:
-            self._evict(session, "drain")
-        with self._lock:
-            return {
-                session.session_id: self._tombstones[session.session_id][1]
-                for session in sessions
-                if session.session_id in self._tombstones
-            }
+            final = self._retire(session, "drain")
+            if final is not None:
+                finals[session.session_id] = final
+        return finals
 
     def close(self) -> Dict[str, SessionCheckpoint]:
         """Drain and shut the manager down (idempotent)."""
@@ -1091,11 +977,11 @@ class SessionManager:
         with self._lock:
             return SessionManagerStats(
                 sessions_open=len(self._sessions),
-                sessions_created=self._created,
-                sessions_closed=self._closed_sessions,
-                sessions_evicted=self._evicted,
-                reaped_idle=self._reaped_idle,
-                evicted_pressure=self._evicted_pressure,
+                sessions_created=self._ids,
+                sessions_closed=self._retired["closed"],
+                sessions_evicted=sum(self._retired.values()) - self._retired["closed"],
+                reaped_idle=self._retired["idle"],
+                evicted_pressure=self._retired["pressure"],
                 draining=self._draining,
                 tenants={
                     name: tenant.snapshot() for name, tenant in self._tenants.items()

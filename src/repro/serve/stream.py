@@ -196,6 +196,17 @@ class StreamSession:
         survive degraded signal route chunks through the session manager's
         dead-electrode masking (:mod:`repro.serve.sessions`) instead.
         """
+        chunk = self._checked(samples)
+        if not np.all(np.isfinite(np.asarray(chunk, dtype=np.float64))):
+            raise ValueError(
+                "stream chunk contains non-finite (NaN/Inf) samples; "
+                "refusing to window/classify it"
+            )
+        return self._advance(chunk)
+
+    def _checked(self, samples: np.ndarray) -> np.ndarray:
+        """``samples`` as an array, or ``ValueError`` for a chunk whose
+        channel count or dtype does not fit this session."""
         chunk = np.asarray(samples)
         expected = self.windower.num_channels
         channels = 1 if chunk.ndim == 1 else chunk.shape[0]
@@ -210,11 +221,11 @@ class StreamSession:
                 f"stream chunk dtype {chunk.dtype} cannot be safely cast "
                 f"to float64"
             )
-        if not np.all(np.isfinite(np.asarray(chunk, dtype=np.float64))):
-            raise ValueError(
-                "stream chunk contains non-finite (NaN/Inf) samples; "
-                "refusing to window/classify it"
-            )
+        return chunk
+
+    def _advance(self, chunk: np.ndarray, degraded: bool = False) -> List[StreamDecision]:
+        """Window, classify and vote a checked chunk; every decision it
+        produces carries ``degraded``."""
         windows = self.windower.push(chunk)
         if windows.shape[0] == 0:
             return []
@@ -230,7 +241,7 @@ class StreamSession:
         produced: List[StreamDecision] = []
         for offset, label in enumerate(labels):
             smoothed = self.voter.vote(int(label))
-            produced.append(StreamDecision(start + offset, int(label), smoothed))
+            produced.append(StreamDecision(start + offset, int(label), smoothed, degraded))
         self.decisions.extend(produced)
         return produced
 

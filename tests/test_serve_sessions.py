@@ -13,6 +13,8 @@ majority vote.
 """
 
 import dataclasses
+import json
+import sys
 import threading
 import time
 
@@ -84,6 +86,44 @@ def make_manager(**kwargs) -> SessionManager:
     )
     defaults.update(kwargs)
     return SessionManager(**defaults)
+
+
+#: A checkpoint written by the v1 format's original writer: a
+#: ``window=6, slide=2`` two-channel toy session cut after 15 samples of
+#: :func:`golden_signal`.  Restoring it must keep working, key for key.
+V1_CHECKPOINT_JSON = (
+    '{"version": 1, "window": 6, "slide": 2, "num_channels": 2, "smoothing": 3, '
+    '"buffer": [[0.125, 0.5, 0.875, 1.25, -1.0], [-1.0, -0.625, -0.25, 0.125, 0.5]], '
+    '"buffer_dtype": "<f8", "base": 10, "samples_seen": 15, "windows_emitted": 5, '
+    '"voter_recent": [1, 1, 3], "windows_classified": 5, "session_id": "s000007", '
+    '"tenant": "clinic"}'
+)
+
+V1_KEYS = {
+    "version",
+    "window",
+    "slide",
+    "num_channels",
+    "smoothing",
+    "buffer",
+    "buffer_dtype",
+    "base",
+    "samples_seen",
+    "windows_emitted",
+    "voter_recent",
+    "windows_classified",
+    "session_id",
+    "tenant",
+}
+
+
+def golden_signal() -> np.ndarray:
+    """The 25-sample stream :data:`V1_CHECKPOINT_JSON` was cut from."""
+    return (np.arange(50, dtype=np.float64).reshape(2, 25) % 7) * 0.375 - 1.0
+
+
+def janitor_threads() -> int:
+    return sum(thread.name == "session-janitor" for thread in threading.enumerate())
 
 
 @pytest.fixture
@@ -215,6 +255,24 @@ class TestSessionCheckpoint:
         assert restored.decisions == []
         tail = restored.run(signal[:, 130:], chunk_size=19)
         assert [d.window_index for d in head + tail] == list(range(len(head) + len(tail)))
+
+    def test_v1_wire_format_restores_bitwise(self):
+        """A literal v1 payload still restores and continues the stream
+        bitwise, and ``to_payload`` writes exactly the v1 keys and values
+        (a round-trip test alone passes under any self-consistent schema)."""
+        checkpoint = SessionCheckpoint.from_json(V1_CHECKPOINT_JSON)
+        assert set(checkpoint.to_payload()) == V1_KEYS
+        assert checkpoint.to_payload() == json.loads(V1_CHECKPOINT_JSON)
+        assert checkpoint.to_json() == V1_CHECKPOINT_JSON
+        assert (checkpoint.session_id, checkpoint.tenant) == ("s000007", "clinic")
+        signal = golden_signal()
+        expected = StreamSession(
+            toy_classify, window=6, slide=2, num_channels=2, smoothing=3
+        ).run(signal, chunk_size=4)
+        restored = restore_stream_session(checkpoint, toy_classify)
+        tail = restored.run(signal[:, 15:], chunk_size=4)
+        assert tail == expected[checkpoint.windows_classified :]
+        assert len(tail) == 5
 
     def test_decisions_are_outputs_not_state(self, rng):
         """Checkpointing twice around a push changes only the counters —
@@ -522,6 +580,146 @@ class TestManagerLifecycle:
             assert sum(t.samples for t in stats.tenants.values()) == 100 + 120 + 140
             assert stats.sessions_created == 3
 
+    def test_drain_returns_every_final_checkpoint_past_the_tombstone_ring(self, rng):
+        with make_manager(max_tombstones=2) as manager:
+            sessions = [manager.create_session(t) for t in ("a", "b", "c")]
+            for i, session in enumerate(sessions):
+                session.push(rng.normal(size=(4, 40 + 20 * i)))
+            checkpoints = manager.drain()
+            assert set(checkpoints) == {s.session_id for s in sessions}
+            for i, session in enumerate(sessions):
+                assert checkpoints[session.session_id].samples_seen == 40 + 20 * i
+            with pytest.raises(KeyError):  # the ring still bounds retention
+                manager.checkpoint(sessions[0].session_id)
+
+    def test_racing_close_reap_and_drain_retire_each_session_once(self, rng):
+        """Closers, reapers, the janitor and a drain race over the same
+        sessions, with more threads than cores and a short switch
+        interval: each session is retired exactly once, by one caller,
+        and the fleet and tenant counters agree with who won."""
+        clock = FakeClock()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_manager(idle_ttl_s=1.0, janitor_interval_s=0.001, clock=clock) as manager:
+                sessions = [manager.create_session(f"t{i % 3}") for i in range(60)]
+                for session in sessions:
+                    session.push(rng.normal(size=(4, 60)))
+                clock.advance(2.0)  # every session is now reapable
+                closed, refused, reaped, drained = {}, [], [], {}
+
+                def closer(mine):
+                    for session in mine:
+                        try:
+                            closed[session.session_id] = manager.close_session(
+                                session.session_id
+                            )
+                        except SessionEvicted:
+                            refused.append(session.session_id)
+
+                threads = [
+                    threading.Thread(target=closer, args=(sessions[i::4],)) for i in range(4)
+                ]
+                threads += [
+                    threading.Thread(target=lambda: reaped.append(manager.reap_idle()))
+                    for _ in range(2)
+                ]
+                threads.append(threading.Thread(target=lambda: drained.update(manager.drain())))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = manager.stats
+                assert not set(closed) & set(drained)
+                assert len(closed) + len(refused) == len(sessions)
+                assert stats.sessions_closed == len(closed)
+                assert stats.sessions_closed + stats.sessions_evicted == len(sessions)
+                assert stats.reaped_idle >= sum(reaped)  # the janitor reaps too
+                assert stats.reaped_idle + len(drained) + len(closed) == len(sessions)
+                assert stats.sessions_open == 0
+                assert all(t.sessions_open == 0 for t in stats.tenants.values())
+                assert sum(t.sessions_evicted for t in stats.tenants.values()) == (
+                    stats.sessions_evicted
+                )
+                for session in sessions:
+                    assert session.state != "active"
+                    assert manager.checkpoint(session.session_id).samples_seen == 60
+        finally:
+            sys.setswitchinterval(previous)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_manager(max_sessions_per_tenant=0),
+            lambda: make_manager(samples_per_s=0.0),
+            lambda: make_manager(samples_per_s=-5.0),
+            lambda: make_manager().configure_tenant("t", samples_per_s=-5),
+            lambda: make_manager().configure_tenant("t", samples_per_s=0),
+            lambda: make_manager().configure_tenant("t", max_sessions=0),
+            lambda: make_manager().configure_tenant("t", burst_s=0),
+        ],
+        ids=[
+            "max_sessions_per_tenant=0",
+            "samples_per_s=0",
+            "samples_per_s=-5",
+            "tenant-samples_per_s=-5",
+            "tenant-samples_per_s=0",
+            "tenant-max_sessions=0",
+            "tenant-burst_s=0",
+        ],
+    )
+    def test_unmeetable_quota_is_refused_at_configuration(self, build):
+        with pytest.raises(ValueError, match="max_sessions|samples_per_s|burst_s"):
+            build()
+
+    def test_refused_tenant_quota_changes_nothing(self, rng):
+        with make_manager() as manager:
+            manager.configure_tenant("t", priority=Priority.HIGH, samples_per_s=100.0)
+            with pytest.raises(ValueError):
+                manager.configure_tenant("t", priority=Priority.LOW, burst_s=-1)
+            assert manager.stats.tenants["t"].priority == Priority.HIGH
+            manager.create_session("t").push(rng.normal(size=(4, 100)))
+
+    def test_managed_session_is_a_stream_session(self, rng):
+        with make_manager() as manager:
+            session = manager.create_session()
+            assert isinstance(session, StreamSession)
+            decisions = session.run(rng.normal(size=(4, 120)), chunk_size=40)
+            assert session.labels().tolist() == [d.smoothed_label for d in decisions]
+            assert session.windows_classified == len(decisions) == session.windows
+
+    def test_reset_is_locked_and_refused_once_retired(self, rng):
+        with make_manager() as manager:
+            session = manager.create_session()
+            session.run(rng.normal(size=(4, 120)), chunk_size=40)
+            entered = threading.Event()
+            release = threading.Event()
+            real_classify = session.classify
+
+            def parked_classify(windows):
+                entered.set()
+                release.wait(timeout=5.0)
+                return real_classify(windows)
+
+            session.classify = parked_classify
+            pusher = threading.Thread(target=session.push, args=(rng.normal(size=(4, 60)),))
+            pusher.start()
+            assert entered.wait(timeout=5.0)
+            resetter = threading.Thread(target=session.reset)
+            resetter.start()
+            resetter.join(timeout=0.1)
+            assert resetter.is_alive()  # waits for the in-flight push
+            release.set()
+            pusher.join(timeout=5.0)
+            resetter.join(timeout=5.0)
+            assert not pusher.is_alive() and not resetter.is_alive()
+            assert session.decisions == [] and session.samples_seen == 0
+            manager.close_session(session.session_id)
+            with pytest.raises(SessionEvicted) as excinfo:
+                session.reset()
+            assert excinfo.value.reason == "closed"
+
     def test_serverless_manager_requires_geometry(self):
         with pytest.raises(ValueError, match="classify"):
             SessionManager()
@@ -578,6 +776,15 @@ class TestServerIntegration:
                 server.open_session_manager(slide=20)
             first.close()
             server.open_session_manager(slide=30)  # closed manager is replaceable
+
+    def test_refused_manager_leaves_no_janitor_thread(self, shared_cache):
+        with self.make_server(shared_cache) as server:
+            first = server.open_session_manager(slide=20)
+            before = janitor_threads()
+            with pytest.raises(RuntimeError, match="session manager"):
+                server.open_session_manager(slide=20, idle_ttl_s=60.0)
+            assert janitor_threads() == before
+            first.close()
 
     def test_manager_restore_through_server_is_bitwise(self, rng, shared_cache):
         signal = rng.normal(size=(4, 360))
