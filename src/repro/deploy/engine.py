@@ -4,9 +4,15 @@
 :class:`~repro.deploy.graph.ComputeGraph` once, composes fused chains into
 one closure and runs one loop over the bound kernels; the float and integer
 executors differ only in their ``_bind``, and share the shape-only kernels.
-The float executor's kernels run the framework's own NumPy calls in the
-framework's order (no autograd, evaluation semantics), so a traced graph
-reproduces ``model(Tensor(x))`` bit for bit.  It serves four purposes:
+The float executor writes no float op of its own.  It binds the
+framework's functional ops (:mod:`repro.nn.functional`, which run on
+``np.ndarray`` as on ``Tensor``) for ``conv1d``, ``linear``, ``layernorm``,
+``relu``, ``gelu``, ``softmax`` and ``avgpool1d``, and the forwards' own
+array expressions (``+``, ``*``, ``@``, ``mean``) for the rest, so a traced
+graph runs the code the model trains with and reproduces
+``model(Tensor(x))`` bit for bit.  A new operator needs its functional op
+written once, not a second float kernel here.  The float executor serves
+four purposes:
 
 1. **Trace validation** — its output must equal the original model's forward
    pass exactly, which proves the tracer captured every operator faithfully
@@ -22,19 +28,15 @@ reproduces ``model(Tensor(x))`` bit for bit.  It serves four purposes:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..nn.functional import im2col
+from ..nn import functional as F
 from .graph import SHAPE_OPERATORS, ComputeGraph, GraphNode
 from .memory import last_uses
 
-__all__ = [
-    "SHAPE_KERNELS", "BoundSchedule", "FloatGraphExecutor", "Kernel", "Observer",
-    "conv1d_reference", "gelu_reference", "softmax_reference",
-]
+__all__ = ["SHAPE_KERNELS", "BoundSchedule", "FloatGraphExecutor", "Kernel", "Observer"]
 
 #: A bound node kernel: ``kernel(x, tensors)`` maps the node's first input
 #: ``x`` (and, for two-operand ops, the live ``tensors``) to its output.
@@ -43,67 +45,6 @@ Kernel = Callable[[np.ndarray, Dict[str, np.ndarray]], np.ndarray]
 #: A per-tensor observer: ``observe(name, values)`` sees the graph input and
 #: then each node's output, in schedule order, as it is produced.
 Observer = Callable[[str, np.ndarray], None]
-
-
-def conv1d_reference(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: int,
-    padding: int,
-    dilation: int,
-) -> np.ndarray:
-    """1-D convolution over ``(batch, channels, length)`` inputs.
-
-    :func:`~repro.nn.functional.im2col` plus one batched matmul: the same
-    lowering and contraction as the framework convolution
-    (:func:`repro.nn.functional.conv1d`), the integer engine and the
-    generated C code.
-    """
-    batch, in_channels, _ = x.shape
-    out_channels, weight_in, kernel = weight.shape
-    if weight_in != in_channels:
-        raise ValueError(
-            f"weight expects {weight_in} input channels, activation has {in_channels}"
-        )
-    columns = im2col(x, kernel, stride, padding, dilation)
-    output = columns @ weight.reshape(out_channels, in_channels * kernel).T  # (B, L_out, O)
-    if bias is not None:
-        output = output + bias
-    return output.transpose(0, 2, 1)
-
-
-def gelu_reference(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximated GELU in the op order of :func:`repro.nn.functional.gelu`."""
-    coefficient = math.sqrt(2.0 / math.pi)
-    inner = (x + (x * x * x) * 0.044715) * coefficient
-    return x * (np.tanh(inner) + 1.0) * 0.5
-
-
-def softmax_reference(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def avgpool1d_reference(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    """Average pooling over the last axis of ``(batch, channels, length)``.
-
-    A window gather plus ``mean``, as :func:`repro.nn.functional.avg_pool1d`.
-    """
-    out_length = (x.shape[-1] - kernel_size) // stride + 1
-    starts = np.arange(out_length) * stride
-    return x[:, :, starts[:, None] + np.arange(kernel_size)[None, :]].mean(axis=-1)
-
-
-def layernorm_reference(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float
-) -> np.ndarray:
-    """Layer normalisation in the op order of :func:`repro.nn.functional.layer_norm`."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    variance = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(variance + eps) * weight + bias
 
 
 def _flatten(node: GraphNode) -> Kernel:
@@ -213,25 +154,23 @@ class FloatGraphExecutor:
         if op == "conv1d":
             weight, bias = weights["weight"], weights.get("bias")
             stride, padding, dilation = (int(attrs[key]) for key in ("stride", "padding", "dilation"))
-            return lambda x, tensors: conv1d_reference(x, weight, bias, stride, padding, dilation)
+            return lambda x, tensors: F.conv1d_array(x, weight, bias, stride, padding, dilation)[0]
         if op == "linear":
-            weight_t, bias = weights["weight"].T, weights.get("bias")
-            if bias is None:
-                return lambda x, tensors: x @ weight_t
-            return lambda x, tensors: x @ weight_t + bias
+            weight, bias = weights["weight"], weights.get("bias")
+            return lambda x, tensors: F.linear(x, weight, bias)
         if op == "channel_affine":
             scale, shift = (weights[key].reshape(1, -1, 1) for key in ("scale", "shift"))
             return lambda x, tensors: x * scale + shift
         if op == "layernorm":
             weight, bias, eps = weights["weight"], weights["bias"], float(attrs["eps"])
-            return lambda x, tensors: layernorm_reference(x, weight, bias, eps)
+            return lambda x, tensors: F.layer_norm(x, weight, bias, eps)
         if op == "relu":
-            return lambda x, tensors: np.maximum(x, 0.0)
+            return lambda x, tensors: F.relu(x)
         if op == "gelu":
-            return lambda x, tensors: gelu_reference(x)
+            return lambda x, tensors: F.gelu(x)
         if op == "softmax":
             axis = int(attrs.get("axis", -1))
-            return lambda x, tensors: softmax_reference(x, axis=axis)
+            return lambda x, tensors: F.softmax(x, axis)
         if op == "matmul":
             other, scale = node.inputs[1], float(attrs.get("scale", 1.0))
             if attrs.get("transpose_b", False):
@@ -250,7 +189,7 @@ class FloatGraphExecutor:
             return lambda x, tensors: x + positions
         if op == "avgpool1d":
             kernel_size, stride = int(attrs["kernel_size"]), int(attrs["stride"])
-            return lambda x, tensors: avgpool1d_reference(x, kernel_size, stride)
+            return lambda x, tensors: F.avg_pool1d(x, kernel_size, stride)
         if op == "mean_tokens":
             return lambda x, tensors: x.mean(axis=1)
         raise NotImplementedError(f"float executor does not implement '{op}'")

@@ -34,7 +34,7 @@ from .layers import (
     Softmax,
     Tanh,
 )
-from .losses import CrossEntropyLoss, MSELoss
+from .losses import CrossEntropyLoss
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
 from .schedulers import (
@@ -46,12 +46,11 @@ from .schedulers import (
 )
 from .serialization import load_checkpoint, load_state_dict, save_checkpoint, save_state_dict
 from .summary import ModelSummary, ModuleRow, summarize
-from .tensor import Tensor, inference_mode, no_grad
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "inference_mode",
     "functional",
     "init",
     "Module",
@@ -77,7 +76,6 @@ __all__ = [
     "FeedForward",
     "TransformerEncoderBlock",
     "CrossEntropyLoss",
-    "MSELoss",
     "Optimizer",
     "SGD",
     "Adam",

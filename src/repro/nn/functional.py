@@ -4,12 +4,20 @@ Every function in this module consumes and produces :class:`repro.nn.Tensor`
 objects and is differentiable through the autograd engine.  The module plays
 the role of ``torch.nn.functional`` for the reproduction: the layer classes
 in :mod:`repro.nn.layers` are thin stateful wrappers around these functions.
+
+The float forward ops of a deployed graph (:func:`linear`, :func:`relu`,
+:func:`gelu`, :func:`softmax`, :func:`layer_norm`, :func:`avg_pool1d`) also
+run on plain ``np.ndarray`` inputs, without autograd: the float graph
+executor (:class:`repro.deploy.FloatGraphExecutor`) binds them, and
+:func:`conv1d` runs its forward through :func:`conv1d_array`, which the
+executor binds too.  A traced graph therefore runs the very code the model
+trains with, and reproduces ``model(Tensor(x))`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -28,6 +36,7 @@ __all__ = [
     "batch_norm",
     "fold_batch_norm",
     "im2col",
+    "conv1d_array",
     "conv1d",
     "avg_pool1d",
     "max_pool1d",
@@ -37,8 +46,30 @@ __all__ = [
     "mse_loss",
 ]
 
+#: A ``Tensor`` (autograd) or an ``np.ndarray`` (the float graph executor).
+Array = TypeVar("Array", Tensor, np.ndarray)
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+
+# Operator overloading runs the float ops on both types; these four and
+# :func:`relu` cover the ``Tensor`` methods ``np.ndarray`` lacks, and are the
+# only places an op branches on type.
+def _tanh(x: Array) -> Array:
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def _exp(x: Array) -> Array:
+    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+
+
+def _sqrt(x: Array) -> Array:
+    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
+
+
+def _detach(x: Array) -> Array:
+    return x.detach() if isinstance(x, Tensor) else x
+
+
+def linear(x: Array, weight: Array, bias: Optional[Array] = None) -> Array:
     """Affine transformation ``x @ weight.T + bias``.
 
     Parameters
@@ -50,15 +81,19 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     bias:
         Optional bias of shape ``(out_features,)``.
     """
-    out = x.matmul(weight.transpose())
+    out = x @ weight.T
     if bias is not None:
         out = out + bias
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit, ``max(x, 0)``."""
-    return x.relu()
+def relu(x: Array) -> Array:
+    """Rectified linear unit, ``max(x, 0)``.
+
+    An array takes ``Tensor.relu``'s ``x * mask``, so a negative input gives
+    ``-0.0`` on both types.
+    """
+    return x.relu() if isinstance(x, Tensor) else x * (x > 0)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -71,7 +106,7 @@ def tanh(x: Tensor) -> Tensor:
     return x.tanh()
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: Array) -> Array:
     """Gaussian error linear unit (tanh approximation).
 
     This is the same approximation used by BERT/ViT implementations and by
@@ -80,13 +115,13 @@ def gelu(x: Tensor) -> Tensor:
     """
     coefficient = math.sqrt(2.0 / math.pi)
     inner = (x + (x * x * x) * 0.044715) * coefficient
-    return x * (inner.tanh() + 1.0) * 0.5
+    return x * (_tanh(inner) + 1.0) * 0.5
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Array, axis: int = -1) -> Array:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exponentials = shifted.exp()
+    shifted = x - _detach(x.max(axis=axis, keepdims=True))
+    exponentials = _exp(shifted)
     return exponentials / exponentials.sum(axis=axis, keepdims=True)
 
 
@@ -114,11 +149,11 @@ def dropout(
 
 
 def layer_norm(
-    x: Tensor,
-    weight: Optional[Tensor] = None,
-    bias: Optional[Tensor] = None,
+    x: Array,
+    weight: Optional[Array] = None,
+    bias: Optional[Array] = None,
     eps: float = 1e-5,
-) -> Tensor:
+) -> Array:
     """Layer normalisation over the last dimension.
 
     Normalises each feature vector to zero mean / unit variance and applies
@@ -126,7 +161,7 @@ def layer_norm(
     """
     mean = x.mean(axis=-1, keepdims=True)
     variance = x.var(axis=-1, keepdims=True)
-    normalised = (x - mean) / (variance + eps).sqrt()
+    normalised = (x - mean) / _sqrt(variance + eps)
     if weight is not None:
         normalised = normalised * weight
     if bias is not None:
@@ -227,6 +262,36 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int, dilation: int)
     return columns.reshape(batch, out_length, channels * kernel)
 
 
+def conv1d_array(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The forward of :func:`conv1d` on arrays: ``(output, patches)``.
+
+    :func:`im2col` plus one batched matmul against the flattened
+    ``(O, C*K)`` weight: the lowering and contraction the integer engine
+    and the generated C code use too.  ``patches`` is the ``(B, L_out,
+    C*K)`` im2col matrix, which the autograd backward keeps for the weight
+    gradient.
+    """
+    in_channels = x.shape[1]
+    out_channels, weight_in_channels, kernel = weight.shape
+    if in_channels != weight_in_channels:
+        raise ValueError(
+            f"conv1d channel mismatch: weight expects {weight_in_channels} input channels, "
+            f"input has {in_channels}"
+        )
+    patches = im2col(x, kernel, stride, padding, dilation)
+    output = patches @ weight.reshape(out_channels, in_channels * kernel).T  # (B, L_out, O)
+    if bias is not None:
+        output = output + bias
+    return output.transpose(0, 2, 1), patches
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -250,25 +315,19 @@ def conv1d(
 
     Implementation
     --------------
-    The convolution is lowered to a matrix multiplication (:func:`im2col`)
-    with a fused, hand-written backward pass: the input gradient is
-    reconstructed tap-by-tap (``kernel_size`` vectorised additions) instead
-    of a generic scatter-add, which is what makes training the TEMPONet
-    baseline practical on the NumPy substrate.
+    The forward is :func:`conv1d_array`, a matrix multiplication over
+    :func:`im2col` patches, with a fused, hand-written backward pass: the
+    input gradient is reconstructed tap-by-tap (``kernel_size`` vectorised
+    additions) instead of a generic scatter-add, which is what makes
+    training the TEMPONet baseline practical on the NumPy substrate.
     """
+    out_data, columns_flat = conv1d_array(
+        x.data, weight.data, None if bias is None else bias.data, stride, padding, dilation
+    )
     batch, in_channels, length = x.shape
-    out_channels, weight_in_channels, kernel = weight.shape
-    if in_channels != weight_in_channels:
-        raise ValueError(
-            f"conv1d channel mismatch: input has {in_channels}, weight expects {weight_in_channels}"
-        )
-    columns_flat = im2col(x.data, kernel, stride, padding, dilation)
+    out_channels, _, kernel = weight.shape
     out_length = columns_flat.shape[1]
     flat_weight = weight.data.reshape(out_channels, in_channels * kernel)
-    out_data = columns_flat @ flat_weight.T  # (batch, out_length, out_channels)
-    if bias is not None:
-        out_data = out_data + bias.data
-    out_data = out_data.transpose(0, 2, 1)  # (batch, out_channels, out_length)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
@@ -297,7 +356,7 @@ def conv1d(
     return x._make_child(out_data, tuple(parents), backward)
 
 
-def avg_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
+def avg_pool1d(x: Array, kernel_size: int, stride: Optional[int] = None) -> Array:
     """Average pooling over the last dimension of a ``(B, C, L)`` tensor."""
     stride = stride if stride is not None else kernel_size
     batch, channels, length = x.shape

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "calculate_fan",
     "xavier_uniform",
-    "xavier_normal",
     "kaiming_uniform",
     "kaiming_normal",
     "zeros",
@@ -48,13 +47,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     fan_in, fan_out = calculate_fan(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = calculate_fan(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, a: float = math.sqrt(5)) -> np.ndarray:

@@ -8,7 +8,7 @@ from . import functional as F
 from .module import Module
 from .tensor import Tensor
 
-__all__ = ["CrossEntropyLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss(Module):
@@ -31,9 +31,3 @@ class CrossEntropyLoss(Module):
     def __repr__(self) -> str:
         return f"CrossEntropyLoss(label_smoothing={self.label_smoothing})"
 
-
-class MSELoss(Module):
-    """Mean squared error, used by the quantisation-aware distillation tests."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        return F.mse_loss(prediction, target)

@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "inference_mode", "is_grad_enabled", "unbroadcast"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -74,16 +74,6 @@ class no_grad:
         wrapper.__name__ = getattr(function, "__name__", "wrapped")
         wrapper.__doc__ = function.__doc__
         return wrapper
-
-
-class inference_mode(no_grad):
-    """Inference variant of :class:`no_grad` (mirrors ``torch.inference_mode``).
-
-    Numerically identical to :class:`no_grad`; it lets inference code state
-    its intent.  Modules run the same autograd forward either way, only
-    without recording the graph.  Float serving does not use it: it replays
-    the traced graph (:class:`repro.serve.FloatBackend`).
-    """
 
 
 def unbroadcast(gradient: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

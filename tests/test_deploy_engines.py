@@ -1,5 +1,6 @@
 """Tests for the float and integer graph executors and the int8 lowering."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,16 +17,9 @@ from repro.deploy import (
     requantize,
     trace_model,
 )
-from repro.deploy.engine import (
-    avgpool1d_reference,
-    conv1d_reference,
-    gelu_reference,
-    layernorm_reference,
-    softmax_reference,
-)
 from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
 from repro.models import Bioformer, BioformerConfig, build_model, temponet
-from repro.nn import BatchNorm1d
+from repro.nn import BatchNorm1d, Module
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.serve import Int8Backend
@@ -48,34 +42,58 @@ def rng():
 
 
 # --------------------------------------------------------------------- #
-# Reference kernels
+# The float op set: one functional op per operator, on Tensor and ndarray
 # --------------------------------------------------------------------- #
-class TestReferenceKernels:
+def assert_same_bits(actual, expected):
+    """Equal bit patterns: unlike ``==``, tells ``-0.0`` from ``+0.0``."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestFunctionalOpsOnArrays:
+    """Each float op the executor binds gives on an ``ndarray`` the bits it
+    gives on a ``Tensor``, so the traced graph runs the training forward."""
+
     def test_conv1d_matches_framework(self, rng):
         x = rng.normal(size=(2, 3, 20))
         weight = rng.normal(size=(5, 3, 4))
         bias = rng.normal(size=5)
         expected = F.conv1d(Tensor(x), Tensor(weight), Tensor(bias), stride=2, padding=1, dilation=1)
-        actual = conv1d_reference(x, weight, bias, stride=2, padding=1, dilation=1)
-        np.testing.assert_allclose(actual, expected.data, atol=1e-10)
+        actual, _ = F.conv1d_array(x, weight, bias, stride=2, padding=1, dilation=1)
+        assert_same_bits(actual, expected.data)
 
     def test_conv1d_dilation_matches_framework(self, rng):
         x = rng.normal(size=(1, 2, 30))
         weight = rng.normal(size=(4, 2, 3))
         expected = F.conv1d(Tensor(x), Tensor(weight), None, stride=1, padding=2, dilation=2)
-        actual = conv1d_reference(x, weight, None, stride=1, padding=2, dilation=2)
-        np.testing.assert_allclose(actual, expected.data, atol=1e-10)
+        actual, _ = F.conv1d_array(x, weight, None, stride=1, padding=2, dilation=2)
+        assert_same_bits(actual, expected.data)
 
     def test_conv1d_rejects_channel_mismatch(self, rng):
+        x, weight = rng.normal(size=(1, 3, 10)), rng.normal(size=(2, 4, 3))
         with pytest.raises(ValueError, match="input channels"):
-            conv1d_reference(rng.normal(size=(1, 3, 10)), rng.normal(size=(2, 4, 3)), None, 1, 0, 1)
+            F.conv1d_array(x, weight, None, 1, 0, 1)
+        with pytest.raises(ValueError, match="input channels"):
+            F.conv1d(Tensor(x), Tensor(weight))
+
+    def test_linear_matches_framework(self, rng):
+        x, weight, bias = rng.normal(size=(3, 7, 16)), rng.normal(size=(5, 16)), rng.normal(size=5)
+        expected = F.linear(Tensor(x), Tensor(weight), Tensor(bias)).data
+        assert_same_bits(F.linear(x, weight, bias), expected)
+        assert_same_bits(F.linear(x, weight), F.linear(Tensor(x), Tensor(weight)).data)
+
+    def test_relu_matches_framework_including_signed_zeros(self, rng):
+        x = np.concatenate([rng.normal(size=50), [0.0, -0.0, -1.0, 1.0]])
+        expected = F.relu(Tensor(x)).data
+        assert_same_bits(F.relu(x), expected)
+        assert np.signbit(F.relu(x)[-2])  # ``x * mask``: a negative input gives -0.0
 
     def test_gelu_matches_framework(self, rng):
         # A random sample plus a dense sweep of the active range: a cube
         # spelled ``x**3`` instead of ``x * x * x`` is off by a ULP somewhere.
         for x in (rng.normal(size=(5, 7)), np.linspace(-8.0, 8.0, 20001)):
-            expected = F.gelu(Tensor(x)).data
-            np.testing.assert_array_equal(gelu_reference(x), expected)
+            assert_same_bits(F.gelu(x), F.gelu(Tensor(x)).data)
 
     def test_layernorm_matches_framework(self):
         rng = np.random.default_rng(51)
@@ -83,13 +101,53 @@ class TestReferenceKernels:
         weight = rng.normal(size=16)
         bias = rng.normal(size=16)
         expected = F.layer_norm(Tensor(x), Tensor(weight), Tensor(bias), eps=1e-5).data
-        np.testing.assert_array_equal(layernorm_reference(x, weight, bias, 1e-5), expected)
+        assert_same_bits(F.layer_norm(x, weight, bias, 1e-5), expected)
 
     @pytest.mark.parametrize("kernel_size,stride", [(2, 2), (3, 2), (4, 1)])
     def test_avgpool1d_matches_framework(self, kernel_size, stride):
         x = np.random.default_rng(52).normal(size=(2, 5, 23))
         expected = F.avg_pool1d(Tensor(x), kernel_size, stride).data
-        np.testing.assert_array_equal(avgpool1d_reference(x, kernel_size, stride), expected)
+        assert_same_bits(F.avg_pool1d(x, kernel_size, stride), expected)
+
+    def test_softmax_matches_framework(self, rng):
+        x = rng.normal(size=(2, 3, 9)) * 10
+        for axis in (-1, 1):
+            assert_same_bits(F.softmax(x, axis), F.softmax(Tensor(x), axis).data)
+        np.testing.assert_allclose(F.softmax(x).sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("arch,patch", [("bio1", 10), ("bio2", 10), ("temponet", None)])
+    def test_every_module_activation_matches_the_model_bitwise(self, arch, patch, monkeypatch):
+        """Every graph tensor that a module of the model produces, including
+        each ReLU's signed zeros, carries the bits of the model's forward."""
+        kwargs = dict(num_channels=4, window_samples=60, seed=11)
+        if patch is not None:
+            kwargs["patch_size"] = patch
+        model = build_model(arch, **kwargs).eval()
+        graph = trace_model(model)
+        paths = {id(module): path for path, module in model.named_modules()}
+        produced, calls = {}, Counter()
+        call = Module.__call__
+
+        def recording_call(module, *args, **kwargs):
+            out = call(module, *args, **kwargs)
+            # A reused module's nth call is node ``path_n``, as the tracer names it.
+            path = paths[id(module)]
+            produced[f"{path}_{calls[path]}" if calls[path] else path] = out.data
+            calls[path] += 1
+            return out
+
+        x = np.random.default_rng(13).normal(size=(3, 4, 60))
+        with monkeypatch.context() as patched:
+            patched.setattr(Module, "__call__", recording_call)
+            logits = model(Tensor(x)).data
+        observed = {}
+        FloatGraphExecutor(graph).run(x, observe=observed.setdefault)
+        checked = [node for node in graph.nodes if node.name in produced]
+        activation = "relu" if arch == "temponet" else "gelu"
+        assert {node.op for node in checked} >= {"conv1d", "linear", activation}
+        for node in checked:
+            assert_same_bits(observed[node.output.name], produced[node.name])
+        assert_same_bits(observed[graph.output.name], logits)
 
     def test_channel_affine_matches_eval_batchnorm(self):
         rng = np.random.default_rng(53)
@@ -110,11 +168,6 @@ class TestReferenceKernels:
         )
         graph = ComputeGraph("bn", TensorSpec("input", (6, 11)), [affine])
         np.testing.assert_array_equal(FloatGraphExecutor(graph).run(x), bn(Tensor(x)).data)
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        x = rng.normal(size=(3, 9)) * 10
-        probabilities = softmax_reference(x)
-        np.testing.assert_allclose(probabilities.sum(axis=-1), 1.0, atol=1e-12)
 
 
 # --------------------------------------------------------------------- #

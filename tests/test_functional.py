@@ -332,3 +332,50 @@ class TestLosses:
         np.testing.assert_allclose(
             F.linear(x, weight, bias).data, x.data @ weight.data.T + bias.data, atol=1e-12
         )
+
+
+class TestGoldenTraining:
+    """A short seeded training run, pinned to the bits of its per-step losses.
+
+    Each loss after the first depends on every earlier step's gradients, so
+    a change to any op's forward or backward arithmetic (an autograd graph
+    spelt differently, a reordered reduction) moves these literals.  The
+    Bioformer run trains with dropout, layer norm, GELU and softmax; the
+    TEMPONet run with dilated convolutions, batch norm, ReLU and pooling.
+    """
+
+    GOLDEN = {
+        "bioformer": [
+            "0x1.274afbe03b07cp+1", "0x1.c7a26f4b4f643p+0", "0x1.664b07b58cdf5p+0",
+            "0x1.4124e3c56bbbbp+0", "0x1.fc7b6411f7524p-1", "0x1.b9f1cf96809ccp-1",
+        ],
+        "temponet": [
+            "0x1.06c5748e69922p+1", "0x1.db5c330b3f9acp+0", "0x1.a72d4557a82d2p+0",
+            "0x1.7b73c7bc145c6p+0", "0x1.57d46ef8bd392p+0", "0x1.3a9ac61529820p+0",
+        ],
+    }
+
+    @pytest.mark.parametrize("arch", sorted(GOLDEN))
+    def test_seeded_losses_are_bitwise_pinned(self, arch):
+        from repro.models import Bioformer, BioformerConfig, temponet
+        from repro.nn import Adam
+
+        if arch == "bioformer":
+            config = BioformerConfig(
+                num_channels=4, window_samples=60, patch_size=10, depth=2, num_heads=2, seed=3
+            )
+            model, shape = Bioformer(config), (8, 4, 60)
+        else:
+            model, shape = temponet(num_channels=4, window_samples=80, seed=3), (8, 4, 80)
+        model.train()  # dropout on, from the model's seeded generator
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=shape), rng.integers(0, 8, size=shape[0])
+        losses = []
+        for _ in self.GOLDEN[arch]:
+            optimizer.zero_grad()
+            loss = F.cross_entropy(model(Tensor(x)), y)
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item().hex())
+        assert losses == self.GOLDEN[arch]

@@ -289,7 +289,7 @@ class TestBackwardMechanics:
         assert not run().requires_grad
 
     def test_no_grad_is_thread_local(self):
-        # A serving thread under no_grad/inference_mode must not disable
+        # A serving thread under no_grad must not disable
         # gradient recording for a concurrently training thread.
         import threading
 
