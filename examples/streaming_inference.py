@@ -88,7 +88,7 @@ def run_stream(server: InferenceServer, signal: np.ndarray, slide: int) -> np.nd
     bulk_logits = np.stack([future.result(timeout=60.0) for future in bulk_futures])
     stream_labels = session.labels(smoothed=False)
     agreement = float(np.mean(np.argmax(bulk_logits, axis=-1) == stream_labels))
-    by_priority = server.stats.by_priority
+    by_priority = server.stats.by("batcher_requests", "priority")
     print(
         f"  bulk rescore: {len(bulk_futures)} windows at LOW priority "
         f"({bulk_done} already done when the stream finished), "
@@ -135,8 +135,8 @@ def main() -> None:
         stats = server.stats
         print(
             f"served {stats.requests} windows in {stats.batches} micro-batches "
-            f"(mean batch {stats.batcher.mean_batch:.1f}, "
-            f"{stats.pool.num_workers} workers, {stats.pool.jobs} pool jobs)"
+            f"(mean batch {stats.requests / stats.batches:.1f}, "
+            f"{server.num_workers} workers, {stats.pool_jobs} pool jobs)"
         )
 
     # 4. Same stream through the int8 (GAP8 numerics) backend, which runs the
@@ -191,11 +191,12 @@ def main() -> None:
         stats = server.stats
         print(f"  {len(probe)} windows served through the fault storm: labels {labels.tolist()}")
         print(
-            f"  retries={stats.retries}  degraded rows="
-            f"{stats.degraded} (answered by the float fallback, "
+            f"  retries={stats.server_retries}  degraded rows="
+            f"{stats.server_degraded} (answered by the float fallback, "
             f"flagged via DegradedLogits)"
         )
-        breaker_states = {stats.breaker.name: stats.breaker.state}
+        (state,) = stats.by("breaker_state", "state")
+        breaker_states = {server.breaker.name: state}
         print(f"  health: status={stats.status}  breakers={breaker_states}")
 
     # 6. Fleet session lifecycle: a SessionManager multiplexes many tenants'
@@ -257,11 +258,11 @@ def main() -> None:
                 f"QuotaExceeded(tenant={exc.tenant!r}, quota={exc.quota!r})"
             )
 
-        snapshot = server.stats.sessions
+        open_by_tenant = server.stats.by("sessions_open", "tenant")
         checkpoints = manager.drain()  # settles in-flight work, checkpoints all
         print(
-            f"  fleet: {snapshot.sessions_open} open sessions across "
-            f"{len(snapshot.tenants)} tenants before drain; drained with "
+            f"  fleet: {sum(open_by_tenant.values())} open sessions across "
+            f"{len(open_by_tenant)} tenants before drain; drained with "
             f"{len(checkpoints)} final checkpoints"
         )
 

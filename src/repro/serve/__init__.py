@@ -29,8 +29,11 @@ scaling PR (sharding, remote backends) plugs into:
   (sync ``infer``/``predict``, async ``submit``/``infer_async``/
   ``as_completed``, high-priority ``open_stream``,
   ``open_session_manager``) and the process-wide backend cache;
-  ``server.stats`` is the server's one frozen :class:`ServerStats`
-  snapshot — batcher, pool, breaker and session counters plus a coarse
+* :mod:`repro.serve.metrics` — :class:`MetricsRegistry`, the labelled
+  counters and gauges every component above reports through, and
+  :class:`Snapshot`, the one immutable type each ``.stats`` returns;
+  ``server.stats`` is a :class:`ServerStats`, the snapshot of the server
+  and all its parts merged, with ``requests``, ``batches`` and a coarse
   ``status``.
 """
 
@@ -41,11 +44,10 @@ from .backends import (
     build_float_backend,
     build_int8_backend,
 )
-from .batcher import BatcherStats, DynamicBatcher
+from .batcher import DynamicBatcher
 from .faults import (
     BackendError,
     BackendTimeout,
-    BreakerSnapshot,
     CircuitBreaker,
     CircuitOpen,
     DegradedLogits,
@@ -62,21 +64,14 @@ from .faults import (
     SessionEvicted,
     WorkerCrash,
 )
-from .pool import DeadlineExceeded, PoolStats, Priority, WorkerPool
-from .server import (
-    BackendCache,
-    CacheStats,
-    InferenceServer,
-    ServerStats,
-    get_default_cache,
-)
+from .metrics import MetricsRegistry, Snapshot
+from .pool import DeadlineExceeded, Priority, WorkerPool
+from .server import BackendCache, InferenceServer, ServerStats, get_default_cache
 from .sessions import (
     SESSION_CHECKPOINT_VERSION,
     ManagedSession,
     SessionCheckpoint,
     SessionManager,
-    SessionManagerStats,
-    TenantStats,
     restore_stream_session,
 )
 from .stream import MajorityVoter, StreamDecision, StreamSession
@@ -87,14 +82,13 @@ __all__ = [
     "Int8Backend",
     "build_float_backend",
     "build_int8_backend",
-    "BatcherStats",
     "DynamicBatcher",
+    "MetricsRegistry",
+    "Snapshot",
     "DeadlineExceeded",
-    "PoolStats",
     "Priority",
     "WorkerPool",
     "BackendCache",
-    "CacheStats",
     "InferenceServer",
     "ServerStats",
     "get_default_cache",
@@ -105,12 +99,9 @@ __all__ = [
     "ManagedSession",
     "SessionCheckpoint",
     "SessionManager",
-    "SessionManagerStats",
-    "TenantStats",
     "restore_stream_session",
     "BackendError",
     "BackendTimeout",
-    "BreakerSnapshot",
     "CircuitBreaker",
     "CircuitOpen",
     "DegradedLogits",

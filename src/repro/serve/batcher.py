@@ -50,51 +50,23 @@ import itertools
 import queue
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .faults import Overloaded, WorkerCrash
+from .metrics import MetricsRegistry, Snapshot
 from .pool import DeadlineExceeded, Priority, WorkerPool
 
-__all__ = ["BatcherStats", "DynamicBatcher"]
+__all__ = ["DynamicBatcher"]
 
 _SHUTDOWN = object()
 # The shutdown sentinel sorts after every real priority, so by the time the
 # forming thread pops it the priority queue holds no live requests.
 _SHUTDOWN_PRIORITY = float("inf")
-
-
-@dataclass(frozen=True)
-class BatcherStats:
-    """Immutable snapshot of the micro-batches an executor actually formed.
-
-    Plain counters (not a per-batch history) so a long-lived serving
-    process accumulates O(1) state regardless of traffic volume.  The
-    ``stats`` property hands out a *frozen copy* taken under the batcher's
-    lock — mutating or holding a snapshot can never corrupt (or observe a
-    torn view of) the live counters.
-    """
-
-    requests: int = 0
-    batches: int = 0
-    max_batch: int = 0
-    expired: int = 0
-    malformed: int = 0
-    shed: int = 0
-    rejected: int = 0
-    queue_depth: int = 0
-    by_priority: Mapping[int, int] = field(default_factory=dict)
-
-    @property
-    def mean_batch(self) -> float:
-        """Average number of windows per formed micro-batch."""
-        return self.requests / self.batches if self.batches else 0.0
 
 
 class _Request:
@@ -120,8 +92,12 @@ class DynamicBatcher:
     Parameters
     ----------
     run_batch:
-        Callable mapping a stacked ``(batch, ...)`` array to a ``(batch, ...)``
-        array of per-request results (row ``i`` answers request ``i``).
+        Called as ``run_batch(stacked, deadline=earliest)``: maps a stacked
+        ``(batch, ...)`` array to a ``(batch, ...)`` array of per-request
+        results (row ``i`` answers request ``i``).  ``earliest`` is the
+        soonest absolute ``time.monotonic()`` deadline among the batch's
+        live requests, or ``None`` — the server's retry path stops
+        retrying once the batch can no longer make it.
     max_batch_size:
         Hard upper bound on the micro-batch size.
     input_shape:
@@ -146,23 +122,23 @@ class DynamicBatcher:
         resolves with :class:`~repro.serve.faults.Overloaded` — and is
         otherwise itself rejected with a synchronous ``Overloaded`` raise.
         ``None`` (default) keeps the historical unbounded queue.
-    pass_deadline:
-        When ``True``, ``run_batch`` is invoked as
-        ``run_batch(stacked, deadline=earliest)`` where ``earliest`` is
-        the soonest absolute deadline among the batch's live requests (or
-        ``None``) — the hook the server's retry path uses to stop
-        retrying once the batch can no longer make its deadline.
+
+    ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``:
+    ``batcher_requests{priority}`` (windows served),
+    ``batcher_batches{size}`` (formed batches by size),
+    ``batcher_expired`` / ``batcher_malformed`` / ``batcher_shed`` /
+    ``batcher_rejected`` (each ``{priority}``) and the gauge
+    ``batcher_queue_depth``.
     """
 
     def __init__(
         self,
-        run_batch: Callable[[np.ndarray], np.ndarray],
+        run_batch: Callable[..., np.ndarray],
         max_batch_size: int = 16,
         name: str = "",
         input_shape: Optional[Tuple[int, ...]] = None,
         pool: Optional[WorkerPool] = None,
         max_queue_depth: Optional[int] = None,
-        pass_deadline: bool = False,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -174,19 +150,19 @@ class DynamicBatcher:
         self.input_shape = tuple(input_shape) if input_shape is not None else None
         self.pool = pool
         self.max_queue_depth = max_queue_depth
-        self.pass_deadline = bool(pass_deadline)
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._ticket = itertools.count()  # FIFO tie-break within a priority
         self._lock = threading.Lock()
         self._closed = False
-        self._requests = 0
-        self._batches = 0
-        self._max_batch = 0
-        self._expired = 0
-        self._malformed = 0
-        self._shed = 0
-        self._rejected = 0
-        self._by_priority: dict = {}
+        self.metrics = MetricsRegistry(
+            "batcher_requests",
+            "batcher_batches",
+            "batcher_expired",
+            "batcher_malformed",
+            "batcher_shed",
+            "batcher_rejected",
+        )
+        self.metrics.gauge("batcher_queue_depth", self._queue_depth)
         # Queued-but-not-yet-popped requests per priority level, FIFO by
         # ticket.  The forming thread pops the *left* end (oldest of the
         # most urgent level); shedding pops the *right* end (newest of the
@@ -249,14 +225,14 @@ class DynamicBatcher:
                     )
                     if worst is None or worst <= request.priority:
                         # Nothing queued is less urgent: fast rejection.
-                        self._rejected += 1
+                        self.metrics.inc("batcher_rejected", priority=request.priority)
                         raise Overloaded(
                             f"{self.name}: queue full "
                             f"({depth}/{self.max_queue_depth}); request rejected"
                         )
                     victim = self._pending_by_priority[worst].pop()
                     victim.shed = True
-                    self._shed += 1
+                    self.metrics.inc("batcher_shed", priority=worst)
             self._pending_by_priority.setdefault(request.priority, deque()).append(request)
             self._queue.put((request.priority, next(self._ticket), request))
         if victim is not None and victim.future.set_running_or_notify_cancel():
@@ -296,20 +272,14 @@ class DynamicBatcher:
     # Lifecycle / introspection
     # ------------------------------------------------------------------ #
     @property
-    def stats(self) -> BatcherStats:
-        """A frozen snapshot of the counters, taken under the lock."""
+    def stats(self) -> Snapshot:
+        """An immutable snapshot of :attr:`metrics`."""
+        return self.metrics.snapshot()
+
+    def _queue_depth(self) -> int:
+        """Requests queued and not yet formed into a batch."""
         with self._lock:
-            return BatcherStats(
-                requests=self._requests,
-                batches=self._batches,
-                max_batch=self._max_batch,
-                expired=self._expired,
-                malformed=self._malformed,
-                shed=self._shed,
-                rejected=self._rejected,
-                queue_depth=sum(len(d) for d in self._pending_by_priority.values()),
-                by_priority=MappingProxyType(dict(self._by_priority)),
-            )
+            return sum(len(d) for d in self._pending_by_priority.values())
 
     def close(self, timeout: Optional[float] = 10.0) -> bool:
         """Stop accepting requests, drain the queue, and join the worker.
@@ -399,8 +369,7 @@ class DynamicBatcher:
             return
         if request.deadline is not None and time.monotonic() > request.deadline:
             if request.future.set_running_or_notify_cancel():
-                with self._lock:
-                    self._expired += 1
+                self.metrics.inc("batcher_expired", priority=request.priority)
                 request.future.set_exception(
                     DeadlineExceeded(
                         f"{self.name}: request expired after waiting past its deadline"
@@ -502,37 +471,30 @@ class DynamicBatcher:
                 malformed.append(request)
             else:
                 live.append(request)
-        if expired or malformed:
-            # Update the counters *before* resolving the futures, so a
-            # caller that awaits a rejected future and then reads ``stats``
-            # always observes its own request accounted for.
-            with self._lock:
-                self._expired += len(expired)
-                self._malformed += len(malformed)
-            for request in expired:
-                request.future.set_exception(
-                    DeadlineExceeded(
-                        f"{self.name}: request expired before its batch executed"
-                    )
+        # Count each rejection *before* resolving its future, so a caller
+        # that awaits a rejected future and then reads ``stats`` always
+        # observes its own request accounted for.
+        for request in expired:
+            self.metrics.inc("batcher_expired", priority=request.priority)
+            request.future.set_exception(
+                DeadlineExceeded(f"{self.name}: request expired before its batch executed")
+            )
+        for request in malformed:
+            self.metrics.inc("batcher_malformed", priority=request.priority)
+            request.future.set_exception(
+                ValueError(
+                    f"{self.name}: request payload has shape "
+                    f"{np.shape(request.payload)}, expected {reference}"
                 )
-            for request in malformed:
-                request.future.set_exception(
-                    ValueError(
-                        f"{self.name}: request payload has shape "
-                        f"{np.shape(request.payload)}, expected {reference}"
-                    )
-                )
+            )
         if not live:
             return
         try:
             stacked = np.stack([request.payload for request in live])
-            if self.pass_deadline:
-                earliest = min(
-                    (r.deadline for r in live if r.deadline is not None), default=None
-                )
-                raw = self.run_batch(stacked, deadline=earliest)
-            else:
-                raw = self.run_batch(stacked)
+            earliest = min(
+                (r.deadline for r in live if r.deadline is not None), default=None
+            )
+            raw = self.run_batch(stacked, deadline=earliest)
             # asanyarray, not asarray: the server's degradation path marks
             # fallback answers with an ndarray subclass (DegradedLogits),
             # and rows handed to callers must keep that flag.
@@ -554,14 +516,9 @@ class DynamicBatcher:
                 # propagates: the forming thread must survive everything.
                 raise
             return
-        with self._lock:
-            self._requests += len(live)
-            self._batches += 1
-            self._max_batch = max(self._max_batch, len(live))
-            for request in live:
-                self._by_priority[request.priority] = (
-                    self._by_priority.get(request.priority, 0) + 1
-                )
+        for priority, count in Counter(request.priority for request in live).items():
+            self.metrics.inc("batcher_requests", count, priority=priority)
+        self.metrics.inc("batcher_batches", size=len(live))
         for row, request in enumerate(live):
             try:
                 request.future.set_result(results[row])

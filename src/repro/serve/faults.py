@@ -22,8 +22,8 @@ This module supplies the substrate every resilience feature builds on:
   crashes and NaN outputs by a *seeded schedule*, so every resilience
   feature above is testable without real flaky hardware.
 
-A server folds its breaker's :class:`BreakerSnapshot` into its one
-snapshot, ``InferenceServer.stats``.
+A server merges its breaker's ``stats`` into its one snapshot,
+``InferenceServer.stats``.
 
 Everything here is engine-agnostic: nothing imports the batcher, the pool
 or the server, so those layers can import freely from this module.
@@ -39,12 +39,13 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tup
 
 import numpy as np
 
+from .metrics import MetricsRegistry, Snapshot
+
 __all__ = [
     "BackendError",
     "BackendTimeout",
     "CircuitBreaker",
     "CircuitOpen",
-    "BreakerSnapshot",
     "DegradedLogits",
     "FaultInjectingBackend",
     "Hang",
@@ -234,20 +235,6 @@ class RetryPolicy:
 # --------------------------------------------------------------------- #
 # Circuit breaker
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BreakerSnapshot:
-    """Immutable view of a :class:`CircuitBreaker`'s state and counters."""
-
-    name: str
-    state: str
-    consecutive_failures: int = 0
-    failures: int = 0
-    successes: int = 0
-    opened: int = 0
-    rejected: int = 0
-    window_error_rate: float = 0.0
-
-
 class CircuitBreaker:
     """Closed → open → half-open breaker guarding one backend.
 
@@ -263,6 +250,12 @@ class CircuitBreaker:
 
     ``clock`` is injectable so the state machine is testable without real
     sleeps.  All methods are thread-safe.
+
+    ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``:
+    ``breaker_successes``, ``breaker_failures``, ``breaker_opened`` (trips),
+    ``breaker_rejected`` (calls refused) and the gauges
+    ``breaker_state{state}`` (1 for the current state),
+    ``breaker_consecutive_failures`` and ``breaker_window_error_rate``.
     """
 
     CLOSED = "closed"
@@ -301,12 +294,14 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._outcomes: Deque[bool] = deque(maxlen=self.window)  # True = failure
         self._consecutive = 0
-        self._failures = 0
-        self._successes = 0
-        self._opened = 0
-        self._rejected = 0
         self._opened_at = 0.0
         self._half_open_inflight = 0
+        self.metrics = MetricsRegistry(
+            "breaker_successes", "breaker_failures", "breaker_opened", "breaker_rejected"
+        )
+        self.metrics.gauge("breaker_state", lambda: {self.state: 1}, label="state")
+        self.metrics.gauge("breaker_consecutive_failures", lambda: self._consecutive)
+        self.metrics.gauge("breaker_window_error_rate", self._window_error_rate)
 
     # -- state machine ------------------------------------------------- #
     def allow(self) -> bool:
@@ -317,11 +312,11 @@ class CircuitBreaker:
                     self._state = self.HALF_OPEN
                     self._half_open_inflight = 0
                 else:
-                    self._rejected += 1
+                    self.metrics.inc("breaker_rejected")
                     return False
             if self._state == self.HALF_OPEN:
                 if self._half_open_inflight >= self.half_open_max:
-                    self._rejected += 1
+                    self.metrics.inc("breaker_rejected")
                     return False
                 self._half_open_inflight += 1
             return True
@@ -329,7 +324,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """Report a successful call (closes a half-open breaker)."""
         with self._lock:
-            self._successes += 1
+            self.metrics.inc("breaker_successes")
             self._consecutive = 0
             self._outcomes.append(False)
             if self._state == self.HALF_OPEN:
@@ -339,7 +334,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         """Report a failed call (may trip the breaker)."""
         with self._lock:
-            self._failures += 1
+            self.metrics.inc("breaker_failures")
             self._consecutive += 1
             self._outcomes.append(True)
             if self._state == self.HALF_OPEN:
@@ -357,37 +352,29 @@ class CircuitBreaker:
 
     def _trip(self) -> None:
         self._state = self.OPEN
-        self._opened += 1
+        self.metrics.inc("breaker_opened")
         self._opened_at = self._clock()
         self._half_open_inflight = 0
 
     # -- introspection ------------------------------------------------- #
-    def _current_state(self) -> str:
-        """State accounting for an elapsed recovery timeout (lock held)."""
-        if self._state == self.OPEN and self._clock() - self._opened_at >= self.recovery_s:
-            return self.HALF_OPEN
-        return self._state
-
     @property
     def state(self) -> str:
         """Current state, accounting for an elapsed recovery timeout."""
         with self._lock:
-            return self._current_state()
+            if self._state == self.OPEN and self._clock() - self._opened_at >= self.recovery_s:
+                return self.HALF_OPEN
+            return self._state
 
-    def snapshot(self) -> BreakerSnapshot:
-        """Frozen view of the breaker's state and counters, read under one lock."""
+    @property
+    def stats(self) -> Snapshot:
+        """An immutable snapshot of :attr:`metrics`."""
+        return self.metrics.snapshot()
+
+    def _window_error_rate(self) -> float:
+        """Failure share of the outcome window (0 while it is empty)."""
         with self._lock:
             total = len(self._outcomes)
-            return BreakerSnapshot(
-                name=self.name,
-                state=self._current_state(),
-                consecutive_failures=self._consecutive,
-                failures=self._failures,
-                successes=self._successes,
-                opened=self._opened,
-                rejected=self._rejected,
-                window_error_rate=(sum(self._outcomes) / total) if total else 0.0,
-            )
+            return sum(self._outcomes) / total if total else 0.0
 
     def __repr__(self) -> str:
         return f"CircuitBreaker(name='{self.name}', state='{self.state}')"

@@ -24,8 +24,8 @@ escaping a native kernel) and abandoning jobs stuck past the pool's soft
 slot, and the hung thread's late result (if it ever unsticks) is
 discarded.  Respawns draw from a ``max_restarts`` budget so a
 deterministically crashing backend cannot respawn-loop forever; once the
-budget is spent the slot stays dead and :class:`PoolStats` shows the
-capacity loss.
+budget is spent the slot stays dead and the ``pool_alive`` gauge of
+``stats`` shows the capacity loss.
 
 The pool is deliberately generic (``submit(fn) -> Future``): the batcher
 hands it zero-argument batch closures, but any backend maintenance job
@@ -38,13 +38,13 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, List, Optional, Tuple
 
 from .faults import BackendTimeout, WorkerCrash
+from .metrics import MetricsRegistry, Snapshot
 
-__all__ = ["DeadlineExceeded", "PoolStats", "Priority", "WorkerPool"]
+__all__ = ["DeadlineExceeded", "Priority", "WorkerPool"]
 
 
 class Priority(IntEnum):
@@ -67,25 +67,6 @@ class DeadlineExceeded(TimeoutError):
     expired request is dropped from batch formation so its slot goes to a
     request that can still meet its deadline.
     """
-
-
-@dataclass(frozen=True)
-class PoolStats:
-    """Immutable snapshot of a :class:`WorkerPool`'s counters."""
-
-    num_workers: int
-    jobs: int = 0
-    failures: int = 0
-    per_worker: Tuple[int, ...] = field(default_factory=tuple)
-    restarts: int = 0
-    timeouts: int = 0
-    crashes: int = 0
-    alive: int = 0
-
-    @property
-    def busiest_worker(self) -> int:
-        """Jobs executed by the most-loaded worker slot."""
-        return max(self.per_worker) if self.per_worker else 0
 
 
 _SHUTDOWN = object()
@@ -125,6 +106,11 @@ class WorkerPool:
         respawn-looping on a deterministic fault.
     supervise_interval_s:
         Supervisor polling period; also bounds timeout-detection latency.
+
+    ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``:
+    ``pool_jobs{worker}`` (jobs run, by slot), ``pool_failures``,
+    ``pool_crashes``, ``pool_timeouts`` and the gauges ``pool_alive`` and
+    ``pool_restarts`` (the spent restart budget).
 
     Invariants (tested in ``tests/test_serve_pool.py`` and
     ``tests/test_serve_faults.py``):
@@ -166,13 +152,13 @@ class WorkerPool:
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
-        self._jobs = 0
-        self._failures = 0
         self._restarts = 0
-        self._timeouts = 0
-        self._crashes = 0
         self._spawned = 0
-        self._per_worker = [0] * self.num_workers
+        self.metrics = MetricsRegistry(
+            "pool_jobs", "pool_failures", "pool_crashes", "pool_timeouts"
+        )
+        self.metrics.gauge("pool_alive", self._alive)
+        self.metrics.gauge("pool_restarts", lambda: self._restarts)
         self._slots: List[_Slot] = [_Slot(None) for _ in range(self.num_workers)]
         for index in range(self.num_workers):
             self._spawn(index)
@@ -219,21 +205,15 @@ class WorkerPool:
         return self._closed
 
     @property
-    def stats(self) -> PoolStats:
-        """Frozen snapshot of the pool's job and supervision counters."""
+    def stats(self) -> Snapshot:
+        """An immutable snapshot of :attr:`metrics`."""
+        return self.metrics.snapshot()
+
+    def _alive(self) -> int:
+        """Worker slots whose thread is running."""
         with self._lock:
-            alive = sum(
+            return sum(
                 1 for slot in self._slots if slot.thread is not None and slot.thread.is_alive()
-            )
-            return PoolStats(
-                num_workers=self.num_workers,
-                jobs=self._jobs,
-                failures=self._failures,
-                per_worker=tuple(self._per_worker),
-                restarts=self._restarts,
-                timeouts=self._timeouts,
-                crashes=self._crashes,
-                alive=alive,
             )
 
     def __enter__(self) -> "WorkerPool":
@@ -294,7 +274,7 @@ class WorkerPool:
                     if slot.thread is None:
                         continue  # budget exhausted earlier; slot stays dead
                     if not slot.thread.is_alive():
-                        self._crashes += 1
+                        self.metrics.inc("pool_crashes")
                         self._respawn(index)
                     elif (
                         self.job_timeout_s is not None
@@ -302,7 +282,7 @@ class WorkerPool:
                         and slot.started_at is not None
                         and now - slot.started_at > self.job_timeout_s
                     ):
-                        self._timeouts += 1
+                        self.metrics.inc("pool_timeouts")
                         timed_out.append((slot.future, now - slot.started_at))
                         # Abandon: the hung thread keeps running (daemon),
                         # but the slot gets a fresh worker and the hung
@@ -362,10 +342,9 @@ class WorkerPool:
                 if not abandoned:
                     slot.future = None
                     slot.started_at = None
-                self._jobs += 1
-                self._per_worker[index] += 1
-                if error is not None:
-                    self._failures += 1
+            self.metrics.inc("pool_jobs", worker=index)
+            if error is not None:
+                self.metrics.inc("pool_failures")
             try:
                 if error is not None:
                     future.set_exception(error)

@@ -26,8 +26,9 @@ faults only, within the request deadline), a
 backend, and an open int8 circuit can degrade to the float backend —
 answers served by the fallback are flagged with
 :class:`~repro.serve.faults.DegradedLogits`.  ``server.stats`` is the
-one frozen snapshot of all of it: batcher, pool, breaker and session
-counters plus a coarse ``status`` verdict.
+one snapshot of all of it: the series of the server, batcher, pool,
+breaker and session manager (see :mod:`repro.serve.metrics`) plus a
+coarse ``status`` verdict.
 
 Backends are constructed through a process-wide cache keyed by
 ``(architecture, patch_size, backend, lowering config)`` (plus the full
@@ -51,7 +52,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -64,10 +64,9 @@ from ..deploy.passes import LoweringConfig
 from ..models.registry import build_model, model_cache_key
 from ..nn.module import Module
 from .backends import Backend, build_float_backend, build_int8_backend
-from .batcher import BatcherStats, DynamicBatcher
+from .batcher import DynamicBatcher
 from .faults import (
     BackendError,
-    BreakerSnapshot,
     CircuitBreaker,
     CircuitOpen,
     DegradedLogits,
@@ -76,36 +75,19 @@ from .faults import (
     ServingError,
     WorkerCrash,
 )
-from .pool import PoolStats, Priority, WorkerPool
-from .sessions import SessionManager, SessionManagerStats
+from .metrics import MetricsRegistry, Snapshot
+from .pool import Priority, WorkerPool
+from .sessions import SessionManager
 from .stream import StreamSession
 
 __all__ = [
     "BackendCache",
-    "CacheStats",
     "InferenceServer",
     "ServerStats",
     "get_default_cache",
 ]
 
 _BACKENDS = ("float", "int8")
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Immutable snapshot of a :class:`BackendCache`'s counters."""
-
-    entries: int
-    max_entries: int
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class BackendCache:
@@ -116,6 +98,10 @@ class BackendCache:
     architecture / patch size / backend / lowering config get the *same*
     backend object (same weights, same quantisation constants, same op
     set).
+
+    ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``:
+    ``cache_hits``, ``cache_misses``, ``cache_evictions`` and the gauge
+    ``cache_entries``.
     """
 
     def __init__(self, max_entries: int = 16) -> None:
@@ -124,16 +110,15 @@ class BackendCache:
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[Tuple, Backend]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.metrics = MetricsRegistry("cache_hits", "cache_misses", "cache_evictions")
+        self.metrics.gauge("cache_entries", self.__len__)
 
     def get_or_build(self, key: Tuple, factory: Callable[[], Backend]) -> Backend:
         """Return the cached backend for ``key``, building it on first use."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self.hits += 1
+                self.metrics.inc("cache_hits")
                 return self._entries[key]
         # Build outside the lock (lowering can take a while); worst case two
         # threads build the same backend and the first insert wins.
@@ -141,26 +126,19 @@ class BackendCache:
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
-                self.hits += 1
+                self.metrics.inc("cache_hits")
                 return existing
-            self.misses += 1
+            self.metrics.inc("cache_misses")
             self._entries[key] = backend
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self.metrics.inc("cache_evictions")
             return backend
 
     @property
-    def stats(self) -> CacheStats:
-        """Frozen snapshot of the cache's occupancy and counters."""
-        with self._lock:
-            return CacheStats(
-                entries=len(self._entries),
-                max_entries=self.max_entries,
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-            )
+    def stats(self) -> Snapshot:
+        """An immutable snapshot of :attr:`metrics`."""
+        return self.metrics.snapshot()
 
     def __len__(self) -> int:
         with self._lock:
@@ -174,9 +152,7 @@ class BackendCache:
         """Drop every cached backend and reset every counter."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
+            self.metrics.reset()
 
 
 _DEFAULT_CACHE = BackendCache()
@@ -188,51 +164,35 @@ def get_default_cache() -> BackendCache:
 
 
 @dataclass(frozen=True)
-class ServerStats:
-    """Immutable snapshot of one :class:`InferenceServer` — its one stats surface.
+class ServerStats(Snapshot):
+    """One :class:`InferenceServer`'s snapshot: the series of its parts, merged.
 
-    ``batcher``, ``pool`` (``None`` when batches execute inline),
-    ``breaker`` (``None`` without a circuit breaker) and ``sessions`` (the
-    attached :class:`~repro.serve.sessions.SessionManagerStats`, ``None``
-    before :meth:`InferenceServer.open_session_manager`) are themselves
-    frozen snapshots, each taken once under its owner's lock, so holding
-    a ``ServerStats`` never aliases live mutable counter state.
+    The server's own ``server_retries`` and ``server_degraded`` (rows
+    answered by the fallback) plus the batcher's, the pool's (absent when
+    batches execute inline), the breaker's (absent without one) and the
+    attached session manager's series.  Each part is read once.
     """
 
-    backend: str
-    architecture: str
-    batcher: BatcherStats
-    pool: Optional[PoolStats] = None
-    retries: int = 0
-    degraded: int = 0
-    breaker: Optional[BreakerSnapshot] = None
-    sessions: Optional[SessionManagerStats] = None
+    @property
+    def requests(self) -> int:
+        """Total windows served (across all priorities)."""
+        return self.get("batcher_requests")
+
+    @property
+    def batches(self) -> int:
+        """Micro-batches the batcher formed."""
+        return self.get("batcher_batches")
 
     @property
     def status(self) -> str:
         """``"degraded"`` if the breaker is not closed, a request was
         answered by the fallback, or a worker restarted; else ``"ok"``."""
         degraded = (
-            (self.breaker is not None and self.breaker.state != CircuitBreaker.CLOSED)
-            or self.degraded > 0
-            or (self.pool is not None and self.pool.restarts > 0)
+            any(state != CircuitBreaker.CLOSED for state in self.by("breaker_state", "state"))
+            or self.get("server_degraded") > 0
+            or self.get("pool_restarts") > 0
         )
         return "degraded" if degraded else "ok"
-
-    @property
-    def requests(self) -> int:
-        """Total windows served (across all priorities)."""
-        return self.batcher.requests
-
-    @property
-    def batches(self) -> int:
-        """Micro-batches the batcher formed."""
-        return self.batcher.batches
-
-    @property
-    def by_priority(self) -> Mapping[int, int]:
-        """Completed requests per priority level (lower = more urgent)."""
-        return self.batcher.by_priority
 
 
 class InferenceServer:
@@ -408,9 +368,7 @@ class InferenceServer:
             self.breaker = circuit_breaker
         else:
             self.breaker = None
-        self._counter_lock = threading.Lock()
-        self._retries = 0
-        self._degraded = 0
+        self.metrics = MetricsRegistry("server_retries", "server_degraded")
         self._session_manager = None
         self._owns_pool = pool is None and num_workers > 1
         self.pool = pool if pool is not None else (
@@ -430,7 +388,6 @@ class InferenceServer:
                 input_shape=self.backend.input_shape,
                 pool=self.pool,
                 max_queue_depth=max_queue_depth,
-                pass_deadline=True,
             )
         except BaseException:
             # Don't leak an owned pool's worker threads if the batcher
@@ -507,8 +464,7 @@ class InferenceServer:
                             attempts=attempts,
                         )
                     return self._degrade_or_raise(stacked, wrapped)
-                with self._counter_lock:
-                    self._retries += 1
+                self.metrics.inc("server_retries")
                 time.sleep(delay)
             else:
                 if breaker is not None:
@@ -522,8 +478,7 @@ class InferenceServer:
         if self._fallback is None:
             raise error
         out = np.asarray(self._fallback.run(stacked), dtype=np.float64)
-        with self._counter_lock:
-            self._degraded += int(stacked.shape[0])
+        self.metrics.inc("server_degraded", int(stacked.shape[0]))
         return DegradedLogits.wrap(out)
 
     # ------------------------------------------------------------------ #
@@ -688,10 +643,10 @@ class InferenceServer:
         The fleet layer above :meth:`open_stream`: managed sessions get
         ids, idle-TTL reaping, per-tenant quotas/eviction and bitwise
         checkpoint/restore (see :mod:`repro.serve.sessions`).  The
-        manager's stats surface through :attr:`stats` as
-        ``stats.sessions``, and :meth:`close` drains it (settling
-        in-flight chunks and tombstoning final checkpoints) before the
-        batcher stops.  At most one live manager per server.
+        manager's ``sessions_*`` series join :attr:`stats`, and
+        :meth:`close` drains it (settling in-flight chunks and
+        tombstoning final checkpoints) before the batcher stops.  At most
+        one live manager per server.
         """
         return SessionManager(self, **kwargs)
 
@@ -713,24 +668,10 @@ class InferenceServer:
 
     @property
     def stats(self) -> ServerStats:
-        """The server's one frozen snapshot (see :class:`ServerStats`).
-
-        Each owner — batcher, pool, breaker, session manager — is read
-        once, under its own lock, so every nested counter in one snapshot
-        comes from a single read of that owner.
-        """
-        with self._counter_lock:
-            retries, degraded = self._retries, self._degraded
-        manager = self._session_manager
-        return ServerStats(
-            backend=self.backend_name,
-            architecture=self.architecture,
-            batcher=self.batcher.stats,
-            pool=self.pool.stats if self.pool is not None else None,
-            retries=retries,
-            degraded=degraded,
-            breaker=self.breaker.snapshot() if self.breaker is not None else None,
-            sessions=manager.stats if manager is not None else None,
+        """The server's one snapshot (see :class:`ServerStats`)."""
+        parts = (self, self.batcher, self.pool, self.breaker, self._session_manager)
+        return ServerStats.merge(
+            *(part.metrics.snapshot() for part in parts if part is not None)
         )
 
     def close(self) -> None:

@@ -21,9 +21,8 @@ object with no lifecycle; this module adds the fleet layer above it:
   (token bucket) quotas raising typed
   :class:`~repro.serve.faults.QuotaExceeded`, LOW-tenant-first eviction
   under memory pressure raising
-  :class:`~repro.serve.faults.SessionEvicted`, and frozen
-  :class:`TenantStats` / :class:`SessionManagerStats` snapshots surfaced
-  through ``server.stats.sessions``;
+  :class:`~repro.serve.faults.SessionEvicted`, and ``sessions_*`` series
+  labelled by tenant, merged into ``server.stats``;
 * :class:`SessionCheckpoint` — a versioned, JSON-serializable snapshot of
   a session's windower remainder, voter history and counters.  The
   restore contract is **bitwise**: a session restored from a mid-stream
@@ -53,14 +52,15 @@ import functools
 import json
 import threading
 import time
-from collections import Counter, OrderedDict
-from dataclasses import MISSING, dataclass, field, fields
+from collections import OrderedDict
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, get_type_hints
 
 import numpy as np
 
 from ..data.augmentation import CHANNEL_FILL_VALUE
 from .faults import Overloaded, QuotaExceeded, SessionEvicted
+from .metrics import MetricsRegistry, Snapshot
 from .pool import Priority
 from .stream import StreamDecision, StreamSession
 
@@ -69,8 +69,6 @@ __all__ = [
     "ManagedSession",
     "SessionCheckpoint",
     "SessionManager",
-    "SessionManagerStats",
-    "TenantStats",
     "restore_stream_session",
 ]
 
@@ -255,51 +253,9 @@ def restore_stream_session(
     return checkpoint.restore_into(session)
 
 
-# --------------------------------------------------------------------- #
-# Stats snapshots
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class TenantStats:
-    """Immutable per-tenant view of the manager's counters."""
-
-    tenant: str
-    priority: int
-    sessions_open: int = 0
-    sessions_created: int = 0
-    sessions_evicted: int = 0
-    windows: int = 0
-    samples: int = 0
-    degraded_windows: int = 0
-    quota_rejections: int = 0
-
-
-@dataclass(frozen=True)
-class SessionManagerStats:
-    """Immutable fleet-wide view of a :class:`SessionManager`.
-
-    ``sessions_evicted`` counts every involuntary removal (idle reaping +
-    pressure eviction + drain); ``reaped_idle`` / ``evicted_pressure``
-    break out the first two causes.  ``sessions_closed`` counts graceful
-    owner-initiated closes only.
-    """
-
-    sessions_open: int
-    sessions_created: int = 0
-    sessions_closed: int = 0
-    sessions_evicted: int = 0
-    reaped_idle: int = 0
-    evicted_pressure: int = 0
-    draining: bool = False
-    tenants: Mapping[str, TenantStats] = field(default_factory=dict)
-
-
 @dataclass(eq=False)
 class _Tenant:
-    """Mutable per-tenant bookkeeping (guarded by the manager's lock).
-
-    Its counters are :class:`TenantStats`'s fields under the same names,
-    so :meth:`snapshot` copies them field by field.
-    """
+    """A tenant's quotas and quota state (guarded by the manager's lock)."""
 
     tenant: str
     priority: int
@@ -309,20 +265,11 @@ class _Tenant:
     tokens: float = 0.0
     last_refill: float = 0.0
     sessions_open: int = 0
-    sessions_created: int = 0
-    sessions_evicted: int = 0
-    windows: int = 0
-    samples: int = 0
-    degraded_windows: int = 0
-    quota_rejections: int = 0
 
     def refill(self, now: float) -> None:
         """Fill the token bucket to its burst capacity (a fresh budget)."""
         self.tokens = (self.samples_per_s or 0.0) * self.burst_s
         self.last_refill = now
-
-    def snapshot(self) -> TenantStats:
-        return TenantStats(**{f.name: getattr(self, f.name) for f in fields(TenantStats)})
 
 
 def _check_limits(**limits) -> None:
@@ -444,11 +391,13 @@ class ManagedSession(StreamSession):
             self.samples += count
             self.degraded_windows += degraded_windows
             self.last_active = manager._clock()
-            manager._note_activity(
-                self.tenant,
-                windows=len(produced),
-                samples=count,
-                degraded_windows=degraded_windows,
+            manager.metrics.add(
+                {
+                    "sessions_samples": count,
+                    "sessions_windows": len(produced),
+                    "sessions_degraded_windows": degraded_windows,
+                },
+                tenant=self.tenant,
             )
             return produced
 
@@ -490,8 +439,15 @@ class SessionManager:
     bulk scoring), or serverless
     with ``classify``/``window``/``num_channels`` for tests and embedded
     use.  ``InferenceServer.open_session_manager`` is the convenience
-    constructor; a server-attached manager surfaces its stats through
-    ``server.stats.sessions`` and is drained by ``server.close()``.
+    constructor; a server-attached manager's series join ``server.stats``
+    and it is drained by ``server.close()``.
+
+    ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``,
+    every series labelled by ``tenant``: ``sessions_created``,
+    ``sessions_retired{reason}`` (``"closed"``, ``"idle"``,
+    ``"pressure"`` or ``"drain"``), ``sessions_windows``,
+    ``sessions_samples``, ``sessions_degraded_windows``,
+    ``sessions_quota_rejections{quota}`` and the gauge ``sessions_open``.
 
     Parameters
     ----------
@@ -601,9 +557,16 @@ class SessionManager:
         self._sessions: "OrderedDict[str, ManagedSession]" = OrderedDict()
         self._tenants: Dict[str, _Tenant] = {}
         self._tombstones: "OrderedDict[str, Tuple[str, SessionCheckpoint]]" = OrderedDict()
-        self._ids = 0  # also the count of sessions ever created
-        # Retired sessions by reason: "closed", "idle", "pressure", "drain".
-        self._retired: "Counter[str]" = Counter()
+        self._ids = 0
+        self.metrics = MetricsRegistry(
+            "sessions_created",
+            "sessions_retired",
+            "sessions_windows",
+            "sessions_samples",
+            "sessions_degraded_windows",
+            "sessions_quota_rejections",
+        )
+        self.metrics.gauge("sessions_open", self._open_by_tenant, label="tenant")
         self._draining = False
         self._closed = False
         self._janitor: Optional[threading.Thread] = None
@@ -719,7 +682,9 @@ class SessionManager:
                     tstate.max_sessions is not None
                     and tstate.sessions_open >= tstate.max_sessions
                 ):
-                    tstate.quota_rejections += 1
+                    self.metrics.inc(
+                        "sessions_quota_rejections", tenant=tenant, quota="sessions"
+                    )
                     raise QuotaExceeded(
                         f"tenant '{tenant}' already holds {tstate.sessions_open} "
                         f"open session(s) (limit {tstate.max_sessions})",
@@ -732,7 +697,9 @@ class SessionManager:
                 ):
                     victim = self._pressure_victim(tstate.priority)
                     if victim is None:
-                        tstate.quota_rejections += 1
+                        self.metrics.inc(
+                            "sessions_quota_rejections", tenant=tenant, quota="sessions"
+                        )
                         raise QuotaExceeded(
                             f"manager is at capacity ({len(self._sessions)} of "
                             f"{self.max_sessions} sessions) and no lower-priority "
@@ -745,7 +712,7 @@ class SessionManager:
                     session.session_id = f"s{self._ids:06d}"
                     self._sessions[session.session_id] = session
                     tstate.sessions_open += 1
-                    tstate.sessions_created += 1
+                    self.metrics.inc("sessions_created", tenant=tenant)
                     return session
             # Manager lock released: evict with session -> manager ordering,
             # then re-run admission (the victim may have raced away).
@@ -783,11 +750,8 @@ class SessionManager:
             self._tombstones[session.session_id] = (reason, final)
             while len(self._tombstones) > self.max_tombstones:
                 self._tombstones.popitem(last=False)
-            tstate = self._tenants[session.tenant]
-            tstate.sessions_open -= 1
-            if reason != "closed":
-                tstate.sessions_evicted += 1
-            self._retired[reason] += 1
+            self._tenants[session.tenant].sessions_open -= 1
+            self.metrics.inc("sessions_retired", tenant=session.tenant, reason=reason)
             return final
 
     def _gone(self, session_id: str, reason: Optional[str] = None) -> Exception:
@@ -937,7 +901,9 @@ class SessionManager:
             )
             tenant.last_refill = now
             if count > tenant.tokens:
-                tenant.quota_rejections += 1
+                self.metrics.inc(
+                    "sessions_quota_rejections", tenant=tenant_name, quota="samples_per_s"
+                )
                 raise QuotaExceeded(
                     f"tenant '{tenant_name}' samples/s quota exhausted: chunk of "
                     f"{count} sample(s) exceeds the available budget "
@@ -946,15 +912,6 @@ class SessionManager:
                     quota="samples_per_s",
                 )
             tenant.tokens -= count
-
-    def _note_activity(
-        self, tenant_name: str, *, windows: int, samples: int, degraded_windows: int
-    ) -> None:
-        with self._lock:
-            tenant = self._tenants[tenant_name]
-            tenant.windows += windows
-            tenant.samples += samples
-            tenant.degraded_windows += degraded_windows
 
     # -- introspection ---------------------------------------------------- #
     @property
@@ -972,21 +929,14 @@ class SessionManager:
             return session_id in self._sessions
 
     @property
-    def stats(self) -> SessionManagerStats:
-        """Frozen fleet-wide snapshot (what ``server.stats.sessions`` holds)."""
+    def stats(self) -> Snapshot:
+        """An immutable snapshot of :attr:`metrics`."""
+        return self.metrics.snapshot()
+
+    def _open_by_tenant(self) -> Dict[str, int]:
+        """Live sessions per known tenant (the per-tenant quota's count)."""
         with self._lock:
-            return SessionManagerStats(
-                sessions_open=len(self._sessions),
-                sessions_created=self._ids,
-                sessions_closed=self._retired["closed"],
-                sessions_evicted=sum(self._retired.values()) - self._retired["closed"],
-                reaped_idle=self._retired["idle"],
-                evicted_pressure=self._retired["pressure"],
-                draining=self._draining,
-                tenants={
-                    name: tenant.snapshot() for name, tenant in self._tenants.items()
-                },
-            )
+            return {name: tenant.sessions_open for name, tenant in self._tenants.items()}
 
     def __repr__(self) -> str:
         with self._lock:

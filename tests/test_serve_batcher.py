@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.serve import DynamicBatcher
 
 
-def echo_batch(batch: np.ndarray) -> np.ndarray:
+def echo_batch(batch: np.ndarray, deadline=None) -> np.ndarray:
     """Identity backend: request payloads come straight back."""
     return np.asarray(batch)
 
@@ -31,7 +31,7 @@ class RecordingBackend:
         self.delay_s = delay_s
         self.lock = threading.Lock()
 
-    def __call__(self, batch):
+    def __call__(self, batch, deadline=None):
         if self.delay_s:
             time.sleep(self.delay_s)
         with self.lock:
@@ -103,7 +103,7 @@ def test_full_batches_form_when_requests_are_queued():
     # With the worker busy, the queue backs up and batches fill to the cap;
     # the first batch may be smaller (it formed while the queue was empty).
     assert max(batch.shape[0] for batch in backend.batches) == 8
-    assert batcher.stats.requests == 32
+    assert batcher.stats.batcher_requests == 32
     assert sum(batch.shape[0] for batch in backend.batches) == 32
 
 
@@ -130,7 +130,7 @@ class GatedBackend(RecordingBackend):
         super().__init__()
         self.release = threading.Event()
 
-    def __call__(self, batch):
+    def __call__(self, batch, deadline=None):
         self.release.wait(timeout=10.0)
         return super().__call__(batch)
 
@@ -206,7 +206,7 @@ def test_max_batch_size_one_serves_requests_individually():
     with DynamicBatcher(backend, max_batch_size=1) as batcher:
         batcher.map([np.array([i]) for i in range(7)], timeout=10.0)
     assert all(batch.shape[0] == 1 for batch in backend.batches)
-    assert batcher.stats.batches == 7
+    assert batcher.stats.by("batcher_batches", "size") == {1: 7}
 
 
 # --------------------------------------------------------------------- #
@@ -246,7 +246,7 @@ def test_close_spends_a_single_timeout_budget():
 
     release = threading.Event()
 
-    def stuck_backend(batch):
+    def stuck_backend(batch, deadline=None):
         release.wait(timeout=30.0)
         return np.asarray(batch)
 
@@ -280,7 +280,7 @@ def test_close_spends_a_single_timeout_budget():
 
 
 def test_backend_error_propagates_to_every_future():
-    def broken(batch):
+    def broken(batch, deadline=None):
         raise ValueError("backend exploded")
 
     with DynamicBatcher(broken, max_batch_size=4) as batcher:
@@ -291,7 +291,7 @@ def test_backend_error_propagates_to_every_future():
 
 
 def test_row_count_mismatch_detected():
-    def lossy(batch):
+    def lossy(batch, deadline=None):
         return np.asarray(batch)[:-1] if len(batch) > 1 else np.asarray(batch)
 
     with DynamicBatcher(lossy, max_batch_size=8) as batcher:
@@ -347,8 +347,8 @@ def test_malformed_request_fails_alone_not_its_batchmates():
             bad.result(timeout=10.0)
         results = [int(f.result(timeout=10.0)[0]) for f in [blocker] + good + more_good]
     assert results == list(range(8))
-    assert batcher.stats.malformed == 1
-    assert batcher.stats.requests == 8
+    assert batcher.stats.batcher_malformed == 1
+    assert batcher.stats.batcher_requests == 8
 
 
 def test_majority_shape_defines_reference_when_unconfigured():
@@ -366,7 +366,7 @@ def test_majority_shape_defines_reference_when_unconfigured():
         with pytest.raises(ValueError, match="shape"):
             bad.result(timeout=10.0)
         assert [int(f.result(timeout=10.0)[0]) for f in good] == [1, 2]
-    assert batcher.stats.malformed == 1
+    assert batcher.stats.batcher_malformed == 1
 
 
 def test_shape_tie_breaks_toward_earliest_submission():
@@ -389,13 +389,13 @@ def test_stats_is_an_immutable_snapshot():
         before = batcher.stats
         assert before is not batcher.stats  # fresh snapshot per read
         with pytest.raises(AttributeError):
-            before.requests = 10_000  # frozen dataclass
+            before.batcher_requests = 10_000  # frozen dataclass
         with pytest.raises(TypeError):
-            before.by_priority[0] = 10_000  # read-only mapping
+            before.series["batcher_requests"][(("priority", 0),)] = 10_000  # read-only
         batcher.map([np.array([9])], timeout=10.0)
         after = batcher.stats
-    assert before.requests == 6  # old snapshot unaffected by new traffic
-    assert after.requests == 7
+    assert before.batcher_requests == 6  # old snapshot unaffected by new traffic
+    assert after.batcher_requests == 7
 
 
 def test_map_returns_stacked_results_in_order():
@@ -409,7 +409,9 @@ def test_stats_track_batches():
     with DynamicBatcher(echo_batch, max_batch_size=4) as batcher:
         batcher.map([np.array([i]) for i in range(9)], timeout=10.0)
     stats = batcher.stats
-    assert stats.requests == 9
-    assert 1 <= stats.max_batch <= 4
-    assert stats.batches >= 3  # 9 requests cannot fit in fewer than 3 batches
-    assert 0.0 < stats.mean_batch <= 4.0
+    sizes = stats.by("batcher_batches", "size")
+    assert stats.batcher_requests == 9
+    assert sum(size * count for size, count in sizes.items()) == 9
+    assert 1 <= max(sizes) <= 4
+    assert stats.batcher_batches >= 3  # 9 requests cannot fit in fewer than 3 batches
+    assert 0.0 < stats.batcher_requests / stats.batcher_batches <= 4.0

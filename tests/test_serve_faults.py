@@ -21,8 +21,6 @@ from repro.serve import (
     BackendCache,
     BackendError,
     BackendTimeout,
-    BatcherStats,
-    BreakerSnapshot,
     CircuitBreaker,
     CircuitOpen,
     DeadlineExceeded,
@@ -34,7 +32,6 @@ from repro.serve import (
     LatencySpike,
     NaNOutput,
     Overloaded,
-    PoolStats,
     Priority,
     QuotaExceeded,
     RetryExhausted,
@@ -42,7 +39,6 @@ from repro.serve import (
     ServerStats,
     ServingError,
     SessionEvicted,
-    SessionManagerStats,
     WorkerCrash,
     build_float_backend,
 )
@@ -203,7 +199,7 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_failure()
         assert not breaker.allow()  # open again, recovery clock restarted
-        assert breaker.snapshot().opened == 2
+        assert breaker.stats.breaker_opened == 2
 
     def test_error_rate_trip_needs_full_window(self):
         breaker = CircuitBreaker(
@@ -229,14 +225,15 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_failure()
         breaker.allow()
-        snap = breaker.snapshot()
-        assert snap.name == "int8"
-        assert snap.state == CircuitBreaker.OPEN
-        assert snap.successes == 1
-        assert snap.failures == 2
-        assert snap.opened == 1
-        assert snap.rejected == 1
-        assert snap.window_error_rate == pytest.approx(2 / 3)
+        assert breaker.name == "int8"
+        snap = breaker.stats
+        assert snap.by("breaker_state", "state") == {CircuitBreaker.OPEN: 1}
+        assert snap.breaker_successes == 1
+        assert snap.breaker_failures == 2
+        assert snap.breaker_consecutive_failures == 2
+        assert snap.breaker_opened == 1
+        assert snap.breaker_rejected == 1
+        assert snap.breaker_window_error_rate == pytest.approx(2 / 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -322,31 +319,33 @@ class TestFaultInjectingBackend:
 # --------------------------------------------------------------------- #
 class TestServerStatsStatus:
     @staticmethod
-    def snapshot(batcher=BatcherStats(), **fields):
-        return ServerStats(backend="int8", architecture="bio1", batcher=batcher, **fields)
+    def snapshot(breaker_state=None, **totals):
+        """A ServerStats of unlabelled series, plus a breaker in ``breaker_state``."""
+        series = {name: {(): value} for name, value in totals.items()}
+        if breaker_state is not None:
+            series["breaker_state"] = {(("state", breaker_state),): 1}
+        return ServerStats(series)
 
     def test_ok_when_everything_is_quiet(self):
-        stats = self.snapshot(
-            pool=PoolStats(num_workers=2, alive=2),
-            breaker=BreakerSnapshot(name="b", state=CircuitBreaker.CLOSED),
-        )
+        stats = self.snapshot(CircuitBreaker.CLOSED, pool_alive=2, pool_restarts=0)
         assert stats.status == "ok"
         assert self.snapshot().status == "ok"  # inline, no breaker
 
     @pytest.mark.parametrize("state", [CircuitBreaker.OPEN, CircuitBreaker.HALF_OPEN])
     def test_degraded_when_breaker_is_not_closed(self, state):
-        stats = self.snapshot(breaker=BreakerSnapshot(name="b", state=state))
-        assert stats.status == "degraded"
+        assert self.snapshot(state).status == "degraded"
 
     def test_degraded_when_requests_were_degraded(self):
-        assert self.snapshot(degraded=1).status == "degraded"
+        assert self.snapshot(server_degraded=1).status == "degraded"
 
     def test_degraded_when_a_worker_restarted(self):
-        stats = self.snapshot(pool=PoolStats(num_workers=2, restarts=1, alive=2))
+        stats = self.snapshot(pool_alive=2, pool_restarts=1)
         assert stats.status == "degraded"
 
     def test_retries_and_shedding_alone_keep_it_ok(self):
-        stats = self.snapshot(BatcherStats(shed=2, rejected=1, expired=1), retries=3)
+        stats = self.snapshot(
+            batcher_shed=2, batcher_rejected=1, batcher_expired=1, server_retries=3
+        )
         assert stats.status == "ok"
 
 
@@ -362,7 +361,7 @@ class TestServerResilience:
         ) as server:
             out = server.infer([rng.standard_normal((4, 60))])
             assert np.isfinite(out).all()
-            assert server.stats.retries == 1
+            assert server.stats.server_retries == 1
 
     def test_nan_logits_are_detected_and_retried(self, rng, cache):
         with make_server(
@@ -372,7 +371,7 @@ class TestServerResilience:
         ) as server:
             out = server.infer([rng.standard_normal((4, 60))])
             assert np.isfinite(out).all()
-            assert server.stats.retries == 1
+            assert server.stats.server_retries == 1
 
     def test_nan_logits_without_retry_surface_as_typed_error(self, rng, cache):
         with make_server(
@@ -384,7 +383,7 @@ class TestServerResilience:
             future = server.submit(rng.standard_normal((4, 60)))
             with pytest.raises(BackendError, match="non-finite logits"):
                 future.result(timeout=10.0)
-            assert server.stats.retries == 0
+            assert server.stats.server_retries == 0
 
     def test_retry_exhaustion_surfaces_typed_error(self, rng, cache):
         always = {i: InjectError() for i in range(16)}
@@ -416,7 +415,7 @@ class TestServerResilience:
             future = server.submit(rng.standard_normal((4, 60)))
             with pytest.raises(BackendError):
                 future.result(timeout=10.0)
-            assert server.stats.retries == 0
+            assert server.stats.server_retries == 0
             assert wrapped["faulty"].calls == 1  # exactly one attempt
 
     def test_retry_never_overruns_the_deadline(self, rng, cache):
@@ -461,7 +460,7 @@ class TestServerResilience:
             assert wrapped["faulty"].calls == calls_when_tripped
             stats = server.stats
             assert stats.status == "degraded"
-            assert stats.breaker.state == CircuitBreaker.OPEN
+            assert stats.by("breaker_state", "state") == {CircuitBreaker.OPEN: 1}
 
     def test_breaker_recovers_through_half_open_probe(self, rng, cache):
         with make_server(
@@ -477,7 +476,7 @@ class TestServerResilience:
             out = server.submit(window).result(timeout=10.0)
             assert np.isfinite(out).all()
             assert server.breaker.state == CircuitBreaker.CLOSED
-            assert server.breaker.snapshot().opened == 1
+            assert server.breaker.stats.breaker_opened == 1
 
     def test_open_int8_circuit_degrades_to_float_with_identical_labels(self, rng, cache):
         calibration = rng.standard_normal((32, 4, 60))
@@ -494,10 +493,10 @@ class TestServerResilience:
         ) as server:
             logits = server.infer(windows, timeout=10.0)
             assert getattr(logits, "degraded", False)
-            assert server.stats.degraded >= len(windows)
+            assert server.stats.server_degraded >= len(windows)
             stats = server.stats
             assert stats.status == "degraded"
-            assert stats.degraded >= len(windows)
+            assert stats.server_degraded >= len(windows)
         # The degraded answers must be *exactly* the float backend's.
         reference = build_float_backend(
             build_model("bio1", patch_size=10, **GEOMETRY).eval()
@@ -517,11 +516,12 @@ class TestServerResilience:
             stats = server.stats
             assert server.num_workers == 1
         assert stats.status == "ok"
-        assert stats.breaker is None
-        assert stats.retries == 0
-        assert stats.degraded == 0
-        assert stats.pool is None  # inline execution: one worker, no pool
-        assert stats.sessions is None
+        assert stats.by("breaker_state", "state") == {}  # no breaker
+        assert stats.server_retries == 0
+        assert stats.server_degraded == 0
+        assert "pool_alive" not in stats.series  # inline execution: one worker, no pool
+        assert stats.get("sessions_created") == 0  # no session manager
+        assert stats.requests == stats.batches == 1
 
     def test_one_snapshot_carries_breaker_sessions_and_pool(self, rng, cache):
         with make_server(
@@ -531,14 +531,14 @@ class TestServerResilience:
             session = manager.create_session("clinic")
             session.run(rng.standard_normal((4, 140)), chunk_size=70)
             stats = server.stats
+            assert server.num_workers == 2
+            assert server.breaker.name == "bio1-float"
         assert stats.status == "ok"
-        assert stats.breaker.name == server.breaker.name
-        assert stats.breaker.state == CircuitBreaker.CLOSED
-        assert stats.breaker.successes >= 1
-        assert isinstance(stats.sessions, SessionManagerStats)
-        assert stats.sessions.sessions_open == 1
-        assert stats.sessions.tenants["clinic"].windows == session.windows
-        assert stats.pool.num_workers == stats.pool.alive == 2
+        assert stats.by("breaker_state", "state") == {CircuitBreaker.CLOSED: 1}
+        assert stats.breaker_successes >= 1
+        assert stats.by("sessions_open", "tenant") == {"clinic": 1}
+        assert stats.get("sessions_windows", tenant="clinic") == session.windows
+        assert stats.pool_alive == 2
 
 
 # --------------------------------------------------------------------- #
@@ -588,25 +588,29 @@ class TestCacheStats:
                 cache=small,
             ).close()
         stats = small.stats
-        assert stats.entries == 2
-        assert stats.misses == 3
-        assert stats.evictions == 1
-        assert stats.hits == 0
-        assert stats.hit_rate == 0.0
+        assert stats.cache_entries == 2
+        assert stats.cache_misses == 3
+        assert stats.cache_evictions == 1
+        assert stats.cache_hits == 0
         # The snapshot is frozen — counters cannot be poked from outside.
         with pytest.raises(AttributeError):
-            stats.evictions = 99
+            stats.cache_evictions = 99
 
     def test_clear_resets_counters(self):
         small = BackendCache(max_entries=1)
         small.get_or_build(("a",), StubBackend)
         small.get_or_build(("a",), StubBackend)
         small.get_or_build(("b",), StubBackend)
-        assert small.stats.hits == 1
-        assert small.stats.evictions == 1
+        assert small.stats.cache_hits == 1
+        assert small.stats.cache_evictions == 1
         small.clear()
         stats = small.stats
-        assert (stats.entries, stats.hits, stats.misses, stats.evictions) == (0, 0, 0, 0)
+        assert (
+            stats.cache_entries,
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.cache_evictions,
+        ) == (0, 0, 0, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -673,7 +677,7 @@ class TestChaos:
             assert InjectError in injected_types
             # Supervision brought the pool back to full strength.
             deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and server.stats.pool.alive < 2:
+            while time.monotonic() < deadline and server.stats.pool_alive < 2:
                 time.sleep(0.01)
             # Degraded rows (if the breaker opened) match the float backend.
             reference = build_float_backend(
@@ -688,8 +692,8 @@ class TestChaos:
             clean = server.infer(windows[:4], timeout=30.0)
             assert np.isfinite(clean).all()
             stats = server.stats
-            assert stats.pool.alive == 2
-            assert stats.pool.restarts >= 1  # the crash (and/or hang) respawned
+            assert stats.pool_alive == 2
+            assert stats.pool_restarts >= 1  # the crash (and/or hang) respawned
             assert stats.status in ("ok", "degraded")
         finally:
             server.close()
@@ -730,8 +734,8 @@ class TestChaos:
                 outcomes += 1
             assert outcomes == len(windows)
             stats = server.stats
-            assert stats.batcher.queue_depth == 0
-            assert stats.retries >= 1  # the storm exercised the retry path
+            assert stats.batcher_queue_depth == 0
+            assert stats.server_retries >= 1  # the storm exercised the retry path
         finally:
             server.close()
 
@@ -812,23 +816,26 @@ class TestSessionChaos:
             assert degraded_seen > 0
             # Supervision brings the pool back to strength after the storm.
             deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and server.stats.pool.alive < 2:
+            while time.monotonic() < deadline and server.stats.pool_alive < 2:
                 time.sleep(0.01)
             # One server snapshot holds both laws.  Conservation:
             # per-session counters == recorded decisions, per-tenant
-            # stats == sum of their sessions, fleet == total.
+            # series == sum of their sessions, fleet == total.
             stats = server.stats
-            assert stats.pool.alive == 2
-            tenant_stats = stats.sessions.tenants
+            assert stats.pool_alive == 2
             assert decisions_ok == sum(s.windows for s in sessions)
             for name in tenants:
                 mine = [s for s in sessions if s.tenant == name]
-                assert tenant_stats[name].windows == sum(s.windows for s in mine)
-                assert tenant_stats[name].degraded_windows == sum(
+                assert stats.get("sessions_windows", tenant=name) == sum(
+                    s.windows for s in mine
+                )
+                assert stats.get("sessions_degraded_windows", tenant=name) == sum(
                     s.degraded_windows for s in mine
                 )
-            assert sum(t.windows for t in tenant_stats.values()) == decisions_ok
-            assert tenant_stats["batch"].quota_rejections == quota_rejections
+            assert stats.sessions_windows == decisions_ok
+            assert stats.by("sessions_quota_rejections", "tenant") == {
+                "batch": quota_rejections
+            }
             # Reap the whole fleet deterministically; nothing may hang.
             clock.advance(31.0)
             assert manager.reap_idle() == len(sessions)
@@ -843,8 +850,9 @@ class TestSessionChaos:
                 assert final.windows_classified == session.windows
                 assert final.samples_seen >= session.samples
             assert time.monotonic() - started < 10.0  # typed errors, not hangs
-            assert manager.stats.reaped_idle == len(sessions)
-            assert manager.stats.sessions_open == 0
+            stats = manager.stats
+            assert stats.by("sessions_retired", "reason") == {"idle": len(sessions)}
+            assert stats.sessions_open == 0
             # One survivor restored from a checkpoint keeps streaming.
             revived = manager.restore(manager.checkpoint(sessions[0].session_id))
             assert revived.windows_classified == sessions[0].windows

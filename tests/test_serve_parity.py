@@ -6,6 +6,8 @@ executor, so outputs routed through ``InferenceServer`` (including the
 micro-batching path) must match the direct calls bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ class TestServerFacade:
         with InferenceServer("bio1", "float", **kwargs) as first:
             with InferenceServer("bio1", "float", **kwargs) as second:
                 assert first.backend is second.backend
-        assert cache.hits >= 1 and cache.misses == 1
+        assert cache.stats.cache_hits >= 1 and cache.stats.cache_misses == 1
 
     def test_distinct_patch_sizes_get_distinct_backends(self):
         cache = BackendCache()
@@ -197,11 +199,17 @@ class TestServerFacade:
         ) as server:
             server.infer(rng.normal(size=(3, 4, 60)))
             stats = server.stats
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                stats.batcher_requests = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                stats.server_degraded = 0
             with pytest.raises(AttributeError):
-                stats.backend = "other"
-            with pytest.raises(AttributeError):
-                stats.batcher.requests = 0
-        assert stats.requests == 3
+                stats.requests = 0
+            with pytest.raises(TypeError):
+                stats.series["batcher_requests"][(("priority", 0),)] = 0
+            server.infer(rng.normal(size=(2, 4, 60)))
+        assert stats.requests == 3  # taken before the second infer
+        assert server.stats.requests == 5
 
     def test_blocking_calls_submit_once_per_window(self, rng, cache):
         """``infer``, ``predict``, ``infer_async`` and stream pushes submit
@@ -246,9 +254,9 @@ class TestPoolServing:
         ) as server:
             assert server.num_workers == 4
             served = server.infer(x)
-            pool_stats = server.stats.pool
+            pool_stats = server.stats
         np.testing.assert_array_equal(served, expected)
-        assert pool_stats is not None and pool_stats.jobs >= 1
+        assert pool_stats.pool_alive == 4 and pool_stats.pool_jobs >= 1
 
     def test_external_pool_is_borrowed_not_closed(self, rng, cache):
         model = make_model("bio1")
@@ -259,7 +267,7 @@ class TestPoolServing:
                 ) as server:
                     assert server.infer(rng.normal(size=(4, 4, 60))).shape == (4, 8)
                 assert not pool.closed
-            assert pool.stats.jobs >= 2
+            assert pool.stats.pool_jobs >= 2
 
     def test_infer_async_and_as_completed(self, rng, cache):
         with InferenceServer(
@@ -281,9 +289,8 @@ class TestPoolServing:
             server.submit(
                 rng.normal(size=(4, 60)), priority=Priority.HIGH
             ).result(timeout=30.0)
-            by_priority = server.stats.by_priority
-        assert by_priority[int(Priority.LOW)] == 5
-        assert by_priority[int(Priority.HIGH)] == 1
+            by_priority = server.stats.by("batcher_requests", "priority")
+        assert by_priority == {int(Priority.LOW): 5, int(Priority.HIGH): 1}
 
 
 # --------------------------------------------------------------------- #

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    BackendCache,
     BackendTimeout,
     DeadlineExceeded,
     DynamicBatcher,
+    InferenceServer,
     Overloaded,
-    PoolStats,
     Priority,
+    Snapshot,
     WorkerCrash,
     WorkerPool,
 )
@@ -35,7 +37,7 @@ class TestWorkerPool:
         with WorkerPool(num_workers=3) as pool:
             futures = [pool.submit(lambda i=i: i * i) for i in range(20)]
             assert [f.result(timeout=10.0) for f in futures] == [i * i for i in range(20)]
-        assert pool.stats.jobs == 20
+        assert pool.stats.pool_jobs == 20
 
     def test_jobs_actually_overlap_across_workers(self):
         barrier = threading.Barrier(3, timeout=5.0)
@@ -57,8 +59,8 @@ class TestWorkerPool:
                 bad.result(timeout=10.0)
             assert [f.result(timeout=10.0) for f in good] == list(range(5))
         stats = pool.stats
-        assert stats.failures == 1
-        assert stats.jobs == 6
+        assert stats.pool_failures == 1
+        assert stats.pool_jobs == 6
 
     def test_close_drains_queued_jobs(self):
         done = []
@@ -89,11 +91,13 @@ class TestWorkerPool:
             for f in [pool.submit(lambda: time.sleep(0.002)) for _ in range(10)]:
                 f.result(timeout=10.0)
             stats = pool.stats
-            assert isinstance(stats, PoolStats)
+            assert isinstance(stats, Snapshot)
             with pytest.raises(AttributeError):
-                stats.jobs = 0
-            assert sum(stats.per_worker) == stats.jobs == 10
-            assert stats.busiest_worker <= 10
+                stats.pool_jobs = 0
+            per_worker = stats.by("pool_jobs", "worker")
+            assert sum(per_worker.values()) == stats.pool_jobs == 10
+            assert set(per_worker) <= {0, 1}
+            assert max(per_worker.values()) <= 10
 
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError, match="num_workers"):
@@ -103,7 +107,7 @@ class TestWorkerPool:
 # --------------------------------------------------------------------- #
 # Batcher on a pool: drain and identity under concurrency
 # --------------------------------------------------------------------- #
-def echo_batch(batch):
+def echo_batch(batch, deadline=None):
     return np.asarray(batch)
 
 
@@ -116,7 +120,7 @@ class TestBatcherOnPool:
         assert results == list(range(64))
 
     def test_close_drains_queue_and_inflight_pool_jobs(self):
-        def slow_echo(batch):
+        def slow_echo(batch, deadline=None):
             time.sleep(0.01)
             return np.asarray(batch)
 
@@ -127,7 +131,7 @@ class TestBatcherOnPool:
         # close() returned only after every dispatched batch executed.
         assert all(f.done() for f in futures)
         assert [int(f.result(timeout=0)[0]) for f in futures] == list(range(30))
-        assert pool.stats.jobs == batcher.stats.batches
+        assert pool.stats.pool_jobs == batcher.stats.batcher_batches
         assert not pool.closed  # borrowed pools are never closed by the batcher
         pool.close()
 
@@ -149,7 +153,7 @@ class TestBatcherOnPool:
         release = threading.Event()
         sizes = []
 
-        def gated(batch):
+        def gated(batch, deadline=None):
             sizes.append(len(batch))
             release.wait(timeout=10.0)
             return np.asarray(batch)
@@ -171,11 +175,46 @@ class TestBatcherOnPool:
         assert results == [-1, -2, 0, 1, 2, 3, 4, 5]
         assert sizes == [1, 1, 6]
 
+    def test_server_runs_two_requests_in_the_float_backend_at_once(self):
+        """The server-level overlap check, whatever the core count: each
+        call of the real float backend first waits at a two-party barrier,
+        so both single-window batches must be inside ``run`` at once.  A
+        pool that serialised its jobs (or a forming thread that waited out
+        each one) breaks the barrier after 5 s and fails both requests."""
+        barrier = threading.Barrier(2, timeout=5.0)
+
+        class Rendezvous:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, windows):
+                barrier.wait()
+                return self.inner.run(windows)
+
+        windows = np.random.default_rng(0).standard_normal((2, 4, 60))
+        with InferenceServer(
+            "bio1",
+            "float",
+            patch_size=10,
+            model_kwargs=dict(num_channels=4, window_samples=60, seed=3),
+            cache=BackendCache(),
+            num_workers=2,
+            max_batch_size=1,
+            backend_wrapper=Rendezvous,
+        ) as server:
+            futures = [server.submit(window) for window in windows]
+            rows = [future.result(timeout=30.0) for future in futures]
+            for window, row in zip(windows, rows):
+                np.testing.assert_array_equal(row, server.backend.run(window[None])[0])
+        assert not barrier.broken
+        # close() waited out both pool jobs: one ran on each worker.
+        assert server.stats.by("pool_jobs", "worker") == {0: 1, 1: 1}
+
     def test_backend_error_contained_to_one_batch(self):
         calls = []
         lock = threading.Lock()
 
-        def flaky(batch):
+        def flaky(batch, deadline=None):
             with lock:
                 calls.append(batch.shape[0])
             if int(batch[0, 0]) == 0:
@@ -200,7 +239,7 @@ class RecordingBackend:
         self.delay_s = delay_s
         self.lock = threading.Lock()
 
-    def __call__(self, batch):
+    def __call__(self, batch, deadline=None):
         if self.delay_s:
             time.sleep(self.delay_s)
         with self.lock:
@@ -278,12 +317,12 @@ class TestPriorityAndDeadlines:
             blocker.result(timeout=10.0)
         executed = {int(row[0]) for batch in backend.batches for row in batch}
         assert 0 not in executed  # never occupied a batch slot
-        assert batcher.stats.expired == 1
+        assert batcher.stats.batcher_expired == 1
 
     def test_no_deadline_never_expires(self):
         with DynamicBatcher(echo_batch, max_batch_size=2) as batcher:
             assert int(batcher.submit(np.array([7])).result(timeout=10.0)[0]) == 7
-        assert batcher.stats.expired == 0
+        assert batcher.stats.batcher_expired == 0
 
     def test_negative_deadline_rejected(self):
         with DynamicBatcher(echo_batch) as batcher:
@@ -300,9 +339,11 @@ class TestPriorityAndDeadlines:
             for future in futures:
                 future.result(timeout=10.0)
         stats = batcher.stats
-        assert stats.by_priority[int(Priority.HIGH)] == 3
-        assert stats.by_priority[int(Priority.LOW)] == 5
-        assert stats.requests == 8
+        assert stats.by("batcher_requests", "priority") == {
+            int(Priority.HIGH): 3,
+            int(Priority.LOW): 5,
+        }
+        assert stats.batcher_requests == 8
 
 
 # --------------------------------------------------------------------- #
@@ -327,13 +368,13 @@ class TestSupervision:
             with pytest.raises(WorkerCrash):
                 doomed.result(timeout=10.0)
             # Supervision notices the dead thread and refills the slot.
-            assert _wait_until(lambda: pool.stats.alive == 2)
-            assert _wait_until(lambda: pool.stats.restarts >= 1)
+            assert _wait_until(lambda: pool.stats.pool_alive == 2)
+            assert _wait_until(lambda: pool.stats.pool_restarts >= 1)
             # The respawned worker actually serves traffic.
             assert pool.submit(lambda: 41 + 1).result(timeout=10.0) == 42
         stats = pool.stats
-        assert stats.crashes >= 1
-        assert stats.failures >= 1
+        assert stats.pool_crashes >= 1
+        assert stats.pool_failures >= 1
 
     def test_hung_job_fails_fast_and_worker_is_abandoned(self):
         release = threading.Event()
@@ -351,8 +392,8 @@ class TestSupervision:
             # The caller got its answer near the soft timeout, not after
             # the full 10 s hang.
             assert time.monotonic() - start < 5.0
-            assert _wait_until(lambda: pool.stats.alive == 2)
-            assert pool.stats.timeouts == 1
+            assert _wait_until(lambda: pool.stats.pool_alive == 2)
+            assert pool.stats.pool_timeouts == 1
             # A fresh worker owns the slot; quick jobs still flow.
             assert pool.submit(lambda: "ok").result(timeout=10.0) == "ok"
         finally:
@@ -388,13 +429,13 @@ class TestSupervision:
             first = pool.submit(crash)
             with pytest.raises(WorkerCrash):
                 first.result(timeout=10.0)
-            assert _wait_until(lambda: pool.stats.restarts == 1)
+            assert _wait_until(lambda: pool.stats.pool_restarts == 1)
             second = pool.submit(crash)
             with pytest.raises(WorkerCrash):
                 second.result(timeout=10.0)
             # Budget spent: the second dead slot stays dead.
-            assert _wait_until(lambda: pool.stats.alive == 1)
-            assert pool.stats.restarts == 1
+            assert _wait_until(lambda: pool.stats.pool_alive == 1)
+            assert pool.stats.pool_restarts == 1
             # The surviving worker still serves.
             assert pool.submit(lambda: 7).result(timeout=10.0) == 7
 
@@ -411,8 +452,8 @@ class TestSupervision:
                 doomed.result(timeout=10.0)
             assert [f.result(timeout=10.0) for f in more] == [-i for i in range(10)]
         stats = pool.stats
-        assert sum(stats.per_worker) == stats.jobs == 21
-        assert stats.failures == 1
+        assert sum(stats.by("pool_jobs", "worker").values()) == stats.pool_jobs == 21
+        assert stats.pool_failures == 1
 
 
 # --------------------------------------------------------------------- #
@@ -425,7 +466,7 @@ class TestLoadShedding:
         release = threading.Event()
         entered = threading.Event()
 
-        def blocking_backend(batch):
+        def blocking_backend(batch, deadline=None):
             entered.set()
             release.wait(timeout=10.0)
             return np.asarray(batch)
@@ -452,8 +493,8 @@ class TestLoadShedding:
             release.set()
             batcher.close()
         stats = batcher.stats
-        assert stats.rejected == 1
-        assert stats.shed == 0
+        assert stats.by("batcher_rejected", "priority") == {int(Priority.LOW): 1}
+        assert stats.batcher_shed == 0
 
     def test_high_priority_sheds_newest_low_when_full(self):
         batcher, release, plug = self._blocked_batcher(max_queue_depth=2)
@@ -473,8 +514,8 @@ class TestLoadShedding:
             release.set()
             batcher.close()
         stats = batcher.stats
-        assert stats.shed == 1
-        assert stats.rejected == 0
+        assert stats.by("batcher_shed", "priority") == {int(Priority.LOW): 1}
+        assert stats.batcher_rejected == 0
 
     def test_low_never_sheds_high(self):
         batcher, release, plug = self._blocked_batcher(max_queue_depth=2)
@@ -488,20 +529,20 @@ class TestLoadShedding:
         finally:
             release.set()
             batcher.close()
-        assert batcher.stats.rejected == 1
-        assert batcher.stats.shed == 0
+        assert batcher.stats.batcher_rejected == 1
+        assert batcher.stats.batcher_shed == 0
 
     def test_queue_depth_stat_tracks_pending(self):
         batcher, release, plug = self._blocked_batcher(max_queue_depth=8)
         try:
             for i in range(3):
                 batcher.submit(np.array([i]))
-            assert batcher.stats.queue_depth == 3
+            assert batcher.stats.batcher_queue_depth == 3
             release.set()
         finally:
             release.set()
             batcher.close()
-        assert batcher.stats.queue_depth == 0
+        assert batcher.stats.batcher_queue_depth == 0
 
     def test_queue_depth_must_be_positive(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
@@ -540,11 +581,12 @@ class TestLoadShedding:
         assert served_low + expired_low + shed_low == len(low)
         assert expired_low + shed_low > 0  # the storm actually saturated
         stats = batcher.stats
-        assert stats.shed == shed_low
-        assert stats.rejected == rejected
-        assert stats.expired == expired_low
-        assert stats.requests == len(high) + served_low
-        assert stats.queue_depth == 0
+        assert stats.get("batcher_shed", priority=Priority.LOW) == stats.batcher_shed == shed_low
+        assert stats.batcher_rejected == rejected
+        assert stats.get("batcher_expired", priority=Priority.LOW) == expired_low
+        assert stats.batcher_expired == expired_low
+        assert stats.batcher_requests == len(high) + served_low
+        assert stats.batcher_queue_depth == 0
         # Priority accounting matches what was actually served.
-        assert stats.by_priority.get(int(Priority.HIGH), 0) == len(high)
-        assert stats.by_priority.get(int(Priority.LOW), 0) == served_low
+        assert stats.get("batcher_requests", priority=Priority.HIGH) == len(high)
+        assert stats.get("batcher_requests", priority=Priority.LOW) == served_low

@@ -35,9 +35,8 @@ from repro.serve import (
     SessionCheckpoint,
     SessionEvicted,
     SessionManager,
-    SessionManagerStats,
+    Snapshot,
     StreamSession,
-    TenantStats,
     restore_stream_session,
 )
 
@@ -335,7 +334,7 @@ class TestManagerLifecycle:
                 session.push(rng.normal(size=(4, 10)))
             with pytest.raises(SessionEvicted):
                 manager.close_session(session.session_id)
-            assert manager.stats.sessions_closed == 1
+            assert manager.stats.by("sessions_retired", "reason") == {"closed": 1}
 
     def test_managed_decisions_match_raw_session(self, rng):
         signal = rng.normal(size=(4, 300))
@@ -399,7 +398,7 @@ class TestManagerLifecycle:
             while session.state == "active" and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert session.state == "evicted"
-            assert manager.stats.reaped_idle == 1
+            assert manager.stats.by("sessions_retired", "reason") == {"idle": 1}
 
     def test_session_count_quota(self):
         with make_manager(max_sessions_per_tenant=2) as manager:
@@ -410,7 +409,7 @@ class TestManagerLifecycle:
             assert excinfo.value.tenant == "t"
             assert excinfo.value.quota == "sessions"
             manager.create_session("other")  # other tenants unaffected
-            assert manager.stats.tenants["t"].quota_rejections == 1
+            assert manager.stats.by("sessions_quota_rejections", "tenant") == {"t": 1}
 
     def test_samples_per_second_token_bucket(self, rng):
         clock = FakeClock()
@@ -424,9 +423,10 @@ class TestManagerLifecycle:
             assert excinfo.value.tenant == "t"
             clock.advance(0.5)  # refills 50 tokens
             session.push(rng.normal(size=(4, 50)))
-            stats = manager.stats.tenants["t"]
-            assert stats.samples == 150
-            assert stats.quota_rejections == 1
+            stats = manager.stats
+            assert stats.get("sessions_samples", tenant="t") == 150
+            assert stats.get("sessions_quota_rejections", tenant="t", quota="samples_per_s") == 1
+            assert stats.sessions_quota_rejections == 1
 
     def test_rejected_chunk_is_never_partially_ingested(self, rng):
         clock = FakeClock()
@@ -451,7 +451,9 @@ class TestManagerLifecycle:
             with pytest.raises(SessionEvicted) as excinfo:
                 lru.push(rng.normal(size=(4, 10)))
             assert excinfo.value.reason == "pressure"
-            assert manager.stats.evicted_pressure == 1
+            assert manager.stats.series["sessions_retired"] == {
+                (("reason", "pressure"), ("tenant", "batch")): 1
+            }
             # A LOW tenant cannot evict HIGH/LOW peers to get in.
             with pytest.raises(QuotaExceeded):
                 manager.create_session("batch")
@@ -519,7 +521,7 @@ class TestManagerLifecycle:
                 d.smoothed_label for d in expected
             ]
             assert session.decisions == decisions  # recorded flags match
-            assert manager.stats.tenants["t"].degraded_windows == len(decisions)
+            assert manager.stats.get("sessions_degraded_windows", tenant="t") == len(decisions)
 
     def test_degraded_flatline_channel_detected(self, rng):
         signal = rng.normal(size=(4, 120))
@@ -561,11 +563,11 @@ class TestManagerLifecycle:
             session = manager.create_session("t")
             session.run(rng.normal(size=(4, 100)), chunk_size=50)
             stats = manager.stats
-            assert isinstance(stats, SessionManagerStats)
+            assert isinstance(stats, Snapshot)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 stats.sessions_open = 99
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                stats.tenants["t"].windows = 99
+            with pytest.raises(TypeError):
+                stats.series["sessions_windows"][(("tenant", "t"),)] = 99
 
     def test_tenant_stats_conserve_counts(self, rng):
         with make_manager() as manager:
@@ -576,9 +578,10 @@ class TestManagerLifecycle:
             for i, session in enumerate(sessions):
                 total += len(session.run(rng.normal(size=(4, 100 + 20 * i)), chunk_size=40))
             stats = manager.stats
-            assert sum(t.windows for t in stats.tenants.values()) == total
-            assert sum(t.samples for t in stats.tenants.values()) == 100 + 120 + 140
-            assert stats.sessions_created == 3
+            assert sum(stats.by("sessions_windows", "tenant").values()) == total
+            assert stats.by("sessions_samples", "tenant") == {"a": 100 + 120, "b": 140}
+            assert stats.by("sessions_created", "tenant") == {"a": 2, "b": 1}
+            assert stats.by("sessions_open", "tenant") == {"a": 2, "b": 1}
 
     def test_drain_returns_every_final_checkpoint_past_the_tombstone_ring(self, rng):
         with make_manager(max_tombstones=2) as manager:
@@ -631,16 +634,18 @@ class TestManagerLifecycle:
                     thread.join(timeout=10.0)
                 assert not any(thread.is_alive() for thread in threads)
                 stats = manager.stats
+                retired = stats.by("sessions_retired", "reason")
                 assert not set(closed) & set(drained)
                 assert len(closed) + len(refused) == len(sessions)
-                assert stats.sessions_closed == len(closed)
-                assert stats.sessions_closed + stats.sessions_evicted == len(sessions)
-                assert stats.reaped_idle >= sum(reaped)  # the janitor reaps too
-                assert stats.reaped_idle + len(drained) + len(closed) == len(sessions)
+                assert retired.get("closed", 0) == len(closed)
+                assert retired.get("drain", 0) == len(drained)
+                assert retired.get("idle", 0) >= sum(reaped)  # the janitor reaps too
+                assert set(retired) <= {"closed", "idle", "drain"}
+                assert stats.sessions_retired == stats.sessions_created == len(sessions)
                 assert stats.sessions_open == 0
-                assert all(t.sessions_open == 0 for t in stats.tenants.values())
-                assert sum(t.sessions_evicted for t in stats.tenants.values()) == (
-                    stats.sessions_evicted
+                assert all(count == 0 for count in stats.by("sessions_open", "tenant").values())
+                assert stats.by("sessions_retired", "tenant") == stats.by(
+                    "sessions_created", "tenant"
                 )
                 for session in sessions:
                     assert session.state != "active"
@@ -674,12 +679,15 @@ class TestManagerLifecycle:
             build()
 
     def test_refused_tenant_quota_changes_nothing(self, rng):
-        with make_manager() as manager:
+        with make_manager(max_sessions=1) as manager:
             manager.configure_tenant("t", priority=Priority.HIGH, samples_per_s=100.0)
             with pytest.raises(ValueError):
                 manager.configure_tenant("t", priority=Priority.LOW, burst_s=-1)
-            assert manager.stats.tenants["t"].priority == Priority.HIGH
+            # "t" is still HIGH: under pressure it evicts a NORMAL tenant's
+            # session (a LOW "t" would be refused), and its burst is intact.
+            other = manager.create_session("other")
             manager.create_session("t").push(rng.normal(size=(4, 100)))
+            assert other.state == "evicted"
 
     def test_managed_session_is_a_stream_session(self, rng):
         with make_manager() as manager:
@@ -744,14 +752,13 @@ class TestServerIntegration:
     def test_server_stats_surface_session_stats(self, rng, shared_cache):
         server = self.make_server(shared_cache)
         try:
-            assert server.stats.sessions is None  # no manager attached yet
+            assert "sessions_open" not in server.stats.series  # no manager yet
             manager = server.open_session_manager(slide=20, smoothing=3)
             session = manager.create_session("clinic")
             session.run(rng.normal(size=(4, 200)), chunk_size=50)
-            snapshot = server.stats.sessions
-            assert isinstance(snapshot, SessionManagerStats)
-            assert snapshot.sessions_open == 1
-            assert snapshot.tenants["clinic"].windows == len(session.decisions)
+            snapshot = server.stats
+            assert snapshot.by("sessions_open", "tenant") == {"clinic": 1}
+            assert snapshot.get("sessions_windows", tenant="clinic") == len(session.decisions)
         finally:
             server.close()
 

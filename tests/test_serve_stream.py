@@ -291,7 +291,7 @@ class TestStreamSession:
         ) as server:
             session = server.open_stream(slide=30, smoothing=1)
             session.run(rng.normal(size=(4, 240)), chunk_size=60)
-            by_priority = server.stats.by_priority
+            by_priority = server.stats.by("batcher_requests", "priority")
         # Every stream window was served at HIGH priority, so a loaded
         # server batches live sessions ahead of queued bulk scoring.
         assert by_priority.get(int(Priority.HIGH), 0) == sliding_window_count(240, 60, 30)
