@@ -40,7 +40,6 @@ def test_quantization_accuracy_drop(benchmark, small_context):
             split.train.windows[:CALIBRATION_WINDOWS],
             split.test.windows,
             split.test.labels,
-            generate_code=False,
         ).int8_accuracy
         return float_accuracy, int8_accuracy
 

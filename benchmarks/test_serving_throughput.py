@@ -478,7 +478,7 @@ def test_session_lifecycle_churn_not_regressive(model, windows, cache):
 def test_compile_wall_time_per_config(windows):
     """Record the deploy compiler's lowering wall-time per registry config.
 
-    Reports the seven-stage lowering per architecture, and the share of it
+    Reports the six-stage lowering per architecture, and the share of it
     the three fusion stages take, and gates only a generous absolute
     ceiling — calibration dominates, and a pathological stage would blow
     straight through it.

@@ -45,7 +45,7 @@ def main() -> None:
     # 4. Lower to int8, score on the integer executor, estimate the GAP8 cost.
     quantization_aware_finetune(model, split.train, QATConfig.small())
     quantized = deploy_graph(
-        model, split.train.windows[:256], split.test.windows, split.test.labels, generate_code=False
+        model, split.train.windows[:256], split.test.windows, split.test.labels
     )
     print(f"int8 test accuracy:  {100 * quantized.int8_accuracy:.2f}%")
 

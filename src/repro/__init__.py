@@ -15,7 +15,8 @@ for Ultra-Low Power sEMG-based Gesture Recognition"* (Burrello et al., DATE
   protocols;
 * :mod:`repro.quant` — int8 quantisers, QAT and I-BERT integer kernels;
 * :mod:`repro.deploy` — GAP8 deployment toolchain (graph tracing, int8
-  lowering, integer-only execution, L1 tiling, memory planning, C codegen);
+  lowering, integer-only execution, L1 tiling, memory planning, GAP8
+  latency/energy estimate);
 * :mod:`repro.hw` — GAP8 complexity/latency/energy/battery modelling;
 * :mod:`repro.search` — architecture search over the Bioformer design space;
 * :mod:`repro.serve` — streaming inference service (dynamic micro-batching,

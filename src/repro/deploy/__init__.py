@@ -2,8 +2,9 @@
 
 The paper's Table I is produced by an MCU deployment flow: the trained model
 is quantised to int8, lowered onto the integer transformer kernels of
-Burrello et al. (COINS 2021), tiled through GAP8's 64 kB L1 scratchpad and
-compiled into C.  This package reproduces that flow on the host:
+Burrello et al. (COINS 2021) and tiled through GAP8's 64 kB L1 scratchpad.
+This package reproduces that flow on the host, up to the estimate of its
+latency and energy:
 
 * :mod:`repro.deploy.graph` / :mod:`repro.deploy.tracers` — a flat inference
   graph IR and the tracer that records a model's own forward into it;
@@ -14,23 +15,20 @@ compiled into C.  This package reproduces that flow on the host:
   and the stable :func:`~repro.deploy.lowering.lower_to_int8` entry point;
 * :mod:`repro.deploy.passes` — the deploy compiler, configured by one
   :class:`~repro.deploy.passes.LoweringConfig`:
-  :func:`~repro.deploy.passes.compile_graph` runs seven fixed,
-  bitwise-pinned stages (calibration, weight quantisation, GEMM tile
-  planning, LUT substitution, requant folding, conv→pool fusion and
-  dead-node elimination) and records each in the manifest;
+  :func:`~repro.deploy.passes.compile_graph` runs six fixed,
+  bitwise-pinned stages (calibration, weight quantisation, LUT
+  substitution, requant folding, conv→pool fusion and dead-node
+  elimination) and records each in the manifest;
 * :mod:`repro.deploy.int_engine` — integer-only inference (int8/int32 with
   I-BERT non-linearities, GELU and the softmax ``exp`` as lookup tables),
   i.e. the on-target numerics emulated bit-level;
 * :mod:`repro.deploy.memory` — activation arena planning (L2);
 * :mod:`repro.deploy.tiling` — L1 tile-size selection and DMA accounting;
-* :mod:`repro.deploy.codegen` — C source generation (weights, kernel
-  schedule, inference API);
 * :mod:`repro.deploy.report` — the GAP8 estimate of a traced graph (the
   deployment columns of the paper's Table I) and the end-to-end pipeline
   producing a deployment report with the int8 accuracy.
 """
 
-from .codegen import CodeGenerator, GeneratedSource, generate_c_sources
 from .engine import FloatGraphExecutor
 from .graph import LUT_OPERATORS, ComputeGraph, GraphNode, LookupTable, TensorSpec
 from .int_engine import IntegerGraphExecutor
@@ -89,9 +87,6 @@ __all__ = [
     "LayerTiling",
     "TilingPlan",
     "plan_tiling",
-    "CodeGenerator",
-    "GeneratedSource",
-    "generate_c_sources",
     "graph_to_profile",
     "DeploymentEstimate",
     "estimate_deployment",

@@ -1,27 +1,27 @@
 """Integer-only execution of int8-lowered graphs (the GAP8 numerics).
 
-This is the bit-level counterpart of what the generated C code runs on the
-GAP8 cluster: int8 activations and weights, int32 accumulators, fixed-point
-requantisation between kernels, and I-BERT integer approximations for the
-transformer non-linearities (softmax, GELU, LayerNorm).
+This runs the integer-only numerics of the GAP8 deployment flow (Burrello
+et al., COINS 2021) on the host: int8 activations and weights, int32
+accumulators, fixed-point requantisation between kernels, and I-BERT
+integer approximations for the transformer non-linearities (softmax, GELU,
+LayerNorm).
 
 :class:`IntegerGraphExecutor` binds every node once, at construction, to a
 kernel closure over the node's constants, attributes, output grid and the
 ``(multiplier, shift)`` pairs :func:`~repro.deploy.passes.quantize_weights`
-stored for it — the pairs the code generator writes to ``weights.h``; the
-executor encodes none of its own — and runs them as the float executor
-does, in one :class:`~repro.deploy.engine.BoundSchedule`.  The MAC
-operators (``conv1d`` via im2col, ``linear``, ``matmul``) run on one
-batched GEMM primitive (:func:`int_gemm`) that requantises once per
-output tile.  GELU and the softmax ``exp`` run as one ``np.take`` over the
+stored for it — the executor encodes none of its own — and runs them as
+the float executor does, in one
+:class:`~repro.deploy.engine.BoundSchedule`.  The MAC operators
+(``conv1d`` via im2col, ``linear``, ``matmul``) run on one batched GEMM
+primitive (:func:`int_gemm`) that requantises once per output tile.  GELU and the softmax ``exp`` run as one ``np.take`` over the
 lookup table the lowering built for the node; the tables are built from
 the elementwise I-BERT kernels of :mod:`repro.quant.ibert`, and the
 test-suite pins them to those kernels over the full input domain.
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
-in Table I, the generated weights and the requantisation constants can all
-be validated end-to-end on the host before any code ever reaches the MCU —
-which is exactly how MCU deployment flows are qualified in practice.
+in Table I, the quantised weights and the requantisation constants can all
+be validated end-to-end on the host, which is how MCU deployment flows are
+qualified before any code reaches the device.
 """
 
 from __future__ import annotations

@@ -14,15 +14,14 @@ convention:
   plus arithmetic shift, so inference needs no floating point at all.
 
 :func:`lower_to_int8` performs that conversion.  It is a thin entry point
-over the deploy compiler in :mod:`repro.deploy.passes`, whose seven fixed
-stages calibrate, quantise the weights, plan the GEMM tiles, tabulate the
-transformer nonlinearities and fuse the schedule; the resulting
-:class:`QuantizedGraph` is consumed by the integer executor
-(:mod:`repro.deploy.int_engine`) and the code generator
-(:mod:`repro.deploy.codegen`).  This module keeps the lowering *data model*
-(activation/constant/node/graph dataclasses, the fixed-point requantiser
-encoding and its application, the LUT builders) that both the compiler
-stages and the consumers share.
+over the deploy compiler in :mod:`repro.deploy.passes`, whose six fixed
+stages calibrate, quantise the weights, tabulate the transformer
+nonlinearities and fuse the schedule; the resulting :class:`QuantizedGraph`
+is consumed by the integer executor (:mod:`repro.deploy.int_engine`), the
+memory and tiling planners and the deployment report.  This module keeps
+the lowering *data model* (activation/constant/node/graph dataclasses, the
+fixed-point requantiser encoding and its application, the LUT builders)
+that both the compiler stages and the consumers share.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 __all__ = [
     "ActivationQuantization",
     "CalibrationError",
-    "GemmTileInfo",
     "QuantizedConstant",
     "QuantizedNode",
     "QuantizedGraph",
@@ -100,8 +98,7 @@ def apply_requant(
 
     Consumers pass the pair the lowering stored on the node
     (:attr:`QuantizedNode.requantizers`).  The result is rounded, clipped to
-    ``[qmin, qmax]`` and returned as ``int32``, the same sequence of
-    operations the generated C kernels perform.
+    ``[qmin, qmax]`` and returned as ``int32``.
     """
     scaled = values.astype(np.int64) * multiplier
     if shift > 0:
@@ -171,27 +168,6 @@ class QuantizedConstant:
         return int(self.values.size * per_element)
 
 
-@dataclass(frozen=True)
-class GemmTileInfo:
-    """Tile shape of one MAC node's integer GEMM.
-
-    ``conv1d`` (after im2col), ``linear`` and ``matmul`` all execute as one
-    ``(M, K) @ (K, N)`` integer matmul per sample — ``M`` output rows per
-    sample (the batch axis multiplies ``M``), ``K`` contracted inputs and
-    ``N`` output features.  The tile's requantiser is the node's
-    ``requantizers["output"]`` pair; the tile holds only the shape.
-    """
-
-    m: int
-    k: int
-    n: int
-
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate count of the per-sample GEMM tile."""
-        return self.m * self.k * self.n
-
-
 @dataclass
 class QuantizedNode:
     """A graph node plus its integer constants and requantisation factors."""
@@ -200,12 +176,9 @@ class QuantizedNode:
     constants: Dict[str, QuantizedConstant] = field(default_factory=dict)
     #: Every ``(multiplier, shift)`` pair the node's integer kernel applies,
     #: by role: ``"output"``, ``"lhs"``/``"rhs"`` (add) or ``"input"``
-    #: (append_token, add_positional).  The executor, the GELU table builder
-    #: and codegen read them; a negative multiplier carries a negative factor.
+    #: (append_token, add_positional).  The executor and the GELU table
+    #: builder read them; a negative multiplier carries a negative factor.
     requantizers: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: GEMM tile shape of the MAC operators (``conv1d``, ``linear``,
-    #: ``matmul``); ``None`` elsewhere.
-    gemm: Optional[GemmTileInfo] = None
     #: Precomputed lookup tables keyed by role (``"gelu"``, ``"exp"``);
     #: populated for every :data:`~repro.deploy.graph.LUT_OPERATORS` node.
     luts: Dict[str, LookupTable] = field(default_factory=dict)
@@ -223,7 +196,7 @@ class QuantizedNode:
 
 @dataclass
 class QuantizedGraph:
-    """An int8-lowered inference graph ready for execution / code generation.
+    """An int8-lowered inference graph ready for execution.
 
     ``graph`` is the executable graph: ``source_graph`` with the fusion
     stages applied, so usually structurally smaller (fused /
@@ -417,10 +390,9 @@ def lower_to_int8(
     """Quantise a traced graph to int8 using a calibration batch.
 
     This is the stable entry point of the deploy compiler: it runs the
-    seven stages of :func:`repro.deploy.passes.compile_graph`
-    (calibrate-activations → quantize-weights → plan-gemm-tiles →
-    lut-substitution → fold-requant → fuse-conv-pool →
-    dead-node-elimination).
+    six stages of :func:`repro.deploy.passes.compile_graph`
+    (calibrate-activations → quantize-weights → lut-substitution →
+    fold-requant → fuse-conv-pool → dead-node-elimination).
 
     Parameters
     ----------

@@ -1,25 +1,24 @@
-"""The deploy compiler: capture → seven fixed stages → consumers.
+"""The deploy compiler: capture → six fixed stages → consumers.
 
 A tracer (:mod:`repro.deploy.tracers`) captures a
 :class:`~repro.deploy.graph.ComputeGraph`, and :func:`compile_graph` lowers
-it by running seven stage functions in one fixed order:
+it by running six stage functions in one fixed order:
 
 1. ``calibrate-activations`` (:func:`calibrate_activations`);
 2. ``quantize-weights`` (:func:`quantize_weights`);
-3. ``plan-gemm-tiles`` (:func:`plan_gemm_tiles`);
-4. ``lut-substitution`` (:func:`substitute_luts`);
-5. ``fold-requant`` (:func:`fold_requant`);
-6. ``fuse-conv-pool`` (:func:`fuse_conv_pool`);
-7. ``dead-node-elimination`` (:func:`eliminate_dead_nodes`).
+3. ``lut-substitution`` (:func:`substitute_luts`);
+4. ``fold-requant`` (:func:`fold_requant`);
+5. ``fuse-conv-pool`` (:func:`fuse_conv_pool`);
+6. ``dead-node-elimination`` (:func:`eliminate_dead_nodes`).
 
 The resulting :class:`~repro.deploy.lowering.QuantizedGraph` feeds every
-consumer — the integer executor, the C code generator and the deployment
-report.
+consumer — the integer executor, the memory and tiling planners and the
+deployment report.
 
 Contract
 --------
 * Every stage is **bitwise-safe**: the lowered graph produces the logits of
-  the traced schedule bit for bit.  Stages 5–7 only restructure the
+  the traced schedule bit for bit.  Stages 4–6 only restructure the
   *schedule* — a fused node carries its constituent kernels in
   ``attrs["fused_chain"]``, and each executor binds every member once and
   composes the chain into one kernel with the exact original per-stage
@@ -52,7 +51,6 @@ from .graph import LUT_OPERATORS, MAC_OPERATORS, ComputeGraph, GraphNode
 from .lowering import (
     ActivationQuantization,
     CalibrationError,
-    GemmTileInfo,
     QuantizedConstant,
     QuantizedGraph,
     QuantizedNode,
@@ -69,7 +67,6 @@ __all__ = [
     "FOLDABLE_OPERATORS",
     "calibrate_activations",
     "quantize_weights",
-    "plan_gemm_tiles",
     "substitute_luts",
     "fold_requant",
     "fuse_conv_pool",
@@ -103,6 +100,14 @@ class LoweringConfig:
     #: Percentile of ``|activation|`` covered by the activation scale.
     calibration_percentile: float = 99.9
 
+    def __post_init__(self) -> None:
+        # Constants and activations are stored as int8 (``QuantizedConstant``
+        # dtype, the 1-byte weight accounting), so wider grids cannot be held.
+        for name in ("weight_bits", "activation_bits"):
+            bits = getattr(self, name)
+            if not 2 <= bits <= 8:
+                raise ValueError(f"LoweringConfig.{name} must be in [2, 8], got {bits}")
+
 
 @dataclass(frozen=True)
 class PassRecord:
@@ -133,8 +138,7 @@ def calibrate_activations(
     * softmax outputs are probabilities in [0, 1]; their scale is pinned to
       ``1 / qmax`` so the attention weighting keeps maximum resolution;
     * shape-only outputs share their input's scale, because the integer
-      executor and the generated C kernels move their int8 data without
-      requantising it.
+      executor moves their int8 data without requantising it.
 
     Raises :class:`CalibrationError` on an empty batch, which has no
     magnitudes to take a percentile of.
@@ -252,34 +256,6 @@ def quantize_weights(
             )
         quantized_nodes[node.name] = lowered
     return quantized_nodes
-
-
-def plan_gemm_tiles(graph: ComputeGraph, nodes: Payloads) -> None:
-    """Attach the :class:`GemmTileInfo` tile shape to every MAC node's payload."""
-    for node in graph.nodes:
-        if node.op == "conv1d":
-            out_channels, in_channels, kernel = node.weights["weight"].shape
-            tile = GemmTileInfo(
-                m=int(node.output.shape[-1]),
-                k=int(in_channels * kernel),
-                n=int(out_channels),
-            )
-        elif node.op == "linear":
-            out_features, in_features = node.weights["weight"].shape
-            tile = GemmTileInfo(
-                m=int(node.output.num_elements // out_features),
-                k=int(in_features),
-                n=int(out_features),
-            )
-        elif node.op == "matmul":
-            tile = GemmTileInfo(
-                m=int(node.output.shape[-2]),
-                k=int(node.attrs["inner_dim"]),
-                n=int(node.output.shape[-1]),
-            )
-        else:
-            continue
-        nodes[node.name].gemm = tile
 
 
 def substitute_luts(
@@ -423,8 +399,8 @@ def eliminate_dead_nodes(
     A reverse liveness sweep from the graph output; the tracer emits no dead
     nodes today, but hand-built graphs can, and the compiler should leave
     no unreachable kernels in the schedule or the weight binary.  Payloads
-    of removed nodes are dropped too, so the generated ``weights.h`` and
-    the byte accounting shrink with the graph.
+    of removed nodes are dropped too, so the byte accounting shrinks with
+    the graph.
     """
     live = {graph.output.name}
     kept_reversed: List[GraphNode] = []
@@ -450,7 +426,7 @@ def compile_graph(
 ) -> QuantizedGraph:
     """Run the deploy compiler: traced graph in, lowered graph out.
 
-    The seven stages run in the fixed order of the module docstring, each
+    The six stages run in the fixed order of the module docstring, each
     timed into the manifest under its name.
     """
     config = config if config is not None else LoweringConfig()
@@ -469,8 +445,6 @@ def compile_graph(
     lap("calibrate-activations", graph, graph)
     nodes = quantize_weights(graph, activations, weight_spec)
     lap("quantize-weights", graph, graph)
-    plan_gemm_tiles(graph, nodes)
-    lap("plan-gemm-tiles", graph, graph)
     substitute_luts(graph, activations, nodes)
     lap("lut-substitution", graph, graph)
     folded = fold_requant(graph)

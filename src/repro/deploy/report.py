@@ -7,8 +7,7 @@ user would drive it before flashing a device:
 2. lower it to int8 with a calibration batch;
 3. plan the activation arena (L2) and the L1 tiling;
 4. estimate latency / energy / battery life on the GAP8 cost model;
-5. optionally measure the integer-only accuracy on a held-out set;
-6. generate the C deployment bundle.
+5. optionally measure the integer-only accuracy on a held-out set.
 
 Step 4 is :func:`estimate_deployment`, which also gives the deployment
 columns of the paper's Table I for an untrained model at the paper's input
@@ -17,8 +16,8 @@ geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from ..hw.profiler import LayerProfile, ModelProfile
 from ..models.bioformer import Bioformer
 from ..models.temponet import TEMPONet
 from ..utils.tables import format_table
-from .codegen import CodeGenerator, GeneratedSource
 from .graph import ComputeGraph
 from .int_engine import IntegerGraphExecutor
 from .lowering import QuantizedGraph, lower_to_int8
@@ -158,7 +156,6 @@ class GraphDeploymentReport:
     tiling_plan: TilingPlan
     latency: LatencyBreakdown
     gap8: GAP8Config
-    sources: Dict[str, GeneratedSource] = field(default_factory=dict)
     int8_accuracy: Optional[float] = None
     float_agreement: Optional[float] = None
     duty_cycle: Optional[DutyCycleReport] = None
@@ -189,8 +186,8 @@ class GraphDeploymentReport:
     def total_l2_kilobytes(self) -> float:
         """Weights + LUTs + peak activations (what must fit the 512 kB L2).
 
-        The lookup tables ship in ``weights.h`` alongside the constants, so
-        they count against L2 exactly like weights do.
+        The lookup tables are stored alongside the constants, so they count
+        against L2 exactly like weights do.
         """
         return self.weight_kilobytes + self.lut_kilobytes + self.activation_kilobytes
 
@@ -251,9 +248,6 @@ class GraphDeploymentReport:
             rows.append(("int8/fp32 agreement", f"{100.0 * self.float_agreement:.2f}%"))
         if self.duty_cycle is not None:
             rows.append(("battery life", f"{self.duty_cycle.battery_life_hours:.0f} h"))
-        if self.sources:
-            total_lines = sum(source.lines for source in self.sources.values())
-            rows.append(("generated C", f"{len(self.sources)} files, {total_lines} lines"))
         return format_table(
             ("quantity", "value"), rows, title=f"Deployment report: {self.model_name}"
         )
@@ -268,7 +262,6 @@ def deploy_graph(
     tiling: Optional[TilingConfig] = None,
     battery: Optional[BatteryConfig] = None,
     inference_period_s: Optional[float] = 15e-3,
-    generate_code: bool = True,
     config: Optional[LoweringConfig] = None,
 ) -> GraphDeploymentReport:
     """Run the full graph-level deployment pipeline for a trained model.
@@ -288,8 +281,6 @@ def deploy_graph(
     inference_period_s:
         Period of the always-on loop for the battery projection (15 ms in
         the paper); ``None`` skips the projection.
-    generate_code:
-        Whether to run the C code generator and attach the sources.
     config:
         The :class:`~repro.deploy.passes.LoweringConfig` forwarded to
         :func:`~repro.deploy.lowering.lower_to_int8`.  The default is the
@@ -297,7 +288,7 @@ def deploy_graph(
 
     The GAP8 latency and energy are estimated on the trace, so they equal
     ``estimate_deployment(trace_model(model))`` exactly; memory and tiling
-    are planned on the executable (fused) graph the C code runs.
+    are planned on the executable (fused) graph the integer executor runs.
     """
     model.eval()
     gap8 = gap8 if gap8 is not None else GAP8Config()
@@ -317,10 +308,6 @@ def deploy_graph(
         if evaluation_labels is not None:
             int8_accuracy = float(np.mean(predictions == np.asarray(evaluation_labels)))
 
-    sources: Dict[str, GeneratedSource] = {}
-    if generate_code:
-        sources = CodeGenerator(quantized, memory_plan).generate()
-
     return GraphDeploymentReport(
         graph=compiled,
         quantized=quantized,
@@ -328,7 +315,6 @@ def deploy_graph(
         tiling_plan=tiling_plan,
         latency=estimate.latency,
         gap8=gap8,
-        sources=sources,
         int8_accuracy=int8_accuracy,
         float_agreement=float_agreement,
         duty_cycle=estimate.duty_cycle,

@@ -148,7 +148,6 @@ def run_table1(
                 split.train.windows[:CALIBRATION_WINDOWS],
                 split.test.windows,
                 split.test.labels,
-                generate_code=False,
             ).int8_accuracy
 
         # The deployment columns are those of the untrained model at the

@@ -274,7 +274,7 @@ def conv1d_array(
 
     :func:`im2col` plus one batched matmul against the flattened
     ``(O, C*K)`` weight: the lowering and contraction the integer engine
-    and the generated C code use too.  ``patches`` is the ``(B, L_out,
+    uses too.  ``patches`` is the ``(B, L_out,
     C*K)`` im2col matrix, which the autograd backward keeps for the weight
     gradient.
     """

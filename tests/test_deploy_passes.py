@@ -1,4 +1,4 @@
-"""The deploy compiler: its seven fixed stages and their bitwise pins.
+"""The deploy compiler: its six fixed stages and their bitwise pins.
 
 The compiler contract has two halves:
 
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.deploy import (
-    CodeGenerator,
     FloatGraphExecutor,
     IntegerGraphExecutor,
     deploy_graph,
@@ -36,7 +35,6 @@ from repro.deploy.passes import (
     eliminate_dead_nodes,
     fold_requant,
     fuse_conv_pool,
-    plan_gemm_tiles,
     quantize_weights,
     substitute_luts,
 )
@@ -57,7 +55,6 @@ CONFIGS = [
 LOWERING_STAGES = [
     "calibrate-activations",
     "quantize-weights",
-    "plan-gemm-tiles",
     "lut-substitution",
 ]
 FUSION_STAGES = ["fold-requant", "fuse-conv-pool", "dead-node-elimination"]
@@ -140,6 +137,52 @@ class TestLoweringConfig:
         with pytest.raises(TypeError):
             LoweringConfig(optimize=True)  # fusion always runs
 
+    @pytest.mark.parametrize("field", ["weight_bits", "activation_bits"])
+    def test_bit_widths_an_int8_artefact_cannot_hold_are_rejected(self, field):
+        for bits in (1, 9, 16):
+            with pytest.raises(ValueError, match=field):
+                LoweringConfig(**{field: bits})
+        for bits in range(2, 9):
+            assert getattr(LoweringConfig(**{field: bits}), field) == bits
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_weights_fill_exactly_the_configured_width(self, calibration, bits):
+        graph = trace_model(make_model("bio1"))
+        quantized = lower_to_int8(graph, calibration, LoweringConfig(weight_bits=bits))
+        # The constants quantised on the weight grid (the token and position
+        # constants sit on their activation's grid instead).
+        weights = [
+            payload.constants[role].values
+            for payload in quantized.nodes.values()
+            for role in ("weight", "scale")
+            if payload.node.op in ("conv1d", "linear", "channel_affine")
+            and role in payload.constants
+        ]
+        assert weights
+        low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        for values in weights:
+            assert low <= values.min() and values.max() <= high
+        assert max(int(np.abs(values).max()) for values in weights) >= high
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_activations_stay_on_the_configured_grid(self, calibration, windows, bits):
+        graph = trace_model(make_model("bio1"))
+        quantized = lower_to_int8(graph, calibration, LoweringConfig(activation_bits=bits))
+        assert {act.bits for act in quantized.activations.values()} == {bits}
+        assert quantized.output_quantization.qmax == 2 ** (bits - 1) - 1
+        for schedule in (quantized.source_graph, quantized.graph):
+            seen = []
+
+            def observe(name, values):
+                act = quantized.activations[name]
+                assert act.qmin <= values.min() and values.max() <= act.qmax, name
+                seen.append(name)
+
+            executor = IntegerGraphExecutor(replace(quantized, graph=schedule))
+            batch = quantized.input_quantization.quantize(schedule.batched_input(windows))
+            executor.schedule.run(batch, observe=observe)
+            assert len(seen) == len(schedule) + 1
+
     def test_config_is_frozen_and_hashed_by_value(self):
         """The serving tier keys its backend cache on the config itself."""
         config = LoweringConfig(activation_bits=6)
@@ -216,7 +259,7 @@ class TestValidateHardening:
 # Golden stage manifests
 # --------------------------------------------------------------------- #
 class TestGoldenManifest:
-    def test_manifest_lists_the_seven_stages(self, lowered_pair):
+    def test_manifest_lists_the_six_stages(self, lowered_pair):
         _, compiled = lowered_pair
         assert [r.name for r in compiled.manifest] == LOWERING_STAGES + FUSION_STAGES
         for record in compiled.manifest:
@@ -232,7 +275,7 @@ class TestGoldenManifest:
         assert records[-1].nodes_after == len(compiled.graph)
 
     def test_report_lists_executed_manifest(self, calibration):
-        report = deploy_graph(make_model("temponet"), calibration, generate_code=False)
+        report = deploy_graph(make_model("temponet"), calibration)
         text = report.render()
         assert "compiler passes" in text
         for name in LOWERING_STAGES + FUSION_STAGES:
@@ -349,14 +392,17 @@ class TestFusion:
         # (or the classifier linear); only the fused MACs and the flatten
         # survive in the schedule.
         assert remaining_ops <= {"conv1d", "linear", "flatten"}
-        fused = [node for node in quantized.graph.nodes if node.is_fused]
-        assert fused, "expected fused conv nodes"
-        pooled = [
-            node
-            for node in fused
-            if any(sub.op == "avgpool1d" for sub in node.fusion_chain)
+        chains = [
+            [sub.op for sub in node.fusion_chain]
+            for node in quantized.graph.nodes
+            if node.op == "conv1d"
         ]
-        assert len(pooled) == 3  # one strided-conv+pool fusion per block
+        # Every conv absorbs its batch-norm affine and ReLU; one strided
+        # conv per block absorbs the average pool too.
+        conv_chain = ["conv1d", "channel_affine", "relu"]
+        pooled_chain = conv_chain + ["avgpool1d"]
+        assert chains.count(pooled_chain) == 3
+        assert all(chain in (conv_chain, pooled_chain) for chain in chains)
 
     def test_bioformer_folds_ffn_gelu(self, calibration):
         graph = trace_model(make_model("bio1"))
@@ -401,49 +447,33 @@ class TestDeadNodeElimination:
 
 
 # --------------------------------------------------------------------- #
-# Code generation for fused graphs
+# Payloads of fused graphs
 # --------------------------------------------------------------------- #
-class TestFusedCodegen:
-    def test_temponet_schedule_names_fused_kernels(self, calibration):
-        graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration)
-        sources = CodeGenerator(quantized).generate()
-        network = sources["network.c"].content
-        assert "net_conv1d_im2col_affine_relu_i8(" in network
-        assert "net_conv1d_im2col_affine_relu_pool_i8(" in network
-        kernels = sources["kernels.h"].content
-        assert "void net_conv1d_im2col_affine_relu_pool_i8(" in kernels
-
-    def test_bioformer_lut_gelu_fusion_tag(self, calibration):
-        graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration)
-        network = CodeGenerator(quantized).generate()["network.c"].content
-        assert "net_linear_gemm_gelu_lut_i8(" in network
-
-    def test_absorbed_constants_still_emitted(self, calibration):
-        graph = trace_model(make_model("temponet"))
+class TestFusedPayloads:
+    @pytest.mark.parametrize("arch", ["bio1", "bio2", "temponet"])
+    def test_fusion_leaves_every_payload_as_built(self, calibration, arch):
+        graph = trace_model(make_model(arch))
         compiled = lower_to_int8(graph, calibration)
         # The traced graph's payloads, built by the annotating stages alone
         # so that no fusion stage touches them.
-        unfused = quantize_weights(graph, compiled.activations, compiled.weight_spec)
-        plan_gemm_tiles(graph, unfused)
-        substitute_luts(graph, compiled.activations, unfused)
-        traced = replace(compiled, graph=graph, nodes=unfused)
-        weights_traced = CodeGenerator(traced).weights_header().content
-        weights_fused = CodeGenerator(compiled).weights_header().content
-        # Fusion moves no bytes: the absorbed batch-norm scale/shift arrays
-        # and every requantiser macro are emitted identically.
-        assert weights_fused == weights_traced
-
-    def test_every_scheduled_kernel_is_declared(self, calibration):
-        import re
-
-        graph = trace_model(make_model("temponet"))
-        quantized = lower_to_int8(graph, calibration)
-        sources = CodeGenerator(quantized).generate()
-        called = set(re.findall(r"(net_\w+_i8)\(", sources["network.c"].content))
-        declared = set(re.findall(r"void (net_\w+_i8)\(", sources["kernels.h"].content))
-        assert called == declared
+        traced = quantize_weights(graph, compiled.activations, compiled.weight_spec)
+        substitute_luts(graph, compiled.activations, traced)
+        # Fusion moves no bytes: absorbed constants, requantiser pairs and
+        # tables are those of the traced graph, bit for bit.
+        assert set(compiled.nodes) == set(traced)
+        for name, payload in compiled.nodes.items():
+            expected = traced[name]
+            assert payload.requantizers == expected.requantizers, name
+            assert set(payload.constants) == set(expected.constants), name
+            for role, constant in payload.constants.items():
+                reference = expected.constants[role]
+                assert constant.dtype == reference.dtype, (name, role)
+                assert constant.scale == reference.scale, (name, role)
+                assert constant.values.dtype == reference.values.dtype, (name, role)
+                np.testing.assert_array_equal(constant.values, reference.values)
+            assert set(payload.luts) == set(expected.luts), name
+            for role, table in payload.luts.items():
+                np.testing.assert_array_equal(table.values, expected.luts[role].values)
 
 
 # --------------------------------------------------------------------- #

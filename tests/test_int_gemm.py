@@ -10,8 +10,8 @@ run time from the float scales.  These tests pin that equality
 (``assert_array_equal``, never a tolerance) across every
 registry-reachable architecture, percentile and absmax calibration, and
 batch sizes 1/3/8/16, on the compiled (fused) schedule and on the traced
-one, plus batched-vs-single invariance and the tile metadata the
-compiler precomputes.
+one, plus batched-vs-single invariance and the GEMM operands each MAC
+node's payload carries.
 """
 
 from dataclasses import replace
@@ -21,7 +21,7 @@ import pytest
 
 from repro.deploy import IntegerGraphExecutor, LoweringConfig, lower_to_int8, trace_model
 from repro.deploy.int_engine import int_gemm
-from repro.deploy.lowering import GemmTileInfo, apply_requant, quantize_multiplier, requantize
+from repro.deploy.lowering import apply_requant, quantize_multiplier, requantize
 from repro.models import build_model
 from repro.nn.functional import im2col
 from repro.nn.tensor import Tensor
@@ -266,26 +266,56 @@ class TestExecutorParity:
 
 
 # --------------------------------------------------------------------- #
-# Lowering-time tile metadata
+# The GEMM operands each MAC node's payload carries
 # --------------------------------------------------------------------- #
-class TestGemmTileMetadata:
-    def test_every_mac_node_carries_a_tile(self, quantized):
-        mac_nodes = [
-            node
-            for node in quantized.graph.nodes
-            if node.op in MAC_OPERATORS
-        ]
+def gemm_shape(node, payload, specs):
+    """``(M, K, N)`` of a MAC node, read off its int8 weight (conv1d,
+    linear) or its two activation operands (matmul), batch 1."""
+    if node.op == "matmul":
+        lhs, rhs = (specs[name].shape for name in node.inputs)
+        if node.attrs.get("transpose_b", False):
+            rhs = rhs[:-2] + (rhs[-1], rhs[-2])
+        assert lhs[:-2] == rhs[:-2] and lhs[-1] == rhs[-2], node.name
+        return int(np.prod(lhs[:-1])), lhs[-1], rhs[-1]
+    weight = payload.constants["weight"].values
+    if node.op == "conv1d":
+        out_channels, in_channels, kernel = weight.shape
+        assert in_channels == specs[node.inputs[0]].shape[-2], node.name
+        assert out_channels == node.output.shape[-2], node.name
+        return node.output.shape[-1], in_channels * kernel, out_channels
+    out_features, in_features = weight.shape
+    assert in_features == specs[node.inputs[0]].shape[-1], node.name
+    assert out_features == node.output.shape[-1], node.name
+    return node.output.num_elements // out_features, in_features, out_features
+
+
+class TestGemmPayloads:
+    def test_every_mac_node_carries_its_gemm_operands(self, quantized):
+        specs = quantized.graph.tensor_specs()
+        mac_nodes = [node for node in quantized.graph.nodes if node.op in MAC_OPERATORS]
         assert mac_nodes  # every registry model has a MAC hot path
         for node in mac_nodes:
-            tile = quantized.nodes[node.name].gemm
-            assert isinstance(tile, GemmTileInfo)
-            assert tile.m > 0 and tile.k > 0 and tile.n > 0
-            assert tile.macs == tile.m * tile.k * tile.n
+            payload = quantized.nodes[node.name]
+            m, k, n = gemm_shape(node, payload, specs)
+            # The cost model bills exactly the GEMM the payload describes.
+            assert m * k * n == node.macs > 0, node.name
+            assert set(payload.requantizers) == {"output"}, node.name
+            if node.op == "matmul":
+                assert payload.constants == {}, node.name
+                assert all(name in quantized.activations for name in node.inputs)
+                continue
+            weight, bias = payload.constants["weight"], payload.constants["bias"]
+            assert weight.dtype == "int8" and weight.values.dtype.kind == "i", node.name
+            assert -128 <= weight.values.min() and weight.values.max() <= 127, node.name
+            assert bias.dtype == "int32" and bias.values.shape == (n,), node.name
 
-    def test_non_mac_nodes_have_no_tile(self, quantized):
+    def test_non_mac_nodes_bill_no_macs_and_hold_no_gemm_weight(self, quantized):
         for node in quantized.graph.nodes:
-            if node.op not in MAC_OPERATORS:
-                assert quantized.nodes[node.name].gemm is None
+            if node.op in MAC_OPERATORS:
+                continue
+            assert node.macs == 0, node.name
+            weight = quantized.nodes[node.name].constants.get("weight")
+            assert weight is None or weight.dtype != "int8", node.name
 
 
 # --------------------------------------------------------------------- #

@@ -38,7 +38,6 @@ class TestEndToEndPipeline:
             tiny_split.train.windows,
             tiny_split.test.windows,
             tiny_split.test.labels,
-            generate_code=False,
         )
         assert 0.0 <= quantized.int8_accuracy <= 1.0
 

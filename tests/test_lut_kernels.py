@@ -17,8 +17,7 @@ These tests pin that contract three ways:
   through the ibert kernels and the node's stored ``output`` pair;
 * whole-graph execution on random inputs against that executor, over every
   attention config of the registry × compiled/traced schedule ×
-  percentile/absmax calibration, plus the serving backend and the
-  generated C schedule.
+  percentile/absmax calibration, plus the serving backend.
 
 All randomness comes from local generators — the shared session ``rng``
 fixture is deliberately not used (its draw order is load-bearing for other
@@ -35,7 +34,6 @@ from repro.deploy import (
     IntegerGraphExecutor,
     LookupTable,
     LoweringConfig,
-    generate_c_sources,
     lower_to_int8,
     trace_model,
 )
@@ -175,6 +173,19 @@ class TestTableCoverage:
         quantized = lowered_registry["temponet"]
         assert all(not node.luts for node in quantized.nodes.values())
         assert quantized.total_lut_bytes == 0
+
+    def test_lut_bytes_accounting(self, lowered_registry):
+        quantized = lowered_registry["bio1"]
+        expected = sum(
+            table.nbytes
+            for node in quantized.nodes.values()
+            for table in node.luts.values()
+        )
+        assert quantized.total_lut_bytes == expected > 0
+        # Tables are accounted separately from the Table-I weight column.
+        assert quantized.total_weight_bytes == sum(
+            node.weight_bytes for node in quantized.nodes.values()
+        )
 
     def test_table_sizes_cover_the_domain(self, lowered_registry):
         for name in ATTENTION_MODELS:
@@ -375,37 +386,3 @@ class TestServingIntegration:
         np.testing.assert_array_equal(backend.run(x), reference.run(x))
         np.testing.assert_array_equal(backend.run_integer(x), reference.run_integer(x))
 
-
-# --------------------------------------------------------------------- #
-# Code generation of the LUT op set
-# --------------------------------------------------------------------- #
-class TestLutCodegen:
-    def test_schedule_uses_lut_kernels_and_emits_tables(self, lowered_registry):
-        quantized = lowered_registry["bio1"]
-        sources = generate_c_sources(quantized)
-        network = sources["network.c"].content
-        weights = sources["weights.h"].content
-        kernels = sources["kernels.h"].content
-        # The compiler folds each FFN GELU into its expand linear.
-        assert "net_linear_gemm_gelu_lut_i8" in network
-        assert "net_softmax_lut_i8" in network
-        assert "net_gelu_i8" not in network and "net_softmax_i8" not in network
-        assert "_lut_gelu[" in weights and "_lut_exp[" in weights
-        assert "_DOMAIN_MIN" in weights
-        assert "void net_linear_gemm_gelu_lut_i8(" in kernels
-        assert "void net_softmax_lut_i8(" in kernels
-        header = sources["network.h"].content
-        assert f"#define NETWORK_LUT_BYTES {quantized.total_lut_bytes}" in header
-
-    def test_lut_bytes_accounting(self, lowered_registry):
-        quantized = lowered_registry["bio1"]
-        expected = sum(
-            table.nbytes
-            for node in quantized.nodes.values()
-            for table in node.luts.values()
-        )
-        assert quantized.total_lut_bytes == expected > 0
-        # Tables are accounted separately from the Table-I weight column.
-        assert quantized.total_weight_bytes == sum(
-            node.weight_bytes for node in quantized.nodes.values()
-        )

@@ -47,7 +47,6 @@ def int8_accuracy(model, split, config=None):
         split.train.windows,
         split.test.windows,
         split.test.labels,
-        generate_code=False,
         config=config,
     ).int8_accuracy
 
@@ -121,7 +120,6 @@ class TestQuantizedModel:
             tiny_split.train.windows,
             tiny_split.test.windows,
             tiny_split.test.labels,
-            generate_code=False,
         )
         assert 0.0 <= report.int8_accuracy <= 1.0
         assert 0.0 <= report.float_agreement <= 1.0

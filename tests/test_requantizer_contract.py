@@ -1,22 +1,21 @@
 """The requantiser contract: one ``(multiplier, shift)`` pair per kernel role.
 
 ``quantize_weights`` stores in ``QuantizedNode.requantizers`` exactly the
-pairs each integer kernel applies; the executor, the GELU table builder and
-codegen only read them.  These tests recompute every pair on the test side,
-from the float activation scales and the output scales of the
+pairs each integer kernel applies; the executor and the GELU table builder
+only read them.  These tests recompute every pair on the test side, from
+the float activation scales and the output scales of the
 ``repro.quant.ibert`` kernels, across the registry × four calibration
-percentiles, and check that every ``weights.h`` requantiser macro equals
-the stored pair.
+percentiles, and check in exact arithmetic that each pair encodes its
+factor to the multiplier's precision.
 """
 
-import re
-from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.deploy import LoweringConfig, generate_c_sources, lower_to_int8, trace_model
-from repro.deploy.lowering import GemmTileInfo, quantize_multiplier
+from repro.deploy import LoweringConfig, lower_to_int8, trace_model
+from repro.deploy.lowering import quantize_multiplier
 from repro.models import build_model
 from repro.quant import ibert
 
@@ -107,23 +106,20 @@ def test_every_stored_pair_is_the_pair_its_kernel_applies(quantized):
         assert lowered.requantizers == expected, name
 
 
-def test_weights_h_macros_equal_the_stored_pairs(quantized):
-    weights = generate_c_sources(quantized)["weights.h"].content
-    emitted = {}
-    for prefix, kind, value in re.findall(
-        r"#define (\w+)_(MULTIPLIER|SHIFT) (-?\d+)", weights
-    ):
-        emitted.setdefault(prefix, {})[kind] = int(value)
-    stored = {
-        f"{name}_{role}".replace(".", "_").replace("-", "_").upper(): pair
-        for name, lowered in quantized.nodes.items()
-        for role, pair in lowered.requantizers.items()
-    }
-    assert stored
-    assert set(emitted) == set(stored)
-    for prefix, (multiplier, shift) in stored.items():
-        assert emitted[prefix] == {"MULTIPLIER": multiplier, "SHIFT": shift}, prefix
+def test_every_stored_pair_encodes_its_factor_in_31_bits(quantized):
+    """Checked in exact rational arithmetic, independent of
+    ``quantize_multiplier``: the multiplier is normalised to
+    ``[2**29, 2**30]`` (an int32 with headroom) and ``m * 2**-shift`` is the
+    factor to within half a unit of the multiplier's last bit."""
+    pairs = 0
+    for name, lowered in quantized.nodes.items():
+        for role, factor in expected_factors(quantized, lowered).items():
+            multiplier, shift = lowered.requantizers[role]
+            assert (multiplier < 0) == (factor < 0), (name, role)
+            assert 2**29 <= abs(multiplier) <= 2**30, (name, role)
+            encoded = Fraction(abs(multiplier)) / Fraction(2) ** shift
+            exact = Fraction(abs(factor))
+            assert abs(encoded - exact) <= exact / 2**30, (name, role)
+            pairs += 1
+    assert pairs > 0
 
-
-def test_gemm_tile_is_the_shape_only():
-    assert [field.name for field in fields(GemmTileInfo)] == ["m", "k", "n"]
