@@ -22,8 +22,8 @@ four purposes:
    calibration stage uses to pick activation scales;
 3. **Reference for the integer engine** — the integer executor in
    :mod:`repro.deploy.int_engine` is checked against it;
-4. **Float serving** — :class:`repro.serve.FloatBackend` runs the same
-   traced graph that the int8 backend lowers.
+4. **Float serving** — the executor is the float :class:`repro.serve.Backend`
+   itself, over the same traced graph that the int8 backend lowers.
 """
 
 from __future__ import annotations
@@ -140,10 +140,17 @@ class BoundSchedule:
 
 
 class FloatGraphExecutor:
-    """Executes a :class:`ComputeGraph` on float32/float64 NumPy arrays."""
+    """Executes a :class:`ComputeGraph` on float32/float64 NumPy arrays.
+
+    ``input_shape`` (per window) and ``num_classes`` are read from the graph.
+    """
+
+    name = "float"
 
     def __init__(self, graph: ComputeGraph) -> None:
         self.graph = graph
+        self.input_shape = tuple(int(size) for size in graph.graph_input.shape)
+        self.num_classes = int(graph.output.shape[-1])
         self.schedule = BoundSchedule(graph, self._bind)
 
     def _bind(self, node: GraphNode) -> Kernel:

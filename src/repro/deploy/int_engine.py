@@ -266,11 +266,16 @@ class IntegerGraphExecutor:
     :func:`int_gemm`, GELU/softmax through their lookup tables, every
     requantisation with the node's stored pairs.  Each kernel (fused-chain
     members included) is bound once, here, into a :class:`BoundSchedule`.
+    ``input_shape`` (per window) and ``num_classes`` are read from the graph.
     """
+
+    name = "int8"
 
     def __init__(self, quantized: QuantizedGraph) -> None:
         self.quantized = quantized
         self.graph = quantized.graph
+        self.input_shape = tuple(int(size) for size in self.graph.graph_input.shape)
+        self.num_classes = int(self.graph.output.shape[-1])
         self.schedule = BoundSchedule(self.graph, self._bind)
 
     def _bind(self, node: GraphNode) -> Kernel:

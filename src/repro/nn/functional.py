@@ -51,8 +51,9 @@ Array = TypeVar("Array", Tensor, np.ndarray)
 
 
 # Operator overloading runs the float ops on both types; these four and
-# :func:`relu` cover the ``Tensor`` methods ``np.ndarray`` lacks, and are the
-# only places an op branches on type.
+# :func:`relu` cover the ``Tensor`` methods ``np.ndarray`` lacks.  With
+# ``_centred_variance``, which centres an array once, they are the only
+# places an op branches on type.
 def _tanh(x: Array) -> Array:
     return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
@@ -67,6 +68,17 @@ def _sqrt(x: Array) -> Array:
 
 def _detach(x: Array) -> Array:
     return x.detach() if isinstance(x, Tensor) else x
+
+
+def _centred_variance(x: Array) -> Tuple[Array, Array]:
+    # An array is centred once; a Tensor keeps ``x.var``'s graph (and its
+    # gradient bits).
+    mean = x.mean(axis=-1, keepdims=True)
+    if isinstance(x, Tensor):
+        variance = x.var(axis=-1, keepdims=True)
+        return x - mean, variance
+    centred = x - mean
+    return centred, (centred * centred).mean(axis=-1, keepdims=True)
 
 
 def linear(x: Array, weight: Array, bias: Optional[Array] = None) -> Array:
@@ -159,9 +171,8 @@ def layer_norm(
     Normalises each feature vector to zero mean / unit variance and applies
     an optional learnable affine transform.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    variance = x.var(axis=-1, keepdims=True)
-    normalised = (x - mean) / _sqrt(variance + eps)
+    centred, variance = _centred_variance(x)
+    normalised = centred / _sqrt(variance + eps)
     if weight is not None:
         normalised = normalised * weight
     if bias is not None:

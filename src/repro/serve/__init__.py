@@ -6,9 +6,10 @@ an MCU; this package serves the same models as an online service, which is
 the other half of the paper's real-time scenario and the seam every later
 scaling PR (sharding, remote backends) plugs into:
 
-* :mod:`repro.serve.backends` — the :class:`Backend` protocol plus the
-  float (``repro.nn`` forward) and int8 (integer graph executor)
-  implementations;
+* :mod:`repro.serve.backends` — the :class:`Backend` protocol, which the
+  deploy toolchain's float and integer graph executors satisfy as they
+  stand, and :func:`build_float_backend` / :func:`build_int8_backend`,
+  which trace (and lower) a model to one of them;
 * :mod:`repro.serve.pool` — the request model (:class:`Priority`,
   :class:`DeadlineExceeded`) and :class:`WorkerPool`, ``N`` threads
   executing formed micro-batches concurrently;
@@ -37,13 +38,7 @@ scaling PR (sharding, remote backends) plugs into:
   ``status``.
 """
 
-from .backends import (
-    Backend,
-    FloatBackend,
-    Int8Backend,
-    build_float_backend,
-    build_int8_backend,
-)
+from .backends import Backend, Int8Backend, build_float_backend, build_int8_backend
 from .batcher import DynamicBatcher
 from .faults import (
     BackendError,
@@ -78,7 +73,6 @@ from .stream import MajorityVoter, StreamDecision, StreamSession
 
 __all__ = [
     "Backend",
-    "FloatBackend",
     "Int8Backend",
     "build_float_backend",
     "build_int8_backend",

@@ -206,14 +206,16 @@ class InferenceServer:
     backend:
         ``"float"`` (the traced graph in float, bitwise equal to the
         ``repro.nn`` forward) or ``"int8"`` (the same graph lowered to
-        integers, the GAP8 numerics).  Both snapshot the model's weights
-        when the backend is built.
+        integers, the GAP8 numerics).  The backend is that graph's
+        executor; both snapshot the model's weights when they are built.
     patch_size:
         Bioformer front-end filter dimension; forwarded to the registry and
-        part of the cache key.  Ignored for TEMPONet.
+        part of the cache key.  Ignored for TEMPONet; a constructed
+        ``Module`` rejects it with ``ValueError``.
     model_kwargs:
         Extra registry arguments (``num_channels``, ``window_samples``,
-        ``num_classes``, ``seed``, ...).
+        ``num_classes``, ``seed``, ...); a constructed ``Module`` rejects
+        them with ``ValueError``.
     calibration:
         Representative windows for int8 lowering (int8 backend only).
         Calibration is *not* part of the cache key; pass a dedicated
@@ -243,8 +245,9 @@ class InferenceServer:
     job_timeout_s:
         Soft per-batch timeout for an *owned* pool: a batch stuck past
         this budget fails with :class:`~repro.serve.faults.BackendTimeout`
-        and its worker is abandoned/respawned.  Ignored for borrowed pools
-        (their owner configures supervision).
+        and its worker is abandoned/respawned.  Requires ``num_workers >
+        1``: inline execution and a borrowed pool (whose owner configures
+        supervision) reject it with ``ValueError``.
     retry_policy:
         Optional :class:`~repro.serve.faults.RetryPolicy`.  Retryable
         backend faults (and non-finite logits) are re-attempted with
@@ -304,11 +307,34 @@ class InferenceServer:
             raise ValueError("fallback degradation requires backend='int8'")
         if lowering is not None and backend != "int8":
             raise ValueError("a lowering config requires backend='int8'")
+        if job_timeout_s is not None and (pool is not None or num_workers == 1):
+            raise ValueError(
+                "job_timeout_s requires an owned pool (num_workers > 1); a borrowed "
+                "pool is supervised by its owner"
+            )
         self.backend_name = backend
         self.cache = cache if cache is not None else get_default_cache()
         model_kwargs = dict(model_kwargs or {})
         if patch_size is not None:
             model_kwargs["patch_size"] = patch_size
+        if isinstance(model, str):
+            self.architecture = model.lower()
+            identity: Tuple = model_cache_key(model, **model_kwargs)
+        elif model_kwargs:
+            raise ValueError("patch_size and model_kwargs apply to registry names, not to a Module")
+        else:
+            self.architecture = getattr(model, "name", type(model).__name__)
+            # Key on the module object itself (identity hash): holding it in
+            # the cache key pins the model alive, so a recycled id() can
+            # never alias a dead model's cached backend.
+            identity = ("module", model)
+
+        def build(kind: str) -> Backend:
+            built = model if isinstance(model, Module) else build_model(model, **model_kwargs)
+            if kind == "float":
+                return build_float_backend(built)
+            return build_int8_backend(built, calibration, config=lowering)
+
         # The lowering config changes the served numerics (bit widths,
         # calibration percentile), so it is part of the cache identity — unlike
         # calibration data, which is not hashable.  The config is frozen
@@ -316,40 +342,8 @@ class InferenceServer:
         lowering_variant: object = ()
         if backend == "int8":
             lowering_variant = lowering if lowering is not None else LoweringConfig()
-
-        if isinstance(model, str):
-            self.architecture = model.lower()
-            key = (model_cache_key(model, **model_kwargs), backend, lowering_variant)
-            fallback_key = (model_cache_key(model, **model_kwargs), "float", ())
-
-            def factory() -> Backend:
-                built = build_model(self.architecture, **model_kwargs).eval()
-                if backend == "float":
-                    return build_float_backend(built)
-                return build_int8_backend(built, calibration, config=lowering)
-
-            def fallback_factory() -> Backend:
-                built = build_model(self.architecture, **model_kwargs).eval()
-                return build_float_backend(built)
-
-        else:
-            self.architecture = getattr(model, "name", type(model).__name__)
-            # Key on the module object itself (identity hash): holding it in
-            # the cache key pins the model alive, so a recycled id() can
-            # never alias a dead model's cached backend.
-            key = (("module", model), backend, lowering_variant)
-            fallback_key = (("module", model), "float", ())
-
-            def factory() -> Backend:
-                if backend == "float":
-                    return build_float_backend(model)
-                return build_int8_backend(model, calibration, config=lowering)
-
-            def fallback_factory() -> Backend:
-                return build_float_backend(model)
-
-        self.cache_key = key
-        self.backend: Backend = self.cache.get_or_build(key, factory)
+        self.cache_key = (identity, backend, lowering_variant)
+        self.backend: Backend = self.cache.get_or_build(self.cache_key, lambda: build(backend))
         # The dispatch target: the cached backend, optionally wrapped (the
         # wrapper — e.g. a FaultInjectingBackend — stays private to this
         # server; the cache keeps the clean backend).
@@ -357,7 +351,9 @@ class InferenceServer:
             backend_wrapper(self.backend) if backend_wrapper is not None else self.backend
         )
         self._fallback: Optional[Backend] = (
-            self.cache.get_or_build(fallback_key, fallback_factory) if fallback else None
+            self.cache.get_or_build((identity, "float", ()), lambda: build("float"))
+            if fallback
+            else None
         )
         self.retry_policy = retry_policy
         if circuit_breaker is True:

@@ -22,7 +22,6 @@ from repro.models import Bioformer, BioformerConfig, build_model, temponet
 from repro.nn import BatchNorm1d, Module
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.serve import Int8Backend
 
 
 def small_bioformer(**overrides):
@@ -534,7 +533,7 @@ def test_int8_executor_rejects_non_finite_windows(bio2_executors, bad):
     with pytest.raises(ValueError, match="non-finite"):
         executor.run_integer(inputs)
     with pytest.raises(ValueError, match="non-finite"):
-        Int8Backend(executor.quantized).run(inputs)
+        executor.run(inputs)
 
 
 # --------------------------------------------------------------------- #

@@ -39,7 +39,7 @@ from repro.deploy.passes import (
     substitute_luts,
 )
 from repro.models import build_model
-from repro.serve import BackendCache, Int8Backend, InferenceServer, build_int8_backend
+from repro.serve import BackendCache, InferenceServer, build_int8_backend
 
 GEOMETRY = dict(num_channels=4, window_samples=60, seed=11)
 
@@ -482,7 +482,7 @@ class TestFusedPayloads:
 class TestServingIntegration:
     def test_backend_is_bitwise_equal_to_source_schedule(self, calibration, windows):
         backend = build_int8_backend(make_model("temponet"), calibration)
-        reference = Int8Backend(source_schedule(backend.quantized))
+        reference = IntegerGraphExecutor(source_schedule(backend.quantized))
         assert len(backend.quantized.graph) < len(reference.quantized.graph)
         np.testing.assert_array_equal(
             reference.run_integer(windows), backend.run_integer(windows)

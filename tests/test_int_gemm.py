@@ -25,7 +25,7 @@ from repro.deploy.lowering import apply_requant, quantize_multiplier, requantize
 from repro.models import build_model
 from repro.nn.functional import im2col
 from repro.nn.tensor import Tensor
-from repro.serve import FloatBackend
+from repro.serve import build_float_backend
 
 from test_deploy_engines import _int_conv1d_taploop
 
@@ -332,5 +332,5 @@ class TestFloatFastPathParity:
         model = build_model(arch, **kwargs).eval()
         x = np.random.default_rng(31).normal(size=(batch, 4, 60))
         expected = model(Tensor(x)).data  # grad-enabled autograd Tensor path
-        served = FloatBackend(model).run(x)  # FloatGraphExecutor over the trace
+        served = build_float_backend(model).run(x)  # FloatGraphExecutor over the trace
         np.testing.assert_array_equal(served, expected)

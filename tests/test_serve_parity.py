@@ -11,15 +11,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.deploy import IntegerGraphExecutor, lower_to_int8, trace_model
+from repro.deploy import FloatGraphExecutor, IntegerGraphExecutor, lower_to_int8, trace_model
 from repro.models import available_models, build_model
 from repro.nn.tensor import Tensor
 from repro.serve import (
+    Backend,
     BackendCache,
-    FloatBackend,
     InferenceServer,
     Priority,
     WorkerPool,
+    build_float_backend,
     build_int8_backend,
 )
 
@@ -71,12 +72,12 @@ class TestFloatParity:
             np.testing.assert_array_equal(server.infer(x), expected)
 
     def test_backend_run_is_inference_only(self, rng):
-        model = make_model("bio1")
-        backend = FloatBackend(model)
+        model = make_model("bio1").train()
+        backend = build_float_backend(model)
         logits = backend.run(rng.normal(size=(3, 4, 60)))
         assert isinstance(logits, np.ndarray)
         assert logits.shape == (3, 8)
-        # Evaluation mode was set by the backend constructor.
+        # Evaluation mode was set by the backend builder.
         assert not model.training
 
     def test_predict_matches_argmax(self, rng, cache):
@@ -121,8 +122,8 @@ class TestInt8Parity:
 
     def test_deterministic_default_calibration(self):
         model = make_model("bio1")
-        first = build_int8_backend(model, seed=3)
-        second = build_int8_backend(model, seed=3)
+        first = build_int8_backend(model)
+        second = build_int8_backend(model)
         x = np.random.default_rng(5).normal(size=(4, 4, 60))
         np.testing.assert_array_equal(first.run(x), second.run(x))
 
@@ -184,6 +185,45 @@ class TestServerFacade:
             assert logits.shape == (0, server.num_classes)
             assert server.predict([]).shape == (0,)
             assert server.infer(np.empty((0, 4, 60))).shape == (0, 8)
+
+    @pytest.mark.parametrize(
+        "backend, executor", [("float", FloatGraphExecutor), ("int8", IntegerGraphExecutor)]
+    )
+    def test_backend_is_the_graph_executor(self, backend, executor, cache):
+        """The server serves the executor itself, its geometry read from the graph."""
+        with InferenceServer(
+            "bio1", backend, patch_size=10, model_kwargs=GEOMETRY, cache=cache
+        ) as server:
+            assert type(server.backend) is executor
+            assert isinstance(server.backend, Backend)
+            assert server.backend.name == backend
+            assert server.backend.input_shape == (4, 60)
+            assert server.backend.num_classes == 8
+
+    @pytest.mark.parametrize(
+        "case", ["module_patch_size", "module_model_kwargs", "timeout_inline", "timeout_borrowed"]
+    )
+    def test_rejects_options_it_cannot_apply(self, case, cache):
+        """A registry argument beside a built model, or a job timeout without
+        an owned pool, used to be accepted and ignored."""
+        registry = dict(patch_size=10, model_kwargs=GEOMETRY)
+        with WorkerPool(num_workers=1) as pool:
+            model, kwargs, option = {
+                "module_patch_size": (make_model("bio1"), dict(patch_size=5), "patch_size"),
+                "module_model_kwargs": (
+                    make_model("bio1"),
+                    dict(model_kwargs={"num_channels": 99}),
+                    "model_kwargs",
+                ),
+                "timeout_inline": ("bio1", dict(registry, job_timeout_s=0.001), "job_timeout_s"),
+                "timeout_borrowed": (
+                    "bio1",
+                    dict(registry, job_timeout_s=0.001, pool=pool),
+                    "job_timeout_s",
+                ),
+            }[case]
+            with pytest.raises(ValueError, match=option):
+                InferenceServer(model, "float", cache=cache, **kwargs)
 
     def test_rejects_non_positive_workers_and_pool_conflict(self, cache):
         kwargs = dict(patch_size=10, model_kwargs=GEOMETRY, cache=cache)
@@ -302,7 +342,7 @@ def test_backends_run_empty_batch(name, backend):
     """Regression: TEMPONet's ``flatten`` reshaped to ``(0, -1)``, which
     raised on zero windows in both backends and in the model itself."""
     model = make_model(name)
-    built = FloatBackend(model) if backend == "float" else build_int8_backend(model)
+    built = build_float_backend(model) if backend == "float" else build_int8_backend(model)
     empty = np.empty((0, 4, 60))
     assert built.run(empty).shape == (0, built.num_classes)
     assert model(Tensor(empty)).shape == (0, built.num_classes)
