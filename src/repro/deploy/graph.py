@@ -183,9 +183,10 @@ class TensorSpec:
         """Number of scalar elements (per batch item)."""
         return int(math.prod(self.shape))
 
-    def nbytes(self, bytes_per_element: int = 1) -> int:
-        """Storage size for a given element width (1 byte for int8)."""
-        return self.num_elements * bytes_per_element
+    @property
+    def nbytes(self) -> int:
+        """Storage size on the target: one int8 byte per element."""
+        return self.num_elements
 
     def __str__(self) -> str:
         return f"{self.name}{list(self.shape)}"
@@ -404,10 +405,6 @@ class ComputeGraph:
     def total_weight_elements(self) -> int:
         """Total constant scalars stored by the graph."""
         return sum(node.weight_elements for node in self.nodes)
-
-    def weight_bytes(self, bits_per_weight: int = 8) -> int:
-        """Constant storage for a given weight bit-width."""
-        return int(self.total_weight_elements * bits_per_weight / 8)
 
     def largest_activation(self) -> TensorSpec:
         """The largest activation tensor (sizing the working buffers)."""

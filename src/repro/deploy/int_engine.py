@@ -34,7 +34,7 @@ from ..nn.functional import im2col
 from ..quant import ibert
 from .engine import SHAPE_KERNELS, BoundSchedule, FloatGraphExecutor, Kernel
 from .graph import OPERATORS, GraphNode
-from .lowering import QuantizedGraph, apply_requant
+from .lowering import QMAX, QMIN, QuantizedGraph, apply_requant
 
 __all__ = ["IntegerGraphExecutor", "int_gemm"]
 
@@ -69,7 +69,7 @@ def int_gemm(
     lhs: np.ndarray,
     rhs: np.ndarray,
     bias: Optional[np.ndarray] = None,
-    requant: Optional[Tuple[int, int, int, int]] = None,
+    requant: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
     """Shared integer GEMM primitive: ``lhs @ rhs`` with int64 accumulation.
 
@@ -77,8 +77,9 @@ def int_gemm(
     for stacked batched multiplies) — the kernel the im2col'd ``conv1d``,
     ``linear`` and attention ``matmul`` all lower onto.  ``bias`` (int64,
     broadcast over the trailing axis) is added to the accumulator, and a
-    ``requant`` tile ``(multiplier, shift, qmin, qmax)`` requantises the
-    whole output once; without it the raw int64 accumulator is returned.
+    stored ``requant`` pair ``(multiplier, shift)`` requantises the whole
+    output onto the int8 grid once; without it the raw int64 accumulator is
+    returned.
     The contraction runs through BLAS whenever that is provably exact (see
     :func:`_gemm_accumulate`), which int8-grid inputs always are.
     """
@@ -87,8 +88,7 @@ def int_gemm(
         accumulator = accumulator + bias
     if requant is None:
         return accumulator
-    multiplier, shift, qmin, qmax = requant
-    return apply_requant(accumulator, multiplier, shift, qmin, qmax)
+    return apply_requant(accumulator, *requant)
 
 
 def _conv1d(node, lowered, in_scale, requant) -> Kernel:
@@ -161,12 +161,11 @@ def _channel_affine(node, lowered, in_scale, requant) -> Kernel:
 def _add(node, lowered, in_scale, requant) -> Kernel:
     other = node.inputs[1]
     lhs, rhs = requant["lhs"], requant["rhs"]
-    qmin, qmax = lhs[2:]
 
     def run(q_x, tensors):
         total = apply_requant(q_x.astype(np.int64), *lhs)
         total = total + apply_requant(tensors[other].astype(np.int64), *rhs)
-        return np.clip(total, qmin, qmax).astype(np.int32)
+        return np.clip(total, QMIN, QMAX).astype(np.int32)
 
     return run
 
@@ -186,11 +185,10 @@ def _append_token(node, lowered, in_scale, requant) -> Kernel:
 def _add_positional(node, lowered, in_scale, requant) -> Kernel:
     positions = lowered.constants["positions"].values[None, :, :]
     rescale = requant["input"]
-    qmin, qmax = rescale[2:]
 
     def run(q_x, tensors):
         rescaled = apply_requant(q_x.astype(np.int64), *rescale)
-        return np.clip(rescaled + positions, qmin, qmax).astype(np.int32)
+        return np.clip(rescaled + positions, QMIN, QMAX).astype(np.int32)
 
     return run
 
@@ -253,7 +251,7 @@ def _mean_tokens(node, lowered, in_scale, requant) -> Kernel:
 #: Each non-shape operator's binder is the function named after it.  It
 #: returns the node's kernel, closed over the node's attributes, its
 #: ``QuantizedNode`` payload, its input scale and ``requant``: role ->
-#: ``(multiplier, shift, qmin, qmax)``, the stored pairs on its output grid.
+#: ``(multiplier, shift)``, the node's stored pairs onto the int8 grid.
 _BINDERS: Dict[str, Callable[..., Kernel]] = {
     op: globals()[f"_{op}"] for op in OPERATORS if op not in SHAPE_KERNELS
 }
@@ -282,15 +280,9 @@ class IntegerGraphExecutor:
         """One original node's kernel; shape operators share the float ones."""
         if node.op in SHAPE_KERNELS:
             return SHAPE_KERNELS[node.op](node)
-        activations = self.quantized.activations
         lowered = self.quantized.nodes[node.name]
-        out = activations[node.output.name]
-        requant = {
-            role: (multiplier, shift, out.qmin, out.qmax)
-            for role, (multiplier, shift) in lowered.requantizers.items()
-        }
-        in_scale = activations[node.inputs[0]].scale
-        return _BINDERS[node.op](node, lowered, in_scale, requant)
+        in_scale = self.quantized.activations[node.inputs[0]].scale
+        return _BINDERS[node.op](node, lowered, in_scale, lowered.requantizers)
 
     def run_integer(self, inputs: np.ndarray) -> np.ndarray:
         """Run the graph; returns the *integer* logits (int8 grid).

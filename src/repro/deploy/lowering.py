@@ -27,7 +27,7 @@ that both the compiler stages and the consumers share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+#: The one integer grid of the deployment: every activation, weight and
+#: lookup-table domain is int8 (the paper's 8/8 GAP8 format).
+QMIN, QMAX = -128, 127
+#: How weights are quantised onto that grid: per-tensor symmetric int8.
+WEIGHT_SPEC = QuantizationSpec(bits=8, symmetric=True, signed=True)
+
 __all__ = [
+    "QMIN",
+    "QMAX",
+    "WEIGHT_SPEC",
     "ActivationQuantization",
     "CalibrationError",
     "QuantizedConstant",
@@ -91,8 +100,8 @@ def apply_requant(
     values: np.ndarray,
     multiplier: int,
     shift: int,
-    qmin: int = -128,
-    qmax: int = 127,
+    qmin: int = QMIN,
+    qmax: int = QMAX,
 ) -> np.ndarray:
     """Apply an encoded ``(multiplier, shift)`` requantiser to accumulators.
 
@@ -120,7 +129,7 @@ def apply_requant(
     return np.clip(scaled, qmin, qmax).astype(np.int32)
 
 
-def requantize(values: np.ndarray, factor: float, qmin: int = -128, qmax: int = 127) -> np.ndarray:
+def requantize(values: np.ndarray, factor: float, qmin: int = QMIN, qmax: int = QMAX) -> np.ndarray:
     """Rescale integer accumulators by a float ``factor`` in fixed point:
     :func:`encode_requantizer` followed by :func:`apply_requant`."""
     multiplier, shift = encode_requantizer(factor)
@@ -133,15 +142,8 @@ class ActivationQuantization:
 
     name: str
     scale: float
-    bits: int = 8
-
-    @property
-    def qmin(self) -> int:
-        return -(2 ** (self.bits - 1))
-
-    @property
-    def qmax(self) -> int:
-        return 2 ** (self.bits - 1) - 1
+    qmin: ClassVar[int] = QMIN
+    qmax: ClassVar[int] = QMAX
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantise a float array to this tensor's integer grid."""
@@ -209,7 +211,6 @@ class QuantizedGraph:
     graph: ComputeGraph
     activations: Dict[str, ActivationQuantization]
     nodes: Dict[str, QuantizedNode]
-    weight_spec: QuantizationSpec
     #: Per-stage execution records of the compiler that produced the graph
     #: (:class:`~repro.deploy.passes.PassRecord` entries), shown by the
     #: deployment report.  Empty for hand-built graphs.
@@ -306,7 +307,7 @@ def _tail_percentile(magnitudes: np.ndarray, percentile: float) -> float:
 
 
 def _symmetric_scale(
-    values: np.ndarray, bits: int = 8, percentile: float = 100.0, name: str = "activation"
+    values: np.ndarray, percentile: float = 100.0, name: str = "activation"
 ) -> float:
     """Symmetric per-tensor scale covering the given percentile of |values|.
 
@@ -320,12 +321,12 @@ def _symmetric_scale(
             f"calibration activation '{name}' is not finite (max |x| = {peak})"
         )
     bound = max(_tail_percentile(magnitudes, percentile), 1e-8)
-    return bound / float(2 ** (bits - 1) - 1)
+    return bound / float(QMAX)
 
 
-def _quantize_weight(values: np.ndarray, spec: QuantizationSpec) -> QuantizedConstant:
-    scale, zero_point = compute_scale_zero_point(values.min(), values.max(), spec)
-    integer = quantize(values, scale, zero_point, spec).astype(np.int32)
+def _quantize_weight(values: np.ndarray) -> QuantizedConstant:
+    scale, zero_point = compute_scale_zero_point(values.min(), values.max(), WEIGHT_SPEC)
+    integer = quantize(values, scale, zero_point, WEIGHT_SPEC).astype(np.int32)
     return QuantizedConstant(values=integer, scale=float(scale), dtype="int8")
 
 
@@ -403,8 +404,8 @@ def lower_to_int8(
         pick the activation scales; an empty batch raises
         :class:`CalibrationError`.
     config:
-        A :class:`~repro.deploy.passes.LoweringConfig` selecting precision
-        and calibration; ``LoweringConfig()`` when omitted.
+        A :class:`~repro.deploy.passes.LoweringConfig` selecting the
+        calibration percentile; ``LoweringConfig()`` when omitted.
     use_lut:
         Accepted for callers that still spell out the table op set.  The
         tables are the only op set, so ``False`` raises ``ValueError``.

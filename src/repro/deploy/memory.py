@@ -12,8 +12,8 @@ This module implements that pass for :class:`ComputeGraph` schedules:
   :func:`last_uses`, the last use alone (what the executors free by);
 * :func:`plan_activation_memory` — greedy best-fit packing (largest tensors
   first) producing per-buffer offsets and the arena peak;
-* :class:`MemoryPlan` — the result, with helpers used by the deployment
-  report and the code generator (which emits the arena offsets).
+* :class:`MemoryPlan` — the result, with the helpers the deployment
+  report uses (peak, per-buffer offsets, the L2 fit check).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def last_uses(graph: ComputeGraph) -> Dict[str, int]:
     return last_use
 
 
-def live_ranges(graph: ComputeGraph, bytes_per_element: int = 1) -> Dict[str, LiveRange]:
+def live_ranges(graph: ComputeGraph) -> Dict[str, LiveRange]:
     """Compute the live range of every activation tensor in ``graph``.
 
     Shape-only nodes (transpose, head splitting, ...) are aliases on the
@@ -144,14 +144,14 @@ def live_ranges(graph: ComputeGraph, bytes_per_element: int = 1) -> Dict[str, Li
     for name, spec in graph.tensor_specs().items():
         ranges[name] = LiveRange(
             name=name,
-            size_bytes=spec.nbytes(bytes_per_element),
+            size_bytes=spec.nbytes,
             start=produced[name],
             end=last_use[name],
         )
     return ranges
 
 
-def plan_activation_memory(graph: ComputeGraph, bytes_per_element: int = 1) -> MemoryPlan:
+def plan_activation_memory(graph: ComputeGraph) -> MemoryPlan:
     """Pack activation buffers into a shared arena (greedy best-fit).
 
     Tensors are placed in decreasing size order; each is assigned the lowest
@@ -160,7 +160,7 @@ def plan_activation_memory(graph: ComputeGraph, bytes_per_element: int = 1) -> M
     standard offset-allocation heuristic used by TFLite-Micro and DORY and
     is within a few percent of optimal for feed-forward schedules.
     """
-    ranges = live_ranges(graph, bytes_per_element)
+    ranges = live_ranges(graph)
     order = sorted(ranges.values(), key=lambda item: item.size_bytes, reverse=True)
     assignments: List[BufferAssignment] = []
     placed: Dict[str, BufferAssignment] = {}

@@ -45,10 +45,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..quant import ibert
-from ..quant.quantizers import QuantizationSpec
 from .engine import FloatGraphExecutor
 from .graph import LUT_OPERATORS, MAC_OPERATORS, ComputeGraph, GraphNode
 from .lowering import (
+    QMAX,
     ActivationQuantization,
     CalibrationError,
     QuantizedConstant,
@@ -91,22 +91,12 @@ class LoweringConfig:
     The only way to configure :func:`~repro.deploy.lowering.lower_to_int8`,
     :func:`~repro.deploy.report.deploy_graph`, ``build_int8_backend`` and
     ``InferenceServer(lowering=...)``.  Frozen and hashable, so the serving
-    tier keys its backend cache on the config itself.
+    tier keys its backend cache on the config itself.  The integer grid is
+    not a setting: it is always int8 (:data:`~repro.deploy.lowering.QMIN`).
     """
 
-    #: Integer precision (8/8 in the paper; other widths for ablations).
-    weight_bits: int = 8
-    activation_bits: int = 8
     #: Percentile of ``|activation|`` covered by the activation scale.
     calibration_percentile: float = 99.9
-
-    def __post_init__(self) -> None:
-        # Constants and activations are stored as int8 (``QuantizedConstant``
-        # dtype, the 1-byte weight accounting), so wider grids cannot be held.
-        for name in ("weight_bits", "activation_bits"):
-            bits = getattr(self, name)
-            if not 2 <= bits <= 8:
-                raise ValueError(f"LoweringConfig.{name} must be in [2, 8], got {bits}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,7 @@ def calibrate_activations(
     is free get a percentile:
 
     * softmax outputs are probabilities in [0, 1]; their scale is pinned to
-      ``1 / qmax`` so the attention weighting keeps maximum resolution;
+      ``1 / QMAX`` so the attention weighting keeps maximum resolution;
     * shape-only outputs share their input's scale, because the integer
       executor moves their int8 data without requantising it.
 
@@ -148,7 +138,6 @@ def calibrate_activations(
             f"calibration batch of graph '{graph.name}' is empty "
             f"(shape {calibration.shape})"
         )
-    bits = config.activation_bits
     free = {graph.graph_input.name} | {
         node.output.name
         for node in graph.nodes
@@ -159,19 +148,17 @@ def calibrate_activations(
     def observe(name: str, values: np.ndarray) -> None:
         if name in free:
             scales[name] = _symmetric_scale(
-                values, bits=bits, percentile=config.calibration_percentile, name=name
+                values, percentile=config.calibration_percentile, name=name
             )
 
     FloatGraphExecutor(graph).run(calibration, observe)
     for node in graph.nodes:
         if node.op == "softmax":
-            scales[node.output.name] = 1.0 / float(2 ** (bits - 1) - 1)
+            scales[node.output.name] = 1.0 / float(QMAX)
         elif node.is_shape_only:
             scales[node.output.name] = scales[node.inputs[0]]
     return {
-        tensor.name: ActivationQuantization(
-            name=tensor.name, scale=scales[tensor.name], bits=bits
-        )
+        tensor.name: ActivationQuantization(name=tensor.name, scale=scales[tensor.name])
         for tensor in [graph.graph_input] + [node.output for node in graph.nodes]
     }
 
@@ -182,9 +169,7 @@ _NO_VALUES = np.zeros((0, 1), dtype=np.int64)
 
 
 def quantize_weights(
-    graph: ComputeGraph,
-    activations: Dict[str, ActivationQuantization],
-    weight_spec: QuantizationSpec,
+    graph: ComputeGraph, activations: Dict[str, ActivationQuantization]
 ) -> Payloads:
     """Quantise every node's constants and encode every requantiser its
     integer kernel applies (``docs/compiler.md``, the requantiser contract)."""
@@ -197,7 +182,7 @@ def quantize_weights(
         accumulator_scale = None
 
         if node.op in ("conv1d", "linear"):
-            weight = _quantize_weight(node.weights["weight"], weight_spec)
+            weight = _quantize_weight(node.weights["weight"])
             lowered.constants["weight"] = weight
             if "bias" in node.weights:
                 bias_scale = input_scale * weight.scale
@@ -212,7 +197,7 @@ def quantize_weights(
                 input_scale * other_scale * float(node.attrs.get("scale", 1.0))
             )
         elif node.op == "channel_affine":
-            scale_q = _quantize_weight(node.weights["scale"], weight_spec)
+            scale_q = _quantize_weight(node.weights["scale"])
             lowered.constants["scale"] = scale_q
             accumulator_scale = input_scale * scale_q.scale
             shift = np.round(node.weights["shift"] / accumulator_scale).astype(np.int64)
@@ -431,7 +416,6 @@ def compile_graph(
     """
     config = config if config is not None else LoweringConfig()
     calibration = np.asarray(calibration_inputs, dtype=np.float64)
-    weight_spec = QuantizationSpec(bits=config.weight_bits, symmetric=True, signed=True)
     manifest: List[PassRecord] = []
     start = time.perf_counter()
 
@@ -443,7 +427,7 @@ def compile_graph(
 
     activations = calibrate_activations(graph, calibration, config)
     lap("calibrate-activations", graph, graph)
-    nodes = quantize_weights(graph, activations, weight_spec)
+    nodes = quantize_weights(graph, activations)
     lap("quantize-weights", graph, graph)
     substitute_luts(graph, activations, nodes)
     lap("lut-substitution", graph, graph)
@@ -462,7 +446,6 @@ def compile_graph(
         graph=executable,
         activations=activations,
         nodes=nodes,
-        weight_spec=weight_spec,
         manifest=tuple(manifest),
         source_graph=graph,
         config=config,

@@ -204,10 +204,10 @@ class GAP8Model:
             active_power_w=self.config.active_power_w,
         )
 
-    def fits_memory(self, profile: ModelProfile, bits_per_weight: int = 8) -> bool:
-        """Whether the weights fit in the 512 kB L2 memory."""
-        return profile.memory_bytes(bits_per_weight) <= self.config.l2_bytes
+    def fits_memory(self, profile: ModelProfile) -> bool:
+        """Whether the int8 weights fit in the 512 kB L2 memory."""
+        return profile.memory_bytes() <= self.config.l2_bytes
 
-    def memory_utilization(self, profile: ModelProfile, bits_per_weight: int = 8) -> float:
-        """Fraction of L2 occupied by the weights."""
-        return profile.memory_bytes(bits_per_weight) / self.config.l2_bytes
+    def memory_utilization(self, profile: ModelProfile) -> float:
+        """Fraction of L2 occupied by the int8 weights."""
+        return profile.memory_bytes() / self.config.l2_bytes

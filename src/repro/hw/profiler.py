@@ -81,13 +81,13 @@ class ModelProfile:
         """MACs in millions (the paper's "MMAC" column)."""
         return self.total_macs / 1e6
 
-    def memory_bytes(self, bits_per_weight: int = 8) -> int:
-        """Weight memory footprint for a given storage bit-width."""
-        return int(self.total_params * bits_per_weight / 8)
+    def memory_bytes(self) -> int:
+        """Weight memory footprint: one int8 byte per parameter."""
+        return self.total_params
 
-    def memory_kilobytes(self, bits_per_weight: int = 8) -> float:
+    def memory_kilobytes(self) -> float:
         """Weight memory footprint in kB (the paper's "Memory" column)."""
-        return self.memory_bytes(bits_per_weight) / 1e3
+        return self.memory_bytes() / 1e3
 
     def by_kind(self) -> dict:
         """MACs grouped by kernel kind (for the ablation reports)."""

@@ -43,7 +43,6 @@ class QATConfig:
     epochs: int = 5
     learning_rate: float = 5e-5
     batch_size: int = 64
-    weight_bits: int = 8
     max_grad_norm: float = 5.0
     seed: int = 0
 
@@ -108,7 +107,7 @@ def quantization_aware_finetune(
         QAT hyper-parameters.
     """
     config = config if config is not None else QATConfig()
-    spec = QuantizationSpec(bits=config.weight_bits, symmetric=True)
+    spec = QuantizationSpec(symmetric=True)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     loss_function = CrossEntropyLoss()
     rng = derive_rng("qat", seed=config.seed)

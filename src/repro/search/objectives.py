@@ -86,9 +86,8 @@ class CandidateEvaluation:
 class ComplexityEvaluator:
     """GAP8 cost of a candidate's traced graph (no training involved)."""
 
-    def __init__(self, gap8: Optional[GAP8Config] = None, bits_per_weight: int = 8) -> None:
+    def __init__(self, gap8: Optional[GAP8Config] = None) -> None:
         self.gap8 = gap8 if gap8 is not None else GAP8Config()
-        self.bits_per_weight = bits_per_weight
 
     def __call__(self, config: BioformerConfig) -> Dict[str, float]:
         estimate = estimate_deployment(
@@ -100,7 +99,7 @@ class ComplexityEvaluator:
             "macs": profile.total_macs,
             "latency_ms": estimate.latency_ms,
             "energy_mj": estimate.energy_mj,
-            "memory_kb": profile.memory_kilobytes(self.bits_per_weight),
+            "memory_kb": profile.memory_kilobytes(),
         }
 
 

@@ -35,7 +35,7 @@ Backends are constructed through a process-wide cache keyed by
 registry kwargs), so many concurrent sessions of the same deployed
 architecture share one model/executor — the serving analogue of the deploy
 toolchain's one-binary-many-inferences model — while int8 backends lowered
-with different configs (bit widths, fused schedule) stay distinct.
+with different configs (calibration percentile) stay distinct.
 """
 
 from __future__ import annotations
@@ -217,9 +217,10 @@ class InferenceServer:
         ``num_classes``, ``seed``, ...); a constructed ``Module`` rejects
         them with ``ValueError``.
     calibration:
-        Representative windows for int8 lowering (int8 backend only).
-        Calibration is *not* part of the cache key; pass a dedicated
-        ``cache`` when serving differently calibrated variants side by side.
+        Representative windows for int8 lowering; a float server rejects
+        them with ``ValueError``.  Calibration is *not* part of the cache
+        key; pass a dedicated ``cache`` when serving differently calibrated
+        variants side by side.
     lowering:
         The :class:`~repro.deploy.passes.LoweringConfig` of the int8 backend
         (``LoweringConfig()`` when omitted); a float server rejects it with
@@ -307,6 +308,8 @@ class InferenceServer:
             raise ValueError("fallback degradation requires backend='int8'")
         if lowering is not None and backend != "int8":
             raise ValueError("a lowering config requires backend='int8'")
+        if calibration is not None and backend != "int8":
+            raise ValueError("calibration windows require backend='int8'")
         if job_timeout_s is not None and (pool is not None or num_workers == 1):
             raise ValueError(
                 "job_timeout_s requires an owned pool (num_workers > 1); a borrowed "
@@ -335,8 +338,8 @@ class InferenceServer:
                 return build_float_backend(built)
             return build_int8_backend(built, calibration, config=lowering)
 
-        # The lowering config changes the served numerics (bit widths,
-        # calibration percentile), so it is part of the cache identity — unlike
+        # The lowering config changes the served numerics (its calibration
+        # percentile), so it is part of the cache identity — unlike
         # calibration data, which is not hashable.  The config is frozen
         # and hashable.
         lowering_variant: object = ()

@@ -56,8 +56,7 @@ class TestGraphPrimitives:
     def test_tensor_spec_size(self):
         spec = TensorSpec("x", (3, 5))
         assert spec.num_elements == 15
-        assert spec.nbytes(1) == 15
-        assert spec.nbytes(4) == 60
+        assert spec.nbytes == 15  # one int8 byte per element
 
     def test_scalar_tensor_spec(self):
         spec = TensorSpec("scalar", ())

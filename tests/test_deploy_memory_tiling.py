@@ -105,8 +105,8 @@ class TestMemoryPlan:
         model = bioformer_bio1(patch_size=10).eval()
         graph = trace_model(model)
         plan = plan_activation_memory(graph)
-        weights = graph.weight_bytes(bits_per_weight=8)
-        assert plan.fits(GAP8Config().l2_bytes, weight_bytes=weights)
+        # One int8 byte per weight.
+        assert plan.fits(GAP8Config().l2_bytes, weight_bytes=graph.total_weight_elements)
 
     def test_offset_lookup_and_summary(self, bioformer_graph):
         plan = plan_activation_memory(bioformer_graph)
@@ -116,10 +116,19 @@ class TestMemoryPlan:
         summary = plan.summary()
         assert "peak" in summary and "logits" in summary
 
-    def test_bytes_per_element_scales_plan(self, bioformer_graph):
-        int8_plan = plan_activation_memory(bioformer_graph, bytes_per_element=1)
-        int32_plan = plan_activation_memory(bioformer_graph, bytes_per_element=4)
-        assert int32_plan.peak_bytes == pytest.approx(4 * int8_plan.peak_bytes, rel=0.01)
+    def test_buffers_hold_one_int8_byte_per_element(self, bioformer_graph):
+        plan = plan_activation_memory(bioformer_graph)
+        specs = bioformer_graph.tensor_specs()
+        for assignment in plan.assignments:
+            assert assignment.size_bytes == specs[assignment.name].num_elements
+
+    @pytest.mark.parametrize("planner", [live_ranges, plan_activation_memory])
+    def test_planners_take_no_element_width(self, bioformer_graph, planner):
+        """Buffers are int8: the element width is not a parameter."""
+        with pytest.raises(TypeError):
+            planner(bioformer_graph, 4)
+        with pytest.raises(TypeError):
+            planner(bioformer_graph, bytes_per_element=4)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=4))
     @settings(max_examples=10, deadline=None)

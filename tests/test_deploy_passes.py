@@ -28,7 +28,13 @@ from repro.deploy import (
     trace_model,
 )
 from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
-from repro.deploy.lowering import QuantizedNode
+from repro.deploy.lowering import (
+    QMAX,
+    QMIN,
+    WEIGHT_SPEC,
+    ActivationQuantization,
+    QuantizedNode,
+)
 from repro.deploy.memory import live_ranges, plan_activation_memory
 from repro.deploy.passes import (
     LoweringConfig,
@@ -124,31 +130,39 @@ def tiny_payloads(graph):
 # LoweringConfig, the one spelling of a lowering
 # --------------------------------------------------------------------- #
 class TestLoweringConfig:
-    def test_defaults_match_legacy_signature(self):
+    def test_calibration_percentile_is_the_only_field(self):
         config = LoweringConfig()
-        assert [field.name for field in fields(config)] == [
-            "weight_bits",
-            "activation_bits",
-            "calibration_percentile",
-        ]
-        assert config.weight_bits == 8
-        assert config.activation_bits == 8
+        assert [field.name for field in fields(config)] == ["calibration_percentile"]
         assert config.calibration_percentile == 99.9
         with pytest.raises(TypeError):
             LoweringConfig(optimize=True)  # fusion always runs
 
-    @pytest.mark.parametrize("field", ["weight_bits", "activation_bits"])
-    def test_bit_widths_an_int8_artefact_cannot_hold_are_rejected(self, field):
-        for bits in (1, 9, 16):
-            with pytest.raises(ValueError, match=field):
-                LoweringConfig(**{field: bits})
-        for bits in range(2, 9):
-            assert getattr(LoweringConfig(**{field: bits}), field) == bits
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "LoweringConfig.weight_bits",
+            "LoweringConfig.activation_bits",
+            "ActivationQuantization.bits",
+            "quantize_weights.weight_spec",
+        ],
+    )
+    def test_the_int8_grid_is_not_a_parameter(self, knob):
+        """The grid is decided once, in ``QMIN``/``QMAX``/``WEIGHT_SPEC``."""
+        calls = {
+            "LoweringConfig.weight_bits": lambda: LoweringConfig(weight_bits=8),
+            "LoweringConfig.activation_bits": lambda: LoweringConfig(activation_bits=8),
+            "ActivationQuantization.bits": lambda: ActivationQuantization(
+                name="x", scale=1.0, bits=8
+            ),
+            "quantize_weights.weight_spec": lambda: quantize_weights(
+                tiny_graph([relu_node("relu", "input", "out")]), {}, WEIGHT_SPEC
+            ),
+        }
+        with pytest.raises(TypeError):
+            calls[knob]()
 
-    @pytest.mark.parametrize("bits", range(2, 9))
-    def test_weights_fill_exactly_the_configured_width(self, calibration, bits):
-        graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, LoweringConfig(weight_bits=bits))
+    def test_weights_fill_the_int8_grid(self, lowered_pair):
+        _, quantized = lowered_pair
         # The constants quantised on the weight grid (the token and position
         # constants sit on their activation's grid instead).
         weights = [
@@ -159,23 +173,17 @@ class TestLoweringConfig:
             and role in payload.constants
         ]
         assert weights
-        low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         for values in weights:
-            assert low <= values.min() and values.max() <= high
-        assert max(int(np.abs(values).max()) for values in weights) >= high
+            assert QMIN <= values.min() and values.max() <= QMAX
+        assert max(int(np.abs(values).max()) for values in weights) >= QMAX
 
-    @pytest.mark.parametrize("bits", range(2, 9))
-    def test_activations_stay_on_the_configured_grid(self, calibration, windows, bits):
-        graph = trace_model(make_model("bio1"))
-        quantized = lower_to_int8(graph, calibration, LoweringConfig(activation_bits=bits))
-        assert {act.bits for act in quantized.activations.values()} == {bits}
-        assert quantized.output_quantization.qmax == 2 ** (bits - 1) - 1
+    def test_activations_stay_on_the_int8_grid(self, lowered_pair, windows):
+        _, quantized = lowered_pair
         for schedule in (quantized.source_graph, quantized.graph):
             seen = []
 
             def observe(name, values):
-                act = quantized.activations[name]
-                assert act.qmin <= values.min() and values.max() <= act.qmax, name
+                assert QMIN <= values.min() and values.max() <= QMAX, name
                 seen.append(name)
 
             executor = IntegerGraphExecutor(replace(quantized, graph=schedule))
@@ -185,10 +193,10 @@ class TestLoweringConfig:
 
     def test_config_is_frozen_and_hashed_by_value(self):
         """The serving tier keys its backend cache on the config itself."""
-        config = LoweringConfig(activation_bits=6)
+        config = LoweringConfig(calibration_percentile=100.0)
         with pytest.raises(FrozenInstanceError):
-            config.activation_bits = 8
-        same = LoweringConfig(activation_bits=6)
+            config.calibration_percentile = 99.9
+        same = LoweringConfig(calibration_percentile=100.0)
         assert config == same and hash(config) == hash(same)
         assert config != LoweringConfig()
 
@@ -456,7 +464,7 @@ class TestFusedPayloads:
         compiled = lower_to_int8(graph, calibration)
         # The traced graph's payloads, built by the annotating stages alone
         # so that no fusion stage touches them.
-        traced = quantize_weights(graph, compiled.activations, compiled.weight_spec)
+        traced = quantize_weights(graph, compiled.activations)
         substitute_luts(graph, compiled.activations, traced)
         # Fusion moves no bytes: absorbed constants, requantiser pairs and
         # tables are those of the traced graph, bit for bit.
@@ -515,25 +523,31 @@ class TestServingIntegration:
         """The config is applied, not only used as the cache key."""
         cache = BackendCache()
         calibration = np.random.default_rng(12).normal(size=(8, 4, 60))
-        config = LoweringConfig(activation_bits=6)
+        config = LoweringConfig(calibration_percentile=100.0)
         kwargs = dict(
             patch_size=10, model_kwargs=GEOMETRY, calibration=calibration, cache=cache
         )
         with InferenceServer("bio1", "int8", **kwargs) as default:
-            with InferenceServer("bio1", "int8", lowering=config, **kwargs) as narrow:
-                assert narrow.backend is not default.backend
-                assert narrow.cache_key[2] == config
-                assert narrow.backend.quantized.config == config
-                assert all(
-                    (act.qmin, act.qmax) == (-32, 31)
-                    for act in narrow.backend.quantized.activations.values()
+            with InferenceServer("bio1", "int8", lowering=config, **kwargs) as absmax:
+                assert absmax.backend is not default.backend
+                assert absmax.cache_key[2] == config
+                assert absmax.backend.quantized.config == config
+                # The absmax input scale covers the largest calibration sample.
+                assert absmax.backend.quantized.input_quantization.scale == (
+                    np.abs(calibration).max() / QMAX
                 )
         assert len(cache) == 2
 
-    def test_float_server_rejects_lowering_config(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lowering=LoweringConfig()),
+            dict(calibration=np.full((4, 4, 60), np.nan)),
+        ],
+        ids=["lowering", "calibration"],
+    )
+    def test_float_server_rejects_lowering_config(self, kwargs):
         cache = BackendCache()
         with pytest.raises(ValueError, match="backend='int8'"):
-            InferenceServer(
-                "bio1", "float", model_kwargs=GEOMETRY, cache=cache, lowering=LoweringConfig()
-            )
+            InferenceServer("bio1", "float", model_kwargs=GEOMETRY, cache=cache, **kwargs)
         assert len(cache) == 0

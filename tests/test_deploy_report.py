@@ -10,6 +10,7 @@ from repro.deploy import (
     graph_to_profile,
     trace_model,
 )
+from repro.deploy.lowering import QMAX
 from repro.hw.gap8 import GAP8Config, GAP8Model
 from repro.models import Bioformer, BioformerConfig, bioformer_bio1, bioformer_bio2, temponet
 
@@ -150,8 +151,10 @@ class TestDeployGraph:
 
     def test_config_is_the_lowering_that_runs(self, rng):
         """``deploy_graph(config=...)`` must not be overridden by defaults."""
-        config = LoweringConfig(activation_bits=6)
-        report = deploy_graph(small_bioformer(), rng.normal(size=(8, 4, 60)), config=config)
+        config = LoweringConfig(calibration_percentile=100.0)
+        calibration = rng.normal(size=(8, 4, 60))
+        report = deploy_graph(small_bioformer(), calibration, config=config)
         assert report.quantized.config == config
-        assert report.quantized.input_quantization.qmax == 31
+        # The absmax input scale covers the largest calibration sample.
+        assert report.quantized.input_quantization.scale == np.abs(calibration).max() / QMAX
         assert any(node.is_fused for node in report.graph.nodes)

@@ -81,9 +81,25 @@ class TestProfiler:
         profile = _profile(BioformerConfig())
         assert sum(profile.by_kind().values()) == profile.total_macs
 
-    def test_memory_scales_with_bit_width(self):
+    def test_memory_is_one_int8_byte_per_weight(self):
         profile = _profile(BioformerConfig())
-        assert profile.memory_bytes(32) == 4 * profile.memory_bytes(8)
+        assert profile.memory_bytes() == profile.total_params
+        assert profile.memory_kilobytes() == profile.total_params / 1e3
+
+    @pytest.mark.parametrize(
+        "method", ["memory_bytes", "memory_kilobytes", "fits_memory", "memory_utilization"]
+    )
+    def test_accounting_takes_no_bit_width(self, method):
+        """Weights are stored as int8: the bit width is not a parameter."""
+        profile = _profile(BioformerConfig())
+        calls = {
+            "memory_bytes": lambda: profile.memory_bytes(32),
+            "memory_kilobytes": lambda: profile.memory_kilobytes(32),
+            "fits_memory": lambda: GAP8Model().fits_memory(profile, 32),
+            "memory_utilization": lambda: GAP8Model().memory_utilization(profile, 32),
+        }
+        with pytest.raises(TypeError):
+            calls[method]()
 
 
 class TestGAP8CostModel:
@@ -120,6 +136,13 @@ class TestGAP8CostModel:
         assert target.fits_memory(_profile(BioformerConfig()))
         assert target.fits_memory(graph_to_profile(_graph("temponet")))
         assert 0.0 < target.memory_utilization(_profile(BioformerConfig())) < 1.0
+
+    def test_l2_utilization_counts_one_byte_per_weight(self):
+        target = GAP8Model()
+        profile = graph_to_profile(_graph("temponet"))
+        assert target.memory_utilization(profile) == (
+            profile.total_params / target.config.l2_bytes
+        )
 
     def test_dominant_layers_sorted(self):
         breakdown = GAP8Model().latency(_profile(BioformerConfig()))

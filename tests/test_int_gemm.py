@@ -195,7 +195,7 @@ class TestIntGemmPrimitive:
         bias = rng.integers(-(2**15), 2**15, size=6).astype(np.int64)
         factor = 0.0123
         multiplier, shift = quantize_multiplier(factor)
-        fused = int_gemm(lhs, rhs, bias=bias, requant=(multiplier, shift, -128, 127))
+        fused = int_gemm(lhs, rhs, bias=bias, requant=(multiplier, shift))
         accumulator = lhs.astype(np.int64) @ rhs.astype(np.int64) + bias
         np.testing.assert_array_equal(fused, requantize(accumulator, factor))
 

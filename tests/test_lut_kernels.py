@@ -37,7 +37,7 @@ from repro.deploy import (
     lower_to_int8,
     trace_model,
 )
-from repro.deploy.lowering import apply_requant, requantize
+from repro.deploy.lowering import QMAX, QMIN, apply_requant, requantize
 from repro.models import available_models, build_model
 from repro.quant import ibert
 from repro.serve import build_int8_backend
@@ -304,15 +304,20 @@ class TestExhaustiveDomainEquality:
                 )
         assert elementwise.calls > 0
 
-    def test_equality_holds_for_other_activation_widths(self):
-        """The domain bounds follow the lowered bit width (ablation widths)."""
-        quantized = lower_registry_model("bio1", config=LoweringConfig(activation_bits=6))
-        for node, lowered in lut_nodes(quantized, "gelu"):
-            in_act = quantized.activations[node.inputs[0]]
-            assert (in_act.qmin, in_act.qmax) == (-32, 31)
-            assert lowered.luts["gelu"].size == 64
-        x = np.random.default_rng(5).normal(size=(4, 4, 60))
-        assert_tables_match_elementwise(quantized, x)
+    @pytest.mark.parametrize("calibration", sorted(CALIBRATIONS))
+    @pytest.mark.parametrize("name", ATTENTION_MODELS)
+    def test_every_table_holds_the_256_int8_inputs(
+        self, calibrated_registry, name, calibration
+    ):
+        """One int8 grid: every table spans exactly 256 inputs, whatever the scales."""
+        quantized = calibrated_registry[calibration, name]
+        gelu = [lowered.luts["gelu"] for _, lowered in lut_nodes(quantized, "gelu")]
+        exp = [lowered.luts["exp"] for _, lowered in lut_nodes(quantized, "softmax")]
+        assert gelu and exp
+        for table in gelu:
+            assert (table.domain_min, table.domain_max, table.size) == (QMIN, QMAX, 256)
+        for table in exp:
+            assert (table.domain_min, table.domain_max, table.size) == (QMIN - QMAX, 0, 256)
 
     def test_second_patch_size_config_is_also_exact(self):
         """A different registry patch size produces different scales — still exact."""

@@ -5,10 +5,12 @@ The int8 model is the one the server and Table I run: ``deploy_graph`` /
 scores it.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.deploy import LoweringConfig, deploy_graph
+from repro.deploy import deploy_graph
 from repro.models import bioformer_bio1, bioformer_bio2
 from repro.quant import QATConfig, quantization_aware_finetune
 from repro.serve import build_int8_backend
@@ -40,14 +42,10 @@ def tiny_split(tiny_dataset):
     return subject_split(tiny_dataset, 1)
 
 
-def int8_accuracy(model, split, config=None):
+def int8_accuracy(model, split):
     """Accuracy of ``model`` on the int8 executor, calibrated on the train split."""
     return deploy_graph(
-        model,
-        split.train.windows,
-        split.test.windows,
-        split.test.labels,
-        config=config,
+        model, split.train.windows, split.test.windows, split.test.labels
     ).int8_accuracy
 
 
@@ -125,13 +123,14 @@ class TestQuantizedModel:
         assert 0.0 <= report.float_agreement <= 1.0
         assert report.int8_accuracy == int8_accuracy(trained_model, tiny_split)
 
-    def test_lower_weight_bits_degrade_more(self, trained_model, tiny_split):
-        int8 = int8_accuracy(trained_model, tiny_split, LoweringConfig(weight_bits=8))
-        int3 = int8_accuracy(trained_model, tiny_split, LoweringConfig(weight_bits=3))
-        assert int3 <= int8 + 0.05
-
 
 class TestQAT:
+    def test_qat_has_no_bit_width(self):
+        """QAT fake-quantises on the int8 grid the deployment uses."""
+        assert "weight_bits" not in {field.name for field in fields(QATConfig)}
+        with pytest.raises(TypeError):
+            QATConfig(weight_bits=4)
+
     def test_qat_runs_and_keeps_weights_float(self, trained_model, tiny_split):
         before_dtype = next(iter(trained_model.parameters())).data.dtype
         result = quantization_aware_finetune(trained_model, tiny_split.train, QATConfig.tiny())

@@ -132,6 +132,12 @@ class TestObjectives:
         assert set(cost) == {"params", "macs", "latency_ms", "energy_mj", "memory_kb"}
         assert all(value > 0 for value in cost.values())
 
+    def test_complexity_memory_is_one_int8_byte_per_weight(self, small_space):
+        cost = ComplexityEvaluator()(small_space.make_config(1, 8, 10))
+        assert cost["memory_kb"] == cost["params"] / 1e3
+        with pytest.raises(TypeError):
+            ComplexityEvaluator(bits_per_weight=8)
+
     def test_larger_model_costs_more(self, small_space):
         evaluator = ComplexityEvaluator()
         small = evaluator(small_space.make_config(1, 2, 20))

@@ -136,12 +136,13 @@ class TestServerFacade:
         x = rng.normal(size=(3, 4, 60))
         outputs = {}
         for backend in ("float", "int8"):
+            calibration = rng.normal(size=(8, 4, 60))
             with InferenceServer(
                 "bio1",
                 backend,
                 patch_size=10,
                 model_kwargs=GEOMETRY,
-                calibration=rng.normal(size=(8, 4, 60)),
+                calibration=calibration if backend == "int8" else None,
                 cache=cache,
             ) as server:
                 assert server.input_shape == (4, 60)
