@@ -113,14 +113,6 @@ class BaselineResult:
     test_accuracy: float
     per_session: Dict[int, float] = field(default_factory=dict)
 
-    @property
-    def session_drop(self) -> float:
-        """Accuracy drop from the first to the last test session."""
-        if len(self.per_session) < 2:
-            return 0.0
-        sessions = sorted(self.per_session)
-        return self.per_session[sessions[0]] - self.per_session[sessions[-1]]
-
 
 def default_baselines(seed: int = 0) -> Dict[str, BaseClassifier]:
     """The classical classifiers compared against the deep models."""

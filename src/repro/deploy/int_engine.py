@@ -13,10 +13,20 @@ stored for it — the executor encodes none of its own — and runs them as
 the float executor does, in one
 :class:`~repro.deploy.engine.BoundSchedule`.  The MAC operators
 (``conv1d`` via im2col, ``linear``, ``matmul``) run on one batched GEMM
-primitive (:func:`int_gemm`) that requantises once per output tile.  GELU and the softmax ``exp`` run as one ``np.take`` over the
-lookup table the lowering built for the node; the tables are built from
-the elementwise I-BERT kernels of :mod:`repro.quant.ibert`, and the
-test-suite pins them to those kernels over the full input domain.
+primitive (:func:`int_gemm`) that requantises once per output tile.  GELU
+and the softmax ``exp`` run as one ``np.take`` over the lookup table the
+lowering built for the node; the tables are built from the elementwise
+I-BERT kernels of :mod:`repro.quant.ibert`, and the test-suite pins them to
+those kernels over the full input domain.
+
+The arithmetic is decided at bind time, not per call.  Every MAC operand
+is on the int8 grid (weights by ``WEIGHT_SPEC``, activations because every
+producer clips), so :func:`int_gemm`'s float64 GEMM is exact for any
+reachable ``K`` and no kernel scans its operands to choose a path; the
+``conv1d``/``linear`` binders cast their constant weight to float64 once.
+Kernels pass their int32 activations to :func:`apply_requant` and
+:func:`~repro.quant.ibert.integer_layernorm` as they are: each widens its
+own input to int64, once.
 
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the quantised weights and the requantisation constants can all
@@ -38,54 +48,34 @@ from .lowering import QMAX, QMIN, QuantizedGraph, apply_requant
 
 __all__ = ["IntegerGraphExecutor", "int_gemm"]
 
-#: Largest integer magnitude float64 represents exactly (2**53).  Below this
-#: bound a float64 GEMM over integer operands is *exact*: every product and
-#: every partial sum is an integer with an exact float64 representation, so
-#: no rounding can occur at any accumulation order.
-_EXACT_FLOAT_GEMM_LIMIT = float(2**53)
-
-
-def _gemm_accumulate(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Integer matmul with int64 semantics, routed through BLAS when exact.
-
-    NumPy has no vectorised integer matmul (int64 ``@`` falls back to slow
-    generic loops), but a float64 GEMM over integer operands is bit-exact
-    whenever ``K * max|lhs| * max|rhs|`` stays below 2**53: each product and
-    each running partial sum is then an integer that float64 represents
-    exactly, so BLAS reassociation cannot round.  int8-grid operands clear
-    that bound by ~9 orders of magnitude; anything larger (or empty) falls
-    back to the exact-by-definition int64 path.
-    """
-    k = lhs.shape[-1]
-    lhs_peak = float(np.abs(lhs).max()) if lhs.size else 0.0
-    rhs_peak = float(np.abs(rhs).max()) if rhs.size else 0.0
-    if k * lhs_peak * rhs_peak < _EXACT_FLOAT_GEMM_LIMIT:
-        product = lhs.astype(np.float64) @ rhs.astype(np.float64)
-        return product.astype(np.int64)
-    return lhs.astype(np.int64) @ rhs.astype(np.int64)
-
-
 def int_gemm(
     lhs: np.ndarray,
     rhs: np.ndarray,
     bias: Optional[np.ndarray] = None,
     requant: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
-    """Shared integer GEMM primitive: ``lhs @ rhs`` with int64 accumulation.
+    """Shared integer GEMM primitive: ``lhs @ rhs`` with exact accumulation.
 
     ``lhs`` is ``(..., M, K)`` and ``rhs`` ``(K, N)`` (or ``(..., K, N)``
     for stacked batched multiplies) — the kernel the im2col'd ``conv1d``,
-    ``linear`` and attention ``matmul`` all lower onto.  ``bias`` (int64,
-    broadcast over the trailing axis) is added to the accumulator, and a
-    stored ``requant`` pair ``(multiplier, shift)`` requantises the whole
-    output onto the int8 grid once; without it the raw int64 accumulator is
-    returned.
-    The contraction runs through BLAS whenever that is provably exact (see
-    :func:`_gemm_accumulate`), which int8-grid inputs always are.
+    ``linear`` and attention ``matmul`` all lower onto.  ``bias`` (integer,
+    broadcast over the trailing axis) is added to the int64 accumulator,
+    and a stored ``requant`` pair ``(multiplier, shift)`` requantises the
+    whole output onto the int8 grid once; without it the raw int64
+    accumulator is returned.
+
+    Precondition: both operands hold int8-grid values (``[-128, 127]``);
+    ``rhs`` may already be float64.  The contraction then runs as one
+    float64 GEMM through BLAS, and that is exact: every product and every
+    partial sum is an integer of magnitude at most ``K * 128 * 128``, below
+    2**53 for any ``K < 2**39``, so no accumulation order can round.  The
+    executor decides this at bind time, not per call: its weights are int8
+    (``WEIGHT_SPEC``) and every activation producer clips to the grid.
     """
-    accumulator = _gemm_accumulate(lhs, rhs)
+    product = lhs.astype(np.float64, copy=False) @ rhs.astype(np.float64, copy=False)
+    accumulator = product.astype(np.int64)
     if bias is not None:
-        accumulator = accumulator + bias
+        accumulator += bias
     if requant is None:
         return accumulator
     return apply_requant(accumulator, *requant)
@@ -94,7 +84,7 @@ def int_gemm(
 def _conv1d(node, lowered, in_scale, requant) -> Kernel:
     weight = lowered.constants["weight"].values
     out_channels, _, kernel = weight.shape
-    flat_weight = weight.reshape(out_channels, -1).T
+    flat_weight = weight.reshape(out_channels, -1).T.astype(np.float64)
     bias = getattr(lowered.constants.get("bias"), "values", None)
     output = requant["output"]
     stride, padding, dilation = (int(node.attrs[key]) for key in ("stride", "padding", "dilation"))
@@ -112,7 +102,7 @@ def _conv1d(node, lowered, in_scale, requant) -> Kernel:
 def _linear(node, lowered, in_scale, requant) -> Kernel:
     weight = lowered.constants["weight"].values
     out_features, in_features = weight.shape
-    weight_t = weight.T
+    weight_t = weight.T.astype(np.float64)
     bias = getattr(lowered.constants.get("bias"), "values", None)
     output = requant["output"]
 
@@ -163,8 +153,7 @@ def _add(node, lowered, in_scale, requant) -> Kernel:
     lhs, rhs = requant["lhs"], requant["rhs"]
 
     def run(q_x, tensors):
-        total = apply_requant(q_x.astype(np.int64), *lhs)
-        total = total + apply_requant(tensors[other].astype(np.int64), *rhs)
+        total = apply_requant(q_x, *lhs) + apply_requant(tensors[other], *rhs)
         return np.clip(total, QMIN, QMAX).astype(np.int32)
 
     return run
@@ -175,7 +164,7 @@ def _append_token(node, lowered, in_scale, requant) -> Kernel:
     rescale = requant["input"]
 
     def run(q_x, tensors):
-        rescaled = apply_requant(q_x.astype(np.int64), *rescale)
+        rescaled = apply_requant(q_x, *rescale)
         tokens = np.broadcast_to(token, (rescaled.shape[0], 1, rescaled.shape[2]))
         return np.concatenate([rescaled, tokens], axis=1)
 
@@ -187,7 +176,7 @@ def _add_positional(node, lowered, in_scale, requant) -> Kernel:
     rescale = requant["input"]
 
     def run(q_x, tensors):
-        rescaled = apply_requant(q_x.astype(np.int64), *rescale)
+        rescaled = apply_requant(q_x, *rescale)
         return np.clip(rescaled + positions, QMIN, QMAX).astype(np.int32)
 
     return run
@@ -195,14 +184,14 @@ def _add_positional(node, lowered, in_scale, requant) -> Kernel:
 
 def _relu(node, lowered, in_scale, requant) -> Kernel:
     output = requant["output"]
-    return lambda q_x, tensors: apply_requant(np.maximum(q_x, 0).astype(np.int64), *output)
+    return lambda q_x, tensors: apply_requant(np.maximum(q_x, 0), *output)
 
 
 def _gelu(node, lowered, in_scale, requant) -> Kernel:
     # The table already fuses the polynomial and the output requantisation:
     # one gather per element.
     table = lowered.luts["gelu"]
-    return lambda q_x, tensors: table.take(q_x).astype(np.int32)
+    return lambda q_x, tensors: table.take(q_x).astype(np.int32, copy=False)
 
 
 def _softmax(node, lowered, in_scale, requant) -> Kernel:
@@ -225,7 +214,7 @@ def _layernorm(node, lowered, in_scale, requant) -> Kernel:
     bias = lowered.constants["bias"].values
     output = requant["output"]
     return lambda q_x, tensors: apply_requant(
-        ibert.integer_layernorm(q_x.astype(np.int64), in_scale, weight, bias)[0], *output
+        ibert.integer_layernorm(q_x, in_scale, weight, bias)[0], *output
     )
 
 
@@ -237,7 +226,7 @@ def _avgpool1d(node, lowered, in_scale, requant) -> Kernel:
     def run(q_x, tensors):
         # One strided gather over all taps: (B, C, out_length, kernel).
         windows = np.lib.stride_tricks.sliding_window_view(q_x, kernel, axis=-1)
-        accumulator = windows[:, :, ::stride, :].astype(np.int64).sum(axis=-1)
+        accumulator = windows[:, :, ::stride, :].sum(axis=-1, dtype=np.int64)
         return apply_requant(accumulator, *output)
 
     return run
@@ -245,7 +234,7 @@ def _avgpool1d(node, lowered, in_scale, requant) -> Kernel:
 
 def _mean_tokens(node, lowered, in_scale, requant) -> Kernel:
     output = requant["output"]
-    return lambda q_x, tensors: apply_requant(q_x.astype(np.int64).sum(axis=1), *output)
+    return lambda q_x, tensors: apply_requant(q_x.sum(axis=1, dtype=np.int64), *output)
 
 
 #: Each non-shape operator's binder is the function named after it.  It

@@ -106,13 +106,15 @@ def apply_requant(
     """Apply an encoded ``(multiplier, shift)`` requantiser to accumulators.
 
     Consumers pass the pair the lowering stored on the node
-    (:attr:`QuantizedNode.requantizers`).  The result is rounded, clipped to
-    ``[qmin, qmax]`` and returned as ``int32``.
+    (:attr:`QuantizedNode.requantizers`).  ``values`` of any integer dtype
+    are widened to int64 here, once, so callers pass their arrays as they
+    are.  The result is rounded, clipped to ``[qmin, qmax]`` and returned as
+    ``int32``.
     """
-    scaled = values.astype(np.int64) * multiplier
+    scaled = values.astype(np.int64, copy=False) * multiplier
     if shift > 0:
-        rounding = np.int64(1) << (shift - 1)
-        scaled = (scaled + rounding) >> shift
+        scaled += np.int64(1) << (shift - 1)
+        scaled >>= shift
     elif shift < 0:
         left = -shift
         # Left shifts occur only for extreme (>~2) requantisation factors.
@@ -246,12 +248,8 @@ class QuantizedGraph:
 
     @property
     def weight_kilobytes(self) -> float:
-        """Constant storage in kB (comparable to the paper's Memory column)."""
+        """Stored bytes incl. int32 biases, KiB."""
         return self.total_weight_bytes / 1024.0
-
-    def activation_for(self, tensor_name: str) -> ActivationQuantization:
-        """Quantisation parameters of a named activation tensor."""
-        return self.activations[tensor_name]
 
 
 class CalibrationError(ValueError):

@@ -108,10 +108,6 @@ class PassRecord:
     nodes_after: int
     wall_ms: float
 
-    @property
-    def removed_nodes(self) -> int:
-        return self.nodes_before - self.nodes_after
-
 
 # --------------------------------------------------------------------- #
 # Lowering stages (annotate the traced graph's nodes)

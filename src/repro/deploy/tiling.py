@@ -94,10 +94,6 @@ class TilingPlan:
         """Whether every kernel fits L1 without tiling (typical for Bioformers)."""
         return all(layer.single_tile for layer in self.layers)
 
-    def dma_bound_layers(self) -> List[LayerTiling]:
-        """Kernels whose DMA time exceeds their compute time."""
-        return [layer for layer in self.layers if layer.bottleneck(self.config) == "dma"]
-
     def summary(self) -> str:
         """Human-readable tiling table."""
         lines = [

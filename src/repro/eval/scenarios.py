@@ -222,9 +222,3 @@ class ScenarioSuite:
     def names(self) -> Tuple[str, ...]:
         """Scenario names in insertion order."""
         return tuple(self._scenarios)
-
-    def apply_all(
-        self, recording: SyntheticRecording
-    ) -> Dict[str, SyntheticRecording]:
-        """Corrupt ``recording`` under every scenario, keyed by name."""
-        return {name: s.apply(recording) for name, s in self._scenarios.items()}

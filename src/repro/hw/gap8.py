@@ -106,11 +106,6 @@ class LayerCost:
     macs: int
     cycles: float
 
-    @property
-    def mac_per_cycle(self) -> float:
-        """Achieved MAC throughput (0 for non-MAC layers)."""
-        return self.macs / self.cycles if self.cycles > 0 else 0.0
-
 
 @dataclass
 class LatencyBreakdown:

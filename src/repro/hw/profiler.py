@@ -72,11 +72,6 @@ class ModelProfile:
         return sum(layer.params for layer in self.layers)
 
     @property
-    def total_elementwise_ops(self) -> int:
-        """Total non-MAC elementwise operations per inference."""
-        return sum(layer.elementwise_ops for layer in self.layers)
-
-    @property
     def mmacs(self) -> float:
         """MACs in millions (the paper's "MMAC" column)."""
         return self.total_macs / 1e6

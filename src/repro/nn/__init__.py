@@ -45,7 +45,6 @@ from .schedulers import (
     StepDecay,
 )
 from .serialization import load_checkpoint, load_state_dict, save_checkpoint, save_state_dict
-from .summary import ModelSummary, ModuleRow, summarize
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -90,9 +89,6 @@ __all__ = [
     "load_checkpoint",
     "save_state_dict",
     "load_state_dict",
-    "ModelSummary",
-    "ModuleRow",
-    "summarize",
     "GradientCheckError",
     "numerical_gradient",
     "check_gradient",

@@ -40,6 +40,11 @@ __all__ = [
 #: reproduce this normalisation bit for bit.
 SOFTMAX_OUTPUT_BITS = 15
 
+#: Fraction bits of the fixed-point LayerNorm output: the normalised value
+#: is returned as integers with scale ``2**-LAYERNORM_OUTPUT_BITS`` before
+#: the affine parameters are folded in.
+LAYERNORM_OUTPUT_BITS = 8
+
 
 def integer_polynomial(
     q: np.ndarray, scale: float, coefficients: Tuple[float, float, float]
@@ -153,22 +158,23 @@ def integer_layernorm(
     scale: float,
     weight: np.ndarray,
     bias: np.ndarray,
-    output_bits: int = 8,
 ) -> Tuple[np.ndarray, float]:
     """Integer-only LayerNorm over the last axis.
 
-    The mean and variance are accumulated in int32/int64, the standard
-    deviation is computed with :func:`integer_sqrt`, and the affine
-    parameters are folded in at the output scale.
+    ``q`` of any integer dtype is widened to int64 here, once.  The mean and
+    variance are accumulated in int64, the standard deviation is computed
+    with :func:`integer_sqrt`, and the affine parameters are folded in at
+    the output scale ``2**-LAYERNORM_OUTPUT_BITS``.
     """
-    q = q.astype(np.int64)
+    q = q.astype(np.int64, copy=False)
     features = q.shape[-1]
     mean = q.sum(axis=-1, keepdims=True) // features
     centered = q - mean
     variance = (centered * centered).sum(axis=-1, keepdims=True) // features
     std = np.maximum(integer_sqrt(variance), 1)
-    # Normalised value in a fixed-point format with `output_bits` fraction bits.
-    factor = 2**output_bits
+    # Normalised value in a fixed-point format with LAYERNORM_OUTPUT_BITS
+    # fraction bits.
+    factor = 2**LAYERNORM_OUTPUT_BITS
     normalised = (centered * factor) // std
     scale_out = 1.0 / factor
     # Fold the affine parameters (kept in float, as I-BERT folds them into

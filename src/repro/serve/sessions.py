@@ -461,7 +461,8 @@ class SessionManager:
         recently active session of a *strictly lower-priority* tenant
         (numerically larger :class:`~repro.serve.pool.Priority`); if no
         such victim exists the create fails with
-        :class:`~repro.serve.faults.QuotaExceeded`.
+        :class:`~repro.serve.faults.QuotaExceeded`.  A tenant never
+        configured with :meth:`configure_tenant` has ``Priority.NORMAL``.
     max_sessions_per_tenant / samples_per_s / burst_s:
         Default per-tenant quotas (see :meth:`configure_tenant`).  The
         samples/sec quota is a token bucket holding at most
@@ -483,8 +484,6 @@ class SessionManager:
         treated as a dead electrode (short chunks legitimately hold
         constant runs).  Non-finite channels are masked regardless of
         chunk length.
-    default_priority:
-        Eviction priority for tenants never configured explicitly.
     max_tombstones:
         Bound on retained final checkpoints of dead sessions (oldest
         dropped first).  :meth:`drain` returns every checkpoint it cuts
@@ -510,7 +509,6 @@ class SessionManager:
         idle_ttl_s: Optional[float] = None,
         janitor_interval_s: float = 0.05,
         dead_channel_min_samples: int = 32,
-        default_priority: int = Priority.NORMAL,
         max_tombstones: int = 1024,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -550,7 +548,6 @@ class SessionManager:
         self.idle_ttl_s = idle_ttl_s
         self.janitor_interval_s = float(janitor_interval_s)
         self.dead_channel_min_samples = int(dead_channel_min_samples)
-        self.default_priority = int(default_priority)
         self.max_tombstones = int(max_tombstones)
         self._clock = clock
         self._lock = threading.Lock()
@@ -588,7 +585,7 @@ class SessionManager:
         if tenant is None:
             tenant = _Tenant(
                 name,
-                self.default_priority,
+                Priority.NORMAL,
                 self.max_sessions_per_tenant,
                 self.samples_per_s,
                 self.burst_s,
@@ -914,12 +911,6 @@ class SessionManager:
             tenant.tokens -= count
 
     # -- introspection ---------------------------------------------------- #
-    @property
-    def session_ids(self) -> Tuple[str, ...]:
-        """Ids of the currently live sessions (creation order)."""
-        with self._lock:
-            return tuple(self._sessions)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions)

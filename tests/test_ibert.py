@@ -15,6 +15,7 @@ from repro.quant import (
     integer_softmax,
     integer_sqrt,
 )
+from repro.quant.ibert import LAYERNORM_OUTPUT_BITS
 
 
 def to_integer(values, scale):
@@ -156,3 +157,20 @@ class TestIntegerLayerNorm:
         q_out, scale_out = integer_layernorm(to_integer(values, scale), scale, weight, bias)
         reference = 2.0 * (values - values.mean(-1, keepdims=True)) / values.std(-1, keepdims=True) + 0.5
         np.testing.assert_allclose(q_out * scale_out, reference, atol=0.15)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_narrow_integer_input_is_widened_by_the_kernel(self, dtype):
+        # Callers pass int8-grid activations in their own dtype: the kernel
+        # widens once, so (q - mean)**2 cannot wrap in the input dtype.
+        q = ((np.arange(3 * 48).reshape(3, 48) * 37) % 256 - 128).astype(dtype)
+        weight = np.linspace(0.5, 1.5, 48)
+        bias = np.linspace(-0.25, 0.25, 48)
+        q_out, scale_out = integer_layernorm(q, 0.05, weight, bias)
+        q_ref, scale_ref = integer_layernorm(q.astype(np.int64), 0.05, weight, bias)
+        np.testing.assert_array_equal(q_out, q_ref)
+        assert q_out.dtype == np.int64 and scale_out == scale_ref
+
+    def test_output_scale_is_the_fixed_point_lsb(self):
+        q = np.array([[-128, -5, 0, 7, 127]], dtype=np.int8)
+        _, scale_out = integer_layernorm(q, 0.1, np.ones(5), np.zeros(5))
+        assert scale_out == 2.0**-LAYERNORM_OUTPUT_BITS

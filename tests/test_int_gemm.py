@@ -10,8 +10,9 @@ run time from the float scales.  These tests pin that equality
 (``assert_array_equal``, never a tolerance) across every
 registry-reachable architecture, percentile and absmax calibration, and
 batch sizes 1/3/8/16, on the compiled (fused) schedule and on the traced
-one, plus batched-vs-single invariance and the GEMM operands each MAC
-node's payload carries.
+one, plus batched-vs-single invariance, the GEMM operands each MAC
+node's payload carries, and the GEMM's exactness at the grid's extremes
+at the largest ``K`` any registry config binds.
 """
 
 from dataclasses import replace
@@ -23,6 +24,7 @@ from repro.deploy import IntegerGraphExecutor, LoweringConfig, lower_to_int8, tr
 from repro.deploy.int_engine import int_gemm
 from repro.deploy.lowering import apply_requant, quantize_multiplier, requantize
 from repro.models import build_model
+from repro.models.registry import MODEL_BUILDERS, PAPER_FILTER_DIMENSIONS
 from repro.nn.functional import im2col
 from repro.nn.tensor import Tensor
 from repro.serve import build_float_backend
@@ -221,6 +223,78 @@ class TestIntGemmPrimitive:
         np.testing.assert_array_equal(
             via_gemm, _int_conv1d_taploop(q_x, q_w, stride, padding, dilation)
         )
+
+
+def registry_max_k():
+    """Largest contraction length ``K`` any registry config binds: every
+    architecture at its default (paper) geometry and, for the Bioformers,
+    every swept patch size, read off the traced graphs."""
+    ks = []
+    for arch in MODEL_BUILDERS:
+        patches = [None] if arch == "temponet" else PAPER_FILTER_DIMENSIONS
+        for patch in patches:
+            kwargs = {} if patch is None else dict(patch_size=patch)
+            graph = trace_model(build_model(arch, **kwargs).eval())
+            specs = graph.tensor_specs()
+            for node in graph.nodes:
+                if node.op == "conv1d":
+                    ks.append(int(np.prod(node.weights["weight"].shape[1:])))
+                elif node.op == "linear":
+                    ks.append(node.weights["weight"].shape[1])
+                elif node.op == "matmul":
+                    ks.append(specs[node.inputs[0]].shape[-1])
+    return max(ks)
+
+
+class TestExactnessAtTheWorstCase:
+    """``int_gemm`` runs one float64 GEMM with no run-time operand check:
+    int8-grid operands keep every product and partial sum below 2**53.
+    These pin the extremes of the grid at the largest ``K`` the registry
+    binds, on deterministic operands (no shared generator)."""
+
+    @pytest.fixture(scope="class")
+    def k(self):
+        k = registry_max_k()
+        assert k * 128 * 128 < 2**53
+        return k
+
+    @staticmethod
+    def operands(k, fill, batch=()):
+        """``(3, K) x (K, 4)`` int32 operands, tiled over ``batch``.  "min" is
+        every element at -128, the largest product.  "extremes" crosses rows
+        and columns of all -128, all 127 (the largest odd product, so the
+        partial sums use every low bit) and alternating -128/127."""
+        if fill == "min":
+            lhs = np.full((3, k), -128)
+            rhs = np.full((k, 4), -128)
+        else:
+            steps = np.arange(k)
+            alternating = np.where(steps % 2, 127, -128)
+            halves = np.where(steps < k // 2, 127, -128)
+            lhs = np.stack([np.full(k, -128), np.full(k, 127), alternating])
+            rhs = np.stack([np.full(k, -128), np.full(k, 127), alternating, halves], axis=1)
+        tile = lambda a: np.broadcast_to(a, batch + a.shape).astype(np.int32)
+        return tile(lhs), tile(rhs)
+
+    @pytest.mark.parametrize("fill", ["min", "extremes"])
+    @pytest.mark.parametrize("bound_rhs", [False, True], ids=["int_rhs", "float64_rhs"])
+    def test_two_dimensional(self, k, fill, bound_rhs):
+        lhs, rhs = self.operands(k, fill)
+        expected = np.einsum("mk,kn->mn", lhs.astype(np.int64), rhs.astype(np.int64))
+        # A bound linear/conv1d kernel passes its weight already in float64.
+        got = int_gemm(lhs, rhs.astype(np.float64) if bound_rhs else rhs)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == np.int64
+        if fill == "min":
+            assert (expected == k * 128 * 128).all()
+
+    @pytest.mark.parametrize("fill", ["min", "extremes"])
+    def test_stacked(self, k, fill):
+        lhs, rhs = self.operands(k, fill, batch=(2,))
+        expected = np.einsum("bmk,bkn->bmn", lhs.astype(np.int64), rhs.astype(np.int64))
+        got = int_gemm(lhs, rhs)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == np.int64
 
 
 # --------------------------------------------------------------------- #

@@ -459,6 +459,23 @@ class TestManagerLifecycle:
                 manager.create_session("batch")
             assert vip.state == "active"
 
+    def test_unconfigured_tenant_has_normal_priority(self):
+        with make_manager(max_sessions=2) as manager:
+            manager.configure_tenant("batch", priority=Priority.LOW)
+            low = [manager.create_session("batch") for _ in range(2)]
+            # NORMAL outranks LOW: each new session evicts a LOW one.
+            plain = [manager.create_session("plain") for _ in range(2)]
+            assert [s.state for s in low] == ["evicted", "evicted"]
+            # NORMAL cannot evict a NORMAL peer, nor LOW a NORMAL one.
+            with pytest.raises(QuotaExceeded):
+                manager.create_session("other")
+            with pytest.raises(QuotaExceeded):
+                manager.create_session("batch")
+            # HIGH outranks NORMAL.
+            manager.configure_tenant("vip", priority=Priority.HIGH)
+            manager.create_session("vip")
+            assert sorted(s.state for s in plain) == ["active", "evicted"]
+
     def test_drain_checkpoints_everything_and_stops_admission(self, rng):
         with make_manager() as manager:
             a = manager.create_session("a")

@@ -1,4 +1,4 @@
-"""Tests for model summaries, gradient checking and training callbacks."""
+"""Tests for gradient checking and training callbacks."""
 
 import os
 
@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import Bioformer, BioformerConfig, bioformer_bio1, temponet
+from repro.models import Bioformer, BioformerConfig
 from repro.nn import (
     GradientCheckError,
     Tensor,
     check_gradient,
     check_module_gradients,
     numerical_gradient,
-    summarize,
 )
 from repro.training import BestModelCheckpoint, EarlyStopping, ExponentialMovingAverage
 
@@ -27,52 +26,6 @@ def small_bioformer():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(33)
-
-
-# --------------------------------------------------------------------- #
-# Model summaries
-# --------------------------------------------------------------------- #
-class TestSummary:
-    def test_total_matches_num_parameters(self):
-        model = small_bioformer()
-        summary = summarize(model)
-        assert summary.total_params == model.num_parameters()
-
-    def test_root_row_first_and_children_follow(self):
-        summary = summarize(small_bioformer())
-        assert summary.rows[0].depth == 0
-        assert summary.rows[0].module_type == "Bioformer"
-        assert any(row.module_type == "MultiHeadSelfAttention" for row in summary.rows)
-
-    def test_subtree_totals_are_consistent(self):
-        model = small_bioformer()
-        summary = summarize(model)
-        for row in summary.rows:
-            assert row.total_params >= row.own_params
-
-    def test_memory_estimates(self):
-        summary = summarize(small_bioformer())
-        assert summary.bytes(32) == 4 * summary.bytes(8)
-        assert summary.int8_kilobytes == pytest.approx(summary.total_params / 1024.0)
-
-    def test_paper_bio1_int8_size_close_to_94kb(self):
-        summary = summarize(bioformer_bio1(patch_size=10))
-        assert 80.0 <= summary.int8_kilobytes <= 105.0
-
-    def test_temponet_larger_than_bioformer(self):
-        assert summarize(temponet()).total_params > summarize(bioformer_bio1()).total_params
-
-    def test_largest_modules_sorted(self):
-        summary = summarize(small_bioformer())
-        largest = summary.largest_modules(top=3)
-        assert len(largest) == 3
-        assert largest[0].total_params >= largest[1].total_params >= largest[2].total_params
-
-    def test_render_contains_totals(self):
-        summary = summarize(small_bioformer())
-        text = summary.render(max_depth=2)
-        assert "total parameters" in text
-        assert "Bioformer" in text
 
 
 # --------------------------------------------------------------------- #
