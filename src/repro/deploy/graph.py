@@ -110,7 +110,7 @@ class LookupTable:
         Storage class of the entries on the target (``"int8"`` / ``"int32"``).
     config:
         Diagnostic identity of the requantisation configuration the table
-        was built for (``(scale, zero_point, ...)``-style tuples) — shown
+        was built for (``(input scale, output scale, ...)`` tuples) — shown
         when inspecting a lowered graph, so two tables can be told apart by
         the configuration that produced them.
     """

@@ -20,11 +20,14 @@ I-BERT kernels of :mod:`repro.quant.ibert`, and the test-suite pins them to
 those kernels over the full input domain.
 
 The arithmetic is decided at bind time, not per call.  Every MAC operand
-is on the int8 grid (weights by ``WEIGHT_SPEC``, activations because every
-producer clips), so :func:`int_gemm`'s float64 GEMM is exact for any
-reachable ``K`` and no kernel scans its operands to choose a path; the
-``conv1d``/``linear`` binders cast their constant weight to float64 once.
-Kernels pass their int32 activations to :func:`apply_requant` and
+is on the int8 grid of :mod:`repro.quant.quantizers`, the one quantiser
+the lowering and QAT share: weights by its ``quantize`` (their scale
+divides the bound by 128), activations because every producer clips
+(their scales divide the bound by 127, until the ROADMAP's quantiser fix
+makes weights do the same).  So :func:`int_gemm`'s float64 GEMM is exact
+for any reachable ``K`` and no kernel scans its operands to choose a path;
+the ``conv1d``/``linear`` binders cast their constant weight to float64
+once.  Kernels pass their int32 activations to :func:`apply_requant` and
 :func:`~repro.quant.ibert.integer_layernorm` as they are: each widens its
 own input to int64, once.
 
@@ -42,9 +45,10 @@ import numpy as np
 
 from ..nn.functional import im2col
 from ..quant import ibert
+from ..quant.quantizers import QMAX, QMIN
 from .engine import SHAPE_KERNELS, BoundSchedule, FloatGraphExecutor, Kernel
 from .graph import OPERATORS, GraphNode
-from .lowering import QMAX, QMIN, QuantizedGraph, apply_requant
+from .lowering import QuantizedGraph, apply_requant
 
 __all__ = ["IntegerGraphExecutor", "int_gemm"]
 
@@ -69,8 +73,9 @@ def int_gemm(
     float64 GEMM through BLAS, and that is exact: every product and every
     partial sum is an integer of magnitude at most ``K * 128 * 128``, below
     2**53 for any ``K < 2**39``, so no accumulation order can round.  The
-    executor decides this at bind time, not per call: its weights are int8
-    (``WEIGHT_SPEC``) and every activation producer clips to the grid.
+    executor decides this at bind time, not per call: its weights are on
+    the int8 grid of :mod:`repro.quant.quantizers` and every activation
+    producer clips to it.
     """
     product = lhs.astype(np.float64, copy=False) @ rhs.astype(np.float64, copy=False)
     accumulator = product.astype(np.int64)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 import numpy as np
 
 from ..quant import ibert
-from ..quant.quantizers import QuantizationSpec, compute_scale_zero_point, quantize
+from ..quant.quantizers import QMAX, QMIN, dequantize, quantize, weight_scale
 from .graph import ComputeGraph, GraphNode, LookupTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -40,16 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: The one integer grid of the deployment: every activation, weight and
-#: lookup-table domain is int8 (the paper's 8/8 GAP8 format).
-QMIN, QMAX = -128, 127
-#: How weights are quantised onto that grid: per-tensor symmetric int8.
-WEIGHT_SPEC = QuantizationSpec(bits=8, symmetric=True, signed=True)
-
 __all__ = [
     "QMIN",
     "QMAX",
-    "WEIGHT_SPEC",
     "ActivationQuantization",
     "CalibrationError",
     "QuantizedConstant",
@@ -149,12 +142,11 @@ class ActivationQuantization:
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantise a float array to this tensor's integer grid."""
-        q = np.round(np.asarray(values, dtype=np.float64) / self.scale)
-        return np.clip(q, self.qmin, self.qmax).astype(np.int32)
+        return quantize(values, self.scale)
 
     def dequantize(self, values: np.ndarray) -> np.ndarray:
         """Reconstruct float values from the integer grid."""
-        return np.asarray(values, dtype=np.float64) * self.scale
+        return dequantize(values, self.scale)
 
 
 @dataclass
@@ -323,9 +315,8 @@ def _symmetric_scale(
 
 
 def _quantize_weight(values: np.ndarray) -> QuantizedConstant:
-    scale, zero_point = compute_scale_zero_point(values.min(), values.max(), WEIGHT_SPEC)
-    integer = quantize(values, scale, zero_point, WEIGHT_SPEC).astype(np.int32)
-    return QuantizedConstant(values=integer, scale=float(scale), dtype="int8")
+    scale = weight_scale(values)
+    return QuantizedConstant(values=quantize(values, scale), scale=scale, dtype="int8")
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""``repro.quant`` — int8 quantisers, QAT and the I-BERT integer kernels."""
+"""``repro.quant`` — the one int8 quantiser, QAT and the I-BERT integer kernels."""
 
 from .ibert import (
     integer_erf,
@@ -10,28 +10,15 @@ from .ibert import (
     integer_sqrt,
 )
 from .qat import QATConfig, QATResult, quantization_aware_finetune
-from .quantizers import (
-    MinMaxObserver,
-    MovingAverageObserver,
-    QuantizationSpec,
-    QuantizedTensor,
-    compute_scale_zero_point,
-    dequantize,
-    fake_quantize,
-    quantization_error,
-    quantize,
-)
+from .quantizers import QMAX, QMIN, dequantize, fake_quantize, quantize, weight_scale
 
 __all__ = [
-    "QuantizationSpec",
-    "QuantizedTensor",
-    "compute_scale_zero_point",
+    "QMIN",
+    "QMAX",
+    "weight_scale",
     "quantize",
     "dequantize",
     "fake_quantize",
-    "quantization_error",
-    "MinMaxObserver",
-    "MovingAverageObserver",
     "QATConfig",
     "QATResult",
     "quantization_aware_finetune",

@@ -29,7 +29,7 @@ from ..nn.optim import Adam
 from ..nn.tensor import Tensor
 from ..utils.logging import get_logger
 from ..utils.rng import derive_rng
-from .quantizers import QuantizationSpec, compute_scale_zero_point, fake_quantize
+from .quantizers import fake_quantize, weight_scale
 
 __all__ = ["QATConfig", "QATResult", "quantization_aware_finetune"]
 
@@ -71,15 +71,14 @@ class QATResult:
     final_train_loss: float
 
 
-def _fake_quantize_weights(model: Module, spec: QuantizationSpec) -> Dict[str, np.ndarray]:
-    """Replace every parameter by its fake-quantised version; return the shadows."""
+def _fake_quantize_weights(model: Module) -> Dict[str, np.ndarray]:
+    """Replace every parameter by its fake-quantised version on the deployed
+    weight grid (:func:`~repro.quant.quantizers.weight_scale`); return the
+    shadows."""
     shadows: Dict[str, np.ndarray] = {}
     for name, parameter in model.named_parameters():
         shadows[name] = parameter.data.copy()
-        scale, zero_point = compute_scale_zero_point(
-            parameter.data.min(), parameter.data.max(), spec
-        )
-        parameter.data[...] = fake_quantize(parameter.data, scale, zero_point, spec)
+        parameter.data[...] = fake_quantize(parameter.data, weight_scale(parameter.data))
     return shadows
 
 
@@ -107,7 +106,6 @@ def quantization_aware_finetune(
         QAT hyper-parameters.
     """
     config = config if config is not None else QATConfig()
-    spec = QuantizationSpec(symmetric=True)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     loss_function = CrossEntropyLoss()
     rng = derive_rng("qat", seed=config.seed)
@@ -121,7 +119,7 @@ def quantization_aware_finetune(
         seen = 0
         epoch_loss = 0.0
         for windows, labels in loader:
-            shadows = _fake_quantize_weights(model, spec)
+            shadows = _fake_quantize_weights(model)
             logits = model(Tensor(windows))
             loss = loss_function(logits, labels)
             optimizer.zero_grad()

@@ -1,230 +1,58 @@
-"""Uniform affine/symmetric quantizers and range observers.
+"""The one int8 grid, shared by the deployment and by QAT.
 
 The paper deploys int8 models produced by quantisation-aware training (QAT):
-weights and activations are stored and processed as 8-bit integers on the
-GAP8 target.  This module provides the building blocks:
+weights and activations are stored and processed as 8-bit symmetric
+integers on the GAP8 target.  This module is the one definition of that
+grid; the lowering (:mod:`repro.deploy.lowering`), the integer executor and
+QAT (:mod:`repro.quant.qat`) all import it:
 
-* :class:`QuantizationSpec` — bit-width / signedness / symmetry of a tensor;
-* :func:`quantize` / :func:`dequantize` — the affine mapping
-  ``q = clamp(round(x / scale) + zero_point)``;
-* :func:`fake_quantize` — quantise-dequantise in float, the straight-through
-  operator used during QAT;
-* :class:`MinMaxObserver` / :class:`MovingAverageObserver` — activation range
-  tracking used to calibrate the scales.
+* :data:`QMIN`, :data:`QMAX` — the int8 range ``[-128, 127]``;
+* :func:`weight_scale` — the per-tensor symmetric scale of a weight;
+* :func:`quantize` / :func:`dequantize` — ``q = clip(round(x / scale))``
+  as ``int32`` and ``x ≈ q · scale``;
+* :func:`fake_quantize` — quantise-dequantise in float, the
+  straight-through operator of QAT.
+
+Weights divide their bound by 128 (``-QMIN``); activations, calibrated by
+the lowering, divide theirs by 127 (``QMAX``).  So a weight's positive
+maximum maps to +128 and clips to 127.  The ROADMAP item "Fix the symmetric
+quantiser's positive-bound clip" changes the weight divisor to 127; until it
+lands, both divisors stay as they are, because the deployed weights depend
+on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
 import numpy as np
 
-__all__ = [
-    "QuantizationSpec",
-    "QuantizedTensor",
-    "compute_scale_zero_point",
-    "quantize",
-    "dequantize",
-    "fake_quantize",
-    "quantization_error",
-    "MinMaxObserver",
-    "MovingAverageObserver",
-]
+__all__ = ["QMIN", "QMAX", "weight_scale", "quantize", "dequantize", "fake_quantize"]
+
+#: The one integer grid of the deployment: every activation, weight and
+#: lookup-table domain is int8 (the paper's 8/8 GAP8 format).
+QMIN, QMAX = -128, 127
 
 
-@dataclass(frozen=True)
-class QuantizationSpec:
-    """Describes the integer format of a quantised tensor."""
+def weight_scale(values: np.ndarray) -> float:
+    """Per-tensor symmetric scale of a weight: ``max|values| / 128``.
 
-    bits: int = 8
-    symmetric: bool = True
-    signed: bool = True
-    #: Per-channel quantisation axis (None = per-tensor).
-    channel_axis: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.bits <= 32:
-            raise ValueError("bits must lie in [2, 32]")
-
-    @property
-    def qmin(self) -> int:
-        """Smallest representable integer."""
-        if self.signed:
-            return -(2 ** (self.bits - 1))
-        return 0
-
-    @property
-    def qmax(self) -> int:
-        """Largest representable integer."""
-        if self.signed:
-            return 2 ** (self.bits - 1) - 1
-        return 2**self.bits - 1
-
-    @property
-    def num_levels(self) -> int:
-        """Number of representable integer levels."""
-        return 2**self.bits
-
-
-@dataclass
-class QuantizedTensor:
-    """An integer tensor together with its dequantisation parameters."""
-
-    values: np.ndarray
-    scale: np.ndarray
-    zero_point: np.ndarray
-    spec: QuantizationSpec
-
-    def dequantize(self) -> np.ndarray:
-        """Return the float reconstruction of the stored integers."""
-        return dequantize(self.values, self.scale, self.zero_point, self.spec)
-
-    @property
-    def nbytes(self) -> int:
-        """Storage size in bytes (integers only, excluding scales)."""
-        return int(self.values.size * np.ceil(self.spec.bits / 8))
-
-
-def _reduce_axes(shape: Tuple[int, ...], channel_axis: Optional[int]) -> Optional[Tuple[int, ...]]:
-    if channel_axis is None:
-        return None
-    return tuple(axis for axis in range(len(shape)) if axis != channel_axis)
-
-
-def _reshape_param(param: np.ndarray, shape: Tuple[int, ...], channel_axis: Optional[int]) -> np.ndarray:
-    if channel_axis is None:
-        return param
-    broadcast_shape = [1] * len(shape)
-    broadcast_shape[channel_axis] = -1
-    return param.reshape(broadcast_shape)
-
-
-def compute_scale_zero_point(
-    minimum: np.ndarray,
-    maximum: np.ndarray,
-    spec: QuantizationSpec,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Derive ``(scale, zero_point)`` from observed value ranges.
-
-    For symmetric quantisation the zero point is fixed at zero and the scale
-    covers ``max(|min|, |max|)``; for affine quantisation the full
-    ``[min, max]`` interval is mapped onto the integer range.
+    An all-zero tensor gets the bound ``1e-8`` instead of zero, so the
+    scale never divides by zero.
     """
-    minimum = np.minimum(np.asarray(minimum, dtype=np.float64), 0.0)
-    maximum = np.maximum(np.asarray(maximum, dtype=np.float64), 0.0)
-    if spec.symmetric:
-        bound = np.maximum(np.abs(minimum), np.abs(maximum))
-        bound = np.where(bound == 0.0, 1e-8, bound)
-        scale = bound / max(abs(spec.qmin), spec.qmax)
-        zero_point = np.zeros_like(scale)
-    else:
-        value_range = np.where(maximum - minimum == 0.0, 1e-8, maximum - minimum)
-        scale = value_range / (spec.qmax - spec.qmin)
-        zero_point = np.round(spec.qmin - minimum / scale)
-        zero_point = np.clip(zero_point, spec.qmin, spec.qmax)
-    return scale, zero_point
+    bound = float(np.abs(values).max())
+    return (bound if bound != 0.0 else 1e-8) / -QMIN
 
 
-def quantize(
-    values: np.ndarray,
-    scale: np.ndarray,
-    zero_point: np.ndarray,
-    spec: QuantizationSpec,
-) -> np.ndarray:
-    """Quantise float ``values`` to integers according to ``spec``."""
-    values = np.asarray(values, dtype=np.float64)
-    scale_b = _reshape_param(np.asarray(scale, dtype=np.float64), values.shape, spec.channel_axis)
-    zero_b = _reshape_param(np.asarray(zero_point, dtype=np.float64), values.shape, spec.channel_axis)
-    quantised = np.round(values / scale_b) + zero_b
-    quantised = np.clip(quantised, spec.qmin, spec.qmax)
-    dtype = np.int32 if spec.bits > 16 else (np.int16 if spec.bits > 8 else np.int8)
-    if not spec.signed:
-        dtype = np.uint32 if spec.bits > 16 else (np.uint16 if spec.bits > 8 else np.uint8)
-    return quantised.astype(dtype)
+def quantize(values: np.ndarray, scale: float) -> np.ndarray:
+    """Quantise float ``values`` onto the int8 grid, as ``int32``."""
+    q = np.round(np.asarray(values, dtype=np.float64) / scale)
+    return np.clip(q, QMIN, QMAX).astype(np.int32)
 
 
-def dequantize(
-    values: np.ndarray,
-    scale: np.ndarray,
-    zero_point: np.ndarray,
-    spec: QuantizationSpec,
-) -> np.ndarray:
-    """Reconstruct float values from integers."""
-    values = np.asarray(values, dtype=np.float64)
-    scale_b = _reshape_param(np.asarray(scale, dtype=np.float64), values.shape, spec.channel_axis)
-    zero_b = _reshape_param(np.asarray(zero_point, dtype=np.float64), values.shape, spec.channel_axis)
-    return (values - zero_b) * scale_b
+def dequantize(values: np.ndarray, scale: float) -> np.ndarray:
+    """Reconstruct float values from integers on the grid."""
+    return np.asarray(values, dtype=np.float64) * scale
 
 
-def fake_quantize(
-    values: np.ndarray,
-    scale: np.ndarray,
-    zero_point: np.ndarray,
-    spec: QuantizationSpec,
-) -> np.ndarray:
+def fake_quantize(values: np.ndarray, scale: float) -> np.ndarray:
     """Quantise-dequantise in float (the straight-through QAT operator)."""
-    return dequantize(quantize(values, scale, zero_point, spec), scale, zero_point, spec)
-
-
-def quantization_error(values: np.ndarray, spec: QuantizationSpec) -> float:
-    """RMS error introduced by quantising ``values`` with min/max calibration."""
-    axes = _reduce_axes(values.shape, spec.channel_axis)
-    minimum = values.min(axis=axes) if axes is not None else values.min()
-    maximum = values.max(axis=axes) if axes is not None else values.max()
-    scale, zero_point = compute_scale_zero_point(minimum, maximum, spec)
-    reconstruction = fake_quantize(values, scale, zero_point, spec)
-    return float(np.sqrt(np.mean((values - reconstruction) ** 2)))
-
-
-class MinMaxObserver:
-    """Tracks the running min/max of a tensor stream (per-tensor or per-channel)."""
-
-    def __init__(self, spec: Optional[QuantizationSpec] = None) -> None:
-        self.spec = spec if spec is not None else QuantizationSpec()
-        self.minimum: Optional[np.ndarray] = None
-        self.maximum: Optional[np.ndarray] = None
-
-    def observe(self, values: np.ndarray) -> None:
-        """Update the tracked range with a new batch of values."""
-        values = np.asarray(values, dtype=np.float64)
-        axes = _reduce_axes(values.shape, self.spec.channel_axis)
-        batch_min = values.min(axis=axes) if axes is not None else np.asarray(values.min())
-        batch_max = values.max(axis=axes) if axes is not None else np.asarray(values.max())
-        if self.minimum is None:
-            self.minimum, self.maximum = batch_min, batch_max
-        else:
-            self.minimum = np.minimum(self.minimum, batch_min)
-            self.maximum = np.maximum(self.maximum, batch_max)
-
-    @property
-    def initialized(self) -> bool:
-        """Whether at least one batch has been observed."""
-        return self.minimum is not None
-
-    def quantization_parameters(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(scale, zero_point)`` from the observed range."""
-        if not self.initialized:
-            raise RuntimeError("observer has not seen any data")
-        return compute_scale_zero_point(self.minimum, self.maximum, self.spec)
-
-
-class MovingAverageObserver(MinMaxObserver):
-    """Exponential-moving-average range tracking (smoother QAT calibration)."""
-
-    def __init__(self, spec: Optional[QuantizationSpec] = None, momentum: float = 0.9) -> None:
-        super().__init__(spec)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        self.momentum = momentum
-
-    def observe(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        axes = _reduce_axes(values.shape, self.spec.channel_axis)
-        batch_min = values.min(axis=axes) if axes is not None else np.asarray(values.min())
-        batch_max = values.max(axis=axes) if axes is not None else np.asarray(values.max())
-        if self.minimum is None:
-            self.minimum, self.maximum = batch_min, batch_max
-        else:
-            self.minimum = self.momentum * self.minimum + (1.0 - self.momentum) * batch_min
-            self.maximum = self.momentum * self.maximum + (1.0 - self.momentum) * batch_max
+    return dequantize(quantize(values, scale), scale)

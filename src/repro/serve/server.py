@@ -31,15 +31,17 @@ breaker and session manager (see :mod:`repro.serve.metrics`) plus a
 coarse ``status`` verdict.
 
 Backends are constructed through a process-wide cache keyed by
-``(architecture, patch_size, backend, lowering config)`` (plus the full
-registry kwargs), so many concurrent sessions of the same deployed
-architecture share one model/executor — the serving analogue of the deploy
-toolchain's one-binary-many-inferences model — while int8 backends lowered
-with different configs (calibration percentile) stay distinct.
+``(architecture, patch_size, backend, lowering config, calibration)``
+(plus the full registry kwargs), so many concurrent sessions of the same
+deployed architecture share one model/executor — the serving analogue of
+the deploy toolchain's one-binary-many-inferences model — while int8
+backends lowered with different configs (calibration percentile) or
+calibration windows stay distinct.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -90,14 +92,25 @@ __all__ = [
 _BACKENDS = ("float", "int8")
 
 
+def _calibration_key(calibration: Optional[np.ndarray]) -> Optional[Tuple]:
+    """The cache identity of int8 calibration windows: a SHA-256 digest of
+    their bytes, with their shape and dtype.  ``None`` (the seeded default
+    batch) stays ``None``."""
+    if calibration is None:
+        return None
+    windows = np.ascontiguousarray(calibration)
+    digest = hashlib.sha256(windows.tobytes()).hexdigest()
+    return digest, windows.shape, windows.dtype.str
+
+
 class BackendCache:
     """LRU cache of constructed serving backends.
 
     Keys are ``(model_cache_key(architecture, **kwargs), backend,
-    lowering config)`` tuples: two servers asking for the same
-    architecture / patch size / backend / lowering config get the *same*
-    backend object (same weights, same quantisation constants, same op
-    set).
+    lowering config, calibration digest)`` tuples: two servers asking for
+    the same architecture / patch size / backend / lowering config /
+    calibration windows get the *same* backend object (same weights, same
+    quantisation constants, same op set).
 
     ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``:
     ``cache_hits``, ``cache_misses``, ``cache_evictions`` and the gauge
@@ -217,15 +230,16 @@ class InferenceServer:
         ``num_classes``, ``seed``, ...); a constructed ``Module`` rejects
         them with ``ValueError``.
     calibration:
-        Representative windows for int8 lowering; a float server rejects
-        them with ``ValueError``.  Calibration is *not* part of the cache
-        key; pass a dedicated ``cache`` when serving differently calibrated
-        variants side by side.
+        Representative windows for int8 lowering (``None``: the seeded
+        default batch of :func:`~repro.serve.backends.build_int8_backend`);
+        a float server rejects them with ``ValueError``.  A digest of their
+        bytes, shape and dtype is part of the cache key, so equal windows
+        share one backend and different windows get their own.
     lowering:
         The :class:`~repro.deploy.passes.LoweringConfig` of the int8 backend
         (``LoweringConfig()`` when omitted); a float server rejects it with
-        ``ValueError``.  Unlike calibration, the config *is* part of the
-        cache key: the frozen config itself is the key's lowering entry, so
+        ``ValueError``.  The config is part of the cache key too: the
+        frozen config itself is the key's lowering entry, so
         omitting it and passing ``LoweringConfig()`` share one cached
         backend and different configs are cached side by side.
     max_batch_size:
@@ -338,14 +352,13 @@ class InferenceServer:
                 return build_float_backend(built)
             return build_int8_backend(built, calibration, config=lowering)
 
-        # The lowering config changes the served numerics (its calibration
-        # percentile), so it is part of the cache identity — unlike
-        # calibration data, which is not hashable.  The config is frozen
-        # and hashable.
+        # The lowering config and the calibration windows both change the
+        # served numerics, so both are part of the cache identity: the
+        # frozen config itself, and a digest of the windows.
         lowering_variant: object = ()
         if backend == "int8":
             lowering_variant = lowering if lowering is not None else LoweringConfig()
-        self.cache_key = (identity, backend, lowering_variant)
+        self.cache_key = (identity, backend, lowering_variant, _calibration_key(calibration))
         self.backend: Backend = self.cache.get_or_build(self.cache_key, lambda: build(backend))
         # The dispatch target: the cached backend, optionally wrapped (the
         # wrapper — e.g. a FaultInjectingBackend — stays private to this
@@ -354,7 +367,7 @@ class InferenceServer:
             backend_wrapper(self.backend) if backend_wrapper is not None else self.backend
         )
         self._fallback: Optional[Backend] = (
-            self.cache.get_or_build((identity, "float", ()), lambda: build("float"))
+            self.cache.get_or_build((identity, "float", (), None), lambda: build("float"))
             if fallback
             else None
         )

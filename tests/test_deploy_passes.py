@@ -20,6 +20,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from repro import quant
 from repro.deploy import (
     FloatGraphExecutor,
     IntegerGraphExecutor,
@@ -31,7 +32,6 @@ from repro.deploy.graph import ComputeGraph, GraphNode, TensorSpec
 from repro.deploy.lowering import (
     QMAX,
     QMIN,
-    WEIGHT_SPEC,
     ActivationQuantization,
     QuantizedNode,
 )
@@ -144,10 +144,15 @@ class TestLoweringConfig:
             "LoweringConfig.activation_bits",
             "ActivationQuantization.bits",
             "quantize_weights.weight_spec",
+            "repro.quant.QuantizationSpec",
+            "repro.quant.MinMaxObserver",
+            "repro.quant.MovingAverageObserver",
         ],
     )
     def test_the_int8_grid_is_not_a_parameter(self, knob):
-        """The grid is decided once, in ``QMIN``/``QMAX``/``WEIGHT_SPEC``."""
+        """The grid is decided once, in ``repro.quant.quantizers``: no
+        argument selects another width, and no spec or observer class
+        describes another format."""
         calls = {
             "LoweringConfig.weight_bits": lambda: LoweringConfig(weight_bits=8),
             "LoweringConfig.activation_bits": lambda: LoweringConfig(activation_bits=8),
@@ -155,10 +160,16 @@ class TestLoweringConfig:
                 name="x", scale=1.0, bits=8
             ),
             "quantize_weights.weight_spec": lambda: quantize_weights(
-                tiny_graph([relu_node("relu", "input", "out")]), {}, WEIGHT_SPEC
+                tiny_graph([relu_node("relu", "input", "out")]), {}, 8
+            ),
+            "repro.quant.QuantizationSpec": lambda: quant.QuantizationSpec(bits=8),
+            "repro.quant.MinMaxObserver": lambda: quant.MinMaxObserver(),
+            "repro.quant.MovingAverageObserver": lambda: quant.MovingAverageObserver(
+                momentum=0.9
             ),
         }
-        with pytest.raises(TypeError):
+        deleted = knob.startswith("repro.quant.")
+        with pytest.raises(AttributeError if deleted else TypeError):
             calls[knob]()
 
     def test_weights_fill_the_int8_grid(self, lowered_pair):
@@ -518,6 +529,29 @@ class TestServingIntegration:
                 assert explicit.backend is default.backend
                 assert explicit.cache_key[2] == LoweringConfig()
         assert len(cache) == 2
+
+    def test_server_keys_int8_backends_on_the_calibration(self):
+        """Two int8 servers of one ``Module`` share one cache: different
+        calibration windows get different backends, equal windows (by value,
+        not identity) one shared backend."""
+        cache = BackendCache()
+        model = make_model("bio1")
+        calibration = np.random.default_rng(12).normal(size=(8, 4, 60))
+        other = np.random.default_rng(14).normal(size=(8, 4, 60))
+        with InferenceServer(model, "int8", calibration=calibration, cache=cache) as first:
+            with InferenceServer(model, "int8", calibration=other, cache=cache) as second:
+                assert second.backend is not first.backend
+                assert second.backend.quantized.input_quantization.scale != (
+                    first.backend.quantized.input_quantization.scale
+                )
+            with InferenceServer(
+                model, "int8", calibration=calibration.copy(), cache=cache
+            ) as same:
+                assert same.backend is first.backend
+            with InferenceServer(model, "int8", cache=cache) as default:
+                assert default.backend is not first.backend
+                assert default.cache_key[3] is None
+        assert len(cache) == 3
 
     def test_server_lowers_with_the_given_config(self):
         """The config is applied, not only used as the cache key."""

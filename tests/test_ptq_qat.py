@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.deploy import deploy_graph
-from repro.models import bioformer_bio1, bioformer_bio2
+from repro.models import bioformer_bio1, bioformer_bio2, build_model
 from repro.quant import QATConfig, quantization_aware_finetune
+from repro.quant.qat import _fake_quantize_weights
 from repro.serve import build_int8_backend
 from repro.training import ProtocolConfig, evaluate, train_subject_specific
 
@@ -147,6 +148,25 @@ class TestQAT:
         quantization_aware_finetune(model, tiny_split.train, QATConfig.tiny())
         quantized = int8_accuracy(model, tiny_split)
         assert quantized >= float_accuracy - 0.15
+
+    @pytest.mark.parametrize("architecture", ["bio1", "bio2", "temponet"])
+    def test_qat_and_deployment_share_one_grid(self, architecture):
+        """QAT's fake-quantised conv/linear weights are the deployed int8
+        weights times their scale, bit for bit."""
+        model = build_model(architecture, seed=3)
+        payloads = build_int8_backend(model).quantized.nodes
+        _fake_quantize_weights(model)
+        parameters = dict(model.named_parameters())
+        compared = 0
+        for name, payload in payloads.items():
+            if payload.node.op not in ("conv1d", "linear"):
+                continue
+            weight = payload.constants["weight"]
+            np.testing.assert_array_equal(
+                parameters[name + ".weight"].data, weight.values * weight.scale
+            )
+            compared += 1
+        assert compared >= 8
 
     def test_qat_config_presets(self):
         assert QATConfig.paper().epochs >= QATConfig.small().epochs >= QATConfig.tiny().epochs

@@ -1,138 +1,88 @@
-"""Tests of the quantisation primitives and observers."""
+"""Tests of the one int8 quantiser (``repro.quant.quantizers``)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.quant import (
-    MinMaxObserver,
-    MovingAverageObserver,
-    QuantizationSpec,
-    QuantizedTensor,
-    compute_scale_zero_point,
-    dequantize,
-    fake_quantize,
-    quantization_error,
-    quantize,
-)
+from repro.quant import QMAX, QMIN, dequantize, fake_quantize, quantize, weight_scale
 
 
-class TestQuantizationSpec:
+class TestGrid:
     def test_int8_ranges(self):
-        signed = QuantizationSpec(bits=8, signed=True)
-        assert (signed.qmin, signed.qmax) == (-128, 127)
-        unsigned = QuantizationSpec(bits=8, signed=False)
-        assert (unsigned.qmin, unsigned.qmax) == (0, 255)
-        assert signed.num_levels == 256
-
-    def test_other_bit_widths(self):
-        assert QuantizationSpec(bits=4).qmax == 7
-        assert QuantizationSpec(bits=16).qmax == 32767
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            QuantizationSpec(bits=1)
+        assert (QMIN, QMAX) == (-128, 127)
+        assert QMAX - QMIN + 1 == 256
 
 
 class TestQuantizeDequantize:
     def test_roundtrip_error_bounded_by_half_scale(self, rng):
         values = rng.standard_normal(1000) * 3
-        spec = QuantizationSpec(bits=8, symmetric=True)
-        scale, zero_point = compute_scale_zero_point(values.min(), values.max(), spec)
-        reconstruction = dequantize(quantize(values, scale, zero_point, spec), scale, zero_point, spec)
+        scale = weight_scale(values)
+        reconstruction = dequantize(quantize(values, scale), scale)
         assert np.max(np.abs(values - reconstruction)) <= float(scale) * 0.5 + 1e-12
 
-    def test_symmetric_zero_point_is_zero(self):
-        scale, zero_point = compute_scale_zero_point(-2.0, 3.0, QuantizationSpec(symmetric=True))
-        assert zero_point == 0.0
-
-    def test_affine_covers_asymmetric_range(self):
-        spec = QuantizationSpec(bits=8, symmetric=False, signed=False)
-        values = np.linspace(0.0, 10.0, 100)
-        scale, zero_point = compute_scale_zero_point(values.min(), values.max(), spec)
-        q = quantize(values, scale, zero_point, spec)
-        assert q.min() >= 0 and q.max() <= 255
-        reconstruction = dequantize(q, scale, zero_point, spec)
-        assert np.max(np.abs(values - reconstruction)) <= float(scale)
-
     def test_zero_range_does_not_divide_by_zero(self):
-        scale, zero_point = compute_scale_zero_point(0.0, 0.0, QuantizationSpec())
+        scale = weight_scale(np.array([0.0, 0.0]))
         assert np.all(np.isfinite(scale))
 
-    def test_int8_dtype(self, rng):
-        spec = QuantizationSpec(bits=8)
-        values = rng.standard_normal(10)
-        scale, zp = compute_scale_zero_point(values.min(), values.max(), spec)
-        assert quantize(values, scale, zp, spec).dtype == np.int8
+    def test_weight_scale_divides_the_bound_by_128(self):
+        """Weights divide ``max|w|`` by ``-QMIN`` (activations divide by
+        ``QMAX``), and an all-zero tensor takes the bound ``1e-8``."""
+        assert weight_scale(np.array([-2.0, 3.0])) == 3.0 / 128
+        assert weight_scale(np.array([-3.0, 2.0])) == 3.0 / 128
+        assert weight_scale(np.zeros(4)) == 1e-8 / 128
 
-    def test_per_channel_quantization(self, rng):
-        spec = QuantizationSpec(bits=8, channel_axis=0)
-        values = rng.standard_normal((4, 100))
-        values[0] *= 100.0  # one channel with a much larger range
-        minimum, maximum = values.min(axis=1), values.max(axis=1)
-        scale, zp = compute_scale_zero_point(minimum, maximum, spec)
-        assert scale.shape == (4,)
-        reconstruction = dequantize(quantize(values, scale, zp, spec), scale, zp, spec)
-        # Per-channel scaling keeps the small channels precise.
-        assert np.max(np.abs(values[1:] - reconstruction[1:])) < 0.05
+    def test_zero_maps_to_integer_zero(self):
+        q = quantize(np.array([0.0, -0.0, -1e-12]), 0.5)
+        assert q.dtype == np.int32
+        np.testing.assert_array_equal(q, [0, 0, 0])
+        assert not np.signbit(dequantize(q, 0.5)).any()
+
+    def test_int8_grid_as_int32(self, rng):
+        values = rng.standard_normal(10)
+        q = quantize(values, weight_scale(values))
+        assert q.dtype == np.int32
+        assert QMIN <= q.min() and q.max() <= QMAX
 
     def test_fake_quantize_idempotent(self, rng):
-        spec = QuantizationSpec()
         values = rng.standard_normal(50)
-        scale, zp = compute_scale_zero_point(values.min(), values.max(), spec)
-        once = fake_quantize(values, scale, zp, spec)
-        twice = fake_quantize(once, scale, zp, spec)
+        scale = weight_scale(values)
+        once = fake_quantize(values, scale)
+        twice = fake_quantize(once, scale)
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
     @given(arrays(np.float64, (64,), elements=st.floats(-100, 100)))
     @settings(max_examples=40, deadline=None)
     def test_quantization_error_property(self, values):
         """int8 RMS quantisation error is below 1% of the value range."""
-        error = quantization_error(values, QuantizationSpec(bits=8, symmetric=True))
+        reconstruction = fake_quantize(values, weight_scale(values))
+        error = float(np.sqrt(np.mean((values - reconstruction) ** 2)))
         value_range = max(np.abs(values).max(), 1e-8)
         assert error <= 0.01 * value_range + 1e-9
 
-    def test_more_bits_less_error(self, rng):
-        values = rng.standard_normal(500)
-        errors = [quantization_error(values, QuantizationSpec(bits=b)) for b in (4, 8, 16)]
-        assert errors[0] > errors[1] > errors[2]
+    def test_quantize_saturates_to_the_int8_range(self):
+        """Values past the bound clip to ``QMIN``/``QMAX``; a weight's positive
+        maximum maps to +128 and clips to 127 (the known positive-bound clip)."""
+        np.testing.assert_array_equal(quantize(np.array([1e6, -1e6, 127.4, -128.4]), 1.0), [QMAX, QMIN, QMAX, QMIN])
+        weights = np.array([-2.0, 3.0])
+        np.testing.assert_array_equal(quantize(weights, weight_scale(weights)), [-85, QMAX])
 
-    def test_quantized_tensor_container(self, rng):
-        spec = QuantizationSpec()
-        values = rng.standard_normal(100)
-        scale, zp = compute_scale_zero_point(values.min(), values.max(), spec)
-        qt = QuantizedTensor(quantize(values, scale, zp, spec), np.asarray(scale), np.asarray(zp), spec)
-        assert qt.nbytes == 100
-        np.testing.assert_allclose(qt.dequantize(), values, atol=float(scale))
+    def test_rounding_is_half_to_even(self):
+        """Ties round to the even integer (``np.round``), not away from zero."""
+        q = quantize(np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5]), 1.0)
+        np.testing.assert_array_equal(q, [0, 2, 2, 0, -2, -2])
 
-
-class TestObservers:
-    def test_minmax_tracks_extremes(self, rng):
-        observer = MinMaxObserver()
-        observer.observe(np.array([1.0, 2.0]))
-        observer.observe(np.array([-5.0, 0.5]))
-        assert observer.minimum == -5.0 and observer.maximum == 2.0
-
-    def test_uninitialized_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxObserver().quantization_parameters()
-
-    def test_moving_average_smooths(self):
-        observer = MovingAverageObserver(momentum=0.5)
-        observer.observe(np.array([0.0, 10.0]))
-        observer.observe(np.array([0.0, 20.0]))
-        assert observer.maximum == pytest.approx(15.0)
-
-    def test_moving_average_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            MovingAverageObserver(momentum=1.0)
-
-    def test_observer_parameters_usable(self, rng):
-        observer = MinMaxObserver(QuantizationSpec(bits=8, symmetric=False))
-        values = rng.standard_normal((10, 10))
-        observer.observe(values)
-        scale, zp = observer.quantization_parameters()
-        reconstruction = fake_quantize(values, scale, zp, observer.spec)
-        assert np.max(np.abs(values - reconstruction)) < 0.1
+    @given(
+        arrays(np.float64, (32,), elements=st.floats(-100, 100)),
+        st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fake_quantize_is_dequantize_of_quantize(self, values, scale):
+        """QAT's fake quantisation equals the deployed ``q * scale`` bit for bit,
+        and lands within half a step of every value inside the grid."""
+        q = quantize(values, scale)
+        assert q.dtype == np.int32 and QMIN <= q.min() and q.max() <= QMAX
+        fake = fake_quantize(values, scale)
+        np.testing.assert_array_equal(fake, q.astype(np.float64) * scale)
+        inside = (values / scale >= QMIN) & (values / scale <= QMAX)
+        assert np.all(np.abs(values - fake)[inside] <= scale * 0.5 * (1 + 1e-12))
