@@ -15,10 +15,9 @@ latency and energy:
   and the stable :func:`~repro.deploy.lowering.lower_to_int8` entry point;
 * :mod:`repro.deploy.passes` — the deploy compiler, configured by one
   :class:`~repro.deploy.passes.LoweringConfig`:
-  :func:`~repro.deploy.passes.compile_graph` runs six fixed,
+  :func:`~repro.deploy.passes.compile_graph` runs four fixed,
   bitwise-pinned stages (calibration, weight quantisation, LUT
-  substitution, requant folding, conv→pool fusion and dead-node
-  elimination) and records each in the manifest;
+  substitution and fusion) and records each in the manifest;
 * :mod:`repro.deploy.int_engine` — integer-only inference (int8/int32 with
   I-BERT non-linearities, GELU and the softmax ``exp`` as lookup tables),
   i.e. the on-target numerics emulated bit-level;

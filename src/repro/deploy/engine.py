@@ -103,7 +103,7 @@ class BoundSchedule:
     every member of every node's ``fusion_chain``, in schedule order.  A
     fused chain runs as one composed closure with the per-stage arithmetic
     of its members unchanged.  Each tail of a chain consumes only its
-    predecessor's output (see :func:`repro.deploy.passes._forward_fuse`),
+    predecessor's output (see :func:`repro.deploy.passes.fuse`),
     so the intermediates never enter the tensor map.
     """
 

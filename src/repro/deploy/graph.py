@@ -238,9 +238,9 @@ class GraphNode:
     def fusion_chain(self) -> Tuple["GraphNode", ...]:
         """The original kernels this node executes, in order.
 
-        A fused node (produced by the fusion stages of
-        :mod:`repro.deploy.passes`) carries its constituent kernels in
-        ``attrs["fused_chain"]``; an ordinary node is its own chain of one.
+        A fused node (produced by :func:`repro.deploy.passes.fuse`) carries
+        its constituent kernels in ``attrs["fused_chain"]``; an ordinary
+        node is its own chain of one.
         The executors bind each member once and compose the chain into one
         kernel (:class:`~repro.deploy.engine.BoundSchedule`), each member
         with its own arithmetic, which is what makes fusion bitwise-exact

@@ -14,7 +14,7 @@ convention:
   plus arithmetic shift, so inference needs no floating point at all.
 
 :func:`lower_to_int8` performs that conversion.  It is a thin entry point
-over the deploy compiler in :mod:`repro.deploy.passes`, whose six fixed
+over the deploy compiler in :mod:`repro.deploy.passes`, whose four fixed
 stages calibrate, quantise the weights, tabulate the transformer
 nonlinearities and fuse the schedule; the resulting :class:`QuantizedGraph`
 is consumed by the integer executor (:mod:`repro.deploy.int_engine`), the
@@ -89,20 +89,14 @@ def encode_requantizer(factor: float) -> Tuple[int, int]:
     return (-multiplier if factor < 0 else multiplier), shift
 
 
-def apply_requant(
-    values: np.ndarray,
-    multiplier: int,
-    shift: int,
-    qmin: int = QMIN,
-    qmax: int = QMAX,
-) -> np.ndarray:
+def apply_requant(values: np.ndarray, multiplier: int, shift: int) -> np.ndarray:
     """Apply an encoded ``(multiplier, shift)`` requantiser to accumulators.
 
     Consumers pass the pair the lowering stored on the node
     (:attr:`QuantizedNode.requantizers`).  ``values`` of any integer dtype
     are widened to int64 here, once, so callers pass their arrays as they
-    are.  The result is rounded, clipped to ``[qmin, qmax]`` and returned as
-    ``int32``.
+    are.  The result is rounded, clipped to the int8 grid ``[QMIN, QMAX]``
+    and returned as ``int32``.
     """
     scaled = values.astype(np.int64, copy=False) * multiplier
     if shift > 0:
@@ -112,23 +106,23 @@ def apply_requant(
         left = -shift
         # Left shifts occur only for extreme (>~2) requantisation factors.
         # A saturating value would overflow int64 and wrap sign; clipping
-        # to [qmin, qmax] *before* the shift is exact, because the final
-        # clip is monotone and qmin <= 0 <= qmax: any value outside the
+        # to [QMIN, QMAX] *before* the shift is exact, because the final
+        # clip is monotone and QMIN <= 0 <= QMAX: any value outside the
         # grid before scaling up lands on the same bound after it.
-        scaled = np.clip(scaled, qmin, qmax)
-        if (int(max(abs(qmin), abs(qmax))) << left) > _INT64_MAX:
+        scaled = np.clip(scaled, QMIN, QMAX)
+        if (max(-QMIN, QMAX) << left) > _INT64_MAX:
             # The shift alone exceeds int64: every non-zero value saturates.
-            scaled = np.where(scaled > 0, qmax, np.where(scaled < 0, qmin, 0))
+            scaled = np.where(scaled > 0, QMAX, np.where(scaled < 0, QMIN, 0))
         else:
             scaled = scaled << np.int64(left)
-    return np.clip(scaled, qmin, qmax).astype(np.int32)
+    return np.clip(scaled, QMIN, QMAX).astype(np.int32)
 
 
-def requantize(values: np.ndarray, factor: float, qmin: int = QMIN, qmax: int = QMAX) -> np.ndarray:
+def requantize(values: np.ndarray, factor: float) -> np.ndarray:
     """Rescale integer accumulators by a float ``factor`` in fixed point:
     :func:`encode_requantizer` followed by :func:`apply_requant`."""
     multiplier, shift = encode_requantizer(factor)
-    return apply_requant(np.asarray(values), multiplier, shift, qmin, qmax)
+    return apply_requant(np.asarray(values), multiplier, shift)
 
 
 @dataclass(frozen=True)
@@ -195,9 +189,8 @@ class QuantizedGraph:
     """An int8-lowered inference graph ready for execution.
 
     ``graph`` is the executable graph: ``source_graph`` with the fusion
-    stages applied, so usually structurally smaller (fused /
-    dead-node-eliminated) and bitwise-equal in its logits.  ``nodes`` keeps
-    one payload per
+    stage applied, so usually structurally smaller (fused) and
+    bitwise-equal in its logits.  ``nodes`` keeps one payload per
     *original* node, including nodes absorbed by fusion, so every consumer
     keeps addressing constants, requantisers and tables by name.
     """
@@ -338,7 +331,7 @@ def build_gelu_lut(
     """
     domain = np.arange(in_act.qmin, in_act.qmax + 1, dtype=np.int64)
     q_out, _ = ibert.integer_gelu(domain, in_act.scale)
-    values = apply_requant(q_out, *requantizer, out_act.qmin, out_act.qmax)
+    values = apply_requant(q_out, *requantizer)
     return LookupTable(
         op="gelu",
         domain_min=in_act.qmin,
@@ -380,9 +373,8 @@ def lower_to_int8(
     """Quantise a traced graph to int8 using a calibration batch.
 
     This is the stable entry point of the deploy compiler: it runs the
-    six stages of :func:`repro.deploy.passes.compile_graph`
-    (calibrate-activations → quantize-weights → lut-substitution →
-    fold-requant → fuse-conv-pool → dead-node-elimination).
+    four stages of :func:`repro.deploy.passes.compile_graph`
+    (calibrate-activations → quantize-weights → lut-substitution → fuse).
 
     Parameters
     ----------

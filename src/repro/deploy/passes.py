@@ -1,15 +1,13 @@
-"""The deploy compiler: capture → six fixed stages → consumers.
+"""The deploy compiler: capture → four fixed stages → consumers.
 
 A tracer (:mod:`repro.deploy.tracers`) captures a
 :class:`~repro.deploy.graph.ComputeGraph`, and :func:`compile_graph` lowers
-it by running six stage functions in one fixed order:
+it by running four stage functions in one fixed order:
 
 1. ``calibrate-activations`` (:func:`calibrate_activations`);
 2. ``quantize-weights`` (:func:`quantize_weights`);
 3. ``lut-substitution`` (:func:`substitute_luts`);
-4. ``fold-requant`` (:func:`fold_requant`);
-5. ``fuse-conv-pool`` (:func:`fuse_conv_pool`);
-6. ``dead-node-elimination`` (:func:`eliminate_dead_nodes`).
+4. ``fuse`` (:func:`fuse`).
 
 The resulting :class:`~repro.deploy.lowering.QuantizedGraph` feeds every
 consumer — the integer executor, the memory and tiling planners and the
@@ -18,15 +16,15 @@ deployment report.
 Contract
 --------
 * Every stage is **bitwise-safe**: the lowered graph produces the logits of
-  the traced schedule bit for bit.  Stages 4–6 only restructure the
+  the traced schedule bit for bit.  Stage 4 only restructures the
   *schedule* — a fused node carries its constituent kernels in
   ``attrs["fused_chain"]``, and each executor binds every member once and
   composes the chain into one kernel with the exact original per-stage
   arithmetic (chaining two fixed-point requantisers into one multiplier
   would double-round and is **not** bitwise-exact, so fusion deliberately
   keeps the per-stage pairs).
-* No stage mutates the traced graph; the fusion stages build new graphs,
-  and :attr:`QuantizedGraph.source_graph` keeps the trace.
+* No stage mutates the traced graph; fusion builds a new graph, and
+  :attr:`QuantizedGraph.source_graph` keeps the trace.
 * Building a :class:`~repro.deploy.graph.ComputeGraph` validates it, so a
   stage that builds a malformed graph fails at once.
 * :func:`compile_graph` times each stage into a :class:`PassRecord` (node
@@ -40,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,17 +66,15 @@ __all__ = [
     "calibrate_activations",
     "quantize_weights",
     "substitute_luts",
-    "fold_requant",
-    "fuse_conv_pool",
-    "eliminate_dead_nodes",
+    "fuse",
     "compile_graph",
 ]
 
-#: Elementwise tails :func:`fold_requant` may absorb into a preceding MAC
-#: node.  Each is a single-input kernel whose integer lowering consumes the
-#: producer's requantised int8 output directly, so running it inside the
-#: fused node is the identical arithmetic.
-FOLDABLE_OPERATORS: Tuple[str, ...] = ("channel_affine", "relu", "gelu")
+#: Tails :func:`fuse` may absorb into a preceding MAC node.  Each is a
+#: single-input kernel whose integer lowering consumes the producer's
+#: requantised int8 output directly, so running it inside the fused node is
+#: the identical arithmetic.
+FOLDABLE_OPERATORS: Tuple[str, ...] = ("channel_affine", "relu", "gelu", "avgpool1d")
 
 #: Payloads by original node name, as the stages build and thread them.
 Payloads = Dict[str, QuantizedNode]
@@ -266,7 +262,7 @@ def substitute_luts(
 
 
 # --------------------------------------------------------------------- #
-# Schedule stages (restructure the graph; bitwise-identical)
+# The schedule stage (restructures the graph; bitwise-identical)
 # --------------------------------------------------------------------- #
 def _fuse_nodes(base: GraphNode, tail: GraphNode) -> GraphNode:
     """Fuse ``tail`` into ``base``, preserving the original kernels.
@@ -297,104 +293,37 @@ def _fuse_nodes(base: GraphNode, tail: GraphNode) -> GraphNode:
     )
 
 
-def _forward_fuse(
-    graph: ComputeGraph,
-    base_test: Callable[[GraphNode], bool],
-    tail_test: Callable[[GraphNode], bool],
-) -> ComputeGraph:
-    """Shared forward-scan fusion: absorb qualifying immediate successors.
+def fuse(graph: ComputeGraph) -> ComputeGraph:
+    """Absorb sole-consumer :data:`FOLDABLE_OPERATORS` tails into MAC nodes.
 
-    A tail qualifies only when it is the node *immediately following* the
-    growing fused region in schedule order, consumes exactly the region's
-    output, and that output has no other consumer and is not the graph
-    output — so reusing the base's position keeps SSA order valid trivially.
-    Payloads stay keyed by original node name, so fusion leaves them as
-    they are.
+    One forward scan: a foldable tail joins the node *immediately before*
+    it in schedule order when that node is a (possibly already fused) MAC
+    node (:data:`~repro.deploy.graph.MAC_OPERATORS`), the tail consumes
+    exactly its output, and that output has no other consumer — so reusing
+    the base's position keeps SSA order valid trivially.  TEMPONet's
+    ``conv1d → channel_affine → relu (→ avgpool1d)`` stages and Bioformer's
+    FFN ``linear → gelu`` become one node each: one kernel launch, no
+    intermediate tensor in the arena, per-stage requantisation arithmetic
+    unchanged.  Payloads stay keyed by original node name, so fusion
+    leaves them as they are.
     """
-    consumer_count = Counter(
-        tensor for node in graph.nodes for tensor in node.inputs
-    )
+    consumer_count = Counter(tensor for node in graph.nodes for tensor in node.inputs)
     new_nodes: List[GraphNode] = []
-    fused_any = False
-    index = 0
-    while index < len(graph.nodes):
-        node = graph.nodes[index]
-        cursor = index + 1
-        if base_test(node):
-            fused = node
-            while cursor < len(graph.nodes):
-                tail = graph.nodes[cursor]
-                produced = fused.output.name
-                if (
-                    tail.inputs != [produced]
-                    or consumer_count[produced] != 1
-                    or not tail_test(tail)
-                ):
-                    break
-                fused = _fuse_nodes(fused, tail)
-                cursor += 1
-            fused_any = fused_any or cursor > index + 1
-            new_nodes.append(fused)
+    for node in graph.nodes:
+        region = new_nodes[-1] if new_nodes else None
+        if (
+            region is not None
+            and region.op in MAC_OPERATORS
+            and node.op in FOLDABLE_OPERATORS
+            and node.inputs == [region.output.name]
+            and consumer_count[region.output.name] == 1
+        ):
+            new_nodes[-1] = _fuse_nodes(region, node)
         else:
             new_nodes.append(node)
-        index = cursor
-    if not fused_any:
+    if len(new_nodes) == len(graph.nodes):
         return graph
     return ComputeGraph(graph.name, graph.graph_input, new_nodes)
-
-
-def fold_requant(graph: ComputeGraph) -> ComputeGraph:
-    """Fold sole-consumer elementwise tails into the preceding MAC node.
-
-    ``conv1d → channel_affine → relu`` (TEMPONet's conv/BN/ReLU stages) and
-    ``linear → gelu`` (Bioformer's FFN expand) become one fused node each:
-    one kernel launch, no intermediate tensor in the arena, per-stage
-    requantisation arithmetic unchanged.
-    """
-    return _forward_fuse(
-        graph,
-        base_test=lambda node: node.op in MAC_OPERATORS,
-        tail_test=lambda tail: tail.op in FOLDABLE_OPERATORS,
-    )
-
-
-def fuse_conv_pool(graph: ComputeGraph) -> ComputeGraph:
-    """Fuse a sole-consumer ``avgpool1d`` into the preceding conv node.
-
-    Runs after :func:`fold_requant`, so the base is typically an already
-    fused ``conv1d(+affine+relu)`` region — the pool then accumulates
-    directly from the fused kernel's output registers.
-    """
-    return _forward_fuse(
-        graph,
-        base_test=lambda node: node.op == "conv1d",
-        tail_test=lambda tail: tail.op == "avgpool1d",
-    )
-
-
-def eliminate_dead_nodes(
-    graph: ComputeGraph, nodes: Payloads
-) -> Tuple[ComputeGraph, Payloads]:
-    """Drop nodes whose outputs reach neither the graph output nor any use.
-
-    A reverse liveness sweep from the graph output; the tracer emits no dead
-    nodes today, but hand-built graphs can, and the compiler should leave
-    no unreachable kernels in the schedule or the weight binary.  Payloads
-    of removed nodes are dropped too, so the byte accounting shrinks with
-    the graph.
-    """
-    live = {graph.output.name}
-    kept_reversed: List[GraphNode] = []
-    for node in reversed(graph.nodes):
-        if node.output.name in live:
-            kept_reversed.append(node)
-            live.update(node.inputs)
-    if len(kept_reversed) == len(graph.nodes):
-        return graph, nodes
-    kept = list(reversed(kept_reversed))
-    removed = {node.name for node in graph.nodes} - {node.name for node in kept}
-    payloads = {name: payload for name, payload in nodes.items() if name not in removed}
-    return ComputeGraph(graph.name, graph.graph_input, kept), payloads
 
 
 # --------------------------------------------------------------------- #
@@ -407,8 +336,11 @@ def compile_graph(
 ) -> QuantizedGraph:
     """Run the deploy compiler: traced graph in, lowered graph out.
 
-    The six stages run in the fixed order of the module docstring, each
-    timed into the manifest under its name.
+    The four stages run in the fixed order of the module docstring, each
+    timed into the manifest under its name.  No stage removes a node:
+    the tracer emits no dead nodes, and a hand-built graph that has one
+    (a node whose output reaches neither the graph output nor any
+    consumer) keeps it, so the compiled schedule runs it.
     """
     config = config if config is not None else LoweringConfig()
     calibration = np.asarray(calibration_inputs, dtype=np.float64)
@@ -427,12 +359,8 @@ def compile_graph(
     lap("quantize-weights", graph, graph)
     substitute_luts(graph, activations, nodes)
     lap("lut-substitution", graph, graph)
-    folded = fold_requant(graph)
-    lap("fold-requant", graph, folded)
-    pooled = fuse_conv_pool(folded)
-    lap("fuse-conv-pool", folded, pooled)
-    executable, nodes = eliminate_dead_nodes(pooled, nodes)
-    lap("dead-node-elimination", pooled, executable)
+    executable = fuse(graph)
+    lap("fuse", graph, executable)
     # Every graph a stage builds was validated by its constructor; this
     # re-checks a result that is the caller's own graph passed through
     # unchanged, whose mutable ``nodes`` list may have been edited since

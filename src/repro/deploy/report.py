@@ -32,7 +32,7 @@ from .int_engine import IntegerGraphExecutor
 from .lowering import QuantizedGraph, lower_to_int8
 from .memory import MemoryPlan, plan_activation_memory
 from .passes import LoweringConfig
-from .tiling import TilingConfig, TilingPlan, plan_tiling
+from .tiling import TilingPlan, plan_tiling
 from .tracers import trace_model
 
 __all__ = [
@@ -259,7 +259,6 @@ def deploy_graph(
     evaluation_inputs: Optional[np.ndarray] = None,
     evaluation_labels: Optional[np.ndarray] = None,
     gap8: Optional[GAP8Config] = None,
-    tiling: Optional[TilingConfig] = None,
     battery: Optional[BatteryConfig] = None,
     inference_period_s: Optional[float] = 15e-3,
     config: Optional[LoweringConfig] = None,
@@ -276,15 +275,15 @@ def deploy_graph(
     evaluation_inputs, evaluation_labels:
         Optional held-out windows/labels; when given, the integer-only
         accuracy and the int8-vs-fp32 prediction agreement are measured.
-    gap8, tiling, battery:
+    gap8, battery:
         Target descriptions (paper defaults when omitted).
     inference_period_s:
         Period of the always-on loop for the battery projection (15 ms in
         the paper); ``None`` skips the projection.
     config:
         The :class:`~repro.deploy.passes.LoweringConfig` forwarded to
-        :func:`~repro.deploy.lowering.lower_to_int8`.  The default is the
-        paper's 8/8 lowering with LUT nonlinearities.
+        :func:`~repro.deploy.lowering.lower_to_int8`; it only picks the
+        calibration percentile (``LoweringConfig()`` when omitted).
 
     The GAP8 latency and energy are estimated on the trace, so they equal
     ``estimate_deployment(trace_model(model))`` exactly; memory and tiling
@@ -296,7 +295,7 @@ def deploy_graph(
     quantized = lower_to_int8(graph, calibration_inputs, config)
     compiled = quantized.graph
     memory_plan = plan_activation_memory(compiled)
-    tiling_plan = plan_tiling(compiled, tiling)
+    tiling_plan = plan_tiling(compiled)
     estimate = estimate_deployment(graph, gap8, battery, inference_period_s)
 
     int8_accuracy = None

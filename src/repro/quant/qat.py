@@ -4,8 +4,9 @@ The paper performs "a few epochs of quantisation aware training" to move
 from fp32 to int8 with minimal accuracy loss.  The standard QAT recipe is
 reproduced here with the straight-through estimator (STE):
 
-* a *shadow* fp32 copy of every parameter is kept as the master weights;
-* on every training step the model weights are replaced by their
+* a *shadow* fp32 copy of every conv/linear weight is kept as the master
+  weights;
+* on every training step those weights are replaced by their
   fake-quantised (quantise-dequantise) version before the forward pass;
 * gradients flow as if the quantiser were the identity (STE) and are
   applied to the shadow weights.
@@ -23,7 +24,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..data.dataset import ArrayDataset, DataLoader
-from ..nn import CrossEntropyLoss, clip_grad_norm
+from ..nn import Conv1d, CrossEntropyLoss, Linear, clip_grad_norm
 from ..nn.module import Module
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
@@ -72,19 +73,30 @@ class QATResult:
 
 
 def _fake_quantize_weights(model: Module) -> Dict[str, np.ndarray]:
-    """Replace every parameter by its fake-quantised version on the deployed
-    weight grid (:func:`~repro.quant.quantizers.weight_scale`); return the
-    shadows."""
+    """Replace every ``Conv1d``/``Linear`` weight by its fake-quantised
+    version on the deployed weight grid
+    (:func:`~repro.quant.quantizers.weight_scale`); return the shadows.
+
+    These are the only parameters the lowering puts on the int8 weight
+    grid.  Biases become int32 at the accumulator scale, LayerNorm's affine
+    stays float and tokens sit on activation grids, so QAT leaves them as
+    they are.
+    """
+    quantized = {
+        id(module.weight) for module in model.modules() if isinstance(module, (Conv1d, Linear))
+    }
     shadows: Dict[str, np.ndarray] = {}
     for name, parameter in model.named_parameters():
-        shadows[name] = parameter.data.copy()
-        parameter.data[...] = fake_quantize(parameter.data, weight_scale(parameter.data))
+        if id(parameter) in quantized:
+            shadows[name] = parameter.data.copy()
+            parameter.data[...] = fake_quantize(parameter.data, weight_scale(parameter.data))
     return shadows
 
 
 def _restore_weights(model: Module, shadows: Dict[str, np.ndarray]) -> None:
     for name, parameter in model.named_parameters():
-        parameter.data[...] = shadows[name]
+        if name in shadows:
+            parameter.data[...] = shadows[name]
 
 
 def quantization_aware_finetune(

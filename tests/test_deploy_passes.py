@@ -1,4 +1,4 @@
-"""The deploy compiler: its six fixed stages and their bitwise pins.
+"""The deploy compiler: its four fixed stages and their bitwise pins.
 
 The compiler contract has two halves:
 
@@ -6,15 +6,13 @@ The compiler contract has two halves:
    compiling leaves the trace untouched, and the hardened
    ``ComputeGraph.validate`` rejects duplicate node names and dangling
    inputs.
-2. **Numerics** — the compiled (fused) schedule, and every ordering of the
-   three fusion stages, keeps executor logits *bitwise equal*
-   (``assert_array_equal``, never a tolerance) to the traced schedule
-   across all registry configs, while fusion strictly shrinks the node
-   schedule.  The traced schedule runs as
+2. **Numerics** — the compiled (fused) schedule keeps executor logits
+   *bitwise equal* (``assert_array_equal``, never a tolerance) to the
+   traced schedule across all registry configs, while fusion strictly
+   shrinks the node schedule.  The traced schedule runs as
    ``IntegerGraphExecutor(replace(quantized, graph=quantized.source_graph))``.
 """
 
-import itertools
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -33,14 +31,12 @@ from repro.deploy.lowering import (
     QMAX,
     QMIN,
     ActivationQuantization,
-    QuantizedNode,
 )
 from repro.deploy.memory import live_ranges, plan_activation_memory
 from repro.deploy.passes import (
     LoweringConfig,
-    eliminate_dead_nodes,
-    fold_requant,
-    fuse_conv_pool,
+    compile_graph,
+    fuse,
     quantize_weights,
     substitute_luts,
 )
@@ -63,7 +59,7 @@ LOWERING_STAGES = [
     "quantize-weights",
     "lut-substitution",
 ]
-FUSION_STAGES = ["fold-requant", "fuse-conv-pool", "dead-node-elimination"]
+FUSION_STAGES = ["fuse"]
 
 
 def config_id(config):
@@ -120,10 +116,6 @@ def relu_node(name, source, out_name, shape=(4, 8)):
 
 def tiny_graph(nodes):
     return ComputeGraph("tiny", TensorSpec(name="input", shape=(4, 8)), nodes)
-
-
-def tiny_payloads(graph):
-    return {node.name: QuantizedNode(node=node) for node in graph.nodes}
 
 
 # --------------------------------------------------------------------- #
@@ -278,7 +270,7 @@ class TestValidateHardening:
 # Golden stage manifests
 # --------------------------------------------------------------------- #
 class TestGoldenManifest:
-    def test_manifest_lists_the_six_stages(self, lowered_pair):
+    def test_manifest_lists_the_four_stages(self, lowered_pair):
         _, compiled = lowered_pair
         assert [r.name for r in compiled.manifest] == LOWERING_STAGES + FUSION_STAGES
         for record in compiled.manifest:
@@ -303,7 +295,7 @@ class TestGoldenManifest:
 
 
 # --------------------------------------------------------------------- #
-# Bitwise invariance of the fusion stages
+# Bitwise invariance of the fused schedule
 # --------------------------------------------------------------------- #
 @pytest.mark.slow  # full model matrix; tier-1 keeps the targeted stage tests
 class TestPassInvariance:
@@ -335,27 +327,35 @@ class TestPassInvariance:
         assert 0.0 <= agreement <= 1.0
 
 
-class TestPassOrdering:
+class TestFuseStage:
     @pytest.mark.parametrize("arch", ["bio1", "temponet"])
-    def test_every_optimization_order_is_bitwise_equal(self, arch, calibration, windows):
-        """The three fusion stages, applied in any order to the traced
-        schedule and its payloads, keep the logits of the traced schedule."""
+    def test_fuse_keeps_the_traced_logits(self, arch, calibration, windows):
+        """The fuse stage, applied to the traced schedule over its payloads,
+        keeps the logits of the traced schedule."""
         graph = trace_model(make_model(arch))
         compiled = lower_to_int8(graph, calibration)
         expected = IntegerGraphExecutor(source_schedule(compiled)).run_integer(windows)
-        for ordering in itertools.permutations(
-            [fold_requant, fuse_conv_pool, eliminate_dead_nodes]
-        ):
-            schedule, payloads = graph, compiled.nodes
-            for stage in ordering:
-                if stage is eliminate_dead_nodes:
-                    schedule, payloads = stage(schedule, payloads)
-                else:
-                    schedule = stage(schedule)
-            quantized = replace(compiled, graph=schedule, nodes=payloads)
-            produced = IntegerGraphExecutor(quantized).run_integer(windows)
-            np.testing.assert_array_equal(expected, produced)
-            assert len(schedule) < len(graph)
+        schedule = fuse(graph)
+        produced = IntegerGraphExecutor(replace(compiled, graph=schedule)).run_integer(windows)
+        np.testing.assert_array_equal(expected, produced)
+        assert len(schedule) < len(graph)
+
+    def test_a_dead_node_is_kept_and_run(self):
+        """No stage removes nodes: a hand-built graph's dead node stays in
+        the compiled schedule and is executed."""
+        nodes = [
+            relu_node("live", "input", "t1"),
+            relu_node("dead", "input", "t_dead"),
+            relu_node("sink", "t1", "t2"),
+        ]
+        graph = tiny_graph(nodes)
+        compiled = compile_graph(graph, np.random.default_rng(3).normal(size=(2, 4, 8)))
+        assert [node.name for node in compiled.graph.nodes] == ["live", "dead", "sink"]
+        seen = []
+        executor = IntegerGraphExecutor(compiled)
+        batch = compiled.input_quantization.quantize(np.ones((1, 4, 8)))
+        executor.schedule.run(batch, observe=lambda name, values: seen.append(name))
+        assert "t_dead" in seen
 
 
 # --------------------------------------------------------------------- #
@@ -444,25 +444,6 @@ class TestFusion:
         assert quantized.source_graph is traced
         assert [(node.name, node.output.name) for node in traced.nodes] == snapshot
         assert all(not node.is_fused for node in traced.nodes)
-
-
-class TestDeadNodeElimination:
-    def test_drops_unconsumed_nodes_and_payloads(self):
-        nodes = [
-            relu_node("live", "input", "t1"),
-            relu_node("dead", "input", "t_dead"),
-            relu_node("sink", "t1", "t2"),
-        ]
-        graph = tiny_graph(nodes)
-        kept, payloads = eliminate_dead_nodes(graph, tiny_payloads(graph))
-        assert [node.name for node in kept.nodes] == ["live", "sink"]
-        assert set(payloads) == {"live", "sink"}
-
-    def test_noop_on_fully_live_graph(self):
-        graph = tiny_graph([relu_node("a", "input", "t1"), relu_node("b", "t1", "t2")])
-        payloads = tiny_payloads(graph)
-        kept, kept_payloads = eliminate_dead_nodes(graph, payloads)
-        assert kept is graph and kept_payloads is payloads  # a no-op returns its inputs
 
 
 # --------------------------------------------------------------------- #

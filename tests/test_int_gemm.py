@@ -112,7 +112,7 @@ class ReferenceExecutor(IntegerGraphExecutor):
                 if bias is not None:
                     accumulator = accumulator + bias.values.astype(np.int64).reshape(bias_shape)
                 factor = in_scale * weight.scale
-            return requantize(accumulator, factor / out.scale, out.qmin, out.qmax)
+            return requantize(accumulator, factor / out.scale)
 
         return run
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.deploy import deploy_graph
 from repro.models import bioformer_bio1, bioformer_bio2, build_model
+from repro.nn import LayerNorm
 from repro.quant import QATConfig, quantization_aware_finetune
 from repro.quant.qat import _fake_quantize_weights
 from repro.serve import build_int8_backend
@@ -167,6 +168,28 @@ class TestQAT:
             )
             compared += 1
         assert compared >= 8
+
+    @pytest.mark.parametrize("architecture", ["bio1", "bio2", "temponet"])
+    def test_qat_leaves_layernorm_weights_and_biases_alone(self, architecture):
+        """The lowering keeps LayerNorm's affine in float and stores biases as
+        int32 at the accumulator scale, so QAT must not put them on the int8
+        weight grid: a LayerNorm weight of 1.0 stays 1.0, not 127/128."""
+        model = build_model(architecture, seed=3)
+        untouched = {
+            name: parameter.data.copy()
+            for name, parameter in model.named_parameters()
+            if name.endswith(".bias")
+        }
+        untouched.update(
+            (f"{path}.weight", module.weight.data.copy())
+            for path, module in model.named_modules()
+            if isinstance(module, LayerNorm)
+        )
+        assert len(untouched) >= 8
+        _fake_quantize_weights(model)
+        parameters = dict(model.named_parameters())
+        for name, values in untouched.items():
+            np.testing.assert_array_equal(parameters[name].data, values, err_msg=name)
 
     def test_qat_config_presets(self):
         assert QATConfig.paper().epochs >= QATConfig.small().epochs >= QATConfig.tiny().epochs
