@@ -14,6 +14,7 @@ import pytest
 
 from conftest import report
 from repro.deploy import deploy_graph, plan_tiling, trace_model
+from repro.hw.gap8 import L1_STACK_BYTES, GAP8Config
 from repro.models import bioformer_bio1, bioformer_bio2, temponet
 from repro.utils.tables import format_table
 
@@ -118,16 +119,16 @@ def test_int8_engine_matches_float_predictions(benchmark):
 
 @pytest.mark.benchmark(group="deploy")
 def test_l1_tiling_pressure(benchmark):
-    """Ablation: shrinking L1 forces tiling and increases DMA traffic."""
-    from repro.deploy import TilingConfig
+    """Ablation: shrinking L1 forces tiling and increases DMA traffic.
 
+    The budgets are the L1 left to tiles once the core stacks are reserved.
+    """
     graph = trace_model(temponet().eval())
 
     def run():
         return {
-            "full": plan_tiling(graph, TilingConfig(l1_bytes=56 * 1024)),
-            "quarter": plan_tiling(graph, TilingConfig(l1_bytes=14 * 1024)),
-            "tiny": plan_tiling(graph, TilingConfig(l1_bytes=4 * 1024)),
+            name: plan_tiling(graph, GAP8Config(l1_bytes=usable + L1_STACK_BYTES))
+            for name, usable in (("full", 56 * 1024), ("quarter", 14 * 1024), ("tiny", 4 * 1024))
         }
 
     plans = benchmark(run)

@@ -22,9 +22,11 @@ latency and energy:
   I-BERT non-linearities, GELU and the softmax ``exp`` as lookup tables),
   i.e. the on-target numerics emulated bit-level;
 * :mod:`repro.deploy.memory` — activation arena planning (L2);
-* :mod:`repro.deploy.tiling` — L1 tile-size selection and DMA accounting;
-* :mod:`repro.deploy.report` — the GAP8 estimate of a traced graph (the
-  deployment columns of the paper's Table I) and the end-to-end pipeline
+* :mod:`repro.deploy.tiling` — L1 tile-size selection and DMA accounting
+  on the :class:`~repro.hw.gap8.GAP8Config` the cost model reads;
+* :mod:`repro.deploy.report` — the GAP8 estimate of a traced graph, which
+  :class:`~repro.hw.gap8.GAP8Model` prices node by node (the deployment
+  columns of the paper's Table I), and the end-to-end pipeline
   producing a deployment report with the int8 accuracy.
 """
 
@@ -50,9 +52,8 @@ from .report import (
     GraphDeploymentReport,
     deploy_graph,
     estimate_deployment,
-    graph_to_profile,
 )
-from .tiling import LayerTiling, TilingConfig, TilingPlan, plan_tiling
+from .tiling import LayerTiling, TilingPlan, plan_tiling
 from .tracers import trace_model
 
 __all__ = [
@@ -82,11 +83,9 @@ __all__ = [
     "MemoryPlan",
     "live_ranges",
     "plan_activation_memory",
-    "TilingConfig",
     "LayerTiling",
     "TilingPlan",
     "plan_tiling",
-    "graph_to_profile",
     "DeploymentEstimate",
     "estimate_deployment",
     "GraphDeploymentReport",

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..hw.battery import BatteryConfig, DutyCycleReport, battery_life_hours
 from ..hw.gap8 import GAP8Config, GAP8Model, LatencyBreakdown
-from ..hw.profiler import LayerProfile, ModelProfile
 from ..models.bioformer import Bioformer
 from ..models.temponet import TEMPONet
 from ..utils.tables import format_table
@@ -36,80 +35,29 @@ from .tiling import TilingPlan, plan_tiling
 from .tracers import trace_model
 
 __all__ = [
-    "graph_to_profile",
     "DeploymentEstimate",
     "estimate_deployment",
     "GraphDeploymentReport",
     "deploy_graph",
 ]
 
-#: Mapping from graph operators to the kernel categories of the GAP8 model.
-_KIND_FOR_OP = {
-    "conv1d": "conv",
-    "linear": "linear",
-    "matmul": "attention_matmul",
-    "softmax": "softmax",
-    "layernorm": "norm",
-    "channel_affine": "norm",
-    "relu": "activation",
-    "gelu": "activation",
-    "avgpool1d": "pool",
-    "mean_tokens": "pool",
-    "add": "activation",
-    "append_token": "activation",
-    "add_positional": "activation",
-}
-
-
-def graph_to_profile(graph: ComputeGraph) -> ModelProfile:
-    """Convert a traced graph into a :class:`ModelProfile` for the GAP8 model.
-
-    Shape-only nodes are free on the target and are skipped.  Attention
-    kernels are spread over the heads: a ``matmul`` and a projection whose
-    only consumer is ``split_heads`` get ``parallel_units = num_heads``.
-    """
-    profile = ModelProfile(name=graph.name, input_shape=graph.graph_input.shape)
-    for node in graph.nodes:
-        if node.is_shape_only:
-            continue
-        kind = _KIND_FOR_OP.get(node.op, "activation")
-        parallel_units = 0
-        if node.op == "matmul":
-            parallel_units = int(node.output.shape[0])
-        elif node.op == "linear":
-            consumers = graph.consumers(node.output.name)
-            if len(consumers) == 1 and consumers[0].op == "split_heads":
-                parallel_units = int(consumers[0].output.shape[0])
-        profile.layers.append(
-            LayerProfile(
-                name=node.name,
-                kind=kind,
-                macs=node.macs,
-                params=node.weight_elements,
-                elementwise_ops=node.elementwise_ops,
-                parallel_units=parallel_units,
-            )
-        )
-    return profile
-
-
 @dataclass
 class DeploymentEstimate:
     """GAP8 cost of one graph: the deployment columns of a Table I row."""
 
-    profile: ModelProfile
+    graph: ComputeGraph
     latency: LatencyBreakdown
     duty_cycle: Optional[DutyCycleReport] = None
 
     @property
     def mmacs(self) -> float:
-        """Million MACs per inference."""
-        return self.profile.mmacs
+        """Million MACs per inference (Table I's "MMAC" column)."""
+        return self.graph.total_macs / 1e6
 
     @property
     def memory_kilobytes(self) -> float:
-        """Int8 weight memory in kB (Table I's "Memory" column)."""
-        return self.profile.memory_kilobytes()
+        """Int8 weight memory in kB, one byte per weight (Table I's "Memory")."""
+        return self.graph.total_weight_elements / 1e3
 
     @property
     def latency_ms(self) -> float:
@@ -133,8 +81,7 @@ def estimate_deployment(
     battery projection (15 ms in the paper); ``None`` skips the projection.
     """
     gap8 = gap8 if gap8 is not None else GAP8Config()
-    profile = graph_to_profile(graph)
-    latency = GAP8Model(gap8).latency(profile)
+    latency = GAP8Model(gap8).latency(graph)
     duty_cycle = None
     if inference_period_s is not None:
         duty_cycle = battery_life_hours(
@@ -143,7 +90,7 @@ def estimate_deployment(
             gap8,
             battery if battery is not None else BatteryConfig(),
         )
-    return DeploymentEstimate(profile, latency, duty_cycle)
+    return DeploymentEstimate(graph, latency, duty_cycle)
 
 
 @dataclass
@@ -276,7 +223,8 @@ def deploy_graph(
         Optional held-out windows/labels; when given, the integer-only
         accuracy and the int8-vs-fp32 prediction agreement are measured.
     gap8, battery:
-        Target descriptions (paper defaults when omitted).
+        Target descriptions (paper defaults when omitted).  ``gap8`` also
+        sets the L1 scratchpad and the rates of the tiling plan.
     inference_period_s:
         Period of the always-on loop for the battery projection (15 ms in
         the paper); ``None`` skips the projection.
@@ -295,7 +243,7 @@ def deploy_graph(
     quantized = lower_to_int8(graph, calibration_inputs, config)
     compiled = quantized.graph
     memory_plan = plan_activation_memory(compiled)
-    tiling_plan = plan_tiling(compiled)
+    tiling_plan = plan_tiling(compiled, gap8)
     estimate = estimate_deployment(graph, gap8, battery, inference_period_s)
 
     int8_accuracy = None

@@ -8,41 +8,25 @@ scratchpad and (ii) keep the DMA traffic low is the job of the deployment
 flow — this module reproduces that pass, in the spirit of DORY (Burrello et
 al., IEEE TC 2021), for the kernels used by Bioformer and TEMPONet.
 
-For every MAC kernel of a :class:`ComputeGraph` the planner searches the
-tile-shape space, keeps the largest tile that fits the double-buffered L1
-budget, and reports the resulting tile count, per-tile occupancy, total DMA
-traffic and whether the kernel is compute- or DMA-bound.
+The target is the :class:`~repro.hw.gap8.GAP8Config` the cost model reads:
+L1 less the cores' stacks (:data:`~repro.hw.gap8.L1_STACK_BYTES`) holds two
+tiles, and the MAC and DMA rates classify each kernel as compute- or
+DMA-bound.  For every MAC kernel of a :class:`ComputeGraph` the planner
+searches the kernel's 2-D tile space, keeps the largest tile that fits the
+budget, and reports the resulting tile count, per-tile occupancy and total
+DMA traffic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..hw.gap8 import L1_STACK_BYTES, GAP8Config
 from .graph import ComputeGraph, GraphNode
 
-__all__ = ["TilingConfig", "LayerTiling", "TilingPlan", "plan_tiling"]
-
-
-@dataclass(frozen=True)
-class TilingConfig:
-    """Memory/DMA parameters of the target used by the tiling search."""
-
-    #: Usable L1 scratchpad in bytes (GAP8: 64 kB minus the kernel stacks).
-    l1_bytes: int = 56 * 1024
-    #: Tiles are double-buffered, so each logical tile may only use half L1.
-    double_buffering: bool = True
-    #: Sustained DMA bandwidth between L2 and L1, in bytes per cluster cycle.
-    dma_bytes_per_cycle: float = 4.0
-    #: Peak int8 MAC throughput of the cluster, in MACs per cycle (used only
-    #: to classify kernels as compute- or DMA-bound).
-    peak_macs_per_cycle: float = 16.0
-
-    @property
-    def tile_budget(self) -> int:
-        """L1 bytes available to one tile."""
-        return self.l1_bytes // 2 if self.double_buffering else self.l1_bytes
+__all__ = ["LayerTiling", "TilingPlan", "plan_tiling"]
 
 
 @dataclass
@@ -58,17 +42,17 @@ class LayerTiling:
     dma_bytes: int
     single_tile: bool
 
-    def compute_cycles(self, config: TilingConfig) -> float:
+    def compute_cycles(self, gap8: GAP8Config) -> float:
         """Ideal compute time of the kernel (cycles)."""
-        return self.macs / config.peak_macs_per_cycle
+        return self.macs / gap8.peak_macs_per_cycle
 
-    def dma_cycles(self, config: TilingConfig) -> float:
+    def dma_cycles(self, gap8: GAP8Config) -> float:
         """Ideal DMA transfer time of the kernel (cycles)."""
-        return self.dma_bytes / config.dma_bytes_per_cycle
+        return self.dma_bytes / gap8.dma_bytes_per_cycle
 
-    def bottleneck(self, config: TilingConfig) -> str:
+    def bottleneck(self, gap8: GAP8Config) -> str:
         """``"compute"`` or ``"dma"`` depending on which phase dominates."""
-        return "compute" if self.compute_cycles(config) >= self.dma_cycles(config) else "dma"
+        return "compute" if self.compute_cycles(gap8) >= self.dma_cycles(gap8) else "dma"
 
 
 @dataclass
@@ -76,8 +60,13 @@ class TilingPlan:
     """Tiling decisions for every MAC kernel of a graph."""
 
     graph_name: str
-    config: TilingConfig
+    gap8: GAP8Config
     layers: List[LayerTiling] = field(default_factory=list)
+
+    @property
+    def tile_budget(self) -> int:
+        """L1 bytes available to one tile: half of L1 less the core stacks."""
+        return (self.gap8.l1_bytes - L1_STACK_BYTES) // 2
 
     @property
     def total_dma_bytes(self) -> int:
@@ -98,13 +87,13 @@ class TilingPlan:
         """Human-readable tiling table."""
         lines = [
             f"L1 tiling plan for '{self.graph_name}' "
-            f"(budget {self.config.tile_budget} B per tile)",
+            f"(budget {self.tile_budget} B per tile)",
             f"{'kernel':<34}{'op':<10}{'tiles':>7}{'tile B':>9}{'DMA B':>11}{'bound':>9}",
         ]
         for layer in self.layers:
             lines.append(
                 f"{layer.name:<34}{layer.op:<10}{layer.num_tiles:>7}{layer.tile_bytes:>9}"
-                f"{layer.dma_bytes:>11}{layer.bottleneck(self.config):>9}"
+                f"{layer.dma_bytes:>11}{layer.bottleneck(self.gap8):>9}"
             )
         lines.append(
             f"total: {self.total_tiles} tiles, {self.total_dma_bytes} B of DMA traffic"
@@ -127,88 +116,80 @@ def _candidate_sizes(full: int) -> List[int]:
     return sorted((size for size in sizes if 1 <= size <= full), reverse=True)
 
 
-def _tile_linear(node: GraphNode, budget: int) -> Tuple[Dict[str, int], int, int]:
-    """Tile a linear kernel over (rows, output features)."""
+#: A kernel's tile space: the full size of its two tiled dimensions (in the
+#: order the tile is reported), the one the search walks outermost, and the
+#: L1 bytes of a tile, given as a dict of sizes like the full one.
+TileSpace = Tuple[Dict[str, int], str, Callable[[Dict[str, int]], int]]
+
+
+def _linear_space(node: GraphNode) -> TileSpace:
+    """A linear kernel tiles over (rows, output features)."""
     out_features, in_features = node.weights["weight"].shape
     rows = max(node.output.num_elements // out_features, 1)
-    has_bias = "bias" in node.weights
+    bias_bytes = 4 if "bias" in node.weights else 0
 
-    def tile_bytes(tile_rows: int, tile_out: int) -> int:
-        inputs = tile_rows * in_features
-        weights = tile_out * in_features + (4 * tile_out if has_bias else 0)
-        outputs = tile_rows * tile_out
-        return inputs + weights + outputs
+    def tile_bytes(tile: Dict[str, int]) -> int:
+        inputs = tile["rows"] * in_features
+        weights = tile["out_features"] * (in_features + bias_bytes)
+        return inputs + weights + tile["rows"] * tile["out_features"]
 
-    best: Optional[Tuple[int, int]] = None
-    for tile_out in _candidate_sizes(out_features):
-        for tile_rows in _candidate_sizes(rows):
-            if tile_bytes(tile_rows, tile_out) <= budget:
-                if best is None or tile_rows * tile_out > best[0] * best[1]:
-                    best = (tile_rows, tile_out)
-                break
-    if best is None:
-        best = (1, 1)
-    tile_rows, tile_out = best
-    num_tiles = _ceil_div(rows, tile_rows) * _ceil_div(out_features, tile_out)
-    tile = {"rows": tile_rows, "out_features": tile_out}
-    return tile, num_tiles, tile_bytes(tile_rows, tile_out)
+    return {"rows": rows, "out_features": out_features}, "out_features", tile_bytes
 
 
-def _tile_conv1d(node: GraphNode, budget: int) -> Tuple[Dict[str, int], int, int]:
-    """Tile a 1-D convolution over (output channels, output length)."""
+def _conv1d_space(node: GraphNode) -> TileSpace:
+    """A 1-D convolution tiles over (output channels, output length)."""
     out_channels, in_channels, kernel = node.weights["weight"].shape
-    out_length = node.output.shape[-1]
     stride = int(node.attrs["stride"])
-    dilation = int(node.attrs["dilation"])
-    has_bias = "bias" in node.weights
-    receptive = dilation * (kernel - 1) + 1
+    receptive = int(node.attrs["dilation"]) * (kernel - 1) + 1
+    bias_bytes = 4 if "bias" in node.weights else 0
 
-    def tile_bytes(tile_channels: int, tile_length: int) -> int:
-        input_span = (tile_length - 1) * stride + receptive
-        inputs = in_channels * input_span
-        weights = tile_channels * in_channels * kernel + (4 * tile_channels if has_bias else 0)
-        outputs = tile_channels * tile_length
-        return inputs + weights + outputs
+    def tile_bytes(tile: Dict[str, int]) -> int:
+        inputs = in_channels * ((tile["out_length"] - 1) * stride + receptive)
+        weights = tile["out_channels"] * (in_channels * kernel + bias_bytes)
+        return inputs + weights + tile["out_channels"] * tile["out_length"]
 
-    best: Optional[Tuple[int, int]] = None
-    for tile_channels in _candidate_sizes(out_channels):
-        for tile_length in _candidate_sizes(out_length):
-            if tile_bytes(tile_channels, tile_length) <= budget:
-                if best is None or tile_channels * tile_length > best[0] * best[1]:
-                    best = (tile_channels, tile_length)
-                break
-    if best is None:
-        best = (1, 1)
-    tile_channels, tile_length = best
-    num_tiles = _ceil_div(out_channels, tile_channels) * _ceil_div(out_length, tile_length)
-    tile = {"out_channels": tile_channels, "out_length": tile_length}
-    return tile, num_tiles, tile_bytes(tile_channels, tile_length)
+    dims = {"out_channels": out_channels, "out_length": node.output.shape[-1]}
+    return dims, "out_channels", tile_bytes
 
 
-def _tile_matmul(node: GraphNode, budget: int) -> Tuple[Dict[str, int], int, int]:
-    """Tile an attention matmul over (heads, rows)."""
+def _matmul_space(node: GraphNode) -> TileSpace:
+    """An attention matmul tiles over (heads, rows)."""
     heads, rows, cols = node.output.shape
     inner = int(node.attrs["inner_dim"])
 
-    def tile_bytes(tile_heads: int, tile_rows: int) -> int:
-        lhs = tile_heads * tile_rows * inner
-        rhs = tile_heads * inner * cols
-        outputs = tile_heads * tile_rows * cols
-        return lhs + rhs + outputs
+    def tile_bytes(tile: Dict[str, int]) -> int:
+        tile_heads, tile_rows = tile["heads"], tile["rows"]
+        return tile_heads * (tile_rows * inner + inner * cols + tile_rows * cols)
 
-    best: Optional[Tuple[int, int]] = None
-    for tile_heads in _candidate_sizes(heads):
-        for tile_rows in _candidate_sizes(rows):
-            if tile_bytes(tile_heads, tile_rows) <= budget:
-                if best is None or tile_heads * tile_rows > best[0] * best[1]:
-                    best = (tile_heads, tile_rows)
+    return {"heads": heads, "rows": rows}, "heads", tile_bytes
+
+
+_TILE_SPACES: Dict[str, Callable[[GraphNode], TileSpace]] = {
+    "linear": _linear_space,
+    "conv1d": _conv1d_space,
+    "matmul": _matmul_space,
+}
+
+
+def _largest_tile(space: TileSpace, budget: int) -> Dict[str, int]:
+    """The largest tile (in elements) of ``space`` whose bytes fit ``budget``.
+
+    For each size of the outer dimension, largest first, the search takes
+    the largest fitting size of the other; the first tile with the most
+    elements wins.  A 1x1 tile when nothing fits.
+    """
+    dims, outer, tile_bytes = space
+    (inner,) = (name for name in dims if name != outer)
+    best = {name: 1 for name in dims}
+    best_elements = 0
+    for outer_size in _candidate_sizes(dims[outer]):
+        for inner_size in _candidate_sizes(dims[inner]):
+            tile = {name: outer_size if name == outer else inner_size for name in dims}
+            if tile_bytes(tile) <= budget:
+                if outer_size * inner_size > best_elements:
+                    best, best_elements = tile, outer_size * inner_size
                 break
-    if best is None:
-        best = (1, 1)
-    tile_heads, tile_rows = best
-    num_tiles = _ceil_div(heads, tile_heads) * _ceil_div(rows, tile_rows)
-    tile = {"heads": tile_heads, "rows": tile_rows}
-    return tile, num_tiles, tile_bytes(tile_heads, tile_rows)
+    return best
 
 
 def _dma_bytes(node: GraphNode, num_tiles: int, single_weight_load: bool) -> int:
@@ -229,20 +210,21 @@ def _dma_bytes(node: GraphNode, num_tiles: int, single_weight_load: bool) -> int
     return input_bytes + weight_bytes * num_tiles + output_bytes
 
 
-def plan_tiling(graph: ComputeGraph, config: Optional[TilingConfig] = None) -> TilingPlan:
-    """Plan L1 tiling for every MAC kernel of ``graph``."""
-    config = config if config is not None else TilingConfig()
-    plan = TilingPlan(graph_name=graph.name, config=config)
-    budget = config.tile_budget
+def plan_tiling(graph: ComputeGraph, gap8: Optional[GAP8Config] = None) -> TilingPlan:
+    """Plan L1 tiling for every MAC kernel of ``graph`` on ``gap8``.
+
+    ``gap8`` defaults to ``GAP8Config()`` and is validated first.
+    """
+    gap8 = gap8 if gap8 is not None else GAP8Config()
+    gap8.validate()
+    plan = TilingPlan(graph_name=graph.name, gap8=gap8)
     for node in graph.nodes:
-        if node.op == "linear":
-            tile, num_tiles, tile_bytes = _tile_linear(node, budget)
-        elif node.op == "conv1d":
-            tile, num_tiles, tile_bytes = _tile_conv1d(node, budget)
-        elif node.op == "matmul":
-            tile, num_tiles, tile_bytes = _tile_matmul(node, budget)
-        else:
+        if node.op not in _TILE_SPACES:
             continue
+        space = _TILE_SPACES[node.op](node)
+        tile = _largest_tile(space, plan.tile_budget)
+        dims, _, tile_bytes = space
+        num_tiles = math.prod(_ceil_div(dims[name], tile[name]) for name in dims)
         single_tile = num_tiles == 1
         plan.layers.append(
             LayerTiling(
@@ -251,7 +233,7 @@ def plan_tiling(graph: ComputeGraph, config: Optional[TilingConfig] = None) -> T
                 macs=node.macs,
                 tile=tile,
                 num_tiles=num_tiles,
-                tile_bytes=tile_bytes,
+                tile_bytes=tile_bytes(tile),
                 dma_bytes=_dma_bytes(node, num_tiles, single_tile),
                 single_tile=single_tile,
             )

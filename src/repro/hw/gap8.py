@@ -7,8 +7,8 @@ kernels of Burrello et al. (COINS 2021) at 100 MHz / 1 V with an average
 active power of 51 mW (10 mW with the cluster idle).
 
 Without GAP8 silicon at hand, deployment numbers come from an analytical
-cost model over the per-layer profiles that
-:func:`repro.deploy.report.graph_to_profile` builds from a traced model:
+cost model that prices the nodes of a traced
+:class:`~repro.deploy.graph.ComputeGraph` directly:
 
 * MAC-dominated kernels run at ``peak_macs_per_cycle x utilisation``; the
   utilisation depends on the kernel kind and on how many independent units
@@ -20,8 +20,8 @@ cost model over the per-layer profiles that
 * every non-shape-only graph node pays a constant launch/DMA overhead.
 
 Fit record.  ``layer_overhead_cycles`` and ``utilization["linear"]`` were
-fitted by hand to the six measured rows of the paper's Table I, with the
-profiles taken from the traced models at the paper's input geometry; the
+fitted by hand to the six measured rows of the paper's Table I, pricing
+the traced models at the paper's input geometry; the
 other constants are unchanged from the first fit.  Latency per row:
 
 ==============  ========  ===============  ===============
@@ -37,16 +37,50 @@ TEMPONet        21.82 ms  22.04 ms (+1.0%) 21.91 ms (+0.4%)
 
 Both columns give the q/k/v projections head parallelism.  With the fitted
 values the TEMPONet / Bio1 (filter 10) energy ratio is 7.97x (paper 8.0x).
+
+The same :class:`GAP8Config` drives the L1 tiler
+(:func:`repro.deploy.tiling.plan_tiling`), so tiling and cost read one
+target description.  The graph is read by duck typing: importing
+:mod:`repro.deploy` here would cycle, since it imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from .profiler import LayerProfile, ModelProfile
+if TYPE_CHECKING:
+    from ..deploy.graph import ComputeGraph, GraphNode
 
-__all__ = ["GAP8Config", "LayerCost", "LatencyBreakdown", "GAP8Model"]
+__all__ = [
+    "L1_STACK_BYTES",
+    "GAP8Config",
+    "LayerCost",
+    "LatencyBreakdown",
+    "GAP8Model",
+    "parallel_units",
+]
+
+#: L1 bytes reserved for the cluster cores' stacks; the rest holds tiles.
+L1_STACK_BYTES = 8 * 1024
+
+#: Kernel category of each graph operator in the cost model; an operator
+#: missing here is costed as an ``"activation"``.
+_KIND_FOR_OP = {
+    "conv1d": "conv",
+    "linear": "linear",
+    "matmul": "attention_matmul",
+    "softmax": "softmax",
+    "layernorm": "norm",
+    "channel_affine": "norm",
+    "relu": "activation",
+    "gelu": "activation",
+    "avgpool1d": "pool",
+    "mean_tokens": "pool",
+    "add": "activation",
+    "append_token": "activation",
+    "add_positional": "activation",
+}
 
 
 @dataclass
@@ -59,9 +93,12 @@ class GAP8Config:
     frequency_hz: float = 100e6
     #: Peak int8 MACs the 8-core cluster can retire per cycle.
     peak_macs_per_cycle: float = 16.0
-    #: Memory hierarchy.
+    #: Memory hierarchy.  L1 less :data:`L1_STACK_BYTES` holds two tiles
+    #: (double buffering).
     l1_bytes: int = 64 * 1024
     l2_bytes: int = 512 * 1024
+    #: Sustained L2<->L1 DMA bandwidth, in bytes per cluster cycle.
+    dma_bytes_per_cycle: float = 4.0
     #: Power states (W).
     active_power_w: float = 51e-3
     idle_power_w: float = 10e-3
@@ -93,6 +130,10 @@ class GAP8Config:
             raise ValueError("num_cores and frequency_hz must be positive")
         if self.peak_macs_per_cycle <= 0:
             raise ValueError("peak_macs_per_cycle must be positive")
+        if self.dma_bytes_per_cycle <= 0:
+            raise ValueError("dma_bytes_per_cycle must be positive")
+        if self.l1_bytes <= L1_STACK_BYTES:
+            raise ValueError(f"l1_bytes must exceed the {L1_STACK_BYTES} B of core stacks")
         if not 0 < self.active_power_w:
             raise ValueError("active_power_w must be positive")
 
@@ -147,8 +188,24 @@ class LatencyBreakdown:
         return sorted(self.layer_costs, key=lambda cost: cost.cycles, reverse=True)[:top]
 
 
+def parallel_units(node: GraphNode, graph: ComputeGraph) -> int:
+    """Independent units the kernel of ``node`` spreads over the cores.
+
+    Attention kernels run one head per core: a ``matmul``, and a projection
+    whose only consumer is ``split_heads``, have ``num_heads`` units.  ``0``
+    means enough to saturate the cluster.
+    """
+    if node.op == "matmul":
+        return int(node.output.shape[0])
+    if node.op == "linear":
+        consumers = graph.consumers(node.output.name)
+        if len(consumers) == 1 and consumers[0].op == "split_heads":
+            return int(consumers[0].output.shape[0])
+    return 0
+
+
 class GAP8Model:
-    """Analytical GAP8 latency / energy / memory estimator."""
+    """Analytical GAP8 latency / energy estimator over a compute graph."""
 
     def __init__(self, config: Optional[GAP8Config] = None) -> None:
         self.config = config if config is not None else GAP8Config()
@@ -157,9 +214,8 @@ class GAP8Model:
     # ------------------------------------------------------------------ #
     # Per-layer cost
     # ------------------------------------------------------------------ #
-    def _utilization(self, layer: LayerProfile, model_name: str) -> float:
+    def _utilization(self, kind: str, units: int, model_name: str) -> float:
         config = self.config
-        kind = layer.kind
         if kind == "conv" and model_name.startswith("TEMPONet"):
             # The TCN's dilated convolutions stream large activations through
             # L1 and achieve lower MAC utilisation than the dense transformer
@@ -167,42 +223,40 @@ class GAP8Model:
             base = config.utilization["tcn_conv"]
         else:
             base = config.utilization.get(kind, config.utilization["linear"])
-        if layer.parallel_units and layer.parallel_units < config.num_cores:
+        if units and units < config.num_cores:
             # A kernel parallelised over fewer independent units than cores
             # leaves the remaining cores idle (e.g. 2-head attention).
-            base *= layer.parallel_units / config.num_cores
+            base *= units / config.num_cores
         return base
 
-    def layer_cost(self, layer: LayerProfile, model_name: str = "") -> LayerCost:
-        """Estimate the cycle cost of a single profiled layer."""
+    def layer_cost(self, node: GraphNode, graph: ComputeGraph) -> LayerCost:
+        """Estimate the cycle cost of one (possibly fused) node of ``graph``."""
         config = self.config
+        kind = _KIND_FOR_OP.get(node.op, "activation")
+        macs = node.macs
         cycles = config.layer_overhead_cycles
-        if layer.macs > 0:
-            throughput = config.peak_macs_per_cycle * self._utilization(layer, model_name)
-            cycles += layer.macs / max(throughput, 1e-9)
-        if layer.elementwise_ops > 0:
-            per_element = config.elementwise_cycles.get(layer.kind, 1.0)
-            cycles += layer.elementwise_ops * per_element / config.num_cores
-        return LayerCost(name=layer.name, kind=layer.kind, macs=layer.macs, cycles=cycles)
+        if macs > 0:
+            utilization = self._utilization(kind, parallel_units(node, graph), graph.name)
+            cycles += macs / max(config.peak_macs_per_cycle * utilization, 1e-9)
+        elementwise_ops = node.elementwise_ops
+        if elementwise_ops > 0:
+            per_element = config.elementwise_cycles.get(kind, 1.0)
+            cycles += elementwise_ops * per_element / config.num_cores
+        return LayerCost(name=node.name, kind=kind, macs=macs, cycles=cycles)
 
     # ------------------------------------------------------------------ #
     # Whole-model estimates
     # ------------------------------------------------------------------ #
-    def latency(self, profile: ModelProfile) -> LatencyBreakdown:
-        """Latency/energy breakdown of a profiled model on this target."""
-        costs = [self.layer_cost(layer, profile.name) for layer in profile.layers]
+    def latency(self, graph: ComputeGraph) -> LatencyBreakdown:
+        """Latency/energy breakdown of ``graph`` on this target.
+
+        Shape-only nodes only rearrange data and are free on the target.
+        """
+        costs = [self.layer_cost(node, graph) for node in graph.nodes if not node.is_shape_only]
         return LatencyBreakdown(
-            model_name=profile.name,
+            model_name=graph.name,
             target_name=self.config.name,
             layer_costs=costs,
             frequency_hz=self.config.frequency_hz,
             active_power_w=self.config.active_power_w,
         )
-
-    def fits_memory(self, profile: ModelProfile) -> bool:
-        """Whether the int8 weights fit in the 512 kB L2 memory."""
-        return profile.memory_bytes() <= self.config.l2_bytes
-
-    def memory_utilization(self, profile: ModelProfile) -> float:
-        """Fraction of L2 occupied by the int8 weights."""
-        return profile.memory_bytes() / self.config.l2_bytes

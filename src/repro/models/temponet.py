@@ -12,7 +12,7 @@ The original network is described for 300-sample (150 ms @ 2 kHz) windows
 and, quantised to 8 bits, occupies roughly 460 kB and 16 MMAC — the numbers
 reported in the paper's Table I.  This re-implementation follows that
 topology; the exact parameter count of the original is not published layer
-by layer, so our profiler reports the count of *this* implementation, which
+by layer, so the traced graph reports the count of *this* implementation, which
 lands in the same range (see EXPERIMENTS.md).
 
 The implementation adapts its classifier input size to the configured

@@ -90,16 +90,14 @@ class ComplexityEvaluator:
         self.gap8 = gap8 if gap8 is not None else GAP8Config()
 
     def __call__(self, config: BioformerConfig) -> Dict[str, float]:
-        estimate = estimate_deployment(
-            trace_model(Bioformer(config)), self.gap8, inference_period_s=None
-        )
-        profile = estimate.profile
+        graph = trace_model(Bioformer(config))
+        estimate = estimate_deployment(graph, self.gap8, inference_period_s=None)
         return {
-            "params": profile.total_params,
-            "macs": profile.total_macs,
+            "params": graph.total_weight_elements,
+            "macs": graph.total_macs,
             "latency_ms": estimate.latency_ms,
             "energy_mj": estimate.energy_mj,
-            "memory_kb": profile.memory_kilobytes(),
+            "memory_kb": estimate.memory_kilobytes,
         }
 
 

@@ -14,7 +14,6 @@ from repro.deploy import (
     FloatGraphExecutor,
     GraphNode,
     TensorSpec,
-    graph_to_profile,
     trace_model,
 )
 from repro.models import Bioformer, BioformerConfig, build_model, bioformer_bio1, bioformer_bio2, temponet
@@ -138,10 +137,12 @@ class TestBioformerTrace:
         assert len(deep) - len(shallow) == per_block_nodes
 
     def test_macs_match_analytical_profiler(self):
-        """The profile of the trace keeps the Table I / Fig. 5 counts exactly."""
+        """The trace keeps the Table I / Fig. 5 counts exactly."""
         for (variant, filter_dimension), totals in PAPER_GEOMETRY_TOTALS.items():
-            profile = graph_to_profile(trace_model(build_model(variant, patch_size=filter_dimension)))
-            assert (profile.total_macs, profile.total_params) == totals, (variant, filter_dimension)
+            graph = trace_model(build_model(variant, patch_size=filter_dimension))
+            assert (graph.total_macs, graph.total_weight_elements) == totals, (
+                variant, filter_dimension
+            )
 
     def test_weight_elements_match_model_parameters(self):
         model = small_bioformer()
@@ -192,8 +193,8 @@ class TestTemponetTrace:
 
     def test_macs_close_to_analytical_profiler(self):
         """The paper-geometry TEMPONet keeps its Table I / Fig. 5 counts exactly."""
-        profile = graph_to_profile(trace_model(temponet()))
-        assert (profile.total_macs, profile.total_params) == (17_597_184, 463_372)
+        graph = trace_model(temponet())
+        assert (graph.total_macs, graph.total_weight_elements) == (17_597_184, 463_372)
 
     def test_weight_elements_match_model_parameters(self):
         model = small_temponet()

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deploy import (
-    TilingConfig,
     live_ranges,
     plan_activation_memory,
     plan_tiling,
     trace_model,
 )
-from repro.hw.gap8 import GAP8Config
+from repro.hw.gap8 import L1_STACK_BYTES, GAP8Config
 from repro.models import Bioformer, BioformerConfig, bioformer_bio1, temponet
 
 
@@ -154,10 +153,9 @@ class TestTiling:
         assert len(plan.layers) == len(mac_nodes)
 
     def test_tiles_fit_budget(self, temponet_graph):
-        config = TilingConfig()
-        plan = plan_tiling(temponet_graph, config)
+        plan = plan_tiling(temponet_graph)
         for layer in plan.layers:
-            assert layer.tile_bytes <= config.tile_budget
+            assert layer.tile_bytes <= plan.tile_budget
 
     def test_small_bioformer_is_single_tile(self, bioformer_graph):
         plan = plan_tiling(bioformer_graph)
@@ -171,25 +169,24 @@ class TestTiling:
         assert single >= len(plan.layers) - 2
 
     def test_tiny_l1_forces_tiling(self, bioformer_graph):
-        tiny = TilingConfig(l1_bytes=4 * 1024)
-        plan = plan_tiling(bioformer_graph, tiny)
+        plan = plan_tiling(bioformer_graph, GAP8Config(l1_bytes=4 * 1024 + L1_STACK_BYTES))
         assert not plan.all_fit_single_tile
         for layer in plan.layers:
-            assert layer.tile_bytes <= tiny.tile_budget
+            assert layer.tile_bytes <= plan.tile_budget
 
     def test_more_tiles_means_more_dma_for_weight_heavy_layers(self):
         graph = trace_model(temponet(num_channels=14, window_samples=300).eval())
-        generous = plan_tiling(graph, TilingConfig(l1_bytes=256 * 1024))
-        constrained = plan_tiling(graph, TilingConfig(l1_bytes=8 * 1024))
+        generous = plan_tiling(graph, GAP8Config(l1_bytes=256 * 1024 + L1_STACK_BYTES))
+        constrained = plan_tiling(graph, GAP8Config(l1_bytes=8 * 1024 + L1_STACK_BYTES))
         assert constrained.total_dma_bytes >= generous.total_dma_bytes
 
     def test_dma_and_compute_cycles_positive(self, temponet_graph):
-        config = TilingConfig()
-        plan = plan_tiling(temponet_graph, config)
+        gap8 = GAP8Config()
+        plan = plan_tiling(temponet_graph, gap8)
         for layer in plan.layers:
-            assert layer.dma_cycles(config) > 0
-            assert layer.compute_cycles(config) > 0
-            assert layer.bottleneck(config) in ("compute", "dma")
+            assert layer.dma_cycles(gap8) > 0
+            assert layer.compute_cycles(gap8) > 0
+            assert layer.bottleneck(gap8) in ("compute", "dma")
 
     def test_summary_lists_layers(self, temponet_graph):
         plan = plan_tiling(temponet_graph)
@@ -197,6 +194,22 @@ class TestTiling:
         for layer in plan.layers[:3]:
             assert layer.name in summary
 
-    def test_double_buffering_halves_budget(self):
-        assert TilingConfig(l1_bytes=1000, double_buffering=True).tile_budget == 500
-        assert TilingConfig(l1_bytes=1000, double_buffering=False).tile_budget == 1000
+    def test_budget_is_half_of_l1_less_the_stacks(self, bioformer_graph):
+        assert plan_tiling(bioformer_graph).tile_budget == 28 * 1024
+        small = GAP8Config(l1_bytes=1000 + L1_STACK_BYTES)
+        assert plan_tiling(bioformer_graph, small).tile_budget == 500
+
+    def test_zero_dma_rate_is_rejected(self, bioformer_graph):
+        gap8 = GAP8Config(dma_bytes_per_cycle=0)
+        with pytest.raises(ValueError, match="dma_bytes_per_cycle"):
+            gap8.validate()
+        with pytest.raises(ValueError, match="dma_bytes_per_cycle"):
+            plan_tiling(bioformer_graph, gap8)
+
+    def test_l1_not_above_the_stacks_is_rejected(self, bioformer_graph):
+        for l1_bytes in (0, L1_STACK_BYTES):
+            gap8 = GAP8Config(l1_bytes=l1_bytes)
+            with pytest.raises(ValueError, match="l1_bytes"):
+                gap8.validate()
+            with pytest.raises(ValueError, match="l1_bytes"):
+                plan_tiling(bioformer_graph, gap8)

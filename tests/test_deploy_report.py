@@ -1,4 +1,4 @@
-"""Tests for the graph-to-profile adapter and the end-to-end deployment report."""
+"""Tests for the GAP8 cost of a traced graph and the end-to-end deployment report."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ from repro.deploy import (
     LoweringConfig,
     deploy_graph,
     estimate_deployment,
-    graph_to_profile,
+    plan_tiling,
     trace_model,
 )
 from repro.deploy.lowering import QMAX
-from repro.hw.gap8 import GAP8Config, GAP8Model
+from repro.hw.gap8 import GAP8Config, GAP8Model, parallel_units
 from repro.models import Bioformer, BioformerConfig, bioformer_bio1, bioformer_bio2, temponet
 
 
@@ -28,48 +28,48 @@ def rng():
 
 
 # --------------------------------------------------------------------- #
-# graph -> ModelProfile adapter
+# GAP8 cost of a graph
 # --------------------------------------------------------------------- #
-class TestGraphProfileAdapter:
+class TestGraphCost:
     def test_macs_preserved(self):
         graph = trace_model(bioformer_bio1(patch_size=10).eval())
-        profile = graph_to_profile(graph)
-        assert profile.total_macs == graph.total_macs
+        costs = GAP8Model().latency(graph).layer_costs
+        assert sum(cost.macs for cost in costs) == graph.total_macs
+        assert estimate_deployment(graph).mmacs == graph.total_macs / 1e6
 
     def test_shape_only_nodes_skipped(self):
         graph = trace_model(small_bioformer())
-        profile = graph_to_profile(graph)
+        costs = GAP8Model().latency(graph).layer_costs
         shape_only = [node for node in graph if node.is_shape_only]
         assert {"split_heads", "merge_heads", "transpose"} <= {node.op for node in shape_only}
         kept = [node.name for node in graph if not node.is_shape_only]
-        assert [layer.name for layer in profile.layers] == kept
+        assert [cost.name for cost in costs] == kept
 
-    def test_traced_profile_close_to_analytical(self):
+    def test_traced_totals_close_to_analytical(self):
         """Bio1 (filter 10) keeps the Table I counts: 3.30 MMAC, 94.92 kB."""
         config = BioformerConfig(patch_size=10, depth=1, num_heads=8)
-        traced = graph_to_profile(trace_model(Bioformer(config).eval()))
+        traced = trace_model(Bioformer(config).eval())
         assert traced.total_macs == 3_300_864
-        assert traced.total_params == 94_920
+        assert traced.total_weight_elements == 94_920
 
     @pytest.mark.parametrize("build,heads", [(bioformer_bio1, 8), (bioformer_bio2, 2)])
     def test_projections_into_heads_run_one_head_per_core(self, build, heads):
         """q/k/v projections and attention matmuls spread over the heads;
         every other MAC layer can use the whole cluster."""
         graph = trace_model(build(patch_size=10))
-        profile = graph_to_profile(graph)
-        units = {layer.name: layer.parallel_units for layer in profile.layers if layer.macs}
+        units = {node.name: parallel_units(node, graph) for node in graph if node.macs}
         projections = {
             name for name in units
             if name.endswith(("query_projection", "key_projection", "value_projection"))
         }
         assert len(projections) == 3 * build(patch_size=10).config.depth
-        for name, parallel_units in units.items():
+        for name, count in units.items():
             expected = heads if name in projections or graph.node(name).op == "matmul" else 0
-            assert parallel_units == expected, name
+            assert count == expected, name
 
-    def test_latency_estimate_runs_on_traced_profile(self):
+    def test_latency_estimate_runs_on_traced_graph(self):
         graph = trace_model(small_bioformer())
-        breakdown = GAP8Model(GAP8Config()).latency(graph_to_profile(graph))
+        breakdown = GAP8Model(GAP8Config()).latency(graph)
         assert breakdown.latency_ms > 0
         assert breakdown.energy_mj > 0
         estimate = estimate_deployment(graph)
@@ -158,3 +158,12 @@ class TestDeployGraph:
         # The absmax input scale covers the largest calibration sample.
         assert report.quantized.input_quantization.scale == np.abs(calibration).max() / QMAX
         assert any(node.is_fused for node in report.graph.nodes)
+
+    def test_gap8_is_the_tilers_target(self, rng):
+        """``deploy_graph(gap8=...)`` tiles the executable graph on that target."""
+        gap8 = GAP8Config(l1_bytes=16 * 1024)
+        model = bioformer_bio1(patch_size=10).eval()
+        calibration = rng.normal(size=(2, 14, 300))
+        report = deploy_graph(model, calibration, gap8=gap8)
+        assert report.tiling_plan == plan_tiling(report.graph, gap8)
+        assert report.tiling_plan.total_tiles > plan_tiling(report.graph).total_tiles

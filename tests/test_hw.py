@@ -1,8 +1,8 @@
-"""Tests of the GAP8 hardware substrate: traced profiles, cost model, battery."""
+"""Tests of the GAP8 hardware substrate: traced complexity, cost model, battery."""
 
 import pytest
 
-from repro.deploy import estimate_deployment, graph_to_profile, trace_model
+from repro.deploy import estimate_deployment, trace_model
 from repro.experiments import Scale, Table1Result, Table1Row, render_table1
 from repro.hw import (
     BatteryConfig,
@@ -40,66 +40,51 @@ def _graph(key):
     return trace_model(build_model(variant, patch_size=int(filter_dimension)))
 
 
-def _profile(config):
-    return graph_to_profile(trace_model(Bioformer(config)))
+def _traced(config):
+    return trace_model(Bioformer(config))
 
 
 def _estimate(key, **kwargs):
     return estimate_deployment(_graph(key), **kwargs)
 
 
-class TestProfiler:
+class TestGraphComplexity:
     @pytest.mark.parametrize("builder,config_type", [
         (lambda: bioformer_bio1(patch_size=10), BioformerConfig),
         (lambda: bioformer_bio2(patch_size=30), BioformerConfig),
         (lambda: temponet(), TEMPONetConfig),
     ])
-    def test_profiled_params_match_instantiated_model(self, builder, config_type):
+    def test_traced_weights_match_instantiated_model(self, builder, config_type):
         model = builder()
-        profile = graph_to_profile(trace_model(model))
-        assert profile.total_params == model.num_parameters()
+        assert trace_model(model).total_weight_elements == model.num_parameters()
 
     @pytest.mark.parametrize("key", sorted(PAPER_TABLE1))
     def test_mmacs_and_memory_match_paper(self, key):
-        profile = graph_to_profile(_graph(key))
+        record = _estimate(key)
         reference = PAPER_TABLE1[key]
-        assert profile.mmacs == pytest.approx(reference["mmac"], rel=0.25)
-        assert profile.memory_kilobytes() == pytest.approx(reference["memory_kb"], rel=0.06)
+        assert record.mmacs == pytest.approx(reference["mmac"], rel=0.25)
+        assert record.memory_kilobytes == pytest.approx(reference["memory_kb"], rel=0.06)
 
     def test_mac_reduction_factor_vs_temponet(self):
         """The headline claim: Bio1 (filter 10) needs ~4.9x fewer MACs."""
-        bio1 = graph_to_profile(_graph("bio1_10"))
-        tcn = graph_to_profile(_graph("temponet"))
+        bio1 = _graph("bio1_10")
+        tcn = _graph("temponet")
         assert 4.0 < tcn.total_macs / bio1.total_macs < 6.5
 
     def test_attention_cost_scales_with_sequence_length(self):
-        short = _profile(BioformerConfig(patch_size=30))
-        long = _profile(BioformerConfig(patch_size=5))
+        short = _traced(BioformerConfig(patch_size=30))
+        long = _traced(BioformerConfig(patch_size=5))
         assert long.total_macs > 3 * short.total_macs
 
-    def test_by_kind_breakdown_sums_to_total(self):
-        profile = _profile(BioformerConfig())
-        assert sum(profile.by_kind().values()) == profile.total_macs
+    def test_layer_costs_sum_to_total_macs(self):
+        graph = _traced(BioformerConfig())
+        costs = GAP8Model().latency(graph).layer_costs
+        assert sum(cost.macs for cost in costs) == graph.total_macs
 
     def test_memory_is_one_int8_byte_per_weight(self):
-        profile = _profile(BioformerConfig())
-        assert profile.memory_bytes() == profile.total_params
-        assert profile.memory_kilobytes() == profile.total_params / 1e3
-
-    @pytest.mark.parametrize(
-        "method", ["memory_bytes", "memory_kilobytes", "fits_memory", "memory_utilization"]
-    )
-    def test_accounting_takes_no_bit_width(self, method):
-        """Weights are stored as int8: the bit width is not a parameter."""
-        profile = _profile(BioformerConfig())
-        calls = {
-            "memory_bytes": lambda: profile.memory_bytes(32),
-            "memory_kilobytes": lambda: profile.memory_kilobytes(32),
-            "fits_memory": lambda: GAP8Model().fits_memory(profile, 32),
-            "memory_utilization": lambda: GAP8Model().memory_utilization(profile, 32),
-        }
-        with pytest.raises(TypeError):
-            calls[method]()
+        graph = _traced(BioformerConfig())
+        record = estimate_deployment(graph)
+        assert record.memory_kilobytes == graph.total_weight_elements / 1e3
 
 
 class TestGAP8CostModel:
@@ -132,20 +117,12 @@ class TestGAP8CostModel:
         assert record.energy_mj == pytest.approx(record.latency_ms * 51e-3, rel=1e-6)
 
     def test_memory_fits_l2(self):
-        target = GAP8Model()
-        assert target.fits_memory(_profile(BioformerConfig()))
-        assert target.fits_memory(graph_to_profile(_graph("temponet")))
-        assert 0.0 < target.memory_utilization(_profile(BioformerConfig())) < 1.0
-
-    def test_l2_utilization_counts_one_byte_per_weight(self):
-        target = GAP8Model()
-        profile = graph_to_profile(_graph("temponet"))
-        assert target.memory_utilization(profile) == (
-            profile.total_params / target.config.l2_bytes
-        )
+        l2_bytes = GAP8Config().l2_bytes
+        assert _traced(BioformerConfig()).total_weight_elements < l2_bytes
+        assert _graph("temponet").total_weight_elements < l2_bytes
 
     def test_dominant_layers_sorted(self):
-        breakdown = GAP8Model().latency(_profile(BioformerConfig()))
+        breakdown = GAP8Model().latency(_traced(BioformerConfig()))
         dominant = breakdown.dominant_layers(3)
         assert len(dominant) == 3
         assert dominant[0].cycles >= dominant[1].cycles >= dominant[2].cycles
@@ -199,7 +176,7 @@ class TestDeploymentRecord:
 
     def test_record_fields_and_row(self):
         record = _estimate("bio1_10")
-        assert record.profile.name.startswith("Bioformer")
+        assert record.graph.name.startswith("Bioformer")
         assert record.duty_cycle is not None
         row = Table1Row(
             label="Bio1, wind=10",
