@@ -197,13 +197,14 @@ def _dma_bytes(node: GraphNode, num_tiles: int, single_weight_load: bool) -> int
 
     Activations move exactly once in and once out; weights move once if a
     single weight tile covers the kernel, otherwise once per tile (the
-    pessimistic DORY assumption).
+    pessimistic DORY assumption).  Only the write-back of a fused node is
+    its (possibly pooled) output; everything else is its MAC kernel's.
     """
     output_bytes = node.output.num_elements
-    # Approximate the input read volume with the output volume per consumed
-    # tensor (inputs ~ outputs for the dominant GEMM-shaped kernels); exact
-    # per-tensor sizes are tracked separately by the memory planner.
-    input_bytes = node.output.num_elements * max(len(node.inputs), 1)
+    # Approximate the input read volume with the MAC kernel's output volume
+    # per consumed tensor (inputs ~ outputs for the dominant GEMM-shaped
+    # kernels); exact per-tensor sizes are tracked by the memory planner.
+    input_bytes = node.fusion_chain[0].output.num_elements * max(len(node.inputs), 1)
     weight_bytes = node.weight_elements
     if single_weight_load:
         return input_bytes + weight_bytes + output_bytes
@@ -213,7 +214,9 @@ def _dma_bytes(node: GraphNode, num_tiles: int, single_weight_load: bool) -> int
 def plan_tiling(graph: ComputeGraph, gap8: Optional[GAP8Config] = None) -> TilingPlan:
     """Plan L1 tiling for every MAC kernel of ``graph`` on ``gap8``.
 
-    ``gap8`` defaults to ``GAP8Config()`` and is validated first.
+    ``gap8`` defaults to ``GAP8Config()`` and is validated first.  A fused
+    node is tiled over the output of its chain's MAC kernel, so a fused
+    ``conv1d -> ... -> avgpool1d`` tiles the convolution's output positions.
     """
     gap8 = gap8 if gap8 is not None else GAP8Config()
     gap8.validate()
@@ -221,7 +224,7 @@ def plan_tiling(graph: ComputeGraph, gap8: Optional[GAP8Config] = None) -> Tilin
     for node in graph.nodes:
         if node.op not in _TILE_SPACES:
             continue
-        space = _TILE_SPACES[node.op](node)
+        space = _TILE_SPACES[node.op](node.fusion_chain[0])
         tile = _largest_tile(space, plan.tile_budget)
         dims, _, tile_bytes = space
         num_tiles = math.prod(_ceil_div(dims[name], tile[name]) for name in dims)

@@ -11,6 +11,7 @@ from repro.deploy import (
     plan_tiling,
     trace_model,
 )
+from repro.deploy.passes import fuse
 from repro.hw.gap8 import L1_STACK_BYTES, GAP8Config
 from repro.models import Bioformer, BioformerConfig, bioformer_bio1, temponet
 
@@ -193,6 +194,29 @@ class TestTiling:
         summary = plan.summary()
         for layer in plan.layers[:3]:
             assert layer.name in summary
+
+    def test_fused_conv_pool_tiles_the_convolution(self):
+        """A fused ``conv1d -> ... -> avgpool1d`` node tiles the convolution's
+        own output positions; only its write-back is pooled."""
+        traced = trace_model(temponet())
+        fused = fuse(traced)
+        pooled = [node for node in fused if node.fusion_chain[-1].op == "avgpool1d"]
+        assert len(pooled) == 3
+        unfused = {layer.name: layer for layer in plan_tiling(traced).layers}
+        plan = plan_tiling(fused)
+        assert plan.total_tiles == plan_tiling(traced).total_tiles
+        for layer in plan.layers:
+            node = fused.node(layer.name)
+            conv = unfused[layer.name]
+            assert (layer.tile, layer.num_tiles, layer.tile_bytes) == (
+                conv.tile, conv.num_tiles, conv.tile_bytes
+            )
+            weight_loads = 1 if layer.single_tile else layer.num_tiles
+            assert layer.dma_bytes == (
+                node.fusion_chain[0].output.num_elements * len(node.inputs)
+                + node.weight_elements * weight_loads
+                + node.output.num_elements
+            )
 
     def test_budget_is_half_of_l1_less_the_stacks(self, bioformer_graph):
         assert plan_tiling(bioformer_graph).tile_budget == 28 * 1024
