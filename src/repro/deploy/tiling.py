@@ -119,10 +119,10 @@ def _candidate_sizes(full: int) -> List[int]:
 #: A kernel's tile space: the full size of its two tiled dimensions (in the
 #: order the tile is reported), the one the search walks outermost, and the
 #: L1 bytes of a tile, given as a dict of sizes like the full one.
-TileSpace = Tuple[Dict[str, int], str, Callable[[Dict[str, int]], int]]
+_TileSpace = Tuple[Dict[str, int], str, Callable[[Dict[str, int]], int]]
 
 
-def _linear_space(node: GraphNode) -> TileSpace:
+def _linear_space(node: GraphNode) -> _TileSpace:
     """A linear kernel tiles over (rows, output features)."""
     out_features, in_features = node.weights["weight"].shape
     rows = max(node.output.num_elements // out_features, 1)
@@ -136,7 +136,7 @@ def _linear_space(node: GraphNode) -> TileSpace:
     return {"rows": rows, "out_features": out_features}, "out_features", tile_bytes
 
 
-def _conv1d_space(node: GraphNode) -> TileSpace:
+def _conv1d_space(node: GraphNode) -> _TileSpace:
     """A 1-D convolution tiles over (output channels, output length)."""
     out_channels, in_channels, kernel = node.weights["weight"].shape
     stride = int(node.attrs["stride"])
@@ -152,7 +152,7 @@ def _conv1d_space(node: GraphNode) -> TileSpace:
     return dims, "out_channels", tile_bytes
 
 
-def _matmul_space(node: GraphNode) -> TileSpace:
+def _matmul_space(node: GraphNode) -> _TileSpace:
     """An attention matmul tiles over (heads, rows)."""
     heads, rows, cols = node.output.shape
     inner = int(node.attrs["inner_dim"])
@@ -164,14 +164,14 @@ def _matmul_space(node: GraphNode) -> TileSpace:
     return {"heads": heads, "rows": rows}, "heads", tile_bytes
 
 
-_TILE_SPACES: Dict[str, Callable[[GraphNode], TileSpace]] = {
+_TILE_SPACES: Dict[str, Callable[[GraphNode], _TileSpace]] = {
     "linear": _linear_space,
     "conv1d": _conv1d_space,
     "matmul": _matmul_space,
 }
 
 
-def _largest_tile(space: TileSpace, budget: int) -> Dict[str, int]:
+def _largest_tile(space: _TileSpace, budget: int) -> Dict[str, int]:
     """The largest tile (in elements) of ``space`` whose bytes fit ``budget``.
 
     For each size of the outer dimension, largest first, the search takes
