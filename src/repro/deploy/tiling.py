@@ -10,20 +10,20 @@ al., IEEE TC 2021), for the kernels used by Bioformer and TEMPONet.
 
 The target is the :class:`~repro.hw.gap8.GAP8Config` the cost model reads:
 L1 less the cores' stacks (:data:`~repro.hw.gap8.L1_STACK_BYTES`) holds two
-tiles, and the MAC and DMA rates classify each kernel as compute- or
-DMA-bound.  For every MAC kernel of a :class:`ComputeGraph` the planner
-searches the kernel's 2-D tile space, keeps the largest tile that fits the
-budget, and reports the resulting tile count, per-tile occupancy and total
+tiles, and its MAC rate and the DMA rate
+(:data:`~repro.hw.gap8.DMA_BYTES_PER_CYCLE`) classify each kernel as
+compute- or DMA-bound.  For every MAC kernel of a :class:`ComputeGraph`
+the planner searches the kernel's 2-D tile space, keeps the largest tile
+that fits the budget, and reports the resulting tile count, per-tile occupancy and total
 DMA traffic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..hw.gap8 import L1_STACK_BYTES, GAP8Config
+from ..hw.gap8 import DMA_BYTES_PER_CYCLE, L1_STACK_BYTES, GAP8Config
 from .graph import ComputeGraph, GraphNode
 
 __all__ = ["LayerTiling", "TilingPlan", "plan_tiling"]
@@ -46,13 +46,13 @@ class LayerTiling:
         """Ideal compute time of the kernel (cycles)."""
         return self.macs / gap8.peak_macs_per_cycle
 
-    def dma_cycles(self, gap8: GAP8Config) -> float:
+    def dma_cycles(self) -> float:
         """Ideal DMA transfer time of the kernel (cycles)."""
-        return self.dma_bytes / gap8.dma_bytes_per_cycle
+        return self.dma_bytes / DMA_BYTES_PER_CYCLE
 
     def bottleneck(self, gap8: GAP8Config) -> str:
         """``"compute"`` or ``"dma"`` depending on which phase dominates."""
-        return "compute" if self.compute_cycles(gap8) >= self.dma_cycles(gap8) else "dma"
+        return "compute" if self.compute_cycles(gap8) >= self.dma_cycles() else "dma"
 
 
 @dataclass
@@ -116,80 +116,83 @@ def _candidate_sizes(full: int) -> List[int]:
     return sorted((size for size in sizes if 1 <= size <= full), reverse=True)
 
 
-#: A kernel's tile space: the full size of its two tiled dimensions (in the
-#: order the tile is reported), the one the search walks outermost, and the
-#: L1 bytes of a tile, given as a dict of sizes like the full one.
-_TileSpace = Tuple[Dict[str, int], str, Callable[[Dict[str, int]], int]]
+def _largest_tile(
+    outer_full: int, inner_full: int, tile_bytes: Callable[[int, int], int], budget: int
+) -> Tuple[int, int, int, int]:
+    """The largest tile (in elements) of a 2-D tile space that fits ``budget``.
+
+    For each size of the outer dimension, largest first, the search takes
+    the largest fitting size of the inner one; the first tile with the most
+    elements wins, and a 1x1 tile when nothing fits.  Returns the tile's
+    (outer, inner) sizes, the number of tiles covering the space and the
+    tile's L1 bytes.
+    """
+    best, best_elements = (1, 1), 0
+    for outer in _candidate_sizes(outer_full):
+        for inner in _candidate_sizes(inner_full):
+            if tile_bytes(outer, inner) <= budget:
+                if outer * inner > best_elements:
+                    best, best_elements = (outer, inner), outer * inner
+                break
+    outer, inner = best
+    num_tiles = _ceil_div(outer_full, outer) * _ceil_div(inner_full, inner)
+    return outer, inner, num_tiles, tile_bytes(outer, inner)
 
 
-def _linear_space(node: GraphNode) -> _TileSpace:
-    """A linear kernel tiles over (rows, output features)."""
+#: A kernel's tiling: the tile (by dimension name), tile count and tile bytes.
+_Tiling = Tuple[Dict[str, int], int, int]
+
+
+def _tile_linear(node: GraphNode, budget: int) -> _Tiling:
+    """A linear kernel tiles over (output features, rows)."""
     out_features, in_features = node.weights["weight"].shape
     rows = max(node.output.num_elements // out_features, 1)
     bias_bytes = 4 if "bias" in node.weights else 0
 
-    def tile_bytes(tile: Dict[str, int]) -> int:
-        inputs = tile["rows"] * in_features
-        weights = tile["out_features"] * (in_features + bias_bytes)
-        return inputs + weights + tile["rows"] * tile["out_features"]
+    def tile_bytes(tile_out: int, tile_rows: int) -> int:
+        inputs = tile_rows * in_features
+        weights = tile_out * (in_features + bias_bytes)
+        return inputs + weights + tile_rows * tile_out
 
-    return {"rows": rows, "out_features": out_features}, "out_features", tile_bytes
+    tile_out, tile_rows, num_tiles, size = _largest_tile(out_features, rows, tile_bytes, budget)
+    return {"rows": tile_rows, "out_features": tile_out}, num_tiles, size
 
 
-def _conv1d_space(node: GraphNode) -> _TileSpace:
+def _tile_conv1d(node: GraphNode, budget: int) -> _Tiling:
     """A 1-D convolution tiles over (output channels, output length)."""
     out_channels, in_channels, kernel = node.weights["weight"].shape
     stride = int(node.attrs["stride"])
     receptive = int(node.attrs["dilation"]) * (kernel - 1) + 1
     bias_bytes = 4 if "bias" in node.weights else 0
 
-    def tile_bytes(tile: Dict[str, int]) -> int:
-        inputs = in_channels * ((tile["out_length"] - 1) * stride + receptive)
-        weights = tile["out_channels"] * (in_channels * kernel + bias_bytes)
-        return inputs + weights + tile["out_channels"] * tile["out_length"]
+    def tile_bytes(tile_channels: int, tile_length: int) -> int:
+        inputs = in_channels * ((tile_length - 1) * stride + receptive)
+        weights = tile_channels * (in_channels * kernel + bias_bytes)
+        return inputs + weights + tile_channels * tile_length
 
-    dims = {"out_channels": out_channels, "out_length": node.output.shape[-1]}
-    return dims, "out_channels", tile_bytes
+    tile_channels, tile_length, num_tiles, size = _largest_tile(
+        out_channels, node.output.shape[-1], tile_bytes, budget
+    )
+    return {"out_channels": tile_channels, "out_length": tile_length}, num_tiles, size
 
 
-def _matmul_space(node: GraphNode) -> _TileSpace:
+def _tile_matmul(node: GraphNode, budget: int) -> _Tiling:
     """An attention matmul tiles over (heads, rows)."""
     heads, rows, cols = node.output.shape
     inner = int(node.attrs["inner_dim"])
 
-    def tile_bytes(tile: Dict[str, int]) -> int:
-        tile_heads, tile_rows = tile["heads"], tile["rows"]
+    def tile_bytes(tile_heads: int, tile_rows: int) -> int:
         return tile_heads * (tile_rows * inner + inner * cols + tile_rows * cols)
 
-    return {"heads": heads, "rows": rows}, "heads", tile_bytes
+    tile_heads, tile_rows, num_tiles, size = _largest_tile(heads, rows, tile_bytes, budget)
+    return {"heads": tile_heads, "rows": tile_rows}, num_tiles, size
 
 
-_TILE_SPACES: Dict[str, Callable[[GraphNode], _TileSpace]] = {
-    "linear": _linear_space,
-    "conv1d": _conv1d_space,
-    "matmul": _matmul_space,
+_TILERS: Dict[str, Callable[[GraphNode, int], _Tiling]] = {
+    "linear": _tile_linear,
+    "conv1d": _tile_conv1d,
+    "matmul": _tile_matmul,
 }
-
-
-def _largest_tile(space: _TileSpace, budget: int) -> Dict[str, int]:
-    """The largest tile (in elements) of ``space`` whose bytes fit ``budget``.
-
-    For each size of the outer dimension, largest first, the search takes
-    the largest fitting size of the other; the first tile with the most
-    elements wins.  A 1x1 tile when nothing fits.
-    """
-    dims, outer, tile_bytes = space
-    (inner,) = (name for name in dims if name != outer)
-    best = {name: 1 for name in dims}
-    best_elements = 0
-    for outer_size in _candidate_sizes(dims[outer]):
-        for inner_size in _candidate_sizes(dims[inner]):
-            tile = {name: outer_size if name == outer else inner_size for name in dims}
-            if tile_bytes(tile) <= budget:
-                if outer_size * inner_size > best_elements:
-                    best, best_elements = tile, outer_size * inner_size
-                break
-    return best
 
 
 def _dma_bytes(node: GraphNode, num_tiles: int, single_weight_load: bool) -> int:
@@ -202,8 +205,10 @@ def _dma_bytes(node: GraphNode, num_tiles: int, single_weight_load: bool) -> int
     """
     output_bytes = node.output.num_elements
     # Approximate the input read volume with the MAC kernel's output volume
-    # per consumed tensor (inputs ~ outputs for the dominant GEMM-shaped
-    # kernels); exact per-tensor sizes are tracked by the memory planner.
+    # per consumed tensor.  This is a known mis-estimate: it over-charges
+    # kernels whose output exceeds their input (the q/k/v projections) and
+    # under-charges reducing ones (TEMPONet's classifier.1); see the FOUND
+    # line on ``_dma_bytes`` in CHANGES.md.
     input_bytes = node.fusion_chain[0].output.num_elements * max(len(node.inputs), 1)
     weight_bytes = node.weight_elements
     if single_weight_load:
@@ -222,12 +227,9 @@ def plan_tiling(graph: ComputeGraph, gap8: Optional[GAP8Config] = None) -> Tilin
     gap8.validate()
     plan = TilingPlan(graph_name=graph.name, gap8=gap8)
     for node in graph.nodes:
-        if node.op not in _TILE_SPACES:
+        if node.op not in _TILERS:
             continue
-        space = _TILE_SPACES[node.op](node.fusion_chain[0])
-        tile = _largest_tile(space, plan.tile_budget)
-        dims, _, tile_bytes = space
-        num_tiles = math.prod(_ceil_div(dims[name], tile[name]) for name in dims)
+        tile, num_tiles, tile_bytes = _TILERS[node.op](node.fusion_chain[0], plan.tile_budget)
         single_tile = num_tiles == 1
         plan.layers.append(
             LayerTiling(
@@ -236,7 +238,7 @@ def plan_tiling(graph: ComputeGraph, gap8: Optional[GAP8Config] = None) -> Tilin
                 macs=node.macs,
                 tile=tile,
                 num_tiles=num_tiles,
-                tile_bytes=tile_bytes(tile),
+                tile_bytes=tile_bytes,
                 dma_bytes=_dma_bytes(node, num_tiles, single_tile),
                 single_tile=single_tile,
             )

@@ -54,6 +54,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "L1_STACK_BYTES",
+    "DMA_BYTES_PER_CYCLE",
     "GAP8Config",
     "LayerCost",
     "LatencyBreakdown",
@@ -63,6 +64,9 @@ __all__ = [
 
 #: L1 bytes reserved for the cluster cores' stacks; the rest holds tiles.
 L1_STACK_BYTES = 8 * 1024
+
+#: Sustained L2<->L1 DMA bandwidth, in bytes per cluster cycle.
+DMA_BYTES_PER_CYCLE = 4.0
 
 #: Kernel category of each graph operator in the cost model; an operator
 #: missing here is costed as an ``"activation"``.
@@ -97,8 +101,6 @@ class GAP8Config:
     #: (double buffering).
     l1_bytes: int = 64 * 1024
     l2_bytes: int = 512 * 1024
-    #: Sustained L2<->L1 DMA bandwidth, in bytes per cluster cycle.
-    dma_bytes_per_cycle: float = 4.0
     #: Power states (W).
     active_power_w: float = 51e-3
     idle_power_w: float = 10e-3
@@ -130,8 +132,6 @@ class GAP8Config:
             raise ValueError("num_cores and frequency_hz must be positive")
         if self.peak_macs_per_cycle <= 0:
             raise ValueError("peak_macs_per_cycle must be positive")
-        if self.dma_bytes_per_cycle <= 0:
-            raise ValueError("dma_bytes_per_cycle must be positive")
         if self.l1_bytes <= L1_STACK_BYTES:
             raise ValueError(f"l1_bytes must exceed the {L1_STACK_BYTES} B of core stacks")
         if not 0 < self.active_power_w:

@@ -1,10 +1,10 @@
 """Golden pins of the GAP8 estimate and the L1 tiling plan.
 
-The deployment columns of the paper"s Table I, the per-layer GAP8 cycle
-costs, the search objective"s cost dict and the default-target tiling plans
+The deployment columns of the paper's Table I, the per-layer GAP8 cycle
+costs, the search objective's cost dict and the default-target tiling plans
 are pinned as literals (floats as ``float.hex``), so a refactor of the cost
 model or the tiler must reproduce every number bit for bit.  The plans are
-those of the traced graphs; the fused schedule"s tiling is tested in
+those of the traced graphs; the fused schedule's tiling is tested in
 ``test_deploy_memory_tiling.py``.
 """
 
