@@ -14,8 +14,8 @@ tiles, and its MAC rate and the DMA rate
 (:data:`~repro.hw.gap8.DMA_BYTES_PER_CYCLE`) classify each kernel as
 compute- or DMA-bound.  For every MAC kernel of a :class:`ComputeGraph`
 the planner searches the kernel's 2-D tile space, keeps the largest tile
-that fits the budget, and reports the resulting tile count, per-tile occupancy and total
-DMA traffic.
+that fits the budget, and reports the resulting tile count, per-tile
+occupancy and total DMA traffic.
 """
 
 from __future__ import annotations
