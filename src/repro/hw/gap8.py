@@ -214,15 +214,18 @@ class GAP8Model:
     # ------------------------------------------------------------------ #
     # Per-layer cost
     # ------------------------------------------------------------------ #
-    def _utilization(self, kind: str, units: int, model_name: str) -> float:
+    def _utilization(self, node: GraphNode, kind: str, graph: ComputeGraph) -> float:
         config = self.config
-        if kind == "conv" and model_name.startswith("TEMPONet"):
-            # The TCN's dilated convolutions stream large activations through
-            # L1 and achieve lower MAC utilisation than the dense transformer
-            # GEMMs (calibrated on the paper's TEMPONet row).
+        if kind == "conv" and node.attrs.get("stride", 1) < node.weights["weight"].shape[-1]:
+            # Overlapping windows (stride below the kernel width) mark the
+            # TCN's dilated convolutions, which stream large activations
+            # through L1 and achieve lower MAC utilisation than the dense
+            # transformer GEMMs (calibrated on the paper's TEMPONet row).  A
+            # patch embedding's stride equals its kernel.
             base = config.utilization["tcn_conv"]
         else:
             base = config.utilization.get(kind, config.utilization["linear"])
+        units = parallel_units(node, graph)
         if units and units < config.num_cores:
             # A kernel parallelised over fewer independent units than cores
             # leaves the remaining cores idle (e.g. 2-head attention).
@@ -236,7 +239,7 @@ class GAP8Model:
         macs = node.macs
         cycles = config.layer_overhead_cycles
         if macs > 0:
-            utilization = self._utilization(kind, parallel_units(node, graph), graph.name)
+            utilization = self._utilization(node, kind, graph)
             cycles += macs / max(config.peak_macs_per_cycle * utilization, 1e-9)
         elementwise_ops = node.elementwise_ops
         if elementwise_ops > 0:

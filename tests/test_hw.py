@@ -127,6 +127,20 @@ class TestGAP8CostModel:
         assert len(dominant) == 3
         assert dominant[0].cycles >= dominant[1].cycles >= dominant[2].cycles
 
+    @pytest.mark.parametrize("key", ["temponet", "bio1_10", "bio2_30"])
+    def test_renamed_graph_prices_the_same(self, key):
+        """The TCN utilisation follows the convolution's shape, not the
+        graph's name: a TEMPONet traced as "temponet" is still a TCN."""
+        model = temponet() if key == "temponet" else build_model(
+            key.split("_")[0], patch_size=int(key.split("_")[1])
+        )
+        default = GAP8Model().latency(trace_model(model))
+        renamed = GAP8Model().latency(trace_model(model, name=key))
+        assert renamed.model_name == key != default.model_name
+        assert [cost.cycles for cost in renamed.layer_costs] == [
+            cost.cycles for cost in default.layer_costs
+        ]
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             GAP8Config(num_cores=0).validate()
