@@ -38,7 +38,6 @@ from repro.serve import (
     DynamicBatcher,
     InferenceServer,
     Priority,
-    WorkerPool,
 )
 
 from conftest import report
@@ -259,14 +258,13 @@ def test_worker_pool_scales_latency_bound_float_serving(model, windows, cache):
 
     results = {}
     for workers in WORKER_COUNTS:
-        pool = WorkerPool(workers, name=f"bench-{workers}") if workers > 1 else None
         best = 0.0
         for _ in range(2):
             with DynamicBatcher(
                 latency_bound_run,
                 max_batch_size=8,
                 input_shape=float_backend.input_shape,
-                pool=pool,
+                num_workers=workers,
             ) as batcher:
                 batcher.map(windows[:8], timeout=60.0)  # warm-up
                 start = time.perf_counter()
@@ -274,8 +272,6 @@ def test_worker_pool_scales_latency_bound_float_serving(model, windows, cache):
                 elapsed = time.perf_counter() - start
                 assert logits.shape == (windows.shape[0], 8)
                 best = max(best, windows.shape[0] / elapsed)
-        if pool is not None:
-            pool.close()
         results[workers] = best
     base = results[1]
     rows = "\n".join(

@@ -27,10 +27,10 @@ host through :mod:`repro.serve`:
    JSON-serialised :class:`~repro.serve.SessionCheckpoint`, a dead
    electrode masked instead of refused, and a graceful ``drain()``.
 
-The float server runs on a two-thread :class:`~repro.serve.WorkerPool`
-(``num_workers=2``), overlapping micro-batch formation with backend
-execution; per-priority request counts are reported at the end of each
-phase.
+The float server runs two forming threads (``num_workers=2``), each
+executing the micro-batches it forms, so two batches can be in the
+backend at once; per-priority request counts are reported at the end of
+each phase.
 
 Run with::
 
@@ -118,7 +118,7 @@ def main() -> None:
         seed=0,
     )
 
-    # 2-3. Serve the float backend on a 2-worker pool and stream the signal
+    # 2-3. Serve the float backend on 2 formers and stream the signal
     # through it, with a concurrent low-priority bulk re-score of the same
     # windows (the stream's HIGH-priority requests preempt it).
     print("\n-- float backend (2 workers) ----------------------------------")
@@ -136,7 +136,7 @@ def main() -> None:
         print(
             f"served {stats.requests} windows in {stats.batches} micro-batches "
             f"(mean batch {stats.requests / stats.batches:.1f}, "
-            f"{server.num_workers} workers, {stats.pool_jobs} pool jobs)"
+            f"{server.num_workers} formers; per former {stats.by('pool_jobs', 'worker')})"
         )
 
     # 4. Same stream through the int8 (GAP8 numerics) backend, which runs the

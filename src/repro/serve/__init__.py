@@ -11,13 +11,13 @@ scaling PR (sharding, remote backends) plugs into:
   stand, and :func:`build_float_backend` / :func:`build_int8_backend`,
   which trace (and lower) a model to one of them;
 * :mod:`repro.serve.pool` — the request model (:class:`Priority`,
-  :class:`DeadlineExceeded`) and :class:`WorkerPool`, ``N`` threads
-  executing formed micro-batches concurrently;
+  :class:`DeadlineExceeded`);
 * :mod:`repro.serve.batcher` — :class:`DynamicBatcher`, aggregating
   concurrent single-window requests into bounded micro-batches from a
   priority queue (high-priority streams preempt queued bulk scoring,
   expired requests resolve with :class:`DeadlineExceeded`, and one
-  malformed request can never poison its batch-mates);
+  malformed request can never poison its batch-mates); ``num_workers``
+  supervised forming threads each run the batches they form;
 * :mod:`repro.serve.stream` — :class:`StreamSession`, raw-signal streaming
   with overlapping windows and majority-vote label smoothing;
 * :mod:`repro.serve.sessions` — :class:`SessionManager`, the fleet layer
@@ -60,7 +60,7 @@ from .faults import (
     WorkerCrash,
 )
 from .metrics import MetricsRegistry, Snapshot
-from .pool import DeadlineExceeded, Priority, WorkerPool
+from .pool import DeadlineExceeded, Priority
 from .server import BackendCache, InferenceServer, ServerStats, get_default_cache
 from .sessions import (
     SESSION_CHECKPOINT_VERSION,
@@ -81,7 +81,6 @@ __all__ = [
     "Snapshot",
     "DeadlineExceeded",
     "Priority",
-    "WorkerPool",
     "BackendCache",
     "InferenceServer",
     "ServerStats",

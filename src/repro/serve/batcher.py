@@ -4,23 +4,32 @@ Serving traffic arrives one window at a time, but every backend in this
 repository (the NumPy ``repro.nn`` forward pass as well as the integer
 graph executor) amortises its per-call Python overhead over the batch axis.
 The :class:`DynamicBatcher` sits between the two: callers submit single
-windows and receive futures; a background forming thread drains the
-request queue into micro-batches of at most ``max_batch_size`` windows.
-Formation is work-conserving: the thread blocks for the first request,
-adds only the requests already queued, and dispatches at once — it never
-waits for batch-mates that may not come.  A batch grows only while the
-backend (or, with a pool, every dispatch slot) is busy, because that is
-when requests pile up in the queue.
+windows and receive futures; ``num_workers`` forming threads drain the one
+request queue into micro-batches of at most ``max_batch_size`` windows,
+and each runs the batch it formed inline.  Formation is work-conserving: a
+former blocks for the first request, adds only the requests already
+queued, and executes at once — it never waits for batch-mates that may
+not come.  A batch grows only while every former is busy in the backend,
+because that is when requests pile up in the queue.  ``num_workers=1`` is
+the same loop on one thread.
 
 Requests carry a :class:`~repro.serve.pool.Priority` and an optional
 deadline.  The queue is a priority queue (FIFO within one priority level),
 so high-priority streaming traffic is batched ahead of already-queued
 low-priority bulk scoring, and a request whose deadline lapses resolves
 with :class:`~repro.serve.pool.DeadlineExceeded` instead of occupying a
-batch slot.  Formed batches either execute inline (the single-worker
-default) or are dispatched to a :class:`~repro.serve.pool.WorkerPool`,
-which overlaps batch formation with backend execution across ``N``
-threads.
+batch slot.  Nothing sits between forming a batch and running it, so a
+request waits in the priority queue until a former is free to run it.
+
+With ``num_workers > 1`` the formers are **supervised**: a
+:class:`~repro.serve.faults.WorkerCrash` escaping ``run_batch`` kills its
+former and a replacement starts, and with ``job_timeout_s`` set a watchdog
+abandons a former stuck past that budget — its batch fails with
+:class:`~repro.serve.faults.BackendTimeout`, a replacement starts, and the
+late result is discarded.  Replacements draw from a ``max_restarts``
+budget; once it is spent a dying former is not replaced and the
+``pool_alive`` gauge shows the capacity loss.  A single former never dies
+on ``WorkerCrash``: it fails the batch and serves on.
 
 Overload is handled by **admission control**, not unbounded queueing:
 with ``max_queue_depth`` set, a submission that finds the queue full
@@ -33,8 +42,8 @@ traffic is always shed before HIGH.
 Invariants (enforced by the property tests in ``tests/test_serve_batcher.py``):
 
 * **no request is dropped** — every submitted future completes, even when
-  the batcher is closed with requests still queued, when a dispatched
-  pool job crashes, or when its worker is abandoned on a soft timeout;
+  the batcher is closed with requests still queued, when a former
+  crashes, or when it is abandoned on a soft timeout;
 * **no request is duplicated** — each future resolves exactly once;
 * **order is preserved per priority level** — within one priority, rows of
   a micro-batch follow submission order, and each caller receives exactly
@@ -46,31 +55,22 @@ Invariants (enforced by the property tests in ``tests/test_serve_batcher.py``):
 
 from __future__ import annotations
 
-import itertools
-import queue
 import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import Future, InvalidStateError
-from concurrent.futures import wait as wait_futures
+from concurrent.futures import Future
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .faults import Overloaded, WorkerCrash
+from .faults import BackendTimeout, Overloaded, WorkerCrash
 from .metrics import MetricsRegistry, Snapshot
-from .pool import DeadlineExceeded, Priority, WorkerPool
+from .pool import DeadlineExceeded, Priority
 
 __all__ = ["DynamicBatcher"]
 
-_SHUTDOWN = object()
-# The shutdown sentinel sorts after every real priority, so by the time the
-# forming thread pops it the priority queue holds no live requests.
-_SHUTDOWN_PRIORITY = float("inf")
-
-
 class _Request:
-    __slots__ = ("payload", "future", "priority", "deadline", "shed")
+    __slots__ = ("payload", "future", "priority", "deadline")
 
     def __init__(
         self,
@@ -83,7 +83,17 @@ class _Request:
         self.future = future
         self.priority = priority
         self.deadline = deadline  # absolute time.monotonic() instant
-        self.shed = False  # resolved with Overloaded while queued
+
+
+class _Former:
+    """One forming slot: the thread that owns it and the batch it runs."""
+
+    __slots__ = ("thread", "batch", "started_at")
+
+    def __init__(self) -> None:
+        self.thread: Optional[threading.Thread] = None
+        self.batch: Optional[List[_Request]] = None  # in run_batch, if any
+        self.started_at = 0.0
 
 
 class DynamicBatcher:
@@ -106,14 +116,10 @@ class DynamicBatcher:
         time; when omitted, the majority payload shape of each micro-batch
         defines the reference (ties break toward the earliest submission).
         Either way one malformed request can never fail its batch-mates.
-    pool:
-        Optional :class:`~repro.serve.pool.WorkerPool`.  When given, formed
-        batches are dispatched to the pool (overlapping formation with
-        execution, and batches with each other across workers); when
-        ``None``, batches execute inline on the forming thread — the exact
-        single-worker semantics of the pre-pool batcher.  The pool is
-        *borrowed*: closing the batcher drains its own dispatched jobs but
-        never closes the pool.
+    num_workers:
+        Forming threads, each running the batches it forms, so up to this
+        many batches execute at once (both backends release the GIL in
+        their BLAS kernels).  ``1`` (default) is one unsupervised former.
     max_queue_depth:
         Admission-control bound on *queued* (not yet batch-formed)
         requests.  A submission over the bound sheds the newest queued
@@ -122,13 +128,28 @@ class DynamicBatcher:
         resolves with :class:`~repro.serve.faults.Overloaded` — and is
         otherwise itself rejected with a synchronous ``Overloaded`` raise.
         ``None`` (default) keeps the historical unbounded queue.
+    job_timeout_s:
+        Soft per-batch timeout (``num_workers > 1`` only).  A thread cannot
+        be killed, so a former stuck in ``run_batch`` past this budget is
+        *abandoned*: its batch fails with
+        :class:`~repro.serve.faults.BackendTimeout`, a replacement former
+        starts, and the stuck thread exits, its result discarded, once its
+        call returns.  ``None`` (default) starts no watchdog.
+    max_restarts:
+        Total replacement budget across all formers (crashes + timeouts).
+        Once spent, a dying former is not replaced — capacity degrades
+        rather than respawn-looping on a deterministic fault.
 
     ``stats`` is a :class:`~repro.serve.metrics.Snapshot` of ``metrics``:
     ``batcher_requests{priority}`` (windows served),
     ``batcher_batches{size}`` (formed batches by size),
     ``batcher_expired`` / ``batcher_malformed`` / ``batcher_shed`` /
     ``batcher_rejected`` (each ``{priority}``) and the gauge
-    ``batcher_queue_depth``.
+    ``batcher_queue_depth``.  With ``num_workers > 1`` it also holds the
+    supervision series: ``pool_jobs{worker}`` (backend calls completed, by
+    former slot), ``pool_failures`` (calls that raised), ``pool_crashes``,
+    ``pool_timeouts`` and the gauges ``pool_alive`` and ``pool_restarts``
+    (the spent restart budget).
     """
 
     def __init__(
@@ -137,51 +158,68 @@ class DynamicBatcher:
         max_batch_size: int = 16,
         name: str = "",
         input_shape: Optional[Tuple[int, ...]] = None,
-        pool: Optional[WorkerPool] = None,
+        num_workers: int = 1,
         max_queue_depth: Optional[int] = None,
+        job_timeout_s: Optional[float] = None,
+        max_restarts: int = 16,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
+        if job_timeout_s is not None and num_workers == 1:
+            raise ValueError(
+                "job_timeout_s requires num_workers > 1: a single former has no "
+                "replacement to take over while it is stuck"
+            )
+        if job_timeout_s is not None and job_timeout_s <= 0:
+            raise ValueError("job_timeout_s must be > 0")
+        if max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
         self.run_batch = run_batch
         self.max_batch_size = int(max_batch_size)
         self.name = name or "batcher"
         self.input_shape = tuple(input_shape) if input_shape is not None else None
-        self.pool = pool
+        self.num_workers = int(num_workers)
         self.max_queue_depth = max_queue_depth
-        self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
-        self._ticket = itertools.count()  # FIFO tie-break within a priority
+        self.job_timeout_s = job_timeout_s
+        self.max_restarts = int(max_restarts)
         self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)  # a request queued, or closed
         self._closed = False
-        self.metrics = MetricsRegistry(
+        self._restarts = 0
+        counters = [
             "batcher_requests",
             "batcher_batches",
             "batcher_expired",
             "batcher_malformed",
             "batcher_shed",
             "batcher_rejected",
-        )
+        ]
+        if self.num_workers > 1:
+            counters += ["pool_jobs", "pool_failures", "pool_crashes", "pool_timeouts"]
+        self.metrics = MetricsRegistry(*counters)
         self.metrics.gauge("batcher_queue_depth", self._queue_depth)
-        # Queued-but-not-yet-popped requests per priority level, FIFO by
-        # ticket.  The forming thread pops the *left* end (oldest of the
-        # most urgent level); shedding pops the *right* end (newest of the
-        # least urgent level) — so deque[0] of a level is always the next
-        # request the priority queue will deliver from that level.
-        self._pending_by_priority: Dict[int, Deque[_Request]] = {}
-        self._pending: List[Future] = []  # in-flight pool jobs
-        # Dispatch throttle: at most num_workers batches may be in flight,
-        # so excess requests wait in the *priority* queue (where HIGH can
-        # still jump ahead) instead of piling up as formed batches in the
-        # pool's FIFO job queue — unbounded dispatch would defeat
-        # preemption whenever a pool is attached.
-        self._dispatch_slots = (
-            threading.Semaphore(pool.num_workers) if pool is not None else None
-        )
-        self._worker = threading.Thread(
-            target=self._run, name=f"{self.name}-former", daemon=True
-        )
-        self._worker.start()
+        if self.num_workers > 1:
+            self.metrics.gauge("pool_alive", self._alive)
+            self.metrics.gauge("pool_restarts", lambda: self._restarts)
+        # The queue: requests not yet formed into a batch, per priority
+        # level, FIFO.  Formers pop the *left* end (oldest of the most
+        # urgent level); shedding pops the *right* end (newest of the least
+        # urgent level).
+        self._pending: Dict[int, Deque[_Request]] = {}
+        self._formers = [_Former() for _ in range(self.num_workers)]
+        for slot in range(self.num_workers):
+            self._spawn(slot)
+        self._stop_watchdog = threading.Event()
+        self._watchdog: Optional[threading.Thread] = None
+        if job_timeout_s is not None:
+            self._watchdog = threading.Thread(
+                target=self._watch, name=f"{self.name}-watchdog", daemon=True
+            )
+            self._watchdog.start()
 
     # ------------------------------------------------------------------ #
     # Submission API
@@ -211,18 +249,15 @@ class DynamicBatcher:
         request = _Request(np.asarray(window), future, int(priority), deadline)
         victim: Optional[_Request] = None
         # Enqueue under the lock so a concurrent close() either sees this
-        # request before its shutdown sentinel (and drains it) or rejects
-        # the submission — a request can never slip in after the drain.
+        # request (and drains it) or rejects the submission — a request can
+        # never slip in after the drain.
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"{self.name} is closed")
             if self.max_queue_depth is not None:
-                depth = sum(len(d) for d in self._pending_by_priority.values())
+                depth = sum(len(d) for d in self._pending.values())
                 if depth >= self.max_queue_depth:
-                    worst = max(
-                        (p for p, d in self._pending_by_priority.items() if d),
-                        default=None,
-                    )
+                    worst = max((p for p, d in self._pending.items() if d), default=None)
                     if worst is None or worst <= request.priority:
                         # Nothing queued is less urgent: fast rejection.
                         self.metrics.inc("batcher_rejected", priority=request.priority)
@@ -230,11 +265,10 @@ class DynamicBatcher:
                             f"{self.name}: queue full "
                             f"({depth}/{self.max_queue_depth}); request rejected"
                         )
-                    victim = self._pending_by_priority[worst].pop()
-                    victim.shed = True
+                    victim = self._pending[worst].pop()
                     self.metrics.inc("batcher_shed", priority=worst)
-            self._pending_by_priority.setdefault(request.priority, deque()).append(request)
-            self._queue.put((request.priority, next(self._ticket), request))
+            self._pending.setdefault(request.priority, deque()).append(request)
+            self._ready.notify()
         if victim is not None and victim.future.set_running_or_notify_cancel():
             # Resolve outside the lock: future callbacks run inline.
             victim.future.set_exception(
@@ -279,40 +313,58 @@ class DynamicBatcher:
     def _queue_depth(self) -> int:
         """Requests queued and not yet formed into a batch."""
         with self._lock:
-            return sum(len(d) for d in self._pending_by_priority.values())
+            return sum(len(d) for d in self._pending.values())
+
+    def _alive(self) -> int:
+        """Former slots whose owning thread is running."""
+        with self._lock:
+            return sum(
+                1 for former in self._formers
+                if former.thread is not None and former.thread.is_alive()
+            )
 
     def close(self, timeout: Optional[float] = 10.0) -> bool:
-        """Stop accepting requests, drain the queue, and join the worker.
+        """Stop accepting requests, drain the queue, and join every former.
 
-        When a pool is attached, also blocks until every batch this batcher
-        already dispatched has finished executing (the pool itself stays
-        open — it may be shared).
-
-        ``timeout`` is a *single* budget for the whole shutdown: the worker
-        join and the wait on in-flight pool futures share one deadline
-        (earlier revisions spent the full timeout on each phase, so
-        ``close(timeout=10)`` could block for 20 s).  Returns ``True`` when
-        everything drained within the budget, ``False`` when the worker is
-        still alive or pool futures are still running at the deadline — the
-        caller can then retry, extend the budget, or report the leak.
+        ``timeout`` is a *single* budget for the whole shutdown, shared by
+        every join.  A former started during the drain (a replacement for
+        one that crashed or was abandoned) is joined too; an abandoned
+        former is not waited for — its batch already failed.  Returns
+        ``True`` when everything drained within the budget, ``False`` when
+        a former is still running at the deadline — the caller can then
+        retry, extend the budget, or report the leak.
         """
         with self._lock:
-            already = self._closed
-            if not already:
-                self._closed = True
-                self._queue.put((_SHUTDOWN_PRIORITY, next(self._ticket), _SHUTDOWN))
+            self._closed = True
+            self._ready.notify_all()
         deadline = None if timeout is None else time.monotonic() + timeout
-        self._worker.join(timeout=timeout)
-        drained = not self._worker.is_alive()
+        while True:
+            with self._lock:
+                owners = [
+                    former.thread for former in self._formers
+                    if former.thread is not None and former.thread.is_alive()
+                ]
+            if not owners:
+                break
+            remaining = 0.05 if deadline is None else deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            # Join in short slices: the slot may change hands while we wait.
+            owners[0].join(min(remaining, 0.05))
+        # With the restart budget spent every slot may be empty, and then no
+        # former drained the queue: fail what is left rather than strand it.
         with self._lock:
-            pending = list(self._pending)
-        if pending:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            done = wait_futures(pending, timeout=remaining)
-            drained = drained and not done.not_done
-        return drained
+            leftovers = [request for level in self._pending.values() for request in level]
+            self._pending.clear()
+        for request in leftovers:
+            if request.future.set_running_or_notify_cancel():
+                request.future.set_exception(
+                    RuntimeError(f"{self.name}: closed with no former left to serve the request")
+                )
+        self._stop_watchdog.set()
+        if self._watchdog is not None:
+            self._watchdog.join()
+        return True
 
     @property
     def closed(self) -> bool:
@@ -326,48 +378,96 @@ class DynamicBatcher:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Batch formation
+    # Formers and their supervision
     # ------------------------------------------------------------------ #
-    def _run(self) -> None:
+    def _spawn(self, slot: int) -> None:
+        """Start a fresh former owning ``slot`` (lock held, or from __init__)."""
+        former = self._formers[slot]
+        former.batch = None
+        former.thread = threading.Thread(
+            target=self._run, args=(slot,), name=f"{self.name}-former-{slot}", daemon=True
+        )
+        former.thread.start()
+
+    def _respawn(self, slot: int) -> None:
+        """Replace ``slot``'s former, spending one restart (lock held).
+
+        Once the budget is spent the slot is left empty and the batcher's
+        capacity permanently shrinks by one former.
+        """
+        if self._restarts >= self.max_restarts:
+            self._formers[slot].thread = None
+            self._formers[slot].batch = None
+            return
+        self._restarts += 1
+        self._spawn(slot)
+
+    def _watch(self) -> None:
+        """Abandon formers stuck in ``run_batch`` past ``job_timeout_s``."""
+        timeout = self.job_timeout_s
+        while not self._stop_watchdog.wait(timeout / 4.0):
+            now = time.monotonic()
+            stuck: List[Tuple[List[_Request], float]] = []
+            with self._lock:
+                for slot, former in enumerate(self._formers):
+                    if former.batch is not None and now - former.started_at > timeout:
+                        self.metrics.inc("pool_timeouts")
+                        stuck.append((former.batch, now - former.started_at))
+                        # The hung thread keeps running (daemon); it no
+                        # longer owns the slot, so its late result is
+                        # discarded and it exits once its call returns.
+                        self._respawn(slot)
+            for batch, elapsed in stuck:
+                error = BackendTimeout(
+                    f"{self.name}: batch exceeded its soft timeout "
+                    f"({elapsed:.3f}s > {timeout}s); former abandoned"
+                )
+                for request in batch:
+                    request.future.set_exception(error)
+
+    def _run(self, slot: int) -> None:
+        """Form a batch, run it inline, repeat — until the batcher is closed
+        and drained, this former crashes, or the watchdog abandons it."""
         while True:
-            if self._dispatch_slots is not None:
-                # Take the slot before forming: while every worker is busy,
-                # arrivals keep joining the next batch in the priority queue
-                # (where HIGH can still jump ahead) instead of a batch of one
-                # blocking here.
-                self._dispatch_slots.acquire()
-            batch: List[_Request] = []
-            _, _, item = self._queue.get()
-            while item is not _SHUTDOWN:
-                self._admit(item, batch)
-                if len(batch) == self.max_batch_size:
-                    break
-                try:
-                    _, _, item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-            self._dispatch(batch)
-            # Nothing live sorts after the sentinel, and submit() rejects
-            # once close() has queued it: the queue is drained.
-            if item is _SHUTDOWN:
+            batch, drained = self._form()
+            try:
+                self._execute(batch, slot)
+            except WorkerCrash:
+                # An emulated native crash takes this former down with the
+                # batch (already failed); a replacement takes its slot.
+                with self._lock:
+                    self.metrics.inc("pool_crashes")
+                    self._respawn(slot)
+                return
+            if drained or self._formers[slot].thread is not threading.current_thread():
                 return
 
-    def _admit(self, request: _Request, batch: List[_Request]) -> None:
-        """Add ``request`` to the forming batch, or expire it in place.
+    def _form(self) -> Tuple[List[_Request], bool]:
+        """Wait for a request, then take at most ``max_batch_size`` of those
+        queued: the most urgent level first, FIFO within one.
 
-        A past-deadline request is resolved immediately with
-        ``DeadlineExceeded`` so it never occupies a batch slot that a
-        still-viable request could use.  A request shed by admission
-        control was already resolved with ``Overloaded`` and removed from
-        the pending books — it is skipped silently here.
+        A past-deadline request is resolved with ``DeadlineExceeded`` here
+        instead, so it never occupies a batch slot that a still-viable
+        request could use.  Returns the batch and whether the batcher is
+        closed with nothing left queued.
         """
+        batch: List[_Request] = []
+        expired: List[_Request] = []
         with self._lock:
-            pending = self._pending_by_priority.get(request.priority)
-            if pending and pending[0] is request:
-                pending.popleft()
-        if request.shed:
-            return
-        if request.deadline is not None and time.monotonic() > request.deadline:
+            while not self._closed and not any(self._pending.values()):
+                self._ready.wait()
+            now = time.monotonic()
+            for priority in sorted(p for p, d in self._pending.items() if d):
+                level = self._pending[priority]
+                while level and len(batch) < self.max_batch_size:
+                    request = level.popleft()
+                    if request.deadline is not None and now > request.deadline:
+                        expired.append(request)
+                    else:
+                        batch.append(request)
+            drained = self._closed and not any(self._pending.values())
+        # Resolve outside the lock: future callbacks run inline.
+        for request in expired:
             if request.future.set_running_or_notify_cancel():
                 self.metrics.inc("batcher_expired", priority=request.priority)
                 request.future.set_exception(
@@ -375,80 +475,34 @@ class DynamicBatcher:
                         f"{self.name}: request expired after waiting past its deadline"
                     )
                 )
-            return
-        batch.append(request)
+        return batch, drained
 
-    def _dispatch(self, batch: List[_Request]) -> None:
-        """Execute ``batch`` inline, or hand it to the pool on the dispatch
-        slot :meth:`_run` acquired for it."""
-        if not batch:
-            if self._dispatch_slots is not None:
-                self._dispatch_slots.release()
-            return
-        if self.pool is None:
-            self._execute(batch)
-            return
-        try:
-            job = self.pool.submit(lambda: self._execute(batch, propagate_crash=True))
-        except RuntimeError:
-            # A borrowed pool was closed while this batcher is still live.
-            # Fall back to inline execution: the forming thread must never
-            # die with futures unresolved (the no-request-dropped invariant
-            # outranks pool dispatch).
-            self._dispatch_slots.release()
-            self._execute(batch)
-            return
-        job.add_done_callback(lambda done, batch=batch: self._job_done(batch, done))
-        with self._lock:
-            # Prune settled jobs so long-lived batchers hold O(workers)
-            # futures, not one per batch ever dispatched.
-            self._pending = [f for f in self._pending if not f.done()]
-            self._pending.append(job)
+    def _finish(self, slot: int, failed: bool) -> bool:
+        """Take ``slot``'s batch back from the watchdog after ``run_batch``.
 
-    def _job_done(self, batch: List[_Request], job: Future) -> None:
-        """Release the dispatch slot and settle any futures the job left.
-
-        ``_execute`` resolves every request future itself, so on a clean
-        job there is nothing to do.  But a job that *failed at the pool
-        level* — its worker crashed mid-batch, or supervision abandoned it
-        on a soft timeout — died between claiming the request futures and
-        resolving them.  Forwarding the job's error here is what upholds
-        the no-request-dropped invariant under worker faults.
+        ``False`` when this former was abandoned meanwhile: its batch
+        already failed with ``BackendTimeout`` and the outcome is discarded.
         """
-        self._dispatch_slots.release()
-        if job.cancelled():
-            error: BaseException = RuntimeError(f"{self.name}: batch job cancelled")
-        else:
-            error = job.exception()
-        if error is None:
-            return
-        for request in batch:
-            try:
-                # Legal from PENDING or RUNNING; InvalidStateError means the
-                # future already settled (normally, or a hung worker unstuck
-                # and resolved it first) or was cancelled.
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
+        with self._lock:
+            former = self._formers[slot]
+            if former.thread is not threading.current_thread():
+                return False
+            former.batch = None
+        if self.num_workers > 1:
+            self.metrics.inc("pool_jobs", worker=slot)
+            if failed:
+                self.metrics.inc("pool_failures")
+        return True
 
     # ------------------------------------------------------------------ #
-    # Batch execution (forming thread or pool worker)
+    # Batch execution (on the former that formed the batch)
     # ------------------------------------------------------------------ #
-    def _execute(self, batch: List[_Request], propagate_crash: bool = False) -> None:
+    def _execute(self, batch: List[_Request], slot: int) -> None:
         # Claim every future before running: a future that was cancelled
         # while queued is dropped here, and a claimed (RUNNING) future can
         # no longer be cancelled, so set_result/set_exception below cannot
         # race a caller's cancel() into InvalidStateError.
-        claimed = [request for request in batch if request.future.set_running_or_notify_cancel()]
-        alive: List[_Request] = []
-        expired: List[_Request] = []
-        for request in claimed:
-            # Re-check the deadline at execution time: a request can expire
-            # between batch formation and a pool worker picking the job up.
-            if request.deadline is not None and time.monotonic() > request.deadline:
-                expired.append(request)
-            else:
-                alive.append(request)
+        alive = [request for request in batch if request.future.set_running_or_notify_cancel()]
         reference = self.input_shape
         if reference is None and alive:
             # Majority shape of the batch (ties -> earliest submission):
@@ -474,11 +528,6 @@ class DynamicBatcher:
         # Count each rejection *before* resolving its future, so a caller
         # that awaits a rejected future and then reads ``stats`` always
         # observes its own request accounted for.
-        for request in expired:
-            self.metrics.inc("batcher_expired", priority=request.priority)
-            request.future.set_exception(
-                DeadlineExceeded(f"{self.name}: request expired before its batch executed")
-            )
         for request in malformed:
             self.metrics.inc("batcher_malformed", priority=request.priority)
             request.future.set_exception(
@@ -489,6 +538,10 @@ class DynamicBatcher:
             )
         if not live:
             return
+        former = self._formers[slot]
+        with self._lock:
+            former.started_at = time.monotonic()
+            former.batch = live
         try:
             stacked = np.stack([request.payload for request in live])
             earliest = min(
@@ -505,24 +558,20 @@ class DynamicBatcher:
                     f"batch of {len(live)}"
                 )
         except BaseException as error:  # noqa: BLE001 — forwarded to callers
+            if not self._finish(slot, failed=True):
+                return
             for request in live:
-                try:
-                    request.future.set_exception(error)
-                except InvalidStateError:
-                    pass  # already failed by timeout abandonment
-            if propagate_crash and isinstance(error, WorkerCrash):
-                # Let the emulated crash take the pool worker down (the
-                # supervisor respawns it).  Inline execution never
-                # propagates: the forming thread must survive everything.
+                request.future.set_exception(error)
+            if self.num_workers > 1 and isinstance(error, WorkerCrash):
+                # Let the emulated crash take this former down (_run
+                # replaces it).  A single former never propagates: it must
+                # survive everything.
                 raise
+            return
+        if not self._finish(slot, failed=False):
             return
         for priority, count in Counter(request.priority for request in live).items():
             self.metrics.inc("batcher_requests", count, priority=priority)
         self.metrics.inc("batcher_batches", size=len(live))
         for row, request in enumerate(live):
-            try:
-                request.future.set_result(results[row])
-            except InvalidStateError:
-                # Supervision abandoned this batch on a soft timeout and
-                # already failed the future; the late row is discarded.
-                pass
+            request.future.set_result(results[row])

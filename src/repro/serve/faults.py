@@ -25,8 +25,8 @@ This module supplies the substrate every resilience feature builds on:
 A server merges its breaker's ``stats`` into its one snapshot,
 ``InferenceServer.stats``.
 
-Everything here is engine-agnostic: nothing imports the batcher, the pool
-or the server, so those layers can import freely from this module.
+Everything here is engine-agnostic: nothing imports the batcher or the
+server, so those layers can import freely from this module.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ class BackendError(ServingError):
 class BackendTimeout(BackendError, TimeoutError):
     """A backend call exceeded its soft timeout (the job was abandoned).
 
-    The stuck thread cannot be killed, only abandoned: the pool fails the
-    job's future with this error and respawns a replacement worker, and
-    the late result (if the thread ever unsticks) is discarded.
+    The stuck thread cannot be killed, only abandoned: the batcher fails
+    the batch's futures with this error and starts a replacement former,
+    and the late result (if the thread ever unsticks) is discarded.
     """
 
     def __init__(self, message: str) -> None:
@@ -97,9 +97,10 @@ class BackendTimeout(BackendError, TimeoutError):
 class WorkerCrash(BackendError):
     """A fault that takes the whole worker thread down with it.
 
-    Emulates a segfaulting native kernel: the pool fails the job's future
-    and lets the thread die, relying on supervision to respawn it.  Marked
-    retryable — a respawned worker can serve the retried batch.
+    Emulates a segfaulting native kernel: with ``num_workers > 1`` the
+    batcher fails the batch's futures and lets the former die, relying on
+    supervision to replace it.  Marked retryable — a replacement former can
+    serve the retried batch.
     """
 
     def __init__(self, message: str = "worker crashed") -> None:
@@ -394,8 +395,8 @@ class LatencySpike:
 class Hang:
     """Stall ``seconds`` *inside* the backend, then serve the call.
 
-    Models an unresponsive device/driver: with a pool soft timeout shorter
-    than ``seconds`` the job is abandoned and the eventual late result is
+    Models an unresponsive device/driver: with a soft ``job_timeout_s``
+    shorter than ``seconds`` the batch is abandoned and the eventual late result is
     discarded, which is exactly the production behaviour under test.
     """
 
@@ -406,8 +407,8 @@ class Hang:
 class InjectError:
     """Raise a typed error instead of serving the call.
 
-    ``crash=True`` raises :class:`WorkerCrash`, which the pool treats as
-    thread-fatal (the worker dies and must be respawned); otherwise a
+    ``crash=True`` raises :class:`WorkerCrash`, which a supervised batcher
+    treats as thread-fatal (the former dies and is replaced); otherwise a
     plain :class:`BackendError` with the given ``retryable`` flag.
     """
 

@@ -1,7 +1,7 @@
 """One stats surface for the serving stack: labelled counters and gauges.
 
-Every serving component that reports numbers — the batcher, the worker
-pool, the circuit breaker, the backend cache, the session manager and the
+Every serving component that reports numbers — the batcher (with its
+formers' supervision), the circuit breaker, the backend cache, the session manager and the
 server itself — holds one :class:`MetricsRegistry` as ``.metrics`` and
 returns its :class:`Snapshot` as ``.stats``.
 

@@ -1,9 +1,8 @@
 """The serving facade: one API over both inference engines.
 
-:class:`InferenceServer` owns a :class:`~repro.serve.backends.Backend`, a
-:class:`~repro.serve.batcher.DynamicBatcher` and (when ``num_workers > 1``)
-a :class:`~repro.serve.pool.WorkerPool`, and exposes the call styles a
-gesture-recognition service needs:
+:class:`InferenceServer` owns a :class:`~repro.serve.backends.Backend` and a
+:class:`~repro.serve.batcher.DynamicBatcher` (``num_workers`` forming
+threads), and exposes the call styles a gesture-recognition service needs:
 
 * ``submit(window, priority=..., deadline_s=...)`` — asynchronous
   single-window requests (the batcher aggregates concurrent callers into
@@ -26,8 +25,8 @@ faults only, within the request deadline), a
 backend, and an open int8 circuit can degrade to the float backend —
 answers served by the fallback are flagged with
 :class:`~repro.serve.faults.DegradedLogits`.  ``server.stats`` is the
-one snapshot of all of it: the series of the server, batcher, pool,
-breaker and session manager (see :mod:`repro.serve.metrics`) plus a
+one snapshot of all of it: the series of the server, batcher (with its
+formers' supervision), breaker and session manager (see :mod:`repro.serve.metrics`) plus a
 coarse ``status`` verdict.
 
 Backends are constructed through a process-wide cache keyed by
@@ -78,7 +77,7 @@ from .faults import (
     WorkerCrash,
 )
 from .metrics import MetricsRegistry, Snapshot
-from .pool import Priority, WorkerPool
+from .pool import Priority
 from .sessions import SessionManager
 from .stream import StreamSession
 
@@ -181,8 +180,8 @@ class ServerStats(Snapshot):
     """One :class:`InferenceServer`'s snapshot: the series of its parts, merged.
 
     The server's own ``server_retries`` and ``server_degraded`` (rows
-    answered by the fallback) plus the batcher's, the pool's (absent when
-    batches execute inline), the breaker's (absent without one) and the
+    answered by the fallback) plus the batcher's (its ``pool_*`` series only
+    with ``num_workers > 1``), the breaker's (absent without one) and the
     attached session manager's series.  Each part is read once.
     """
 
@@ -245,24 +244,18 @@ class InferenceServer:
     max_batch_size:
         Micro-batch cap (see :class:`~repro.serve.batcher.DynamicBatcher`).
     num_workers:
-        Backend execution threads.  ``1`` (default) executes batches inline
-        on the forming thread; ``> 1`` creates a private
-        :class:`~repro.serve.pool.WorkerPool` so micro-batches run
-        concurrently (both backends release the GIL in their BLAS kernels).
-    pool:
-        An externally owned :class:`~repro.serve.pool.WorkerPool` to execute
-        on (e.g. one pool shared by several servers).  Mutually exclusive
-        with ``num_workers > 1``; a borrowed pool is never closed by the
-        server.
+        Forming threads of the batcher, each executing the micro-batches
+        it forms, so ``N`` batches run concurrently (both backends release
+        the GIL in their BLAS kernels).  ``> 1`` supervises them: a crashed
+        former is replaced (see :class:`~repro.serve.batcher.DynamicBatcher`).
     cache:
         Backend cache to use; defaults to the process-wide cache.  Models
         passed as live ``Module`` objects are cached per object identity.
     job_timeout_s:
-        Soft per-batch timeout for an *owned* pool: a batch stuck past
-        this budget fails with :class:`~repro.serve.faults.BackendTimeout`
-        and its worker is abandoned/respawned.  Requires ``num_workers >
-        1``: inline execution and a borrowed pool (whose owner configures
-        supervision) reject it with ``ValueError``.
+        Soft per-batch timeout: a batch stuck past this budget fails with
+        :class:`~repro.serve.faults.BackendTimeout` and its former is
+        abandoned and replaced.  Requires ``num_workers > 1``; a single
+        former rejects it with ``ValueError``.
     retry_policy:
         Optional :class:`~repro.serve.faults.RetryPolicy`.  Retryable
         backend faults (and non-finite logits) are re-attempted with
@@ -302,7 +295,6 @@ class InferenceServer:
         calibration: Optional[np.ndarray] = None,
         max_batch_size: int = 16,
         num_workers: int = 1,
-        pool: Optional[WorkerPool] = None,
         cache: Optional[BackendCache] = None,
         lowering: Optional[LoweringConfig] = None,
         job_timeout_s: Optional[float] = None,
@@ -314,21 +306,12 @@ class InferenceServer:
     ) -> None:
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got '{backend}'")
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if pool is not None and num_workers > 1:
-            raise ValueError("pass either num_workers or an external pool, not both")
         if fallback and backend != "int8":
             raise ValueError("fallback degradation requires backend='int8'")
         if lowering is not None and backend != "int8":
             raise ValueError("a lowering config requires backend='int8'")
         if calibration is not None and backend != "int8":
             raise ValueError("calibration windows require backend='int8'")
-        if job_timeout_s is not None and (pool is not None or num_workers == 1):
-            raise ValueError(
-                "job_timeout_s requires an owned pool (num_workers > 1); a borrowed "
-                "pool is supervised by its owner"
-            )
         self.backend_name = backend
         self.cache = cache if cache is not None else get_default_cache()
         model_kwargs = dict(model_kwargs or {})
@@ -382,34 +365,18 @@ class InferenceServer:
             self.breaker = None
         self.metrics = MetricsRegistry("server_retries", "server_degraded")
         self._session_manager = None
-        self._owns_pool = pool is None and num_workers > 1
-        self.pool = pool if pool is not None else (
-            WorkerPool(
-                num_workers,
-                name=f"{self.architecture}-{backend}-pool",
-                job_timeout_s=job_timeout_s,
-            )
-            if num_workers > 1
-            else None
+        self.batcher = DynamicBatcher(
+            self._run_batch,
+            max_batch_size=max_batch_size,
+            name=f"{self.architecture}-{backend}",
+            input_shape=self.backend.input_shape,
+            num_workers=num_workers,
+            max_queue_depth=max_queue_depth,
+            job_timeout_s=job_timeout_s,
         )
-        try:
-            self.batcher = DynamicBatcher(
-                self._run_batch,
-                max_batch_size=max_batch_size,
-                name=f"{self.architecture}-{backend}",
-                input_shape=self.backend.input_shape,
-                pool=self.pool,
-                max_queue_depth=max_queue_depth,
-            )
-        except BaseException:
-            # Don't leak an owned pool's worker threads if the batcher
-            # rejects its knobs.
-            if self._owns_pool and self.pool is not None:
-                self.pool.close(timeout=1.0)
-            raise
 
     # ------------------------------------------------------------------ #
-    # Fault-tolerant dispatch (runs on the forming thread or pool workers)
+    # Fault-tolerant dispatch (runs on the batcher's forming threads)
     # ------------------------------------------------------------------ #
     def _run_batch(
         self, stacked: np.ndarray, deadline: Optional[float] = None
@@ -447,8 +414,8 @@ class InferenceServer:
                     # retry loop running *on* that thread would not survive
                     # a real native crash, so propagate immediately: the
                     # batcher resolves the batch's futures with the typed
-                    # error and lets the pool worker die for supervision to
-                    # respawn.
+                    # error and, with num_workers > 1, lets the former die
+                    # for supervision to replace.
                     raise
                 if isinstance(error, ServingError):
                     wrapped: BaseException = error
@@ -675,19 +642,19 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     @property
     def num_workers(self) -> int:
-        """Backend execution threads (1 = inline on the forming thread)."""
-        return self.pool.num_workers if self.pool is not None else 1
+        """Forming threads, each executing the batches it forms."""
+        return self.batcher.num_workers
 
     @property
     def stats(self) -> ServerStats:
         """The server's one snapshot (see :class:`ServerStats`)."""
-        parts = (self, self.batcher, self.pool, self.breaker, self._session_manager)
+        parts = (self, self.batcher, self.breaker, self._session_manager)
         return ServerStats.merge(
             *(part.metrics.snapshot() for part in parts if part is not None)
         )
 
     def close(self) -> None:
-        """Drain pending requests and stop the batching worker (and pool).
+        """Drain pending requests and stop the batcher's formers.
 
         An attached session manager is drained *first* — its in-flight
         chunks still need the batcher — so every managed session settles
@@ -696,8 +663,6 @@ class InferenceServer:
         if self._session_manager is not None:
             self._session_manager.close()
         self.batcher.close()
-        if self._owns_pool and self.pool is not None:
-            self.pool.close()
 
     def __enter__(self) -> "InferenceServer":
         return self

@@ -238,28 +238,21 @@ def test_close_reports_clean_drain():
 
 
 def test_close_spends_a_single_timeout_budget():
-    """Regression: ``close(timeout=t)`` used to give the worker join *and*
-    the pool-future wait a full ``t`` each, so a wedged pipeline blocked
-    for up to ``2 * t``.  Both phases now share one deadline, and an
-    incomplete drain is reported instead of silently swallowed."""
-    from repro.serve import WorkerPool
-
+    """Regression: ``close(timeout=t)`` used to give each shutdown phase a
+    full ``t``, so a wedged pipeline blocked for a multiple of ``t``.  Every
+    former's join now shares one deadline, and an incomplete drain is
+    reported instead of silently swallowed."""
     release = threading.Event()
 
     def stuck_backend(batch, deadline=None):
         release.wait(timeout=30.0)
         return np.asarray(batch)
 
-    pool = WorkerPool(num_workers=1)
     try:
-        batcher = DynamicBatcher(
-            stuck_backend, max_batch_size=1, pool=pool
-        )
-        # Two single-request batches: the first occupies the only pool
-        # worker (stuck in the backend), the second wedges the forming
-        # thread on the dispatch throttle — so close() faces both a live
-        # worker *and* an in-flight pool future, the exact shape that used
-        # to spend the timeout twice.
+        batcher = DynamicBatcher(stuck_backend, max_batch_size=1, num_workers=2)
+        # Two single-request batches, one stuck in the backend on each
+        # former — so close() faces two live formers to join within one
+        # budget.
         first = batcher.submit(np.array([1.0]))
         second = batcher.submit(np.array([2.0]))
         deadline = time.monotonic() + 5.0
@@ -276,7 +269,6 @@ def test_close_spends_a_single_timeout_budget():
         assert batcher.close(timeout=10.0) is True
     finally:
         release.set()
-        pool.close()
 
 
 def test_backend_error_propagates_to_every_future():

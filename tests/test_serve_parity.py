@@ -19,7 +19,6 @@ from repro.serve import (
     BackendCache,
     InferenceServer,
     Priority,
-    WorkerPool,
     build_float_backend,
     build_int8_backend,
 )
@@ -202,37 +201,28 @@ class TestServerFacade:
             assert server.backend.num_classes == 8
 
     @pytest.mark.parametrize(
-        "case", ["module_patch_size", "module_model_kwargs", "timeout_inline", "timeout_borrowed"]
+        "case", ["module_patch_size", "module_model_kwargs", "timeout_inline"]
     )
     def test_rejects_options_it_cannot_apply(self, case, cache):
-        """A registry argument beside a built model, or a job timeout without
-        an owned pool, used to be accepted and ignored."""
+        """A registry argument beside a built model, or a job timeout on a
+        single former, used to be accepted and ignored."""
         registry = dict(patch_size=10, model_kwargs=GEOMETRY)
-        with WorkerPool(num_workers=1) as pool:
-            model, kwargs, option = {
-                "module_patch_size": (make_model("bio1"), dict(patch_size=5), "patch_size"),
-                "module_model_kwargs": (
-                    make_model("bio1"),
-                    dict(model_kwargs={"num_channels": 99}),
-                    "model_kwargs",
-                ),
-                "timeout_inline": ("bio1", dict(registry, job_timeout_s=0.001), "job_timeout_s"),
-                "timeout_borrowed": (
-                    "bio1",
-                    dict(registry, job_timeout_s=0.001, pool=pool),
-                    "job_timeout_s",
-                ),
-            }[case]
-            with pytest.raises(ValueError, match=option):
-                InferenceServer(model, "float", cache=cache, **kwargs)
+        model, kwargs, option = {
+            "module_patch_size": (make_model("bio1"), dict(patch_size=5), "patch_size"),
+            "module_model_kwargs": (
+                make_model("bio1"),
+                dict(model_kwargs={"num_channels": 99}),
+                "model_kwargs",
+            ),
+            "timeout_inline": ("bio1", dict(registry, job_timeout_s=0.001), "job_timeout_s"),
+        }[case]
+        with pytest.raises(ValueError, match=option):
+            InferenceServer(model, "float", cache=cache, **kwargs)
 
-    def test_rejects_non_positive_workers_and_pool_conflict(self, cache):
+    def test_rejects_non_positive_workers(self, cache):
         kwargs = dict(patch_size=10, model_kwargs=GEOMETRY, cache=cache)
         with pytest.raises(ValueError, match="num_workers"):
             InferenceServer("bio1", "float", num_workers=0, **kwargs)
-        with WorkerPool(num_workers=2) as pool:
-            with pytest.raises(ValueError, match="either num_workers or"):
-                InferenceServer("bio1", "float", num_workers=2, pool=pool, **kwargs)
 
     def test_stats_snapshot_is_frozen(self, rng, cache):
         with InferenceServer(
@@ -282,7 +272,7 @@ class TestServerFacade:
 
 
 # --------------------------------------------------------------------- #
-# Multi-worker pool execution and the async/priority surface
+# Multi-worker execution and the async/priority surface
 # --------------------------------------------------------------------- #
 class TestPoolServing:
     def test_pooled_server_matches_direct_forward_bitwise(self, rng, cache):
@@ -298,17 +288,6 @@ class TestPoolServing:
             pool_stats = server.stats
         np.testing.assert_array_equal(served, expected)
         assert pool_stats.pool_alive == 4 and pool_stats.pool_jobs >= 1
-
-    def test_external_pool_is_borrowed_not_closed(self, rng, cache):
-        model = make_model("bio1")
-        with WorkerPool(num_workers=2, name="shared") as pool:
-            for _ in range(2):  # two servers share the same pool
-                with InferenceServer(
-                    model, "float", cache=cache, max_batch_size=4, pool=pool
-                ) as server:
-                    assert server.infer(rng.normal(size=(4, 4, 60))).shape == (4, 8)
-                assert not pool.closed
-            assert pool.stats.pool_jobs >= 2
 
     def test_infer_async_and_as_completed(self, rng, cache):
         with InferenceServer(

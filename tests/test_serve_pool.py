@@ -1,16 +1,22 @@
-"""WorkerPool and priority/deadline request-model tests.
+"""Multi-former batcher and priority/deadline request-model tests.
 
-The pool's contract mirrors the batcher's: no submitted job is lost, a
-failing job fails only its own future, and ``close()`` drains everything
-already queued.  The priority model's contract is ordering (lower priority
-values form batches first, FIFO within a level) and deadline hygiene (an
-expired request resolves with ``DeadlineExceeded`` without occupying a
-batch slot or failing its batch-mates).
+``DynamicBatcher(num_workers=N)`` runs ``N`` forming threads over one
+priority queue, each executing the batch it formed.  Their contract
+mirrors the single former's: no request is lost, a failing batch fails
+only its own futures, and ``close()`` drains everything already queued
+and joins every former.  With ``N > 1`` the formers are supervised: a
+``WorkerCrash`` kills its former and a replacement starts, a former stuck
+past ``job_timeout_s`` is abandoned (its batch fails with
+``BackendTimeout``, its late result is discarded), and replacements draw
+from a ``max_restarts`` budget.  The priority model's contract is ordering
+(lower priority values form batches first, FIFO within a level) and
+deadline hygiene (an expired request resolves with ``DeadlineExceeded``
+without occupying a batch slot or failing its batch-mates).
 """
 
+import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -25,131 +31,63 @@ from repro.serve import (
     Priority,
     Snapshot,
     WorkerCrash,
-    WorkerPool,
 )
 
 
-# --------------------------------------------------------------------- #
-# WorkerPool core behaviour
-# --------------------------------------------------------------------- #
-class TestWorkerPool:
-    def test_jobs_run_and_results_propagate(self):
-        with WorkerPool(num_workers=3) as pool:
-            futures = [pool.submit(lambda i=i: i * i) for i in range(20)]
-            assert [f.result(timeout=10.0) for f in futures] == [i * i for i in range(20)]
-        assert pool.stats.pool_jobs == 20
-
-    def test_jobs_actually_overlap_across_workers(self):
-        barrier = threading.Barrier(3, timeout=5.0)
-        with WorkerPool(num_workers=3) as pool:
-            futures = [pool.submit(barrier.wait) for _ in range(3)]
-            # Each job blocks until all three run at once: only possible if
-            # three workers execute concurrently.
-            for future in futures:
-                future.result(timeout=10.0)
-
-    def test_failing_job_fails_only_its_own_future(self):
-        def boom():
-            raise RuntimeError("job exploded")
-
-        with WorkerPool(num_workers=2) as pool:
-            bad = pool.submit(boom)
-            good = [pool.submit(lambda i=i: i) for i in range(5)]
-            with pytest.raises(RuntimeError, match="job exploded"):
-                bad.result(timeout=10.0)
-            assert [f.result(timeout=10.0) for f in good] == list(range(5))
-        stats = pool.stats
-        assert stats.pool_failures == 1
-        assert stats.pool_jobs == 6
-
-    def test_close_drains_queued_jobs(self):
-        done = []
-        pool = WorkerPool(num_workers=2)
-        futures = [pool.submit(lambda i=i: (time.sleep(0.005), done.append(i))[0]) for i in range(12)]
-        pool.close()
-        for future in futures:
-            future.result(timeout=1.0)  # already done: close() drained
-        assert sorted(done) == list(range(12))
-
-    def test_submit_after_close_raises(self):
-        pool = WorkerPool(num_workers=1)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(lambda: None)
-
-    def test_cancelled_queued_job_is_skipped(self):
-        with WorkerPool(num_workers=1) as pool:
-            blocker = pool.submit(lambda: time.sleep(0.05))
-            victim = pool.submit(lambda: pytest.fail("cancelled job must not run"))
-            survivor = pool.submit(lambda: "ok")
-            assert victim.cancel() or victim.result(timeout=10.0) is None
-            assert survivor.result(timeout=10.0) == "ok"
-            blocker.result(timeout=10.0)
-
-    def test_stats_snapshot_is_immutable_and_balanced(self):
-        with WorkerPool(num_workers=2) as pool:
-            for f in [pool.submit(lambda: time.sleep(0.002)) for _ in range(10)]:
-                f.result(timeout=10.0)
-            stats = pool.stats
-            assert isinstance(stats, Snapshot)
-            with pytest.raises(AttributeError):
-                stats.pool_jobs = 0
-            per_worker = stats.by("pool_jobs", "worker")
-            assert sum(per_worker.values()) == stats.pool_jobs == 10
-            assert set(per_worker) <= {0, 1}
-            assert max(per_worker.values()) <= 10
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            WorkerPool(num_workers=0)
-
-
-# --------------------------------------------------------------------- #
-# Batcher on a pool: drain and identity under concurrency
-# --------------------------------------------------------------------- #
 def echo_batch(batch, deadline=None):
     return np.asarray(batch)
 
 
-class TestBatcherOnPool:
+def _wait_until(predicate, timeout=5.0, interval=0.005):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+# --------------------------------------------------------------------- #
+# N formers: overlap, drain and identity under concurrency
+# --------------------------------------------------------------------- #
+class TestFormers:
+    def test_jobs_actually_overlap_across_workers(self):
+        barrier = threading.Barrier(3, timeout=5.0)
+
+        def rendezvous(batch, deadline=None):
+            barrier.wait()
+            return np.asarray(batch)
+
+        with DynamicBatcher(rendezvous, max_batch_size=1, num_workers=3) as batcher:
+            futures = [batcher.submit(np.array([i])) for i in range(3)]
+            # Each batch blocks until all three run at once: only possible
+            # if three formers execute concurrently.
+            assert [int(f.result(timeout=10.0)[0]) for f in futures] == [0, 1, 2]
+        assert not barrier.broken
+
     def test_every_request_answered_by_itself(self):
-        with WorkerPool(num_workers=4) as pool:
-            with DynamicBatcher(echo_batch, max_batch_size=4, pool=pool) as batcher:
-                futures = [batcher.submit(np.array([i])) for i in range(64)]
-                results = [int(f.result(timeout=10.0)[0]) for f in futures]
+        with DynamicBatcher(echo_batch, max_batch_size=4, num_workers=4) as batcher:
+            futures = [batcher.submit(np.array([i])) for i in range(64)]
+            results = [int(f.result(timeout=10.0)[0]) for f in futures]
         assert results == list(range(64))
 
-    def test_close_drains_queue_and_inflight_pool_jobs(self):
+    def test_close_drains_queue_and_inflight_batches(self):
         def slow_echo(batch, deadline=None):
             time.sleep(0.01)
             return np.asarray(batch)
 
-        pool = WorkerPool(num_workers=3)
-        batcher = DynamicBatcher(slow_echo, max_batch_size=2, pool=pool)
+        batcher = DynamicBatcher(slow_echo, max_batch_size=2, num_workers=3)
         futures = [batcher.submit(np.array([i])) for i in range(30)]
-        batcher.close()
-        # close() returned only after every dispatched batch executed.
+        assert batcher.close() is True
+        # close() returned only after every formed batch executed.
         assert all(f.done() for f in futures)
         assert [int(f.result(timeout=0)[0]) for f in futures] == list(range(30))
-        assert pool.stats.pool_jobs == batcher.stats.batcher_batches
-        assert not pool.closed  # borrowed pools are never closed by the batcher
-        pool.close()
-
-    def test_borrowed_pool_closed_early_falls_back_to_inline(self):
-        """Regression: a closed borrowed pool must not kill the forming
-        thread — batches fall back to inline execution instead."""
-        pool = WorkerPool(num_workers=2)
-        with DynamicBatcher(echo_batch, max_batch_size=4, pool=pool) as batcher:
-            first = batcher.submit(np.array([1]))
-            assert int(first.result(timeout=10.0)[0]) == 1
-            pool.close()  # owner shuts the shared pool down early
-            late = [batcher.submit(np.array([i])) for i in range(2, 6)]
-            assert [int(f.result(timeout=10.0)[0]) for f in late] == [2, 3, 4, 5]
+        assert batcher.stats.pool_jobs == batcher.stats.batcher_batches
 
     def test_batch_grows_while_every_worker_is_busy(self):
-        """Work conservation: the forming thread takes a dispatch slot
-        before it forms, so requests that arrive one by one while both
-        workers are busy all join the next batch."""
+        """Work conservation: requests that arrive one by one while both
+        formers are busy in the backend wait in the priority queue, and
+        the first former to come free takes them all as one batch."""
         release = threading.Event()
         sizes = []
 
@@ -158,29 +96,28 @@ class TestBatcherOnPool:
             release.wait(timeout=10.0)
             return np.asarray(batch)
 
-        with WorkerPool(num_workers=2) as pool:
-            with DynamicBatcher(gated, max_batch_size=8, pool=pool) as batcher:
-                try:
-                    parked = []
-                    for value in (-1, -2):
-                        parked.append(batcher.submit(np.array([value])))
-                        assert _wait_until(parked[-1].running)
-                    arrivals = []
-                    for value in range(6):
-                        arrivals.append(batcher.submit(np.array([value])))
-                        time.sleep(0.005)
-                finally:
-                    release.set()
-                results = [int(f.result(timeout=10.0)[0]) for f in parked + arrivals]
+        with DynamicBatcher(gated, max_batch_size=8, num_workers=2) as batcher:
+            try:
+                parked = []
+                for value in (-1, -2):
+                    parked.append(batcher.submit(np.array([value])))
+                    assert _wait_until(parked[-1].running)
+                arrivals = []
+                for value in range(6):
+                    arrivals.append(batcher.submit(np.array([value])))
+                    time.sleep(0.005)
+            finally:
+                release.set()
+            results = [int(f.result(timeout=10.0)[0]) for f in parked + arrivals]
         assert results == [-1, -2, 0, 1, 2, 3, 4, 5]
         assert sizes == [1, 1, 6]
 
     def test_server_runs_two_requests_in_the_float_backend_at_once(self):
         """The server-level overlap check, whatever the core count: each
         call of the real float backend first waits at a two-party barrier,
-        so both single-window batches must be inside ``run`` at once.  A
-        pool that serialised its jobs (or a forming thread that waited out
-        each one) breaks the barrier after 5 s and fails both requests."""
+        so both single-window batches must be inside ``run`` at once.
+        Formers that serialised their batches break the barrier after 5 s
+        and fail both requests."""
         barrier = threading.Barrier(2, timeout=5.0)
 
         class Rendezvous:
@@ -207,7 +144,7 @@ class TestBatcherOnPool:
             for window, row in zip(windows, rows):
                 np.testing.assert_array_equal(row, server.backend.run(window[None])[0])
         assert not barrier.broken
-        # close() waited out both pool jobs: one ran on each worker.
+        # One batch ran on each former.
         assert server.stats.by("pool_jobs", "worker") == {0: 1, 1: 1}
 
     def test_backend_error_contained_to_one_batch(self):
@@ -221,13 +158,90 @@ class TestBatcherOnPool:
                 raise ValueError("poisoned batch")
             return np.asarray(batch)
 
-        with WorkerPool(num_workers=2) as pool:
-            with DynamicBatcher(flaky, max_batch_size=1, pool=pool) as batcher:
-                bad = batcher.submit(np.array([0]))
-                good = [batcher.submit(np.array([i])) for i in range(1, 6)]
-                with pytest.raises(ValueError, match="poisoned"):
-                    bad.result(timeout=10.0)
-                assert [int(f.result(timeout=10.0)[0]) for f in good] == [1, 2, 3, 4, 5]
+        with DynamicBatcher(flaky, max_batch_size=1, num_workers=2) as batcher:
+            bad = batcher.submit(np.array([0]))
+            good = [batcher.submit(np.array([i])) for i in range(1, 6)]
+            with pytest.raises(ValueError, match="poisoned"):
+                bad.result(timeout=10.0)
+            assert [int(f.result(timeout=10.0)[0]) for f in good] == [1, 2, 3, 4, 5]
+        stats = batcher.stats
+        assert stats.pool_failures == 1
+        assert stats.pool_jobs == 6
+        assert stats.pool_crashes == 0  # an ordinary error never kills a former
+
+    def test_stats_snapshot_is_immutable_and_balanced(self):
+        def slow_echo(batch, deadline=None):
+            time.sleep(0.002)
+            return np.asarray(batch)
+
+        with DynamicBatcher(slow_echo, max_batch_size=1, num_workers=2) as batcher:
+            for f in [batcher.submit(np.array([i])) for i in range(10)]:
+                f.result(timeout=10.0)
+            stats = batcher.stats
+            assert isinstance(stats, Snapshot)
+            with pytest.raises(AttributeError):
+                stats.pool_jobs = 0
+            per_worker = stats.by("pool_jobs", "worker")
+            assert sum(per_worker.values()) == stats.pool_jobs == 10
+            assert set(per_worker) <= {0, 1}
+            assert stats.pool_alive == 2
+            assert stats.pool_restarts == 0
+
+    def test_stress_more_formers_than_cores_lose_no_request(self):
+        """Six formers, four submitting threads and a tiny GIL switch
+        interval: every request is answered once, by its own row, and the
+        counters the formers share add up."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DynamicBatcher(echo_batch, max_batch_size=4, num_workers=6) as batcher:
+                futures = {}
+                lock = threading.Lock()
+
+                def client(offset):
+                    for i in range(offset, offset + 200):
+                        future = batcher.submit(np.array([i]), priority=i % 3)
+                        with lock:
+                            futures[i] = future
+
+                clients = [threading.Thread(target=client, args=(k * 1000,)) for k in range(4)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                for i, future in futures.items():
+                    assert int(future.result(timeout=30.0)[0]) == i
+        finally:
+            sys.setswitchinterval(previous)
+        stats = batcher.stats
+        assert len(futures) == stats.batcher_requests == 800
+        assert sum(stats.by("pool_jobs", "worker").values()) == stats.batcher_batches
+        assert stats.batcher_queue_depth == 0
+
+    def test_single_former_survives_crash_and_shows_no_pool_series(self):
+        def crash_on_zero(batch, deadline=None):
+            if int(batch[0, 0]) == 0:
+                raise WorkerCrash("native kernel segfaulted")
+            return np.asarray(batch)
+
+        with DynamicBatcher(crash_on_zero, max_batch_size=1) as batcher:
+            with pytest.raises(WorkerCrash):
+                batcher.submit(np.array([0])).result(timeout=10.0)
+            # The one former failed the batch and serves on.
+            assert int(batcher.submit(np.array([7])).result(timeout=10.0)[0]) == 7
+            stats = batcher.stats
+        assert not any(name.startswith("pool_") for name in stats.series)
+
+    def test_rejects_bad_supervision_settings(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            DynamicBatcher(echo_batch, num_workers=0)
+        with pytest.raises(ValueError, match="job_timeout_s"):
+            DynamicBatcher(echo_batch, job_timeout_s=1.0)
+        with pytest.raises(ValueError, match="job_timeout_s"):
+            DynamicBatcher(echo_batch, num_workers=2, job_timeout_s=0.0)
+        with pytest.raises(ValueError, match="max_restarts"):
+            DynamicBatcher(echo_batch, num_workers=2, max_restarts=-1)
 
 
 # --------------------------------------------------------------------- #
@@ -267,27 +281,23 @@ class TestPriorityAndDeadlines:
         bulk_order = [v for v in executed if 0 <= v < 100]
         assert bulk_order == sorted(bulk_order)
 
-    def test_preemption_survives_pool_dispatch(self):
-        """Regression: unbounded dispatch used to drain every queued LOW
-        request into the pool's FIFO job queue, so a later HIGH request
-        waited behind all of them.  Dispatch is throttled to the worker
-        count, so excess traffic waits in the priority queue instead."""
+    def test_preemption_holds_with_several_formers(self):
+        """Formers take requests straight from the priority queue, so with
+        both formers busy a later HIGH request still runs ahead of the
+        LOW bulk work queued before it: at most the two in-flight batches
+        (plus scheduling slack) run first."""
         backend = RecordingBackend(delay_s=0.01)
-        with WorkerPool(num_workers=2) as pool:
-            with DynamicBatcher(backend, max_batch_size=1, pool=pool) as batcher:
-                bulk = [
-                    batcher.submit(np.array([i]), priority=Priority.LOW)
-                    for i in range(20)
-                ]
-                time.sleep(0.005)  # let dispatch fill both workers
-                urgent = batcher.submit(np.array([100]), priority=Priority.HIGH)
-                urgent.result(timeout=10.0)
-                still_pending = sum(not future.done() for future in bulk)
-                for future in bulk:
-                    future.result(timeout=10.0)
-        # The HIGH request landed while most of the earlier-submitted LOW
-        # bulk work was still waiting: at most the two in-flight batches
-        # (plus scheduling slack) could run ahead of it.
+        with DynamicBatcher(backend, max_batch_size=1, num_workers=2) as batcher:
+            bulk = [
+                batcher.submit(np.array([i]), priority=Priority.LOW)
+                for i in range(20)
+            ]
+            time.sleep(0.005)  # let both formers take a batch
+            urgent = batcher.submit(np.array([100]), priority=Priority.HIGH)
+            urgent.result(timeout=10.0)
+            still_pending = sum(not future.done() for future in bulk)
+            for future in bulk:
+                future.result(timeout=10.0)
         assert still_pending > len(bulk) // 2
         executed = [int(row[0]) for batch in backend.batches for row in batch]
         assert executed.index(100) < len(bulk) // 2
@@ -347,113 +357,171 @@ class TestPriorityAndDeadlines:
 
 
 # --------------------------------------------------------------------- #
-# Supervision: crash detection, soft timeouts, restart budgets
+# Supervision: crash respawn, soft timeouts, restart budgets
 # --------------------------------------------------------------------- #
-def _wait_until(predicate, timeout=5.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+class FaultyBackend:
+    """Echoes its batch, except that a row valued ``crash`` raises
+    ``WorkerCrash`` and a row valued ``hang`` stalls until ``release``."""
+
+    def __init__(self, crash=None, hang=None):
+        self.crash = crash
+        self.hang = hang
+        self.release = threading.Event()
+        self.threads = []  # the former thread of every call, in call order
+        self.lock = threading.Lock()
+
+    def __call__(self, batch, deadline=None):
+        with self.lock:
+            self.threads.append(threading.current_thread())
+        value = int(batch[0, 0])
+        if value == self.crash:
+            raise WorkerCrash("native kernel segfaulted")
+        if value == self.hang:
+            self.release.wait(timeout=10.0)
+        return np.asarray(batch)
 
 
 class TestSupervision:
     def test_crashed_worker_is_respawned(self):
-        def crash():
-            raise WorkerCrash("native kernel segfaulted")
-
-        with WorkerPool(num_workers=2, supervise_interval_s=0.005) as pool:
-            doomed = pool.submit(crash)
+        backend = FaultyBackend(crash=0)
+        with DynamicBatcher(backend, max_batch_size=1, num_workers=2) as batcher:
+            doomed = batcher.submit(np.array([0]))
             with pytest.raises(WorkerCrash):
                 doomed.result(timeout=10.0)
-            # Supervision notices the dead thread and refills the slot.
-            assert _wait_until(lambda: pool.stats.pool_alive == 2)
-            assert _wait_until(lambda: pool.stats.pool_restarts >= 1)
-            # The respawned worker actually serves traffic.
-            assert pool.submit(lambda: 41 + 1).result(timeout=10.0) == 42
-        stats = pool.stats
-        assert stats.pool_crashes >= 1
-        assert stats.pool_failures >= 1
+            # The crashed former's slot has a fresh former.
+            assert _wait_until(lambda: batcher.stats.pool_restarts == 1)
+            assert batcher.stats.pool_alive == 2
+            assert _wait_until(lambda: not backend.threads[0].is_alive())
+            # The replacement serves traffic.
+            futures = [batcher.submit(np.array([i])) for i in range(1, 9)]
+            assert [int(f.result(timeout=10.0)[0]) for f in futures] == list(range(1, 9))
+        stats = batcher.stats
+        assert stats.pool_crashes == 1
+        assert stats.pool_failures == 1
 
     def test_hung_job_fails_fast_and_worker_is_abandoned(self):
-        release = threading.Event()
-
-        def hang():
-            release.wait(timeout=10.0)
-            return "late"
-
-        pool = WorkerPool(num_workers=2, job_timeout_s=0.05, supervise_interval_s=0.005)
+        backend = FaultyBackend(hang=0)
+        batcher = DynamicBatcher(backend, max_batch_size=1, num_workers=2, job_timeout_s=0.05)
         try:
-            stuck = pool.submit(hang)
+            stuck = batcher.submit(np.array([0]))
             start = time.monotonic()
             with pytest.raises(BackendTimeout):
                 stuck.result(timeout=10.0)
             # The caller got its answer near the soft timeout, not after
             # the full 10 s hang.
             assert time.monotonic() - start < 5.0
-            assert _wait_until(lambda: pool.stats.pool_alive == 2)
-            assert pool.stats.pool_timeouts == 1
-            # A fresh worker owns the slot; quick jobs still flow.
-            assert pool.submit(lambda: "ok").result(timeout=10.0) == "ok"
+            stats = batcher.stats
+            assert stats.pool_timeouts == 1
+            assert stats.pool_restarts == 1
+            assert stats.pool_alive == 2  # the hung thread no longer counts
+            # A fresh former owns the slot; quick batches still flow.
+            assert int(batcher.submit(np.array([5])).result(timeout=10.0)[0]) == 5
         finally:
-            release.set()  # unstick the abandoned thread so close() is clean
-            pool.close()
+            backend.release.set()  # unstick the abandoned thread
+            assert batcher.close() is True
 
     def test_late_result_of_abandoned_job_is_discarded(self):
-        release = threading.Event()
-
-        def hang():
-            release.wait(timeout=10.0)
-            return "late"
-
-        pool = WorkerPool(num_workers=1, job_timeout_s=0.05, supervise_interval_s=0.005)
+        backend = FaultyBackend(hang=0)
+        batcher = DynamicBatcher(backend, max_batch_size=1, num_workers=2, job_timeout_s=0.05)
         try:
-            stuck = pool.submit(hang)
+            stuck = batcher.submit(np.array([0]))
             with pytest.raises(BackendTimeout):
                 stuck.result(timeout=10.0)
-            release.set()  # the abandoned thread now finishes...
-            time.sleep(0.1)
-            # ...but its late result cannot overwrite the timeout verdict.
+            backend.release.set()  # the abandoned thread now finishes...
+            backend.threads[0].join(timeout=5.0)
+            assert not backend.threads[0].is_alive()
+            # ...but its late result cannot overwrite the timeout verdict,
+            # nor count as served.
             with pytest.raises(BackendTimeout):
                 stuck.result(timeout=0)
+            stats = batcher.stats
+            assert stats.batcher_requests == 0
+            assert stats.pool_jobs == 0
         finally:
-            release.set()
-            pool.close()
+            backend.release.set()
+            batcher.close()
 
     def test_restart_budget_exhaustion_shrinks_the_pool(self):
-        def crash():
-            raise WorkerCrash("again")
-
-        with WorkerPool(num_workers=2, max_restarts=1, supervise_interval_s=0.005) as pool:
-            first = pool.submit(crash)
+        backend = FaultyBackend(crash=0)
+        with DynamicBatcher(backend, max_batch_size=1, num_workers=2, max_restarts=1) as batcher:
+            first = batcher.submit(np.array([0]))
             with pytest.raises(WorkerCrash):
                 first.result(timeout=10.0)
-            assert _wait_until(lambda: pool.stats.pool_restarts == 1)
-            second = pool.submit(crash)
+            assert _wait_until(lambda: batcher.stats.pool_restarts == 1)
+            second = batcher.submit(np.array([0]))
             with pytest.raises(WorkerCrash):
                 second.result(timeout=10.0)
-            # Budget spent: the second dead slot stays dead.
-            assert _wait_until(lambda: pool.stats.pool_alive == 1)
-            assert pool.stats.pool_restarts == 1
-            # The surviving worker still serves.
-            assert pool.submit(lambda: 7).result(timeout=10.0) == 7
+            # Budget spent: the second dead slot stays empty.
+            assert _wait_until(lambda: batcher.stats.pool_alive == 1)
+            assert batcher.stats.pool_restarts == 1
+            # The surviving former still serves.
+            assert int(batcher.submit(np.array([7])).result(timeout=10.0)[0]) == 7
+
+    def test_close_fails_requests_stranded_by_a_spent_budget(self):
+        backend = FaultyBackend(crash=0)
+        batcher = DynamicBatcher(backend, max_batch_size=1, num_workers=2, max_restarts=0)
+        for _ in range(2):
+            with pytest.raises(WorkerCrash):
+                batcher.submit(np.array([0])).result(timeout=10.0)
+        assert _wait_until(lambda: batcher.stats.pool_alive == 0)
+        stranded = batcher.submit(np.array([1]))
+        assert batcher.close() is True
+        with pytest.raises(RuntimeError, match="no former left"):
+            stranded.result(timeout=0)
 
     def test_supervised_pool_counters_stay_balanced(self):
-        def crash():
-            raise WorkerCrash("boom")
-
-        with WorkerPool(num_workers=3, supervise_interval_s=0.005) as pool:
-            futures = [pool.submit(lambda i=i: i) for i in range(10)]
-            doomed = pool.submit(crash)
-            more = [pool.submit(lambda i=i: -i) for i in range(10)]
-            assert [f.result(timeout=10.0) for f in futures] == list(range(10))
+        backend = FaultyBackend(crash=-1)
+        with DynamicBatcher(backend, max_batch_size=1, num_workers=3) as batcher:
+            futures = [batcher.submit(np.array([i])) for i in range(10)]
+            doomed = batcher.submit(np.array([-1]))
+            more = [batcher.submit(np.array([i])) for i in range(10, 20)]
+            assert [int(f.result(timeout=10.0)[0]) for f in futures] == list(range(10))
             with pytest.raises(WorkerCrash):
                 doomed.result(timeout=10.0)
-            assert [f.result(timeout=10.0) for f in more] == [-i for i in range(10)]
-        stats = pool.stats
+            assert [int(f.result(timeout=10.0)[0]) for f in more] == list(range(10, 20))
+        stats = batcher.stats
         assert sum(stats.by("pool_jobs", "worker").values()) == stats.pool_jobs == 21
-        assert stats.pool_failures == 1
+        assert stats.pool_failures == stats.pool_crashes == stats.pool_restarts == 1
+        assert stats.batcher_requests == 20
+
+
+# --------------------------------------------------------------------- #
+# Former lifecycle: joined on close, abandoned ones retire
+# --------------------------------------------------------------------- #
+class TestFormerLifecycle:
+    def test_close_joins_every_former_of_a_two_worker_server(self):
+        server = InferenceServer(
+            "bio1",
+            "float",
+            patch_size=10,
+            model_kwargs=dict(num_channels=4, window_samples=60, seed=3),
+            cache=BackendCache(),
+            num_workers=2,
+        )
+        prefix = f"{server.batcher.name}-former"
+        formers = [t for t in threading.enumerate() if t.name.startswith(prefix)]
+        assert len(formers) == 2
+        server.infer(np.random.default_rng(1).standard_normal((6, 4, 60)))
+        server.close()
+        assert not any(thread.is_alive() for thread in formers)
+        assert not any(t.name.startswith(prefix) for t in threading.enumerate())
+
+    def test_abandoned_former_takes_no_further_request(self):
+        backend = FaultyBackend(hang=0)
+        batcher = DynamicBatcher(backend, max_batch_size=1, num_workers=2, job_timeout_s=0.05)
+        try:
+            with pytest.raises(BackendTimeout):
+                batcher.submit(np.array([0])).result(timeout=10.0)
+            hung = backend.threads[0]
+            backend.release.set()  # the hung call returns...
+            hung.join(timeout=5.0)
+            assert not hung.is_alive()  # ...and its former retires
+            futures = [batcher.submit(np.array([i])) for i in range(1, 21)]
+            assert [int(f.result(timeout=10.0)[0]) for f in futures] == list(range(1, 21))
+            assert hung not in backend.threads[1:]
+        finally:
+            backend.release.set()
+            assert batcher.close() is True
 
 
 # --------------------------------------------------------------------- #
