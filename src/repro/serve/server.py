@@ -26,8 +26,8 @@ backend, and an open int8 circuit can degrade to the float backend —
 answers served by the fallback are flagged with
 :class:`~repro.serve.faults.DegradedLogits`.  ``server.stats`` is the
 one snapshot of all of it: the series of the server, batcher (with its
-formers' supervision), breaker and session manager (see :mod:`repro.serve.metrics`) plus a
-coarse ``status`` verdict.
+formers' supervision), breaker and session manager (see
+:mod:`repro.serve.metrics`) plus a coarse ``status`` verdict.
 
 Backends are constructed through a process-wide cache keyed by
 ``(architecture, patch_size, backend, lowering config, calibration)``
